@@ -3,6 +3,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"math"
 	"strconv"
 	"strings"
 
@@ -66,6 +67,8 @@ func cmdExfil(args []string) error {
 	return o.finish("exfil", args, *seed, *workers)
 }
 
+// parseFloatList parses the comma-separated list given to flag name. Every
+// entry must be a finite number, so an empty list or entry fails too.
 func parseFloatList(name, s string) ([]float64, error) {
 	var out []float64
 	for _, part := range strings.Split(s, ",") {
@@ -73,10 +76,10 @@ func parseFloatList(name, s string) ([]float64, error) {
 		if err != nil {
 			return nil, fmt.Errorf("bad %s entry %q: %v", name, part, err)
 		}
+		if math.IsNaN(v) || math.IsInf(v, 0) {
+			return nil, fmt.Errorf("bad %s entry %q: not a finite number", name, part)
+		}
 		out = append(out, v)
-	}
-	if len(out) == 0 {
-		return nil, fmt.Errorf("%s must list at least one value", name)
 	}
 	return out, nil
 }

@@ -3,8 +3,6 @@ package main
 import (
 	"flag"
 	"fmt"
-	"strconv"
-	"strings"
 	"time"
 
 	"deepnote/internal/experiment"
@@ -28,7 +26,7 @@ func cmdFingerprint(args []string) error {
 	o := addObsFlags(fs)
 	fs.Parse(args)
 
-	snrList, err := parseSNRs(*snrs)
+	snrList, err := parseFloatList("-snrs", *snrs)
 	if err != nil {
 		return err
 	}
@@ -54,19 +52,4 @@ func cmdFingerprint(args []string) error {
 	fmt.Printf("defense gate at min confidence 0.5: benign verdict armed=%v, hostile verdict armed=%v\n",
 		res.GateBenignArmed, res.GateHostileArmed)
 	return o.finish("fingerprint", args, *seed, *workers)
-}
-
-func parseSNRs(s string) ([]float64, error) {
-	var out []float64
-	for _, part := range strings.Split(s, ",") {
-		v, err := strconv.ParseFloat(strings.TrimSpace(part), 64)
-		if err != nil {
-			return nil, fmt.Errorf("bad -snrs entry %q: %v", part, err)
-		}
-		out = append(out, v)
-	}
-	if len(out) == 0 {
-		return nil, fmt.Errorf("-snrs must list at least one value")
-	}
-	return out, nil
 }

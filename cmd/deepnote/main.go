@@ -27,7 +27,8 @@
 // bit-identical for any worker count.
 //
 // The experiment commands (figure2, table1-3, sweep, range, crash, outage,
-// selfcheck) also accept -metrics PATH and -manifest PATH: the run is instrumented
+// resilience, selfcheck, stealthgrid, cluster, fleet, sonar, fingerprint,
+// exfil) also accept -metrics PATH and -manifest PATH: the run is instrumented
 // with per-layer counters (hdd, blockdev, fio, jfs, kvdb, osmodel, attack,
 // parallel, experiment), the snapshot/manifest is written as JSON, and a
 // per-layer summary table goes to stderr. Instrumentation never touches
@@ -118,8 +119,6 @@ func main() {
 		err = cmdIntegrity(args)
 	case "selfcheck":
 		err = cmdSelfCheck(args)
-	case "bench":
-		err = cmdBench(args)
 	case "all":
 		err = cmdAll(args)
 	case "help", "-h", "--help":
@@ -167,10 +166,10 @@ commands:
   adaptive  closed-loop attacker: find the best tone within a probe budget
   integrity silent adjacent-track corruption under a marginal attack
   selfcheck differential check: analytic oracle vs Monte-Carlo simulation
-  bench     host-time benchmark snapshot of the key experiments (JSON)
   all       regenerate every paper artifact
 
-observability (figure2, table1-3, sweep, range, crash, outage, resilience, selfcheck, stealthgrid, cluster):
+observability (figure2, table1-3, sweep, range, crash, outage, resilience, selfcheck, stealthgrid,
+               cluster, fleet, sonar, fingerprint, exfil):
   -metrics PATH   write a per-layer metrics snapshot JSON
   -manifest PATH  write a run manifest JSON (spec, seed, git, metrics)`)
 }
