@@ -82,7 +82,8 @@ func TestExfilDetectOOKStealthTradeoff(t *testing.T) {
 }
 
 // TestExfilDetectDeterministic replays a spec and demands identical
-// results — the property the exfil-determinism CI job leans on.
+// results — the property TestGoldenOutputs in cmd/deepnote leans on when
+// it pins the exfil row at -workers 1 and 8.
 func TestExfilDetectDeterministic(t *testing.T) {
 	s := ExfilDetectSpec{Ambient: sig.NewAmbient(sig.AmbientShrimp, 9), Frames: 2, Seed: 11}
 	r1, err := s.Run()

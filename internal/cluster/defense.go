@@ -196,12 +196,13 @@ func (c *Cluster) SetDefense(spec DefenseSpec) error {
 	// Predicted blast amplitude per (fix, drive), cached once like the
 	// per-(speaker, drive) attack transfer functions.
 	var tf sched.TransferCache
-	tf.Ensure(len(fixes), len(c.drives), func(f, di int) float64 {
-		d := c.drives[di]
-		_, amp := c.cfg.Layout.PredictedAmp(fixes[f].Pos, fixes[f].Err, fixes[f].Tone, d.container, d.asm, c.model)
+	stacks, model := c.drives.Stacks, c.drives.model
+	tf.Ensure(len(fixes), len(stacks), func(f, di int) float64 {
+		d := stacks[di]
+		_, amp := c.cfg.Layout.PredictedAmp(fixes[f].Pos, fixes[f].Err, fixes[f].Tone, d.Container, d.asm, model)
 		return amp
 	})
-	threshold := *spec.Margin * c.model.ServoLockFrac
+	threshold := *spec.Margin * model.ServoLockFrac
 
 	C := len(c.cfg.Layout.Containers)
 	dpc := c.cfg.DrivesPerContainer
@@ -216,9 +217,9 @@ func (c *Cluster) SetDefense(spec DefenseSpec) error {
 	for f := 0; f < len(fixes); {
 		at := int64(fixes[f].At + *spec.React)
 		for f < len(fixes) && int64(fixes[f].At+*spec.React) == at {
-			for di := range c.drives {
+			for di, d := range stacks {
 				if tf.Gain(f, di) >= threshold {
-					hot[c.drives[di].container] = true
+					hot[d.Container] = true
 				}
 			}
 			f++

@@ -195,7 +195,7 @@ func TestDefenseReEvacuatesWhenReplicaTargetGoesHotTwice(t *testing.T) {
 	var targets []int
 	for _, ev := range ds.evacs {
 		if ev.object == 0 && ev.shard == 0 {
-			ct := c.drives[ev.drive].container
+			ct := c.drives.Stacks[ev.drive].Container
 			p := ds.phaseFor(ev.at)
 			if ds.phases[p].atRisk[ct] {
 				t.Fatalf("re-placement %d of shard 0 targets container %d inside the phase-%d radius", len(targets), ct, p)
@@ -316,7 +316,7 @@ func TestDefenseEvacTargetsAvoidBlastRadius(t *testing.T) {
 		if p < 0 {
 			t.Fatalf("evac at %d ns predates every phase", ev.at)
 		}
-		ct := con.drives[ev.drive].container
+		ct := con.drives.Stacks[ev.drive].Container
 		if ds.phases[p].atRisk[ct] {
 			t.Fatalf("evac of object %d shard %d targets container %d inside the phase-%d blast radius",
 				ev.object, ev.shard, ct, p)

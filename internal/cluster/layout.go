@@ -298,13 +298,3 @@ func (l Layout) VibrationAt(c int, asm enclosure.Assembly, model hdd.Model, acti
 		func(s int) units.Frequency { return freqs[s] },
 		func(s int) float64 { return amps[s] }, active)
 }
-
-// SuperposeGains is the exported entry to the superposition helper for
-// other tiers (internal/fleet) that cache per-(speaker, drive) transfer
-// gains themselves: n sources with per-source normalized frequency and
-// cached gain, masked by active (nil = all on). It goes through the same
-// code path as VibrationAt and the cluster serving engine, so every tier
-// agrees bit-exactly on what a speaker set does to a drive.
-func SuperposeGains(n int, freq func(s int) units.Frequency, gain func(s int) float64, active []bool) hdd.Vibration {
-	return superposeComponents(n, freq, gain, active)
-}

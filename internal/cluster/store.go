@@ -1,20 +1,11 @@
 package cluster
 
 import (
-	"context"
 	"fmt"
-	"sort"
 	"time"
 
-	"deepnote/internal/blockdev"
-	"deepnote/internal/enclosure"
-	"deepnote/internal/hdd"
 	"deepnote/internal/metrics"
 	"deepnote/internal/netstore"
-	"deepnote/internal/parallel"
-	"deepnote/internal/sched"
-	"deepnote/internal/simclock"
-	"deepnote/internal/units"
 )
 
 // Ptr returns a pointer to v: the literal-friendly way to set the
@@ -79,25 +70,9 @@ func (c Config) withDefaults() Config {
 // seed returns the resolved root seed; call only after withDefaults.
 func (c Config) seed() int64 { return *c.Seed }
 
-// driveStack is one drive's full victim stack: mechanics on its own
-// virtual clock, a block device, and a netstore front end. Each drive
-// owning its clock (rather than sharing one) is what makes the bulk-
-// synchronous serving engine deterministic at any worker count: a
-// drive's timeline depends only on the ops queued to it, never on how
-// goroutines interleave.
-type driveStack struct {
-	container, slot int
-	asm             enclosure.Assembly
-	clock           *simclock.Virtual
-	drive           *hdd.Drive
-	disk            *blockdev.Disk
-	server          *netstore.Server
-	stepIdx         int
-
-	// runner is the drive's discrete-event dispatcher: its queue holds
-	// this drive's pending shard ops in (time, issue-seq) order, and its
-	// clock is the drive's own virtual clock.
-	runner sched.Runner
+// driveBufs are one drive's per-epoch serving buffers, written only by
+// that drive's dispatch.
+type driveBufs struct {
 	// results accumulates one record per dispatched shard op within an
 	// epoch; the engine combines them serially and truncates. Reused.
 	results []opResult
@@ -116,37 +91,21 @@ type ScheduleStep struct {
 }
 
 // Cluster is the assembled datacenter: n-shard erasure-coded object
-// store over per-drive victim stacks placed in a spatial layout.
+// store over a one-site drive substrate.
 type Cluster struct {
 	cfg       Config
 	coder     *Coder
 	shardSize int
-	model     hdd.Model
-	drives    []*driveStack
-
-	// stripes caches each object's encoded shards; client PUTs rewrite
-	// the same deterministic content, so GET verification is exact.
-	stripes [][][]byte
-
-	// tf caches the per-(speaker, drive) acoustic transfer gain — the
-	// full chain walk evaluated once at construction. Layout and tones
-	// are immutable after New, so the cache is never invalidated here;
-	// schedule steps only superpose cached gains (see internal/sched).
-	tf sched.TransferCache
-	// tfFreqs[s] is speaker s's normalized tone frequency, the other
-	// half of its cached transfer function.
-	tfFreqs []units.Frequency
-
-	schedule []ScheduleStep
-	// vibs[step][drive] is the precomputed superposed vibration.
-	vibs [][]hdd.Vibration
+	drives    *Drives
+	// bufs[di] is drive di's buffers, allocated apart so concurrently
+	// draining drives never share a cache line.
+	bufs []*driveBufs
 
 	// defense is the compiled closed-loop defense plan (nil = off). See
 	// SetDefense in defense.go.
 	defense *defenseState
 
-	origin time.Time
-	last   ServeResult
+	last ServeResult
 	// latencies of successful client requests, for histograms.
 	latGet, latPut []time.Duration
 
@@ -173,69 +132,30 @@ func New(cfg Config) (*Cluster, error) {
 	if n, ct := coder.TotalShards(), len(cfg.Layout.Containers); ct < n {
 		return nil, fmt.Errorf("cluster: %d containers cannot hold %d-shard stripes in distinct failure domains", ct, n)
 	}
+	drives, err := NewDrives(DriveSpec{
+		Sites:        []Layout{cfg.Layout},
+		PerContainer: cfg.DrivesPerContainer,
+		Coder:        coder,
+		Objects:      cfg.Objects,
+		ObjectSize:   cfg.ObjectSize,
+		Net:          cfg.Net,
+		Seed:         cfg.seed(),
+		Workers:      cfg.Workers,
+	})
+	if err != nil {
+		return nil, err
+	}
 	c := &Cluster{
 		cfg:       cfg,
 		coder:     coder,
 		shardSize: coder.ShardSize(cfg.ObjectSize),
-		model:     hdd.Barracuda500(),
+		drives:    drives,
+		bufs:      make([]*driveBufs, len(drives.Stacks)),
+		retained:  make(map[retKey][]byte),
 	}
-	for ct := range cfg.Layout.Containers {
-		asm, err := cfg.Layout.Containers[ct].Scenario.Assembly()
-		if err != nil {
-			return nil, err
-		}
-		for slot := 0; slot < cfg.DrivesPerContainer; slot++ {
-			driveAsm := asm
-			if asm.Mount.Tower != nil {
-				driveAsm.Mount = enclosure.TowerMount(*asm.Mount.Tower, slot%asm.Mount.Tower.Slots)
-			}
-			idx := len(c.drives)
-			clock := simclock.NewVirtual()
-			drive, err := hdd.NewDrive(c.model, clock, parallel.SeedFor(cfg.seed(), 2*idx))
-			if err != nil {
-				return nil, err
-			}
-			disk := blockdev.NewDisk(drive)
-			net := cfg.Net
-			net.ObjectSize = c.shardSize
-			// The local keyspace is doubled: keys [0, Objects) hold home
-			// shards, [Objects, 2·Objects) hold defense replicas (shard
-			// re-placements steered here by an active Defense plan). With
-			// the defense off the upper half is never addressed; Objects
-			// only bounds-checks requests, so the doubling changes nothing
-			// else.
-			net.Objects = 2 * cfg.Objects
-			net.Seed = parallel.SeedFor(cfg.seed(), 2*idx+1)
-			d := &driveStack{
-				container: ct,
-				slot:      slot,
-				asm:       driveAsm,
-				clock:     clock,
-				drive:     drive,
-				disk:      disk,
-				server:    netstore.NewServer(disk, clock, net),
-				stepIdx:   -1,
-			}
-			d.runner.Clock = clock
-			c.drives = append(c.drives, d)
-		}
+	for di := range c.bufs {
+		c.bufs[di] = new(driveBufs)
 	}
-	c.stripes = make([][][]byte, cfg.Objects)
-	for o := range c.stripes {
-		c.stripes[o] = coder.Encode(objectPayload(o, cfg.ObjectSize))
-	}
-	// Precompute every speaker→drive transfer function once: geometry and
-	// tones are frozen after New, so attack schedules only superpose these
-	// cached gains (keying speakers on/off never re-walks the chain).
-	c.tfFreqs = make([]units.Frequency, len(cfg.Layout.Speakers))
-	for s := range cfg.Layout.Speakers {
-		c.tfFreqs[s] = cfg.Layout.Speakers[s].Tone.Normalize().Freq
-	}
-	c.tf.Ensure(len(cfg.Layout.Speakers), len(c.drives), func(s, di int) float64 {
-		_, amp := cfg.Layout.SpeakerAmp(s, c.drives[di].container, c.drives[di].asm, c.model)
-		return amp
-	})
-	c.retained = make(map[retKey][]byte)
 	return c, nil
 }
 
@@ -246,7 +166,7 @@ func (c *Cluster) Coder() *Coder { return c.coder }
 func (c *Cluster) Config() Config { return c.cfg }
 
 // Drives returns the number of drive stacks.
-func (c *Cluster) Drives() int { return len(c.drives) }
+func (c *Cluster) Drives() int { return len(c.drives.Stacks) }
 
 // shardDrive maps (object, shard) to a drive index. Shard j of object o
 // lives in container (o+j) mod C — n consecutive distinct containers, so
@@ -260,102 +180,18 @@ func (c *Cluster) shardDrive(o, j int) int {
 	return ct*c.cfg.DrivesPerContainer + slot
 }
 
-// objectPayload is the deterministic content of object o. Client PUTs
-// write the same bytes, so any successful read — direct or reconstructed
-// — must match exactly; a mismatch is counted as a corrupt read.
-func objectPayload(o, size int) []byte {
-	b := make([]byte, size)
-	for i := range b {
-		b[i] = byte((o*131 + i*7 + (i>>8)*13) ^ 0x5a)
-	}
-	return b
-}
-
 // SetSchedule programs the attack: steps sorted by offset; before the
-// first step (and with no steps) every speaker is silent. Vibrations for
-// every (step, drive) pair are superposed up front from the cached
-// per-(speaker, drive) transfer functions — a schedule change costs
-// O(steps·drives·speakers) float adds, never an acoustic chain walk.
-func (c *Cluster) SetSchedule(steps []ScheduleStep) {
-	c.schedule = append([]ScheduleStep(nil), steps...)
-	sort.SliceStable(c.schedule, func(i, j int) bool { return c.schedule[i].At < c.schedule[j].At })
-	c.vibs = make([][]hdd.Vibration, len(c.schedule))
-	for si, step := range c.schedule {
-		active := step.Active
-		if active == nil {
-			active = make([]bool, len(c.cfg.Layout.Speakers)) // nil step mask = all silent
-		}
-		c.vibs[si] = make([]hdd.Vibration, len(c.drives))
-		for di := range c.drives {
-			c.vibs[si][di] = superposeComponents(len(c.cfg.Layout.Speakers),
-				func(s int) units.Frequency { return c.tfFreqs[s] },
-				func(s int) float64 { return c.tf.Gain(s, di) },
-				active)
-		}
-	}
-	for _, d := range c.drives {
-		d.stepIdx = -1
-		d.drive.SetVibration(hdd.Quiet())
-	}
-}
-
-// applySchedule advances drive di's vibration to the schedule step in
-// effect at offset. Per drive, op start offsets are nondecreasing (an op
-// starts at max(arrival, drive now) and the clock never rewinds), so the
-// step index only moves forward and the scan resumes where the previous
-// op left it instead of walking the schedule from the top each time.
-func (c *Cluster) applySchedule(di int, offset time.Duration) {
-	d := c.drives[di]
-	step := d.stepIdx
-	for step+1 < len(c.schedule) && c.schedule[step+1].At <= offset {
-		step++
-	}
-	if step == d.stepIdx {
-		return
-	}
-	d.stepIdx = step
-	d.drive.SetVibration(c.vibs[step][di])
-}
+// first step (and with no steps) every speaker is silent. Vibrations are
+// superposed up front from cached transfer functions (see
+// Drives.SetSchedule).
+func (c *Cluster) SetSchedule(steps []ScheduleStep) { c.drives.SetSchedule(0, steps) }
 
 // Preload writes every object's stripe before serving starts (speakers
 // silent), so GETs hit allocated storage. Drive timelines advance
 // independently; the serving origin is aligned afterwards.
 func (c *Cluster) Preload() error {
-	// Group each drive's shards up front; per-drive execution is
-	// self-contained, so the fan-out is deterministic.
-	work := make([][][2]int, len(c.drives)) // drive -> list of (object, shard)
-	for o := 0; o < c.cfg.Objects; o++ {
-		for j := 0; j < c.coder.TotalShards(); j++ {
-			di := c.shardDrive(o, j)
-			work[di] = append(work[di], [2]int{o, j})
-		}
-	}
-	_, err := parallel.Run(context.Background(), parallel.Indices(len(c.drives)), c.cfg.Workers,
-		func(_ context.Context, di int, _ int) (struct{}, error) {
-			d := c.drives[di]
-			for _, oj := range work[di] {
-				_, resp := d.server.HandleObjectShared(netstore.Put, oj[0], c.stripes[oj[0]][oj[1]])
-				if resp.Err != nil {
-					return struct{}{}, fmt.Errorf("cluster: preload object %d shard %d on drive %d: %w",
-						oj[0], oj[1], di, resp.Err)
-				}
-			}
-			return struct{}{}, nil
-		})
-	if err != nil {
-		return err
-	}
-	// Align: serving measures offsets from the slowest drive's clock.
-	c.origin = c.drives[0].clock.Now()
-	for _, d := range c.drives[1:] {
-		if t := d.clock.Now(); t.After(c.origin) {
-			c.origin = t
-		}
-	}
-	for _, d := range c.drives {
-		if dt := c.origin.Sub(d.clock.Now()); dt > 0 {
-			d.clock.Advance(dt)
-		}
+	if err := c.drives.Preload(c.shardDrive); err != nil {
+		return fmt.Errorf("cluster: %w", err)
 	}
 	return nil
 }
@@ -399,9 +235,5 @@ func (c *Cluster) PublishMetrics(reg *metrics.Registry) {
 	for _, l := range c.latPut {
 		reg.Observe("cluster.put_latency_ns", int64(l))
 	}
-	for _, d := range c.drives {
-		d.drive.PublishMetrics(reg)
-		d.disk.PublishMetrics(reg)
-		d.server.PublishMetrics(reg)
-	}
+	c.drives.PublishMetrics(reg)
 }

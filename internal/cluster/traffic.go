@@ -2,15 +2,14 @@ package cluster
 
 import (
 	"bytes"
-	"context"
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"sort"
 	"time"
 
 	"deepnote/internal/netstore"
-	"deepnote/internal/parallel"
 	"deepnote/internal/sched"
 )
 
@@ -43,12 +42,11 @@ func (t TrafficSpec) withDefaults(clusterSeed int64) (TrafficSpec, error) {
 	if t.Rate <= 0 {
 		t.Rate = 1000
 	}
-	if t.ReadFraction == nil {
-		t.ReadFraction = Ptr(0.9)
+	rf, err := ResolveReadFraction(t.ReadFraction)
+	if err != nil {
+		return t, fmt.Errorf("cluster: %w", err)
 	}
-	if rf := *t.ReadFraction; math.IsNaN(rf) || rf < 0 || rf > 1 {
-		return t, fmt.Errorf("cluster: ReadFraction %v outside [0, 1]", rf)
-	}
+	t.ReadFraction = rf
 	if t.ZipfS <= 1 {
 		t.ZipfS = 1.2
 	}
@@ -61,18 +59,43 @@ func (t TrafficSpec) withDefaults(clusterSeed int64) (TrafficSpec, error) {
 	return t, nil
 }
 
-// arrivalNS returns request i's open-loop arrival offset in integer
+// ResolveReadFraction resolves a workload's GET share, the same way for
+// both serving tiers: nil means 0.9, and an explicit value must lie in
+// [0, 1] (NaN is rejected, not silently served as an all-GET mix).
+func ResolveReadFraction(rf *float64) (*float64, error) {
+	if rf == nil {
+		return Ptr(0.9), nil
+	}
+	if !(*rf >= 0 && *rf <= 1) {
+		return nil, fmt.Errorf("ReadFraction %v outside [0, 1]", *rf)
+	}
+	return rf, nil
+}
+
+// ArrivalNS returns request i's open-loop arrival offset in integer
 // nanoseconds: i/rate seconds with the division carried out in int64 for
 // whole-number rates, so a 10^8-request schedule stays strictly monotone
 // instead of accumulating float64 rounding — float64(i)/rate*1e9 loses
 // integer precision past 2^53 ns and can emit equal or even decreasing
 // arrivals at scale.
-func arrivalNS(i int, rate float64) int64 {
+func ArrivalNS(i int, rate float64) int64 {
 	if rate >= 1 && rate <= 1e9 && rate == math.Trunc(rate) {
 		r := int64(rate)
 		return int64(i)/r*int64(time.Second) + int64(i)%r*int64(time.Second)/r
 	}
 	return int64(math.Round(float64(i) / rate * 1e9))
+}
+
+// LatencyQuantiles sorts lat in place and returns its nearest-rank P50
+// and P99 — the element of rank ceil(q·n), in integer arithmetic — and
+// its maximum; all zero when lat is empty.
+func LatencyQuantiles(lat []time.Duration) (p50, p99, max time.Duration) {
+	n := len(lat)
+	if n == 0 {
+		return 0, 0, 0
+	}
+	slices.Sort(lat)
+	return lat[(n*50+99)/100-1], lat[(n*99+99)/100-1], lat[n-1]
 }
 
 // ServeResult summarizes one serving run.
@@ -270,7 +293,7 @@ func (c *Cluster) Serve(spec TrafficSpec) (ServeResult, error) {
 	if err != nil {
 		return ServeResult{}, err
 	}
-	if c.origin.IsZero() {
+	if !c.drives.Preloaded() {
 		return ServeResult{}, fmt.Errorf("cluster: Serve before Preload")
 	}
 	n := c.coder.TotalShards()
@@ -297,7 +320,7 @@ func (c *Cluster) Serve(spec TrafficSpec) (ServeResult, error) {
 		if rng.Float64() >= rf {
 			fl |= reqPut
 		}
-		reqs[i] = reqState{arrival: arrivalNS(i, spec.Rate), object: int32(zipf.Uint64()), flags: fl}
+		reqs[i] = reqState{arrival: ArrivalNS(i, spec.Rate), object: int32(zipf.Uint64()), flags: fl}
 		if c.defense != nil {
 			if p := c.defense.phaseFor(reqs[i].arrival); p >= 0 {
 				reqs[i].phase = uint8(p + 1)
@@ -316,7 +339,7 @@ func (c *Cluster) Serve(spec TrafficSpec) (ServeResult, error) {
 		for i := range c.defense.evacs {
 			ev := &c.defense.evacs[i]
 			ev.ok = false
-			c.drives[ev.drive].runner.Queue.Push(ev.at, packEv(int32(i), int(ev.shard), evPut|evEvac))
+			c.drives.Stacks[ev.drive].Runner.Queue.Push(ev.at, packEv(int32(i), int(ev.shard), evPut|evEvac))
 			queued++
 		}
 	}
@@ -342,7 +365,7 @@ func (c *Cluster) Serve(spec TrafficSpec) (ServeResult, error) {
 				if sfl != 0 || j != idx {
 					steered = true
 				}
-				c.drives[di].runner.Queue.Push(r.arrival, packEv(int32(ri), j, sfl))
+				c.drives.Stacks[di].Runner.Queue.Push(r.arrival, packEv(int32(ri), j, sfl))
 			}
 			if steered {
 				res.SteeredGets++
@@ -351,7 +374,7 @@ func (c *Cluster) Serve(spec TrafficSpec) (ServeResult, error) {
 			continue
 		}
 		for j := 0; j < limit; j++ {
-			c.drives[c.shardDrive(int(r.object), j)].runner.Queue.Push(r.arrival, packEv(int32(ri), j, fl))
+			c.drives.Stacks[c.shardDrive(int(r.object), j)].Runner.Queue.Push(r.arrival, packEv(int32(ri), j, fl))
 		}
 		queued += limit
 	}
@@ -362,7 +385,7 @@ func (c *Cluster) Serve(spec TrafficSpec) (ServeResult, error) {
 	next := c.pendingBuf[1][:0]
 
 	for queued > 0 {
-		if err := c.drainDrives(); err != nil {
+		if err := c.drives.Drain(c.dispatch); err != nil {
 			return ServeResult{}, err
 		}
 		c.combine(reqs, &res)
@@ -391,7 +414,7 @@ func (c *Cluster) Serve(spec TrafficSpec) (ServeResult, error) {
 				if order != nil {
 					di, j, sfl = c.resolveSource(r, order[idx])
 				}
-				c.drives[di].runner.Queue.Push(r.end, packEv(ri, j, sfl))
+				c.drives.Stacks[di].Runner.Queue.Push(r.end, packEv(ri, j, sfl))
 				r.nextShard++
 				issued++
 			}
@@ -501,22 +524,16 @@ func (c *Cluster) Serve(spec TrafficSpec) (ServeResult, error) {
 	if res.Span > 0 {
 		res.GoodputMBps = float64(res.BytesServed) / 1e6 / res.Span.Seconds()
 	}
-	all := append(append([]time.Duration(nil), c.latGet...), c.latPut...)
-	sort.Slice(all, func(i, j int) bool { return all[i] < all[j] })
-	if len(all) > 0 {
-		res.P50 = all[(len(all)-1)/2]
-		res.P99 = all[(len(all)*99+99)/100-1]
-		res.Max = all[len(all)-1]
-	}
+	res.P50, res.P99, res.Max = LatencyQuantiles(append(append([]time.Duration(nil), c.latGet...), c.latPut...))
 
 	// Background read-repair epoch.
 	if len(c.repairBuf) > 0 {
 		for i := range c.repairBuf {
 			rp := &c.repairBuf[i]
-			c.drives[c.shardDrive(int(rp.object), int(rp.shard))].runner.Queue.Push(
+			c.drives.Stacks[c.shardDrive(int(rp.object), int(rp.shard))].Runner.Queue.Push(
 				rp.arrival, packEv(int32(i), int(rp.shard), evPut|evRepair))
 		}
-		if err := c.drainDrives(); err != nil {
+		if err := c.drives.Drain(c.dispatch); err != nil {
 			return ServeResult{}, err
 		}
 		for i := range c.repairBuf {
@@ -531,20 +548,6 @@ func (c *Cluster) Serve(spec TrafficSpec) (ServeResult, error) {
 	return res, nil
 }
 
-// drainDrives runs every drive's event queue to empty, fanning out
-// across Config.Workers. Each drive is self-contained — own queue, own
-// clock, own RNGs, own result buffer — so the fan-out never changes
-// results, only wall-clock time.
-func (c *Cluster) drainDrives() error {
-	_, err := parallel.Run(context.Background(), parallel.Indices(len(c.drives)), c.cfg.Workers,
-		func(_ context.Context, di int, _ int) (struct{}, error) {
-			d := c.drives[di]
-			d.runner.Run(c.origin, func(it sched.Item) { c.dispatch(di, it) })
-			return struct{}{}, nil
-		})
-	return err
-}
-
 // dispatch executes one shard op on drive di. The runner has already
 // advanced the drive's clock to max(event time, drive now); everything
 // touched here is owned by the drive (its stack, its result buffers) or
@@ -553,18 +556,17 @@ func (c *Cluster) drainDrives() error {
 // op is a packed integer, the payload is the cached stripe, and GET
 // verification compares the server's buffer in place.
 func (c *Cluster) dispatch(di int, it sched.Item) {
-	d := c.drives[di]
-	c.applySchedule(di, d.clock.Now().Sub(c.origin))
+	srv, buf := c.drives.Stacks[di].Server, c.bufs[di]
 	flags := uint8(it.ID)
 	if flags&evRepair != 0 {
 		rp := &c.repairBuf[int32(it.ID>>24)]
-		_, resp := d.server.HandleObjectShared(netstore.Put, int(rp.object), c.stripes[rp.object][rp.shard])
+		_, resp := srv.HandleObjectShared(netstore.Put, int(rp.object), c.drives.Stripes[rp.object][rp.shard])
 		rp.ok = resp.Err == nil
 		return
 	}
 	if flags&evEvac != 0 {
 		ev := &c.defense.evacs[int32(it.ID>>24)]
-		_, resp := d.server.HandleObjectShared(netstore.Put, int(ev.object)+c.cfg.Objects, c.stripes[ev.object][ev.shard])
+		_, resp := srv.HandleObjectShared(netstore.Put, int(ev.object)+c.cfg.Objects, c.drives.Stripes[ev.object][ev.shard])
 		ev.ok = resp.Err == nil
 		return
 	}
@@ -575,30 +577,30 @@ func (c *Cluster) dispatch(di int, it sched.Item) {
 	var payload []byte
 	if flags&evPut != 0 {
 		op, bits = netstore.Put, opPut
-		payload = c.stripes[r.object][shard]
+		payload = c.drives.Stripes[r.object][shard]
 	}
 	key := int(r.object)
 	if flags&evReplica != 0 {
 		key += c.cfg.Objects
 		bits |= opReplica
 	}
-	data, resp := d.server.HandleObjectShared(op, key, payload)
+	data, resp := srv.HandleObjectShared(op, key, payload)
 	if flags&evReplica != 0 {
 		// A replica read succeeds only if the bytes match the shard: a
 		// mismatch means the re-placement write never landed (or landed
 		// corrupted) and reads as a checksum miss — a failed op, never a
 		// corrupt serve, never retained.
-		if resp.Err == nil && bytes.Equal(data, c.stripes[r.object][shard]) {
+		if resp.Err == nil && bytes.Equal(data, c.drives.Stripes[r.object][shard]) {
 			bits |= opOK | opFull | opTrunc
 		}
-		d.results = append(d.results, opResult{
-			end: int64(d.clock.Now().Sub(c.origin)), req: ri, shard: uint16(shard), bits: bits})
+		buf.results = append(buf.results, opResult{
+			end: c.drives.Offset(di), req: ri, shard: uint16(shard), bits: bits})
 		return
 	}
 	if resp.Err == nil {
 		bits |= opOK
 		if flags&evPut == 0 {
-			stripe := c.stripes[r.object][shard]
+			stripe := c.drives.Stripes[r.object][shard]
 			if bytes.Equal(data, stripe) {
 				bits |= opFull | opTrunc
 			} else {
@@ -612,13 +614,13 @@ func (c *Cluster) dispatch(di int, it sched.Item) {
 						bits |= opTrunc
 					}
 				}
-				d.retained = append(d.retained, retainedShard{
+				buf.retained = append(buf.retained, retainedShard{
 					req: ri, shard: uint16(shard), data: append([]byte(nil), data...)})
 			}
 		}
 	}
-	d.results = append(d.results, opResult{
-		end: int64(d.clock.Now().Sub(c.origin)), req: ri, shard: uint16(shard), bits: bits})
+	buf.results = append(buf.results, opResult{
+		end: c.drives.Offset(di), req: ri, shard: uint16(shard), bits: bits})
 }
 
 // combine folds every drive's epoch results into the request arena and
@@ -626,7 +628,7 @@ func (c *Cluster) dispatch(di int, it sched.Item) {
 // across drives (counter increments, max of end times; the fail list is
 // sorted before use), so the fold order never shows in the output.
 func (c *Cluster) combine(reqs []reqState, res *ServeResult) {
-	for _, d := range c.drives {
+	for _, d := range c.bufs {
 		for i := range d.results {
 			rec := &d.results[i]
 			r := &reqs[rec.req]
@@ -695,7 +697,7 @@ func (c *Cluster) verifyExact(ri int32, r *reqState, fails []failRec, res *Serve
 		if failed {
 			continue
 		}
-		src := c.stripes[r.object][j]
+		src := c.drives.Stripes[r.object][j]
 		if data, ok := c.retained[retKey{ri, uint16(j)}]; ok {
 			src = data
 		}
@@ -717,7 +719,7 @@ func (c *Cluster) verifyExact(ri int32, r *reqState, fails []failRec, res *Serve
 	if err != nil {
 		return fmt.Errorf("cluster: join object %d: %w", r.object, err)
 	}
-	expect := objectPayload(int(r.object), c.cfg.ObjectSize)
+	expect := c.drives.Payload(int(r.object))
 	for i := range data {
 		if data[i] != expect[i] {
 			res.CorruptReads++

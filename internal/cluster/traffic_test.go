@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"math"
 	"reflect"
 	"testing"
 	"time"
@@ -50,11 +51,11 @@ func TestReadOnlyWorkload(t *testing.T) {
 	}
 }
 
-// TestReadFractionOutOfRangeRejected: fractions outside [0, 1] are
-// configuration errors, not clamped or silently defaulted.
+// TestReadFractionOutOfRangeRejected: fractions outside [0, 1], and NaN,
+// are configuration errors, not clamped or silently defaulted.
 func TestReadFractionOutOfRangeRejected(t *testing.T) {
 	c := buildServing(t, testConfig(0))
-	for _, rf := range []float64{-0.1, 1.5} {
+	for _, rf := range []float64{-0.1, 1.5, math.NaN()} {
 		if _, err := c.Serve(TrafficSpec{Requests: 10, ReadFraction: Ptr(rf)}); err == nil {
 			t.Fatalf("ReadFraction %v accepted, want error", rf)
 		}
@@ -109,19 +110,19 @@ func TestSeedZeroReproduces(t *testing.T) {
 func TestArrivalStrictlyMonotoneAt1e8(t *testing.T) {
 	const n = 100_000_000
 	const rate = 1e6
-	prev := arrivalNS(0, rate)
+	prev := ArrivalNS(0, rate)
 	if prev != 0 {
 		t.Fatalf("arrival(0) = %d, want 0", prev)
 	}
 	for i := 1; i <= n; i++ {
-		at := arrivalNS(i, rate)
+		at := ArrivalNS(i, rate)
 		if at <= prev {
 			t.Fatalf("arrival(%d) = %d not after arrival(%d) = %d", i, at, i-1, prev)
 		}
 		prev = at
 	}
 	// The exact-rate path is exact: request i arrives at i/rate seconds.
-	if got := arrivalNS(n, rate); got != int64(n/rate)*int64(time.Second) {
+	if got := ArrivalNS(n, rate); got != int64(n/rate)*int64(time.Second) {
 		t.Fatalf("arrival(%d) = %d, want %d", n, got, int64(n/rate)*int64(time.Second))
 	}
 }
@@ -132,7 +133,7 @@ func TestArrivalMonotoneFractionalRate(t *testing.T) {
 	for _, rate := range []float64{0.5, 3.7, 2499.5} {
 		prev := int64(-1)
 		for i := 0; i < 200_000; i++ {
-			at := arrivalNS(i, rate)
+			at := ArrivalNS(i, rate)
 			if at < prev {
 				t.Fatalf("rate %v: arrival(%d) = %d below arrival(%d) = %d", rate, i, at, i-1, prev)
 			}
@@ -172,9 +173,9 @@ func TestCachedTransferMatchesDirect(t *testing.T) {
 				stepMask = []bool{true, true, true, true} // SetSchedule: nil = all off
 			}
 			c.SetSchedule([]ScheduleStep{{At: 0, Active: stepMask}})
-			for di, d := range c.drives {
-				want := cfg.Layout.VibrationAt(d.container, d.asm, c.model, stepMask)
-				got := c.vibs[0][di]
+			for di, d := range c.drives.Stacks {
+				want := cfg.Layout.VibrationAt(d.Container, d.asm, c.drives.model, stepMask)
+				got := c.drives.sites[0].vibs[0][di]
 				if !reflect.DeepEqual(got, want) {
 					t.Fatalf("freq %v mask %d drive %d: cached vibration %+v != direct %+v",
 						freq, mi, di, got, want)

@@ -55,9 +55,9 @@ func TestExfilRunAcceptance(t *testing.T) {
 	}
 }
 
-// TestExfilRunDeterministicAcrossWorkers is the property the
-// exfil-determinism CI job leans on: byte-identical results at any
-// worker count.
+// TestExfilRunDeterministicAcrossWorkers is the property
+// TestGoldenOutputs in cmd/deepnote leans on: byte-identical results at
+// any worker count.
 func TestExfilRunDeterministicAcrossWorkers(t *testing.T) {
 	r1, err := ExfilRun(exfilTestSpec(1, nil))
 	if err != nil {

@@ -61,8 +61,8 @@ func TestFingerprintRunAcceptance(t *testing.T) {
 	}
 }
 
-// The experiment must be byte-identical at any worker count — the CI
-// determinism gate runs the CLI flavor of this.
+// The experiment must be byte-identical at any worker count —
+// TestGoldenOutputs in cmd/deepnote runs the CLI flavor of this.
 func TestFingerprintRunDeterministicAcrossWorkers(t *testing.T) {
 	spec := FingerprintSpec{
 		SNRs:        []float64{6},

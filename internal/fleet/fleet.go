@@ -5,33 +5,30 @@
 // with a cross-facility placement layer that spreads erasure shards
 // across acoustic blast radii within a site and across sites.
 //
-// The serving engine reuses the event-driven core (internal/sched): every
-// node drains its own event queue on its own virtual clock, cross-node
-// causality is resolved at epoch boundaries, and every stochastic draw is
-// a pure hash of (seed, event) — so results are byte-identical at any
-// worker count. Robustness is the point of the tier: cross-site failover
-// reads under per-request deadline budgets, doubling backoff with
-// tail-triggered hedging, a circuit breaker per WAN link, and a
+// The fleet runs on the cluster tier's drive substrate (cluster.Drives)
+// with one site per SiteSpec: the per-drive stacks, cached stripes,
+// per-site transfer caches and attack schedules, preload, and epoch
+// drain are the cluster's own, so both tiers agree bit for bit on what a
+// speaker does to a drive. Every node drains its own event queue on its
+// own virtual clock, cross-node causality is resolved at epoch
+// boundaries, and every WAN draw is a pure hash of (seed, event) — so
+// results are byte-identical at any worker count. This package keeps
+// only what is fleet-specific: the WAN, placement, the gateway, and its
+// request ledger. Robustness is the point of the tier: cross-site
+// failover reads under per-request deadline budgets, doubling backoff
+// with tail-triggered hedging, a circuit breaker per WAN link, and a
 // serve-degraded vs. shed policy for when a whole facility goes dark
 // mid-attack.
 package fleet
 
 import (
-	"context"
 	"fmt"
-	"sort"
 	"time"
 
-	"deepnote/internal/blockdev"
 	"deepnote/internal/cluster"
-	"deepnote/internal/enclosure"
-	"deepnote/internal/hdd"
 	"deepnote/internal/metrics"
 	"deepnote/internal/netstore"
 	"deepnote/internal/parallel"
-	"deepnote/internal/sched"
-	"deepnote/internal/simclock"
-	"deepnote/internal/units"
 )
 
 // SiteSpec is one facility: a named cluster layout in its own water body
@@ -145,51 +142,19 @@ func (c Config) withDefaults() Config {
 
 func (c Config) seed() int64 { return *c.Seed }
 
-// node is one container's victim stack at a site: mechanics on its own
-// virtual clock, a block device, a netstore front end, and its own event
-// queue — the same per-resource isolation that makes the cluster engine
-// deterministic at any worker count.
-type node struct {
-	site, container int
-	asm             enclosure.Assembly
-	clock           *simclock.Virtual
-	drive           *hdd.Drive
-	disk            *blockdev.Disk
-	server          *netstore.Server
-	stepIdx         int
-	runner          sched.Runner
-}
-
-// Fleet is the assembled multi-facility store.
+// Fleet is the assembled multi-facility store: a drive substrate with
+// one site per SiteSpec, plus the WAN, placement, and gateway.
 type Fleet struct {
 	cfg       Config
 	coder     *cluster.Coder
 	shardSize int
-	model     hdd.Model
-	nodes     []*node
-	siteBase  []int // first node index per site
-	siteSize  []int // nodes (containers) per site
-
-	// stripes caches each object's encoded shards; client PUTs rewrite
-	// the same deterministic content, so GET verification is exact.
-	stripes [][][]byte
-
-	// Per-site cached transfer functions: tf[s] holds site s's
-	// per-(speaker, local node) gains, tfFreqs[s] the speaker tones.
-	tf      []sched.TransferCache
-	tfFreqs [][]units.Frequency
-
-	// schedules[s] is site s's attack schedule; vibs[s][step][local]
-	// the precomputed superposed vibrations.
-	schedules [][]cluster.ScheduleStep
-	vibs      [][][]hdd.Vibration
+	drives    *cluster.Drives
 
 	links   []link
 	linkAt  []int16 // linkAt[a*S+b] = link index, -1 on the diagonal
 	wanSeed int64
 
-	origin time.Time
-	last   Result
+	last Result
 
 	// Serving buffers, reused across Serve calls.
 	reqs           []reqState
@@ -210,82 +175,41 @@ func New(cfg Config) (*Fleet, error) {
 	if err != nil {
 		return nil, err
 	}
-	f := &Fleet{
-		cfg:       cfg,
-		coder:     coder,
-		shardSize: coder.ShardSize(cfg.ObjectSize),
-		model:     hdd.Barracuda500(),
-		wanSeed:   parallel.SeedFor(cfg.seed(), 1_000_003),
-	}
 	n := coder.TotalShards()
 	if n > 32 {
 		// The serving arena tracks confirmed shards in a 32-bit mask.
 		return nil, fmt.Errorf("fleet: %d total shards exceeds the 32-shard stripe limit", n)
 	}
-	S := len(cfg.Sites)
+	layouts := make([]cluster.Layout, len(cfg.Sites))
 	for s, site := range cfg.Sites {
 		if err := site.Layout.Validate(); err != nil {
 			return nil, fmt.Errorf("fleet: site %d (%s): %w", s, site.Name, err)
 		}
-		C := len(site.Layout.Containers)
-		if min := minContainers(cfg.Placement, n, S); C < min {
+		if C, min := len(site.Layout.Containers), minContainers(cfg.Placement, n, len(cfg.Sites)); C < min {
 			return nil, fmt.Errorf("fleet: site %d (%s) has %d containers, %s placement needs >= %d",
 				s, site.Name, C, cfg.Placement, min)
 		}
-		f.siteBase = append(f.siteBase, len(f.nodes))
-		f.siteSize = append(f.siteSize, C)
-		for ct := 0; ct < C; ct++ {
-			asm, err := site.Layout.Containers[ct].Scenario.Assembly()
-			if err != nil {
-				return nil, err
-			}
-			if asm.Mount.Tower != nil {
-				asm.Mount = enclosure.TowerMount(*asm.Mount.Tower, 0)
-			}
-			idx := len(f.nodes)
-			clock := simclock.NewVirtual()
-			drive, err := hdd.NewDrive(f.model, clock, parallel.SeedFor(cfg.seed(), 2*idx))
-			if err != nil {
-				return nil, err
-			}
-			disk := blockdev.NewDisk(drive)
-			net := cfg.Net
-			net.ObjectSize = f.shardSize
-			net.Objects = cfg.Objects
-			net.Seed = parallel.SeedFor(cfg.seed(), 2*idx+1)
-			nd := &node{
-				site: s, container: ct, asm: asm,
-				clock: clock, drive: drive, disk: disk,
-				server:  netstore.NewServer(disk, clock, net),
-				stepIdx: -1,
-			}
-			nd.runner.Clock = clock
-			f.nodes = append(f.nodes, nd)
-		}
+		layouts[s] = site.Layout
 	}
-	f.stripes = make([][][]byte, cfg.Objects)
-	for o := range f.stripes {
-		f.stripes[o] = coder.Encode(objectPayload(o, cfg.ObjectSize))
+	drives, err := cluster.NewDrives(cluster.DriveSpec{
+		Sites:        layouts,
+		PerContainer: 1,
+		Coder:        coder,
+		Objects:      cfg.Objects,
+		ObjectSize:   cfg.ObjectSize,
+		Net:          cfg.Net,
+		Seed:         cfg.seed(),
+		Workers:      cfg.Workers,
+	})
+	if err != nil {
+		return nil, err
 	}
-	// Cache every site's speaker→node transfer functions once: layouts
-	// and tones are immutable after New, so attack schedules only
-	// superpose cached gains.
-	f.tf = make([]sched.TransferCache, S)
-	f.tfFreqs = make([][]units.Frequency, S)
-	f.schedules = make([][]cluster.ScheduleStep, S)
-	f.vibs = make([][][]hdd.Vibration, S)
-	for s := range cfg.Sites {
-		lay := cfg.Sites[s].Layout
-		f.tfFreqs[s] = make([]units.Frequency, len(lay.Speakers))
-		for sp := range lay.Speakers {
-			f.tfFreqs[s][sp] = lay.Speakers[sp].Tone.Normalize().Freq
-		}
-		base := f.siteBase[s]
-		f.tf[s].Ensure(len(lay.Speakers), f.siteSize[s], func(sp, local int) float64 {
-			nd := f.nodes[base+local]
-			_, amp := lay.SpeakerAmp(sp, nd.container, nd.asm, f.model)
-			return amp
-		})
+	f := &Fleet{
+		cfg:       cfg,
+		coder:     coder,
+		shardSize: coder.ShardSize(cfg.ObjectSize),
+		drives:    drives,
+		wanSeed:   parallel.SeedFor(cfg.seed(), 1_000_003),
 	}
 	f.buildLinks()
 	return f, nil
@@ -295,17 +219,7 @@ func New(cfg Config) (*Fleet, error) {
 func (f *Fleet) Config() Config { return f.cfg }
 
 // Nodes returns the total node count across sites.
-func (f *Fleet) Nodes() int { return len(f.nodes) }
-
-// objectPayload is the deterministic content of object o (the cluster
-// convention, so the two tiers' stores are directly comparable).
-func objectPayload(o, size int) []byte {
-	b := make([]byte, size)
-	for i := range b {
-		b[i] = byte((o*131 + i*7 + (i>>8)*13) ^ 0x5a)
-	}
-	return b
-}
+func (f *Fleet) Nodes() int { return len(f.drives.Stacks) }
 
 // SetAttack programs site s's acoustic attack: steps sorted by offset;
 // before the first step (and with nil steps) every speaker at the site
@@ -315,84 +229,16 @@ func (f *Fleet) SetAttack(s int, steps []cluster.ScheduleStep) error {
 	if s < 0 || s >= len(f.cfg.Sites) {
 		return fmt.Errorf("fleet: SetAttack site %d outside [0, %d)", s, len(f.cfg.Sites))
 	}
-	plan := append([]cluster.ScheduleStep(nil), steps...)
-	sort.SliceStable(plan, func(i, j int) bool { return plan[i].At < plan[j].At })
-	f.schedules[s] = plan
-	f.vibs[s] = make([][]hdd.Vibration, len(plan))
-	speakers := len(f.cfg.Sites[s].Layout.Speakers)
-	for si, step := range plan {
-		active := step.Active
-		if active == nil {
-			active = make([]bool, speakers)
-		}
-		f.vibs[s][si] = make([]hdd.Vibration, f.siteSize[s])
-		for local := 0; local < f.siteSize[s]; local++ {
-			gainAt := func(sp int) float64 { return f.tf[s].Gain(sp, local) }
-			freqAt := func(sp int) units.Frequency { return f.tfFreqs[s][sp] }
-			f.vibs[s][si][local] = cluster.SuperposeGains(speakers, freqAt, gainAt, active)
-		}
-	}
-	for local := 0; local < f.siteSize[s]; local++ {
-		nd := f.nodes[f.siteBase[s]+local]
-		nd.stepIdx = -1
-		nd.drive.SetVibration(hdd.Quiet())
-	}
+	f.drives.SetSchedule(s, steps)
 	return nil
-}
-
-// applyAttack advances node ni's vibration to its site's schedule step in
-// effect at offset (forward-only scan, as in the cluster engine).
-func (f *Fleet) applyAttack(ni int, offset time.Duration) {
-	nd := f.nodes[ni]
-	steps := f.schedules[nd.site]
-	step := nd.stepIdx
-	for step+1 < len(steps) && steps[step+1].At <= offset {
-		step++
-	}
-	if step == nd.stepIdx {
-		return
-	}
-	nd.stepIdx = step
-	nd.drive.SetVibration(f.vibs[nd.site][step][ni-f.siteBase[nd.site]])
 }
 
 // Preload writes every shard to its placement node before serving starts
 // (speakers silent, WAN idle — preload is an out-of-band bulk load), then
 // aligns all node clocks to the slowest.
 func (f *Fleet) Preload() error {
-	n := f.coder.TotalShards()
-	work := make([][][2]int, len(f.nodes))
-	for o := 0; o < f.cfg.Objects; o++ {
-		for j := 0; j < n; j++ {
-			ni := f.shardNode(o, j)
-			work[ni] = append(work[ni], [2]int{o, j})
-		}
-	}
-	_, err := parallel.Run(context.Background(), parallel.Indices(len(f.nodes)), f.cfg.Workers,
-		func(_ context.Context, ni int, _ int) (struct{}, error) {
-			nd := f.nodes[ni]
-			for _, oj := range work[ni] {
-				_, resp := nd.server.HandleObjectShared(netstore.Put, oj[0], f.stripes[oj[0]][oj[1]])
-				if resp.Err != nil {
-					return struct{}{}, fmt.Errorf("fleet: preload object %d shard %d on node %d: %w",
-						oj[0], oj[1], ni, resp.Err)
-				}
-			}
-			return struct{}{}, nil
-		})
-	if err != nil {
-		return err
-	}
-	f.origin = f.nodes[0].clock.Now()
-	for _, nd := range f.nodes[1:] {
-		if t := nd.clock.Now(); t.After(f.origin) {
-			f.origin = t
-		}
-	}
-	for _, nd := range f.nodes {
-		if dt := f.origin.Sub(nd.clock.Now()); dt > 0 {
-			nd.clock.Advance(dt)
-		}
+	if err := f.drives.Preload(f.shardNode); err != nil {
+		return fmt.Errorf("fleet: %w", err)
 	}
 	return nil
 }
@@ -437,9 +283,5 @@ func (f *Fleet) PublishMetrics(reg *metrics.Registry) {
 	for _, l := range f.latPut {
 		reg.Observe("fleet.put_latency_ns", int64(l))
 	}
-	for _, nd := range f.nodes {
-		nd.drive.PublishMetrics(reg)
-		nd.disk.PublishMetrics(reg)
-		nd.server.PublishMetrics(reg)
-	}
+	f.drives.PublishMetrics(reg)
 }

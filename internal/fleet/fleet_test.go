@@ -1,6 +1,7 @@
 package fleet
 
 import (
+	"math"
 	"reflect"
 	"testing"
 	"time"
@@ -191,8 +192,10 @@ func TestFleetWorkloadEndpoints(t *testing.T) {
 	if res.Puts != 0 || res.Gets != 60 {
 		t.Fatalf("read-only workload: gets=%d puts=%d", res.Gets, res.Puts)
 	}
-	if _, err := f.Serve(TrafficSpec{Requests: 10, ReadFraction: cluster.Ptr(1.5)}); err == nil {
-		t.Fatal("out-of-range ReadFraction accepted")
+	for _, rf := range []float64{-0.1, 1.5, math.NaN()} {
+		if _, err := f.Serve(TrafficSpec{Requests: 10, ReadFraction: cluster.Ptr(rf)}); err == nil {
+			t.Fatalf("out-of-range ReadFraction %v accepted", rf)
+		}
 	}
 }
 

@@ -58,8 +58,7 @@ func (f *Fleet) shardSite(o, j int) int {
 
 // shardNode maps (object, shard) to a global node index.
 func (f *Fleet) shardNode(o, j int) int {
-	s := f.shardSite(o, j)
-	c := f.siteSize[s]
+	base, c := f.drives.Site(f.shardSite(o, j))
 	var local int
 	if f.cfg.Placement == PlacementNaive {
 		// Contiguous run starting at a per-object offset.
@@ -75,7 +74,7 @@ func (f *Fleet) shardNode(o, j int) int {
 		}
 		local = (o/len(f.cfg.Sites) + (j/len(f.cfg.Sites))*stride) % c
 	}
-	return f.siteBase[s] + local
+	return base + local
 }
 
 // sourceOrder fills buf with the shard indices of object o in GET

@@ -29,15 +29,15 @@ func TestAwarePlacementSpreadsBlastRadii(t *testing.T) {
 				t.Fatalf("object %d: two shards on node %d", o, ni)
 			}
 			seen[ni] = true
-			s := f.nodes[ni].site
-			perSite[s] = append(perSite[s], f.nodes[ni].container)
+			st := f.drives.Stacks[ni]
+			perSite[st.Site] = append(perSite[st.Site], st.Container)
 		}
 		for s, cts := range perSite {
 			if len(cts) > q {
 				t.Fatalf("object %d: site %d holds %d shards, cap %d", o, s, len(cts), q)
 			}
 			if len(cts) == 2 {
-				c := f.siteSize[s]
+				_, c := f.drives.Site(s)
 				dist := cts[0] - cts[1]
 				if dist < 0 {
 					dist = -dist
@@ -67,12 +67,12 @@ func TestNaivePlacementIsOneBlastRadius(t *testing.T) {
 		home := f.homeSite(o)
 		for j := 0; j < n; j++ {
 			ni := f.shardNode(o, j)
-			if f.nodes[ni].site != home {
+			if f.drives.Stacks[ni].Site != home {
 				t.Fatalf("object %d shard %d left home site %d", o, j, home)
 			}
 			if j > 0 {
-				prev := f.nodes[f.shardNode(o, j-1)].container
-				if f.nodes[ni].container != (prev+1)%f.siteSize[home] {
+				prev := f.drives.Stacks[f.shardNode(o, j-1)].Container
+				if _, c := f.drives.Site(home); f.drives.Stacks[ni].Container != (prev+1)%c {
 					t.Fatalf("object %d: naive shards not contiguous at %d", o, j)
 				}
 			}

@@ -2,14 +2,13 @@ package fleet
 
 import (
 	"bytes"
-	"context"
 	"errors"
 	"fmt"
 	"sort"
 	"time"
 
+	"deepnote/internal/cluster"
 	"deepnote/internal/netstore"
-	"deepnote/internal/parallel"
 	"deepnote/internal/sched"
 )
 
@@ -65,21 +64,21 @@ type wanOp struct {
 }
 
 // Serve runs the global workload through the fleet and returns the
-// ledger. The engine is the cluster tier's epoch loop lifted to WAN
-// scale: issue ops serially (sampling WAN delays by pure per-op hash),
-// drain every node's queue concurrently on its own clock, fold outcomes
-// serially in observation order (breakers, shard accounting), then plan
-// the next failover waves — repeat until no request is pending.
+// ledger. Each epoch issues ops serially (sampling WAN delays by pure
+// per-op hash), drains every node's queue concurrently on its own clock
+// (Drives.Drain), folds outcomes serially in observation order
+// (breakers, shard accounting), then plans the next failover waves —
+// repeat until no request is pending.
 func (f *Fleet) Serve(spec TrafficSpec) (Result, error) {
 	spec, err := spec.withDefaults()
 	if err != nil {
 		return Result{}, err
 	}
-	if f.origin.IsZero() {
+	if !f.drives.Preloaded() {
 		return Result{}, errors.New("fleet: Serve before Preload")
 	}
 	n, k := f.coder.TotalShards(), f.coder.DataShards()
-	window := time.Duration(arrivalNS(spec.Requests, spec.Rate))
+	window := time.Duration(cluster.ArrivalNS(spec.Requests, spec.Rate))
 	f.genRequests(spec, window)
 	f.resetBreakers()
 	f.ops = f.ops[:0]
@@ -104,7 +103,7 @@ func (f *Fleet) Serve(spec TrafficSpec) (Result, error) {
 
 	folded := 0
 	for len(pending) > 0 {
-		if err := f.drainNodes(); err != nil {
+		if err := f.drives.Drain(f.dispatch); err != nil {
 			return Result{}, err
 		}
 		folded = f.combine(folded, &res)
@@ -129,7 +128,7 @@ func (f *Fleet) issueOp(ri int32, j int, at int64, put bool, res *Result) {
 	if put {
 		op.flags |= oPut
 	}
-	if site := f.nodes[ni].site; site != int(r.site) {
+	if site := f.drives.Stacks[ni].Site; site != int(r.site) {
 		li := f.linkIdx(int(r.site), site)
 		op.link = int16(li)
 		res.CrossSiteOps++
@@ -154,24 +153,11 @@ func (f *Fleet) issueOp(ri int32, j int, at int64, put bool, res *Result) {
 		out, ret := f.wanDelays(li, uint64(opIdx), at, put)
 		op.retDelay = ret
 		f.ops = append(f.ops, op)
-		f.nodes[ni].runner.Queue.Push(at+out, uint64(opIdx))
+		f.drives.Stacks[ni].Runner.Queue.Push(at+out, uint64(opIdx))
 		return
 	}
 	f.ops = append(f.ops, op)
-	f.nodes[ni].runner.Queue.Push(at, uint64(opIdx))
-}
-
-// drainNodes runs every node's event queue to empty, fanned out across
-// workers. Nodes share no mutable state — each writes only its own ops
-// entries and its own mechanics.
-func (f *Fleet) drainNodes() error {
-	_, err := parallel.Run(context.Background(), parallel.Indices(len(f.nodes)), f.cfg.Workers,
-		func(_ context.Context, ni int, _ int) (struct{}, error) {
-			nd := f.nodes[ni]
-			nd.runner.Run(f.origin, func(it sched.Item) { f.dispatch(ni, it) })
-			return struct{}{}, nil
-		})
-	return err
+	f.drives.Stacks[ni].Runner.Queue.Push(at, uint64(opIdx))
 }
 
 // dispatch executes one shard op on its node, verifying GET bytes
@@ -179,26 +165,26 @@ func (f *Fleet) drainNodes() error {
 // vibration-corrupted sector fails the op rather than poisoning the
 // decode).
 func (f *Fleet) dispatch(ni int, it sched.Item) {
-	nd := f.nodes[ni]
+	srv := f.drives.Stacks[ni].Server
 	op := &f.ops[it.ID]
 	r := &f.reqs[op.req]
-	f.applyAttack(ni, nd.clock.Now().Sub(f.origin))
+	stripe := f.drives.Stripes[r.object][op.shard]
 	if op.flags&oPut != 0 {
-		_, resp := nd.server.HandleObjectShared(netstore.Put, int(r.object), f.stripes[r.object][op.shard])
+		_, resp := srv.HandleObjectShared(netstore.Put, int(r.object), stripe)
 		if resp.Err == nil {
 			op.bits |= bOK
 		}
 	} else {
-		data, resp := nd.server.HandleObjectShared(netstore.Get, int(r.object), nil)
+		data, resp := srv.HandleObjectShared(netstore.Get, int(r.object), nil)
 		if resp.Err == nil {
-			if bytes.Equal(data, f.stripes[r.object][op.shard]) {
+			if bytes.Equal(data, stripe) {
 				op.bits |= bOK
 			} else {
 				op.bits |= bChecksum
 			}
 		}
 	}
-	op.end = int64(nd.clock.Now().Sub(f.origin)) + op.retDelay
+	op.end = f.drives.Offset(ni) + op.retDelay
 }
 
 // combine folds every op issued since the last fold, in gateway
@@ -418,13 +404,7 @@ func (f *Fleet) settle(res *Result) error {
 	}
 	res.MinPutShards = minPut
 	all := make([]time.Duration, 0, len(f.latGet)+len(f.latPut))
-	all = append(append(all, f.latGet...), f.latPut...)
-	res.P50, res.P99 = quantile(all, 0.50), quantile(all, 0.99)
-	for _, l := range all {
-		if l > res.Max {
-			res.Max = l
-		}
-	}
+	res.P50, res.P99, res.Max = cluster.LatencyQuantiles(append(append(all, f.latGet...), f.latPut...))
 	res.Span = time.Duration(span)
 	if span > 0 {
 		res.GoodputMBps = float64(res.BytesServed) / (float64(span) / 1e9) / 1e6
@@ -443,7 +423,7 @@ func (f *Fleet) auditRead(r *reqState, res *Result) error {
 	have := 0
 	for j := 0; j < n; j++ {
 		if r.okMask&(1<<j) != 0 {
-			shards[j] = append([]byte(nil), f.stripes[r.object][j]...)
+			shards[j] = append([]byte(nil), f.drives.Stripes[r.object][j]...)
 			have++
 		}
 	}
@@ -457,7 +437,7 @@ func (f *Fleet) auditRead(r *reqState, res *Result) error {
 	if err != nil {
 		return err
 	}
-	if !bytes.Equal(joined, objectPayload(int(r.object), f.cfg.ObjectSize)) {
+	if !bytes.Equal(joined, f.drives.Payload(int(r.object))) {
 		res.CorruptReads++
 	}
 	return nil

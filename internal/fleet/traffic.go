@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"sort"
 	"time"
 
 	"deepnote/internal/cluster"
@@ -46,12 +45,11 @@ func (s TrafficSpec) withDefaults() (TrafficSpec, error) {
 	if s.Rate <= 0 {
 		s.Rate = 1500
 	}
-	if s.ReadFraction == nil {
-		s.ReadFraction = cluster.Ptr(0.9)
+	rf, err := cluster.ResolveReadFraction(s.ReadFraction)
+	if err != nil {
+		return s, fmt.Errorf("fleet: %w", err)
 	}
-	if *s.ReadFraction < 0 || *s.ReadFraction > 1 {
-		return s, fmt.Errorf("fleet: ReadFraction %v outside [0, 1]", *s.ReadFraction)
-	}
+	s.ReadFraction = rf
 	if s.ZipfS <= 1 {
 		s.ZipfS = 1.2
 	}
@@ -202,26 +200,8 @@ func (r Result) Window(from, to time.Duration) WindowStats {
 		// Time-to-verdict: failures count at the moment they failed.
 		lat = append(lat, o.Latency)
 	}
-	w.P50, w.P99 = quantile(lat, 0.50), quantile(lat, 0.99)
+	w.P50, w.P99, _ = cluster.LatencyQuantiles(lat)
 	return w
-}
-
-// quantile returns the q-quantile of lat (nearest-rank on a sorted
-// copy); 0 on an empty slice.
-func quantile(lat []time.Duration, q float64) time.Duration {
-	if len(lat) == 0 {
-		return 0
-	}
-	s := append([]time.Duration(nil), lat...)
-	sort.Slice(s, func(i, j int) bool { return s[i] < s[j] })
-	idx := int(math.Ceil(q*float64(len(s)))) - 1
-	if idx < 0 {
-		idx = 0
-	}
-	if idx >= len(s) {
-		idx = len(s) - 1
-	}
-	return s[idx]
 }
 
 // genRequests fills f.reqs with the serial, seeded workload schedule.
@@ -240,7 +220,7 @@ func (f *Fleet) genRequests(spec TrafficSpec, window time.Duration) {
 	}
 	f.reqs = f.reqs[:spec.Requests]
 	for i := range f.reqs {
-		at := arrivalNS(i, spec.Rate)
+		at := cluster.ArrivalNS(i, spec.Rate)
 		// Phase-shifted diurnal share: region s peaks when the sun (or
 		// the evening Netflix hour) is over it.
 		tfrac := float64(at) / float64(period)
@@ -272,15 +252,4 @@ func (f *Fleet) genRequests(spec TrafficSpec, window time.Duration) {
 			flags:    flags,
 		}
 	}
-}
-
-// arrivalNS returns request i's open-loop arrival offset in integer
-// nanoseconds (integer path for whole-number rates so long schedules
-// stay strictly monotone — the cluster tier's convention).
-func arrivalNS(i int, rate float64) int64 {
-	if rate >= 1 && rate <= 1e9 && rate == math.Trunc(rate) {
-		r := int64(rate)
-		return int64(i)/r*int64(time.Second) + int64(i)%r*int64(time.Second)/r
-	}
-	return int64(math.Round(float64(i) / rate * 1e9))
 }

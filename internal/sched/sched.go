@@ -37,9 +37,10 @@
 //     attack schedules free — any on/off pattern over a fixed speaker
 //     set reuses the same matrix.
 //
-// The cluster package builds the cache once at construction (its layout
-// and speaker tones are immutable afterwards) and superposes cached
-// gains per schedule step.
+// Both serving tiers, cluster and fleet, build the cache through the
+// drive substrate in internal/cluster (cluster.Drives): once per site at
+// construction, since layouts and speaker tones are immutable
+// afterwards, with cached gains superposed per schedule step.
 package sched
 
 import (

@@ -138,8 +138,8 @@ func TestReceiveSNRFallsWithRange(t *testing.T) {
 }
 
 // TestDetectScheduleDeterministic runs the same staged schedule twice and
-// checks the detection timeline is identical — the property the cluster
-// determinism CI job leans on.
+// checks the detection timeline is identical — the property
+// TestGoldenOutputs in cmd/deepnote leans on for its sonar row.
 func TestDetectScheduleDeterministic(t *testing.T) {
 	lay := testLayout().WithSpeakersAt(sig.NewTone(650*units.Hz), 0, 1, 2)
 	a := FacilityArray(lay, 6, 3*units.Meter)
