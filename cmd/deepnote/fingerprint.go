@@ -3,6 +3,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"math"
 	"time"
 
 	"deepnote/internal/experiment"
@@ -29,6 +30,11 @@ func cmdFingerprint(args []string) error {
 	snrList, err := parseFloatList("-snrs", *snrs)
 	if err != nil {
 		return err
+	}
+	// Converting NaN or ±Inf seconds to a time.Duration is undefined, so
+	// check before converting; the experiment rejects the rest.
+	if math.IsNaN(*duration) || math.IsInf(*duration, 0) {
+		return fmt.Errorf("-duration %v: not a finite number", *duration)
 	}
 	res, err := experiment.FingerprintRun(experiment.FingerprintSpec{
 		Freq:        units.Frequency(*freq),

@@ -14,6 +14,7 @@ package detect
 
 import (
 	"fmt"
+	"math"
 	"time"
 
 	"deepnote/internal/blockdev"
@@ -35,7 +36,7 @@ type Config struct {
 	// over. Nil = 32; must be ≥ 1.
 	WindowOps *int
 	// LatencyFactor flags an op as anomalous when it exceeds the
-	// baseline mean by this factor. Nil = 8; must be > 0.
+	// baseline mean by this factor. Nil = 8; must be finite and > 0.
 	LatencyFactor *float64
 	// AlarmThreshold is the window fraction of anomalous ops that raises
 	// the alarm. Nil = 0.5; must be in (0, 1].
@@ -67,6 +68,10 @@ type config struct {
 	trainErrorBudget int
 }
 
+// finitePositive reports whether x is a finite number above zero; NaN and
+// ±Inf fail.
+func finitePositive(x float64) bool { return x > 0 && !math.IsInf(x, 1) }
+
 func (c Config) resolve() (config, error) {
 	r := config{
 		baselineOps:      64,
@@ -89,13 +94,13 @@ func (c Config) resolve() (config, error) {
 		r.windowOps = *c.WindowOps
 	}
 	if c.LatencyFactor != nil {
-		if *c.LatencyFactor <= 0 {
-			return r, fmt.Errorf("detect: LatencyFactor %g must be > 0", *c.LatencyFactor)
+		if !finitePositive(*c.LatencyFactor) {
+			return r, fmt.Errorf("detect: LatencyFactor %g must be finite and > 0", *c.LatencyFactor)
 		}
 		r.latencyFactor = *c.LatencyFactor
 	}
 	if c.AlarmThreshold != nil {
-		if *c.AlarmThreshold <= 0 || *c.AlarmThreshold > 1 {
+		if !(*c.AlarmThreshold > 0 && *c.AlarmThreshold <= 1) {
 			return r, fmt.Errorf("detect: AlarmThreshold %g must be in (0, 1]", *c.AlarmThreshold)
 		}
 		r.alarmThreshold = *c.AlarmThreshold
@@ -115,10 +120,10 @@ func (c Config) resolve() (config, error) {
 	return r, nil
 }
 
-// windowEntry is one observed operation: when it happened and whether it
-// looked anomalous.
+// windowEntry is one observed operation: when it happened, as an offset
+// from the detector's first observation, and whether it looked anomalous.
 type windowEntry struct {
-	at        time.Time
+	at        time.Duration
 	anomalous bool
 }
 
@@ -132,9 +137,15 @@ type Detector struct {
 	trainErrs  int // consecutive failures while untrained
 	failClosed bool
 
-	window []windowEntry
-	pos    int
-	filled bool
+	// origin is the first observation's time; window entries and expiry
+	// cutoffs are offsets from it, so the per-op expiry scan compares
+	// integers. Offsets are time.Time.Sub results: exact for times within
+	// ±292 years of origin, saturating beyond.
+	origin  time.Time
+	started bool
+	window  []windowEntry
+	pos     int
+	filled  bool
 
 	// Alarms counts rising edges of the alarm condition.
 	Alarms int
@@ -165,8 +176,8 @@ func (d *Detector) FailedClosed() bool { return d.failClosed }
 // baseline exists or training failed closed.
 func (d *Detector) ready() bool { return d.Trained() || d.failClosed }
 
-func (d *Detector) push(now time.Time, anomalous bool) {
-	d.window[d.pos] = windowEntry{at: now, anomalous: anomalous}
+func (d *Detector) push(at time.Duration, anomalous bool) {
+	d.window[d.pos] = windowEntry{at: at, anomalous: anomalous}
 	d.pos = (d.pos + 1) % len(d.window)
 	if d.pos == 0 {
 		d.filled = true
@@ -175,19 +186,23 @@ func (d *Detector) push(now time.Time, anomalous bool) {
 
 // Observe feeds one operation's outcome into the detector.
 func (d *Detector) Observe(now time.Time, latency time.Duration, failed bool) {
+	if !d.started {
+		d.origin, d.started = now, true
+	}
+	at := now.Sub(d.origin)
 	if !d.Trained() {
 		if failed {
 			d.trainErrs++
 			if d.failClosed {
 				// Already failed closed: keep scoring errors so the
 				// alarm reflects the device's current state.
-				d.push(now, true)
+				d.push(at, true)
 			} else if d.trainErrs >= d.cfg.trainErrorBudget {
 				// A device unhealthy from boot never trains; fail
 				// closed and alarm rather than stay silent forever.
 				d.failClosed = true
 				for i := range d.window {
-					d.window[i] = windowEntry{at: now, anomalous: true}
+					d.window[i] = windowEntry{at: at, anomalous: true}
 				}
 				d.pos = 0
 				d.filled = true
@@ -204,14 +219,14 @@ func (d *Detector) Observe(now time.Time, latency time.Duration, failed bool) {
 			d.baseline = d.trainSum / time.Duration(d.trainCount)
 		}
 		if d.failClosed {
-			d.push(now, false)
+			d.push(at, false)
 		}
 		d.Tick(now)
 		return
 	}
 	anomalous := failed ||
 		latency > time.Duration(float64(d.baseline)*d.cfg.latencyFactor)
-	d.push(now, anomalous)
+	d.push(at, anomalous)
 	d.Tick(now)
 }
 
@@ -222,9 +237,20 @@ func (d *Detector) live(now time.Time) (n, hits int) {
 	if !d.filled {
 		limit = d.pos
 	}
+	// An entry has expired when now − at > expiry, that is when at lies
+	// before cutoff = now − expiry. A cutoff below the Duration range
+	// expires nothing, and neither does the maximal expiry, which no
+	// time.Time.Sub result exceeds.
+	expire := d.cfg.expiry > 0 && d.cfg.expiry < math.MaxInt64 && limit > 0
+	var cutoff time.Duration
+	if expire {
+		nowAt := now.Sub(d.origin)
+		expire = nowAt >= math.MinInt64+d.cfg.expiry
+		cutoff = nowAt - d.cfg.expiry
+	}
 	for i := 0; i < limit; i++ {
 		e := d.window[i]
-		if d.cfg.expiry > 0 && now.Sub(e.at) > d.cfg.expiry {
+		if expire && e.at < cutoff {
 			continue
 		}
 		n++

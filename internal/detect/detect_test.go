@@ -1,6 +1,7 @@
 package detect
 
 import (
+	"math"
 	"testing"
 	"time"
 
@@ -142,6 +143,11 @@ func TestConfigPointerSemantics(t *testing.T) {
 		{AlarmThreshold: Ptr(1.5)},
 		{Expiry: Ptr(-time.Second)},
 		{TrainErrorBudget: Ptr(0)},
+		// A NaN threshold can never be crossed, so the detector would
+		// fail open; non-finite floats are rejected outright.
+		{LatencyFactor: Ptr(math.NaN())},
+		{LatencyFactor: Ptr(math.Inf(1))},
+		{AlarmThreshold: Ptr(math.NaN())},
 	}
 	for i, cfg := range bad {
 		if _, err := NewDetector(cfg); err == nil {

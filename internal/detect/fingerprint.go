@@ -26,7 +26,7 @@ import (
 // validated and honored.
 type FingerprintConfig struct {
 	// SampleRate is the telemetry sample rate in Hz. Nil = 4096; must
-	// be > 0.
+	// be finite and > 0.
 	SampleRate *float64
 	// WindowSamples is the analysis window length. Nil = 512 (125 ms at
 	// the default rate); must be ≥ 16.
@@ -38,15 +38,16 @@ type FingerprintConfig struct {
 	// harmonic-comb fundamentals. Nil = 30 Hz; must be > 0 and < BandLow.
 	GuardLow *units.Frequency
 	// BinStep is the bank's frequency grid pitch. Nil = 10 Hz; must
-	// be > 0.
+	// be finite and > 0.
 	BinStep *units.Frequency
 	// MinAmp is the minimum peak amplitude (track-pitch fractions) a
-	// hostile candidate needs. Nil = 0.02; must be > 0.
+	// hostile candidate needs. Nil = 0.02; must be finite and > 0.
 	MinAmp *float64
 	// MinTonalFrac is the minimum fraction of in-band bank energy the
 	// peak bin must hold. Nil = 0.35; must be in (0, 1].
 	MinTonalFrac *float64
-	// MinSNRdB is the minimum peak-over-broadband ratio. Nil = 5 dB.
+	// MinSNRdB is the minimum peak-over-broadband ratio. Nil = 5 dB;
+	// must be finite and > 0.
 	MinSNRdB *float64
 	// Persistence is how many consecutive windows a candidate must hold
 	// its bin before the verdict turns hostile. Nil = 3; must be ≥ 1.
@@ -80,8 +81,8 @@ func (c FingerprintConfig) resolve() (fingerprintConfig, error) {
 		persistence:   3,
 	}
 	if c.SampleRate != nil {
-		if *c.SampleRate <= 0 {
-			return r, fmt.Errorf("detect: SampleRate %g must be > 0", *c.SampleRate)
+		if !finitePositive(*c.SampleRate) {
+			return r, fmt.Errorf("detect: SampleRate %g must be finite and > 0", *c.SampleRate)
 		}
 		r.sampleRate = *c.SampleRate
 	}
@@ -97,36 +98,36 @@ func (c FingerprintConfig) resolve() (fingerprintConfig, error) {
 	if c.BandHigh != nil {
 		r.bandHigh = *c.BandHigh
 	}
-	if r.bandLow <= 0 || r.bandHigh <= r.bandLow {
-		return r, fmt.Errorf("detect: band [%v, %v] must satisfy 0 < low < high", r.bandLow, r.bandHigh)
+	if !finitePositive(r.bandLow.Hertz()) || !finitePositive(r.bandHigh.Hertz()) || r.bandHigh <= r.bandLow {
+		return r, fmt.Errorf("detect: band [%v, %v] must be finite and satisfy 0 < low < high", r.bandLow, r.bandHigh)
 	}
 	if c.GuardLow != nil {
 		r.guardLow = *c.GuardLow
 	}
-	if r.guardLow <= 0 || r.guardLow >= r.bandLow {
+	if !(r.guardLow > 0 && r.guardLow < r.bandLow) {
 		return r, fmt.Errorf("detect: GuardLow %v must be in (0, BandLow %v)", r.guardLow, r.bandLow)
 	}
 	if c.BinStep != nil {
-		if *c.BinStep <= 0 {
-			return r, fmt.Errorf("detect: BinStep %v must be > 0", *c.BinStep)
+		if !finitePositive(c.BinStep.Hertz()) {
+			return r, fmt.Errorf("detect: BinStep %v must be finite and > 0", *c.BinStep)
 		}
 		r.binStep = *c.BinStep
 	}
 	if c.MinAmp != nil {
-		if *c.MinAmp <= 0 {
-			return r, fmt.Errorf("detect: MinAmp %g must be > 0", *c.MinAmp)
+		if !finitePositive(*c.MinAmp) {
+			return r, fmt.Errorf("detect: MinAmp %g must be finite and > 0", *c.MinAmp)
 		}
 		r.minAmp = *c.MinAmp
 	}
 	if c.MinTonalFrac != nil {
-		if *c.MinTonalFrac <= 0 || *c.MinTonalFrac > 1 {
+		if !(*c.MinTonalFrac > 0 && *c.MinTonalFrac <= 1) {
 			return r, fmt.Errorf("detect: MinTonalFrac %g must be in (0, 1]", *c.MinTonalFrac)
 		}
 		r.minTonalFrac = *c.MinTonalFrac
 	}
 	if c.MinSNRdB != nil {
-		if *c.MinSNRdB <= 0 {
-			return r, fmt.Errorf("detect: MinSNRdB %g must be > 0", *c.MinSNRdB)
+		if !finitePositive(*c.MinSNRdB) {
+			return r, fmt.Errorf("detect: MinSNRdB %g must be finite and > 0", *c.MinSNRdB)
 		}
 		r.minSNRdB = *c.MinSNRdB
 	}
@@ -276,8 +277,9 @@ func (f *Fingerprinter) SampleRate() float64 { return f.cfg.sampleRate }
 
 // Feed pushes telemetry samples, classifying every window that completes.
 func (f *Fingerprinter) Feed(samples []float64) {
-	for _, x := range samples {
-		frame, ok := f.bank.Push(x)
+	for len(samples) > 0 {
+		n, frame, ok := f.bank.PushBlock(samples)
+		samples = samples[n:]
 		if ok {
 			f.classify(frame)
 		}

@@ -150,6 +150,17 @@ func TestFingerprintConfigValidation(t *testing.T) {
 		{MinSNRdB: Ptr(-3.0)},
 		{Persistence: Ptr(0)},
 		{BandHigh: Ptr(3000 * units.Hz)}, // ≥ Nyquist at 4096 Hz
+		{SampleRate: Ptr(math.NaN())},
+		{SampleRate: Ptr(math.Inf(1))},
+		{BandHigh: Ptr(units.Frequency(math.NaN()))},
+		{GuardLow: Ptr(units.Frequency(math.NaN()))},
+		{BinStep: Ptr(units.Frequency(math.NaN()))},
+		{BinStep: Ptr(units.Frequency(math.Inf(1)))},
+		{MinAmp: Ptr(math.NaN())},
+		{MinAmp: Ptr(math.Inf(1))},
+		{MinTonalFrac: Ptr(math.NaN())},
+		{MinSNRdB: Ptr(math.NaN())},
+		{MinSNRdB: Ptr(math.Inf(1))},
 	}
 	for i, cfg := range bad {
 		if _, err := NewFingerprinter(cfg); err == nil {
@@ -207,5 +218,23 @@ func TestFusedVerdictCombinesFactors(t *testing.T) {
 	fused3.SMARTSuspect = true
 	if boosted := fused3.Verdict(now).Confidence; boosted <= base {
 		t.Fatalf("SMART trip must raise confidence: %.2f -> %.2f", base, boosted)
+	}
+}
+
+func BenchmarkFingerprinterFeed(b *testing.B) {
+	fp, err := NewFingerprinter(FingerprintConfig{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	synth := NewSynth(fp.SampleRate(), fp.WindowSamples(), DefaultSensorSigma, 1)
+	pump := sig.NewAmbient(sig.AmbientPump, 1)
+	windows := make([][]float64, 16)
+	for i := range windows {
+		windows[i] = append([]float64(nil), synth.Window(hdd.Quiet(), pump)...)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		fp.Feed(windows[i%len(windows)])
 	}
 }

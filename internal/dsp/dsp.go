@@ -10,6 +10,14 @@
 // sample, which is the right trade when the interesting spectrum is a
 // handful of known bands (the servo-resonance window of §4.1) rather than
 // the full FFT range.
+//
+// The bank processes samples in blocks, bin-major: it Hann-windows the
+// block up to the next window end once, then runs each bin's recurrence
+// over the whole block in registers, four bins interleaved so their
+// dependency chains overlap. Every bin sees the same floating-point
+// operations in the same order as a sample-at-a-time loop, so the frames
+// are bit-identical however the stream is split into blocks; Push is the
+// one-sample case of the same kernel.
 package dsp
 
 import (
@@ -68,14 +76,15 @@ type Frame struct {
 }
 
 // Bank runs a set of Goertzel bins over a common Hann-windowed block. It
-// is the streaming front half of the attack fingerprinter: Push samples
-// in, get a Frame back every windowLen samples. After construction the
-// bank never allocates.
+// is the streaming front half of the attack fingerprinter: feed samples
+// in with PushBlock (or Push), get a Frame back every windowLen samples.
+// After construction the bank never allocates.
 type Bank struct {
 	sampleRate float64
 	freqs      []units.Frequency
 	coeff      []float64
 	hann       []float64
+	xw         []float64 // windowed-sample scratch, one window long
 	s1, s2     []float64
 	sumSq      float64
 	n          int
@@ -86,8 +95,8 @@ type Bank struct {
 // NewBank builds a bank of Goertzel bins at the given frequencies, all
 // sharing one Hann window of windowLen samples.
 func NewBank(sampleRateHz float64, windowLen int, freqs []units.Frequency) (*Bank, error) {
-	if sampleRateHz <= 0 {
-		return nil, fmt.Errorf("dsp: sample rate %v must be > 0", sampleRateHz)
+	if !(sampleRateHz > 0) || math.IsInf(sampleRateHz, 0) {
+		return nil, fmt.Errorf("dsp: sample rate %v must be finite and > 0", sampleRateHz)
 	}
 	if windowLen < 16 {
 		return nil, fmt.Errorf("dsp: window of %d samples is too short (min 16)", windowLen)
@@ -100,12 +109,13 @@ func NewBank(sampleRateHz float64, windowLen int, freqs []units.Frequency) (*Ban
 		freqs:      append([]units.Frequency(nil), freqs...),
 		coeff:      make([]float64, len(freqs)),
 		hann:       make([]float64, windowLen),
+		xw:         make([]float64, windowLen),
 		s1:         make([]float64, len(freqs)),
 		s2:         make([]float64, len(freqs)),
 		power:      make([]float64, len(freqs)),
 	}
 	for i, f := range freqs {
-		if f <= 0 || f.Hertz() >= sampleRateHz/2 {
+		if !(f > 0 && f.Hertz() < sampleRateHz/2) {
 			return nil, fmt.Errorf("dsp: frequency %v outside (0, Nyquist %v Hz)", f, sampleRateHz/2)
 		}
 		b.coeff[i] = 2 * math.Cos(f.AngularVelocity()/sampleRateHz)
@@ -128,22 +138,36 @@ func (b *Bank) SampleRate() float64 { return b.sampleRate }
 // Push feeds one sample. When the sample completes a window, the frame
 // for that window is returned with ok = true.
 func (b *Bank) Push(x float64) (Frame, bool) {
-	b.sumSq += x * x
-	xw := x * b.hann[b.n]
-	for i := range b.coeff {
-		s0 := b.coeff[i]*b.s1[i] - b.s2[i] + xw
-		b.s2[i] = b.s1[i]
-		b.s1[i] = s0
+	one := [1]float64{x}
+	_, f, ok := b.PushBlock(one[:])
+	return f, ok
+}
+
+// PushBlock feeds samples up to the end of the current window and
+// returns how many it consumed. When they complete the window, the frame
+// for that window is returned with ok = true; the caller feeds the rest
+// of its block in further calls.
+func (b *Bank) PushBlock(samples []float64) (consumed int, f Frame, ok bool) {
+	m := len(b.hann) - b.n
+	if len(samples) < m {
+		m = len(samples)
 	}
-	b.n++
+	xw := b.xw[:m]
+	hann := b.hann[b.n : b.n+m]
+	for j, x := range samples[:m] {
+		b.sumSq += x * x
+		xw[j] = x * hann[j]
+	}
+	goertzelBlock(b.coeff, b.s1, b.s2, xw)
+	b.n += m
 	if b.n < len(b.hann) {
-		return Frame{}, false
+		return m, Frame{}, false
 	}
 	for i := range b.coeff {
 		b.power[i] = b.s1[i]*b.s1[i] + b.s2[i]*b.s2[i] - b.coeff[i]*b.s1[i]*b.s2[i]
 		b.s1[i], b.s2[i] = 0, 0
 	}
-	f := Frame{
+	f = Frame{
 		Index:   b.frames,
 		Power:   b.power,
 		TotalMS: b.sumSq / float64(len(b.hann)),
@@ -151,7 +175,34 @@ func (b *Bank) Push(x float64) (Frame, bool) {
 	b.frames++
 	b.n = 0
 	b.sumSq = 0
-	return f, true
+	return m, f, true
+}
+
+// goertzelBlock advances every bin's recurrence s0 = coeff·s1 − s2 + x
+// over the windowed samples xw, four bins at a time so the four
+// independent chains fill the pipeline.
+func goertzelBlock(coeff, s1, s2, xw []float64) {
+	i := 0
+	for ; i+4 <= len(coeff); i += 4 {
+		c0, c1, c2, c3 := coeff[i], coeff[i+1], coeff[i+2], coeff[i+3]
+		a0, a1, a2, a3 := s1[i], s1[i+1], s1[i+2], s1[i+3]
+		z0, z1, z2, z3 := s2[i], s2[i+1], s2[i+2], s2[i+3]
+		for _, x := range xw {
+			a0, z0 = c0*a0-z0+x, a0
+			a1, z1 = c1*a1-z1+x, a1
+			a2, z2 = c2*a2-z2+x, a2
+			a3, z3 = c3*a3-z3+x, a3
+		}
+		s1[i], s1[i+1], s1[i+2], s1[i+3] = a0, a1, a2, a3
+		s2[i], s2[i+1], s2[i+2], s2[i+3] = z0, z1, z2, z3
+	}
+	for ; i < len(coeff); i++ {
+		c, a, z := coeff[i], s1[i], s2[i]
+		for _, x := range xw {
+			a, z = c*a-z+x, a
+		}
+		s1[i], s2[i] = a, z
+	}
 }
 
 // Frames returns how many windows have completed.

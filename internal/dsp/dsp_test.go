@@ -123,6 +123,9 @@ func TestBankRejectsBadConfig(t *testing.T) {
 		{rate, 512, nil},
 		{rate, 512, []units.Frequency{0}},
 		{rate, 512, []units.Frequency{3000}}, // ≥ Nyquist
+		{math.NaN(), 512, []units.Frequency{650}},
+		{math.Inf(1), 512, []units.Frequency{650}},
+		{rate, 512, []units.Frequency{units.Frequency(math.NaN())}},
 	}
 	for i, c := range cases {
 		if _, err := NewBank(c.rate, c.window, c.freqs); err == nil {
@@ -164,5 +167,145 @@ func TestGoertzelSingleBin(t *testing.T) {
 	g.Reset()
 	if g.Power() != 0 || g.N() != 0 {
 		t.Fatal("reset did not clear state")
+	}
+}
+
+// refBank is the sample-major bank the block kernel replaced: every
+// sample windows itself and steps every bin's recurrence.
+type refBank struct {
+	coeff, hann, s1, s2, power []float64
+	sumSq                      float64
+	n, frames                  int
+}
+
+func newRefBank(b *Bank) *refBank {
+	k := len(b.coeff)
+	return &refBank{
+		coeff: b.coeff, hann: b.hann,
+		s1: make([]float64, k), s2: make([]float64, k), power: make([]float64, k),
+	}
+}
+
+func (b *refBank) push(x float64) (Frame, bool) {
+	b.sumSq += x * x
+	xw := x * b.hann[b.n]
+	for i := range b.coeff {
+		s0 := b.coeff[i]*b.s1[i] - b.s2[i] + xw
+		b.s2[i] = b.s1[i]
+		b.s1[i] = s0
+	}
+	b.n++
+	if b.n < len(b.hann) {
+		return Frame{}, false
+	}
+	for i := range b.coeff {
+		b.power[i] = b.s1[i]*b.s1[i] + b.s2[i]*b.s2[i] - b.coeff[i]*b.s1[i]*b.s2[i]
+		b.s1[i], b.s2[i] = 0, 0
+	}
+	f := Frame{Index: b.frames, Power: b.power, TotalMS: b.sumSq / float64(len(b.hann))}
+	b.frames++
+	b.n = 0
+	b.sumSq = 0
+	return f, true
+}
+
+func sameFrame(a, b Frame) bool {
+	if a.Index != b.Index || math.Float64bits(a.TotalMS) != math.Float64bits(b.TotalMS) || len(a.Power) != len(b.Power) {
+		return false
+	}
+	for i := range a.Power {
+		if math.Float64bits(a.Power[i]) != math.Float64bits(b.Power[i]) {
+			return false
+		}
+	}
+	return true
+}
+
+// The block kernel must be bit-identical to the per-sample recurrence
+// however the stream is cut: random chunk sizes that straddle window
+// ends, and bin counts that leave a remainder after the four-bin groups.
+func TestPushBlockMatchesPerSample(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	all := bankFreqs()
+	for _, bins := range []int{1, 2, 3, 4, 5, 7, 8, len(all)} {
+		for _, window := range []int{16, 100, 512} {
+			b, err := NewBank(rate, window, all[:bins])
+			if err != nil {
+				t.Fatal(err)
+			}
+			ref := newRefBank(b)
+			stream := make([]float64, 7*window+rng.Intn(window))
+			for i := range stream {
+				stream[i] = rng.NormFloat64() + 0.3*math.Sin(0.7*float64(i))
+			}
+			frames := 0
+			for rest := stream; len(rest) > 0; {
+				chunk := rest[:1+rng.Intn(min(len(rest), 2*window))]
+				rest = rest[len(chunk):]
+				var want []Frame
+				for _, x := range chunk {
+					if f, ok := ref.push(x); ok {
+						f.Power = append([]float64(nil), f.Power...)
+						want = append(want, f)
+					}
+				}
+				for len(chunk) > 0 {
+					n, f, ok := b.PushBlock(chunk)
+					if n == 0 {
+						t.Fatal("PushBlock consumed nothing")
+					}
+					chunk = chunk[n:]
+					if !ok {
+						continue
+					}
+					if len(want) == 0 || !sameFrame(f, want[0]) {
+						t.Fatalf("%d bins, window %d: frame %d differs from the per-sample recurrence", bins, window, f.Index)
+					}
+					want = want[1:]
+					frames++
+				}
+				if len(want) != 0 {
+					t.Fatalf("%d bins, window %d: %d frames missing", bins, window, len(want))
+				}
+			}
+			if frames < 7 {
+				t.Fatalf("%d bins, window %d: only %d frames compared", bins, window, frames)
+			}
+			// Push is the one-sample case of the same kernel.
+			for i := 0; i < 3*window; i++ {
+				x := rng.NormFloat64()
+				want, wok := ref.push(x)
+				got, ok := b.Push(x)
+				if ok != wok || (ok && !sameFrame(got, want)) {
+					t.Fatalf("%d bins, window %d: Push diverged at sample %d", bins, window, i)
+				}
+			}
+		}
+	}
+}
+
+// frameSink keeps the benchmarked call's result live.
+var frameSink Frame
+
+func BenchmarkBankPushBlock(b *testing.B) {
+	bank, err := NewBank(rate, 512, bankFreqs())
+	if err != nil {
+		b.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(1))
+	window := make([]float64, 512)
+	for i := range window {
+		window[i] = rng.NormFloat64()
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for rest := window; len(rest) > 0; {
+			n, f, ok := bank.PushBlock(rest)
+			rest = rest[n:]
+			if ok {
+				frameSink = f
+			}
+		}
 	}
 }

@@ -28,6 +28,7 @@ package exfil
 import (
 	"errors"
 	"fmt"
+	"math"
 
 	"deepnote/internal/units"
 )
@@ -79,10 +80,11 @@ type ModemConfig struct {
 	// FSK default, and there is no meaningful "unset" distinct from it).
 	Scheme Scheme
 	// SampleRate is the receiver sample rate in Hz. Nil = 4096 (matching
-	// the detect fingerprinter); must be > 0.
+	// the detect fingerprinter); must be finite and > 0.
 	SampleRate *float64
-	// SymbolRate is the signaling rate in baud. Nil = 32; must be > 0 and
-	// divide SampleRate into an integer symbol window of ≥ 8 samples.
+	// SymbolRate is the signaling rate in baud. Nil = 32; must be finite,
+	// > 0, and divide SampleRate into an integer symbol window of ≥ 8
+	// samples.
 	SymbolRate *float64
 	// Tone0 and Tone1 carry bit 0 and bit 1. Nil = 780 Hz and 1140 Hz —
 	// reachable seek-rate harmonics that sit inside the servo-vulnerable
@@ -114,6 +116,10 @@ type modem struct {
 	parityBytes  int
 }
 
+// finitePositive reports whether x is a finite number above zero; NaN and
+// ±Inf fail.
+func finitePositive(x float64) bool { return x > 0 && !math.IsInf(x, 1) }
+
 func (c ModemConfig) resolve() (modem, error) {
 	m := modem{
 		scheme:       c.Scheme,
@@ -129,14 +135,14 @@ func (c ModemConfig) resolve() (modem, error) {
 		return m, fmt.Errorf("%w: unknown scheme %d", ErrConfig, int(c.Scheme))
 	}
 	if c.SampleRate != nil {
-		if *c.SampleRate <= 0 {
-			return m, fmt.Errorf("%w: SampleRate %g must be > 0", ErrConfig, *c.SampleRate)
+		if !finitePositive(*c.SampleRate) {
+			return m, fmt.Errorf("%w: SampleRate %g must be finite and > 0", ErrConfig, *c.SampleRate)
 		}
 		m.sampleRate = *c.SampleRate
 	}
 	if c.SymbolRate != nil {
-		if *c.SymbolRate <= 0 {
-			return m, fmt.Errorf("%w: SymbolRate %g must be > 0", ErrConfig, *c.SymbolRate)
+		if !finitePositive(*c.SymbolRate) {
+			return m, fmt.Errorf("%w: SymbolRate %g must be finite and > 0", ErrConfig, *c.SymbolRate)
 		}
 		m.symbolRate = *c.SymbolRate
 	}
@@ -153,10 +159,10 @@ func (c ModemConfig) resolve() (modem, error) {
 		m.tone1 = *c.Tone1
 	}
 	nyq := units.Frequency(m.sampleRate / 2)
-	if m.tone0 <= 0 || m.tone0 >= nyq {
+	if !(m.tone0 > 0 && m.tone0 < nyq) {
 		return m, fmt.Errorf("%w: Tone0 %v outside (0, Nyquist %v)", ErrConfig, m.tone0, nyq)
 	}
-	if m.tone1 <= 0 || m.tone1 >= nyq {
+	if !(m.tone1 > 0 && m.tone1 < nyq) {
 		return m, fmt.Errorf("%w: Tone1 %v outside (0, Nyquist %v)", ErrConfig, m.tone1, nyq)
 	}
 	if sep := (m.tone1 - m.tone0).Hertz(); sep < m.symbolRate && -sep < m.symbolRate {

@@ -34,6 +34,8 @@ func TestModemConfigRejection(t *testing.T) {
 		{"parity too small", ModemConfig{ParityBytes: Ptr(0)}},
 		{"codeword too long", ModemConfig{DataBytes: Ptr(250), ParityBytes: Ptr(16)}},
 		{"unknown scheme", ModemConfig{Scheme: Scheme(7)}},
+		{"tone0 NaN", ModemConfig{Tone0: Ptr(units.Frequency(math.NaN()))}},
+		{"tone1 NaN", ModemConfig{Tone1: Ptr(units.Frequency(math.NaN()))}},
 	}
 	for _, tc := range cases {
 		if _, err := tc.cfg.resolve(); !errors.Is(err, ErrConfig) {

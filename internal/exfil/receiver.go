@@ -4,6 +4,15 @@
 // asymmetric link budget — Tone1 rides a weaker harmonic — does not bias
 // FSK decisions, and OOK gets its threshold), then hard symbol decisions
 // into the frame codec. Per-symbol soft SNR is logged alongside.
+//
+// Acquisition slides the pattern in steps of L/8 samples (L = symbol
+// length), and every candidate offset reads the symbol windows at
+// off + k·L. Those positions all lie on a grid of pitch g = gcd(L/8, L),
+// and neighbouring offsets share most of them, so the receiver computes
+// each grid position's tone powers once into a memo indexed by pos/g and
+// sums the correlation from it; preamble training reads the same memo.
+// The sums run in the same order as a per-offset rescan would, so the
+// result is bit-identical to it.
 package exfil
 
 import (
@@ -69,25 +78,43 @@ func (r *Receiver) symPower(wave []float64, off int) (p0, p1 float64) {
 
 const powerEps = 1e-12
 
-// patternScore soft-correlates the preamble+sync pattern at a candidate
-// offset: per expected symbol, the normalized margin of the expected tone
-// over the alternative. Positive means the pattern is present.
-func (r *Receiver) patternScore(wave []float64, off int, pattern []byte) float64 {
-	var score float64
-	for s, bit := range pattern {
-		p0, p1 := r.symPower(wave, off+s*r.m.symbolLen)
-		// Normalized two-bin margin. For OOK the space symbol is silence,
-		// so its expected margin is zero rather than −1 — the score still
-		// peaks at the true offset, and the tone0 bin acts as a noise
-		// reference that cancels broadband bursts.
-		margin := (p1 - p0) / (p0 + p1 + powerEps)
-		if bit == 1 {
-			score += margin
-		} else {
-			score -= margin
-		}
+// symMemo caches symPower results for symbol windows starting on a grid
+// of pitch g.
+type symMemo struct {
+	g    int
+	pow  [][2]float64
+	done []bool
+}
+
+func newSymMemo(g, maxPos int) symMemo {
+	n := maxPos/g + 1
+	return symMemo{g: g, pow: make([][2]float64, n), done: make([]bool, n)}
+}
+
+// memoPower returns symPower at pos, a multiple of the memo's pitch within
+// its range, computing it on first use.
+func (r *Receiver) memoPower(m *symMemo, wave []float64, pos int) (p0, p1 float64) {
+	i := pos / m.g
+	if !m.done[i] {
+		m.pow[i][0], m.pow[i][1] = r.symPower(wave, pos)
+		m.done[i] = true
 	}
-	return score
+	return m.pow[i][0], m.pow[i][1]
+}
+
+// margin is the normalized two-bin margin of tone1 over tone0. For OOK
+// the space symbol is silence, so its expected margin is zero rather than
+// −1 — the correlation still peaks at the true offset, and the tone0 bin
+// acts as a noise reference that cancels broadband bursts.
+func margin(p0, p1 float64) float64 {
+	return (p1 - p0) / (p0 + p1 + powerEps)
+}
+
+func gcd(a, b int) int {
+	for b != 0 {
+		a, b = b, a%b
+	}
+	return a
 }
 
 // Demodulate decodes up to maxFrames back-to-back frames from the
@@ -104,12 +131,27 @@ func (r *Receiver) Demodulate(wave []float64, maxFrames int) RxResult {
 	if limit := 2 * frameSamples; scanEnd > limit {
 		scanEnd = limit
 	}
+	// Soft-correlate the preamble+sync pattern at every candidate offset:
+	// per expected symbol, the margin of the expected tone over the
+	// alternative. Positive means the pattern is present.
 	step := L / 8
 	var offs []int
 	var scores []float64
 	peak := 0.0
+	var memo symMemo
+	if scanEnd >= 0 {
+		memo = newSymMemo(gcd(step, L), scanEnd+patSamples-L)
+	}
 	for off := 0; off <= scanEnd; off += step {
-		s := r.patternScore(wave, off, pattern)
+		var s float64
+		for k, bit := range pattern {
+			m := margin(r.memoPower(&memo, wave, off+k*L))
+			if bit == 1 {
+				s += m
+			} else {
+				s -= m
+			}
+		}
 		offs = append(offs, off)
 		scores = append(scores, s)
 		if s > peak {
@@ -155,7 +197,7 @@ func (r *Receiver) Demodulate(wave []float64, maxFrames int) RxResult {
 	var on0, on1, sp0, sp1 float64
 	var n0, n1 int
 	for s := 0; s < r.m.preambleBits; s++ {
-		p0, p1 := r.symPower(wave, best+s*L)
+		p0, p1 := r.memoPower(&memo, wave, best+s*L)
 		if pattern[s] == 1 {
 			on0 += p0
 			on1 += p1

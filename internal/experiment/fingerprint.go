@@ -26,7 +26,8 @@ import (
 // show benign verdicts cannot escalate the store's defense while hostile
 // ones arm it.
 type FingerprintSpec struct {
-	// Freq is the hostile tone (default 650 Hz, the §4.1 worst case).
+	// Freq is the hostile tone (default 650 Hz, the §4.1 worst case);
+	// must be finite and > 0.
 	Freq units.Frequency
 	// SNRs are the hostile-cell tone levels in dB over the telemetry
 	// noise floor (default 0, 6, 12 — below, at, and above the detection
@@ -35,7 +36,8 @@ type FingerprintSpec struct {
 	// BenignSeeds is how many seeded variants of each benign scenario run
 	// (default 3).
 	BenignSeeds int
-	// Duration is each cell's run length (default 12 s ≈ 96 windows).
+	// Duration is each cell's run length (default 12 s ≈ 96 windows);
+	// must be > 0.
 	Duration time.Duration
 	// Detector and Fingerprint tune the two detection layers.
 	Detector    detect.Config
@@ -129,6 +131,12 @@ func (s FingerprintSpec) cells() []fingerprintCell {
 // parallel.SeedFor, so the result is byte-identical at any Workers value.
 func FingerprintRun(spec FingerprintSpec) (FingerprintResult, error) {
 	spec = spec.withDefaults()
+	if f := spec.Freq.Hertz(); !(f > 0) || math.IsInf(f, 1) {
+		return FingerprintResult{}, fmt.Errorf("experiment: fingerprint tone %v must be finite and > 0", spec.Freq)
+	}
+	if spec.Duration <= 0 {
+		return FingerprintResult{}, fmt.Errorf("experiment: fingerprint cell duration %v must be > 0", spec.Duration)
+	}
 	cells := spec.cells()
 	rows, err := parallel.RunObserved(context.Background(), cells, spec.Workers, spec.Metrics,
 		func(_ context.Context, i int, c fingerprintCell) (FingerprintRow, error) {
