@@ -3,7 +3,10 @@
 // workload generators). It stores real bytes (so filesystems and databases
 // round-trip their data), charges virtual time through the drive model, and
 // surfaces drive faults as EIO-style errors exactly where Linux would:
-// buffer I/O errors on the failed request.
+// buffer I/O errors on the failed request. The byte store is sparse: only
+// chunks that some non-zero write has reached (or an image supplied)
+// allocate, so writing zeros over unwritten space costs drive time but no
+// memory.
 package blockdev
 
 import (
@@ -73,7 +76,11 @@ func (s Stats) AvgWriteLatency() time.Duration {
 }
 
 // Disk is a Device backed by the mechanical drive model plus an in-memory
-// byte store. Byte storage is sparse: only written extents allocate.
+// byte store. Byte storage is sparse: only chunks that some non-zero write
+// has reached (or an image supplied) allocate. An absent chunk reads as
+// zeros, so a zero write into one is charged to the drive like any other
+// write but stores nothing; a chunk once allocated stays, even if later
+// writes zero it again.
 type Disk struct {
 	mu     sync.Mutex
 	drive  *hdd.Drive
@@ -85,6 +92,10 @@ type Disk struct {
 }
 
 const chunkSize = 1 << 16 // 64 KiB backing-store chunks
+
+// zeroChunk is never written: copyIn tests a span for all zeros by
+// comparing it with a prefix of this array.
+var zeroChunk [chunkSize]byte
 
 // NewDisk wraps a drive in a Device.
 func NewDisk(drive *hdd.Drive) *Disk {
@@ -229,8 +240,10 @@ func (d *Disk) Flush() error {
 }
 
 func (d *Disk) checkRange(off, n int64) error {
-	if off < 0 || n < 0 || off+n > d.Size() {
-		return fmt.Errorf("blockdev: request [%d, %d) outside device of %d bytes", off, off+n, d.Size())
+	// off > Size()-n rather than off+n > Size(): the sum overflows for
+	// offsets near math.MaxInt64, while Size()-n cannot once n ≥ 0.
+	if off < 0 || n < 0 || off > d.Size()-n {
+		return fmt.Errorf("blockdev: request of %d bytes at %d outside device of %d bytes", n, off, d.Size())
 	}
 	return nil
 }
@@ -257,12 +270,16 @@ func (d *Disk) copyIn(p []byte, off int64) {
 		in := off - base
 		avail := chunkSize - in
 		n := min64(int64(len(p)), avail)
-		c, ok := d.data[base]
-		if !ok {
+		if c, ok := d.data[base]; ok {
+			copy(c[in:in+n], p[:n])
+		} else if string(p[:n]) != string(zeroChunk[:n]) {
+			// An absent chunk reads as zeros, so only a span holding a
+			// non-zero byte allocates one; the comparison stops at the
+			// first differing word.
 			c = make([]byte, chunkSize)
+			copy(c[in:in+n], p[:n])
 			d.data[base] = c
 		}
-		copy(c[in:in+n], p[:n])
 		p = p[n:]
 		off += n
 	}

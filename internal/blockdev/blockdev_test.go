@@ -3,6 +3,7 @@ package blockdev
 import (
 	"bytes"
 	"errors"
+	"math"
 	"testing"
 	"testing/quick"
 
@@ -10,7 +11,7 @@ import (
 	"deepnote/internal/simclock"
 )
 
-func newDisk(t *testing.T) (*Disk, *simclock.Virtual) {
+func newDisk(t testing.TB) (*Disk, *simclock.Virtual) {
 	t.Helper()
 	clock := simclock.NewVirtual()
 	drive, err := hdd.NewDrive(hdd.Barracuda500(), clock, 3)
@@ -90,12 +91,35 @@ func TestRoundTripProperty(t *testing.T) {
 
 func TestRangeChecks(t *testing.T) {
 	d, _ := newDisk(t)
-	buf := make([]byte, 16)
-	if _, err := d.ReadAt(buf, -1); err == nil {
-		t.Fatal("negative offset accepted")
+	size := d.Size()
+	for _, tc := range []struct {
+		name string
+		off  int64
+		n    int
+		ok   bool
+	}{
+		{"negative offset", -1, 16, false},
+		{"past end", size - 8, 16, false},
+		{"ends at end", size - 16, 16, true},
+		{"at end, empty", size, 0, true},
+		{"beyond end, empty", size + 1, 0, false},
+		// off+n overflows int64 for these; the request must still be
+		// rejected, not wrap to a small sum and pass.
+		{"near MaxInt64", math.MaxInt64 - 100, 4096, false},
+		{"at MaxInt64", math.MaxInt64, 1, false},
+		{"MaxInt64 minus length", math.MaxInt64 - 4095, 4096, false},
+	} {
+		buf := make([]byte, tc.n)
+		_, rerr := d.ReadAt(buf, tc.off)
+		_, werr := d.WriteAt(buf, tc.off)
+		for op, err := range map[string]error{"ReadAt": rerr, "WriteAt": werr} {
+			if (err == nil) != tc.ok {
+				t.Errorf("%s: %s(%d bytes @ %d) err = %v, want ok=%v", tc.name, op, tc.n, tc.off, err, tc.ok)
+			}
+		}
 	}
-	if _, err := d.WriteAt(buf, d.Size()-8); err == nil {
-		t.Fatal("overflow write accepted")
+	if len(d.data) != 0 {
+		t.Fatalf("all-zero requests stored %d chunks", len(d.data))
 	}
 }
 

@@ -23,10 +23,10 @@ const (
 // ErrBadImage reports an unreadable or mismatched image.
 var ErrBadImage = errors.New("blockdev: bad image")
 
-// SaveImage writes the disk's current contents sparsely. Only chunks that
-// were ever written are emitted; a freshly formatted 500 GB drive dumps in
-// kilobytes. Virtual time is not charged: imaging models an out-of-band
-// operation (e.g. copying a VM disk), not victim I/O.
+// SaveImage writes the disk's current contents sparsely. Only allocated
+// chunks are emitted (those some non-zero write has reached, or an image
+// supplied); a freshly formatted 500 GB drive dumps in kilobytes. Virtual time is not charged: imaging models an
+// out-of-band operation (e.g. copying a VM disk), not victim I/O.
 func (d *Disk) SaveImage(w io.Writer) error {
 	d.mu.Lock()
 	defer d.mu.Unlock()
@@ -60,7 +60,10 @@ func (d *Disk) SaveImage(w io.Writer) error {
 }
 
 // LoadImage replaces the disk's contents with an image previously written
-// by SaveImage. The image's device size must not exceed this disk's.
+// by SaveImage. The image's device size must not exceed this disk's. The
+// header is untrusted: a chunk count larger than the disk can hold, or a
+// chunk offset that repeats, is rejected with ErrBadImage, and storage
+// grows only as chunk bodies actually arrive.
 func (d *Disk) LoadImage(r io.Reader) error {
 	d.mu.Lock()
 	defer d.mu.Unlock()
@@ -82,16 +85,26 @@ func (d *Disk) LoadImage(r io.Reader) error {
 	if cs := le.Uint32(header[20:]); cs != chunkSize {
 		return fmt.Errorf("%w: chunk size %d, want %d", ErrBadImage, cs, chunkSize)
 	}
-	count := int(le.Uint32(header[24:]))
-	data := make(map[int64][]byte, count)
+	count := int64(le.Uint32(header[24:]))
+	limit := d.Size() / chunkSize
+	if d.Size()%chunkSize != 0 {
+		limit++ // a partial last chunk
+	}
+	if count > limit {
+		return fmt.Errorf("%w: %d chunks, device holds at most %d", ErrBadImage, count, limit)
+	}
+	data := make(map[int64][]byte)
 	var off [8]byte
-	for i := 0; i < count; i++ {
+	for i := int64(0); i < count; i++ {
 		if _, err := io.ReadFull(br, off[:]); err != nil {
 			return fmt.Errorf("%w: chunk %d offset: %v", ErrBadImage, i, err)
 		}
 		base := int64(le.Uint64(off[:]))
 		if base < 0 || base%chunkSize != 0 || base >= d.Size() {
 			return fmt.Errorf("%w: chunk %d at invalid offset %d", ErrBadImage, i, base)
+		}
+		if _, dup := data[base]; dup {
+			return fmt.Errorf("%w: chunk %d repeats offset %d", ErrBadImage, i, base)
 		}
 		chunk := make([]byte, chunkSize)
 		if _, err := io.ReadFull(br, chunk); err != nil {

@@ -2,7 +2,10 @@ package blockdev
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
+	"math"
+	"runtime"
 	"testing"
 )
 
@@ -95,5 +98,56 @@ func TestImageLoadReplacesContents(t *testing.T) {
 	d.ReadAt(got, 0)
 	if string(got) != "original" {
 		t.Fatalf("load did not restore: %q", got)
+	}
+}
+
+// imageHeader builds a SaveImage header for d claiming count chunks.
+func imageHeader(d *Disk, count uint32) []byte {
+	le := binary.LittleEndian
+	h := make([]byte, 8+4+8+4+4)
+	le.PutUint64(h[0:], imageMagic)
+	le.PutUint32(h[8:], imageVersion)
+	le.PutUint64(h[12:], uint64(d.Size()))
+	le.PutUint32(h[20:], chunkSize)
+	le.PutUint32(h[24:], count)
+	return h
+}
+
+func TestImageRejectsImpossibleChunkCount(t *testing.T) {
+	d, _ := newDisk(t)
+	for _, count := range []uint32{math.MaxUint32, uint32(d.Size()/chunkSize) + 2} {
+		err := d.LoadImage(bytes.NewReader(imageHeader(d, count)))
+		if !errors.Is(err, ErrBadImage) {
+			t.Fatalf("count %d on a %d-byte disk: err = %v, want ErrBadImage", count, d.Size(), err)
+		}
+	}
+}
+
+// A header may claim as many chunks as the disk can hold and then stop.
+// The loader must not reserve storage for chunks that never arrive.
+func TestImageDoesNotTrustChunkCount(t *testing.T) {
+	d, _ := newDisk(t)
+	hdr := imageHeader(d, uint32(d.Size()/chunkSize))
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	err := d.LoadImage(bytes.NewReader(hdr))
+	runtime.ReadMemStats(&after)
+	if !errors.Is(err, ErrBadImage) {
+		t.Fatalf("bodiless image: err = %v, want ErrBadImage", err)
+	}
+	if got := after.TotalAlloc - before.TotalAlloc; got > 1<<20 {
+		t.Fatalf("loading a bodiless %d-chunk header allocated %d bytes", d.Size()/chunkSize, got)
+	}
+}
+
+func TestImageRejectsDuplicateChunk(t *testing.T) {
+	d, _ := newDisk(t)
+	img := imageHeader(d, 2)
+	for i := 0; i < 2; i++ {
+		img = binary.LittleEndian.AppendUint64(img, chunkSize)
+		img = append(img, bytes.Repeat([]byte{byte(i + 1)}, chunkSize)...)
+	}
+	if err := d.LoadImage(bytes.NewReader(img)); !errors.Is(err, ErrBadImage) {
+		t.Fatalf("duplicate chunk offset: err = %v, want ErrBadImage", err)
 	}
 }

@@ -13,7 +13,7 @@
 //
 // The bank processes samples in blocks, bin-major: it Hann-windows the
 // block up to the next window end once, then runs each bin's recurrence
-// over the whole block in registers, four bins interleaved so their
+// over the whole block in registers, eight bins interleaved so their
 // dependency chains overlap. Every bin sees the same floating-point
 // operations in the same order as a sample-at-a-time loop, so the frames
 // are bit-identical however the stream is split into blocks; Push is the
@@ -179,22 +179,34 @@ func (b *Bank) PushBlock(samples []float64) (consumed int, f Frame, ok bool) {
 }
 
 // goertzelBlock advances every bin's recurrence s0 = coeff·s1 − s2 + x
-// over the windowed samples xw, four bins at a time so the four
-// independent chains fill the pipeline.
+// over the windowed samples xw. Each bin's chain is latency-bound, so the
+// kernel runs eight independent chains per pass to fill the pipeline,
+// then the remaining bins one at a time. Every bin evaluates the same
+// expression in the same sample order on both paths, so the result is
+// bit-identical however the bins are grouped.
 func goertzelBlock(coeff, s1, s2, xw []float64) {
 	i := 0
-	for ; i+4 <= len(coeff); i += 4 {
+	for ; i+8 <= len(coeff); i += 8 {
 		c0, c1, c2, c3 := coeff[i], coeff[i+1], coeff[i+2], coeff[i+3]
+		c4, c5, c6, c7 := coeff[i+4], coeff[i+5], coeff[i+6], coeff[i+7]
 		a0, a1, a2, a3 := s1[i], s1[i+1], s1[i+2], s1[i+3]
+		a4, a5, a6, a7 := s1[i+4], s1[i+5], s1[i+6], s1[i+7]
 		z0, z1, z2, z3 := s2[i], s2[i+1], s2[i+2], s2[i+3]
+		z4, z5, z6, z7 := s2[i+4], s2[i+5], s2[i+6], s2[i+7]
 		for _, x := range xw {
 			a0, z0 = c0*a0-z0+x, a0
 			a1, z1 = c1*a1-z1+x, a1
 			a2, z2 = c2*a2-z2+x, a2
 			a3, z3 = c3*a3-z3+x, a3
+			a4, z4 = c4*a4-z4+x, a4
+			a5, z5 = c5*a5-z5+x, a5
+			a6, z6 = c6*a6-z6+x, a6
+			a7, z7 = c7*a7-z7+x, a7
 		}
 		s1[i], s1[i+1], s1[i+2], s1[i+3] = a0, a1, a2, a3
+		s1[i+4], s1[i+5], s1[i+6], s1[i+7] = a4, a5, a6, a7
 		s2[i], s2[i+1], s2[i+2], s2[i+3] = z0, z1, z2, z3
+		s2[i+4], s2[i+5], s2[i+6], s2[i+7] = z4, z5, z6, z7
 	}
 	for ; i < len(coeff); i++ {
 		c, a, z := coeff[i], s1[i], s2[i]

@@ -223,11 +223,19 @@ func sameFrame(a, b Frame) bool {
 
 // The block kernel must be bit-identical to the per-sample recurrence
 // however the stream is cut: random chunk sizes that straddle window
-// ends, and bin counts that leave a remainder after the four-bin groups.
+// ends, and bin counts that leave every remainder after the eight-bin
+// groups.
 func TestPushBlockMatchesPerSample(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	all := bankFreqs()
-	for _, bins := range []int{1, 2, 3, 4, 5, 7, 8, len(all)} {
+	// 1–17 bins reach every mix of the kernel's 8-wide and scalar passes;
+	// len(all) is the 138-bin fingerprint grid.
+	var binCounts []int
+	for n := 1; n <= 17; n++ {
+		binCounts = append(binCounts, n)
+	}
+	binCounts = append(binCounts, len(all))
+	for _, bins := range binCounts {
 		for _, window := range []int{16, 100, 512} {
 			b, err := NewBank(rate, window, all[:bins])
 			if err != nil {

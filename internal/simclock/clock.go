@@ -7,7 +7,8 @@ package simclock
 
 import (
 	"fmt"
-	"sync"
+	"math"
+	"sync/atomic"
 	"time"
 )
 
@@ -20,37 +21,48 @@ type Clock interface {
 }
 
 // Virtual is a deterministic, manually advanced clock. The zero value is
-// not usable; construct with NewVirtual. Virtual is safe for concurrent
-// use, though the simulation is predominantly single-goroutine by design.
+// a clock at the epoch, as NewVirtual returns.
+//
+// The clock holds the virtual nanoseconds elapsed since a fixed epoch in
+// an int64, and Now is the epoch plus that offset — the same time.Time
+// the sum of every Sleep added to the epoch would give. Virtual is
+// lock-free and safe for concurrent use, though the simulation is
+// predominantly single-goroutine by design. The offset saturates at
+// math.MaxInt64 nanoseconds (about 292 years, in the year 2315) rather
+// than wrapping, so time never runs backwards.
 type Virtual struct {
-	mu  sync.Mutex
-	now time.Time
+	ns atomic.Int64 // virtual nanoseconds since epoch
 	// sleeps counts Sleep calls, handy for tests asserting I/O happened.
-	sleeps int
+	sleeps atomic.Int64
 }
 
-// NewVirtual returns a virtual clock starting at a fixed epoch so runs are
-// reproducible. The epoch itself is arbitrary.
-func NewVirtual() *Virtual {
-	return &Virtual{now: time.Date(2023, time.July, 9, 0, 0, 0, 0, time.UTC)}
-}
+// epoch is every Virtual's time zero. It is arbitrary but fixed, so runs
+// are reproducible.
+var epoch = time.Date(2023, time.July, 9, 0, 0, 0, 0, time.UTC)
+
+// NewVirtual returns a virtual clock starting at the fixed epoch.
+func NewVirtual() *Virtual { return &Virtual{} }
 
 // Now returns the current virtual time.
-func (v *Virtual) Now() time.Time {
-	v.mu.Lock()
-	defer v.mu.Unlock()
-	return v.now
-}
+func (v *Virtual) Now() time.Time { return epoch.Add(time.Duration(v.ns.Load())) }
 
-// Sleep advances the clock by d. Negative durations are ignored.
+// Sleep advances the clock by d, saturating at math.MaxInt64 nanoseconds
+// past the epoch. Non-positive durations are ignored.
 func (v *Virtual) Sleep(d time.Duration) {
 	if d <= 0 {
 		return
 	}
-	v.mu.Lock()
-	v.now = v.now.Add(d)
-	v.sleeps++
-	v.mu.Unlock()
+	v.sleeps.Add(1)
+	for {
+		ns := v.ns.Load()
+		next := ns + int64(d)
+		if next < ns {
+			next = math.MaxInt64
+		}
+		if v.ns.CompareAndSwap(ns, next) {
+			return
+		}
+	}
 }
 
 // Advance is an explicit alias of Sleep for simulation drivers, reading
@@ -61,15 +73,11 @@ func (v *Virtual) Advance(d time.Duration) { v.Sleep(d) }
 func (v *Virtual) Since(t time.Time) time.Duration { return v.Now().Sub(t) }
 
 // Sleeps returns how many Sleep/Advance calls have been made.
-func (v *Virtual) Sleeps() int {
-	v.mu.Lock()
-	defer v.mu.Unlock()
-	return v.sleeps
-}
+func (v *Virtual) Sleeps() int { return int(v.sleeps.Load()) }
 
 // String renders the clock's current offset from its epoch.
 func (v *Virtual) String() string {
-	return fmt.Sprintf("virtual(+%s)", v.Since(time.Date(2023, time.July, 9, 0, 0, 0, 0, time.UTC)))
+	return fmt.Sprintf("virtual(+%s)", time.Duration(v.ns.Load()))
 }
 
 // Stopwatch measures elapsed virtual time between Start and Elapsed calls.

@@ -1,6 +1,9 @@
 package simclock
 
 import (
+	"fmt"
+	"math"
+	"math/rand"
 	"sync"
 	"testing"
 	"time"
@@ -47,19 +50,49 @@ func TestAdvanceAliasesSleep(t *testing.T) {
 	}
 }
 
+// Sleeps from many goroutines all land, and a concurrent reader never
+// sees time or the Sleep count go backwards.
 func TestConcurrentSleeps(t *testing.T) {
 	c := NewVirtual()
+	stop := make(chan struct{})
+	readerDone := make(chan error)
+	go func() {
+		prev, prevSleeps := c.Now(), c.Sleeps()
+		for {
+			select {
+			case <-stop:
+				readerDone <- nil
+				return
+			default:
+			}
+			now, sleeps := c.Now(), c.Sleeps()
+			if now.Before(prev) || sleeps < prevSleeps {
+				readerDone <- fmt.Errorf("clock went backwards: %v -> %v, %d -> %d sleeps", prev, now, prevSleeps, sleeps)
+				return
+			}
+			prev, prevSleeps = now, sleeps
+		}
+	}()
 	var wg sync.WaitGroup
 	for i := 0; i < 100; i++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			c.Sleep(time.Millisecond)
+			for j := 0; j < 10; j++ {
+				c.Sleep(time.Millisecond)
+			}
 		}()
 	}
 	wg.Wait()
-	if got := c.Since(NewVirtual().Now()); got != 100*time.Millisecond {
-		t.Fatalf("elapsed = %v, want 100ms", got)
+	close(stop)
+	if err := <-readerDone; err != nil {
+		t.Fatal(err)
+	}
+	if got := c.Since(NewVirtual().Now()); got != time.Second {
+		t.Fatalf("elapsed = %v, want 1s", got)
+	}
+	if got := c.Sleeps(); got != 1000 {
+		t.Fatalf("Sleeps = %d, want 1000", got)
 	}
 }
 
@@ -84,5 +117,79 @@ func TestStringMentionsOffset(t *testing.T) {
 	c.Sleep(time.Second)
 	if s := c.String(); s == "" {
 		t.Fatal("empty String()")
+	}
+}
+
+func TestSleepSaturates(t *testing.T) {
+	c := NewVirtual()
+	c.Sleep(time.Hour)
+	prev := c.Now()
+	for i := 0; i < 2; i++ {
+		c.Sleep(math.MaxInt64)
+		now := c.Now()
+		if now.Before(prev) {
+			t.Fatalf("Sleep #%d moved time backwards: %v -> %v", i+1, prev, now)
+		}
+		prev = now
+	}
+	if want := epoch.Add(math.MaxInt64); !c.Now().Equal(want) {
+		t.Fatalf("Now = %v, want the saturation point %v", c.Now(), want)
+	}
+	c.Sleep(time.Nanosecond)
+	if !c.Now().Equal(prev) {
+		t.Fatal("a saturated clock moved")
+	}
+	if c.Sleeps() != 4 {
+		t.Fatalf("Sleeps = %d, want 4", c.Sleeps())
+	}
+}
+
+// Now must match the time.Time the mutex-era clock produced: the epoch
+// with every Sleep added in turn.
+func TestNowMatchesAddChain(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	c := NewVirtual()
+	want := NewVirtual().Now()
+	for i := 0; i < 10000; i++ {
+		var d time.Duration
+		switch rng.Intn(3) {
+		case 0:
+			d = time.Duration(rng.Int63n(1000))
+		case 1:
+			d = time.Duration(rng.Int63n(int64(10 * time.Second)))
+		default:
+			d = time.Duration(rng.Int63n(int64(48*time.Hour))) - time.Hour
+		}
+		c.Sleep(d)
+		if d > 0 {
+			want = want.Add(d)
+		}
+		if got := c.Now(); got != want {
+			t.Fatalf("after %d sleeps Now = %v, want %v", i+1, got, want)
+		}
+	}
+}
+
+func TestNowAndSleepAllocateNothing(t *testing.T) {
+	c := NewVirtual()
+	if allocs := testing.AllocsPerRun(1000, func() {
+		c.Sleep(time.Millisecond)
+		_ = c.Now()
+	}); allocs != 0 {
+		t.Fatalf("Now+Sleep: %v allocs/op, want 0", allocs)
+	}
+}
+
+// timeSink keeps the benchmarked call's result live.
+var timeSink time.Time
+
+// BenchmarkVirtualNow times one Sleep and one Now, the pair every drive
+// access makes.
+func BenchmarkVirtualNow(b *testing.B) {
+	c := NewVirtual()
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		c.Sleep(time.Microsecond)
+		timeSink = c.Now()
 	}
 }
