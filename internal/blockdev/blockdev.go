@@ -29,6 +29,29 @@ var (
 	ErrClosed = errors.New("blockdev: device closed")
 )
 
+// ioError is a failed media access: an ErrIO that keeps its request and
+// the drive's cause and builds its message only when printed. Under
+// attack most shard ops fail, and no caller on the serving path reads the
+// text, so formatting it eagerly was pure allocation. The message is
+// "<ErrIO>: read N@OFF: <cause>" (write likewise), or "<ErrIO>: flush:
+// <cause>".
+type ioError struct {
+	op     string // "read", "write" or "flush"
+	n, off int64  // request bytes and offset; unused for flush
+	cause  error
+}
+
+func (e *ioError) Error() string {
+	if e.op == "flush" {
+		return fmt.Sprintf("%v: flush: %v", ErrIO, e.cause)
+	}
+	return fmt.Sprintf("%v: %s %d@%d: %v", ErrIO, e.op, e.n, e.off, e.cause)
+}
+
+// Unwrap makes errors.Is(err, ErrIO) hold. The drive's cause is part of
+// the message only, not the chain.
+func (e *ioError) Unwrap() error { return ErrIO }
+
 // EIOErrno is the errno value Linux reports for EIO; Ext4's JBD layer logs
 // journal aborts with this code, which the paper observes ("error code -5").
 const EIOErrno = -5
@@ -164,7 +187,7 @@ func (d *Disk) ReadAt(p []byte, off int64) (int, error) {
 		d.stats.TotalReadLatency += res.Latency
 		if res.Err != nil {
 			d.stats.ReadErrs++
-			return n, fmt.Errorf("%w: read %d@%d: %v", ErrIO, chunk, off+int64(n), res.Err)
+			return n, &ioError{op: "read", n: chunk, off: off + int64(n), cause: res.Err}
 		}
 		d.copyOut(p[n:n+int(chunk)], off+int64(n))
 		d.stats.ReadOps++
@@ -192,7 +215,7 @@ func (d *Disk) WriteAt(p []byte, off int64) (int, error) {
 		d.applyCorruptions(res.AdjacentCorruptions)
 		if res.Err != nil {
 			d.stats.WriteErrs++
-			return n, fmt.Errorf("%w: write %d@%d: %v", ErrIO, chunk, off+int64(n), res.Err)
+			return n, &ioError{op: "write", n: chunk, off: off + int64(n), cause: res.Err}
 		}
 		d.copyIn(p[n:n+int(chunk)], off+int64(n))
 		d.stats.WriteOps++
@@ -234,7 +257,7 @@ func (d *Disk) Flush() error {
 	d.stats.TotalWriteLatency += res.Latency
 	if res.Err != nil {
 		d.stats.FlushErrs++
-		return fmt.Errorf("%w: flush: %v", ErrIO, res.Err)
+		return &ioError{op: "flush", cause: res.Err}
 	}
 	return nil
 }

@@ -116,8 +116,8 @@ type defensePhase struct {
 type defenseState struct {
 	spec    DefenseSpec
 	phases  []defensePhase
-	evacs   []evacOp
-	skipped int // shard re-placements with no safe target container
+	evacs   []evacOp // nondecreasing in at (see SetDefense)
+	skipped int      // shard re-placements with no safe target container
 }
 
 // phaseFor returns the index of the phase in force at offset ns, or −1
@@ -287,7 +287,10 @@ func (c *Cluster) SetDefense(spec DefenseSpec) error {
 	}
 
 	// Expand class-level re-placements to concrete per-object writes, in
-	// deterministic (phase, object, shard) order.
+	// deterministic (phase, object, shard) order. Phases activate in
+	// increasing time (the fixes were stable-sorted, and simultaneous
+	// activations merged), so the evac list comes out nondecreasing in
+	// at — the order Serve pushes it in, interleaved with the requests.
 	for p := range ds.phases {
 		for o := 0; o < c.cfg.Objects; o++ {
 			cl := c.class(o)

@@ -388,3 +388,86 @@ func TestDefenseConfidenceGate(t *testing.T) {
 		}
 	}
 }
+
+// TestDefenseEvacsNondecreasing pins the ordering Serve relies on to
+// push re-placement writes in time order: the compiled evac list is
+// nondecreasing in activation time, whatever order the fixes came in.
+func TestDefenseEvacsNondecreasing(t *testing.T) {
+	tone := sig.NewTone(650 * units.Hz)
+	lay := LineLayout(8, 2*units.Meter).WithSpeakersAt(tone, 0, 6, 7)
+	c, err := New(Config{
+		Layout:     lay,
+		DataShards: 4, ParityShards: 2,
+		Objects: 16, ObjectSize: 16 << 10,
+		Seed: Ptr(int64(7)),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Fixes out of order, two of them simultaneous.
+	var fixes []SourceFix
+	for i, at := range []time.Duration{300 * time.Millisecond, 100 * time.Millisecond, 300 * time.Millisecond} {
+		fixes = append(fixes, SourceFix{At: at, Pos: lay.Speakers[i].Pos, Err: 20 * units.Centimeter, Tone: tone})
+	}
+	if err := c.SetDefense(DefenseSpec{Fixes: fixes}); err != nil {
+		t.Fatal(err)
+	}
+	evacs := c.defense.evacs
+	if len(c.defense.phases) != 2 || len(evacs) == 0 {
+		t.Fatalf("plan has %d phases and %d evacs, want 2 phases with evacs", len(c.defense.phases), len(evacs))
+	}
+	for i := 1; i < len(evacs); i++ {
+		if evacs[i].at < evacs[i-1].at {
+			t.Fatalf("evac %d activates at %d, before evac %d at %d", i, evacs[i].at, i-1, evacs[i-1].at)
+		}
+	}
+}
+
+// TestDefenseSameTimeEvacBeforeSteeredRead: a re-placement write and a
+// steered read of its replica that share one activation time dispatch
+// write first, so the read finds the replica. The speakers stay silent,
+// so a replica read can only fail by running ahead of its write.
+func TestDefenseSameTimeEvacBeforeSteeredRead(t *testing.T) {
+	tone := sig.NewTone(650 * units.Hz)
+	lay := LineLayout(6, 2*units.Meter).WithSpeakersAt(tone, 0, 1, 2)
+	c, err := New(Config{
+		Layout:     lay,
+		DataShards: 4, ParityShards: 2,
+		Objects: 24, ObjectSize: 16 << 10,
+		Seed: Ptr(int64(7)),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Preload(); err != nil {
+		t.Fatal(err)
+	}
+	// One phase with three containers hot, activating at 500 ms: the
+	// arrival of request 250 at 500 req/s. With three healthy homes and
+	// k = 4, every GET from then on reads one replica in its first wave.
+	const activate = 500 * time.Millisecond
+	var fixes []SourceFix
+	for i := range lay.Speakers {
+		fixes = append(fixes, SourceFix{At: activate, Pos: lay.Speakers[i].Pos, Err: 20 * units.Centimeter, Tone: tone})
+	}
+	if err := c.SetDefense(DefenseSpec{Fixes: fixes, React: Ptr(time.Duration(0))}); err != nil {
+		t.Fatal(err)
+	}
+	if ph := c.defense.phases; len(ph) != 1 || ph[0].at != int64(activate) {
+		t.Fatalf("want one phase at %v, got %d", activate, len(ph))
+	}
+	if got := ArrivalNS(250, 500); got != int64(activate) {
+		t.Fatalf("request 250 arrives at %d, not at the activation", got)
+	}
+	res, err := c.Serve(TrafficSpec{Requests: 252, Rate: 500, ReadFraction: Ptr(1.0), Seed: Ptr(int64(11))})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.ReplicaReads < 2 || res.ReplicaReadErrors != 0 {
+		t.Fatalf("replica reads %d, errors %d: want the reads at and after the activation to find their replicas",
+			res.ReplicaReads, res.ReplicaReadErrors)
+	}
+	if res.EvacFailures != 0 || res.GetFailures != 0 {
+		t.Fatalf("silent cluster failed %d evacs and %d GETs", res.EvacFailures, res.GetFailures)
+	}
+}

@@ -91,7 +91,11 @@ type Drives struct {
 	objectSize int
 	workers    int
 	sites      []driveSite
-	origin     time.Time
+	// origin is the serving origin as a clock Nanos reading (every clock
+	// reads the same after Preload aligns them); preloaded reports that
+	// Preload has set it.
+	origin    int64
+	preloaded bool
 }
 
 // NewDrives builds the substrate. Drive idx (in stack order) gets
@@ -214,7 +218,7 @@ func (d *Drives) SetSchedule(s int, steps []ScheduleStep) {
 func (d *Drives) apply(di int) {
 	st := d.Stacks[di]
 	site := &d.sites[st.Site]
-	offset := st.clock.Now().Sub(d.origin)
+	offset := time.Duration(st.clock.Nanos() - d.origin)
 	step := st.stepIdx
 	for step+1 < len(site.schedule) && site.schedule[step+1].At <= offset {
 		step++
@@ -253,26 +257,25 @@ func (d *Drives) Preload(place func(o, j int) int) error {
 	if err != nil {
 		return err
 	}
-	d.origin = d.Stacks[0].clock.Now()
+	d.origin = d.Stacks[0].clock.Nanos()
 	for _, st := range d.Stacks[1:] {
-		if t := st.clock.Now(); t.After(d.origin) {
-			d.origin = t
-		}
+		d.origin = max(d.origin, st.clock.Nanos())
 	}
 	for _, st := range d.Stacks {
-		if dt := d.origin.Sub(st.clock.Now()); dt > 0 {
-			st.clock.Advance(dt)
+		if dt := d.origin - st.clock.Nanos(); dt > 0 {
+			st.clock.Advance(time.Duration(dt))
 		}
 	}
+	d.preloaded = true
 	return nil
 }
 
 // Preloaded reports whether Preload has set the serving origin.
-func (d *Drives) Preloaded() bool { return !d.origin.IsZero() }
+func (d *Drives) Preloaded() bool { return d.preloaded }
 
 // Offset returns drive di's current time in nanoseconds from the
 // serving origin.
-func (d *Drives) Offset(di int) int64 { return int64(d.Stacks[di].clock.Now().Sub(d.origin)) }
+func (d *Drives) Offset(di int) int64 { return d.Stacks[di].clock.Nanos() - d.origin }
 
 // Drain runs every drive's event queue to empty, fanning out across
 // Workers. Before each event the drive's vibration is advanced to the

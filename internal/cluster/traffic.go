@@ -2,11 +2,11 @@ package cluster
 
 import (
 	"bytes"
+	"cmp"
 	"fmt"
 	"math"
 	"math/rand"
 	"slices"
-	"sort"
 	"time"
 
 	"deepnote/internal/netstore"
@@ -328,18 +328,26 @@ func (c *Cluster) Serve(spec TrafficSpec) (ServeResult, error) {
 		}
 	}
 
-	// The defense plan's re-placement writes go on the queues first:
-	// they share activation times with the requests that will read the
-	// replicas, and pushing them ahead gives them the lower sequence
-	// numbers that break the tie (a replica must exist on a drive's
-	// timeline before the first steered read reaches it).
+	// The defense plan's re-placement writes interleave with the client
+	// stream in time order: each goes on its drive's queue just before
+	// the first request arriving at or after its activation. That keeps
+	// every queue's pushes in time order (the queue's O(1) path) and
+	// still gives an evac a lower sequence number than any request at
+	// the same time (a replica must exist on a drive's timeline before
+	// the first steered read reaches it). It relies on the plan's evacs
+	// being nondecreasing in at, which SetDefense guarantees.
 	queued := 0
+	var evacs []evacOp
 	if c.defense != nil {
 		res.EvacSkipped = c.defense.skipped
-		for i := range c.defense.evacs {
-			ev := &c.defense.evacs[i]
+		evacs = c.defense.evacs
+	}
+	ei := 0
+	pushEvacs := func(until int64) {
+		for ; ei < len(evacs) && evacs[ei].at <= until; ei++ {
+			ev := &evacs[ei]
 			ev.ok = false
-			c.drives.Stacks[ev.drive].Runner.Queue.Push(ev.at, packEv(int32(i), int(ev.shard), evPut|evEvac))
+			c.drives.Stacks[ev.drive].Runner.Queue.Push(ev.at, packEv(int32(ei), int(ev.shard), evPut|evEvac))
 			queued++
 		}
 	}
@@ -350,6 +358,7 @@ func (c *Cluster) Serve(spec TrafficSpec) (ServeResult, error) {
 	// replicas ahead of anything inside the predicted blast radius).
 	for ri := range reqs {
 		r := &reqs[ri]
+		pushEvacs(r.arrival)
 		limit, fl := k, uint8(0)
 		if r.flags&reqPut != 0 {
 			res.Puts++
@@ -378,6 +387,7 @@ func (c *Cluster) Serve(spec TrafficSpec) (ServeResult, error) {
 		}
 		queued += limit
 	}
+	pushEvacs(math.MaxInt64)
 	pending := c.pendingBuf[0][:0]
 	for ri := range reqs {
 		pending = append(pending, int32(ri))
@@ -385,6 +395,11 @@ func (c *Cluster) Serve(spec TrafficSpec) (ServeResult, error) {
 	next := c.pendingBuf[1][:0]
 
 	for queued > 0 {
+		// Size each drive's result buffer for its queued ops, so the
+		// dispatch loop appends without growing it.
+		for di, b := range c.bufs {
+			b.results = slices.Grow(b.results, c.drives.Stacks[di].Runner.Queue.Len())
+		}
 		if err := c.drives.Drain(c.dispatch); err != nil {
 			return ServeResult{}, err
 		}
@@ -443,11 +458,11 @@ func (c *Cluster) Serve(spec TrafficSpec) (ServeResult, error) {
 	// Settle outcomes in request order: latencies, corruption checks, and
 	// read-repair planning ("first observer wins" on each lost shard —
 	// the fail list is sorted so observers are visited in request order).
-	sort.Slice(c.failedBuf, func(i, j int) bool {
-		if c.failedBuf[i].req != c.failedBuf[j].req {
-			return c.failedBuf[i].req < c.failedBuf[j].req
+	slices.SortFunc(c.failedBuf, func(a, b failRec) int {
+		if a.req != b.req {
+			return cmp.Compare(a.req, b.req)
 		}
-		return c.failedBuf[i].shard < c.failedBuf[j].shard
+		return cmp.Compare(a.shard, b.shard)
 	})
 	type objShard struct {
 		object int32

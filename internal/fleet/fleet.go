@@ -167,10 +167,15 @@ type Fleet struct {
 
 // New assembles the fleet.
 func New(cfg Config) (*Fleet, error) {
-	cfg = cfg.withDefaults()
 	if len(cfg.Sites) < 2 {
 		return nil, fmt.Errorf("fleet: need at least 2 sites, got %d", len(cfg.Sites))
 	}
+	// Validate before defaulting: a negative bandwidth must fail, not
+	// read as unset.
+	if err := cfg.WAN.validate(len(cfg.Sites)); err != nil {
+		return nil, fmt.Errorf("fleet: %w", err)
+	}
+	cfg = cfg.withDefaults()
 	coder, err := cluster.NewCoder(cfg.DataShards, cfg.ParityShards)
 	if err != nil {
 		return nil, err

@@ -2,9 +2,10 @@ package fleet
 
 import (
 	"bytes"
+	"cmp"
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
 	"time"
 
 	"deepnote/internal/cluster"
@@ -81,7 +82,16 @@ func (f *Fleet) Serve(spec TrafficSpec) (Result, error) {
 	window := time.Duration(cluster.ArrivalNS(spec.Requests, spec.Rate))
 	f.genRequests(spec, window)
 	f.resetBreakers()
-	f.ops = f.ops[:0]
+	// Size the op ledger for the first wave: n ops per PUT, k per GET.
+	wave0 := 0
+	for i := range f.reqs {
+		if f.reqs[i].flags&fPut != 0 {
+			wave0 += n
+		} else {
+			wave0 += min(k, n)
+		}
+	}
+	f.ops = slices.Grow(f.ops[:0], wave0)
 	res := Result{Requests: spec.Requests}
 
 	pending := f.pendingBuf[:0]
@@ -196,12 +206,11 @@ func (f *Fleet) combine(folded int, res *Result) int {
 	for i := folded; i < len(f.ops); i++ {
 		f.epochSort = append(f.epochSort, int32(i))
 	}
-	sort.Slice(f.epochSort, func(a, b int) bool {
-		oa, ob := &f.ops[f.epochSort[a]], &f.ops[f.epochSort[b]]
-		if oa.end != ob.end {
-			return oa.end < ob.end
+	slices.SortFunc(f.epochSort, func(a, b int32) int {
+		if c := cmp.Compare(f.ops[a].end, f.ops[b].end); c != 0 {
+			return c
 		}
-		return f.epochSort[a] < f.epochSort[b]
+		return cmp.Compare(a, b)
 	})
 	k := f.coder.DataShards()
 	for _, oi := range f.epochSort {

@@ -2,6 +2,8 @@ package fleet
 
 import (
 	"fmt"
+	"math"
+	"sort"
 	"time"
 
 	"deepnote/internal/parallel"
@@ -23,7 +25,8 @@ type WANConfig struct {
 	// perturb other draws.
 	Jitter time.Duration
 	// GbitPerSec is the link bandwidth (default 10); a shard transfer
-	// adds size·8/GbitPerSec ns of serialization delay.
+	// adds size·8/GbitPerSec ns of serialization delay. A negative or
+	// non-finite value is rejected.
 	GbitPerSec float64
 	// Timeout is how long the gateway waits before declaring an op
 	// swallowed by a down link (default 200 ms). Drops are observed at
@@ -52,6 +55,49 @@ func (w WANConfig) withDefaults() WANConfig {
 		w.Timeout = 200 * time.Millisecond
 	}
 	return w
+}
+
+// validate rejects WAN settings the model cannot serve: a bandwidth or
+// brownout factor that is NaN, infinite or negative (zero still means
+// the default), a link or fault naming a site outside [0, sites), an
+// unknown fault kind, and a negative fault duration. Any of these would
+// otherwise serve silently — a NaN bandwidth as NaN delays, a fault on a
+// missing site as no fault at all.
+func (w WANConfig) validate(sites int) error {
+	badRate := func(v float64) bool { return math.IsNaN(v) || math.IsInf(v, 0) || v < 0 }
+	badSite := func(s int) bool { return s < 0 || s >= sites }
+	if badRate(w.GbitPerSec) {
+		return fmt.Errorf("WAN GbitPerSec %v must be finite and non-negative", w.GbitPerSec)
+	}
+	for i, ls := range w.Links {
+		if badSite(ls.A) || badSite(ls.B) {
+			return fmt.Errorf("WAN link %d: sites %d-%d outside [0, %d)", i, ls.A, ls.B, sites)
+		}
+		if badRate(ls.GbitPerSec) {
+			return fmt.Errorf("WAN link %d: GbitPerSec %v must be finite and non-negative", i, ls.GbitPerSec)
+		}
+	}
+	for i, fa := range w.Faults {
+		switch fa.Kind {
+		case LinkFlap, Brownout:
+			if badSite(fa.B) {
+				return fmt.Errorf("WAN fault %d (%s): site B=%d outside [0, %d)", i, fa.Kind, fa.B, sites)
+			}
+		case SitePartition:
+		default:
+			return fmt.Errorf("WAN fault %d: unknown kind %s", i, fa.Kind)
+		}
+		if badSite(fa.A) {
+			return fmt.Errorf("WAN fault %d (%s): site A=%d outside [0, %d)", i, fa.Kind, fa.A, sites)
+		}
+		if fa.Duration < 0 {
+			return fmt.Errorf("WAN fault %d (%s): negative Duration %v", i, fa.Kind, fa.Duration)
+		}
+		if badRate(fa.Factor) {
+			return fmt.Errorf("WAN fault %d (%s): Factor %v must be finite and non-negative", i, fa.Kind, fa.Factor)
+		}
+	}
+	return nil
 }
 
 // LinkSpec overrides one site-pair's link parameters.
@@ -91,7 +137,9 @@ func (k FaultKind) String() string {
 }
 
 // Fault is one declarative WAN fault window, active on
-// [Start, Start+Duration) of the serving timeline.
+// [Start, Start+Duration) of the serving timeline. New rejects a fault
+// of unknown kind, with a negative Duration, or naming a site outside
+// the fleet.
 type Fault struct {
 	Kind FaultKind
 	// A and B name the site pair (LinkFlap, Brownout); SitePartition
@@ -100,7 +148,8 @@ type Fault struct {
 	// Start and Duration bound the window.
 	Start    time.Duration
 	Duration time.Duration
-	// Factor is the Brownout RTT multiplier (default 4).
+	// Factor is the Brownout RTT multiplier (default 4); a negative or
+	// non-finite value is rejected.
 	Factor float64
 }
 
@@ -136,7 +185,9 @@ type link struct {
 	open     bool
 	strk     int
 	openedAt int64
-	shed     []span
+	// shed is the breaker's window history, sorted by from; every window
+	// lasts BreakerCooldown (see breakerAllows).
+	shed []span
 }
 
 func (f *Fleet) buildLinks() {
@@ -235,14 +286,16 @@ func (f *Fleet) wanDelays(li int, opSeq uint64, at int64, put bool) (out, ret in
 // breakerAllows decides whether the gateway sends an op issued at
 // virtual time `at` over link li: it is shed iff `at` falls inside a
 // recorded shed window. Ops past a window's end pass as half-open
-// probes; a probe that fails re-arms a fresh window.
+// probes; a probe that fails re-arms a fresh window. Every window of a
+// serve lasts BreakerCooldown and the history is sorted by start, so the
+// last window starting at or before `at` is the only one that can
+// contain it. Queries may go backwards in time (planning issues at
+// virtual times the fold has already passed), so this searches rather
+// than keeping a cursor.
 func (f *Fleet) breakerAllows(li int, at int64) bool {
-	for _, sp := range f.links[li].shed {
-		if at >= sp.from && at < sp.to {
-			return false
-		}
-	}
-	return true
+	shed := f.links[li].shed
+	i := sort.Search(len(shed), func(i int) bool { return shed[i].from > at })
+	return i == 0 || at >= shed[i-1].to
 }
 
 // breakerObserve folds one op outcome into link li's breaker. Called
@@ -263,15 +316,28 @@ func (f *Fleet) breakerObserve(li int, end int64, ok bool, res *Result) {
 	l.strk++
 	if l.open {
 		l.openedAt = end
-		l.shed = append(l.shed, span{end, end + int64(f.cfg.Resilience.BreakerCooldown)})
+		l.addShed(end, int64(f.cfg.Resilience.BreakerCooldown))
 		return
 	}
 	if l.strk >= f.cfg.Resilience.BreakerThreshold {
 		l.open = true
 		l.openedAt = end
-		l.shed = append(l.shed, span{end, end + int64(f.cfg.Resilience.BreakerCooldown)})
+		l.addShed(end, int64(f.cfg.Resilience.BreakerCooldown))
 		res.BreakerOpens++
 	}
+}
+
+// addShed records the shed window [from, from+cooldown), keeping l.shed
+// sorted by start. Folds within an epoch observe in time order, so the
+// window almost always lands at the tail; one that starts before an
+// earlier epoch's windows moves back past them.
+func (l *link) addShed(from, cooldown int64) {
+	i := len(l.shed)
+	l.shed = append(l.shed, span{})
+	for ; i > 0 && l.shed[i-1].from > from; i-- {
+		l.shed[i] = l.shed[i-1]
+	}
+	l.shed[i] = span{from, from + cooldown}
 }
 
 // resetBreakers returns every link to closed before a serve run.

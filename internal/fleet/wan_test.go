@@ -1,6 +1,10 @@
 package fleet
 
 import (
+	"cmp"
+	"math"
+	"math/rand"
+	"slices"
 	"testing"
 	"time"
 )
@@ -180,5 +184,88 @@ func TestLinkSpecOverrides(t *testing.T) {
 	}
 	if def := f.links[f.linkIdx(0, 2)]; def.rtt != int64(30*time.Millisecond) {
 		t.Fatalf("unrelated link changed: rtt=%d", def.rtt)
+	}
+}
+
+// TestWANConfigValidation: every WAN setting the model cannot serve
+// fails New instead of serving silently, one row per case.
+func TestWANConfigValidation(t *testing.T) {
+	sec := time.Second
+	cases := []struct {
+		name string
+		wan  WANConfig
+	}{
+		{"NaN bandwidth", WANConfig{GbitPerSec: math.NaN()}},
+		{"infinite bandwidth", WANConfig{GbitPerSec: math.Inf(1)}},
+		{"negative bandwidth", WANConfig{GbitPerSec: -1}},
+		{"NaN link bandwidth", WANConfig{Links: []LinkSpec{{A: 0, B: 1, GbitPerSec: math.NaN()}}}},
+		{"negative link bandwidth", WANConfig{Links: []LinkSpec{{A: 0, B: 1, GbitPerSec: -2}}}},
+		{"link site out of range", WANConfig{Links: []LinkSpec{{A: 0, B: 7, RTT: sec}}}},
+		{"NaN brownout factor", WANConfig{Faults: []Fault{{Kind: Brownout, A: 0, B: 1, Duration: sec, Factor: math.NaN()}}}},
+		{"infinite brownout factor", WANConfig{Faults: []Fault{{Kind: Brownout, A: 0, B: 1, Duration: sec, Factor: math.Inf(1)}}}},
+		{"negative brownout factor", WANConfig{Faults: []Fault{{Kind: Brownout, A: 0, B: 1, Duration: sec, Factor: -4}}}},
+		{"flap site B out of range", WANConfig{Faults: []Fault{{Kind: LinkFlap, A: 0, B: 7, Duration: sec}}}},
+		{"flap site A negative", WANConfig{Faults: []Fault{{Kind: LinkFlap, A: -1, B: 1, Duration: sec}}}},
+		{"partition site out of range", WANConfig{Faults: []Fault{{Kind: SitePartition, A: 3, Duration: sec}}}},
+		{"unknown fault kind", WANConfig{Faults: []Fault{{Kind: FaultKind(9), A: 0, B: 1, Duration: sec}}}},
+		{"negative duration", WANConfig{Faults: []Fault{{Kind: LinkFlap, A: 0, B: 1, Duration: -sec}}}},
+	}
+	for _, tc := range cases {
+		cfg := testFleetConfig(PlacementAttackAware, 0)
+		cfg.WAN = tc.wan
+		if _, err := New(cfg); err == nil {
+			t.Errorf("%s: New accepted %+v", tc.name, tc.wan)
+		}
+	}
+	// Zero still means the default, and a partition ignores B.
+	cfg := testFleetConfig(PlacementAttackAware, 0)
+	cfg.WAN = WANConfig{Faults: []Fault{
+		{Kind: SitePartition, A: 2, B: -5, Duration: sec},
+		{Kind: Brownout, A: 0, B: 2, Duration: sec},
+	}}
+	if _, err := New(cfg); err != nil {
+		t.Fatalf("valid WAN config rejected: %v", err)
+	}
+}
+
+// TestBreakerAllowsMatchesLinearScan cross-checks the binary search over
+// the sorted shed history against a scan of every recorded window, for
+// random histories whose windows arrive out of order (as they do across
+// epochs) and queries that go backwards in time.
+func TestBreakerAllowsMatchesLinearScan(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	for trial := 0; trial < 200; trial++ {
+		cool := 1 + rng.Int63n(50)
+		f := &Fleet{links: make([]link, 1)}
+		var all []span // insertion order, unsorted
+		for i, n := 0, rng.Intn(40); i < n; i++ {
+			var from int64
+			switch rng.Intn(3) {
+			case 0: // in order after the latest window
+				if len(all) > 0 {
+					from = all[len(all)-1].from + rng.Int63n(2*cool)
+				}
+			default: // anywhere, often before earlier windows
+				from = rng.Int63n(1000)
+			}
+			f.links[0].addShed(from, cool)
+			all = append(all, span{from, from + cool})
+		}
+		if !slices.IsSortedFunc(f.links[0].shed, func(a, b span) int { return cmp.Compare(a.from, b.from) }) {
+			t.Fatalf("trial %d: shed history not sorted by start: %v", trial, f.links[0].shed)
+		}
+		at := int64(1200)
+		for q := 0; q < 300; q++ {
+			at -= rng.Int63n(9) - 2 // mostly backwards, sometimes forwards
+			want := true
+			for _, sp := range all {
+				if at >= sp.from && at < sp.to {
+					want = false
+				}
+			}
+			if got := f.breakerAllows(0, at); got != want {
+				t.Fatalf("trial %d: breakerAllows(%d) = %v, linear scan says %v (windows %v)", trial, at, got, want, all)
+			}
+		}
 	}
 }

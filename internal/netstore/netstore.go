@@ -27,6 +27,10 @@ var (
 	// ErrUnavailable is the circuit breaker's fast-fail: the server sheds
 	// the request without touching the backing store.
 	ErrUnavailable = errors.New("netstore: service unavailable (circuit open)")
+	// errInternal reports a storage failure that was not a timeout. It
+	// is one shared value because failing requests are the common case
+	// under attack, and the text never varies.
+	errInternal = errors.New("netstore: internal storage error")
 )
 
 // Config tunes the service.
@@ -330,7 +334,7 @@ func (s *Server) HandleObjectShared(op Op, objectID int, data []byte) ([]byte, R
 		resp.Err = ErrTimeout
 	case err != nil:
 		s.Errors++
-		resp.Err = fmt.Errorf("netstore: internal storage error")
+		resp.Err = errInternal
 	case storageTime >= s.cfg.Timeout:
 		// Completed, but past the budget: the client already gave up.
 		s.Timeouts++

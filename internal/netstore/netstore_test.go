@@ -182,3 +182,26 @@ func TestHandleObjectMatchesHandleTiming(t *testing.T) {
 		}
 	}
 }
+
+// TestInternalErrorText: a storage failure inside the budget reaches the
+// client as the fixed internal-error text, unchanged by sharing one
+// error value.
+func TestInternalErrorText(t *testing.T) {
+	s, disk, _ := newServer(t, Config{Timeout: time.Hour})
+	if err := s.Preload(); err != nil {
+		t.Fatal(err)
+	}
+	disk.Drive().SetVibration(hdd.Vibration{Freq: 650, Amplitude: 3})
+	for _, op := range []Op{Get, Put} {
+		_, r := s.HandleObjectShared(op, 1, nil)
+		if r.Err == nil || r.Err.Error() != "netstore: internal storage error" {
+			t.Fatalf("%v under attack: err %v, want the internal storage error", op, r.Err)
+		}
+		if errors.Is(r.Err, ErrTimeout) || errors.Is(r.Err, blockdev.ErrIO) {
+			t.Fatalf("%v: internal error %v wraps a classified error", op, r.Err)
+		}
+	}
+	if s.Errors != 2 {
+		t.Fatalf("Errors = %d, want 2", s.Errors)
+	}
+}

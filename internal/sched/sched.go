@@ -1,7 +1,8 @@
 // Package sched is the discrete-event core of the facility-scale
-// simulation: a deterministic binary-heap event queue over the virtual
-// time base (simclock), plus a cache for precomputed source→target
-// transfer functions.
+// simulation: a deterministic event queue over the virtual time base
+// (simclock) that pops in-order pushes in O(1) and orders the rest in a
+// binary heap, plus a cache for precomputed source→target transfer
+// functions.
 //
 // # Event model
 //
@@ -44,6 +45,7 @@
 package sched
 
 import (
+	"slices"
 	"time"
 
 	"deepnote/internal/simclock"
@@ -70,96 +72,135 @@ func (a Item) before(b Item) bool {
 	return a.At < b.At || (a.At == b.At && a.Seq < b.Seq)
 }
 
-// Queue is a deterministic binary-heap event queue. The zero value is
-// ready to use. Not safe for concurrent use: in the epoch model each
-// resource owns exactly one queue.
+// Queue is a deterministic event queue that pops in (At, Seq) order. The
+// zero value is ready to use. Not safe for concurrent use: in the epoch
+// model each resource owns exactly one queue.
+//
+// Event streams are mostly issued in time order (a traffic epoch pushes
+// arrivals as they come), so the queue keeps two parts: a sorted run,
+// which takes every push that sorts at or after the run's tail and pops
+// from its front in O(1), and a binary min-heap, which takes every other
+// push. Pop and Peek take the earlier of the two heads, so the pop order
+// is exactly (At, Seq) whatever the push order.
 type Queue struct {
-	items []Item
-	seq   uint64
+	// run[head:] holds the sorted run; run[:head] is popped space that
+	// Push reclaims once it outweighs the live part.
+	run  []Item
+	head int
+	heap []Item
+	seq  uint64
 }
 
 // Len returns the number of queued events.
-func (q *Queue) Len() int { return len(q.items) }
+func (q *Queue) Len() int { return len(q.run) - q.head + len(q.heap) }
 
 // Grow ensures capacity for n additional events without reallocation,
-// so bulk issue (a traffic epoch) and the dispatch loop stay
-// allocation-free.
+// whichever part of the queue they land in, so bulk issue (a traffic
+// epoch) and the dispatch loop stay allocation-free.
 func (q *Queue) Grow(n int) {
-	if need := len(q.items) + n; need > cap(q.items) {
-		items := make([]Item, len(q.items), need)
-		copy(items, q.items)
-		q.items = items
-	}
+	q.run = slices.Grow(q.run, n)
+	q.heap = slices.Grow(q.heap, n)
 }
 
 // Reset drops all queued events and restarts the sequence counter,
 // keeping the allocated storage for reuse.
 func (q *Queue) Reset() {
-	q.items = q.items[:0]
+	q.run, q.head = q.run[:0], 0
+	q.heap = q.heap[:0]
 	q.seq = 0
 }
 
 // Push enqueues an event at time at (ns) carrying id, and returns the
-// assigned sequence number. Pushing in nondecreasing time order costs
-// O(1); out-of-order pushes cost O(log n).
+// assigned sequence number. A push at or after the sorted run's latest
+// time (or into an empty run) costs amortized O(1); any other push costs
+// O(log n).
 func (q *Queue) Push(at int64, id uint64) uint64 {
 	seq := q.seq
 	q.seq++
-	q.items = append(q.items, Item{At: at, Seq: seq, ID: id})
-	q.siftUp(len(q.items) - 1)
+	it := Item{At: at, Seq: seq, ID: id}
+	// seq exceeds every queued Seq, so at >= tail.At means it sorts
+	// after the tail.
+	if n := len(q.run); n == 0 || at >= q.run[n-1].At {
+		if n == cap(q.run) && q.head > 0 && q.head >= n-q.head {
+			q.run = q.run[:copy(q.run, q.run[q.head:])]
+			q.head = 0
+		}
+		q.run = append(q.run, it)
+		return seq
+	}
+	q.heap = append(q.heap, it)
+	q.siftUp(len(q.heap) - 1)
 	return seq
+}
+
+// runFirst reports whether the next event is the run's head: false when
+// the run is empty or the heap's head sorts first.
+func (q *Queue) runFirst() bool {
+	return q.head < len(q.run) && (len(q.heap) == 0 || q.run[q.head].before(q.heap[0]))
 }
 
 // Peek returns the next event without removing it; ok is false when the
 // queue is empty.
 func (q *Queue) Peek() (Item, bool) {
-	if len(q.items) == 0 {
-		return Item{}, false
+	switch {
+	case q.runFirst():
+		return q.run[q.head], true
+	case len(q.heap) > 0:
+		return q.heap[0], true
 	}
-	return q.items[0], true
+	return Item{}, false
 }
 
 // Pop removes and returns the next event in (At, Seq) order; ok is
 // false when the queue is empty.
 func (q *Queue) Pop() (Item, bool) {
-	n := len(q.items)
+	if q.runFirst() {
+		top := q.run[q.head]
+		if q.head++; q.head == len(q.run) {
+			q.run, q.head = q.run[:0], 0
+		}
+		return top, true
+	}
+	n := len(q.heap)
 	if n == 0 {
 		return Item{}, false
 	}
-	top := q.items[0]
-	q.items[0] = q.items[n-1]
-	q.items = q.items[:n-1]
-	if len(q.items) > 1 {
+	top := q.heap[0]
+	q.heap[0] = q.heap[n-1]
+	q.heap = q.heap[:n-1]
+	if len(q.heap) > 1 {
 		q.siftDown(0)
 	}
 	return top, true
 }
 
 func (q *Queue) siftUp(i int) {
+	h := q.heap
 	for i > 0 {
 		parent := (i - 1) / 2
-		if !q.items[i].before(q.items[parent]) {
+		if !h[i].before(h[parent]) {
 			return
 		}
-		q.items[i], q.items[parent] = q.items[parent], q.items[i]
+		h[i], h[parent] = h[parent], h[i]
 		i = parent
 	}
 }
 
 func (q *Queue) siftDown(i int) {
-	n := len(q.items)
+	h := q.heap
+	n := len(h)
 	for {
 		least := i
-		if l := 2*i + 1; l < n && q.items[l].before(q.items[least]) {
+		if l := 2*i + 1; l < n && h[l].before(h[least]) {
 			least = l
 		}
-		if r := 2*i + 2; r < n && q.items[r].before(q.items[least]) {
+		if r := 2*i + 2; r < n && h[r].before(h[least]) {
 			least = r
 		}
 		if least == i {
 			return
 		}
-		q.items[i], q.items[least] = q.items[least], q.items[i]
+		h[i], h[least] = h[least], h[i]
 		i = least
 	}
 }
@@ -176,17 +217,17 @@ type Runner struct {
 }
 
 // Run dispatches events until the queue is empty. origin anchors event
-// times: an event at time t dispatches with the clock at or beyond
-// origin+t. The handler receives each item in deterministic (At, Seq)
-// order per the queue discipline.
-func (r *Runner) Run(origin time.Time, handle func(Item)) {
+// times as a Clock.Nanos reading: an event at time t dispatches with
+// Clock.Nanos() at or beyond origin+t. The handler receives each item in
+// deterministic (At, Seq) order per the queue discipline.
+func (r *Runner) Run(origin int64, handle func(Item)) {
 	for {
 		it, ok := r.Queue.Pop()
 		if !ok {
 			return
 		}
-		if now := r.Clock.Now().Sub(origin); int64(now) < it.At {
-			r.Clock.Advance(time.Duration(it.At - int64(now)))
+		if now := r.Clock.Nanos() - origin; now < it.At {
+			r.Clock.Advance(time.Duration(it.At - now))
 		}
 		handle(it)
 	}

@@ -2,7 +2,6 @@ package sched
 
 import (
 	"math/rand"
-	"sort"
 	"testing"
 	"time"
 
@@ -36,44 +35,6 @@ func TestQueueOrdersByTimeThenSeq(t *testing.T) {
 	}
 }
 
-// TestQueueMatchesSortedOrder cross-checks the heap against a reference
-// sort over a randomized workload, including interleaved pushes and pops.
-func TestQueueMatchesSortedOrder(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	var q Queue
-	type ev struct {
-		at  int64
-		seq uint64
-	}
-	var ref []ev
-	push := func(n int) {
-		for i := 0; i < n; i++ {
-			at := int64(rng.Intn(50))
-			seq := q.Push(at, uint64(i))
-			ref = append(ref, ev{at, seq})
-		}
-	}
-	popAll := func() {
-		sort.Slice(ref, func(i, j int) bool {
-			if ref[i].at != ref[j].at {
-				return ref[i].at < ref[j].at
-			}
-			return ref[i].seq < ref[j].seq
-		})
-		for i := 0; q.Len() > 0; i++ {
-			it, _ := q.Pop()
-			if it.At != ref[i].at || it.Seq != ref[i].seq {
-				t.Fatalf("pop %d: got (%d,%d), want (%d,%d)", i, it.At, it.Seq, ref[i].at, ref[i].seq)
-			}
-		}
-		ref = ref[:0]
-	}
-	push(500)
-	popAll()
-	push(37) // reuse the warm queue
-	popAll()
-}
-
 // TestQueueDispatchZeroAlloc is the allocation-regression gate for the
 // event core: push+pop on a warm queue must not allocate, so the serving
 // hot path's per-op cost is pure compute.
@@ -97,13 +58,13 @@ func TestQueueDispatchZeroAlloc(t *testing.T) {
 // each event's time and never rewinds for late events.
 func TestRunnerAdvancesClockMonotonically(t *testing.T) {
 	r := &Runner{Clock: simclock.NewVirtual()}
-	origin := r.Clock.Now()
+	origin := r.Clock.Nanos()
 	r.Queue.Push(100, 0)
 	r.Queue.Push(50, 1)
 	r.Queue.Push(150, 2)
 	var at []int64
 	r.Run(origin, func(it Item) {
-		now := int64(r.Clock.Now().Sub(origin))
+		now := r.Clock.Nanos() - origin
 		if now < it.At {
 			t.Fatalf("event %d dispatched at clock %d before its time %d", it.ID, now, it.At)
 		}
@@ -175,4 +136,135 @@ func TestTransferCacheGainBeforeEnsurePanics(t *testing.T) {
 	}()
 	var c TransferCache
 	c.Gain(0, 0)
+}
+
+// refQueue is the reference the queue is checked against: every pushed
+// item, popped by a full sort on (At, Seq).
+type refQueue []Item
+
+// next returns the index of the item that sorts first.
+func (r refQueue) next() int {
+	i := 0
+	for j := range r {
+		if r[j].before(r[i]) {
+			i = j
+		}
+	}
+	return i
+}
+
+func (r *refQueue) pop() Item {
+	i := r.next()
+	it := (*r)[i]
+	*r = append((*r)[:i], (*r)[i+1:]...)
+	return it
+}
+
+// TestQueueMatchesSortedOrder cross-checks the queue against a reference
+// sort for in-order, reversed, mixed and tie-heavy batches, random
+// interleavings of pushes and pops, pushes made while a drain is under
+// way, and reuse of a warm queue.
+func TestQueueMatchesSortedOrder(t *testing.T) {
+	batches := map[string]func(rng *rand.Rand, i, n int) int64{
+		"in-order": func(_ *rand.Rand, i, _ int) int64 { return int64(i) * 10 },
+		"reversed": func(_ *rand.Rand, i, n int) int64 { return int64(n-i) * 10 },
+		"mixed": func(rng *rand.Rand, i, _ int) int64 {
+			if rng.Intn(4) == 0 {
+				return rng.Int63n(int64(i) + 1)
+			}
+			return int64(i)
+		},
+		"equal-at": func(rng *rand.Rand, _, _ int) int64 { return rng.Int63n(3) },
+		"random":   func(rng *rand.Rand, _, _ int) int64 { return rng.Int63n(1000) },
+	}
+	for name, at := range batches {
+		rng := rand.New(rand.NewSource(3))
+		var q Queue
+		var ref refQueue
+		push := func(a int64) {
+			seq := q.Push(a, uint64(len(ref)))
+			ref = append(ref, Item{At: a, Seq: seq, ID: uint64(len(ref))})
+		}
+		for round := 0; round < 4; round++ {
+			n := 1 + rng.Intn(300)
+			for i := 0; i < n; i++ {
+				push(at(rng, i, n))
+			}
+			// Drain part way, pushing follow-ups mid-drain as a handler
+			// would: some at the popped time, some later, some earlier.
+			for d := rng.Intn(n + 1); d > 0; d-- {
+				if p, ok := q.Peek(); !ok || p != ref[ref.next()] {
+					t.Fatalf("%s: Peek %+v disagrees with reference", name, p)
+				}
+				it, _ := q.Pop()
+				want := ref.pop()
+				if it != want {
+					t.Fatalf("%s: drain popped %+v, reference %+v", name, it, want)
+				}
+				switch rng.Intn(4) {
+				case 0:
+					push(it.At)
+				case 1:
+					push(it.At + rng.Int63n(50))
+				case 2:
+					push(it.At - rng.Int63n(50))
+				}
+			}
+			if q.Len() != len(ref) {
+				t.Fatalf("%s: Len %d, reference holds %d", name, q.Len(), len(ref))
+			}
+		}
+		for len(ref) > 0 {
+			want := ref.pop()
+			if got, ok := q.Pop(); !ok || got != want {
+				t.Fatalf("%s: final drain popped %+v, reference %+v", name, got, want)
+			}
+		}
+		if _, ok := q.Pop(); ok || q.Len() != 0 {
+			t.Fatalf("%s: queue not empty after the reference drained", name)
+		}
+	}
+}
+
+// TestQueueResetRestartsSequence: Reset drops both parts of the queue and
+// the sequence counter.
+func TestQueueResetRestartsSequence(t *testing.T) {
+	var q Queue
+	q.Push(5, 0)
+	q.Push(1, 1) // out of order: goes to the heap
+	q.Reset()
+	if q.Len() != 0 {
+		t.Fatalf("Len %d after Reset", q.Len())
+	}
+	if _, ok := q.Peek(); ok {
+		t.Fatal("Peek found an event after Reset")
+	}
+	if seq := q.Push(0, 2); seq != 0 {
+		t.Fatalf("first Seq after Reset = %d, want 0", seq)
+	}
+}
+
+// TestQueueSteadyDrainZeroAlloc: a long-running queue that pops one event
+// and pushes one in-order follow-up reclaims popped run space instead of
+// growing without bound.
+func TestQueueSteadyDrainZeroAlloc(t *testing.T) {
+	var q Queue
+	for i := int64(0); i < 1024; i++ {
+		q.Push(i, uint64(i))
+	}
+	at := int64(1024)
+	step := func() {
+		q.Pop()
+		q.Push(at, 0)
+		at++
+	}
+	for i := 0; i < 4096; i++ {
+		step() // settle the run's capacity
+	}
+	if avg := testing.AllocsPerRun(10000, step); avg != 0 {
+		t.Fatalf("steady in-order push/pop allocated %.2f times per op, want 0", avg)
+	}
+	if c := cap(q.run); c > 4*1024 {
+		t.Fatalf("run capacity grew to %d for 1024 live events", c)
+	}
 }

@@ -46,6 +46,12 @@ func NewVirtual() *Virtual { return &Virtual{} }
 // Now returns the current virtual time.
 func (v *Virtual) Now() time.Time { return epoch.Add(time.Duration(v.ns.Load())) }
 
+// Nanos returns the current virtual time as nanoseconds since the epoch:
+// Now without the time.Time, for engines that keep simulated time as
+// int64 offsets. Now().Sub(t) equals time.Duration(Nanos() - tn) for any
+// tn another Nanos call returned at time t.
+func (v *Virtual) Nanos() int64 { return v.ns.Load() }
+
 // Sleep advances the clock by d, saturating at math.MaxInt64 nanoseconds
 // past the epoch. Non-positive durations are ignored.
 func (v *Virtual) Sleep(d time.Duration) {
