@@ -10,33 +10,66 @@ import (
 )
 
 // goldenRow is one pinned campaign: a subcommand run at seed 1 whose stdout
-// must equal testdata/<name>.golden and whose metrics snapshot must equal
-// testdata/<name>.metrics.json.
+// must equal testdata/<name>.golden and, unless the command has no -metrics
+// flag, whose metrics snapshot must equal testdata/<name>.metrics.json.
 type goldenRow struct {
 	name        string
 	cmd         string
-	run         func([]string) error
 	args        []string
 	workers     bool // the command takes -workers
 	cellWorkers bool // the command takes -cell-workers
+	noMetrics   bool // the command takes no -metrics
 }
 
+// Each row passes only flags its command declares: the flag sets use
+// flag.ExitOnError, so an unknown flag exits the test binary.
 var goldenRows = []goldenRow{
-	{name: "figure2-write", cmd: "figure2", run: cmdFigure2, args: []string{"-pattern", "write"}, workers: true},
-	{name: "figure2-read", cmd: "figure2", run: cmdFigure2, args: []string{"-pattern", "read"}, workers: true},
-	{name: "table1", cmd: "table1", run: cmdTable1},
-	{name: "table2", cmd: "table2", run: cmdTable2, args: []string{"-runtime", "1"}},
-	{name: "table3", cmd: "table3", run: cmdTable3},
-	{name: "cluster", cmd: "cluster", run: cmdCluster, workers: true, cellWorkers: true},
-	{name: "cluster-big-cell", cmd: "cluster", run: cmdCluster,
+	{name: "figure2-write", cmd: "figure2", args: []string{"-pattern", "write"}, workers: true},
+	{name: "figure2-read", cmd: "figure2", args: []string{"-pattern", "read"}, workers: true},
+	{name: "table1", cmd: "table1"},
+	{name: "table2", cmd: "table2", args: []string{"-runtime", "1"}},
+	{name: "table3", cmd: "table3"},
+	{name: "cluster", cmd: "cluster", workers: true, cellWorkers: true},
+	{name: "cluster-big-cell", cmd: "cluster",
 		args: []string{"-cell", "2", "-requests", "200000", "-rate", "100000", "-objects", "64"}, workers: true, cellWorkers: true},
-	{name: "cluster-defended-cell", cmd: "cluster", run: cmdCluster,
+	{name: "cluster-defended-cell", cmd: "cluster",
 		args: []string{"-defense", "-attack-stagger", "0.1", "-requests", "300", "-rate", "500", "-cell", "3"}, workers: true, cellWorkers: true},
-	{name: "sonar", cmd: "sonar", run: cmdSonar, workers: true},
-	{name: "fleet", cmd: "fleet", run: cmdFleet, workers: true, cellWorkers: true},
-	{name: "fingerprint", cmd: "fingerprint", run: cmdFingerprint, args: []string{"-seeds", "1", "-duration", "4"}, workers: true},
-	{name: "exfil", cmd: "exfil", run: cmdExfil,
+	{name: "sonar", cmd: "sonar", workers: true},
+	{name: "fleet", cmd: "fleet", workers: true, cellWorkers: true},
+	{name: "fingerprint", cmd: "fingerprint", args: []string{"-seeds", "1", "-duration", "4"}, workers: true},
+	{name: "exfil", cmd: "exfil",
 		args: []string{"-distances", "5", "-depths", "0", "-rates", "32,64", "-frames", "2", "-detect-frames", "1"}, workers: true},
+	{name: "sweep", cmd: "sweep", workers: true},
+	{name: "range", cmd: "range"},
+	{name: "crash", cmd: "crash"},
+	{name: "defense", cmd: "defense", noMetrics: true},
+	{name: "deploy", cmd: "deploy", noMetrics: true},
+	{name: "section5", cmd: "section5", noMetrics: true},
+	{name: "natick", cmd: "natick", noMetrics: true},
+	{name: "outage", cmd: "outage"},
+	{name: "remotesweep", cmd: "remotesweep", noMetrics: true},
+	{name: "stealth", cmd: "stealth", noMetrics: true},
+	{name: "stealthgrid", cmd: "stealthgrid", args: []string{"-duration", "10"}, workers: true},
+	{name: "ablation", cmd: "ablation", workers: true, noMetrics: true},
+	{name: "redundancy", cmd: "redundancy", noMetrics: true},
+	{name: "resilience", cmd: "resilience", args: []string{"-attack", "20", "-cooldown", "10"}, workers: true},
+	{name: "ultrasonic", cmd: "ultrasonic", noMetrics: true},
+	{name: "facility", cmd: "facility", workers: true, noMetrics: true},
+	{name: "adaptive", cmd: "adaptive", noMetrics: true},
+	{name: "integrity", cmd: "integrity", noMetrics: true},
+	{name: "selfcheck", cmd: "selfcheck", args: []string{"-repeats", "1"}, workers: true},
+}
+
+// run looks the row's command up in the table main dispatches on.
+func (r goldenRow) run(t *testing.T) func([]string) error {
+	t.Helper()
+	for _, c := range commands {
+		if c.name == r.cmd {
+			return c.run
+		}
+	}
+	t.Fatalf("golden row %s: no command %q", r.name, r.cmd)
+	return nil
 }
 
 // serialArgs is run A: one worker, no metrics.
@@ -50,7 +83,7 @@ func (r goldenRow) serialArgs() []string {
 
 // parallelArgs is run B: eight workers (and eight cell workers where the
 // command fans out inside a cell), with the metrics snapshot written to
-// metricsPath.
+// metricsPath where the command takes -metrics.
 func (r goldenRow) parallelArgs(metricsPath string) []string {
 	args := append([]string(nil), r.args...)
 	if r.workers {
@@ -59,7 +92,18 @@ func (r goldenRow) parallelArgs(metricsPath string) []string {
 	if r.cellWorkers {
 		args = append(args, "-cell-workers", "8")
 	}
+	if r.noMetrics {
+		return args
+	}
 	return append(args, "-metrics", metricsPath)
+}
+
+// files is the testdata files the row pins.
+func (r goldenRow) files() []string {
+	if r.noMetrics {
+		return []string{r.name + ".golden"}
+	}
+	return []string{r.name + ".golden", r.name + ".metrics.json"}
 }
 
 // TestGoldenOutputs pins each campaign's stdout and metrics snapshot. Both
@@ -72,6 +116,7 @@ func TestGoldenOutputs(t *testing.T) {
 	}
 	for _, row := range goldenRows {
 		t.Run(row.name, func(t *testing.T) {
+			run := row.run(t)
 			golden := filepath.Join("testdata", row.name+".golden")
 			goldenMetrics := filepath.Join("testdata", row.name+".metrics.json")
 			regen := "go run ./cmd/deepnote " + strings.Join(append([]string{row.cmd}, row.parallelArgs("cmd/deepnote/"+goldenMetrics)...), " ") +
@@ -80,17 +125,20 @@ func TestGoldenOutputs(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%v; regenerate with:\n  %s", err, regen)
 			}
+
+			serial := row.serialArgs()
+			checkGolden(t, golden, want, captureStdout(t, run, serial), strings.Join(serial, " "), regen)
+
+			metricsPath := filepath.Join(t.TempDir(), "metrics.json")
+			parallel := row.parallelArgs(metricsPath)
+			checkGolden(t, golden, want, captureStdout(t, run, parallel), strings.Join(parallel, " "), regen)
+			if row.noMetrics {
+				return
+			}
 			wantMetrics, err := os.ReadFile(goldenMetrics)
 			if err != nil {
 				t.Fatalf("%v; regenerate with:\n  %s", err, regen)
 			}
-
-			serial := row.serialArgs()
-			checkGolden(t, golden, want, captureStdout(t, row.run, serial), strings.Join(serial, " "), regen)
-
-			metricsPath := filepath.Join(t.TempDir(), "metrics.json")
-			parallel := row.parallelArgs(metricsPath)
-			checkGolden(t, golden, want, captureStdout(t, row.run, parallel), strings.Join(parallel, " "), regen)
 			gotMetrics, err := os.ReadFile(metricsPath)
 			if err != nil {
 				t.Fatal(err)
@@ -100,13 +148,27 @@ func TestGoldenOutputs(t *testing.T) {
 	}
 }
 
+// TestEverySubcommandPinned fails on a subcommand with no golden row. "all"
+// only chains commands that have rows of their own.
+func TestEverySubcommandPinned(t *testing.T) {
+	pinned := map[string]bool{}
+	for _, row := range goldenRows {
+		pinned[row.cmd] = true
+	}
+	for _, c := range commands {
+		if c.name != "all" && !pinned[c.name] {
+			t.Errorf("subcommand %s has no golden row", c.name)
+		}
+	}
+}
+
 // TestGoldenFilesHaveRows fails on a testdata file that no row pins, and on
 // a row whose files are missing, so a renamed row cannot leave a stale
 // golden behind.
 func TestGoldenFilesHaveRows(t *testing.T) {
 	pinned := map[string]bool{}
 	for _, row := range goldenRows {
-		for _, name := range []string{row.name + ".golden", row.name + ".metrics.json"} {
+		for _, name := range row.files() {
 			pinned[name] = true
 			if _, err := os.Stat(filepath.Join("testdata", name)); err != nil {
 				t.Errorf("golden row %s: %v", row.name, err)

@@ -55,119 +55,77 @@ import (
 	"deepnote/internal/water"
 )
 
+// command is one deepnote subcommand: main dispatches on name, usage lists
+// summary, and the golden test pins every entry but "all".
+type command struct {
+	name    string
+	run     func([]string) error
+	summary string
+}
+
+var commands = []command{
+	{"figure2", cmdFigure2, "throughput vs attack frequency, all scenarios (Figure 2)"},
+	{"table1", cmdTable1, "FIO throughput/latency vs distance (Table 1)"},
+	{"table2", cmdTable2, "RocksDB readwhilewriting vs distance (Table 2)"},
+	{"table3", cmdTable3, "software time-to-crash (Table 3)"},
+	{"sweep", cmdSweep, "attacker's two-phase frequency sweep"},
+	{"range", cmdRange, "range test at a chosen frequency"},
+	{"crash", cmdCrash, "prolonged attack against one software stack"},
+	{"defense", cmdDefense, "evaluate the defense suite"},
+	{"deploy", cmdDeploy, "defense suite with thermal consequences (acoustic + cooling)"},
+	{"section5", cmdSection5, "open-water effective-range analysis (attacker tiers x waters)"},
+	{"natick", cmdNatick, "enclosure hardening analysis (incl. steel pressure vessel)"},
+	{"outage", cmdOutage, "controlled-outage timeline (attack on, attack off)"},
+	{"remotesweep", cmdRemoteSweep, "latency-only reconnaissance against a storage service"},
+	{"stealth", cmdStealth, "duty-cycled attack vs the victim's anomaly detector"},
+	{"stealthgrid", cmdStealthGrid, "duty-cycle (on x off) grid: the damage/stealth trade-off matrix"},
+	{"ablation", cmdAblation, "headline metrics with model mechanisms removed"},
+	{"redundancy", cmdRedundancy, "RAID placement under attack (co-located vs split)"},
+	{"resilience", cmdResilience, "prolonged attack vs hardening ladder (bare / watchdog / hardened)"},
+	{"ultrasonic", cmdUltrasonic, "shock-sensor vector reachability through the enclosure"},
+	{"facility", cmdFacility, "facility availability vs attacker speaker count"},
+	{"fleet", cmdFleet, "geo-distributed fleet under facility attack: attack-aware vs naive placement"},
+	{"cluster", cmdCluster, "erasure-coded datacenter serving traffic under a speaker ladder"},
+	{"sonar", cmdSonar, "closed-loop defense: hydrophone localization steering the store"},
+	{"fingerprint", cmdFingerprint, "spectral attack fingerprinting vs the benign ambient corpus"},
+	{"exfil", cmdExfil, "covert acoustic exfiltration: capacity map, rate sweep, fingerprint defense"},
+	{"adaptive", cmdAdaptive, "closed-loop attacker: find the best tone within a probe budget"},
+	{"integrity", cmdIntegrity, "silent adjacent-track corruption under a marginal attack"},
+	{"selfcheck", cmdSelfCheck, "differential check: analytic oracle vs Monte-Carlo simulation"},
+	{"all", cmdAll, "regenerate every paper artifact"},
+}
+
 func main() {
 	if len(os.Args) < 2 {
 		usage()
 		os.Exit(2)
 	}
-	cmd, args := os.Args[1], os.Args[2:]
-	var err error
-	switch cmd {
-	case "figure2":
-		err = cmdFigure2(args)
-	case "table1":
-		err = cmdTable1(args)
-	case "table2":
-		err = cmdTable2(args)
-	case "table3":
-		err = cmdTable3(args)
-	case "sweep":
-		err = cmdSweep(args)
-	case "range":
-		err = cmdRange(args)
-	case "crash":
-		err = cmdCrash(args)
-	case "defense":
-		err = cmdDefense(args)
-	case "deploy":
-		err = cmdDeploy(args)
-	case "section5":
-		err = cmdSection5(args)
-	case "natick":
-		err = cmdNatick(args)
-	case "outage":
-		err = cmdOutage(args)
-	case "remotesweep":
-		err = cmdRemoteSweep(args)
-	case "stealth":
-		err = cmdStealth(args)
-	case "stealthgrid":
-		err = cmdStealthGrid(args)
-	case "ablation":
-		err = cmdAblation(args)
-	case "redundancy":
-		err = cmdRedundancy(args)
-	case "resilience":
-		err = cmdResilience(args)
-	case "ultrasonic":
-		err = cmdUltrasonic(args)
-	case "facility":
-		err = cmdFacility(args)
-	case "fleet":
-		err = cmdFleet(args)
-	case "cluster":
-		err = cmdCluster(args)
-	case "sonar":
-		err = cmdSonar(args)
-	case "fingerprint":
-		err = cmdFingerprint(args)
-	case "exfil":
-		err = cmdExfil(args)
-	case "adaptive":
-		err = cmdAdaptive(args)
-	case "integrity":
-		err = cmdIntegrity(args)
-	case "selfcheck":
-		err = cmdSelfCheck(args)
-	case "all":
-		err = cmdAll(args)
+	name, args := os.Args[1], os.Args[2:]
+	switch name {
 	case "help", "-h", "--help":
 		usage()
-	default:
-		fmt.Fprintf(os.Stderr, "deepnote: unknown command %q\n", cmd)
-		usage()
-		os.Exit(2)
+		return
 	}
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "deepnote %s: %v\n", cmd, err)
-		os.Exit(1)
+	for _, c := range commands {
+		if c.name == name {
+			if err := c.run(args); err != nil {
+				fmt.Fprintf(os.Stderr, "deepnote %s: %v\n", name, err)
+				os.Exit(1)
+			}
+			return
+		}
 	}
+	fmt.Fprintf(os.Stderr, "deepnote: unknown command %q\n", name)
+	usage()
+	os.Exit(2)
 }
 
 func usage() {
-	fmt.Fprintln(os.Stderr, `deepnote — underwater acoustic HDD attack simulator (HotStorage '23 reproduction)
-
-commands:
-  figure2   throughput vs attack frequency, all scenarios (Figure 2)
-  table1    FIO throughput/latency vs distance (Table 1)
-  table2    RocksDB readwhilewriting vs distance (Table 2)
-  table3    software time-to-crash (Table 3)
-  sweep     attacker's two-phase frequency sweep
-  range     range test at a chosen frequency
-  crash     prolonged attack against one software stack
-  defense   evaluate the defense suite
-  deploy    defense suite with thermal consequences (acoustic + cooling)
-  section5  open-water effective-range analysis (attacker tiers x waters)
-  natick    enclosure hardening analysis (incl. steel pressure vessel)
-  outage    controlled-outage timeline (attack on, attack off)
-  remotesweep  latency-only reconnaissance against a storage service
-  stealth   duty-cycled attack vs the victim's anomaly detector
-  stealthgrid  duty-cycle (on x off) grid: the damage/stealth trade-off matrix
-  ablation  headline metrics with model mechanisms removed
-  redundancy  RAID placement under attack (co-located vs split)
-  resilience  prolonged attack vs hardening ladder (bare / watchdog / hardened)
-  ultrasonic  shock-sensor vector reachability through the enclosure
-  facility  facility availability vs attacker speaker count
-  fleet     geo-distributed fleet under facility attack: attack-aware vs naive placement
-  cluster   erasure-coded datacenter serving traffic under a speaker ladder
-  sonar     closed-loop defense: hydrophone localization steering the store
-  fingerprint  spectral attack fingerprinting vs the benign ambient corpus
-  exfil     covert acoustic exfiltration: capacity map, rate sweep, fingerprint defense
-  adaptive  closed-loop attacker: find the best tone within a probe budget
-  integrity silent adjacent-track corruption under a marginal attack
-  selfcheck differential check: analytic oracle vs Monte-Carlo simulation
-  all       regenerate every paper artifact
-
+	fmt.Fprintln(os.Stderr, "deepnote — underwater acoustic HDD attack simulator (HotStorage '23 reproduction)\n\ncommands:")
+	for _, c := range commands {
+		fmt.Fprintf(os.Stderr, "  %-11s %s\n", c.name, c.summary)
+	}
+	fmt.Fprintln(os.Stderr, `
 observability (figure2, table1-3, sweep, range, crash, outage, resilience, selfcheck, stealthgrid,
                cluster, fleet, sonar, fingerprint, exfil):
   -metrics PATH   write a per-layer metrics snapshot JSON
