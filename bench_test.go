@@ -68,7 +68,7 @@ func BenchmarkTable1RangeFIO(b *testing.B) {
 	var res experiment.Table1Result
 	for i := 0; i < b.N; i++ {
 		var err error
-		res, err = experiment.Table1(1)
+		res, err = experiment.Table1Observed(1, nil)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -108,7 +108,7 @@ func BenchmarkTable3Crashes(b *testing.B) {
 	var res experiment.Table3Result
 	for i := 0; i < b.N; i++ {
 		var err error
-		res, err = experiment.Table3(1)
+		res, err = experiment.Table3Observed(1, nil)
 		if err != nil {
 			b.Fatal(err)
 		}

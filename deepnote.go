@@ -140,12 +140,13 @@ func EvaluateDefenses(tb *Testbed) []DefenseEvaluation {
 var (
 	// Figure2 regenerates a panel of Figure 2.
 	Figure2 = experiment.Figure2
-	// Table1 regenerates the FIO range table.
-	Table1 = experiment.Table1
+	// Table1 regenerates the FIO range table (nil registry =
+	// uninstrumented).
+	Table1 = experiment.Table1Observed
 	// Table2 regenerates the RocksDB range table.
 	Table2 = experiment.Table2
-	// Table3 regenerates the crash table.
-	Table3 = experiment.Table3
+	// Table3 regenerates the crash table (nil registry = uninstrumented).
+	Table3 = experiment.Table3Observed
 	// Section5Ranges computes the open-water effective-range matrix.
 	Section5Ranges = experiment.Section5Ranges
 	// NatickAnalysis compares enclosure classes against attacker tiers.

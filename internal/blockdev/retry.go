@@ -82,13 +82,13 @@ type RetryStats struct {
 // paper's victim stack lacked.
 type Retrier struct {
 	inner  Device
-	clock  simclock.Clock
+	clock  *simclock.Virtual
 	policy RetryPolicy
 	stats  RetryStats
 }
 
 // NewRetrier wraps inner with the given policy (zero fields take defaults).
-func NewRetrier(inner Device, clock simclock.Clock, policy RetryPolicy) *Retrier {
+func NewRetrier(inner Device, clock *simclock.Virtual, policy RetryPolicy) *Retrier {
 	return &Retrier{inner: inner, clock: clock, policy: policy.withDefaults()}
 }
 

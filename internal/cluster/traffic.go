@@ -159,14 +159,6 @@ func (r ServeResult) PutAvailability() float64 {
 	return float64(r.PutOK) / float64(r.Puts)
 }
 
-// Availability is the served fraction of all requests.
-func (r ServeResult) Availability() float64 {
-	if r.Requests == 0 {
-		return 1
-	}
-	return float64(r.GetOK+r.PutOK) / float64(r.Requests)
-}
-
 // reqState is one client request in the arena: fixed-size, no per-request
 // heap objects. Shards are always issued as a prefix [0, nextShard), so a
 // counter replaces the old per-request tried bitmap, and eager in-flight

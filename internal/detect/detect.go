@@ -302,13 +302,13 @@ func (d *Detector) Tick(now time.Time) {
 // under a filesystem or workload.
 type Monitor struct {
 	dev   blockdev.Device
-	clock simclock.Clock
+	clock *simclock.Virtual
 	det   *Detector
 }
 
 // NewMonitor wraps dev with telemetry-driven attack detection, rejecting
 // out-of-range configuration.
-func NewMonitor(dev blockdev.Device, clock simclock.Clock, cfg Config) (*Monitor, error) {
+func NewMonitor(dev blockdev.Device, clock *simclock.Virtual, cfg Config) (*Monitor, error) {
 	det, err := NewDetector(cfg)
 	if err != nil {
 		return nil, err

@@ -134,20 +134,6 @@ func TestBankRejectsBadConfig(t *testing.T) {
 	}
 }
 
-func TestPeakSearchFindsTone(t *testing.T) {
-	samples := make([]float64, 1024)
-	for i := range samples {
-		samples[i] = 0.2 * math.Sin(2*math.Pi*647*float64(i)/rate)
-	}
-	f, amp := PeakSearch(samples, rate, 300*units.Hz, 1400*units.Hz, 2*units.Hz)
-	if math.Abs(f.Hertz()-647) > 2 {
-		t.Fatalf("peak at %v, want ≈ 647 Hz", f)
-	}
-	if amp < 0.18 || amp > 0.22 {
-		t.Fatalf("peak amplitude %.3f, want ≈ 0.2", amp)
-	}
-}
-
 // Goertzel single-bin detector agrees with its own bank on a block.
 func TestGoertzelSingleBin(t *testing.T) {
 	g := NewGoertzel(650*units.Hz, rate)

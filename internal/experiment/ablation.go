@@ -107,14 +107,9 @@ func runAblationVariant(v ablationVariant, seed int64) (AblationRow, error) {
 	return row, nil
 }
 
-// Ablation runs the full variant suite, one worker per CPU. Each variant
-// mutates its own testbeds, so the rows match a serial run exactly.
-func Ablation(seed int64) ([]AblationRow, error) {
-	return AblationWorkers(seed, 0)
-}
-
-// AblationWorkers is Ablation with an explicit worker bound (≤ 0 means one
-// per CPU).
+// AblationWorkers runs the full variant suite over at most workers
+// goroutines (≤ 0 means one per CPU). Each variant mutates its own
+// testbeds, so the rows match a serial run exactly.
 func AblationWorkers(seed int64, workers int) ([]AblationRow, error) {
 	return parallel.Run(context.Background(), ablationVariants(), workers,
 		func(_ context.Context, _ int, v ablationVariant) (AblationRow, error) {

@@ -6,7 +6,7 @@ import (
 )
 
 func TestAblationSuite(t *testing.T) {
-	rows, err := Ablation(1)
+	rows, err := AblationWorkers(1, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -106,7 +106,7 @@ func TestFigure2Chart(t *testing.T) {
 }
 
 func TestTable1MatchesPaperShape(t *testing.T) {
-	res, err := Table1(1)
+	res, err := Table1Observed(1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -178,7 +178,7 @@ func TestTable2MatchesPaperShape(t *testing.T) {
 }
 
 func TestTable3MatchesPaper(t *testing.T) {
-	res, err := Table3(1)
+	res, err := Table3Observed(1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

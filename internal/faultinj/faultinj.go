@@ -147,7 +147,7 @@ func (s Stats) Injected() int64 {
 // Device is a fault-injecting blockdev.Device wrapper.
 type Device struct {
 	inner  blockdev.Device
-	clock  simclock.Clock
+	clock  *simclock.Virtual
 	origin time.Time
 	faults []Fault
 	rng    *rand.Rand
@@ -157,7 +157,7 @@ type Device struct {
 // Wrap builds a fault-injecting wrapper over inner. The fault windows are
 // anchored at the wrapper's creation time on clock; the seed drives
 // probabilistic rules.
-func Wrap(inner blockdev.Device, clock simclock.Clock, seed int64, faults ...Fault) *Device {
+func Wrap(inner blockdev.Device, clock *simclock.Virtual, seed int64, faults ...Fault) *Device {
 	if seed == 0 {
 		seed = 1
 	}

@@ -48,10 +48,7 @@ func (p Pattern) String() string {
 func (p Pattern) IsWrite() bool { return p == SeqWrite || p == RandWrite }
 
 // IsRandom reports whether the pattern randomizes offsets.
-func (p Pattern) IsRandom() bool { return p == RandRead || p == RandWrite || p == MixedRand }
-
-// IsMixed reports whether the pattern blends reads and writes.
-func (p Pattern) IsMixed() bool { return p == MixedSeq || p == MixedRand }
+func (p Pattern) IsRandom() bool { return p == RandRead || p == RandWrite }
 
 // Job describes one fio-style workload.
 type Job struct {
@@ -69,9 +66,6 @@ type Job struct {
 	MaxOps int
 	// Seed drives the random pattern generator.
 	Seed int64
-	// ReadPercent sets the read share for mixed patterns (default 50
-	// when the pattern is mixed; ignored otherwise).
-	ReadPercent int
 }
 
 // PaperJob returns the paper's measurement job: sequential 4 KB over a
@@ -190,7 +184,7 @@ func summarize(samples []time.Duration) LatencySummary {
 // Runner executes jobs against a device on a virtual clock.
 type Runner struct {
 	dev   blockdev.Device
-	clock simclock.Clock
+	clock *simclock.Virtual
 
 	reg *metrics.Registry
 	// Pre-resolved histogram handles: the per-op hot path does one
@@ -199,7 +193,7 @@ type Runner struct {
 }
 
 // NewRunner returns a runner bound to a device and clock.
-func NewRunner(dev blockdev.Device, clock simclock.Clock) *Runner {
+func NewRunner(dev blockdev.Device, clock *simclock.Virtual) *Runner {
 	return &Runner{dev: dev, clock: clock}
 }
 
@@ -252,13 +246,6 @@ func (r *Runner) Run(job Job) (Result, error) {
 		off := job.Offset + block*int64(job.BlockSize)
 
 		write := job.Pattern.IsWrite()
-		if job.Pattern.IsMixed() {
-			rp := job.ReadPercent
-			if rp <= 0 {
-				rp = 50
-			}
-			write = rng.Intn(100) >= rp
-		}
 		opStart := r.clock.Now()
 		var err error
 		if write {

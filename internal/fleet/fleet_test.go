@@ -124,8 +124,8 @@ func TestFleetServesCleanWithoutFaults(t *testing.T) {
 	if res.CorruptReads != 0 || res.ChecksumMisses != 0 {
 		t.Fatalf("clean run corrupted: corrupt=%d misses=%d", res.CorruptReads, res.ChecksumMisses)
 	}
-	if res.Availability() != 1 {
-		t.Fatalf("clean availability %.4f, want 1", res.Availability())
+	if res.GetAvailability() != 1 || res.PutAvailability() != 1 {
+		t.Fatalf("clean availability GET %.4f PUT %.4f, want 1", res.GetAvailability(), res.PutAvailability())
 	}
 	// Attack-aware placement spreads shards across sites, so a healthy
 	// run still crosses the WAN constantly.

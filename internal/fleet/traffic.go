@@ -153,14 +153,6 @@ func (r Result) PutAvailability() float64 {
 	return float64(r.PutOK) / float64(r.Puts)
 }
 
-// Availability is the overall served fraction.
-func (r Result) Availability() float64 {
-	if r.Requests == 0 {
-		return 1
-	}
-	return float64(r.GetOK+r.PutOK) / float64(r.Requests)
-}
-
 // WindowStats re-cuts the ledger over one time window.
 type WindowStats struct {
 	Gets, GetOK int

@@ -35,9 +35,6 @@ func init() {
 	}
 }
 
-// Add returns a ⊕ b (addition and subtraction coincide in GF(2^8)).
-func Add(a, b byte) byte { return a ^ b }
-
 // Mul returns the field product a·b.
 func Mul(a, b byte) byte {
 	if a == 0 || b == 0 {
@@ -71,14 +68,6 @@ func Inv(a byte) byte {
 // Exp returns α^n for n ≥ 0 (α = 2, the field generator).
 func Exp(n int) byte { return expTable[n%255] }
 
-// Log returns log_α(a) for nonzero a, in [0, 255).
-func Log(a byte) int {
-	if a == 0 {
-		panic("gf: log of zero")
-	}
-	return logTable[a]
-}
-
 // PolyEval evaluates the polynomial with coefficients p — p[0] is the
 // highest-degree term — at x, by Horner's rule. An empty polynomial is 0.
 func PolyEval(p []byte, x byte) byte {
@@ -102,30 +91,6 @@ func PolyMul(a, b []byte) []byte {
 		for j, cb := range b {
 			out[i+j] ^= Mul(ca, cb)
 		}
-	}
-	return out
-}
-
-// PolyScale multiplies every coefficient of p by s.
-func PolyScale(p []byte, s byte) []byte {
-	out := make([]byte, len(p))
-	for i, c := range p {
-		out[i] = Mul(c, s)
-	}
-	return out
-}
-
-// PolyAdd adds two coefficient slices (highest-degree term first),
-// right-aligning the shorter one.
-func PolyAdd(a, b []byte) []byte {
-	n := len(a)
-	if len(b) > n {
-		n = len(b)
-	}
-	out := make([]byte, n)
-	copy(out[n-len(a):], a)
-	for i, c := range b {
-		out[n-len(b)+i] ^= c
 	}
 	return out
 }

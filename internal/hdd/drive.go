@@ -129,7 +129,7 @@ type Stats struct {
 // actuator drive does.
 type Drive struct {
 	model  Model
-	clock  simclock.Clock
+	clock  *simclock.Virtual
 	rng    *rand.Rand
 	vib    Vibration
 	stats  Stats
@@ -142,7 +142,7 @@ type Drive struct {
 
 // NewDrive returns a drive with the given model, clock, and deterministic
 // seed.
-func NewDrive(m Model, clock simclock.Clock, seed int64) (*Drive, error) {
+func NewDrive(m Model, clock *simclock.Virtual, seed int64) (*Drive, error) {
 	if err := m.Validate(); err != nil {
 		return nil, err
 	}
@@ -429,68 +429,4 @@ func (d *Drive) countError(op Op) {
 	} else {
 		d.stats.ReadErrors++
 	}
-}
-
-// SuccessProbability estimates, by Monte Carlo with the drive's own RNG
-// untouched, the probability that a single positioning attempt per chunk
-// completes an op of the given transfer length at offset 0 under vibration
-// v — i.e. that the op succeeds with zero retries. It mirrors Drive.Access
-// exactly: the op is split into independent ChunkBytes chunks, each with
-// its own zoned hold window, and the op succeeds only if every chunk holds
-// (success = product over chunks). Composite (multi-partial) vibrations
-// return ErrCompositeVibration; callers must fall back to simulation.
-func (m Model) SuccessProbability(op Op, v Vibration, length int64, trials int, seed int64) (float64, error) {
-	return m.SuccessProbabilityAt(op, v, 0, length, trials, seed)
-}
-
-// SuccessProbabilityAt is SuccessProbability at an explicit byte offset,
-// honoring zoned recording: inner-track chunks transfer slower, hold track
-// longer, and therefore fail more often at equal excitation.
-func (m Model) SuccessProbabilityAt(op Op, v Vibration, offset, length int64, trials int, seed int64) (float64, error) {
-	if v.isComposite() {
-		return 0, ErrCompositeVibration
-	}
-	if trials <= 0 {
-		trials = 2000
-	}
-	threshold := m.ReadFaultFrac
-	if op == OpWrite {
-		threshold = m.WriteFaultFrac
-	}
-	if v.Amplitude >= m.ServoLockFrac {
-		return 0, nil
-	}
-	rng := rand.New(rand.NewSource(seed))
-	sigma := m.BaseJitterFrac + v.ExtraJitter
-	// Per-chunk angular hold windows, mirroring Drive.Access's service
-	// granularity and zoned transfer timing.
-	var windows []float64
-	for done := int64(0); done < length; done += ChunkBytes {
-		chunk := length - done
-		if chunk > ChunkBytes {
-			chunk = ChunkBytes
-		}
-		hold := m.TransferTimeAt(offset+done, chunk) + m.WedgeWindow
-		windows = append(windows, v.Freq.AngularVelocity()*hold.Seconds())
-	}
-	ok := 0
-	for i := 0; i < trials; i++ {
-		holds := true
-		for _, w := range windows {
-			jitter := math.Abs(rng.NormFloat64()) * sigma
-			peak := jitter
-			if v.Amplitude > 0 {
-				phase := rng.Float64() * 2 * math.Pi
-				peak = v.Amplitude*maxAbsSinOver(phase, w) + jitter
-			}
-			if peak >= threshold {
-				holds = false
-				break
-			}
-		}
-		if holds {
-			ok++
-		}
-	}
-	return float64(ok) / float64(trials), nil
 }

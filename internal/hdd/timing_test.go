@@ -145,61 +145,6 @@ func TestFirstChunkTimeoutCheaperThanLastChunk(t *testing.T) {
 	}
 }
 
-// TestSuccessProbabilityMatchesSimulated64K is the regression pinned by the
-// per-chunk predictor fix: for a multi-chunk 64 KiB op the predictor and
-// the simulator must describe the same random process. The simulated
-// zero-retry success rate (ops that complete with no retries) is compared
-// against SuccessProbability's estimate of exactly that event.
-func TestSuccessProbabilityMatchesSimulated64K(t *testing.T) {
-	m := Barracuda500()
-	const length = 64 * 1024
-	// Moderate tone plus broadband jitter lands the 16-chunk zero-retry
-	// probability far from 0 and 1, where per-chunk vs whole-request
-	// modeling differences are starkest.
-	vib := Vibration{Freq: 1200 * units.Hz, Amplitude: 0.10, ExtraJitter: 0.030}
-
-	pred, err := m.SuccessProbability(OpWrite, vib, length, 20000, 11)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	const ops = 4000
-	clean := 0
-	clock := simclock.NewVirtual()
-	d, err := NewDrive(m, clock, 23)
-	if err != nil {
-		t.Fatal(err)
-	}
-	d.SetVibration(vib)
-	for i := 0; i < ops; i++ {
-		if res := d.Access(OpWrite, 0, length); res.Err == nil && res.Retries == 0 {
-			clean++
-		}
-	}
-	sim := float64(clean) / ops
-
-	if pred < 0.02 || pred > 0.98 {
-		t.Fatalf("operating point degenerate for a regression test: predicted %.3f", pred)
-	}
-	if diff := pred - sim; diff > 0.05 || diff < -0.05 {
-		t.Fatalf("predictor and simulator disagree on a 64 KiB op: predicted %.3f, simulated %.3f", pred, sim)
-	}
-}
-
-// TestSuccessProbabilityCompositeRejected pins the documented composite
-// fallback: multi-partial excitations have no closed per-chunk form and
-// must be refused rather than silently ignored.
-func TestSuccessProbabilityCompositeRejected(t *testing.T) {
-	m := Barracuda500()
-	v := Vibration{
-		Freq: 650 * units.Hz, Amplitude: 0.1,
-		Partials: []Partial{{Freq: 1300 * units.Hz, Amplitude: 0.05}},
-	}
-	if _, err := m.SuccessProbability(OpWrite, v, ChunkBytes, 100, 1); !errors.Is(err, ErrCompositeVibration) {
-		t.Fatalf("composite vibration must return ErrCompositeVibration, got %v", err)
-	}
-}
-
 // TestMaxSeekRate pins the actuator's back-and-forth repetition limit —
 // the ceiling the exfil modulator's seek-pattern dictionary is validated
 // against: one period is two seeks of the stroke.

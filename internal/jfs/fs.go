@@ -55,7 +55,7 @@ func (c Config) withDefaults() Config {
 // FS is a mounted filesystem.
 type FS struct {
 	dev   blockdev.Device
-	clock simclock.Clock
+	clock *simclock.Virtual
 	cfg   Config
 	sb    *Superblock
 	js    journalSuper
@@ -139,7 +139,7 @@ func Mkfs(dev blockdev.Device, opts MkfsOptions) error {
 
 // Mount opens the filesystem, replaying any committed journal transactions
 // left by an unclean shutdown.
-func Mount(dev blockdev.Device, clock simclock.Clock, cfg Config) (*FS, error) {
+func Mount(dev blockdev.Device, clock *simclock.Virtual, cfg Config) (*FS, error) {
 	buf := make([]byte, BlockSize)
 	if _, err := dev.ReadAt(buf, 0); err != nil {
 		return nil, fmt.Errorf("jfs: reading superblock: %w", err)

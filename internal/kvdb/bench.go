@@ -87,11 +87,11 @@ func (r BenchResult) OpsPerSec() float64 {
 // Bench runs a workload against the database on its virtual clock.
 type Bench struct {
 	db    *DB
-	clock simclock.Clock
+	clock *simclock.Virtual
 }
 
 // NewBench binds a benchmark to a database.
-func NewBench(db *DB, clock simclock.Clock) *Bench {
+func NewBench(db *DB, clock *simclock.Virtual) *Bench {
 	return &Bench{db: db, clock: clock}
 }
 

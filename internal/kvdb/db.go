@@ -106,7 +106,7 @@ type DBStats struct {
 // DB is an open store.
 type DB struct {
 	fs    *jfs.FS
-	clock simclock.Clock
+	clock *simclock.Virtual
 	opts  Options
 
 	mem    *Memtable
@@ -132,7 +132,7 @@ func sstName(level, gen int) string { return fmt.Sprintf("sst-%d-%06d", level, g
 
 // Open opens (or creates) a database in the root of the filesystem,
 // replaying the WAL left by any previous incarnation.
-func Open(fs *jfs.FS, clock simclock.Clock, opts Options) (*DB, error) {
+func Open(fs *jfs.FS, clock *simclock.Virtual, opts Options) (*DB, error) {
 	db := &DB{
 		fs:    fs,
 		clock: clock,

@@ -133,14 +133,6 @@ func (h *Histogram) Observe(v int64) {
 // ObserveDuration records a duration in nanoseconds.
 func (h *Histogram) ObserveDuration(d time.Duration) { h.Observe(int64(d)) }
 
-// Count returns the number of observations (0 on nil).
-func (h *Histogram) Count() int64 {
-	if h == nil {
-		return 0
-	}
-	return h.count.Load()
-}
-
 // Quantile returns the nearest-rank quantile as the upper bound of the
 // log bucket containing that rank (the true max for q covering the last
 // observation). q outside (0, 1] is clamped.
@@ -188,7 +180,7 @@ type Registry struct {
 	counters map[string]*Counter
 	gauges   map[string]*Gauge
 	hists    map[string]*Histogram
-	clock    simclock.Clock
+	clock    *simclock.Virtual
 	origin   time.Time
 	hasClock bool
 }
@@ -204,7 +196,7 @@ func NewRegistry() *Registry {
 
 // SetClock attaches a virtual clock; snapshots taken afterwards stamp the
 // virtual time elapsed since attachment. Safe on a nil receiver.
-func (r *Registry) SetClock(c simclock.Clock) {
+func (r *Registry) SetClock(c *simclock.Virtual) {
 	if r == nil || c == nil {
 		return
 	}
@@ -269,52 +261,6 @@ func (r *Registry) MaxGauge(name string, v float64) { r.Gauge(name).SetMax(v) }
 
 // Observe is shorthand for Histogram(name).Observe(v).
 func (r *Registry) Observe(name string, v int64) { r.Histogram(name).Observe(v) }
-
-// Merge folds src into r: counters sum, gauges take the max, histograms
-// add per-bucket. Both registries may be nil. The merge is commutative,
-// so per-worker registries fold to the same result in any order.
-func (r *Registry) Merge(src *Registry) {
-	if r == nil || src == nil {
-		return
-	}
-	src.mu.Lock()
-	counters := make(map[string]int64, len(src.counters))
-	for name, c := range src.counters {
-		counters[name] = c.Value()
-	}
-	gauges := make(map[string]float64, len(src.gauges))
-	for name, g := range src.gauges {
-		gauges[name] = g.Value()
-	}
-	hists := make(map[string]*Histogram, len(src.hists))
-	for name, h := range src.hists {
-		hists[name] = h
-	}
-	src.mu.Unlock()
-
-	for name, v := range counters {
-		r.Add(name, v)
-	}
-	for name, v := range gauges {
-		r.MaxGauge(name, v)
-	}
-	for name, h := range hists {
-		dst := r.Histogram(name)
-		if dst == nil {
-			continue
-		}
-		dst.count.Add(h.count.Load())
-		dst.sum.Add(h.sum.Load())
-		if m := h.max.Load(); m > dst.max.Load() {
-			dst.max.Store(m)
-		}
-		for i := 0; i < histBuckets; i++ {
-			if n := h.buckets[i].Load(); n != 0 {
-				dst.buckets[i].Add(n)
-			}
-		}
-	}
-}
 
 // Snapshot captures the registry's current state in a deterministic,
 // schema-stable form: map keys marshal sorted, histogram buckets list only

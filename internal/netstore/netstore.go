@@ -172,7 +172,7 @@ type Response struct {
 // Server is the storage service.
 type Server struct {
 	dev   blockdev.Device
-	clock simclock.Clock
+	clock *simclock.Virtual
 	cfg   Config
 	rng   *rand.Rand
 	// scratch is the reused request buffer; HandleObjectShared serves
@@ -194,7 +194,7 @@ type Server struct {
 }
 
 // NewServer starts a service over a device.
-func NewServer(dev blockdev.Device, clock simclock.Clock, cfg Config) *Server {
+func NewServer(dev blockdev.Device, clock *simclock.Virtual, cfg Config) *Server {
 	cfg = cfg.withDefaults()
 	return &Server{dev: dev, clock: clock, cfg: cfg,
 		rng: rand.New(rand.NewSource(cfg.Seed)), scratch: make([]byte, cfg.ObjectSize)}
@@ -217,31 +217,19 @@ func (s *Server) rtt() time.Duration {
 // Handle is the payload-less form: PUTs store a fixed per-object pattern
 // and GETs discard the bytes read. Callers that care about object
 // contents (e.g. an erasure-coded store carrying real shards) use
-// HandleObject.
+// HandleObjectShared.
 func (s *Server) Handle(op Op, objectID int) Response {
 	_, resp := s.HandleObjectShared(op, objectID, nil)
 	return resp
 }
 
-// HandleObject is Handle with an explicit payload. For PUTs, data is
+// HandleObjectShared is Handle with an explicit payload. For PUTs, data is
 // stored (zero-padded to the object size; nil keeps Handle's fixed
-// pattern). For successful GETs the object's bytes are returned in a
-// fresh buffer the caller owns. Timing, retry behavior, and the jitter
-// RNG draw sequence are identical to Handle.
-func (s *Server) HandleObject(op Op, objectID int, data []byte) ([]byte, Response) {
-	got, resp := s.HandleObjectShared(op, objectID, data)
-	if got != nil {
-		got = append([]byte(nil), got...)
-	}
-	return got, resp
-}
-
-// HandleObjectShared is HandleObject without the defensive copy: a
-// successful GET returns a slice aliasing the server's internal request
-// buffer, valid only until the next request on this server. It is the
-// zero-allocation path the cluster serving engine runs millions of
-// operations through; PUTs whose payload is exactly the object size are
-// written straight from the caller's slice with no staging copy.
+// pattern); a payload of exactly the object size is written straight from
+// the caller's slice with no staging copy. A successful GET returns a slice
+// aliasing the server's internal request buffer, valid only until the next
+// request on this server. Timing, retry behavior, and the jitter RNG draw
+// sequence are identical to Handle.
 func (s *Server) HandleObjectShared(op Op, objectID int, data []byte) ([]byte, Response) {
 	s.Requests++
 	if objectID < 0 || objectID >= s.cfg.Objects {

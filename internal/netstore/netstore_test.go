@@ -130,10 +130,10 @@ func TestHandleObjectRoundTrip(t *testing.T) {
 	for i := range payload {
 		payload[i] = byte(i * 17)
 	}
-	if _, r := s.HandleObject(Put, 3, payload); r.Err != nil {
+	if _, r := s.HandleObjectShared(Put, 3, payload); r.Err != nil {
 		t.Fatalf("put: %v", r.Err)
 	}
-	got, r := s.HandleObject(Get, 3, nil)
+	got, r := s.HandleObjectShared(Get, 3, nil)
 	if r.Err != nil {
 		t.Fatalf("get: %v", r.Err)
 	}
@@ -156,15 +156,14 @@ func TestHandleObjectOversizedPayloadRejected(t *testing.T) {
 	if err := s.Preload(); err != nil {
 		t.Fatal(err)
 	}
-	if _, r := s.HandleObject(Put, 0, make([]byte, 4097)); !errors.Is(r.Err, ErrBadRequest) {
+	if _, r := s.HandleObjectShared(Put, 0, make([]byte, 4097)); !errors.Is(r.Err, ErrBadRequest) {
 		t.Fatalf("oversized put: %v", r.Err)
 	}
 }
 
 // TestHandleObjectMatchesHandleTiming pins that the payload path is
-// timing-identical to the legacy fixed-pattern path: Handle is
-// HandleObject with a nil payload, so existing callers see the same RNG
-// draws and latencies.
+// timing-identical to the fixed-pattern path: Handle is HandleObjectShared
+// with a nil payload, so both see the same RNG draws and latencies.
 func TestHandleObjectMatchesHandleTiming(t *testing.T) {
 	a, _, _ := newServer(t, Config{Seed: 9})
 	b, _, _ := newServer(t, Config{Seed: 9})
@@ -176,9 +175,9 @@ func TestHandleObjectMatchesHandleTiming(t *testing.T) {
 	}
 	for i := 0; i < 8; i++ {
 		ra := a.Handle(Get, i)
-		_, rb := b.HandleObject(Get, i, nil)
+		_, rb := b.HandleObjectShared(Get, i, nil)
 		if ra.Latency != rb.Latency || (ra.Err == nil) != (rb.Err == nil) {
-			t.Fatalf("object %d: Handle %+v != HandleObject %+v", i, ra, rb)
+			t.Fatalf("object %d: Handle %+v != HandleObjectShared %+v", i, ra, rb)
 		}
 	}
 }

@@ -14,8 +14,9 @@ import (
 )
 
 // TestPerAttemptMatchesMonteCarlo checks the quadrature against the
-// drive's own Monte-Carlo estimator at a single-chunk operating point:
-// both describe one positioning attempt of one 4 KiB chunk.
+// drive simulator at a single-chunk operating point: the fraction of 4 KiB
+// accesses that complete on their first positioning attempt is a
+// Monte-Carlo estimate of the per-attempt success probability.
 func TestPerAttemptMatchesMonteCarlo(t *testing.T) {
 	m := hdd.Barracuda500()
 	for _, tc := range []struct {
@@ -33,12 +34,21 @@ func TestPerAttemptMatchesMonteCarlo(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			mc, err := m.SuccessProbability(tc.op, tc.vib, hdd.ChunkBytes, 40000, 3)
+			d, err := hdd.NewDrive(m, simclock.NewVirtual(), 3)
 			if err != nil {
 				t.Fatal(err)
 			}
+			d.SetVibration(tc.vib)
+			const trials = 40000
+			firstTry := 0
+			for i := 0; i < trials; i++ {
+				if res := d.Access(tc.op, 0, hdd.ChunkBytes); res.Err == nil && res.Retries == 0 {
+					firstTry++
+				}
+			}
+			mc := float64(firstTry) / trials
 			if diff := math.Abs(pred.PerAttempt - mc); diff > 0.02 {
-				t.Fatalf("per-attempt success: analytic %.4f vs Monte-Carlo %.4f (diff %.4f)", pred.PerAttempt, mc, diff)
+				t.Fatalf("per-attempt success: analytic %.4f vs simulated %.4f (diff %.4f)", pred.PerAttempt, mc, diff)
 			}
 		})
 	}

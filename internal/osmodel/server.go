@@ -82,7 +82,7 @@ var systemFiles = []struct {
 // Server is a booted OS instance.
 type Server struct {
 	fs    *jfs.FS
-	clock simclock.Clock
+	clock *simclock.Virtual
 	cfg   Config
 	rng   *rand.Rand
 
@@ -111,7 +111,7 @@ type Server struct {
 }
 
 // Boot installs the system files (if absent) and starts the server.
-func Boot(fs *jfs.FS, clock simclock.Clock, cfg Config) (*Server, error) {
+func Boot(fs *jfs.FS, clock *simclock.Virtual, cfg Config) (*Server, error) {
 	cfg = cfg.withDefaults()
 	s := &Server{
 		fs:    fs,

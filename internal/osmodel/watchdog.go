@@ -43,7 +43,7 @@ func (c WatchdogConfig) withDefaults() WatchdogConfig {
 // crashes; this is the missing piece a hardened deployment would have.
 type Watchdog struct {
 	dev    blockdev.Device
-	clock  simclock.Clock
+	clock  *simclock.Virtual
 	srvCfg Config
 	cfg    WatchdogConfig
 
@@ -69,7 +69,7 @@ type Watchdog struct {
 
 // NewWatchdog builds a supervisor for a server rooted on dev. Call Adopt
 // with the initially booted server, then Step on every simulation tick.
-func NewWatchdog(dev blockdev.Device, clock simclock.Clock, srvCfg Config, cfg WatchdogConfig) *Watchdog {
+func NewWatchdog(dev blockdev.Device, clock *simclock.Virtual, srvCfg Config, cfg WatchdogConfig) *Watchdog {
 	return &Watchdog{dev: dev, clock: clock, srvCfg: srvCfg, cfg: cfg.withDefaults()}
 }
 

@@ -131,16 +131,6 @@ func RunObserved[T, R any](ctx context.Context, tasks []T, workers int, reg *met
 	return out, err
 }
 
-// Map is Run without cancellation plumbing, for grids whose tasks cannot
-// fail early: it runs fn over tasks with the given parallelism and returns
-// the results in task order.
-func Map[T, R any](tasks []T, workers int, fn func(index int, task T) R) []R {
-	out, _ := Run(context.Background(), tasks, workers, func(_ context.Context, i int, t T) (R, error) {
-		return fn(i, t), nil
-	})
-	return out
-}
-
 // Indices returns [0, n) as a task slice, for grids that are naturally
 // indexed rather than backed by a materialized slice.
 func Indices(n int) []int {

@@ -3,7 +3,6 @@ package parallel
 import (
 	"context"
 	"errors"
-	"fmt"
 	"math/rand"
 	"reflect"
 	"runtime"
@@ -177,20 +176,6 @@ func TestSeedForMatchesKnownVector(t *testing.T) {
 		if got := SeedFor(v.base, v.index); got != v.want {
 			t.Fatalf("SeedFor(%d, %d) = %d, want %d", v.base, v.index, got, v.want)
 		}
-	}
-}
-
-func TestMap(t *testing.T) {
-	got := Map(Indices(10), 4, func(i, task int) string {
-		return fmt.Sprintf("t%d", task)
-	})
-	for i, v := range got {
-		if v != fmt.Sprintf("t%d", i) {
-			t.Fatalf("Map[%d] = %q", i, v)
-		}
-	}
-	if Map(nil, 4, func(i, task int) int { return 0 }) != nil {
-		t.Fatal("Map(nil) should be nil")
 	}
 }
 

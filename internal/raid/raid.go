@@ -9,23 +9,17 @@
 // Levels implemented: RAID-0 (striping), RAID-1 (mirroring), and RAID-5
 // (striping with rotating parity), over any blockdev.Device members.
 //
-// Member failure is governed by an error-threshold Policy: a member is only
-// marked permanently failed after FailThreshold consecutive I/O errors, so
-// a bounded acoustic burst degrades throughput instead of ejecting drives.
-// Chunks whose redundant copies diverged during transient failures are
-// tracked as stale and resilvered by Recover, which also reinstates members
-// that answer again after an attack ends and swaps hot spares (AddSpare)
-// for members that stayed dead, rebuilding their contents from redundancy
-// with progress tracking.
+// A member is only marked permanently failed after FailThreshold
+// consecutive I/O errors, so a bounded acoustic burst degrades throughput
+// instead of ejecting drives. Chunks whose redundant copies diverged during
+// transient failures are tracked as stale, and reads avoid them.
 package raid
 
 import (
 	"errors"
 	"fmt"
-	"sort"
 
 	"deepnote/internal/blockdev"
-	"deepnote/internal/metrics"
 )
 
 // Level is the RAID level.
@@ -52,27 +46,12 @@ var (
 // StripeSize is the striping unit in bytes.
 const StripeSize = 64 << 10
 
-// Policy controls when a member's I/O errors become a permanent failure.
-// RAID-0 ignores the threshold: with no redundancy an unreadable chunk is
-// data loss, so the first error fails the member immediately (as mdadm
-// kicks a RAID-0 member on any error).
-type Policy struct {
-	// FailThreshold is the number of consecutive I/O errors after which
-	// a member is marked permanently failed. A successful request resets
-	// the member's streak.
-	FailThreshold int
-}
-
-// DefaultPolicy tolerates short transient bursts: three consecutive errors
-// before a member is ejected.
-func DefaultPolicy() Policy { return Policy{FailThreshold: 3} }
-
-func (p Policy) withDefaults() Policy {
-	if p.FailThreshold <= 0 {
-		p.FailThreshold = DefaultPolicy().FailThreshold
-	}
-	return p
-}
+// FailThreshold is the number of consecutive I/O errors after which a
+// member is marked permanently failed; a successful request resets the
+// member's streak. RAID-0 ignores the threshold: with no redundancy an
+// unreadable chunk is data loss, so the first error fails the member
+// immediately (as mdadm kicks a RAID-0 member on any error).
+const FailThreshold = 3
 
 // Stats counts the array's failure-handling activity.
 type Stats struct {
@@ -83,19 +62,9 @@ type Stats struct {
 	MemberFailures int64
 	// StaleChunks counts chunks marked stale after divergent writes.
 	StaleChunks int64
-	// StaleRepaired counts stale chunks rebuilt from redundancy.
-	StaleRepaired int64
-	// StaleAccepted counts stale chunks cleared by accepting on-media
-	// content because no redundant source was available.
+	// StaleAccepted counts stale chunk reads served from on-media content
+	// because no redundant source was available.
 	StaleAccepted int64
-	// Reinstated counts failed members brought back by Recover probes.
-	Reinstated int64
-	// SparesUsed counts hot spares swapped in for dead members.
-	SparesUsed int64
-	// Rebuilds counts resilver passes that had work to do.
-	Rebuilds int64
-	// RebuildChunks counts chunks written during rebuilds/resilvers.
-	RebuildChunks int64
 }
 
 // Array is a RAID set over block devices.
@@ -108,31 +77,14 @@ type Array struct {
 	streak []int
 	// stale tracks member-local chunk bases whose on-media content
 	// diverged from the array's logical content during a transient
-	// failure; reads avoid them, Recover repairs them.
+	// failure; reads avoid them until a write lands on them again.
 	stale []map[int64]struct{}
-	// dirty tracks chunk bases written while a member was failed; on
-	// reinstatement they become stale and are resilvered.
-	dirty []map[int64]struct{}
-	// written tracks every member-local chunk base the array has written,
-	// bounding spare rebuilds to the used footprint.
-	written map[int64]struct{}
-	spares  []blockdev.Device
-	policy  Policy
-	stats   Stats
-	// rebuildDone/rebuildTotal expose progress of the latest resilver.
-	rebuildDone, rebuildTotal int64
-	size                      int64
-	memberSize                int64
+	stats Stats
+	size  int64
 }
 
-// New assembles an array with DefaultPolicy. RAID-0 and RAID-1 need ≥2
-// members, RAID-5 ≥3.
+// New assembles an array. RAID-0 and RAID-1 need ≥2 members, RAID-5 ≥3.
 func New(level Level, members []blockdev.Device) (*Array, error) {
-	return NewWithPolicy(level, members, DefaultPolicy())
-}
-
-// NewWithPolicy assembles an array with an explicit failure policy.
-func NewWithPolicy(level Level, members []blockdev.Device, policy Policy) (*Array, error) {
 	min := 2
 	if level == RAID5 {
 		min = 3
@@ -154,19 +106,14 @@ func NewWithPolicy(level Level, members []blockdev.Device, policy Policy) (*Arra
 	}
 	memberSize -= memberSize % StripeSize
 	a := &Array{
-		level:      level,
-		members:    members,
-		failed:     make([]bool, len(members)),
-		streak:     make([]int, len(members)),
-		stale:      make([]map[int64]struct{}, len(members)),
-		dirty:      make([]map[int64]struct{}, len(members)),
-		written:    make(map[int64]struct{}),
-		policy:     policy.withDefaults(),
-		memberSize: memberSize,
+		level:   level,
+		members: members,
+		failed:  make([]bool, len(members)),
+		streak:  make([]int, len(members)),
+		stale:   make([]map[int64]struct{}, len(members)),
 	}
 	for i := range a.stale {
 		a.stale[i] = make(map[int64]struct{})
-		a.dirty[i] = make(map[int64]struct{})
 	}
 	switch level {
 	case RAID0:
@@ -222,30 +169,13 @@ func (a *Array) Healthy() bool {
 	return false
 }
 
-// AddSpare registers a hot spare; Recover swaps spares in for members that
-// stay dead after a probe.
-func (a *Array) AddSpare(dev blockdev.Device) error {
-	if dev.Size() < a.memberSize {
-		return fmt.Errorf("%w: spare of %d bytes smaller than member size %d",
-			ErrBadConfig, dev.Size(), a.memberSize)
-	}
-	a.spares = append(a.spares, dev)
-	return nil
-}
-
-// RebuildProgress returns chunk counts of the most recent resilver pass
-// (total 0 means no rebuild has run).
-func (a *Array) RebuildProgress() (done, total int64) {
-	return a.rebuildDone, a.rebuildTotal
-}
-
 func chunkBase(off int64) int64 { return off - off%StripeSize }
 
 // memberError records one I/O error and fails the member at the threshold.
 func (a *Array) memberError(i int) {
 	a.stats.TransientErrors++
 	a.streak[i]++
-	if a.streak[i] >= a.policy.FailThreshold {
+	if a.streak[i] >= FailThreshold {
 		a.failMember(i)
 	}
 }
@@ -273,8 +203,6 @@ func (a *Array) isStale(i int, off int64) bool {
 }
 
 func (a *Array) clearStale(i int, off int64) { delete(a.stale[i], chunkBase(off)) }
-
-func (a *Array) markDirty(i int, off int64) { a.dirty[i][chunkBase(off)] = struct{}{} }
 
 // stripeOf maps a logical offset to (member, memberOffset) for data, plus
 // the parity member for RAID-5.
@@ -453,9 +381,6 @@ func (a *Array) WriteAt(p []byte, off int64) (int, error) {
 func (a *Array) writeLeg(i int, p []byte, off int64) bool {
 	if _, err := a.members[i].WriteAt(p, off); err != nil {
 		a.memberError(i)
-		if a.failed[i] {
-			a.markDirty(i, off)
-		}
 		return false
 	}
 	a.memberOK(i)
@@ -467,7 +392,6 @@ func (a *Array) writeChunk(p []byte, off int64) error {
 	member, memberOff, parity := a.stripeOf(off)
 	switch a.level {
 	case RAID0:
-		a.written[chunkBase(memberOff)] = struct{}{}
 		if a.failed[member] {
 			return fmt.Errorf("%w: member %d lost", ErrDegraded, member)
 		}
@@ -479,20 +403,15 @@ func (a *Array) writeChunk(p []byte, off int64) error {
 		a.memberOK(member)
 		return nil
 	case RAID1:
-		a.written[chunkBase(off)] = struct{}{}
 		ok := 0
 		okMask := make([]bool, len(a.members))
 		var lastErr error
 		for i, m := range a.members {
 			if a.failed[i] {
-				a.markDirty(i, off)
 				continue
 			}
 			if _, err := m.WriteAt(p, off); err != nil {
 				a.memberError(i)
-				if a.failed[i] {
-					a.markDirty(i, off)
-				}
 				lastErr = err
 				continue
 			}
@@ -505,8 +424,8 @@ func (a *Array) writeChunk(p []byte, off int64) error {
 			// No mirror diverged: all hold consistent pre-write data.
 			return fmt.Errorf("%w: no mirror accepted the write: %v", ErrDegraded, lastErr)
 		}
-		// Mirrors that missed an acknowledged write are stale until
-		// resilvered from one that landed it.
+		// Mirrors that missed an acknowledged write are stale until a
+		// later write lands on them.
 		for i := range a.members {
 			if !okMask[i] && !a.failed[i] {
 				a.markStale(i, off)
@@ -525,13 +444,6 @@ func (a *Array) writeChunk(p []byte, off int64) error {
 // lands, the other chunk is marked stale; when neither lands, media keeps
 // consistent pre-write content and the write reports failure.
 func (a *Array) writeRAID5(p []byte, member int, memberOff int64, parity int) error {
-	a.written[chunkBase(memberOff)] = struct{}{}
-	if a.failed[member] {
-		a.markDirty(member, memberOff)
-	}
-	if a.failed[parity] {
-		a.markDirty(parity, memberOff)
-	}
 	if a.failed[member] && a.failed[parity] {
 		return fmt.Errorf("%w: data and parity members both down", ErrDegraded)
 	}
@@ -581,7 +493,7 @@ func (a *Array) writeRAID5(p []byte, member int, memberOff int64, parity int) er
 		return nil
 	case !dataW && parityW:
 		// Parity encodes the new data; the data chunk on media is old and
-		// reads must reconstruct until it is resilvered.
+		// reads must reconstruct until a later write lands on it.
 		if !a.failed[member] {
 			a.markStale(member, memberOff)
 		}
@@ -611,189 +523,6 @@ func (a *Array) Flush() error {
 		return fmt.Errorf("%w: flush: %v", ErrDegraded, lastErr)
 	}
 	return nil
-}
-
-// RecoverReport summarizes one Recover pass.
-type RecoverReport struct {
-	// Reinstated lists failed members whose device answered the probe.
-	Reinstated []int
-	// SparesSwapped lists member slots replaced by hot spares.
-	SparesSwapped []int
-	// StaleRepaired counts chunks rebuilt from redundancy.
-	StaleRepaired int
-	// StaleAccepted counts chunks cleared by accepting on-media content.
-	StaleAccepted int
-	// StillStale counts chunks that could not be repaired this pass.
-	StillStale int
-	// StillFailed lists members that remain failed.
-	StillFailed []int
-}
-
-// Recover is the post-attack repair pass: probe failed members and
-// reinstate the ones that answer, swap hot spares for the ones that stay
-// dead, then resilver every stale chunk from redundancy. It is safe to call
-// repeatedly; an attack still in progress simply leaves work for the next
-// pass.
-func (a *Array) Recover() RecoverReport {
-	var rep RecoverReport
-	probe := make([]byte, 512)
-	for i := range a.members {
-		if !a.failed[i] {
-			continue
-		}
-		if _, err := a.members[i].ReadAt(probe, 0); err != nil {
-			continue
-		}
-		a.failed[i] = false
-		a.streak[i] = 0
-		a.stats.Reinstated++
-		// Everything written while the member was out is stale on it.
-		for b := range a.dirty[i] {
-			a.markStale(i, b)
-		}
-		a.dirty[i] = make(map[int64]struct{})
-		rep.Reinstated = append(rep.Reinstated, i)
-	}
-	for i := range a.members {
-		if !a.failed[i] || len(a.spares) == 0 {
-			continue
-		}
-		a.members[i] = a.spares[0]
-		a.spares = a.spares[1:]
-		a.failed[i] = false
-		a.streak[i] = 0
-		a.stats.SparesUsed++
-		// The spare is blank: every chunk the array ever wrote must be
-		// rebuilt onto it.
-		a.stale[i] = make(map[int64]struct{})
-		a.dirty[i] = make(map[int64]struct{})
-		for b := range a.written {
-			if b < a.memberSize {
-				a.markStale(i, b)
-			}
-		}
-		rep.SparesSwapped = append(rep.SparesSwapped, i)
-	}
-	rep.StaleRepaired, rep.StaleAccepted = a.resilver()
-	rep.StillStale = a.StaleChunks()
-	rep.StillFailed = a.FailedMembers()
-	return rep
-}
-
-// resilver repairs stale chunks in deterministic order, tracking progress.
-func (a *Array) resilver() (repaired, accepted int) {
-	total := int64(0)
-	for i := range a.members {
-		if !a.failed[i] {
-			total += int64(len(a.stale[i]))
-		}
-	}
-	a.rebuildTotal, a.rebuildDone = total, 0
-	if total == 0 {
-		return 0, 0
-	}
-	a.stats.Rebuilds++
-	for i := range a.members {
-		if a.failed[i] {
-			continue
-		}
-		bases := make([]int64, 0, len(a.stale[i]))
-		for b := range a.stale[i] {
-			bases = append(bases, b)
-		}
-		sort.Slice(bases, func(x, y int) bool { return bases[x] < bases[y] })
-		for _, b := range bases {
-			fixed, fromMedia := a.repairChunk(i, b)
-			if !fixed {
-				continue
-			}
-			delete(a.stale[i], b)
-			a.rebuildDone++
-			if fromMedia {
-				accepted++
-				a.stats.StaleAccepted++
-			} else {
-				repaired++
-				a.stats.StaleRepaired++
-				a.stats.RebuildChunks++
-			}
-		}
-	}
-	return repaired, accepted
-}
-
-// repairChunk rebuilds one member-local chunk from redundancy. fromMedia
-// reports that no redundant source existed and the on-media content was
-// accepted as-is.
-func (a *Array) repairChunk(i int, base int64) (fixed, fromMedia bool) {
-	n := a.memberSize - base
-	if n > StripeSize {
-		n = StripeSize
-	}
-	if n <= 0 {
-		return true, true
-	}
-	buf := make([]byte, n)
-	switch a.level {
-	case RAID1:
-		for j, m := range a.members {
-			if j == i || a.failed[j] || a.isStale(j, base) {
-				continue
-			}
-			if _, err := m.ReadAt(buf, base); err != nil {
-				a.memberError(j)
-				return false, false
-			}
-			a.memberOK(j)
-			if _, err := a.members[i].WriteAt(buf, base); err != nil {
-				a.memberError(i)
-				return false, false
-			}
-			a.memberOK(i)
-			return true, false
-		}
-		// No clean mirror: all copies carry the same pre-write content.
-		return true, true
-	case RAID5:
-		// A member's chunk (data or parity alike) is the XOR of all other
-		// members at the row — the parity invariant.
-		if err := a.reconstruct(buf, i, base); err == nil {
-			if _, werr := a.members[i].WriteAt(buf, base); werr != nil {
-				a.memberError(i)
-				return false, false
-			}
-			a.memberOK(i)
-			return true, false
-		}
-		// No usable sources (another leg stale or down at this row):
-		// accept media rather than block recovery forever.
-		return true, true
-	default: // RAID0: nothing to repair from
-		return true, true
-	}
-}
-
-// PublishMetrics pushes the array's counters into a registry under the
-// "raid." prefix (no-op on a nil registry).
-func (a *Array) PublishMetrics(reg *metrics.Registry) {
-	if reg == nil {
-		return
-	}
-	s := a.stats
-	reg.Add("raid.transient_errors", s.TransientErrors)
-	reg.Add("raid.member_failures", s.MemberFailures)
-	reg.Add("raid.stale_chunks", s.StaleChunks)
-	reg.Add("raid.stale_repaired", s.StaleRepaired)
-	reg.Add("raid.stale_accepted", s.StaleAccepted)
-	reg.Add("raid.reinstated", s.Reinstated)
-	reg.Add("raid.spares_used", s.SparesUsed)
-	reg.Add("raid.rebuilds", s.Rebuilds)
-	reg.Add("raid.rebuild_chunks", s.RebuildChunks)
-	reg.MaxGauge("raid.members_failed", float64(len(a.FailedMembers())))
-	if a.rebuildTotal > 0 {
-		reg.MaxGauge("raid.rebuild_progress_pct",
-			100*float64(a.rebuildDone)/float64(a.rebuildTotal))
-	}
 }
 
 func zero(p []byte) {

@@ -8,7 +8,6 @@ import (
 
 	"deepnote/internal/blockdev"
 	"deepnote/internal/hdd"
-	"deepnote/internal/metrics"
 	"deepnote/internal/simclock"
 )
 
@@ -127,7 +126,7 @@ func TestRAID1SurvivesOneDeadMirror(t *testing.T) {
 	// consecutive errors.
 	disks[0].Drive().SetVibration(hdd.Vibration{Freq: 650, Amplitude: 3})
 	got := make([]byte, len(data))
-	for i := 0; i < DefaultPolicy().FailThreshold; i++ {
+	for i := 0; i < FailThreshold; i++ {
 		if _, err := a.ReadAt(got, 0); err != nil {
 			t.Fatalf("read %d with one dead mirror: %v", i, err)
 		}
@@ -148,8 +147,8 @@ func TestRAID1SurvivesOneDeadMirror(t *testing.T) {
 
 func TestRAID1SurvivesBoundedAcousticBurst(t *testing.T) {
 	// Regression for the transient-vs-permanent bugfix: a burst shorter
-	// than the fail threshold must not eject a member, and Recover must
-	// resilver the chunks the burst left stale.
+	// than the fail threshold must not eject a member; the chunks it missed
+	// are tracked as stale.
 	disks, devs, _ := newMembers(t, 2)
 	a, _ := New(RAID1, devs)
 	data := bytes.Repeat([]byte{0xC3}, 8192)
@@ -158,7 +157,7 @@ func TestRAID1SurvivesBoundedAcousticBurst(t *testing.T) {
 	// Burst: two consecutive failed writes on mirror 0 — below threshold.
 	disks[0].Drive().SetVibration(hdd.Vibration{Freq: 650, Amplitude: 3})
 	update := bytes.Repeat([]byte{0x3C}, 8192)
-	for i := 0; i < DefaultPolicy().FailThreshold-1; i++ {
+	for i := 0; i < FailThreshold-1; i++ {
 		if _, err := a.WriteAt(update, 0); err != nil {
 			t.Fatalf("write during burst: %v", err)
 		}
@@ -168,24 +167,6 @@ func TestRAID1SurvivesBoundedAcousticBurst(t *testing.T) {
 	}
 	if a.StaleChunks() == 0 {
 		t.Fatal("burst should have left mirror 0 stale")
-	}
-
-	// Burst ends; the stale mirror heals and serves reads again.
-	disks[0].Drive().SetVibration(hdd.Quiet())
-	rep := a.Recover()
-	if rep.StaleRepaired == 0 || rep.StillStale != 0 {
-		t.Fatalf("recover report = %+v", rep)
-	}
-	// Mirror 0 now holds the acknowledged update.
-	got := make([]byte, len(update))
-	if _, err := disks[0].ReadAt(got, 0); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(got, update) {
-		t.Fatal("resilver did not copy the acknowledged write")
-	}
-	if !a.Healthy() || len(a.FailedMembers()) != 0 {
-		t.Fatal("array should be fully healthy after the burst")
 	}
 }
 
@@ -211,155 +192,6 @@ func TestRAID1StaleMirrorNotReadUntilRepaired(t *testing.T) {
 			t.Fatal("read served stale mirror data")
 		}
 	}
-}
-
-func TestRecoverReinstatesMemberAfterAttackEnds(t *testing.T) {
-	disks, devs, _ := newMembers(t, 2)
-	a, _ := New(RAID1, devs)
-	data := bytes.Repeat([]byte{0xAA}, 4096)
-	roundTrip(t, a, data, 0)
-	// Sustained attack on mirror 0 crosses the threshold.
-	disks[0].Drive().SetVibration(hdd.Vibration{Freq: 650, Amplitude: 3})
-	for i := 0; i < DefaultPolicy().FailThreshold; i++ {
-		if _, err := a.WriteAt(data, int64(i)*4096); err != nil {
-			t.Fatalf("write %d: %v", i, err)
-		}
-	}
-	if len(a.FailedMembers()) != 1 {
-		t.Fatalf("failed members = %v", a.FailedMembers())
-	}
-	// More writes land only on mirror 1 while 0 is out.
-	update := bytes.Repeat([]byte{0xBB}, 4096)
-	if _, err := a.WriteAt(update, 0); err != nil {
-		t.Fatal(err)
-	}
-	// Attack ends: the probe answers, the member is reinstated, and the
-	// writes it missed are resilvered.
-	disks[0].Drive().SetVibration(hdd.Quiet())
-	rep := a.Recover()
-	if len(rep.Reinstated) != 1 || rep.Reinstated[0] != 0 {
-		t.Fatalf("recover report = %+v", rep)
-	}
-	if rep.StillStale != 0 {
-		t.Fatalf("recover left stale chunks: %+v", rep)
-	}
-	got := make([]byte, len(update))
-	if _, err := disks[0].ReadAt(got, 0); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(got, update) {
-		t.Fatal("reinstated mirror missing resilvered write")
-	}
-	if a.Stats().Reinstated != 1 {
-		t.Fatalf("stats = %+v", a.Stats())
-	}
-}
-
-func TestHotSpareRebuildWithProgress(t *testing.T) {
-	disks, devs, clock := newMembers(t, 2)
-	a, _ := New(RAID1, devs)
-	data := bytes.Repeat([]byte{0x77}, 4*StripeSize)
-	roundTrip(t, a, data, 0)
-
-	spareDrive, err := hdd.NewDrive(hdd.Barracuda500(), clock, 99)
-	if err != nil {
-		t.Fatal(err)
-	}
-	spare := blockdev.NewDisk(spareDrive)
-	if err := a.AddSpare(spare); err != nil {
-		t.Fatal(err)
-	}
-
-	// Mirror 0 dies permanently (vibration never stops).
-	disks[0].Drive().SetVibration(hdd.Vibration{Freq: 650, Amplitude: 3})
-	for i := 0; i < DefaultPolicy().FailThreshold; i++ {
-		if _, err := a.WriteAt(data[:4096], 0); err != nil {
-			t.Fatalf("write %d: %v", i, err)
-		}
-	}
-	if len(a.FailedMembers()) != 1 {
-		t.Fatalf("failed members = %v", a.FailedMembers())
-	}
-
-	rep := a.Recover()
-	if len(rep.SparesSwapped) != 1 || rep.SparesSwapped[0] != 0 {
-		t.Fatalf("recover report = %+v", rep)
-	}
-	done, total := a.RebuildProgress()
-	if total == 0 || done != total {
-		t.Fatalf("rebuild progress %d/%d", done, total)
-	}
-	// The spare now mirrors the array contents.
-	got := make([]byte, len(data))
-	if _, err := spare.ReadAt(got, 0); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(got, data) {
-		t.Fatal("spare rebuild produced wrong content")
-	}
-	if s := a.Stats(); s.SparesUsed != 1 || s.Rebuilds == 0 {
-		t.Fatalf("stats = %+v", s)
-	}
-}
-
-func TestRAID5RecoverRepairsStaleParity(t *testing.T) {
-	disks, devs, _ := newMembers(t, 3)
-	a, _ := New(RAID5, devs)
-	data := bytes.Repeat([]byte{0x42}, 2*StripeSize)
-	roundTrip(t, a, data, 0)
-	// Parity member for row 0 (member 0) misses one parity update.
-	disks[0].Drive().SetVibration(hdd.Vibration{Freq: 650, Amplitude: 3})
-	update := bytes.Repeat([]byte{0x24}, StripeSize)
-	if _, err := a.WriteAt(update, 0); err != nil {
-		t.Fatalf("degraded write: %v", err)
-	}
-	if a.StaleChunks() == 0 {
-		t.Fatal("missed parity update should be stale")
-	}
-	disks[0].Drive().SetVibration(hdd.Quiet())
-	rep := a.Recover()
-	if rep.StaleRepaired == 0 || rep.StillStale != 0 {
-		t.Fatalf("recover report = %+v", rep)
-	}
-	// Parity invariant restored: XOR across members at row 0 is zero.
-	acc := make([]byte, StripeSize)
-	buf := make([]byte, StripeSize)
-	for _, m := range disks {
-		if _, err := m.ReadAt(buf, 0); err != nil {
-			t.Fatal(err)
-		}
-		for i := range acc {
-			acc[i] ^= buf[i]
-		}
-	}
-	for _, b := range acc {
-		if b != 0 {
-			t.Fatal("parity invariant broken after resilver")
-		}
-	}
-}
-
-func TestRAIDPublishMetrics(t *testing.T) {
-	disks, devs, _ := newMembers(t, 2)
-	a, _ := New(RAID1, devs)
-	data := bytes.Repeat([]byte{1}, 4096)
-	roundTrip(t, a, data, 0)
-	disks[0].Drive().SetVibration(hdd.Vibration{Freq: 650, Amplitude: 3})
-	if _, err := a.WriteAt(data, 0); err != nil {
-		t.Fatal(err)
-	}
-	disks[0].Drive().SetVibration(hdd.Quiet())
-	a.Recover()
-	reg := metrics.NewRegistry()
-	a.PublishMetrics(reg)
-	snap := reg.Snapshot()
-	if snap.Counters["raid.transient_errors"] == 0 {
-		t.Fatalf("snapshot: %+v", snap.Counters)
-	}
-	if snap.Counters["raid.stale_repaired"] == 0 {
-		t.Fatalf("snapshot: %+v", snap.Counters)
-	}
-	a.PublishMetrics(nil) // must not panic
 }
 
 func TestRAID5ReconstructsFromParity(t *testing.T) {
@@ -423,6 +255,10 @@ func TestRAID5DegradedWrite(t *testing.T) {
 	update := bytes.Repeat([]byte{0x55}, StripeSize)
 	if _, err := a.WriteAt(update, 0); err != nil {
 		t.Fatalf("degraded write: %v", err)
+	}
+	// Member 0 holds row 0's parity, so it missed the parity update.
+	if a.StaleChunks() == 0 {
+		t.Fatal("missed parity update should be stale")
 	}
 	got := make([]byte, len(update))
 	if _, err := a.ReadAt(got, 0); err != nil {

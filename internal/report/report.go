@@ -92,20 +92,6 @@ func (t *Table) CSV() string {
 	return b.String()
 }
 
-// Markdown renders the table as GitHub-flavored markdown.
-func (t *Table) Markdown() string {
-	var b strings.Builder
-	if t.Title != "" {
-		fmt.Fprintf(&b, "**%s**\n\n", t.Title)
-	}
-	b.WriteString("| " + strings.Join(t.Headers, " | ") + " |\n")
-	b.WriteString("|" + strings.Repeat("---|", len(t.Headers)) + "\n")
-	for _, row := range t.Rows {
-		b.WriteString("| " + strings.Join(row, " | ") + " |\n")
-	}
-	return b.String()
-}
-
 // Series is one named line of (x, y) points for a chart.
 type Series struct {
 	Name string

@@ -48,18 +48,6 @@ func TestTableCSV(t *testing.T) {
 	}
 }
 
-func TestTableMarkdown(t *testing.T) {
-	tb := NewTable("Table 3", "App", "Time")
-	tb.AddRow("Ext4", "80.0")
-	md := tb.Markdown()
-	if !strings.Contains(md, "| App | Time |") || !strings.Contains(md, "| Ext4 | 80.0 |") {
-		t.Fatalf("markdown wrong:\n%s", md)
-	}
-	if !strings.Contains(md, "**Table 3**") {
-		t.Fatal("missing title")
-	}
-}
-
 func TestChartRendersSeries(t *testing.T) {
 	c := Chart{
 		Title:  "Figure 2(a)",

@@ -12,14 +12,6 @@ import (
 	"time"
 )
 
-// Clock is the time source used by simulated devices and workloads.
-type Clock interface {
-	// Now returns the current virtual time.
-	Now() time.Time
-	// Sleep advances virtual time by d.
-	Sleep(d time.Duration)
-}
-
 // Virtual is a deterministic, manually advanced clock. The zero value is
 // a clock at the epoch, as NewVirtual returns.
 //
@@ -85,21 +77,3 @@ func (v *Virtual) Sleeps() int { return int(v.sleeps.Load()) }
 func (v *Virtual) String() string {
 	return fmt.Sprintf("virtual(+%s)", time.Duration(v.ns.Load()))
 }
-
-// Stopwatch measures elapsed virtual time between Start and Elapsed calls.
-type Stopwatch struct {
-	clock Clock
-	start time.Time
-}
-
-// NewStopwatch starts a stopwatch on the given clock.
-func NewStopwatch(c Clock) *Stopwatch { return &Stopwatch{clock: c, start: c.Now()} }
-
-// Restart resets the stopwatch origin to now.
-func (s *Stopwatch) Restart() { s.start = s.clock.Now() }
-
-// Elapsed returns the virtual time since the stopwatch started.
-func (s *Stopwatch) Elapsed() time.Duration { return s.clock.Now().Sub(s.start) }
-
-// Seconds returns Elapsed in seconds as a float64.
-func (s *Stopwatch) Seconds() float64 { return s.Elapsed().Seconds() }

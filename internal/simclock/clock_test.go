@@ -96,22 +96,6 @@ func TestConcurrentSleeps(t *testing.T) {
 	}
 }
 
-func TestStopwatch(t *testing.T) {
-	c := NewVirtual()
-	sw := NewStopwatch(c)
-	c.Sleep(2500 * time.Millisecond)
-	if got := sw.Elapsed(); got != 2500*time.Millisecond {
-		t.Fatalf("Elapsed = %v", got)
-	}
-	if got := sw.Seconds(); got != 2.5 {
-		t.Fatalf("Seconds = %v, want 2.5", got)
-	}
-	sw.Restart()
-	if got := sw.Elapsed(); got != 0 {
-		t.Fatalf("after Restart Elapsed = %v, want 0", got)
-	}
-}
-
 func TestStringMentionsOffset(t *testing.T) {
 	c := NewVirtual()
 	c.Sleep(time.Second)

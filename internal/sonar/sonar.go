@@ -145,21 +145,6 @@ func ContainerCentroid(lay cluster.Layout) cluster.Vec3 {
 	return cluster.Vec3{X: c.X / n, Y: c.Y / n, Z: c.Z / n}
 }
 
-// Centroid returns the mean hydrophone position.
-func (a Array) Centroid() cluster.Vec3 {
-	var c cluster.Vec3
-	if len(a.Hydrophones) == 0 {
-		return c
-	}
-	for _, h := range a.Hydrophones {
-		c.X += h.Pos.X
-		c.Y += h.Pos.Y
-		c.Z += h.Pos.Z
-	}
-	n := float64(len(a.Hydrophones))
-	return cluster.Vec3{X: c.X / n, Y: c.Y / n, Z: c.Z / n}
-}
-
 // Reception is what one hydrophone hears from one source keying on.
 type Reception struct {
 	// Hydrophone indexes the array element.

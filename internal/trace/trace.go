@@ -1,67 +1,34 @@
-// Package trace records time series against the virtual clock: bucketed
-// throughput meters and named samples. Experiments use it to produce
-// attack timelines — the paper's §3 first attacker objective is a
-// *controlled* throughput loss for a chosen duration, which is inherently
-// a statement about a time series.
+// Package trace records throughput time series against the virtual clock
+// in fixed-width buckets. Experiments use it to produce attack timelines —
+// the paper's §3 first attacker objective is a *controlled* throughput
+// loss for a chosen duration, which is inherently a statement about a time
+// series.
 package trace
 
 import (
-	"sort"
 	"time"
 
 	"deepnote/internal/simclock"
 )
 
-// Point is one sample: elapsed virtual time since the recorder started,
-// and a value.
+// Point is one sample: elapsed virtual time since the meter started, and
+// a value.
 type Point struct {
 	T time.Duration
 	V float64
 }
 
-// Recorder stores named sample series against a virtual clock.
-type Recorder struct {
-	clock  simclock.Clock
-	origin time.Time
-	series map[string][]Point
-}
-
-// NewRecorder starts recording at the clock's current instant.
-func NewRecorder(clock simclock.Clock) *Recorder {
-	return &Recorder{clock: clock, origin: clock.Now(), series: make(map[string][]Point)}
-}
-
-// Record appends a sample to a named series at the current virtual time.
-func (r *Recorder) Record(name string, v float64) {
-	r.series[name] = append(r.series[name], Point{T: r.clock.Now().Sub(r.origin), V: v})
-}
-
-// Series returns a copy of a named series.
-func (r *Recorder) Series(name string) []Point {
-	return append([]Point(nil), r.series[name]...)
-}
-
-// Names returns the recorded series names, sorted.
-func (r *Recorder) Names() []string {
-	out := make([]string, 0, len(r.series))
-	for n := range r.series {
-		out = append(out, n)
-	}
-	sort.Strings(out)
-	return out
-}
-
 // Meter aggregates byte counts into fixed-width throughput buckets (MB/s
 // per bucket of virtual time).
 type Meter struct {
-	clock  simclock.Clock
+	clock  *simclock.Virtual
 	origin time.Time
 	width  time.Duration
 	counts map[int]int64
 }
 
 // NewMeter starts a meter with the given bucket width.
-func NewMeter(clock simclock.Clock, bucket time.Duration) *Meter {
+func NewMeter(clock *simclock.Virtual, bucket time.Duration) *Meter {
 	if bucket <= 0 {
 		bucket = time.Second
 	}

@@ -7,32 +7,6 @@ import (
 	"deepnote/internal/simclock"
 )
 
-func TestRecorder(t *testing.T) {
-	clock := simclock.NewVirtual()
-	r := NewRecorder(clock)
-	r.Record("mbps", 18.0)
-	clock.Advance(time.Second)
-	r.Record("mbps", 0)
-	r.Record("latency", 4.2)
-	pts := r.Series("mbps")
-	if len(pts) != 2 {
-		t.Fatalf("points = %d", len(pts))
-	}
-	if pts[0].T != 0 || pts[1].T != time.Second {
-		t.Fatalf("timestamps %v", pts)
-	}
-	if pts[1].V != 0 {
-		t.Fatalf("value %v", pts[1].V)
-	}
-	names := r.Names()
-	if len(names) != 2 || names[0] != "latency" || names[1] != "mbps" {
-		t.Fatalf("names %v", names)
-	}
-	if got := r.Series("missing"); got != nil {
-		t.Fatal("missing series should be nil")
-	}
-}
-
 func TestMeterBuckets(t *testing.T) {
 	clock := simclock.NewVirtual()
 	m := NewMeter(clock, time.Second)
