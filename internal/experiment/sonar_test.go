@@ -1,6 +1,7 @@
 package experiment
 
 import (
+	"math"
 	"reflect"
 	"testing"
 	"time"
@@ -119,6 +120,22 @@ func TestSpecZeroFieldsHonored(t *testing.T) {
 	for _, st := range steps {
 		if st.At != 250*time.Millisecond {
 			t.Fatalf("zero stagger: key-on at %v, want all at 250ms", st.At)
+		}
+	}
+}
+
+// TestSonarRunRejectsBadSpec: a negative hydrophone count or a non-finite
+// or negative standoff must fail before the run instead of silently
+// running the default ring or an array that hears nothing.
+func TestSonarRunRejectsBadSpec(t *testing.T) {
+	for name, spec := range map[string]SonarSpec{
+		"negative hydrophones": {Hydrophones: -3},
+		"NaN standoff":         {Standoff: cluster.Ptr(units.Distance(math.NaN()))},
+		"Inf standoff":         {Standoff: cluster.Ptr(units.Distance(math.Inf(1)))},
+		"negative standoff":    {Standoff: cluster.Ptr(-1 * units.Meter)},
+	} {
+		if _, err := SonarRun(spec); err == nil {
+			t.Errorf("%s: SonarRun accepted %+v", name, spec)
 		}
 	}
 }
