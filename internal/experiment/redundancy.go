@@ -93,7 +93,11 @@ func Redundancy(seed int64) ([]RedundancyRow, error) {
 		}
 		row := RedundancyRow{Level: c.level, Placement: c.name}
 		buf := make([]byte, 4096)
-		window := 2 * time.Second
+		// A failed write spends about 1.07 s in drive retries, and the
+		// array ejects a member only after raid.FailThreshold failures
+		// in a row, so the window must fit several failed writes per
+		// member.
+		window := 10 * time.Second
 		start := clock.Now()
 		var bytesOK int64
 		var off int64

@@ -23,12 +23,13 @@ func TestRedundancyPlacementMatrix(t *testing.T) {
 		return RedundancyRow{}
 	}
 
-	// Shared enclosure: common-mode failure defeats both levels.
-	if r := find("RAID-1", "share"); r.Survived {
-		t.Errorf("co-located RAID-1 should die: %+v", r)
+	// Shared enclosure: common-mode failure defeats both levels, and the
+	// attack ejects members until the array is dead.
+	if r := find("RAID-1", "share"); r.Survived || r.DegradedMembers != 2 {
+		t.Errorf("co-located RAID-1 should die losing both mirrors: %+v", r)
 	}
-	if r := find("RAID-5", "share"); r.Survived {
-		t.Errorf("co-located RAID-5 should die: %+v", r)
+	if r := find("RAID-5", "share"); r.Survived || r.DegradedMembers != 2 {
+		t.Errorf("co-located RAID-5 should die losing two members: %+v", r)
 	}
 
 	// Split placement: RAID-1 keeps one healthy mirror and survives.
@@ -46,8 +47,8 @@ func TestRedundancyPlacementMatrix(t *testing.T) {
 	// Split RAID-5 with half its members attacked loses 2 of 4: beyond
 	// single-parity tolerance.
 	split5 := find("RAID-5", "split")
-	if split5.Survived {
-		t.Errorf("split RAID-5 with two attacked members should still die: %+v", split5)
+	if split5.Survived || split5.DegradedMembers != 2 {
+		t.Errorf("split RAID-5 should die losing its two attacked members: %+v", split5)
 	}
 
 	rep := RedundancyReport(rows).String()
