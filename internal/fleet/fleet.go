@@ -223,9 +223,6 @@ func New(cfg Config) (*Fleet, error) {
 // Config returns the effective configuration.
 func (f *Fleet) Config() Config { return f.cfg }
 
-// Nodes returns the total node count across sites.
-func (f *Fleet) Nodes() int { return len(f.drives.Stacks) }
-
 // SetAttack programs site s's acoustic attack: steps sorted by offset;
 // before the first step (and with nil steps) every speaker at the site
 // is silent. Vibrations are superposed up front from the cached

@@ -132,9 +132,6 @@ func (w *wal) sync() error {
 	return nil
 }
 
-// pending returns the unflushed byte count.
-func (w *wal) pending() int { return len(w.buf) }
-
 // replayWAL reads all valid records from a WAL file, stopping cleanly at
 // zero fill, EOF, or the first corrupt record (torn tail).
 func replayWAL(f *jfs.File) ([]walRecord, error) {
