@@ -159,14 +159,8 @@ func New(cfg Config) (*Cluster, error) {
 	return c, nil
 }
 
-// Coder exposes the erasure coder.
-func (c *Cluster) Coder() *Coder { return c.coder }
-
 // Config returns the effective configuration.
 func (c *Cluster) Config() Config { return c.cfg }
-
-// Drives returns the number of drive stacks.
-func (c *Cluster) Drives() int { return len(c.drives.Stacks) }
 
 // shardDrive maps (object, shard) to a drive index. Shard j of object o
 // lives in container (o+j) mod C — n consecutive distinct containers, so

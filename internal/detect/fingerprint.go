@@ -549,9 +549,6 @@ func (f *Fingerprinter) nearestBin(hz float64) int {
 // Last returns the most recent window's verdict.
 func (f *Fingerprinter) Last() SpectralVerdict { return f.last }
 
-// Hostile reports whether the most recent window was classified hostile.
-func (f *Fingerprinter) Hostile() bool { return f.last.Hostile }
-
 // Confidence returns the most recent window's confidence.
 func (f *Fingerprinter) Confidence() float64 { return f.last.Confidence }
 

@@ -47,7 +47,7 @@ const (
 	MutFlatHoldWindow
 	// MutWholeRequestWindow evaluates the entire request as one hold
 	// window instead of independent per-chunk windows — the bug that made
-	// the old SuccessProbability model a different random process than
+	// an earlier Monte-Carlo success model a different random process than
 	// the simulator for any multi-chunk request.
 	MutWholeRequestWindow
 	// MutFullBaseOnFailure charges a failed op the media-transfer time of
