@@ -21,12 +21,15 @@ type Adaptive struct {
 	Distance units.Distance
 	// Budget caps the number of probes (default 25).
 	Budget int
-	// Band bounds the search (defaults 100 Hz – 8 kHz).
-	Low, High units.Frequency
-	// JobRuntime is the per-probe observation window (default 300 ms).
-	JobRuntime time.Duration
-	Seed       int64
+	Seed   int64
 }
+
+// The adaptive search's fixed band and per-probe observation window.
+const (
+	adaptiveLow     = 100 * units.Hz
+	adaptiveHigh    = 8000 * units.Hz
+	adaptiveRuntime = 300 * time.Millisecond
+)
 
 func (a Adaptive) withDefaults() Adaptive {
 	if a.Scenario == 0 {
@@ -37,15 +40,6 @@ func (a Adaptive) withDefaults() Adaptive {
 	}
 	if a.Budget <= 0 {
 		a.Budget = 25
-	}
-	if a.Low == 0 {
-		a.Low = 100 * units.Hz
-	}
-	if a.High == 0 {
-		a.High = 8000 * units.Hz
-	}
-	if a.JobRuntime == 0 {
-		a.JobRuntime = 300 * time.Millisecond
 	}
 	if a.Seed == 0 {
 		a.Seed = 1
@@ -83,7 +77,7 @@ func (a Adaptive) Run() (AdaptiveResult, error) {
 		if tone.Amplitude > 0 {
 			rig.ApplyTone(tone)
 		}
-		res, err := fio.NewRunner(rig.Disk, rig.Clock).Run(fio.PaperJob(fio.SeqWrite, a.JobRuntime))
+		res, err := fio.NewRunner(rig.Disk, rig.Clock).Run(fio.PaperJob(fio.SeqWrite, adaptiveRuntime))
 		if err != nil {
 			return 0, err
 		}
@@ -117,10 +111,10 @@ func (a Adaptive) Run() (AdaptiveResult, error) {
 	if explore < 3 {
 		explore = 3
 	}
-	span := float64(a.High - a.Low)
+	span := float64(adaptiveHigh - adaptiveLow)
 	for i := 0; i < explore && len(res.Probes) < a.Budget; i++ {
 		stratum := span * float64(i) / float64(explore)
-		f := a.Low + units.Frequency(stratum+rng.Float64()*span/float64(explore))
+		f := adaptiveLow + units.Frequency(stratum+rng.Float64()*span/float64(explore))
 		if _, err := probe(f); err != nil {
 			return res, err
 		}
@@ -131,7 +125,7 @@ func (a Adaptive) Run() (AdaptiveResult, error) {
 	for len(res.Probes) < a.Budget && step >= 10 {
 		improved := false
 		for _, cand := range []units.Frequency{res.Best.Freq - step, res.Best.Freq + step} {
-			if cand < a.Low || cand > a.High || len(res.Probes) >= a.Budget {
+			if cand < adaptiveLow || cand > adaptiveHigh || len(res.Probes) >= a.Budget {
 				continue
 			}
 			before := res.Best.Degradation

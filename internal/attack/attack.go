@@ -53,20 +53,25 @@ type SweepResult struct {
 	Bands []sig.Band
 }
 
-// Sweeper runs frequency sweeps against a scenario.
+// The sweeps' fixed testbed: the speaker at the paper's 1 cm and one rig
+// seed, so runs are reproducible.
+const (
+	sweepDistance = 1 * units.Centimeter
+	sweepSeed     = 1
+	// vulnerableDegradation marks a swept frequency vulnerable.
+	vulnerableDegradation = 0.5
+)
+
+// Sweeper runs frequency sweeps against a scenario, with the speaker at
+// sweepDistance.
 type Sweeper struct {
-	// Scenario and Distance fix the testbed geometry.
+	// Scenario fixes the testbed enclosure.
 	Scenario core.Scenario
-	Distance units.Distance
 	// Plan is the sweep schedule (defaults to the paper's sweep).
 	Plan sig.SweepPlan
-	// DegradationThreshold marks a frequency vulnerable (default 0.5).
-	DegradationThreshold float64
 	// JobRuntime is the per-frequency measurement window (default 1 s
 	// of virtual time).
 	JobRuntime time.Duration
-	// Seed makes runs reproducible.
-	Seed int64
 	// Workers bounds how many sweep points are measured concurrently;
 	// ≤ 0 means one worker per CPU. Every point runs on its own rig with
 	// the same seed as the serial path, so results are identical for any
@@ -83,17 +88,8 @@ func (s Sweeper) withDefaults() Sweeper {
 	if s.Plan.CoarseStep == 0 {
 		s.Plan = sig.PaperSweep()
 	}
-	if s.DegradationThreshold == 0 {
-		s.DegradationThreshold = 0.5
-	}
 	if s.JobRuntime == 0 {
 		s.JobRuntime = time.Second
-	}
-	if s.Seed == 0 {
-		s.Seed = 1
-	}
-	if s.Distance == 0 {
-		s.Distance = 1 * units.Centimeter
 	}
 	return s
 }
@@ -102,7 +98,7 @@ func (s Sweeper) withDefaults() Sweeper {
 // MB/s. A fresh rig per point keeps points independent, like remounting
 // the drive between paper trials.
 func (s Sweeper) measure(pattern fio.Pattern, tone sig.Tone) (float64, error) {
-	rig, err := core.NewRig(s.Scenario, s.Distance, s.Seed)
+	rig, err := core.NewRig(s.Scenario, sweepDistance, sweepSeed)
 	if err != nil {
 		return 0, err
 	}
@@ -159,7 +155,7 @@ func (s Sweeper) Run(pattern fio.Pattern) (SweepResult, error) {
 	var coarseVulnerable []units.Frequency
 	for _, p := range coarsePoints {
 		res.Points = append(res.Points, p)
-		if p.Degradation() >= s.DegradationThreshold {
+		if p.Degradation() >= vulnerableDegradation {
 			coarseVulnerable = append(coarseVulnerable, p.Freq)
 			res.Vulnerable = append(res.Vulnerable, p.Freq)
 		}
@@ -184,7 +180,7 @@ func (s Sweeper) Run(pattern fio.Pattern) (SweepResult, error) {
 	}
 	for _, p := range finePoints {
 		res.Points = append(res.Points, p)
-		if p.Degradation() >= s.DegradationThreshold {
+		if p.Degradation() >= vulnerableDegradation {
 			res.Vulnerable = append(res.Vulnerable, p.Freq)
 		}
 	}
@@ -211,11 +207,11 @@ type RangeRow struct {
 }
 
 // RangeTest measures attack effect over distance at a fixed frequency
-// (§4.2 uses 650 Hz in Scenario 2).
+// (§4.2 uses 650 Hz in Scenario 2): the no-attack baseline, then the
+// paper's six distances from 1 to 25 cm.
 type RangeTest struct {
 	Scenario   core.Scenario
 	Freq       units.Frequency
-	Distances  []units.Distance
 	JobRuntime time.Duration
 	Seed       int64
 	// Metrics, when set, receives the per-rig layer counters and the
@@ -226,12 +222,6 @@ type RangeTest struct {
 func (r RangeTest) withDefaults() RangeTest {
 	if r.Freq == 0 {
 		r.Freq = 650 * units.Hz
-	}
-	if len(r.Distances) == 0 {
-		r.Distances = []units.Distance{
-			1 * units.Centimeter, 5 * units.Centimeter, 10 * units.Centimeter,
-			15 * units.Centimeter, 20 * units.Centimeter, 25 * units.Centimeter,
-		}
 	}
 	if r.JobRuntime == 0 {
 		r.JobRuntime = 2 * time.Second
@@ -248,7 +238,11 @@ func (r RangeTest) withDefaults() RangeTest {
 // Run produces the baseline row followed by one row per distance.
 func (r RangeTest) Run() ([]RangeRow, error) {
 	r = r.withDefaults()
-	rows := make([]RangeRow, 0, len(r.Distances)+1)
+	distances := []units.Distance{
+		1 * units.Centimeter, 5 * units.Centimeter, 10 * units.Centimeter,
+		15 * units.Centimeter, 20 * units.Centimeter, 25 * units.Centimeter,
+	}
+	rows := make([]RangeRow, 0, len(distances)+1)
 
 	measure := func(d units.Distance) (RangeRow, error) {
 		row := RangeRow{Distance: d}
@@ -286,7 +280,7 @@ func (r RangeTest) Run() ([]RangeRow, error) {
 		return nil, err
 	}
 	rows = append(rows, baseline)
-	for _, d := range r.Distances {
+	for _, d := range distances {
 		row, err := measure(d)
 		if err != nil {
 			return nil, err

@@ -44,34 +44,26 @@ type RemoteSweepResult struct {
 
 // RemoteSweeper performs the paper's §3 reconnaissance: sweep tones while
 // watching only the latencies of an online application backed by the
-// target. No drive-internal signals are consulted.
+// target. No drive-internal signals are consulted. The speaker sits at
+// sweepDistance and the run uses sweepSeed.
 type RemoteSweeper struct {
-	// Scenario and Distance fix the victim geometry.
+	// Scenario fixes the victim enclosure.
 	Scenario core.Scenario
-	Distance units.Distance
 	// Plan is the frequency schedule (defaults to a coarse paper sweep).
 	Plan sig.SweepPlan
 	// ProbesPerFreq is the number of PUT probes per tone (default 6).
 	ProbesPerFreq int
-	// Seed fixes the run.
-	Seed int64
 }
 
 func (r RemoteSweeper) withDefaults() RemoteSweeper {
 	if r.Scenario == 0 {
 		r.Scenario = core.Scenario2
 	}
-	if r.Distance == 0 {
-		r.Distance = 1 * units.Centimeter
-	}
 	if r.Plan.CoarseStep == 0 {
 		r.Plan = sig.PaperSweep()
 	}
 	if r.ProbesPerFreq <= 0 {
 		r.ProbesPerFreq = 6
-	}
-	if r.Seed == 0 {
-		r.Seed = 1
 	}
 	return r
 }
@@ -84,12 +76,12 @@ func (r RemoteSweeper) Run() (RemoteSweepResult, error) {
 	if err := r.Plan.Validate(); err != nil {
 		return RemoteSweepResult{}, err
 	}
-	rig, err := core.NewRig(r.Scenario, r.Distance, r.Seed)
+	rig, err := core.NewRig(r.Scenario, sweepDistance, sweepSeed)
 	if err != nil {
 		return RemoteSweepResult{}, err
 	}
 	srv := netstore.NewServer(rig.Disk, rig.Clock, netstore.Config{
-		Seed: r.Seed,
+		Seed: sweepSeed,
 		// A short server budget keeps each dead-frequency probe cheap.
 		Timeout: 2 * time.Second,
 	})
@@ -129,7 +121,7 @@ func (r RemoteSweeper) Run() (RemoteSweepResult, error) {
 		// Let the victim drain between tones, like a careful attacker
 		// pausing to avoid conflating adjacent probes.
 		rig.Silence()
-		rig.Clock.Advance(200 * time.Millisecond)
+		rig.Clock.Sleep(200 * time.Millisecond)
 		return p
 	}
 

@@ -21,7 +21,7 @@ type flaky struct {
 
 func (f *flaky) step() error {
 	f.attempts++
-	f.clock.Advance(time.Millisecond)
+	f.clock.Sleep(time.Millisecond)
 	if f.attempts <= f.failures {
 		return blockdev.ErrIO
 	}

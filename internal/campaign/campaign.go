@@ -33,16 +33,12 @@ func (d DutyCycle) Fraction() float64 {
 }
 
 // Stealth is a duty-cycled attack against a victim running a monitored
-// write workload.
+// write workload, with the paper's 650 Hz tone from 1 cm in Scenario 2
+// and the victim's detector at its defaults.
 type Stealth struct {
-	Scenario core.Scenario
-	Freq     units.Frequency
-	Distance units.Distance
-	Duty     DutyCycle
+	Duty DutyCycle
 	// Duration is the total campaign length.
 	Duration time.Duration
-	// Detector tunes the victim's monitoring.
-	Detector detect.Config
 	Seed     int64
 	// Metrics receives campaign and per-layer counters when non-nil.
 	// Publishing happens after the run completes, so instrumentation
@@ -51,15 +47,6 @@ type Stealth struct {
 }
 
 func (s Stealth) withDefaults() Stealth {
-	if s.Scenario == 0 {
-		s.Scenario = core.Scenario2
-	}
-	if s.Freq == 0 {
-		s.Freq = 650 * units.Hz
-	}
-	if s.Distance == 0 {
-		s.Distance = 1 * units.Centimeter
-	}
 	if s.Duty.On == 0 {
 		s.Duty.On = 2 * time.Second
 	}
@@ -93,11 +80,11 @@ type Result struct {
 // detection monitor; the attacker keys the tone per the duty cycle.
 func (s Stealth) Run() (Result, error) {
 	s = s.withDefaults()
-	rig, err := core.NewRig(s.Scenario, s.Distance, s.Seed)
+	rig, err := core.NewRig(core.Scenario2, 1*units.Centimeter, s.Seed)
 	if err != nil {
 		return Result{}, err
 	}
-	mon, err := detect.NewMonitor(rig.Disk, rig.Clock, s.Detector)
+	mon, err := detect.NewMonitor(rig.Disk, rig.Clock, detect.Config{})
 	if err != nil {
 		return Result{}, err
 	}
@@ -133,7 +120,7 @@ func (s Stealth) Run() (Result, error) {
 	start := rig.Clock.Now()
 	maxSuspicion := 0.0
 	bursts := 0
-	tone := sig.NewTone(s.Freq)
+	tone := sig.NewTone(650 * units.Hz)
 	for rig.Clock.Now().Sub(start) < s.Duration {
 		rig.ApplyTone(tone)
 		bursts++

@@ -49,9 +49,6 @@ type DriveSpec struct {
 	// keyspace.
 	Coder               *Coder
 	Objects, ObjectSize int
-	// Net templates the per-drive netstore servers; ObjectSize, Objects,
-	// and Seed are overridden per drive.
-	Net netstore.Config
 	// Seed is the root seed the per-drive sub-seeds derive from.
 	Seed int64
 	// Workers bounds the fan-out across drives (≤ 0 = all CPUs).
@@ -108,8 +105,7 @@ func NewDrives(spec DriveSpec) (*Drives, error) {
 		workers:    spec.Workers,
 		sites:      make([]driveSite, len(spec.Sites)),
 	}
-	net := spec.Net
-	net.ObjectSize = spec.Coder.ShardSize(spec.ObjectSize)
+	net := netstore.Config{ObjectSize: spec.Coder.ShardSize(spec.ObjectSize)}
 	// The local keyspace is doubled: keys [0, Objects) hold home shards,
 	// [Objects, 2·Objects) hold defense replicas (shard re-placements
 	// steered here by an active cluster Defense plan). Without a defense
@@ -263,7 +259,7 @@ func (d *Drives) Preload(place func(o, j int) int) error {
 	}
 	for _, st := range d.Stacks {
 		if dt := d.origin - st.clock.Nanos(); dt > 0 {
-			st.clock.Advance(time.Duration(dt))
+			st.clock.Sleep(time.Duration(dt))
 		}
 	}
 	d.preloaded = true

@@ -106,7 +106,7 @@ func TestScheduleApplyAllocFree(t *testing.T) {
 	})
 	di, _ := d.Site(1)
 	st := d.Stacks[di]
-	st.clock.Advance(3 * time.Millisecond)
+	st.clock.Sleep(3 * time.Millisecond)
 	allocs := testing.AllocsPerRun(1000, func() {
 		st.stepIdx = -1 // force the scan and the vibration update
 		d.apply(di)

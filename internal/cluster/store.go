@@ -5,7 +5,6 @@ import (
 	"time"
 
 	"deepnote/internal/metrics"
-	"deepnote/internal/netstore"
 )
 
 // Ptr returns a pointer to v: the literal-friendly way to set the
@@ -31,9 +30,6 @@ type Config struct {
 	// ObjectSize is the client object size in bytes (default 64 KiB);
 	// shards are ObjectSize/k rounded up.
 	ObjectSize int
-	// Net templates the per-drive netstore servers; ObjectSize, Objects,
-	// and Seed are overridden per drive.
-	Net netstore.Config
 	// Seed drives every stochastic element (per-drive mechanics, network
 	// jitter, traffic); sub-seeds are derived with parallel.SeedFor so
 	// results are identical at any worker count. nil means the default
@@ -138,7 +134,6 @@ func New(cfg Config) (*Cluster, error) {
 		Coder:        coder,
 		Objects:      cfg.Objects,
 		ObjectSize:   cfg.ObjectSize,
-		Net:          cfg.Net,
 		Seed:         cfg.seed(),
 		Workers:      cfg.Workers,
 	})

@@ -27,13 +27,17 @@ type TrafficSpec struct {
 	// (0.9); an explicit Ptr(0.0) is a write-only workload. Values
 	// outside [0, 1] are rejected.
 	ReadFraction *float64
-	// ZipfS and ZipfV shape key popularity (defaults 1.2, 1).
-	ZipfS, ZipfV float64
 	// Seed drives op mix and key choice. nil means the cluster seed; an
 	// explicit Ptr(int64(0)) is honored and reproduces like any other
 	// seed.
 	Seed *int64
 }
+
+// zipfS and zipfV shape key popularity: rand.NewZipf's s and v.
+const (
+	zipfS = 1.2
+	zipfV = 1
+)
 
 func (t TrafficSpec) withDefaults(clusterSeed int64) (TrafficSpec, error) {
 	if t.Requests <= 0 {
@@ -47,12 +51,6 @@ func (t TrafficSpec) withDefaults(clusterSeed int64) (TrafficSpec, error) {
 		return t, fmt.Errorf("cluster: %w", err)
 	}
 	t.ReadFraction = rf
-	if t.ZipfS <= 1 {
-		t.ZipfS = 1.2
-	}
-	if t.ZipfV < 1 {
-		t.ZipfV = 1
-	}
 	if t.Seed == nil {
 		t.Seed = Ptr(clusterSeed)
 	}
@@ -294,7 +292,7 @@ func (c *Cluster) Serve(spec TrafficSpec) (ServeResult, error) {
 	// Deterministic open-loop client stream: one Float64 (op mix) and one
 	// zipf draw (key) per request, in request order.
 	rng := rand.New(rand.NewSource(*spec.Seed))
-	zipf := rand.NewZipf(rng, spec.ZipfS, spec.ZipfV, uint64(c.cfg.Objects-1))
+	zipf := rand.NewZipf(rng, zipfS, zipfV, uint64(c.cfg.Objects-1))
 	rf := *spec.ReadFraction
 
 	if cap(c.reqsBuf) < spec.Requests {

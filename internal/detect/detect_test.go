@@ -176,7 +176,7 @@ func TestAlarmDecaysWhenIdle(t *testing.T) {
 	}
 	// The attack ends AND the workload stops — no ops refill the window.
 	disk.Drive().SetVibration(hdd.Quiet())
-	clock.Advance(40 * time.Second) // past the default 30 s expiry
+	clock.Sleep(40 * time.Second) // past the default 30 s expiry
 	if m.AttackSuspected() {
 		t.Fatal("alarm latched after I/O quiesced (stale window evidence)")
 	}

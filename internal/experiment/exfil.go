@@ -16,7 +16,6 @@ import (
 
 	"deepnote/internal/campaign"
 	"deepnote/internal/cluster"
-	"deepnote/internal/detect"
 	"deepnote/internal/exfil"
 	"deepnote/internal/metrics"
 	"deepnote/internal/parallel"
@@ -45,11 +44,7 @@ type ExfilSpec struct {
 	// (default 8 — long enough for the slow-detection schemes to show
 	// their leak).
 	DetectFrames int
-	// Tx tunes the transmitting drive; Fingerprint the defense-leg
-	// classifier.
-	Tx          exfil.TxConfig
-	Fingerprint detect.FingerprintConfig
-	Seed        int64
+	Seed         int64
 	// Workers bounds the cell fan-out (≤ 0 = one per CPU); results are
 	// byte-identical at any worker count.
 	Workers int
@@ -176,7 +171,7 @@ func exfilLink(c ExfilCell, amb sig.Ambient, seed int64) exfil.Link {
 // scores recovery.
 func (s ExfilSpec) runOffenseCell(c ExfilCell, seed int64) (ExfilRow, error) {
 	cfg := exfil.ModemConfig{Scheme: c.Scheme, SymbolRate: exfil.Ptr(c.SymbolRate)}
-	mod, err := exfil.NewModulator(cfg, s.Tx)
+	mod, err := exfil.NewModulator(cfg, exfil.TxConfig{})
 	if err != nil {
 		return ExfilRow{}, err
 	}
@@ -225,13 +220,11 @@ func (s ExfilSpec) runOffenseCell(c ExfilCell, seed int64) (ExfilRow, error) {
 // runDetectCell runs the defense campaign for the cell.
 func (s ExfilSpec) runDetectCell(c ExfilCell, seed int64) (ExfilRow, error) {
 	cs := campaign.ExfilDetectSpec{
-		Modem:       exfil.ModemConfig{Scheme: c.Scheme, SymbolRate: exfil.Ptr(c.SymbolRate)},
-		Tx:          s.Tx,
-		Ambient:     sig.NewAmbient(c.Ambient, 3),
-		Frames:      s.DetectFrames,
-		Fingerprint: s.Fingerprint,
-		Seed:        seed,
-		Metrics:     s.Metrics,
+		Modem:   exfil.ModemConfig{Scheme: c.Scheme, SymbolRate: exfil.Ptr(c.SymbolRate)},
+		Ambient: sig.NewAmbient(c.Ambient, 3),
+		Frames:  s.DetectFrames,
+		Seed:    seed,
+		Metrics: s.Metrics,
 	}
 	res, err := cs.Run()
 	if err != nil {

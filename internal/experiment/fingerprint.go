@@ -39,10 +39,7 @@ type FingerprintSpec struct {
 	// Duration is each cell's run length (default 12 s ≈ 96 windows);
 	// must be > 0.
 	Duration time.Duration
-	// Detector and Fingerprint tune the two detection layers.
-	Detector    detect.Config
-	Fingerprint detect.FingerprintConfig
-	Seed        int64
+	Seed     int64
 	// Workers bounds the cell fan-out (≤ 0 = one per CPU); results are
 	// byte-identical at any worker count.
 	Workers int
@@ -142,13 +139,11 @@ func FingerprintRun(spec FingerprintSpec) (FingerprintResult, error) {
 		func(_ context.Context, i int, c fingerprintCell) (FingerprintRow, error) {
 			amb := sig.NewAmbient(c.kind, c.seed)
 			cs := campaign.FingerprintSpec{
-				Freq:        spec.Freq,
-				Ambient:     amb,
-				Duration:    spec.Duration,
-				Detector:    spec.Detector,
-				Fingerprint: spec.Fingerprint,
-				Seed:        parallel.SeedFor(spec.Seed, i),
-				Metrics:     spec.Metrics,
+				Freq:     spec.Freq,
+				Ambient:  amb,
+				Duration: spec.Duration,
+				Seed:     parallel.SeedFor(spec.Seed, i),
+				Metrics:  spec.Metrics,
 			}
 			if c.attack {
 				floor := math.Hypot(detect.DefaultSensorSigma, amb.NominalSigma())

@@ -21,18 +21,16 @@ import (
 // geometric acoustics.Path to the nearest source (non-targeted
 // containers are protected only by spreading along the real water path).
 
-// FleetSpec describes the facility and attack.
+// FleetSpec describes the facility and attack. Every speaker plays the
+// paper's 650 Hz tone.
 type FleetSpec struct {
 	// Containers and DrivesPerContainer set the facility size.
 	Containers, DrivesPerContainer int
 	// Speakers is the attacker's simultaneous source count.
 	Speakers int
-	// Freq is the attack tone.
-	Freq units.Frequency
 	// ContainerSpacing is the distance from a speaker to the *next*
 	// container over (default 2 m).
 	ContainerSpacing units.Distance
-	Seed             int64
 	// Workers bounds how many containers are evaluated concurrently;
 	// ≤ 0 means one worker per CPU. Results are identical for any worker
 	// count.
@@ -56,14 +54,8 @@ func (s FleetSpec) withDefaults() FleetSpec {
 	if s.Speakers > s.Containers {
 		s.Speakers = s.Containers
 	}
-	if s.Freq == 0 {
-		s.Freq = 650 * units.Hz
-	}
 	if s.ContainerSpacing == 0 {
 		s.ContainerSpacing = 2 * units.Meter
-	}
-	if s.Seed == 0 {
-		s.Seed = 1
 	}
 	return s
 }
@@ -88,7 +80,7 @@ type FleetResult struct {
 func FleetAvailability(spec FleetSpec) (FleetResult, error) {
 	spec = spec.withDefaults()
 	res := FleetResult{Spec: spec, DrivesTotal: spec.Containers * spec.DrivesPerContainer}
-	tone := sig.NewTone(spec.Freq)
+	tone := sig.NewTone(650 * units.Hz)
 	targets := make([]int, spec.Speakers)
 	for i := range targets {
 		targets[i] = i

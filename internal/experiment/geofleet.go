@@ -45,10 +45,6 @@ type GeoFleetSpec struct {
 	// Deadline is the per-request budget (default 2 s — blasted drives
 	// fail slowly, so failover needs room to outlast the grinding waves).
 	Deadline time.Duration
-	// Faults are the injected WAN faults; nil means the standard pair —
-	// the attacked site's link to its nearest peer flaps and an unrelated
-	// pair browns out ×4, both over the attack window.
-	Faults []fleet.Fault
 	// Requests, Rate, and ReadFraction shape the workload (defaults 800
 	// requests at 300 req/s, 90% reads — busy but below the drives'
 	// saturation knee, so the deadline budget is spent on failover, not
@@ -132,11 +128,10 @@ func (s GeoFleetSpec) withDefaults() GeoFleetSpec {
 // geoFleetSiteNames label the facilities in reports.
 var geoFleetSiteNames = []string{"pacific", "atlantic", "baltic", "coral", "nordic", "tasman"}
 
-// geoFleetFaults is the standard concurrent-WAN-trouble pair.
+// geoFleetFaults is the injected concurrent WAN trouble: the attacked
+// site's link to its nearest peer flaps and, with four or more sites, an
+// unrelated pair browns out ×4, both over the attack window.
 func (s GeoFleetSpec) geoFleetFaults() []fleet.Fault {
-	if s.Faults != nil {
-		return s.Faults
-	}
 	window := s.AttackStop - s.AttackStart
 	faults := []fleet.Fault{
 		{Kind: fleet.LinkFlap, A: 0, B: 1 % s.Sites, Start: s.AttackStart, Duration: window},

@@ -15,40 +15,30 @@ import (
 // integrity"): during a *marginal* attack — too weak to block writes, so
 // nothing looks wrong — successful writes squeeze neighboring tracks, and
 // data written earlier quietly rots. Availability monitoring alone would
-// never notice.
+// never notice. The attack plays the paper's 650 Hz tone at a Scenario 2
+// drive (rig seed 1) whose victim data set is integrityBlocks 4 KiB
+// blocks.
 type Integrity struct {
-	Scenario core.Scenario
-	Freq     units.Frequency
 	// Distance puts the drive in the marginal zone (default 18 cm:
 	// amplitude just under the write gate at 650 Hz, Scenario 2).
 	Distance units.Distance
 	// CorruptionProb is the per-marginal-write squeeze probability
 	// (default 0.05).
 	CorruptionProb float64
-	// Blocks is the size of the victim data set in 4 KiB blocks
-	// (default 256).
-	Blocks int
-	Seed   int64
 }
 
+// The integrity attack's fixed tone and victim data set size.
+const (
+	integrityFreq   = 650 * units.Hz
+	integrityBlocks = 256
+)
+
 func (s Integrity) withDefaults() Integrity {
-	if s.Scenario == 0 {
-		s.Scenario = core.Scenario2
-	}
-	if s.Freq == 0 {
-		s.Freq = 650 * units.Hz
-	}
 	if s.Distance == 0 {
 		s.Distance = 18 * units.Centimeter
 	}
 	if s.CorruptionProb == 0 {
 		s.CorruptionProb = 0.05
-	}
-	if s.Blocks == 0 {
-		s.Blocks = 256
-	}
-	if s.Seed == 0 {
-		s.Seed = 1
 	}
 	return s
 }
@@ -69,12 +59,12 @@ type IntegrityResult struct {
 // audit the original data set.
 func (s Integrity) Run() (IntegrityResult, error) {
 	s = s.withDefaults()
-	tb, err := core.NewTestbed(s.Scenario, s.Distance)
+	tb, err := core.NewTestbed(core.Scenario2, s.Distance)
 	if err != nil {
 		return IntegrityResult{}, err
 	}
 	tb.DriveModel.AdjacentCorruptionProb = s.CorruptionProb
-	rig, err := core.NewRigFromTestbed(tb, s.Seed)
+	rig, err := core.NewRigFromTestbed(tb, 1)
 	if err != nil {
 		return IntegrityResult{}, err
 	}
@@ -92,7 +82,7 @@ func (s Integrity) Run() (IntegrityResult, error) {
 	}
 
 	// Phase 1: quiet write of the victim data set.
-	for i := 0; i < s.Blocks; i++ {
+	for i := 0; i < integrityBlocks; i++ {
 		if _, err := rig.Disk.WriteAt(pattern(i), victimBase+int64(i*blockSize)); err != nil {
 			return IntegrityResult{}, fmt.Errorf("experiment: seeding victim data: %w", err)
 		}
@@ -100,10 +90,10 @@ func (s Integrity) Run() (IntegrityResult, error) {
 
 	// Phase 2: marginal attack while a workload writes the next track
 	// over (physically adjacent to the victim's).
-	res := IntegrityResult{Spec: s, TotalBlocks: s.Blocks}
-	rig.ApplyTone(sig.NewTone(s.Freq))
+	res := IntegrityResult{Spec: s, TotalBlocks: integrityBlocks}
+	rig.ApplyTone(sig.NewTone(integrityFreq))
 	writerBase := victimBase + track
-	for i := 0; i < s.Blocks; i++ {
+	for i := 0; i < integrityBlocks; i++ {
 		res.WritesAttempted++
 		if _, err := rig.Disk.WriteAt(pattern(i), writerBase+int64(i*blockSize)); err != nil {
 			res.WritesFailed++
@@ -113,7 +103,7 @@ func (s Integrity) Run() (IntegrityResult, error) {
 
 	// Phase 3: audit the victim data set.
 	buf := make([]byte, blockSize)
-	for i := 0; i < s.Blocks; i++ {
+	for i := 0; i < integrityBlocks; i++ {
 		if _, err := rig.Disk.ReadAt(buf, victimBase+int64(i*blockSize)); err != nil {
 			res.CorruptedBlocks++
 			continue
@@ -128,7 +118,7 @@ func (s Integrity) Run() (IntegrityResult, error) {
 // Report renders the result.
 func (r IntegrityResult) Report() *report.Table {
 	tb := report.NewTable(
-		fmt.Sprintf("Integrity attack: marginal tone at %v, %v", r.Spec.Freq, r.Spec.Distance),
+		fmt.Sprintf("Integrity attack: marginal tone at %v, %v", integrityFreq, r.Spec.Distance),
 		"Metric", "Value")
 	tb.AddRow("attack-phase writes", fmt.Sprintf("%d (%d failed)", r.WritesAttempted, r.WritesFailed))
 	tb.AddRow("victim blocks audited", fmt.Sprintf("%d", r.TotalBlocks))

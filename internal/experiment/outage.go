@@ -15,16 +15,13 @@ import (
 // ControlledOutage realizes the paper's §3 first attacker objective: a
 // controlled throughput loss of a victim drive for a specific amount of
 // time, to induce application delays — then full recovery. The result is
-// the throughput timeline a monitoring system would record.
+// the throughput timeline a monitoring system would record, in one-second
+// buckets. The speaker sits at 1 cm and the rig uses seed 1.
 type ControlledOutage struct {
 	Scenario core.Scenario
 	Freq     units.Frequency
-	Distance units.Distance
 	// Before, During, After are the phase durations.
 	Before, During, After time.Duration
-	// Bucket is the timeline resolution.
-	Bucket time.Duration
-	Seed   int64
 	// Metrics, when set, is bound to the rig's virtual clock (snapshots
 	// stamp virtual seconds) and receives the drive/disk counters plus
 	// phase-mean gauges (nil = uninstrumented).
@@ -38,9 +35,6 @@ func (c ControlledOutage) withDefaults() ControlledOutage {
 	if c.Freq == 0 {
 		c.Freq = 650 * units.Hz
 	}
-	if c.Distance == 0 {
-		c.Distance = 1 * units.Centimeter
-	}
 	if c.Before == 0 {
 		c.Before = 5 * time.Second
 	}
@@ -49,12 +43,6 @@ func (c ControlledOutage) withDefaults() ControlledOutage {
 	}
 	if c.After == 0 {
 		c.After = 5 * time.Second
-	}
-	if c.Bucket == 0 {
-		c.Bucket = time.Second
-	}
-	if c.Seed == 0 {
-		c.Seed = 1
 	}
 	return c
 }
@@ -71,14 +59,14 @@ type OutageResult struct {
 // keyed on for exactly the During window.
 func (c ControlledOutage) Run() (OutageResult, error) {
 	c = c.withDefaults()
-	rig, err := core.NewRig(c.Scenario, c.Distance, c.Seed)
+	rig, err := core.NewRig(c.Scenario, 1*units.Centimeter, 1)
 	if err != nil {
 		return OutageResult{}, err
 	}
 	// Bind the registry to this rig's virtual clock up front, so the final
 	// snapshot stamps the experiment's elapsed virtual time.
 	c.Metrics.SetClock(rig.Clock)
-	meter := trace.NewMeter(rig.Clock, c.Bucket)
+	meter := trace.NewMeter(rig.Clock, time.Second)
 	buf := make([]byte, 4096)
 	var off int64
 	phaseEnd := func(d time.Duration) time.Time { return rig.Clock.Now().Add(d) }

@@ -27,11 +27,10 @@ import (
 // the attack shows the retry layer masking ordinary storage glitches that
 // the bare stack surfaces as dmesg errors. The paper measures time-to-
 // crash; this experiment adds the operations side: availability over the
-// whole episode and mean time to recovery.
+// whole episode and mean time to recovery. The tone is the paper's
+// 650 Hz from 1 cm in Scenario 2; availability is sampled every 250 ms,
+// and the victim's tray sensor hears no ambient soundscape.
 type Resilience struct {
-	Scenario core.Scenario
-	Freq     units.Frequency
-	Distance units.Distance
 	// Pre is the healthy lead-in; the injected fault burst fires inside it.
 	Pre time.Duration
 	// Attack is how long the tone is held (default 100 s — past the ≈81 s
@@ -39,15 +38,9 @@ type Resilience struct {
 	Attack time.Duration
 	// Cooldown is the post-attack window in which recovery can happen.
 	Cooldown time.Duration
-	// SampleInterval is the availability sampling period (default 250 ms).
-	SampleInterval time.Duration
-	// Ambient is the benign soundscape the victim's tray sensor hears
-	// throughout the episode (zero value = none).
-	Ambient sig.Ambient
 	// CrashThreshold overrides the OS crash threshold (default 80 s);
 	// tests shrink it to keep virtual time short.
 	CrashThreshold time.Duration
-	Seed           int64
 	// Workers bounds the config fan-out (≤ 0 = one per CPU). Results are
 	// bit-identical for any worker count.
 	Workers int
@@ -57,15 +50,6 @@ type Resilience struct {
 }
 
 func (r Resilience) withDefaults() Resilience {
-	if r.Scenario == 0 {
-		r.Scenario = core.Scenario2
-	}
-	if r.Freq == 0 {
-		r.Freq = 650 * units.Hz
-	}
-	if r.Distance == 0 {
-		r.Distance = 1 * units.Centimeter
-	}
 	if r.Pre == 0 {
 		r.Pre = 10 * time.Second
 	}
@@ -75,14 +59,8 @@ func (r Resilience) withDefaults() Resilience {
 	if r.Cooldown == 0 {
 		r.Cooldown = 60 * time.Second
 	}
-	if r.SampleInterval == 0 {
-		r.SampleInterval = 250 * time.Millisecond
-	}
 	if r.CrashThreshold == 0 {
 		r.CrashThreshold = 80 * time.Second
-	}
-	if r.Seed == 0 {
-		r.Seed = 1
 	}
 	return r
 }
@@ -153,7 +131,7 @@ func resilienceRetryPolicy() blockdev.RetryPolicy {
 // runResilienceConfig runs one stack through pre → attack → cooldown.
 func (r Resilience) runResilienceConfig(cfg resilienceConfig, seed int64) (ResilienceRow, error) {
 	row := ResilienceRow{Config: cfg.name}
-	rig, err := core.NewRig(r.Scenario, r.Distance, seed)
+	rig, err := core.NewRig(core.Scenario2, 1*units.Centimeter, seed)
 	if err != nil {
 		return row, err
 	}
@@ -245,14 +223,14 @@ func (r Resilience) runResilienceConfig(cfg resilienceConfig, seed int64) (Resil
 	runPhase := func(d time.Duration) {
 		deadline := clock.Now().Add(d)
 		for clock.Now().Before(deadline) {
-			clock.Advance(r.SampleInterval)
+			clock.Sleep(250 * time.Millisecond)
 			current().Step()
 			if wd != nil {
 				wd.Step()
 			}
 			// Classify every telemetry window the step crossed.
 			for !origin.Add(time.Duration(synth.Windows()+1) * winDur).After(clock.Now()) {
-				fp.Feed(synth.Window(rig.Drive.Vibration(), r.Ambient))
+				fp.Feed(synth.Window(rig.Drive.Vibration(), sig.Ambient{}))
 			}
 			if sus := mon.Suspicion(); sus > maxSuspicion {
 				maxSuspicion = sus
@@ -273,7 +251,7 @@ func (r Resilience) runResilienceConfig(cfg resilienceConfig, seed int64) (Resil
 	row.BurstMasked = burstErrors == 0
 
 	attackStart := clock.Now()
-	rig.ApplyTone(sig.NewTone(r.Freq))
+	rig.ApplyTone(sig.NewTone(650 * units.Hz))
 	runPhase(r.Attack)
 	rig.Silence()
 	runPhase(r.Cooldown)
@@ -365,7 +343,7 @@ func (r Resilience) Run() ([]ResilienceRow, error) {
 	r = r.withDefaults()
 	return parallel.RunObserved(context.Background(), resilienceConfigs(), r.Workers, r.Metrics,
 		func(_ context.Context, i int, cfg resilienceConfig) (ResilienceRow, error) {
-			return r.runResilienceConfig(cfg, parallel.SeedFor(r.Seed, i))
+			return r.runResilienceConfig(cfg, parallel.SeedFor(1, i))
 		})
 }
 

@@ -18,14 +18,12 @@ import (
 	"deepnote/internal/units"
 )
 
-// SelfCheckOptions tunes the differential grid.
+// SelfCheckOptions tunes the differential grid. The speaker stands off
+// 1 cm, the contact-attack distance of §4.1.
 type SelfCheckOptions struct {
 	// Scenario selects the testbed configuration (default Scenario2, the
 	// paper's "realistic" tower mount used for Tables 1–3).
 	Scenario core.Scenario
-	// Distance is the speaker standoff (default 1 cm, the contact-attack
-	// distance of §4.1).
-	Distance units.Distance
 	// Freqs are the probe tones (default: a spread over the paper's
 	// vulnerable and quiet bands, 200 Hz – 3 kHz).
 	Freqs []units.Frequency
@@ -41,14 +39,13 @@ type SelfCheckOptions struct {
 	// OffsetFracs place the swept region as a fraction of drive capacity
 	// (default 0 and 0.9 — outer and inner zones).
 	OffsetFracs []float64
-	// JobRuntime, Repeats, Seed, Workers, Tolerance, FloorFrac, Mutation
-	// pass through to the oracle.Differ.
+	// JobRuntime, Repeats, Seed, Workers, Tolerance, Mutation pass
+	// through to the oracle.Differ.
 	JobRuntime time.Duration
 	Repeats    int
 	Seed       int64
 	Workers    int
 	Tolerance  float64
-	FloorFrac  float64
 	Mutation   oracle.Mutation
 	// Metrics, when set, receives oracle and victim-stack counters (nil =
 	// uninstrumented).
@@ -58,9 +55,6 @@ type SelfCheckOptions struct {
 func (o SelfCheckOptions) withDefaults() SelfCheckOptions {
 	if o.Scenario == 0 {
 		o.Scenario = core.Scenario2
-	}
-	if o.Distance == 0 {
-		o.Distance = 1 * units.Centimeter
 	}
 	if len(o.Freqs) == 0 {
 		o.Freqs = []units.Frequency{
@@ -89,7 +83,7 @@ func (o SelfCheckOptions) withDefaults() SelfCheckOptions {
 // the CLI can report grid size before running.
 func SelfCheckGrid(opts SelfCheckOptions) (hdd.Model, []oracle.CellSpec, error) {
 	opts = opts.withDefaults()
-	tb, err := core.NewTestbed(opts.Scenario, opts.Distance)
+	tb, err := core.NewTestbed(opts.Scenario, 1*units.Centimeter)
 	if err != nil {
 		return hdd.Model{}, nil, err
 	}
@@ -139,7 +133,6 @@ func SelfCheck(opts SelfCheckOptions) (oracle.Report, error) {
 		Seed:       opts.Seed,
 		Workers:    opts.Workers,
 		Tolerance:  opts.Tolerance,
-		FloorFrac:  opts.FloorFrac,
 		Mutation:   opts.Mutation,
 		Metrics:    opts.Metrics,
 	}

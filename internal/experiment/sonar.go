@@ -61,9 +61,6 @@ type SonarSpec struct {
 	// honored).
 	Margin *float64
 	React  *time.Duration
-	// Ranges are the localization-probe distances from the container
-	// centroid (default 1, 2, 5, 10, 15, 20, 30 m).
-	Ranges []units.Distance
 	Seed   int64
 	// Workers bounds the drive fan-out inside each serving run (≤ 0 =
 	// one per CPU); results are identical for any worker count.
@@ -123,12 +120,6 @@ func (s SonarSpec) withDefaults() SonarSpec {
 	}
 	if s.StaggerFrac == nil {
 		s.StaggerFrac = cluster.Ptr(0.2)
-	}
-	if s.Ranges == nil {
-		s.Ranges = []units.Distance{
-			1 * units.Meter, 2 * units.Meter, 5 * units.Meter, 10 * units.Meter,
-			15 * units.Meter, 20 * units.Meter, 30 * units.Meter,
-		}
 	}
 	if s.Seed == 0 {
 		s.Seed = 1
@@ -263,7 +254,12 @@ func SonarRun(spec SonarSpec) (SonarResult, error) {
 	res.EvacsPlanned, res.EvacsSkipped = onCluster.DefenseEvacsPlanned()
 
 	center := sonar.ContainerCentroid(lay)
-	for i, r := range spec.Ranges {
+	// Localization probes at these distances from the container centroid.
+	ranges := []units.Distance{
+		1 * units.Meter, 2 * units.Meter, 5 * units.Meter, 10 * units.Meter,
+		15 * units.Meter, 20 * units.Meter, 30 * units.Meter,
+	}
+	for i, r := range ranges {
 		truth := cluster.Vec3{X: center.X + float64(r), Y: center.Y, Z: center.Z}
 		recs := arr.Receive(truth, tone, parallel.SeedFor(spec.Seed, 1000+i))
 		probe := RangeProbe{Range: r, MissM: -1}

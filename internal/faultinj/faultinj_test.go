@@ -58,14 +58,14 @@ func TestTransientWindowInjectsOnlyInside(t *testing.T) {
 	if _, err := dev.WriteAt(buf, 0); err != nil {
 		t.Fatalf("write before window: %v", err)
 	}
-	clock.Advance(12 * time.Second)
+	clock.Sleep(12 * time.Second)
 	if _, err := dev.WriteAt(buf, 0); !errors.Is(err, blockdev.ErrIO) {
 		t.Fatalf("write inside window: %v", err)
 	}
 	if _, err := dev.ReadAt(buf, 0); err != nil {
 		t.Fatalf("read untargeted by write fault: %v", err)
 	}
-	clock.Advance(5 * time.Second)
+	clock.Sleep(5 * time.Second)
 	if _, err := dev.WriteAt(buf, 0); err != nil {
 		t.Fatalf("write after window: %v", err)
 	}
@@ -78,9 +78,9 @@ func TestPermanentErrorNeverRecovers(t *testing.T) {
 	disk, clock := newDisk(t)
 	dev := Wrap(disk, clock, 1, Fault{Kind: PermanentError, Start: time.Second})
 	buf := make([]byte, 512)
-	clock.Advance(2 * time.Second)
+	clock.Sleep(2 * time.Second)
 	for i := 0; i < 3; i++ {
-		clock.Advance(time.Hour)
+		clock.Sleep(time.Hour)
 		if _, err := dev.ReadAt(buf, 0); !errors.Is(err, ErrInjected) {
 			t.Fatalf("permanent fault recovered: %v", err)
 		}

@@ -111,7 +111,7 @@ func TestAttackWindowRecovery(t *testing.T) {
 }
 
 // TestHedgingEngagesUnderBrownout: a heavy brownout on every link
-// stretches cross-site reads past HedgeAfter, so failover waves must
+// stretches cross-site reads past hedgeAfter, so failover waves must
 // start hedging (and the hedges must not double-count).
 func TestHedgingEngagesUnderBrownout(t *testing.T) {
 	cfg := testFleetConfig(PlacementAttackAware, 0, 0, 1, 2)

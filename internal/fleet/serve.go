@@ -79,8 +79,7 @@ func (f *Fleet) Serve(spec TrafficSpec) (Result, error) {
 		return Result{}, errors.New("fleet: Serve before Preload")
 	}
 	n, k := f.coder.TotalShards(), f.coder.DataShards()
-	window := time.Duration(cluster.ArrivalNS(spec.Requests, spec.Rate))
-	f.genRequests(spec, window)
+	f.genRequests(spec)
 	f.resetBreakers()
 	// Size the op ledger for the first wave: n ops per PUT, k per GET.
 	wave0 := 0
@@ -155,7 +154,7 @@ func (f *Fleet) issueOp(ri int32, j int, at int64, put bool, res *Result) {
 			// Down link swallows the op; the loss is observed only
 			// after the WAN timeout, and it does feed the breaker.
 			op.flags |= oDropped
-			op.end = at + int64(f.cfg.WAN.Timeout)
+			op.end = at + int64(wanTimeout)
 			res.WANDrops++
 			f.ops = append(f.ops, op)
 			return
@@ -281,7 +280,7 @@ func (f *Fleet) plan(pending []int32, res *Result) []int32 {
 		// request spends its whole deadline budget and gets one final
 		// wave at the edge (the blockdev.Retrier boundary contract)
 		// instead of abandoning the remainder unspent.
-		backoff := int64(rz.RetryBackoff)
+		backoff := int64(retryBackoff)
 		if shift := uint(r.wave); shift > 0 {
 			if shift > 20 {
 				shift = 20
@@ -300,7 +299,7 @@ func (f *Fleet) plan(pending []int32, res *Result) []int32 {
 		need := k - int(r.shardOK)
 		avail := n - int(r.nextSrc)
 		issue := need
-		hedge := avail > need && r.end-r.arrival > int64(rz.HedgeAfter)
+		hedge := avail > need && r.end-r.arrival > int64(hedgeAfter)
 		if hedge {
 			issue++
 		}

@@ -2,7 +2,6 @@ package fleet
 
 import (
 	"fmt"
-	"math"
 	"math/rand"
 	"time"
 
@@ -11,10 +10,9 @@ import (
 
 // TrafficSpec describes a global open-loop workload: millions-of-users
 // traffic compressed to a representative request count — zipfian keys
-// (a hot head of popular objects) issued from every region, with each
-// region's request share following a phase-shifted diurnal curve (the
-// planet's load rotates across the facilities). Generation is serial
-// and seeded, so the schedule is byte-identical at any worker count.
+// (a hot head of popular objects) issued from every region, each region
+// drawing an equal share of the requests. Generation is serial and
+// seeded, so the schedule is byte-identical at any worker count.
 type TrafficSpec struct {
 	// Requests is the total number of client requests (default 2000).
 	Requests int
@@ -24,19 +22,16 @@ type TrafficSpec struct {
 	// ReadFraction is the GET share; nil means 0.9, an explicit
 	// cluster.Ptr(0.0) is a pure-write workload.
 	ReadFraction *float64
-	// ZipfS and ZipfV shape the key popularity (defaults 1.2 and 1).
-	ZipfS, ZipfV float64
-	// DiurnalAmp is the amplitude of each region's load swing around its
-	// equal share, in [0, 1] (default 0.6; 0 disables the diurnal curve
-	// — regions stay uniform).
-	DiurnalAmp float64
-	// Period is the diurnal cycle length (default: the serving window,
-	// so one run sees one full planetary rotation).
-	Period time.Duration
 	// Seed drives the workload draws; nil means 7, explicit zero
 	// honored.
 	Seed *int64
 }
+
+// zipfS and zipfV shape key popularity: rand.NewZipf's s and v.
+const (
+	zipfS = 1.2
+	zipfV = 1
+)
 
 func (s TrafficSpec) withDefaults() (TrafficSpec, error) {
 	if s.Requests <= 0 {
@@ -50,15 +45,6 @@ func (s TrafficSpec) withDefaults() (TrafficSpec, error) {
 		return s, fmt.Errorf("fleet: %w", err)
 	}
 	s.ReadFraction = rf
-	if s.ZipfS <= 1 {
-		s.ZipfS = 1.2
-	}
-	if s.ZipfV < 1 {
-		s.ZipfV = 1
-	}
-	if s.DiurnalAmp < 0 || s.DiurnalAmp > 1 {
-		return s, fmt.Errorf("fleet: DiurnalAmp %v outside [0, 1]", s.DiurnalAmp)
-	}
 	if s.Seed == nil {
 		s.Seed = cluster.Ptr(int64(7))
 	}
@@ -197,40 +183,19 @@ func (r Result) Window(from, to time.Duration) WindowStats {
 }
 
 // genRequests fills f.reqs with the serial, seeded workload schedule.
-func (f *Fleet) genRequests(spec TrafficSpec, window time.Duration) {
+func (f *Fleet) genRequests(spec TrafficSpec) {
 	rng := rand.New(rand.NewSource(*spec.Seed))
-	zipf := rand.NewZipf(rng, spec.ZipfS, spec.ZipfV, uint64(f.cfg.Objects-1))
+	zipf := rand.NewZipf(rng, zipfS, zipfV, uint64(f.cfg.Objects-1))
 	S := len(f.cfg.Sites)
-	period := spec.Period
-	if period <= 0 {
-		period = window
-	}
 	deadline := int64(f.cfg.Resilience.Deadline)
-	weights := make([]float64, S)
 	if cap(f.reqs) < spec.Requests {
 		f.reqs = make([]reqState, spec.Requests)
 	}
 	f.reqs = f.reqs[:spec.Requests]
 	for i := range f.reqs {
 		at := cluster.ArrivalNS(i, spec.Rate)
-		// Phase-shifted diurnal share: region s peaks when the sun (or
-		// the evening Netflix hour) is over it.
-		tfrac := float64(at) / float64(period)
-		sum := 0.0
-		for s := 0; s < S; s++ {
-			w := 1 + spec.DiurnalAmp*math.Sin(2*math.Pi*(tfrac+float64(s)/float64(S)))
-			if w < 0 {
-				w = 0
-			}
-			weights[s] = w
-			sum += w
-		}
-		draw := rng.Float64() * sum
-		site := 0
-		for acc := weights[0]; site < S-1 && draw >= acc; {
-			site++
-			acc += weights[site]
-		}
+		// Every region draws an equal share.
+		site := regionOf(rng.Float64(), S)
 		var flags uint8
 		if rng.Float64() >= *spec.ReadFraction {
 			flags = fPut
@@ -244,4 +209,10 @@ func (f *Fleet) genRequests(spec TrafficSpec, window time.Duration) {
 			flags:    flags,
 		}
 	}
+}
+
+// regionOf maps a uniform draw u in [0, 1) to one of S equally likely
+// regions.
+func regionOf(u float64, S int) int {
+	return min(int(u*float64(S)), S-1)
 }

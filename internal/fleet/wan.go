@@ -11,48 +11,41 @@ import (
 )
 
 // WANConfig models the inter-site network: a full mesh of symmetric
-// links, each with a base RTT, uniform jitter, and a bandwidth that
-// serializes shard transfers. Faults are declarative time windows — a
+// links, each with a base RTT, a uniform ±wanJitter jitter, and a
+// bandwidth that serializes shard transfers. Faults are declarative time windows — a
 // pure function of the virtual clock, so the same spec yields the same
 // byte-identical run at any worker count (the faultinj idiom, lifted to
 // links).
 type WANConfig struct {
-	// RTT is the default round-trip time between sites (default 30 ms).
-	RTT time.Duration
-	// Jitter is the uniform ± jitter on the RTT (default 3 ms; negative
-	// disables jitter), drawn per op by hashing (link seed, op
-	// sequence) — never an ordered RNG stream, so issue order cannot
-	// perturb other draws.
-	Jitter time.Duration
 	// GbitPerSec is the link bandwidth (default 10); a shard transfer
 	// adds size·8/GbitPerSec ns of serialization delay. A negative or
 	// non-finite value is rejected.
 	GbitPerSec float64
-	// Timeout is how long the gateway waits before declaring an op
-	// swallowed by a down link (default 200 ms). Drops are observed at
-	// issue+Timeout and feed the link's circuit breaker.
-	Timeout time.Duration
-	// Links overrides per-link parameters (zero fields inherit the
-	// defaults above).
+	// Links overrides per-link parameters (zero fields inherit
+	// wanRTT and GbitPerSec).
 	Links []LinkSpec
 	// Faults are the injected WAN faults.
 	Faults []Fault
 }
 
+// The WAN's fixed link settings.
+const (
+	// wanRTT is the round-trip time between sites unless a LinkSpec
+	// overrides it.
+	wanRTT = 30 * time.Millisecond
+	// wanJitter is the uniform ± jitter on every link's RTT, drawn per
+	// op by hashing (link seed, op sequence) — never an ordered RNG
+	// stream, so issue order cannot perturb other draws.
+	wanJitter = 3 * time.Millisecond
+	// wanTimeout is how long the gateway waits before declaring an op
+	// swallowed by a down link. Drops are observed at issue+wanTimeout
+	// and feed the link's circuit breaker.
+	wanTimeout = 200 * time.Millisecond
+)
+
 func (w WANConfig) withDefaults() WANConfig {
-	if w.RTT <= 0 {
-		w.RTT = 30 * time.Millisecond
-	}
-	if w.Jitter < 0 {
-		w.Jitter = 0
-	} else if w.Jitter == 0 {
-		w.Jitter = 3 * time.Millisecond
-	}
 	if w.GbitPerSec <= 0 {
 		w.GbitPerSec = 10
-	}
-	if w.Timeout <= 0 {
-		w.Timeout = 200 * time.Millisecond
 	}
 	return w
 }
@@ -104,7 +97,6 @@ func (w WANConfig) validate(sites int) error {
 type LinkSpec struct {
 	A, B       int
 	RTT        time.Duration
-	Jitter     time.Duration
 	GbitPerSec float64
 }
 
@@ -177,16 +169,16 @@ type span struct{ from, to int64 }
 // they are planned. Queries against history are order-independent, so
 // epoch granularity cannot perturb them.
 type link struct {
-	a, b        int
-	rtt, jitter int64
-	gbps        float64
-	seed        int64
+	a, b int
+	rtt  int64
+	gbps float64
+	seed int64
 
 	open     bool
 	strk     int
 	openedAt int64
 	// shed is the breaker's window history, sorted by from; every window
-	// lasts BreakerCooldown (see breakerAllows).
+	// lasts breakerCooldown (see breakerAllows).
 	shed []span
 }
 
@@ -201,18 +193,14 @@ func (f *Fleet) buildLinks() {
 		for b := a + 1; b < s; b++ {
 			l := link{
 				a: a, b: b,
-				rtt:    int64(w.RTT),
-				jitter: int64(w.Jitter),
-				gbps:   w.GbitPerSec,
-				seed:   parallel.SeedFor(f.wanSeed, a*s+b),
+				rtt:  int64(wanRTT),
+				gbps: w.GbitPerSec,
+				seed: parallel.SeedFor(f.wanSeed, a*s+b),
 			}
 			for _, ls := range w.Links {
 				if (ls.A == a && ls.B == b) || (ls.A == b && ls.B == a) {
 					if ls.RTT > 0 {
 						l.rtt = int64(ls.RTT)
-					}
-					if ls.Jitter > 0 {
-						l.jitter = int64(ls.Jitter)
 					}
 					if ls.GbitPerSec > 0 {
 						l.gbps = ls.GbitPerSec
@@ -268,7 +256,7 @@ func (f *Fleet) linkFactor(li int, at int64) float64 {
 func (f *Fleet) wanDelays(li int, opSeq uint64, at int64, put bool) (out, ret int64) {
 	l := &f.links[li]
 	u := sched.HashUnit(uint64(l.seed), opSeq)
-	rtt := l.rtt + int64((2*u-1)*float64(l.jitter))
+	rtt := l.rtt + int64((2*u-1)*float64(wanJitter))
 	rtt = int64(float64(rtt) * f.linkFactor(li, at))
 	if rtt < 0 {
 		rtt = 0
@@ -287,7 +275,7 @@ func (f *Fleet) wanDelays(li int, opSeq uint64, at int64, put bool) (out, ret in
 // virtual time `at` over link li: it is shed iff `at` falls inside a
 // recorded shed window. Ops past a window's end pass as half-open
 // probes; a probe that fails re-arms a fresh window. Every window of a
-// serve lasts BreakerCooldown and the history is sorted by start, so the
+// serve lasts breakerCooldown and the history is sorted by start, so the
 // last window starting at or before `at` is the only one that can
 // contain it. Queries may go backwards in time (planning issues at
 // virtual times the fold has already passed), so this searches rather
@@ -316,13 +304,13 @@ func (f *Fleet) breakerObserve(li int, end int64, ok bool, res *Result) {
 	l.strk++
 	if l.open {
 		l.openedAt = end
-		l.addShed(end, int64(f.cfg.Resilience.BreakerCooldown))
+		l.addShed(end, int64(breakerCooldown))
 		return
 	}
-	if l.strk >= f.cfg.Resilience.BreakerThreshold {
+	if l.strk >= breakerThreshold {
 		l.open = true
 		l.openedAt = end
-		l.addShed(end, int64(f.cfg.Resilience.BreakerCooldown))
+		l.addShed(end, int64(breakerCooldown))
 		res.BreakerOpens++
 	}
 }

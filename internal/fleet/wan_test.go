@@ -83,7 +83,7 @@ func TestWANDelaysArePureAndBounded(t *testing.T) {
 	for op := uint64(0); op < 200; op++ {
 		out, ret := f.wanDelays(li, op, 0, false)
 		rtt := out + ret - ser
-		if lo, hi := int64(w.RTT-w.Jitter), int64(w.RTT+w.Jitter); rtt < lo || rtt > hi {
+		if lo, hi := int64(wanRTT-wanJitter), int64(wanRTT+wanJitter); rtt < lo || rtt > hi {
 			t.Fatalf("op %d: rtt %d outside [%d, %d]", op, rtt, lo, hi)
 		}
 		// GETs carry the payload on the return path, PUTs outbound.
@@ -103,7 +103,7 @@ func TestLinkBreakerLifecycle(t *testing.T) {
 	var res Result
 	ms := int64(time.Millisecond)
 	// Consecutive failures up to the threshold open the breaker once.
-	for i := 0; i < f.cfg.Resilience.BreakerThreshold; i++ {
+	for i := 0; i < breakerThreshold; i++ {
 		if !f.breakerAllows(li, int64(i)*ms) {
 			t.Fatalf("breaker refused op %d while closed", i)
 		}
@@ -113,7 +113,7 @@ func TestLinkBreakerLifecycle(t *testing.T) {
 		t.Fatalf("breaker open=%v opens=%d after threshold failures", f.links[li].open, res.BreakerOpens)
 	}
 	openedAt := f.links[li].openedAt
-	cool := int64(f.cfg.Resilience.BreakerCooldown)
+	cool := int64(breakerCooldown)
 	// Before the cooldown: shed. After: a probe passes.
 	if f.breakerAllows(li, openedAt+cool-1) {
 		t.Fatal("op allowed before cooldown elapsed")
@@ -170,7 +170,10 @@ func TestBreakerEngagesDuringServe(t *testing.T) {
 
 func TestLinkSpecOverrides(t *testing.T) {
 	cfg := testFleetConfig(PlacementAttackAware, 0)
-	cfg.WAN.Links = []LinkSpec{{A: 1, B: 0, RTT: 80 * time.Millisecond, GbitPerSec: 1}}
+	cfg.WAN.Links = []LinkSpec{
+		{A: 1, B: 0, RTT: 80 * time.Millisecond, GbitPerSec: 1},
+		{A: 2, B: 1, GbitPerSec: 2},
+	}
 	f, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -179,8 +182,8 @@ func TestLinkSpecOverrides(t *testing.T) {
 	if l.rtt != int64(80*time.Millisecond) || l.gbps != 1 {
 		t.Fatalf("override not applied: rtt=%d gbps=%v", l.rtt, l.gbps)
 	}
-	if l.jitter != int64(cfg.WAN.withDefaults().Jitter) {
-		t.Fatal("zero override field did not inherit the default")
+	if l := f.links[f.linkIdx(1, 2)]; l.rtt != int64(wanRTT) || l.gbps != 2 {
+		t.Fatalf("zero override field did not inherit the default: rtt=%d gbps=%v", l.rtt, l.gbps)
 	}
 	if def := f.links[f.linkIdx(0, 2)]; def.rtt != int64(30*time.Millisecond) {
 		t.Fatalf("unrelated link changed: rtt=%d", def.rtt)

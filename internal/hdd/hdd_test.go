@@ -262,7 +262,7 @@ func TestShockSensorParksHeads(t *testing.T) {
 		t.Fatalf("expected parked error, got %v", res.Err)
 	}
 	// After the park duration the drive recovers.
-	clock.Advance(d.Model().ParkDuration + time.Millisecond)
+	clock.Sleep(d.Model().ParkDuration + time.Millisecond)
 	d.SetVibration(Quiet())
 	if res := d.Access(OpRead, 0, 4096); res.Err != nil {
 		t.Fatalf("drive did not recover after parking: %v", res.Err)

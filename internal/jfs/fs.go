@@ -88,8 +88,8 @@ func Mkfs(dev blockdev.Device, opts MkfsOptions) error {
 		return err
 	}
 	bitmapBlocks := (opts.Blocks/8 + BlockSize - 1) / BlockSize
-	inodeBlocks := (uint64(opts.Inodes) + InodesPerBlock - 1) / InodesPerBlock
-	dirBlocks := (uint64(opts.Inodes)*DirentSize + BlockSize - 1) / BlockSize
+	inodeBlocks := uint64((mkfsInodes + InodesPerBlock - 1) / InodesPerBlock)
+	dirBlocks := uint64((mkfsInodes*DirentSize + BlockSize - 1) / BlockSize)
 
 	sb := &Superblock{
 		Magic:         Magic,
@@ -100,7 +100,7 @@ func Mkfs(dev blockdev.Device, opts MkfsOptions) error {
 		BitmapBlocks:  bitmapBlocks,
 		InodeStart:    1 + opts.JournalBlocks + bitmapBlocks,
 		InodeBlocks:   inodeBlocks,
-		InodeCount:    opts.Inodes,
+		InodeCount:    mkfsInodes,
 		State:         StateClean,
 	}
 	sb.DataStart = sb.InodeStart + inodeBlocks + dirBlocks

@@ -28,7 +28,7 @@ func TestFsckCleanAfterWorkload(t *testing.T) {
 		if _, err := f.WriteAt(bytes.Repeat([]byte{byte(i)}, (i+1)*1000), 0); err != nil {
 			t.Fatal(err)
 		}
-		clock.Advance(time.Second)
+		clock.Sleep(time.Second)
 		fs.Tick()
 	}
 	fs.Remove("a")

@@ -114,7 +114,7 @@ func FuzzFileOps(f *testing.F) {
 					t.Fatalf("sync: %v", err)
 				}
 			case 5: // time passes, background commit
-				clock.Advance(time.Duration(1+int(a)%5) * time.Second)
+				clock.Sleep(time.Duration(1+int(a)%5) * time.Second)
 				fs.Tick()
 			case 6: // sync, then crash and recover on a fresh mount
 				if err := fs.Sync(); err != nil {

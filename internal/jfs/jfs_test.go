@@ -298,7 +298,7 @@ func TestBackgroundCommitRunsOnInterval(t *testing.T) {
 	if fs.CommitAttempts != 0 {
 		t.Fatalf("commit ran too early: %d", fs.CommitAttempts)
 	}
-	clock.Advance(6 * time.Second)
+	clock.Sleep(6 * time.Second)
 	fs.Tick()
 	if fs.CommitAttempts != 1 {
 		t.Fatalf("commit attempts = %d, want 1", fs.CommitAttempts)
@@ -318,7 +318,7 @@ func TestJournalAbortUnderProlongedAttack(t *testing.T) {
 	attackStart := clock.Now()
 	disk.Drive().SetVibration(hdd.Vibration{Freq: 650, Amplitude: 2.3})
 	for i := 0; i < 1000; i++ {
-		clock.Advance(time.Second)
+		clock.Sleep(time.Second)
 		fs.Tick()
 		if aborted, _ := fs.Aborted(); aborted {
 			break
@@ -358,14 +358,14 @@ func TestCommitRecoversAfterShortAttack(t *testing.T) {
 	f.WriteAt([]byte("data"), 0)
 	disk.Drive().SetVibration(hdd.Vibration{Freq: 650, Amplitude: 2.3})
 	for i := 0; i < 5; i++ {
-		clock.Advance(time.Second)
+		clock.Sleep(time.Second)
 		fs.Tick()
 	}
 	if fs.CommitFailures == 0 {
 		t.Fatal("expected commit failures during attack")
 	}
 	disk.Drive().SetVibration(hdd.Quiet())
-	clock.Advance(2 * time.Second)
+	clock.Sleep(2 * time.Second)
 	fs.Tick()
 	if aborted, _ := fs.Aborted(); aborted {
 		t.Fatal("journal aborted despite attack ending inside the stall limit")
@@ -515,7 +515,7 @@ func TestManyFilesAndCommits(t *testing.T) {
 		if _, err := f.WriteAt(bytes.Repeat([]byte{byte(i)}, 2*BlockSize), 0); err != nil {
 			t.Fatal(err)
 		}
-		clock.Advance(time.Second)
+		clock.Sleep(time.Second)
 		fs.Tick()
 	}
 	if err := fs.Sync(); err != nil {

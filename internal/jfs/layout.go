@@ -41,6 +41,9 @@ const (
 	NDirect = 12
 	// PointersPerBlock is the fan-out of the single indirect block.
 	PointersPerBlock = BlockSize / 8
+	// mkfsInodes is the inode count Mkfs formats; Mount reads the count
+	// back from the superblock.
+	mkfsInodes = 4096
 )
 
 // Filesystem states recorded in the superblock.
@@ -208,8 +211,6 @@ type MkfsOptions struct {
 	Blocks uint64
 	// JournalBlocks sets the journal region size (default 1024 blocks).
 	JournalBlocks uint64
-	// Inodes sets the inode count (default 4096).
-	Inodes uint32
 }
 
 func (o MkfsOptions) withDefaults(devBlocks uint64) (MkfsOptions, error) {
@@ -218,9 +219,6 @@ func (o MkfsOptions) withDefaults(devBlocks uint64) (MkfsOptions, error) {
 	}
 	if o.JournalBlocks == 0 {
 		o.JournalBlocks = 1024
-	}
-	if o.Inodes == 0 {
-		o.Inodes = 4096
 	}
 	if o.Blocks < o.JournalBlocks+64 {
 		return o, fmt.Errorf("jfs: %d blocks too small for a %d-block journal", o.Blocks, o.JournalBlocks)

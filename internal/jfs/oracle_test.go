@@ -116,7 +116,7 @@ func TestOracleRandomOperations(t *testing.T) {
 				t.Fatalf("step %d: sync: %v", i, err)
 			}
 		default: // time passes, background commit
-			clock.Advance(time.Duration(rng.Intn(6)) * time.Second)
+			clock.Sleep(time.Duration(rng.Intn(6)) * time.Second)
 			fs.Tick()
 		}
 		if i%50 == 0 {

@@ -25,26 +25,25 @@ type BenchSpec struct {
 	Num int
 	// Runtime bounds time-bounded workloads (readwhilewriting).
 	Runtime time.Duration
-	// KeySize and ValueSize are payload sizes (db_bench defaults are 16
-	// and 100 bytes).
-	KeySize, ValueSize int
-	// ReadsPerWrite is the read:write mix of readwhilewriting (the
-	// benchmark models db_bench's reader threads against one writer as
-	// a closed loop; default 10).
-	ReadsPerWrite int
+	// ValueSize is the value payload size (db_bench's default is 100
+	// bytes); keys are benchKeySize bytes.
+	ValueSize int
 	// Seed drives key selection.
 	Seed int64
 }
 
+const (
+	// benchKeySize is db_bench's default key size in bytes.
+	benchKeySize = 16
+	// readsPerWrite is the read:write mix of readwhilewriting: the
+	// benchmark models db_bench's reader threads against one writer as
+	// a closed loop.
+	readsPerWrite = 10
+)
+
 func (s BenchSpec) withDefaults() BenchSpec {
-	if s.KeySize <= 0 {
-		s.KeySize = 16
-	}
 	if s.ValueSize <= 0 {
 		s.ValueSize = 100
-	}
-	if s.ReadsPerWrite <= 0 {
-		s.ReadsPerWrite = 10
 	}
 	if s.Seed == 0 {
 		s.Seed = 1
@@ -95,12 +94,8 @@ func NewBench(db *DB, clock *simclock.Virtual) *Bench {
 	return &Bench{db: db, clock: clock}
 }
 
-func benchKey(i int, size int) []byte {
-	k := fmt.Sprintf("%016d", i)
-	for len(k) < size {
-		k += "x"
-	}
-	return []byte(k[:size])
+func benchKey(i int) []byte {
+	return []byte(fmt.Sprintf("%016d", i)[:benchKeySize])
 }
 
 func benchValue(rng *rand.Rand, size int) []byte {
@@ -138,7 +133,7 @@ func (b *Bench) fill(spec BenchSpec) (BenchResult, error) {
 		if spec.Workload == WorkloadFillRandom {
 			idx = rng.Intn(spec.Num)
 		}
-		err := b.db.Put(benchKey(idx, spec.KeySize), benchValue(rng, spec.ValueSize))
+		err := b.db.Put(benchKey(idx), benchValue(rng, spec.ValueSize))
 		if err != nil {
 			res.Errors++
 			if crashed, cerr := b.db.Crashed(); crashed {
@@ -148,7 +143,7 @@ func (b *Bench) fill(spec BenchSpec) (BenchResult, error) {
 			continue
 		}
 		res.Ops++
-		res.Bytes += int64(spec.KeySize + spec.ValueSize)
+		res.Bytes += int64(benchKeySize + spec.ValueSize)
 	}
 	res.Elapsed = b.clock.Now().Sub(start)
 	return res, nil
@@ -162,7 +157,7 @@ func (b *Bench) readRandom(spec BenchSpec) (BenchResult, error) {
 	res := BenchResult{Spec: spec}
 	start := b.clock.Now()
 	for i := 0; i < spec.Num; i++ {
-		v, err := b.db.Get(benchKey(rng.Intn(spec.Num), spec.KeySize))
+		v, err := b.db.Get(benchKey(rng.Intn(spec.Num)))
 		if err != nil && !errors.Is(err, ErrNotFound) {
 			res.Errors++
 			if crashed, cerr := b.db.Crashed(); crashed {
@@ -207,7 +202,7 @@ func (b *Bench) readWhileWriting(spec BenchSpec) (BenchResult, error) {
 	})
 	defer b.db.SetRetryHook(prevHook)
 	for b.clock.Now().Sub(start) < spec.Runtime {
-		err := b.db.Put(benchKey(written, spec.KeySize), benchValue(rng, spec.ValueSize))
+		err := b.db.Put(benchKey(written), benchValue(rng, spec.ValueSize))
 		if err != nil {
 			res.Errors++
 			if crashed, cerr := b.db.Crashed(); crashed {
@@ -217,10 +212,10 @@ func (b *Bench) readWhileWriting(spec BenchSpec) (BenchResult, error) {
 		} else {
 			written++
 			res.Ops++
-			res.Bytes += int64(spec.KeySize + spec.ValueSize)
+			res.Bytes += int64(benchKeySize + spec.ValueSize)
 		}
-		for r := 0; r < spec.ReadsPerWrite; r++ {
-			v, err := b.db.Get(benchKey(rng.Intn(written), spec.KeySize))
+		for r := 0; r < readsPerWrite; r++ {
+			v, err := b.db.Get(benchKey(rng.Intn(written)))
 			if err != nil && !errors.Is(err, ErrNotFound) {
 				res.Errors++
 				if crashed, cerr := b.db.Crashed(); crashed {

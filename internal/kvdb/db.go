@@ -35,22 +35,10 @@ type Options struct {
 	// L0CompactTrigger is the L0 table count that schedules compaction
 	// (default 4).
 	L0CompactTrigger int
-	// L0StopTrigger is the L0 table count that blocks writes until
-	// compaction succeeds — RocksDB's stop condition (default 12).
-	L0StopTrigger int
-	// CacheTables keeps table bytes in memory (page-cache semantics,
-	// default true via withDefaults).
-	CacheTables *bool
 	// WALStallLimit is how long the write path tolerates WAL I/O
 	// failures before the database crashes (default 80 s, reproducing
 	// the paper's ≈81 s RocksDB time-to-crash).
 	WALStallLimit time.Duration
-	// RetryInterval is the pause between WAL retry attempts while
-	// blocked (default 1 s).
-	RetryInterval time.Duration
-	// CPUCostPerOp is the simulated compute cost per operation
-	// (default 7.5 µs, calibrated to the paper's ≈1.1e5 ops/s).
-	CPUCostPerOp time.Duration
 	// RetryHook, if set, runs after every failed WAL retry with the
 	// current stall duration. Returning false abandons the blocked
 	// write with an error instead of waiting for the stall limit;
@@ -60,6 +48,19 @@ type Options struct {
 	// Seed drives the memtable's deterministic skiplist heights.
 	Seed int64
 }
+
+// The engine's fixed tuning.
+const (
+	// l0StopTrigger is the L0 table count that blocks writes until
+	// compaction succeeds — RocksDB's stop condition.
+	l0StopTrigger = 12
+	// retryInterval is the pause between WAL retry attempts while
+	// blocked.
+	retryInterval = time.Second
+	// cpuCostPerOp is the simulated compute cost per operation,
+	// calibrated to the paper's ≈1.1e5 ops/s.
+	cpuCostPerOp = 7500 * time.Nanosecond
+)
 
 func (o Options) withDefaults() Options {
 	if o.MemtableBytes <= 0 {
@@ -71,21 +72,8 @@ func (o Options) withDefaults() Options {
 	if o.L0CompactTrigger <= 0 {
 		o.L0CompactTrigger = 4
 	}
-	if o.L0StopTrigger <= 0 {
-		o.L0StopTrigger = 12
-	}
-	if o.CacheTables == nil {
-		t := true
-		o.CacheTables = &t
-	}
 	if o.WALStallLimit <= 0 {
 		o.WALStallLimit = 80 * time.Second
-	}
-	if o.RetryInterval <= 0 {
-		o.RetryInterval = time.Second
-	}
-	if o.CPUCostPerOp <= 0 {
-		o.CPUCostPerOp = 7500 * time.Nanosecond
 	}
 	if o.Seed == 0 {
 		o.Seed = 1
@@ -154,7 +142,7 @@ func Open(fs *jfs.FS, clock *simclock.Virtual, opts Options) (*DB, error) {
 		if err1 != nil || err2 != nil {
 			continue
 		}
-		t, err := openSSTable(fs, name, *db.opts.CacheTables)
+		t, err := openSSTable(fs, name)
 		if err != nil {
 			return nil, err
 		}
@@ -255,7 +243,7 @@ func (db *DB) guard() error {
 	return nil
 }
 
-func (db *DB) chargeCPU() { db.clock.Sleep(db.opts.CPUCostPerOp) }
+func (db *DB) chargeCPU() { db.clock.Sleep(cpuCostPerOp) }
 
 // Put stores key → value. Under device failure the write path blocks,
 // retrying the WAL, until either the device recovers or the stall limit
@@ -321,7 +309,7 @@ func (db *DB) persistWAL() error {
 			return db.crashErr
 		}
 		// Blocked: wait and retry (group-commit convoy).
-		db.clock.Sleep(db.opts.RetryInterval)
+		db.clock.Sleep(retryInterval)
 		db.fs.Tick()
 		if db.opts.RetryHook != nil && !db.opts.RetryHook(db.clock.Now().Sub(db.stallSince)) {
 			return fmt.Errorf("kvdb: write abandoned while device stalled: %w", err)
@@ -364,14 +352,14 @@ func (db *DB) flushMemtable() error {
 	}
 	// RocksDB's stop condition: too many L0 files block writes until
 	// compaction clears the backlog.
-	if len(db.l0) >= db.opts.L0StopTrigger {
+	if len(db.l0) >= l0StopTrigger {
 		if err := db.compact(); err != nil {
 			return err
 		}
 	}
 	entries := db.mem.Entries()
 	name := sstName(0, db.sstGen)
-	t, err := writeSSTable(db.fs, name, entries, *db.opts.CacheTables)
+	t, err := writeSSTable(db.fs, name, entries)
 	if err != nil {
 		return db.storageFailure(err)
 	}
@@ -465,7 +453,7 @@ func (db *DB) compact() error {
 		if len(batch) == 0 {
 			return nil
 		}
-		t, err := writeSSTable(db.fs, sstName(1, db.sstGen), batch, *db.opts.CacheTables)
+		t, err := writeSSTable(db.fs, sstName(1, db.sstGen), batch)
 		if err != nil {
 			return db.storageFailure(err)
 		}

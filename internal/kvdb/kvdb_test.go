@@ -80,7 +80,7 @@ func TestMemtableFlushCreatesTables(t *testing.T) {
 	r := newRig(t, Options{MemtableBytes: 8 << 10})
 	val := bytes.Repeat([]byte{7}, 100)
 	for i := 0; i < 200; i++ {
-		if err := r.db.Put(benchKey(i, 16), val); err != nil {
+		if err := r.db.Put(benchKey(i), val); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -93,7 +93,7 @@ func TestMemtableFlushCreatesTables(t *testing.T) {
 	}
 	// All keys must still resolve after flushes.
 	for i := 0; i < 200; i++ {
-		if _, err := r.db.Get(benchKey(i, 16)); err != nil {
+		if _, err := r.db.Get(benchKey(i)); err != nil {
 			t.Fatalf("key %d lost after flush: %v", i, err)
 		}
 	}
@@ -103,13 +103,13 @@ func TestCompactionMergesAndDropsTombstones(t *testing.T) {
 	r := newRig(t, Options{MemtableBytes: 4 << 10, L0CompactTrigger: 2})
 	val := bytes.Repeat([]byte{9}, 100)
 	for i := 0; i < 100; i++ {
-		r.db.Put(benchKey(i, 16), val)
+		r.db.Put(benchKey(i), val)
 	}
 	for i := 0; i < 50; i++ {
-		r.db.Delete(benchKey(i, 16))
+		r.db.Delete(benchKey(i))
 	}
 	for i := 100; i < 200; i++ {
-		r.db.Put(benchKey(i, 16), val)
+		r.db.Put(benchKey(i), val)
 	}
 	if err := r.db.Flush(); err != nil {
 		t.Fatal(err)
@@ -118,12 +118,12 @@ func TestCompactionMergesAndDropsTombstones(t *testing.T) {
 		t.Fatal("expected compactions")
 	}
 	for i := 0; i < 50; i++ {
-		if _, err := r.db.Get(benchKey(i, 16)); !errors.Is(err, ErrNotFound) {
+		if _, err := r.db.Get(benchKey(i)); !errors.Is(err, ErrNotFound) {
 			t.Fatalf("deleted key %d visible: %v", i, err)
 		}
 	}
 	for i := 50; i < 200; i++ {
-		if _, err := r.db.Get(benchKey(i, 16)); err != nil {
+		if _, err := r.db.Get(benchKey(i)); err != nil {
 			t.Fatalf("key %d lost in compaction: %v", i, err)
 		}
 	}
@@ -415,7 +415,7 @@ func TestSSTableRoundTrip(t *testing.T) {
 		{Key: []byte("b"), Value: nil, Seq: 2}, // tombstone
 		{Key: []byte("c"), Value: []byte("3"), Seq: 3},
 	}
-	tbl, err := writeSSTable(r.fs, "sst-0-000001", entries, true)
+	tbl, err := writeSSTable(r.fs, "sst-0-000001", entries)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -426,13 +426,13 @@ func TestSSTableRoundTrip(t *testing.T) {
 	if _, found, _ := tbl.Get([]byte("zz")); found {
 		t.Fatal("out-of-range key found")
 	}
-	reopened, err := openSSTable(r.fs, "sst-0-000001", false)
+	reopened, err := openSSTable(r.fs, "sst-0-000001")
 	if err != nil {
 		t.Fatal(err)
 	}
 	e, found, err = reopened.Get([]byte("c"))
 	if err != nil || !found || string(e.Value) != "3" {
-		t.Fatalf("uncached get: %v %v %+v", err, found, e)
+		t.Fatalf("reopened get: %v %v %+v", err, found, e)
 	}
 	all, err := reopened.Entries()
 	if err != nil || len(all) != 3 {
@@ -450,17 +450,17 @@ func TestSSTableRoundTrip(t *testing.T) {
 func TestBloomFilterNoFalseNegatives(t *testing.T) {
 	b := newBloom(1000)
 	for i := 0; i < 1000; i++ {
-		b.add(benchKey(i, 16))
+		b.add(benchKey(i))
 	}
 	for i := 0; i < 1000; i++ {
-		if !b.mayContain(benchKey(i, 16)) {
+		if !b.mayContain(benchKey(i)) {
 			t.Fatalf("false negative at %d", i)
 		}
 	}
 	// False positive rate sanity: most absent keys excluded.
 	fp := 0
 	for i := 1000; i < 2000; i++ {
-		if b.mayContain(benchKey(i, 16)) {
+		if b.mayContain(benchKey(i)) {
 			fp++
 		}
 	}

@@ -61,11 +61,10 @@ type indexEntry struct {
 }
 
 // SSTable is an immutable sorted table stored in one filesystem file. The
-// in-memory index addresses every entry; the optional cache holds the whole
-// file (page-cache semantics) so warm reads cost no disk I/O.
+// in-memory index addresses every entry; the cache holds the whole file
+// (page-cache semantics) so reads cost no disk I/O.
 type SSTable struct {
 	Name           string
-	file           *jfs.File
 	count          int
 	minKey, maxKey []byte
 	maxSeq         uint64
@@ -122,7 +121,7 @@ func decodeEntry(buf []byte) (Entry, int, error) {
 
 // writeSSTable persists sorted entries as a new table file. Entries must
 // already be sorted by key with at most one entry per key.
-func writeSSTable(fs *jfs.FS, name string, entries []Entry, cache bool) (*SSTable, error) {
+func writeSSTable(fs *jfs.FS, name string, entries []Entry) (*SSTable, error) {
 	if len(entries) == 0 {
 		return nil, fmt.Errorf("kvdb: refusing to write empty table %q", name)
 	}
@@ -138,7 +137,6 @@ func writeSSTable(fs *jfs.FS, name string, entries []Entry, cache bool) (*SSTabl
 
 	t := &SSTable{
 		Name:   name,
-		file:   f,
 		count:  len(entries),
 		minKey: entries[0].Key,
 		maxKey: entries[len(entries)-1].Key,
@@ -159,14 +157,12 @@ func writeSSTable(fs *jfs.FS, name string, entries []Entry, cache bool) (*SSTabl
 		_ = fs.Remove(name)
 		return nil, fmt.Errorf("kvdb: writing table %q: %w", name, err)
 	}
-	if cache {
-		t.cache = raw
-	}
+	t.cache = raw
 	return t, nil
 }
 
 // openSSTable loads an existing table, rebuilding index and bloom filter.
-func openSSTable(fs *jfs.FS, name string, cache bool) (*SSTable, error) {
+func openSSTable(fs *jfs.FS, name string) (*SSTable, error) {
 	f, err := fs.Open(name)
 	if err != nil {
 		return nil, err
@@ -179,7 +175,7 @@ func openSSTable(fs *jfs.FS, name string, cache bool) (*SSTable, error) {
 		return nil, fmt.Errorf("kvdb: %q is not a table file", name)
 	}
 	count := int(binary.LittleEndian.Uint32(raw[8:]))
-	t := &SSTable{Name: name, file: f, count: count, bloom: newBloom(count)}
+	t := &SSTable{Name: name, count: count, bloom: newBloom(count), cache: raw}
 	pos := 12
 	for i := 0; i < count; i++ {
 		e, n, err := decodeEntry(raw[pos:])
@@ -196,9 +192,6 @@ func openSSTable(fs *jfs.FS, name string, cache bool) (*SSTable, error) {
 			t.maxSeq = e.Seq
 		}
 		pos += n
-	}
-	if cache {
-		t.cache = raw
 	}
 	return t, nil
 }
@@ -225,16 +218,7 @@ func (t *SSTable) Get(key []byte) (Entry, bool, error) {
 		return Entry{}, false, nil
 	}
 	ie := t.index[i]
-	var raw []byte
-	if t.cache != nil {
-		raw = t.cache[ie.offset : ie.offset+int64(ie.length)]
-	} else {
-		raw = make([]byte, ie.length)
-		if _, err := t.file.ReadAt(raw, ie.offset); err != nil && err != io.EOF {
-			return Entry{}, false, fmt.Errorf("kvdb: table %q read: %w", t.Name, err)
-		}
-	}
-	e, _, err := decodeEntry(raw)
+	e, _, err := decodeEntry(t.cache[ie.offset : ie.offset+int64(ie.length)])
 	if err != nil {
 		return Entry{}, false, err
 	}
@@ -243,19 +227,10 @@ func (t *SSTable) Get(key []byte) (Entry, bool, error) {
 
 // Entries streams the whole table (used by compaction and iterators).
 func (t *SSTable) Entries() ([]Entry, error) {
-	var raw []byte
-	if t.cache != nil {
-		raw = t.cache
-	} else {
-		raw = make([]byte, t.file.Size())
-		if _, err := t.file.ReadAt(raw, 0); err != nil && err != io.EOF {
-			return nil, fmt.Errorf("kvdb: table %q read: %w", t.Name, err)
-		}
-	}
 	out := make([]Entry, 0, t.count)
 	pos := 12
 	for i := 0; i < t.count; i++ {
-		e, n, err := decodeEntry(raw[pos:])
+		e, n, err := decodeEntry(t.cache[pos:])
 		if err != nil {
 			return nil, err
 		}

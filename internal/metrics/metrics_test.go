@@ -120,7 +120,7 @@ func TestVirtualClockStamp(t *testing.T) {
 	clk := simclock.NewVirtual()
 	r := NewRegistry()
 	r.SetClock(clk)
-	clk.Advance(90 * time.Second)
+	clk.Sleep(90 * time.Second)
 	snap := r.Snapshot()
 	if snap.VirtualSeconds != 90 {
 		t.Fatalf("virtual_seconds = %g, want 90", snap.VirtualSeconds)

@@ -24,22 +24,21 @@ var (
 	ErrTimeout = errors.New("netstore: request timed out")
 	// ErrBadRequest reports malformed requests.
 	ErrBadRequest = errors.New("netstore: bad request")
-	// ErrUnavailable is the circuit breaker's fast-fail: the server sheds
-	// the request without touching the backing store.
-	ErrUnavailable = errors.New("netstore: service unavailable (circuit open)")
 	// errInternal reports a storage failure that was not a timeout. It
 	// is one shared value because failing requests are the common case
 	// under attack, and the text never varies.
 	errInternal = errors.New("netstore: internal storage error")
 )
 
+// The network round trip added to every request: a 2 ms mean with a
+// uniform ±0.5 ms jitter.
+const (
+	netRTT    = 2 * time.Millisecond
+	rttJitter = 500 * time.Microsecond
+)
+
 // Config tunes the service.
 type Config struct {
-	// NetRTT is the mean network round-trip added to every request
-	// (default 2 ms).
-	NetRTT time.Duration
-	// RTTJitter is the uniform ± jitter on the RTT (default 0.5 ms).
-	RTTJitter time.Duration
 	// Timeout bounds a request's storage time before the server answers
 	// 503 (default 5 s, a typical load-balancer budget).
 	Timeout time.Duration
@@ -49,84 +48,9 @@ type Config struct {
 	Objects int
 	// Seed drives the jitter.
 	Seed int64
-	// Resilience enables the hardened request path; the zero value keeps
-	// the bare behavior (including its exact RNG draw sequence).
-	Resilience ResilienceConfig
-}
-
-// ResilienceConfig is the hardened request path: storage retries within the
-// request's timeout budget, hedged GETs, and a circuit breaker that sheds
-// load while the backing store is unresponsive. All waiting is charged to
-// the virtual clock and no extra RNG draws happen, so enabling resilience
-// never perturbs the jitter stream.
-type ResilienceConfig struct {
-	// Enabled turns the hardened path on.
-	Enabled bool
-	// MaxRetries bounds storage re-attempts per request (default 2).
-	MaxRetries int
-	// RetryBackoff is the sleep before the first retry, doubling each
-	// retry (default 50 ms).
-	RetryBackoff time.Duration
-	// HedgeAfter hedges a GET whose first storage attempt failed or ran
-	// longer than this with one immediate second attempt (default 100 ms).
-	HedgeAfter time.Duration
-	// BreakerThreshold opens the circuit after this many consecutive
-	// failed requests (default 5).
-	BreakerThreshold int
-	// BreakerCooldown is how long the circuit stays open before a
-	// half-open probe is allowed through (default 10 s).
-	BreakerCooldown time.Duration
-}
-
-func (r ResilienceConfig) withDefaults() ResilienceConfig {
-	if !r.Enabled {
-		return r
-	}
-	if r.MaxRetries <= 0 {
-		r.MaxRetries = 2
-	}
-	if r.RetryBackoff <= 0 {
-		r.RetryBackoff = 50 * time.Millisecond
-	}
-	if r.HedgeAfter <= 0 {
-		r.HedgeAfter = 100 * time.Millisecond
-	}
-	if r.BreakerThreshold <= 0 {
-		r.BreakerThreshold = 5
-	}
-	if r.BreakerCooldown <= 0 {
-		r.BreakerCooldown = 10 * time.Second
-	}
-	return r
-}
-
-// breakerState is the circuit breaker's position.
-type breakerState int
-
-const (
-	breakerClosed breakerState = iota
-	breakerOpen
-	breakerHalfOpen
-)
-
-func (b breakerState) String() string {
-	switch b {
-	case breakerOpen:
-		return "open"
-	case breakerHalfOpen:
-		return "half-open"
-	default:
-		return "closed"
-	}
 }
 
 func (c Config) withDefaults() Config {
-	if c.NetRTT <= 0 {
-		c.NetRTT = 2 * time.Millisecond
-	}
-	if c.RTTJitter <= 0 {
-		c.RTTJitter = 500 * time.Microsecond
-	}
 	if c.Timeout <= 0 {
 		c.Timeout = 5 * time.Second
 	}
@@ -139,7 +63,6 @@ func (c Config) withDefaults() Config {
 	if c.Seed == 0 {
 		c.Seed = 1
 	}
-	c.Resilience = c.Resilience.withDefaults()
 	return c
 }
 
@@ -179,18 +102,8 @@ type Server struct {
 	// GETs out of it so the hot path never allocates.
 	scratch []byte
 
-	// Circuit breaker state (resilience only).
-	breaker  breakerState
-	openedAt time.Time
-	failStrk int
-
 	// Stats
 	Requests, Timeouts, Errors int64
-	// Resilience stats: storage re-attempts, hedged GETs, requests saved
-	// by a retry or hedge, breaker transitions, and shed requests.
-	Retries, Hedges, Recovered  int64
-	BreakerOpens, BreakerCloses int64
-	FastFails                   int64
 }
 
 // NewServer starts a service over a device.
@@ -202,17 +115,14 @@ func NewServer(dev blockdev.Device, clock *simclock.Virtual, cfg Config) *Server
 
 // rtt samples one network round trip.
 func (s *Server) rtt() time.Duration {
-	j := time.Duration(s.rng.Int63n(int64(2*s.cfg.RTTJitter))) - s.cfg.RTTJitter
-	return s.cfg.NetRTT + j
+	j := time.Duration(s.rng.Int63n(int64(2*rttJitter))) - rttJitter
+	return netRTT + j
 }
 
 // Handle serves one request against the backing store and returns the
 // client-observed response. The storage operation is bounded by the
 // server's timeout: a drive that stops responding turns into 503s, which
-// is exactly the externally visible signal the attacker keys on. With
-// Config.Resilience enabled, failed attempts are retried (and GETs hedged)
-// inside the timeout budget, and a circuit breaker sheds requests while
-// the store is down.
+// is exactly the externally visible signal the attacker keys on.
 //
 // Handle is the payload-less form: PUTs store a fixed per-object pattern
 // and GETs discard the bytes read. Callers that care about object
@@ -228,8 +138,8 @@ func (s *Server) Handle(op Op, objectID int) Response {
 // pattern); a payload of exactly the object size is written straight from
 // the caller's slice with no staging copy. A successful GET returns a slice
 // aliasing the server's internal request buffer, valid only until the next
-// request on this server. Timing, retry behavior, and the jitter RNG draw
-// sequence are identical to Handle.
+// request on this server. Timing and the jitter RNG draw sequence are
+// identical to Handle.
 func (s *Server) HandleObjectShared(op Op, objectID int, data []byte) ([]byte, Response) {
 	s.Requests++
 	if objectID < 0 || objectID >= s.cfg.Objects {
@@ -244,17 +154,6 @@ func (s *Server) HandleObjectShared(op Op, objectID int, data []byte) ([]byte, R
 	start := s.clock.Now()
 	net := s.rtt()
 	s.clock.Sleep(net / 2) // request flight
-
-	res := s.cfg.Resilience
-	if res.Enabled && s.breaker == breakerOpen {
-		if s.clock.Now().Sub(s.openedAt) < res.BreakerCooldown {
-			s.FastFails++
-			s.clock.Sleep(net / 2)
-			return nil, Response{Latency: s.clock.Now().Sub(start), Err: ErrUnavailable}
-		}
-		// Cooldown over: let this request through as the probe.
-		s.breaker = breakerHalfOpen
-	}
 
 	buf := s.scratch
 	off := int64(objectID) * int64(s.cfg.ObjectSize)
@@ -274,45 +173,13 @@ func (s *Server) HandleObjectShared(op Op, objectID int, data []byte) ([]byte, R
 			}
 		}
 	}
-	attempt := func() error {
-		var err error
-		if op == Put {
-			_, err = s.dev.WriteAt(buf, off)
-		} else {
-			_, err = s.dev.ReadAt(buf, off)
-		}
-		return err
+	var err error
+	if op == Put {
+		_, err = s.dev.WriteAt(buf, off)
+	} else {
+		_, err = s.dev.ReadAt(buf, off)
 	}
-	storageElapsed := func() time.Duration {
-		return s.clock.Now().Sub(start) - net/2
-	}
-
-	err := attempt()
-	if res.Enabled {
-		firstFailed := err != nil
-		// Hedge: a GET whose first attempt failed or ran long gets one
-		// immediate second chance.
-		if op == Get && (err != nil || storageElapsed() >= res.HedgeAfter) &&
-			storageElapsed() < s.cfg.Timeout {
-			s.Hedges++
-			err = attempt()
-		}
-		// Retries with doubling backoff, inside the timeout budget.
-		backoff := res.RetryBackoff
-		for r := 0; err != nil && r < res.MaxRetries; r++ {
-			if storageElapsed()+backoff >= s.cfg.Timeout {
-				break
-			}
-			s.clock.Sleep(backoff)
-			backoff *= 2
-			s.Retries++
-			err = attempt()
-		}
-		if firstFailed && err == nil {
-			s.Recovered++
-		}
-	}
-	storageTime := storageElapsed()
+	storageTime := s.clock.Now().Sub(start) - net/2
 
 	s.clock.Sleep(net / 2) // response flight
 	resp := Response{Latency: s.clock.Now().Sub(start)}
@@ -328,44 +195,11 @@ func (s *Server) HandleObjectShared(op Op, objectID int, data []byte) ([]byte, R
 		s.Timeouts++
 		resp.Err = ErrTimeout
 	}
-	if res.Enabled {
-		s.observeOutcome(resp.Err == nil)
-	}
 	if op == Get && resp.Err == nil {
 		return buf, resp
 	}
 	return nil, resp
 }
-
-// observeOutcome advances the circuit breaker after a served request.
-func (s *Server) observeOutcome(ok bool) {
-	res := s.cfg.Resilience
-	if ok {
-		if s.breaker != breakerClosed {
-			s.breaker = breakerClosed
-			s.BreakerCloses++
-		}
-		s.failStrk = 0
-		return
-	}
-	s.failStrk++
-	switch s.breaker {
-	case breakerHalfOpen:
-		// The probe failed: back to open for another cooldown.
-		s.breaker = breakerOpen
-		s.openedAt = s.clock.Now()
-	case breakerClosed:
-		if s.failStrk >= res.BreakerThreshold {
-			s.breaker = breakerOpen
-			s.openedAt = s.clock.Now()
-			s.BreakerOpens++
-		}
-	}
-}
-
-// BreakerState names the circuit breaker position ("closed", "open",
-// "half-open").
-func (s *Server) BreakerState() string { return s.breaker.String() }
 
 // Preload writes every object once so GETs hit allocated storage.
 func (s *Server) Preload() error {
@@ -389,10 +223,4 @@ func (s *Server) PublishMetrics(reg *metrics.Registry) {
 	reg.Add("netstore.requests", s.Requests)
 	reg.Add("netstore.timeouts", s.Timeouts)
 	reg.Add("netstore.errors", s.Errors)
-	reg.Add("netstore.retries", s.Retries)
-	reg.Add("netstore.hedges", s.Hedges)
-	reg.Add("netstore.recovered", s.Recovered)
-	reg.Add("netstore.fast_fails", s.FastFails)
-	reg.Add("netstore.breaker_opens", s.BreakerOpens)
-	reg.Add("netstore.breaker_closes", s.BreakerCloses)
 }

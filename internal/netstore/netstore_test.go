@@ -7,6 +7,7 @@ import (
 
 	"deepnote/internal/blockdev"
 	"deepnote/internal/hdd"
+	"deepnote/internal/metrics"
 	"deepnote/internal/simclock"
 )
 
@@ -203,4 +204,21 @@ func TestInternalErrorText(t *testing.T) {
 	if s.Errors != 2 {
 		t.Fatalf("Errors = %d, want 2", s.Errors)
 	}
+}
+
+func TestNetstorePublishMetrics(t *testing.T) {
+	s, _, _ := newServer(t, Config{})
+	s.Handle(Put, 1)
+	s.Handle(Get, 1)
+	s.Handle(Get, -1)
+	reg := metrics.NewRegistry()
+	s.PublishMetrics(reg)
+	snap := reg.Snapshot()
+	if snap.Counters["netstore.requests"] != 3 || snap.Counters["netstore.errors"] != 1 {
+		t.Fatalf("snapshot: %+v", snap.Counters)
+	}
+	if _, ok := snap.Counters["netstore.timeouts"]; !ok {
+		t.Fatalf("key netstore.timeouts missing from snapshot: %+v", snap.Counters)
+	}
+	s.PublishMetrics(nil) // must not panic
 }

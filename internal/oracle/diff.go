@@ -55,8 +55,6 @@ func (c CellSpec) label() string {
 type Differ struct {
 	// Model is the victim drive, shared by predictor and simulator.
 	Model hdd.Model
-	// Span is the region each fio job sweeps (default 1 GiB).
-	Span int64
 	// JobRuntime is the per-simulation measurement window in virtual
 	// time (default 2 s).
 	JobRuntime time.Duration
@@ -70,11 +68,6 @@ type Differ struct {
 	Workers int
 	// Tolerance is the maximum allowed divergence per cell (default 0.12).
 	Tolerance float64
-	// FloorFrac scales the divergence denominator floor: divergence is
-	// |pred − sim| / max(pred, sim, FloorFrac·quiet), so collapsed cells
-	// (both sides ≈ 0) compare on the throughput scale that matters
-	// rather than amplifying noise in tiny ratios (default 0.05).
-	FloorFrac float64
 	// Mutation seeds a known historical bug into the predictor; the
 	// mutation tests use it to prove the harness trips (default MutNone).
 	Mutation Mutation
@@ -84,10 +77,17 @@ type Differ struct {
 	Metrics *metrics.Registry
 }
 
+const (
+	// diffSpan is the region each fio job sweeps.
+	diffSpan = 1 << 30
+	// floorFrac scales the divergence denominator floor: divergence is
+	// |pred − sim| / max(pred, sim, floorFrac·quiet), so collapsed cells
+	// (both sides ≈ 0) compare on the throughput scale that matters
+	// rather than amplifying noise in tiny ratios.
+	floorFrac = 0.05
+)
+
 func (d Differ) withDefaults() Differ {
-	if d.Span == 0 {
-		d.Span = 1 << 30
-	}
 	if d.JobRuntime == 0 {
 		d.JobRuntime = 2 * time.Second
 	}
@@ -99,9 +99,6 @@ func (d Differ) withDefaults() Differ {
 	}
 	if d.Tolerance == 0 {
 		d.Tolerance = 0.12
-	}
-	if d.FloorFrac == 0 {
-		d.FloorFrac = 0.05
 	}
 	return d
 }
@@ -235,7 +232,7 @@ func (d Differ) runCell(index int, spec CellSpec) (Cell, error) {
 	if sim > scale {
 		scale = sim
 	}
-	if floor := d.FloorFrac * quiet.ThroughputMBps; floor > scale {
+	if floor := floorFrac * quiet.ThroughputMBps; floor > scale {
 		scale = floor
 	}
 	div := 0.0
@@ -268,7 +265,7 @@ func (d Differ) simulate(spec CellSpec, seed int64) (float64, error) {
 	drive.SetVibration(spec.Vib)
 	disk := blockdev.NewDisk(drive)
 
-	span := d.Span
+	span := int64(diffSpan)
 	if spec.Offset+span > d.Model.CapacityBytes {
 		span = d.Model.CapacityBytes - spec.Offset
 	}

@@ -32,33 +32,28 @@ var (
 
 // Config tunes the server model.
 type Config struct {
-	// PageInInterval is how often the kernel must page in executable or
-	// library pages from the root device (default 1 s).
-	PageInInterval time.Duration
-	// LogInterval is how often syslog flushes to disk (default 2 s).
-	LogInterval time.Duration
 	// CrashThreshold is how long critical I/O may fail continuously
 	// before the system dies (default 80 s, reproducing the paper's
 	// ≈81 s Ubuntu time-to-crash).
 	CrashThreshold time.Duration
-	// DmesgCapacity bounds the kernel ring buffer (default 256 lines).
-	DmesgCapacity int
 	// Seed drives which pages get touched.
 	Seed int64
 }
 
+// The kernel's fixed storage rhythm and ring size.
+const (
+	// pageInInterval is how often the kernel must page in executable or
+	// library pages from the root device.
+	pageInInterval = time.Second
+	// logInterval is how often syslog flushes to disk.
+	logInterval = 2 * time.Second
+	// dmesgCapacity bounds the kernel ring buffer, in lines.
+	dmesgCapacity = 256
+)
+
 func (c Config) withDefaults() Config {
-	if c.PageInInterval <= 0 {
-		c.PageInInterval = time.Second
-	}
-	if c.LogInterval <= 0 {
-		c.LogInterval = 2 * time.Second
-	}
 	if c.CrashThreshold <= 0 {
 		c.CrashThreshold = 80 * time.Second
-	}
-	if c.DmesgCapacity <= 0 {
-		c.DmesgCapacity = 256
 	}
 	if c.Seed == 0 {
 		c.Seed = 1
@@ -118,7 +113,7 @@ func Boot(fs *jfs.FS, clock *simclock.Virtual, cfg Config) (*Server, error) {
 		clock: clock,
 		cfg:   cfg,
 		rng:   rand.New(rand.NewSource(cfg.Seed)),
-		dmesg: NewDmesg(cfg.DmesgCapacity),
+		dmesg: NewDmesg(dmesgCapacity),
 	}
 	for _, sf := range systemFiles {
 		f, err := fs.Open(sf.name)
@@ -150,8 +145,8 @@ func Boot(fs *jfs.FS, clock *simclock.Virtual, cfg Config) (*Server, error) {
 	s.logFile = lf
 	s.booted = true
 	s.bootedAt = clock.Now()
-	s.nextPageIn = clock.Now().Add(cfg.PageInInterval)
-	s.nextLog = clock.Now().Add(cfg.LogInterval)
+	s.nextPageIn = clock.Now().Add(pageInInterval)
+	s.nextLog = clock.Now().Add(logInterval)
 	s.dmesg.Logf(clock.Now(), "Linux version 4.4.0-generic (Ubuntu 16.04-like server model)")
 	s.dmesg.Logf(clock.Now(), "EXT4-fs (sda1): mounted filesystem with ordered data mode")
 	return s, nil
@@ -194,7 +189,7 @@ func (s *Server) Step() {
 	}
 	now := s.clock.Now()
 	if !now.Before(s.nextPageIn) {
-		s.nextPageIn = now.Add(s.cfg.PageInInterval)
+		s.nextPageIn = now.Add(pageInInterval)
 		s.pageIn()
 	}
 	if s.crashed {
@@ -202,7 +197,7 @@ func (s *Server) Step() {
 	}
 	now = s.clock.Now()
 	if !now.Before(s.nextLog) {
-		s.nextLog = now.Add(s.cfg.LogInterval)
+		s.nextLog = now.Add(logInterval)
 		s.flushLog()
 	}
 	if !s.crashed {

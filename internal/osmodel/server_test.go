@@ -61,7 +61,7 @@ func TestBootInstallsSystemFiles(t *testing.T) {
 func TestHealthyServerRuns(t *testing.T) {
 	r := newRig(t, Config{})
 	for i := 0; i < 120; i++ {
-		r.clock.Advance(500 * time.Millisecond)
+		r.clock.Sleep(500 * time.Millisecond)
 		r.srv.Step()
 	}
 	if crashed, _ := r.srv.Crashed(); crashed {
@@ -95,7 +95,7 @@ func TestCrashUnderProlongedAttack(t *testing.T) {
 	attackStart := r.clock.Now()
 	r.disk.Drive().SetVibration(hdd.Vibration{Freq: 650, Amplitude: 2.3})
 	for i := 0; i < 600; i++ {
-		r.clock.Advance(250 * time.Millisecond)
+		r.clock.Sleep(250 * time.Millisecond)
 		r.srv.Step()
 		if crashed, _ := r.srv.Crashed(); crashed {
 			break
@@ -137,7 +137,7 @@ func TestRecoveryIfAttackStops(t *testing.T) {
 	r := newRig(t, Config{CrashThreshold: 60 * time.Second})
 	r.disk.Drive().SetVibration(hdd.Vibration{Freq: 650, Amplitude: 2.3})
 	for i := 0; i < 10; i++ {
-		r.clock.Advance(500 * time.Millisecond)
+		r.clock.Sleep(500 * time.Millisecond)
 		r.srv.Step()
 	}
 	if r.srv.PageInErrors == 0 {
@@ -145,7 +145,7 @@ func TestRecoveryIfAttackStops(t *testing.T) {
 	}
 	r.disk.Drive().SetVibration(hdd.Quiet())
 	for i := 0; i < 10; i++ {
-		r.clock.Advance(time.Second)
+		r.clock.Sleep(time.Second)
 		r.srv.Step()
 	}
 	if crashed, _ := r.srv.Crashed(); crashed {
@@ -158,7 +158,7 @@ func TestRecoveryIfAttackStops(t *testing.T) {
 
 func TestUptime(t *testing.T) {
 	r := newRig(t, Config{})
-	r.clock.Advance(10 * time.Second)
+	r.clock.Sleep(10 * time.Second)
 	if got := r.srv.Uptime(); got != 10*time.Second {
 		t.Fatalf("uptime = %v", got)
 	}

@@ -22,7 +22,7 @@ func TestServicesRunHealthy(t *testing.T) {
 		t.Fatalf("running = %d, want 3", got)
 	}
 	for i := 0; i < 40; i++ {
-		r.clock.Advance(500 * time.Millisecond)
+		r.clock.Sleep(500 * time.Millisecond)
 		r.srv.Step()
 	}
 	if got := r.srv.RunningServices(); got != 3 {
@@ -46,7 +46,7 @@ func TestServicesFailPermanentlyUnderSustainedAttack(t *testing.T) {
 	startServices(t, r)
 	r.disk.Drive().SetVibration(hdd.Vibration{Freq: 650, Amplitude: 2.3})
 	for i := 0; i < 120; i++ {
-		r.clock.Advance(time.Second)
+		r.clock.Sleep(time.Second)
 		r.srv.Step()
 	}
 	if got := r.srv.RunningServices(); got != 0 {
@@ -75,12 +75,12 @@ func TestServicesRecoverFromShortBurst(t *testing.T) {
 	startServices(t, r)
 	r.disk.Drive().SetVibration(hdd.Vibration{Freq: 650, Amplitude: 2.3})
 	for i := 0; i < 3; i++ {
-		r.clock.Advance(time.Second)
+		r.clock.Sleep(time.Second)
 		r.srv.Step()
 	}
 	r.disk.Drive().SetVibration(hdd.Quiet())
 	for i := 0; i < 20; i++ {
-		r.clock.Advance(time.Second)
+		r.clock.Sleep(time.Second)
 		r.srv.Step()
 	}
 	if got := r.srv.RunningServices(); got != 3 {

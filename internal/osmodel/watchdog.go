@@ -17,9 +17,6 @@ type WatchdogConfig struct {
 	RebootDelay time.Duration
 	// MaxReboots bounds reboot attempts per crash episode (0 = unlimited).
 	MaxReboots int
-	// FSConfig is the jfs configuration used when remounting the root
-	// filesystem.
-	FSConfig jfs.Config
 	// OnRepair runs before the remount, for storage-level recovery (e.g.
 	// probing and resilvering a RAID array). A returned error aborts the
 	// attempt; the watchdog retries after RebootDelay.
@@ -133,7 +130,7 @@ func (w *Watchdog) tryReboot() bool {
 			return false
 		}
 	}
-	fs, err := jfs.Mount(w.dev, w.clock, w.cfg.FSConfig)
+	fs, err := jfs.Mount(w.dev, w.clock, jfs.Config{})
 	if err != nil {
 		return false
 	}

@@ -60,12 +60,12 @@ func TestCrashThresholdExactBoundary(t *testing.T) {
 	r := newRig(t, Config{CrashThreshold: 10 * time.Second})
 	cause := fmt.Errorf("boundary probe")
 	r.srv.criticalFailure(cause) // opens the failure window
-	r.clock.Advance(10*time.Second - time.Nanosecond)
+	r.clock.Sleep(10*time.Second - time.Nanosecond)
 	r.srv.criticalFailure(cause)
 	if crashed, _ := r.srv.Crashed(); crashed {
 		t.Fatal("crashed one nanosecond before the threshold")
 	}
-	r.clock.Advance(time.Nanosecond)
+	r.clock.Sleep(time.Nanosecond)
 	r.srv.criticalFailure(cause)
 	crashed, err := r.srv.Crashed()
 	if !crashed {
@@ -115,7 +115,7 @@ func TestWatchdogRebootsThroughRecoveryChain(t *testing.T) {
 	// while the drive is unreachable.
 	r.disk.Drive().SetVibration(hdd.Vibration{Freq: 650, Amplitude: 2.3})
 	for i := 0; i < 200; i++ {
-		r.clock.Advance(250 * time.Millisecond)
+		r.clock.Sleep(250 * time.Millisecond)
 		wd.Server().Step()
 		wd.Step()
 	}
@@ -132,7 +132,7 @@ func TestWatchdogRebootsThroughRecoveryChain(t *testing.T) {
 	// Attack ends: the next attempt walks the whole chain and succeeds.
 	r.disk.Drive().SetVibration(hdd.Quiet())
 	for i := 0; i < 60; i++ {
-		r.clock.Advance(250 * time.Millisecond)
+		r.clock.Sleep(250 * time.Millisecond)
 		wd.Server().Step()
 		wd.Step()
 	}
@@ -170,7 +170,7 @@ func TestWatchdogRespectsMaxReboots(t *testing.T) {
 	wd.Adopt(r.srv, r.fs)
 	r.disk.Drive().SetVibration(hdd.Vibration{Freq: 650, Amplitude: 2.3})
 	for i := 0; i < 400; i++ {
-		r.clock.Advance(250 * time.Millisecond)
+		r.clock.Sleep(250 * time.Millisecond)
 		wd.Server().Step()
 		wd.Step()
 	}

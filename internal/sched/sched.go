@@ -227,7 +227,7 @@ func (r *Runner) Run(origin int64, handle func(Item)) {
 			return
 		}
 		if now := r.Clock.Nanos() - origin; now < it.At {
-			r.Clock.Advance(time.Duration(it.At - now))
+			r.Clock.Sleep(time.Duration(it.At - now))
 		}
 		handle(it)
 	}

@@ -71,7 +71,7 @@ func TestRunnerAdvancesClockMonotonically(t *testing.T) {
 		at = append(at, now)
 		if it.ID == 1 {
 			// Simulate service time so event at t=100 arrives "late".
-			r.Clock.Advance(80 * time.Nanosecond)
+			r.Clock.Sleep(80 * time.Nanosecond)
 		}
 	})
 	if len(at) != 3 {

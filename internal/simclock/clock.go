@@ -63,14 +63,10 @@ func (v *Virtual) Sleep(d time.Duration) {
 	}
 }
 
-// Advance is an explicit alias of Sleep for simulation drivers, reading
-// better at call sites that move time forward without modeling a wait.
-func (v *Virtual) Advance(d time.Duration) { v.Sleep(d) }
-
 // Since returns the virtual time elapsed since t.
 func (v *Virtual) Since(t time.Time) time.Duration { return v.Now().Sub(t) }
 
-// Sleeps returns how many Sleep/Advance calls have been made.
+// Sleeps returns how many Sleep calls have been made.
 func (v *Virtual) Sleeps() int { return int(v.sleeps.Load()) }
 
 // String renders the clock's current offset from its epoch.

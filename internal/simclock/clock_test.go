@@ -42,14 +42,6 @@ func TestSleepIgnoresNonPositive(t *testing.T) {
 	}
 }
 
-func TestAdvanceAliasesSleep(t *testing.T) {
-	c := NewVirtual()
-	c.Advance(time.Millisecond)
-	if c.Since(NewVirtual().Now()) != time.Millisecond {
-		t.Fatal("Advance did not move time")
-	}
-}
-
 // Sleeps from many goroutines all land, and a concurrent reader never
 // sees time or the Sleep count go backwards.
 func TestConcurrentSleeps(t *testing.T) {

@@ -47,7 +47,6 @@ type Estimate struct {
 // Gauss-Newton. Everything is closed-form floating point: the same
 // receptions always produce the same fix.
 func (a Array) Locate(recs []Reception) (Estimate, error) {
-	a = a.withDefaults()
 	c := a.Medium.SoundSpeed()
 
 	var pos []cluster.Vec3
@@ -395,7 +394,6 @@ type Detection struct {
 // parallel.SeedFor, so the detection timeline is byte-identical for any
 // worker count of the surrounding experiment.
 func DetectSchedule(lay cluster.Layout, a Array, steps []cluster.ScheduleStep, seed int64) []Detection {
-	a = a.withDefaults()
 	sorted := append([]cluster.ScheduleStep(nil), steps...)
 	sort.SliceStable(sorted, func(i, j int) bool { return sorted[i].At < sorted[j].At })
 
@@ -424,7 +422,7 @@ func DetectSchedule(lay cluster.Layout, a Array, steps []cluster.ScheduleStep, s
 				}
 				if det.Heard > 0 {
 					det.FirstHeard = step.At + first
-					det.FixAt = step.At + last + a.Window
+					det.FixAt = step.At + last + processingWindow
 					det.Latency = det.FixAt - step.At
 					if est, err := a.Locate(recs); err == nil {
 						det.OK = true

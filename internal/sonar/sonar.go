@@ -52,33 +52,23 @@ type Array struct {
 	// SurfaceDepth, when positive, enables the Lloyd's-mirror surface
 	// bounce on the propagation paths, matching cluster.Layout.
 	SurfaceDepth units.Distance
-	// Window is the processing window: how much signal the correlator
-	// integrates before a TDOA fix is available (default 100 ms). It is
-	// the dominant term of detection latency at facility scale, where
-	// propagation delays are single-digit milliseconds.
-	Window time.Duration
-	// NoiseSPL is the ambient noise floor at each hydrophone (default
-	// 70 dB re 1 µPa, a quiet-harbor figure). Received tones below
-	// MinSNRdB above this floor are not detected.
-	NoiseSPL units.SPL
-	// MinSNRdB is the detection threshold in dB above the noise floor
-	// (default 6 dB).
-	MinSNRdB float64
 }
 
-// withDefaults resolves the zero-value knobs.
-func (a Array) withDefaults() Array {
-	if a.Window <= 0 {
-		a.Window = 100 * time.Millisecond
-	}
-	if a.NoiseSPL == (units.SPL{}) {
-		a.NoiseSPL = units.WaterSPL(70)
-	}
-	if a.MinSNRdB == 0 {
-		a.MinSNRdB = 6
-	}
-	return a
-}
+// The array's fixed signal processing.
+const (
+	// processingWindow is how much signal the correlator integrates
+	// before a TDOA fix is available. It is the dominant term of
+	// detection latency at facility scale, where propagation delays are
+	// single-digit milliseconds.
+	processingWindow = 100 * time.Millisecond
+	// minSNRdB is the detection threshold in dB above noiseFloor.
+	minSNRdB = 6
+)
+
+// noiseFloor is the ambient noise at each hydrophone: 70 dB re 1 µPa, a
+// quiet-harbor figure. Received tones below minSNRdB above it are not
+// detected.
+var noiseFloor = units.WaterSPL(70)
 
 // Validate checks the array geometry and medium.
 func (a Array) Validate() error {
@@ -157,7 +147,7 @@ type Reception struct {
 	// SNRdB is the received level above the ambient noise floor.
 	SNRdB float64
 	// Detected reports whether the element heard the tone at all
-	// (SNRdB ≥ MinSNRdB).
+	// (SNRdB ≥ minSNRdB).
 	Detected bool
 	// TOA is the measured time of arrival relative to the source keying
 	// on: the true delay plus SNR-dependent timing noise. Only valid
@@ -193,7 +183,6 @@ func (a Array) Receive(pos cluster.Vec3, tone sig.Tone, seed int64) []Reception 
 // tray emissions, which are far quieter than any speaker the attack model
 // owns. Propagation, SNR gating, and TOA noise match Receive exactly.
 func (a Array) ReceiveLevel(pos cluster.Vec3, freq units.Frequency, src units.SPL, refDist units.Distance, seed int64) []Reception {
-	a = a.withDefaults()
 	c := a.Medium.SoundSpeed()
 	out := make([]Reception, len(a.Hydrophones))
 	for i, h := range a.Hydrophones {
@@ -203,14 +192,14 @@ func (a Array) ReceiveLevel(pos cluster.Vec3, freq units.Frequency, src units.SP
 		}
 		path := acoustics.Path{Medium: a.Medium, Distance: d, SurfaceDepth: a.SurfaceDepth}
 		spl := src.Add(-path.TransmissionLoss(freq, refDist))
-		snr := float64(spl.Sub(a.NoiseSPL))
+		snr := float64(spl.Sub(noiseFloor))
 		rec := Reception{
 			Hydrophone: i,
 			Delay:      time.Duration(float64(d) / c * float64(time.Second)),
 			SPL:        spl,
 			SNRdB:      snr,
 		}
-		if snr >= a.MinSNRdB {
+		if snr >= minSNRdB {
 			rec.Detected = true
 			sigma := toaSigma(freq, snr)
 			rec.Sigma = time.Duration(sigma * float64(time.Second))

@@ -163,8 +163,8 @@ func TestDetectScheduleDeterministic(t *testing.T) {
 		if !d.OK {
 			t.Fatalf("key-on %d produced no fix", i)
 		}
-		if d.Latency < a.Window {
-			t.Fatalf("latency %v below one processing window %v", d.Latency, a.Window)
+		if d.Latency < processingWindow {
+			t.Fatalf("latency %v below one processing window %v", d.Latency, processingWindow)
 		}
 		miss := d.Est.Pos.Sub(lay.Speakers[i].Pos).Norm()
 		if miss > 0.75 {

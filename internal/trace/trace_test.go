@@ -11,10 +11,10 @@ func TestMeterBuckets(t *testing.T) {
 	clock := simclock.NewVirtual()
 	m := NewMeter(clock, time.Second)
 	m.Add(2e6) // bucket 0
-	clock.Advance(1500 * time.Millisecond)
-	m.Add(1e6)                     // bucket 1
-	clock.Advance(2 * time.Second) // buckets 2,3 silent
-	m.Add(4e6)                     // bucket 3
+	clock.Sleep(1500 * time.Millisecond)
+	m.Add(1e6)                   // bucket 1
+	clock.Sleep(2 * time.Second) // buckets 2,3 silent
+	m.Add(4e6)                   // bucket 3
 	pts := m.Buckets()
 	if len(pts) != 4 {
 		t.Fatalf("buckets = %d, want 4", len(pts))
@@ -28,7 +28,7 @@ func TestMeterEmptyBucketsVisible(t *testing.T) {
 	clock := simclock.NewVirtual()
 	m := NewMeter(clock, time.Second)
 	m.Add(1e6)
-	clock.Advance(5 * time.Second)
+	clock.Sleep(5 * time.Second)
 	pts := m.Buckets()
 	// Trailing silence through "now" must appear as zero buckets.
 	if len(pts) != 5 {
@@ -45,9 +45,9 @@ func TestMeterMean(t *testing.T) {
 	clock := simclock.NewVirtual()
 	m := NewMeter(clock, time.Second)
 	m.Add(2e6)
-	clock.Advance(time.Second)
+	clock.Sleep(time.Second)
 	m.Add(4e6)
-	clock.Advance(time.Second)
+	clock.Sleep(time.Second)
 	if got := m.MeanMBps(0, 2*time.Second); got != 3.0 {
 		t.Fatalf("mean = %v, want 3", got)
 	}
@@ -61,9 +61,9 @@ func TestMeterMeanOverlapSemantics(t *testing.T) {
 	clock := simclock.NewVirtual()
 	m := NewMeter(clock, time.Second)
 	m.Add(2e6)
-	clock.Advance(time.Second)
+	clock.Sleep(time.Second)
 	m.Add(4e6)
-	clock.Advance(time.Second)
+	clock.Sleep(time.Second)
 
 	// Regression: the old midpoint test dropped bucket 1 for the window
 	// [0.5s, 1.5s) because its midpoint (1.5s) is not < 1.5s. Overlap
