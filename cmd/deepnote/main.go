@@ -39,6 +39,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"math"
 	"os"
 	"time"
 
@@ -181,6 +182,24 @@ func (o *obs) finish(command string, args []string, seed int64, workers int) err
 		}
 	}
 	fmt.Fprint(os.Stderr, snap.LayerTable().String())
+	return nil
+}
+
+// checkPositive rejects a flag value that is not a finite number above
+// zero; a zero would silently select the experiment's default.
+func checkPositive(name string, v float64) error {
+	if !(v > 0) || math.IsInf(v, 1) {
+		return fmt.Errorf("%s %v must be finite and positive", name, v)
+	}
+	return nil
+}
+
+// checkCount rejects a count flag below one; a non-positive count would
+// silently select the experiment's default.
+func checkCount(name string, n int) error {
+	if n < 1 {
+		return fmt.Errorf("%s %d must be at least 1", name, n)
+	}
 	return nil
 }
 
@@ -454,6 +473,12 @@ func cmdOutage(args []string) error {
 	during := fs.Float64("during", 10, "attack window in virtual seconds")
 	o := addObsFlags(fs)
 	fs.Parse(args)
+	if err := checkPositive("-freq", *freq); err != nil {
+		return err
+	}
+	if err := checkPositive("-during", *during); err != nil {
+		return err
+	}
 	res, err := experiment.ControlledOutage{
 		Freq:    units.Frequency(*freq),
 		During:  time.Duration(*during * float64(time.Second)),
@@ -613,6 +638,15 @@ func cmdFacility(args []string) error {
 	spacing := fs.Float64("spacing", 2, "container spacing in meters")
 	workers := fs.Int("workers", 0, "parallel workers (0 = one per CPU)")
 	fs.Parse(args)
+	if err := checkCount("-containers", *containers); err != nil {
+		return err
+	}
+	if err := checkCount("-drives", *drives); err != nil {
+		return err
+	}
+	if err := checkPositive("-spacing", *spacing); err != nil {
+		return err
+	}
 	rows, err := experiment.FleetSweep(experiment.FleetSpec{
 		Containers:         *containers,
 		DrivesPerContainer: *drives,
@@ -650,6 +684,12 @@ func cmdIntegrity(args []string) error {
 	distance := fs.Float64("distance", 18, "speaker distance in cm (the marginal zone)")
 	prob := fs.Float64("prob", 0.05, "per-marginal-write squeeze probability")
 	fs.Parse(args)
+	if err := checkPositive("-distance", *distance); err != nil {
+		return err
+	}
+	if !(*prob >= 0 && *prob <= 1) {
+		return fmt.Errorf("-prob %v must be in [0, 1]", *prob)
+	}
 	res, err := experiment.Integrity{
 		Distance:       units.Distance(*distance) * units.Centimeter,
 		CorruptionProb: *prob,
