@@ -40,8 +40,8 @@ func cmdSonar(args []string) error {
 	workers := fs.Int("workers", 0, "drive fan-out inside each serving run (never changes results; 0 = one per CPU)")
 	o := addObsFlags(fs)
 	fs.Parse(args)
-	if *hydrophones < 1 {
-		return fmt.Errorf("-hydrophones %d must be at least 1", *hydrophones)
+	if err := checkCount("-hydrophones", *hydrophones); err != nil {
+		return err
 	}
 
 	res, err := experiment.SonarRun(experiment.SonarSpec{
