@@ -202,9 +202,8 @@ func BenchmarkSweepParallel4(b *testing.B) { benchmarkSweepWorkers(b, 4) }
 func BenchmarkSweepParallelMaxCPU(b *testing.B) { benchmarkSweepWorkers(b, 0) }
 
 func benchmarkFleetWorkers(b *testing.B, workers int) {
-	spec := experiment.FleetSpec{
-		Containers: 256, DrivesPerContainer: 24, Speakers: 64, Workers: workers,
-	}
+	spec := experiment.DefaultFleetSpec()
+	spec.Containers, spec.DrivesPerContainer, spec.Speakers, spec.Workers = 256, 24, 64, workers
 	var res experiment.FleetResult
 	for i := 0; i < b.N; i++ {
 		var err error
@@ -316,7 +315,7 @@ func BenchmarkControlledOutage(b *testing.B) {
 	var res experiment.OutageResult
 	for i := 0; i < b.N; i++ {
 		var err error
-		res, err = experiment.ControlledOutage{}.Run()
+		res, err = experiment.DefaultControlledOutage().Run()
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -4,9 +4,7 @@ import (
 	"flag"
 	"fmt"
 
-	"deepnote/internal/cluster"
 	"deepnote/internal/experiment"
-	"deepnote/internal/units"
 )
 
 // cmdCluster runs the facility-scale campaign: an erasure-coded
@@ -16,55 +14,33 @@ import (
 // metrics on or off.
 func cmdCluster(args []string) error {
 	fs := flag.NewFlagSet("cluster", flag.ExitOnError)
-	containers := fs.Int("containers", 6, "container count (failure domains)")
-	drives := fs.Int("drives", 1, "drives per container")
-	data := fs.Int("data", 4, "data shards per stripe (k)")
-	parity := fs.Int("parity", 2, "parity shards per stripe (m)")
-	objects := fs.Int("objects", 24, "objects in the keyspace")
-	objSize := fs.Int("objsize", 16<<10, "object size in bytes")
-	spacing := fs.Float64("spacing", 2, "container spacing in meters")
-	freq := fs.Float64("freq", 650, "attack tone in Hz")
-	speakers := fs.Int("speakers", 0, "top of the speaker ladder (0 = one per container)")
+	spec := experiment.DefaultClusterSpec()
+	fs.IntVar(&spec.Containers, "containers", spec.Containers, "container count (failure domains)")
+	fs.IntVar(&spec.DrivesPerContainer, "drives", spec.DrivesPerContainer, "drives per container")
+	fs.IntVar(&spec.DataShards, "data", spec.DataShards, "data shards per stripe (k)")
+	fs.IntVar(&spec.ParityShards, "parity", spec.ParityShards, "parity shards per stripe (m)")
+	fs.IntVar(&spec.Objects, "objects", spec.Objects, "objects in the keyspace")
+	fs.IntVar(&spec.ObjectSize, "objsize", spec.ObjectSize, "object size in bytes")
+	fs.Float64Var((*float64)(&spec.Spacing), "spacing", float64(spec.Spacing), "container spacing in meters")
+	fs.Float64Var((*float64)(&spec.Freq), "freq", float64(spec.Freq), "attack tone in Hz")
+	fs.IntVar(&spec.MaxSpeakers, "speakers", spec.MaxSpeakers, "top of the speaker ladder (0 = one per container)")
 	cell := fs.Int("cell", -1, "run only this ladder cell (speaker count; -1 = full ladder)")
-	requests := fs.Int("requests", 240, "client requests per cell")
-	rate := fs.Float64("rate", 250, "client arrival rate (requests/second)")
-	readFrac := fs.Float64("readfrac", 0.9, "GET fraction of the workload (0 = write-only)")
-	cellWorkers := fs.Int("cell-workers", 1, "drive fan-out inside each cell (never changes results)")
-	attackStart := fs.Float64("attack-start", 0.25, "attack-on point as a fraction of the request window")
-	attackStop := fs.Float64("attack-stop", 0.75, "attack-off point as a fraction of the window (>= 1: never off)")
-	attackStagger := fs.Float64("attack-stagger", 0, "stagger key-ons by this fraction of the window (0 = all at once)")
-	defenseOn := fs.Bool("defense", false, "close the loop: hydrophone fixes steer the store in every cell")
-	hydrophones := fs.Int("hydrophones", 6, "hydrophone ring elements (with -defense)")
-	standoff := fs.Float64("standoff", 3, "hydrophone ring standoff in meters (with -defense)")
-	seed := fs.Int64("seed", 1, "base seed")
-	workers := fs.Int("workers", 0, "parallel workers (0 = one per CPU)")
+	fs.IntVar(&spec.Requests, "requests", spec.Requests, "client requests per cell")
+	fs.Float64Var(&spec.Rate, "rate", spec.Rate, "client arrival rate (requests/second)")
+	fs.Float64Var(&spec.ReadFraction, "readfrac", spec.ReadFraction, "GET fraction of the workload (0 = write-only)")
+	fs.IntVar(&spec.CellWorkers, "cell-workers", spec.CellWorkers, "drive fan-out inside each cell (never changes results)")
+	fs.Float64Var(&spec.AttackStartFrac, "attack-start", spec.AttackStartFrac, "attack-on point as a fraction of the request window")
+	fs.Float64Var(&spec.AttackStopFrac, "attack-stop", spec.AttackStopFrac, "attack-off point as a fraction of the window (>= 1: never off)")
+	fs.Float64Var(&spec.StaggerFrac, "attack-stagger", spec.StaggerFrac, "stagger key-ons by this fraction of the window (0 = all at once)")
+	fs.BoolVar(&spec.Defense, "defense", spec.Defense, "close the loop: hydrophone fixes steer the store in every cell")
+	fs.IntVar(&spec.Hydrophones, "hydrophones", spec.Hydrophones, "hydrophone ring elements (with -defense)")
+	fs.Float64Var((*float64)(&spec.Standoff), "standoff", float64(spec.Standoff), "hydrophone ring standoff in meters (with -defense)")
+	fs.Int64Var(&spec.Seed, "seed", spec.Seed, "base seed")
+	fs.IntVar(&spec.Workers, "workers", spec.Workers, "parallel workers (0 = one per CPU)")
 	o := addObsFlags(fs)
 	fs.Parse(args)
 
-	spec := experiment.ClusterSpec{
-		Containers:         *containers,
-		DrivesPerContainer: *drives,
-		DataShards:         *data,
-		ParityShards:       *parity,
-		Objects:            *objects,
-		ObjectSize:         *objSize,
-		Spacing:            units.Distance(*spacing) * units.Meter,
-		Freq:               units.Frequency(*freq),
-		MaxSpeakers:        *speakers,
-		Requests:           *requests,
-		Rate:               *rate,
-		ReadFraction:       cluster.Ptr(*readFrac),
-		AttackStartFrac:    *attackStart,
-		AttackStopFrac:     *attackStop,
-		StaggerFrac:        *attackStagger,
-		Defense:            *defenseOn,
-		Hydrophones:        *hydrophones,
-		Standoff:           cluster.Ptr(units.Distance(*standoff) * units.Meter),
-		Seed:               *seed,
-		Workers:            *workers,
-		CellWorkers:        *cellWorkers,
-		Metrics:            o.registry(),
-	}
+	spec.Metrics = o.registry()
 	if *cell >= 0 {
 		spec.Cells = []int{*cell}
 	}
@@ -73,13 +49,13 @@ func cmdCluster(args []string) error {
 		return err
 	}
 	fmt.Printf("cluster: %d containers x %d drives, %d-of-%d stripes, %d x %d B objects\n",
-		*containers, *drives, *data, *data+*parity,
-		*objects, *objSize)
+		spec.Containers, spec.DrivesPerContainer, spec.DataShards, spec.DataShards+spec.ParityShards,
+		spec.Objects, spec.ObjectSize)
 	fmt.Printf("traffic: %d requests at %.0f req/s (%.0f%% GET), attack window [%.2f, %.2f] of run\n",
-		*requests, *rate, *readFrac*100, *attackStart, *attackStop)
+		spec.Requests, spec.Rate, spec.ReadFraction*100, spec.AttackStartFrac, spec.AttackStopFrac)
 	fmt.Print(experiment.ClusterReport(rows).String())
 	fmt.Println("reading the ladder: with one shard per failure domain, GET availability")
-	fmt.Printf("holds at 100%% (served from parity, degraded) until more than m=%d containers\n", *parity)
+	fmt.Printf("holds at 100%% (served from parity, degraded) until more than m=%d containers\n", spec.ParityShards)
 	fmt.Println("are silenced at once; durability margin and tail latency erode first.")
-	return o.finish("cluster", args, *seed, *workers)
+	return o.finish("cluster", args, spec.Seed, spec.Workers)
 }

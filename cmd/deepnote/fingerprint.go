@@ -3,11 +3,11 @@ package main
 import (
 	"flag"
 	"fmt"
-	"math"
 	"time"
 
 	"deepnote/internal/experiment"
 	"deepnote/internal/units"
+	"deepnote/internal/valid"
 )
 
 // cmdFingerprint runs the spectral-fingerprinting experiment: the benign
@@ -21,26 +21,29 @@ func cmdFingerprint(args []string) error {
 	freq := fs.Float64("freq", 650, "hostile tone in Hz")
 	snrs := fs.String("snrs", "0,6,12", "comma-separated hostile SNRs in dB over the telemetry floor")
 	seeds := fs.Int("seeds", 3, "seeded variants of each benign scenario")
-	duration := fs.Float64("duration", 12, "run length per cell in virtual seconds")
+	duration := 12 * time.Second
+	var bad error
+	durationVar(fs, &duration, &bad, "duration", "run length per cell in virtual `seconds`")
 	seed := fs.Int64("seed", 1, "base seed")
 	workers := fs.Int("workers", 0, "parallel workers (0 = one per CPU)")
 	o := addObsFlags(fs)
 	fs.Parse(args)
-
+	if bad != nil {
+		return bad
+	}
+	// The report divides by the seed count.
+	if err := valid.AtLeast("-seeds", *seeds, 1); err != nil {
+		return err
+	}
 	snrList, err := parseFloatList("-snrs", *snrs)
 	if err != nil {
 		return err
-	}
-	// Converting NaN or ±Inf seconds to a time.Duration is undefined, so
-	// check before converting; the experiment rejects the rest.
-	if math.IsNaN(*duration) || math.IsInf(*duration, 0) {
-		return fmt.Errorf("-duration %v: not a finite number", *duration)
 	}
 	res, err := experiment.FingerprintRun(experiment.FingerprintSpec{
 		Freq:        units.Frequency(*freq),
 		SNRs:        snrList,
 		BenignSeeds: *seeds,
-		Duration:    time.Duration(*duration * float64(time.Second)),
+		Duration:    duration,
 		Seed:        *seed,
 		Workers:     *workers,
 		Metrics:     o.registry(),

@@ -35,14 +35,16 @@ func runMain(t *testing.T, args ...string) int {
 	return 0
 }
 
-// A NaN tone or a non-finite or negative cell duration must stop the
-// fingerprint run with a domain error (exit 1) instead of printing a
-// table with no detections.
+// A NaN tone, a non-finite or negative cell duration, or a seed count
+// below one must stop the fingerprint run with a domain error (exit 1)
+// instead of printing a table with no detections or dividing by zero.
 func TestFingerprintRejectsBadFlags(t *testing.T) {
 	for _, args := range [][]string{
 		{"-freq", "NaN"},
 		{"-duration", "NaN"},
 		{"-duration", "-1"},
+		{"-seeds", "0"},
+		{"-seeds", "-1"},
 	} {
 		if code := runMain(t, append([]string{"fingerprint", "-seeds", "1"}, args...)...); code != 1 {
 			t.Errorf("deepnote fingerprint %v exited %d, want 1", args, code)

@@ -3,11 +3,8 @@ package main
 import (
 	"flag"
 	"fmt"
-	"time"
 
-	"deepnote/internal/cluster"
 	"deepnote/internal/experiment"
-	"deepnote/internal/units"
 )
 
 // cmdFleet runs the geo-distributed campaign: a multi-facility fleet
@@ -18,64 +15,49 @@ import (
 // or off.
 func cmdFleet(args []string) error {
 	fs := flag.NewFlagSet("fleet", flag.ExitOnError)
-	sites := fs.Int("sites", 4, "facility count")
-	containers := fs.Int("containers", 8, "containers per facility")
-	data := fs.Int("data", 4, "data shards per stripe (k)")
-	parity := fs.Int("parity", 4, "parity shards per stripe (m)")
-	objects := fs.Int("objects", 48, "objects in the keyspace")
-	objSize := fs.Int("objsize", 8<<10, "object size in bytes")
-	spacing := fs.Float64("spacing", 2, "container spacing in meters")
-	freq := fs.Float64("freq", 650, "attack tone in Hz")
-	blast := fs.Int("blast", 5, "attacked contiguous containers at site 0")
-	attackStart := fs.Float64("attack-start", 0.5, "attack-on offset in seconds")
-	attackStop := fs.Float64("attack-stop", 2, "attack-off offset in seconds")
-	deadline := fs.Float64("deadline", 2, "per-request deadline budget in seconds")
-	requests := fs.Int("requests", 800, "global client requests")
-	rate := fs.Float64("rate", 300, "global arrival rate (requests/second)")
-	readFrac := fs.Float64("readfrac", 0.9, "GET fraction of the workload (0 = write-only)")
-	seed := fs.Int64("seed", 1, "infrastructure seed (drives, WAN jitter)")
-	workers := fs.Int("workers", 0, "parallel workers (0 = one per CPU)")
-	cellWorkers := fs.Int("cell-workers", 1, "node fan-out inside each fleet (never changes results)")
+	spec := experiment.DefaultGeoFleetSpec()
+	var bad error
+	fs.IntVar(&spec.Sites, "sites", spec.Sites, "facility count")
+	fs.IntVar(&spec.ContainersPerSite, "containers", spec.ContainersPerSite, "containers per facility")
+	fs.IntVar(&spec.DataShards, "data", spec.DataShards, "data shards per stripe (k)")
+	fs.IntVar(&spec.ParityShards, "parity", spec.ParityShards, "parity shards per stripe (m)")
+	fs.IntVar(&spec.Objects, "objects", spec.Objects, "objects in the keyspace")
+	fs.IntVar(&spec.ObjectSize, "objsize", spec.ObjectSize, "object size in bytes")
+	fs.Float64Var((*float64)(&spec.Spacing), "spacing", float64(spec.Spacing), "container spacing in meters")
+	fs.Float64Var((*float64)(&spec.Freq), "freq", float64(spec.Freq), "attack tone in Hz")
+	fs.IntVar(&spec.Blast, "blast", spec.Blast, "attacked contiguous containers at site 0")
+	durationVar(fs, &spec.AttackStart, &bad, "attack-start", "attack-on offset in `seconds`")
+	durationVar(fs, &spec.AttackStop, &bad, "attack-stop", "attack-off offset in `seconds`")
+	durationVar(fs, &spec.Deadline, &bad, "deadline", "per-request deadline budget in `seconds`")
+	fs.IntVar(&spec.Requests, "requests", spec.Requests, "global client requests")
+	fs.Float64Var(&spec.Rate, "rate", spec.Rate, "global arrival rate (requests/second)")
+	fs.Float64Var(&spec.ReadFraction, "readfrac", spec.ReadFraction, "GET fraction of the workload (0 = write-only)")
+	fs.Int64Var(&spec.Seed, "seed", spec.Seed, "infrastructure seed (drives, WAN jitter)")
+	fs.IntVar(&spec.Workers, "workers", spec.Workers, "parallel workers (0 = one per CPU)")
+	fs.IntVar(&spec.CellWorkers, "cell-workers", spec.CellWorkers, "node fan-out inside each fleet (never changes results)")
 	o := addObsFlags(fs)
 	fs.Parse(args)
+	if bad != nil {
+		return bad
+	}
 
-	res, err := experiment.GeoFleetRun(experiment.GeoFleetSpec{
-		Sites:             *sites,
-		ContainersPerSite: *containers,
-		DataShards:        *data,
-		ParityShards:      *parity,
-		Objects:           *objects,
-		ObjectSize:        *objSize,
-		Spacing:           units.Distance(*spacing) * units.Meter,
-		Freq:              units.Frequency(*freq),
-		Blast:             *blast,
-		AttackStart:       time.Duration(*attackStart * float64(time.Second)),
-		AttackStop:        time.Duration(*attackStop * float64(time.Second)),
-		Deadline:          time.Duration(*deadline * float64(time.Second)),
-		Requests:          *requests,
-		Rate:              *rate,
-		ReadFraction:      cluster.Ptr(*readFrac),
-		Seed:              *seed,
-		Workers:           *workers,
-		CellWorkers:       *cellWorkers,
-		Metrics:           o.registry(),
-	})
+	spec.Metrics = o.registry()
+	res, err := experiment.GeoFleetRun(spec)
 	if err != nil {
 		return err
 	}
-	spec := res.Spec
 	fmt.Printf("fleet: %d sites x %d containers, %d-of-%d stripes, %d x %d B objects\n",
 		spec.Sites, spec.ContainersPerSite, spec.DataShards,
 		spec.DataShards+spec.ParityShards, spec.Objects, spec.ObjectSize)
 	fmt.Printf("attack: %d-container blast at site 0 over [%.1fs, %.1fs) with a link flap and a brownout\n",
 		spec.Blast, spec.AttackStart.Seconds(), spec.AttackStop.Seconds())
 	fmt.Printf("traffic: %d requests at %.0f req/s (%.0f%% GET), deadline %.1fs\n",
-		spec.Requests, spec.Rate, *spec.ReadFraction*100, spec.Deadline.Seconds())
+		spec.Requests, spec.Rate, spec.ReadFraction*100, spec.Deadline.Seconds())
 	fmt.Print(experiment.GeoFleetReport(res).String())
 	fmt.Println("reading the table: naive placement keeps every stripe inside its home")
 	fmt.Println("site, so one facility blast erases more shards than parity can absorb;")
 	fmt.Println("attack-aware placement caps each site's share of a stripe at the parity")
 	fmt.Println("budget and strides it across blast radii, so failover reads keep serving")
 	fmt.Println("through the same attack — at the cost of routine cross-site traffic.")
-	return o.finish("fleet", args, *seed, *workers)
+	return o.finish("fleet", args, spec.Seed, spec.Workers)
 }

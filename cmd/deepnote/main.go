@@ -41,6 +41,7 @@ import (
 	"fmt"
 	"math"
 	"os"
+	"strconv"
 	"time"
 
 	"deepnote/internal/attack"
@@ -53,6 +54,7 @@ import (
 	"deepnote/internal/report"
 	"deepnote/internal/thermal"
 	"deepnote/internal/units"
+	"deepnote/internal/valid"
 	"deepnote/internal/water"
 )
 
@@ -185,22 +187,24 @@ func (o *obs) finish(command string, args []string, seed int64, workers int) err
 	return nil
 }
 
-// checkPositive rejects a flag value that is not a finite number above
-// zero; a zero would silently select the experiment's default.
-func checkPositive(name string, v float64) error {
-	if !(v > 0) || math.IsInf(v, 1) {
-		return fmt.Errorf("%s %v must be finite and positive", name, v)
-	}
-	return nil
-}
-
-// checkCount rejects a count flag below one; a non-positive count would
-// silently select the experiment's default.
-func checkCount(name string, n int) error {
-	if n < 1 {
-		return fmt.Errorf("%s %d must be at least 1", name, n)
-	}
-	return nil
+// durationVar defines flag name, given in seconds, bound to *d with *d as
+// its default. A value no Duration can hold (NaN, ±Inf, beyond ±292
+// years) is kept in *bad instead of failing the parse, so the command
+// reports it as a domain error (exit 1) like every other bad value, not
+// as a usage error (exit 2).
+func durationVar(fs *flag.FlagSet, d *time.Duration, bad *error, name, usage string) {
+	fs.Func(name, fmt.Sprintf("%s (default %g)", usage, d.Seconds()), func(s string) error {
+		v, err := strconv.ParseFloat(s, 64)
+		if err != nil {
+			return err
+		}
+		if ns := v * float64(time.Second); math.Abs(ns) < math.MaxInt64 {
+			*d = time.Duration(ns)
+		} else {
+			*bad = fmt.Errorf("-%s %v: not a duration in seconds", name, v)
+		}
+		return nil
+	})
 }
 
 func parseScenario(n int) (core.Scenario, error) {
@@ -235,6 +239,9 @@ func cmdFigure2(args []string) error {
 	csv := fs.Bool("csv", false, "emit CSV instead of an ASCII chart")
 	o := addObsFlags(fs)
 	fs.Parse(args)
+	if err := valid.Positive("-step", *stepHz); err != nil {
+		return err
+	}
 	p, err := parsePattern(*pattern)
 	if err != nil {
 		return err
@@ -469,21 +476,17 @@ func cmdNatick(args []string) error {
 
 func cmdOutage(args []string) error {
 	fs := flag.NewFlagSet("outage", flag.ExitOnError)
-	freq := fs.Float64("freq", 650, "attack frequency in Hz")
-	during := fs.Float64("during", 10, "attack window in virtual seconds")
+	spec := experiment.DefaultControlledOutage()
+	var bad error
+	fs.Float64Var((*float64)(&spec.Freq), "freq", float64(spec.Freq), "attack frequency in Hz")
+	durationVar(fs, &spec.During, &bad, "during", "attack window in virtual `seconds`")
 	o := addObsFlags(fs)
 	fs.Parse(args)
-	if err := checkPositive("-freq", *freq); err != nil {
-		return err
+	if bad != nil {
+		return bad
 	}
-	if err := checkPositive("-during", *during); err != nil {
-		return err
-	}
-	res, err := experiment.ControlledOutage{
-		Freq:    units.Frequency(*freq),
-		During:  time.Duration(*during * float64(time.Second)),
-		Metrics: o.registry(),
-	}.Run()
+	spec.Metrics = o.registry()
+	res, err := spec.Run()
 	if err != nil {
 		return err
 	}
@@ -522,22 +525,21 @@ func cmdRemoteSweep(args []string) error {
 
 func cmdStealth(args []string) error {
 	fs := flag.NewFlagSet("stealth", flag.ExitOnError)
-	on := fs.Float64("on", 0.5, "attack burst length in seconds")
-	off := fs.Float64("off", 10, "quiet gap in seconds (0 = continuous)")
-	duration := fs.Float64("duration", 60, "campaign length in virtual seconds")
+	spec := campaign.DefaultStealth()
+	var bad error
+	durationVar(fs, &spec.Duty.On, &bad, "on", "attack burst length in `seconds`")
+	durationVar(fs, &spec.Duty.Off, &bad, "off", "quiet gap in `seconds` (0 = continuous)")
+	durationVar(fs, &spec.Duration, &bad, "duration", "campaign length in virtual `seconds`")
 	fs.Parse(args)
-	res, err := campaign.Stealth{
-		Duty: campaign.DutyCycle{
-			On:  time.Duration(*on * float64(time.Second)),
-			Off: time.Duration(*off * float64(time.Second)),
-		},
-		Duration: time.Duration(*duration * float64(time.Second)),
-	}.Run()
+	if bad != nil {
+		return bad
+	}
+	res, err := spec.Run()
 	if err != nil {
 		return err
 	}
 	fmt.Printf("duty cycle: %.0f%% on-air (%gs on / %gs off)\n",
-		res.Spec.Duty.Fraction()*100, *on, *off)
+		res.Spec.Duty.Fraction()*100, spec.Duty.On.Seconds(), spec.Duty.Off.Seconds())
 	fmt.Printf("victim throughput: %.1f -> %.1f MB/s (%.0f%% loss)\n",
 		res.BaselineMBps, res.CampaignMBps, res.LossFraction*100)
 	fmt.Printf("victim detector: %d alarms, max suspicion %.2f\n", res.Alarms, res.MaxSuspicion)
@@ -546,24 +548,23 @@ func cmdStealth(args []string) error {
 
 func cmdStealthGrid(args []string) error {
 	fs := flag.NewFlagSet("stealthgrid", flag.ExitOnError)
-	duration := fs.Float64("duration", 60, "campaign length per cell in virtual seconds")
-	seed := fs.Int64("seed", 1, "base seed")
-	workers := fs.Int("workers", 0, "parallel workers (0 = one per CPU)")
+	grid := campaign.DefaultGrid()
+	var bad error
+	durationVar(fs, &grid.Base.Duration, &bad, "duration", "campaign length per cell in virtual `seconds`")
+	fs.Int64Var(&grid.Base.Seed, "seed", grid.Base.Seed, "base seed")
+	fs.IntVar(&grid.Workers, "workers", grid.Workers, "parallel workers (0 = one per CPU)")
 	o := addObsFlags(fs)
 	fs.Parse(args)
-	rows, err := campaign.Grid{
-		Base: campaign.Stealth{
-			Duration: time.Duration(*duration * float64(time.Second)),
-			Seed:     *seed,
-		},
-		Workers: *workers,
-		Metrics: o.registry(),
-	}.Run()
+	if bad != nil {
+		return bad
+	}
+	grid.Metrics = o.registry()
+	rows, err := grid.Run()
 	if err != nil {
 		return err
 	}
 	fmt.Print(campaign.GridReport(rows).String())
-	return o.finish("stealthgrid", args, *seed, *workers)
+	return o.finish("stealthgrid", args, grid.Base.Seed, grid.Workers)
 }
 
 func cmdAblation(args []string) error {
@@ -591,17 +592,18 @@ func cmdRedundancy(args []string) error {
 
 func cmdResilience(args []string) error {
 	fs := flag.NewFlagSet("resilience", flag.ExitOnError)
-	attackSec := fs.Float64("attack", 100, "attack window in virtual seconds")
-	cooldown := fs.Float64("cooldown", 60, "post-attack recovery window in virtual seconds")
-	workers := fs.Int("workers", 0, "parallel workers (0 = one per CPU)")
+	spec := experiment.DefaultResilience()
+	var bad error
+	durationVar(fs, &spec.Attack, &bad, "attack", "attack window in virtual `seconds`")
+	durationVar(fs, &spec.Cooldown, &bad, "cooldown", "post-attack recovery window in virtual `seconds`")
+	fs.IntVar(&spec.Workers, "workers", spec.Workers, "parallel workers (0 = one per CPU)")
 	o := addObsFlags(fs)
 	fs.Parse(args)
-	rows, err := experiment.Resilience{
-		Attack:   time.Duration(*attackSec * float64(time.Second)),
-		Cooldown: time.Duration(*cooldown * float64(time.Second)),
-		Workers:  *workers,
-		Metrics:  o.registry(),
-	}.Run()
+	if bad != nil {
+		return bad
+	}
+	spec.Metrics = o.registry()
+	rows, err := spec.Run()
 	if err != nil {
 		return err
 	}
@@ -609,7 +611,7 @@ func cmdResilience(args []string) error {
 	fmt.Println("the bare stack reproduces the paper's crash and stays down; the watchdog")
 	fmt.Println("stack recovers once the tone stops (journal replay, fsck, WAL recovery);")
 	fmt.Println("the hardened stack additionally masks the injected pre-attack fault burst.")
-	return o.finish("resilience", args, 1, *workers)
+	return o.finish("resilience", args, 1, spec.Workers)
 }
 
 func cmdUltrasonic(args []string) error {
@@ -633,26 +635,13 @@ func cmdUltrasonic(args []string) error {
 
 func cmdFacility(args []string) error {
 	fs := flag.NewFlagSet("facility", flag.ExitOnError)
-	containers := fs.Int("containers", 4, "container count")
-	drives := fs.Int("drives", 5, "drives per container")
-	spacing := fs.Float64("spacing", 2, "container spacing in meters")
-	workers := fs.Int("workers", 0, "parallel workers (0 = one per CPU)")
+	spec := experiment.DefaultFleetSpec()
+	fs.IntVar(&spec.Containers, "containers", spec.Containers, "container count")
+	fs.IntVar(&spec.DrivesPerContainer, "drives", spec.DrivesPerContainer, "drives per container")
+	fs.Float64Var((*float64)(&spec.ContainerSpacing), "spacing", float64(spec.ContainerSpacing), "container spacing in meters")
+	fs.IntVar(&spec.Workers, "workers", spec.Workers, "parallel workers (0 = one per CPU)")
 	fs.Parse(args)
-	if err := checkCount("-containers", *containers); err != nil {
-		return err
-	}
-	if err := checkCount("-drives", *drives); err != nil {
-		return err
-	}
-	if err := checkPositive("-spacing", *spacing); err != nil {
-		return err
-	}
-	rows, err := experiment.FleetSweep(experiment.FleetSpec{
-		Containers:         *containers,
-		DrivesPerContainer: *drives,
-		ContainerSpacing:   units.Distance(*spacing) * units.Meter,
-		Workers:            *workers,
-	})
+	rows, err := experiment.FleetSweep(spec)
 	if err != nil {
 		return err
 	}
@@ -681,19 +670,12 @@ func cmdAdaptive(args []string) error {
 
 func cmdIntegrity(args []string) error {
 	fs := flag.NewFlagSet("integrity", flag.ExitOnError)
-	distance := fs.Float64("distance", 18, "speaker distance in cm (the marginal zone)")
-	prob := fs.Float64("prob", 0.05, "per-marginal-write squeeze probability")
+	spec := experiment.DefaultIntegrity()
+	distance := fs.Float64("distance", spec.Distance.Centimeters(), "speaker distance in cm (the marginal zone)")
+	fs.Float64Var(&spec.CorruptionProb, "prob", spec.CorruptionProb, "per-marginal-write squeeze probability")
 	fs.Parse(args)
-	if err := checkPositive("-distance", *distance); err != nil {
-		return err
-	}
-	if !(*prob >= 0 && *prob <= 1) {
-		return fmt.Errorf("-prob %v must be in [0, 1]", *prob)
-	}
-	res, err := experiment.Integrity{
-		Distance:       units.Distance(*distance) * units.Centimeter,
-		CorruptionProb: *prob,
-	}.Run()
+	spec.Distance = units.Distance(*distance) * units.Centimeter
+	res, err := spec.Run()
 	if err != nil {
 		return err
 	}

@@ -13,34 +13,26 @@ import (
 // when any cell diverges beyond tolerance, so CI can gate on it.
 func cmdSelfCheck(args []string) error {
 	fs := flag.NewFlagSet("selfcheck", flag.ExitOnError)
-	scenario := fs.Int("scenario", 2, "testbed scenario 1, 2, or 3")
-	workers := fs.Int("workers", 0, "parallel workers (0 = one per CPU)")
-	tol := fs.Float64("tol", 0, "max per-cell divergence (0 = harness default)")
-	runtime := fs.Duration("runtime", 0, "per-cell simulation window in virtual time (0 = harness default)")
-	repeats := fs.Int("repeats", 0, "seeded simulations averaged per cell (0 = harness default)")
-	seed := fs.Int64("seed", 1, "run seed")
+	opts := experiment.DefaultSelfCheckOptions()
+	scenario := fs.Int("scenario", int(opts.Scenario), "testbed scenario 1, 2, or 3")
+	fs.IntVar(&opts.Workers, "workers", opts.Workers, "parallel workers (0 = one per CPU)")
+	fs.Float64Var(&opts.Tolerance, "tol", opts.Tolerance, "max per-cell divergence")
+	fs.DurationVar(&opts.JobRuntime, "runtime", opts.JobRuntime, "per-cell simulation window in virtual time")
+	fs.IntVar(&opts.Repeats, "repeats", opts.Repeats, "seeded simulations averaged per cell")
+	fs.Int64Var(&opts.Seed, "seed", opts.Seed, "run seed")
 	reportPath := fs.String("report", "", "write the divergence report JSON to this path")
 	mutant := fs.String("mutant", "", "seed a known predictor bug: flat-hold-window, whole-request-window, or full-base-on-failure")
 	o := addObsFlags(fs)
 	fs.Parse(args)
-	sc, err := parseScenario(*scenario)
-	if err != nil {
+	var err error
+	if opts.Scenario, err = parseScenario(*scenario); err != nil {
 		return err
 	}
-	mut, err := parseMutation(*mutant)
-	if err != nil {
+	if opts.Mutation, err = parseMutation(*mutant); err != nil {
 		return err
 	}
-	rep, err := experiment.SelfCheck(experiment.SelfCheckOptions{
-		Scenario:   sc,
-		Workers:    *workers,
-		Tolerance:  *tol,
-		JobRuntime: *runtime,
-		Repeats:    *repeats,
-		Seed:       *seed,
-		Mutation:   mut,
-		Metrics:    o.registry(),
-	})
+	opts.Metrics = o.registry()
+	rep, err := experiment.SelfCheck(opts)
 	if err != nil {
 		return err
 	}
@@ -52,7 +44,7 @@ func cmdSelfCheck(args []string) error {
 			return err
 		}
 	}
-	if err := o.finish("selfcheck", args, *seed, *workers); err != nil {
+	if err := o.finish("selfcheck", args, opts.Seed, opts.Workers); err != nil {
 		return err
 	}
 	if !rep.Passed() {

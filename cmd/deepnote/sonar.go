@@ -3,11 +3,8 @@ package main
 import (
 	"flag"
 	"fmt"
-	"time"
 
-	"deepnote/internal/cluster"
 	"deepnote/internal/experiment"
-	"deepnote/internal/units"
 )
 
 // cmdSonar runs the closed-loop defense campaign: a hydrophone ring
@@ -18,62 +15,43 @@ import (
 // or off.
 func cmdSonar(args []string) error {
 	fs := flag.NewFlagSet("sonar", flag.ExitOnError)
-	containers := fs.Int("containers", 6, "container count (failure domains)")
-	drives := fs.Int("drives", 1, "drives per container")
-	data := fs.Int("data", 4, "data shards per stripe (k)")
-	parity := fs.Int("parity", 2, "parity shards per stripe (m)")
-	objects := fs.Int("objects", 24, "objects in the keyspace")
-	objSize := fs.Int("objsize", 16<<10, "object size in bytes")
-	spacing := fs.Float64("spacing", 2, "container spacing in meters")
-	freq := fs.Float64("freq", 650, "attack tone in Hz")
-	speakers := fs.Int("speakers", 0, "attacker speakers (0 = parity+1, one past the cliff)")
-	hydrophones := fs.Int("hydrophones", 6, "hydrophone ring elements")
-	standoff := fs.Float64("standoff", 3, "hydrophone ring standoff beyond the farthest container, meters")
-	requests := fs.Int("requests", 600, "client requests per serving run")
-	rate := fs.Float64("rate", 500, "client arrival rate (requests/second)")
-	readFrac := fs.Float64("readfrac", 0.9, "GET fraction of the workload (0 = write-only)")
-	attackStart := fs.Float64("attack-start", 0.25, "first key-on as a fraction of the request window")
-	attackStagger := fs.Float64("attack-stagger", 0.2, "gap between key-ons as a fraction of the window")
-	margin := fs.Float64("margin", 0.5, "at-risk threshold as a fraction of servo-lock amplitude")
-	react := fs.Float64("react", 0.05, "controller lag from fix to policy switch, seconds")
-	seed := fs.Int64("seed", 1, "base seed")
-	workers := fs.Int("workers", 0, "drive fan-out inside each serving run (never changes results; 0 = one per CPU)")
+	spec := experiment.DefaultSonarSpec()
+	var bad error
+	fs.IntVar(&spec.Containers, "containers", spec.Containers, "container count (failure domains)")
+	fs.IntVar(&spec.DrivesPerContainer, "drives", spec.DrivesPerContainer, "drives per container")
+	fs.IntVar(&spec.DataShards, "data", spec.DataShards, "data shards per stripe (k)")
+	fs.IntVar(&spec.ParityShards, "parity", spec.ParityShards, "parity shards per stripe (m)")
+	fs.IntVar(&spec.Objects, "objects", spec.Objects, "objects in the keyspace")
+	fs.IntVar(&spec.ObjectSize, "objsize", spec.ObjectSize, "object size in bytes")
+	fs.Float64Var((*float64)(&spec.Spacing), "spacing", float64(spec.Spacing), "container spacing in meters")
+	fs.Float64Var((*float64)(&spec.Freq), "freq", float64(spec.Freq), "attack tone in Hz")
+	fs.IntVar(&spec.Speakers, "speakers", spec.Speakers, "attacker speakers (0 = parity+1, one past the cliff)")
+	fs.IntVar(&spec.Hydrophones, "hydrophones", spec.Hydrophones, "hydrophone ring elements")
+	fs.Float64Var((*float64)(&spec.Standoff), "standoff", float64(spec.Standoff), "hydrophone ring standoff beyond the farthest container, meters")
+	fs.IntVar(&spec.Requests, "requests", spec.Requests, "client requests per serving run")
+	fs.Float64Var(&spec.Rate, "rate", spec.Rate, "client arrival rate (requests/second)")
+	fs.Float64Var(&spec.ReadFraction, "readfrac", spec.ReadFraction, "GET fraction of the workload (0 = write-only)")
+	fs.Float64Var(&spec.AttackStartFrac, "attack-start", spec.AttackStartFrac, "first key-on as a fraction of the request window")
+	fs.Float64Var(&spec.StaggerFrac, "attack-stagger", spec.StaggerFrac, "gap between key-ons as a fraction of the window")
+	fs.Float64Var(&spec.Margin, "margin", spec.Margin, "at-risk threshold as a fraction of servo-lock amplitude")
+	durationVar(fs, &spec.React, &bad, "react", "controller lag from fix to policy switch, `seconds`")
+	fs.Int64Var(&spec.Seed, "seed", spec.Seed, "base seed")
+	fs.IntVar(&spec.Workers, "workers", spec.Workers, "drive fan-out inside each serving run (never changes results; 0 = one per CPU)")
 	o := addObsFlags(fs)
 	fs.Parse(args)
-	if err := checkCount("-hydrophones", *hydrophones); err != nil {
-		return err
+	if bad != nil {
+		return bad
 	}
 
-	res, err := experiment.SonarRun(experiment.SonarSpec{
-		Containers:         *containers,
-		DrivesPerContainer: *drives,
-		DataShards:         *data,
-		ParityShards:       *parity,
-		Objects:            *objects,
-		ObjectSize:         *objSize,
-		Spacing:            units.Distance(*spacing) * units.Meter,
-		Freq:               units.Frequency(*freq),
-		Speakers:           *speakers,
-		Hydrophones:        *hydrophones,
-		Standoff:           cluster.Ptr(units.Distance(*standoff) * units.Meter),
-		Requests:           *requests,
-		Rate:               *rate,
-		ReadFraction:       cluster.Ptr(*readFrac),
-		AttackStartFrac:    *attackStart,
-		StaggerFrac:        cluster.Ptr(*attackStagger),
-		Margin:             cluster.Ptr(*margin),
-		React:              cluster.Ptr(time.Duration(*react * float64(time.Second))),
-		Seed:               *seed,
-		Workers:            *workers,
-		Metrics:            o.registry(),
-	})
+	spec.Metrics = o.registry()
+	res, err := experiment.SonarRun(spec)
 	if err != nil {
 		return err
 	}
 	fmt.Printf("sonar: %d hydrophones at %.0f m standoff over %d containers, %d-of-%d stripes\n",
-		*hydrophones, *standoff, *containers, *data, *data+*parity)
+		spec.Hydrophones, float64(spec.Standoff), spec.Containers, spec.DataShards, spec.DataShards+spec.ParityShards)
 	fmt.Printf("attack: staged escalation, %.0f Hz key-ons every %.2f of a %.2f s window\n",
-		*freq, *attackStagger, res.Window.Seconds())
+		float64(spec.Freq), spec.StaggerFrac, res.Window.Seconds())
 	fmt.Print(experiment.SonarDetectionReport(res).String())
 	fmt.Println()
 	fmt.Print(experiment.SonarRangeReport(res).String())
@@ -83,5 +61,5 @@ func cmdSonar(args []string) error {
 		res.EvacsPlanned, res.EvacsSkipped)
 	fmt.Printf("GET availability: %.1f%% undefended vs %.1f%% with the closed loop\n",
 		res.Off.GetAvailability()*100, res.On.GetAvailability()*100)
-	return o.finish("sonar", args, *seed, *workers)
+	return o.finish("sonar", args, spec.Seed, spec.Workers)
 }

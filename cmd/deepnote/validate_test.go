@@ -2,10 +2,11 @@ package main
 
 import "testing"
 
-// A count below one, a spacing, distance, duration or frequency that is
-// not finite and positive, or a probability outside [0, 1] must stop the
-// run with a domain error (exit 1) instead of silently running a default
-// or printing a report for a nonsensical input.
+// A count below one, a spacing, distance, duration, rate or frequency that
+// is not finite and positive, a probability outside [0, 1], or a speaker,
+// cell or blast count beyond the facility must stop the run with a domain
+// error (exit 1) instead of silently running a default, clamping, or
+// printing a report for a nonsensical input.
 func TestFacilityIntegrityOutageRejectBadFlags(t *testing.T) {
 	for _, args := range [][]string{
 		{"facility", "-spacing", "NaN"},
@@ -23,6 +24,23 @@ func TestFacilityIntegrityOutageRejectBadFlags(t *testing.T) {
 		{"outage", "-during", "Inf"},
 		{"outage", "-freq", "NaN"},
 		{"outage", "-freq", "-650"},
+		{"cluster", "-containers", "0"},
+		{"cluster", "-speakers", "99"},
+		{"cluster", "-cell", "99"},
+		{"cluster", "-rate", "NaN"},
+		{"fleet", "-sites", "0"},
+		{"fleet", "-attack-stop", "0.1"},
+		{"fleet", "-deadline", "-1"},
+		{"fleet", "-blast", "99"},
+		{"resilience", "-attack", "-5"},
+		{"resilience", "-attack", "NaN"},
+		{"stealth", "-on", "0"},
+		{"stealth", "-duration", "NaN"},
+		{"stealthgrid", "-duration", "-1"},
+		// The sweep loop never ended on these two.
+		{"figure2", "-step", "NaN"},
+		{"figure2", "-step", "-100"},
+		{"figure2", "-step", "0"},
 	} {
 		if code := runMain(t, args...); code != 1 {
 			t.Errorf("deepnote %v exited %d, want 1", args, code)

@@ -28,14 +28,22 @@ import (
 )
 
 func main() {
-	image := flag.String("image", "", "path to the filesystem image")
-	blocks := flag.Uint64("blocks", 1<<17, "filesystem size in 4 KiB blocks (mkfs)")
-	flag.Parse()
-	if *image == "" || flag.NArg() < 1 {
-		flag.Usage()
+	fl := flag.NewFlagSet("jfstool", flag.ExitOnError)
+	image := fl.String("image", "", "path to the filesystem image")
+	blocks := fl.Uint64("blocks", 1<<17, "filesystem size in 4 KiB blocks (mkfs)")
+	fl.Parse(os.Args[1:])
+	if fl.NArg() < 1 {
+		fl.Usage()
 		os.Exit(2)
 	}
-	cmd := flag.Arg(0)
+	cmd := fl.Arg(0)
+	// Flags may follow the subcommand too, as in "mkfs -blocks N".
+	fl.Parse(fl.Args()[1:])
+	if *image == "" {
+		fl.Usage()
+		os.Exit(2)
+	}
+	args := fl.Args()
 
 	clock := simclock.NewVirtual()
 	drive, err := hdd.NewDrive(hdd.Barracuda500(), clock, 1)
@@ -74,10 +82,10 @@ func main() {
 			fmt.Printf("%10d  %s\n", f.Size(), name)
 		}
 	case "put":
-		if flag.NArg() < 2 {
+		if len(args) < 1 {
 			fatal(fmt.Errorf("put needs a file name"))
 		}
-		name := flag.Arg(1)
+		name := args[0]
 		data, err := io.ReadAll(os.Stdin)
 		if err != nil {
 			fatal(err)
@@ -98,10 +106,10 @@ func main() {
 		dirty = true
 		fmt.Fprintf(os.Stderr, "wrote %d bytes to %s\n", len(data), name)
 	case "cat":
-		if flag.NArg() < 2 {
+		if len(args) < 1 {
 			fatal(fmt.Errorf("cat needs a file name"))
 		}
-		f, err := fs.Open(flag.Arg(1))
+		f, err := fs.Open(args[0])
 		if err != nil {
 			fatal(err)
 		}
@@ -113,10 +121,10 @@ func main() {
 		}
 		os.Stdout.Write(buf)
 	case "rm":
-		if flag.NArg() < 2 {
+		if len(args) < 1 {
 			fatal(fmt.Errorf("rm needs a file name"))
 		}
-		if err := fs.Remove(flag.Arg(1)); err != nil {
+		if err := fs.Remove(args[0]); err != nil {
 			fatal(err)
 		}
 		dirty = true

@@ -168,7 +168,9 @@ func AdaptiveAttack(s Scenario, budget int) (attack.AdaptiveResult, error) {
 // RunOutage executes a controlled outage (§3's first attacker objective):
 // attack keyed for exactly `during`, with healthy margins either side.
 func RunOutage(s Scenario, f Frequency, during time.Duration) (experiment.OutageResult, error) {
-	return experiment.ControlledOutage{Scenario: s, Freq: f, During: during}.Run()
+	o := experiment.DefaultControlledOutage()
+	o.Scenario, o.Freq, o.During = s, f, during
+	return o.Run()
 }
 
 // NewStack provisions a formatted filesystem, a key-value store, and a

@@ -148,7 +148,8 @@ func (s Sweeper) Run(pattern fio.Pattern) (SweepResult, error) {
 			})
 	}
 
-	coarsePoints, err := measurePass(s.Plan.CoarseFrequencies())
+	coarse := s.Plan.CoarseFrequencies()
+	coarsePoints, err := measurePass(coarse)
 	if err != nil {
 		return SweepResult{}, err
 	}
@@ -161,20 +162,7 @@ func (s Sweeper) Run(pattern fio.Pattern) (SweepResult, error) {
 		}
 	}
 
-	// Refinement pass: skip frequencies the coarse pass already measured
-	// (keyed on the quantized grid, so ULP twins don't sneak back in).
-	seen := make(map[int64]bool)
-	for _, p := range res.Points {
-		seen[sig.FrequencyKey(p.Freq)] = true
-	}
-	var fine []units.Frequency
-	for _, f := range s.Plan.RefineAroundAll(coarseVulnerable) {
-		if k := sig.FrequencyKey(f); !seen[k] {
-			seen[k] = true
-			fine = append(fine, f)
-		}
-	}
-	finePoints, err := measurePass(fine)
+	finePoints, err := measurePass(s.Plan.RefineAroundAll(coarseVulnerable, coarse))
 	if err != nil {
 		return SweepResult{}, err
 	}

@@ -126,7 +126,8 @@ func (r RemoteSweeper) Run() (RemoteSweepResult, error) {
 	}
 
 	var coarseVulnerable []units.Frequency
-	for _, f := range r.Plan.CoarseFrequencies() {
+	coarse := r.Plan.CoarseFrequencies()
+	for _, f := range coarse {
 		if probeAt(f).Suspicious(res.Baseline) {
 			coarseVulnerable = append(coarseVulnerable, f)
 			res.InferredVulnerable = append(res.InferredVulnerable, f)
@@ -134,15 +135,7 @@ func (r RemoteSweeper) Run() (RemoteSweepResult, error) {
 	}
 	// Refinement pass around vulnerable coarse hits, mirroring the
 	// paper's 50 Hz narrowing — still from latency observations only.
-	seen := make(map[units.Frequency]bool)
-	for _, p := range res.Probes {
-		seen[p.Freq] = true
-	}
-	for _, f := range r.Plan.RefineAroundAll(coarseVulnerable) {
-		if seen[f] {
-			continue
-		}
-		seen[f] = true
+	for _, f := range r.Plan.RefineAroundAll(coarseVulnerable, coarse) {
 		if probeAt(f).Suspicious(res.Baseline) {
 			res.InferredVulnerable = append(res.InferredVulnerable, f)
 		}

@@ -15,6 +15,7 @@ import (
 	"deepnote/internal/sig"
 	"deepnote/internal/trace"
 	"deepnote/internal/units"
+	"deepnote/internal/valid"
 )
 
 // DutyCycle describes the attack's on/off keying. A zero Off means
@@ -34,7 +35,8 @@ func (d DutyCycle) Fraction() float64 {
 
 // Stealth is a duty-cycled attack against a victim running a monitored
 // write workload, with the paper's 650 Hz tone from 1 cm in Scenario 2
-// and the victim's detector at its defaults.
+// and the victim's detector at its defaults. Start from DefaultStealth;
+// every value is used as given.
 type Stealth struct {
 	Duty DutyCycle
 	// Duration is the total campaign length.
@@ -46,17 +48,13 @@ type Stealth struct {
 	Metrics *metrics.Registry
 }
 
-func (s Stealth) withDefaults() Stealth {
-	if s.Duty.On == 0 {
-		s.Duty.On = 2 * time.Second
+// DefaultStealth is the campaign `deepnote stealth` runs with no flags.
+func DefaultStealth() Stealth {
+	return Stealth{
+		Duty:     DutyCycle{On: 500 * time.Millisecond, Off: 10 * time.Second},
+		Duration: 60 * time.Second,
+		Seed:     1,
 	}
-	if s.Duration == 0 {
-		s.Duration = 60 * time.Second
-	}
-	if s.Seed == 0 {
-		s.Seed = 1
-	}
-	return s
 }
 
 // Result summarizes the campaign from both sides.
@@ -79,7 +77,13 @@ type Result struct {
 // Run executes the campaign: the victim writes continuously through a
 // detection monitor; the attacker keys the tone per the duty cycle.
 func (s Stealth) Run() (Result, error) {
-	s = s.withDefaults()
+	if err := valid.First("campaign: Stealth",
+		valid.Positive("Duty.On", s.Duty.On),
+		valid.AtLeast("Duty.Off", s.Duty.Off, 0),
+		valid.Positive("Duration", s.Duration),
+	); err != nil {
+		return Result{}, err
+	}
 	rig, err := core.NewRig(core.Scenario2, 1*units.Centimeter, s.Seed)
 	if err != nil {
 		return Result{}, err

@@ -9,6 +9,7 @@ func TestContinuousAttackIsLoudAndDetected(t *testing.T) {
 	res, err := Stealth{
 		Duty:     DutyCycle{On: 2 * time.Second, Off: 0},
 		Duration: 30 * time.Second,
+		Seed:     1,
 	}.Run()
 	if err != nil {
 		t.Fatal(err)
@@ -28,6 +29,7 @@ func TestDutyCycledAttackTradesDamageForStealth(t *testing.T) {
 	loud, err := Stealth{
 		Duty:     DutyCycle{On: 2 * time.Second, Off: 0},
 		Duration: 30 * time.Second,
+		Seed:     1,
 	}.Run()
 	if err != nil {
 		t.Fatal(err)
@@ -35,6 +37,7 @@ func TestDutyCycledAttackTradesDamageForStealth(t *testing.T) {
 	quiet, err := Stealth{
 		Duty:     DutyCycle{On: 500 * time.Millisecond, Off: 10 * time.Second},
 		Duration: 30 * time.Second,
+		Seed:     1,
 	}.Run()
 	if err != nil {
 		t.Fatal(err)
@@ -72,6 +75,7 @@ func TestCampaignTimelineCoversRun(t *testing.T) {
 	res, err := Stealth{
 		Duty:     DutyCycle{On: time.Second, Off: 2 * time.Second},
 		Duration: 12 * time.Second,
+		Seed:     1,
 	}.Run()
 	if err != nil {
 		t.Fatal(err)

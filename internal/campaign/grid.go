@@ -22,7 +22,7 @@ type Grid struct {
 	// base seed each cell's seed is derived from.
 	Base Stealth
 	// OnValues and OffValues are the grid axes (burst length × quiet
-	// gap). Zero-length axes get paper-flavoured defaults.
+	// gap).
 	OnValues, OffValues []time.Duration
 	// Workers bounds how many cells run concurrently; ≤ 0 means one
 	// worker per CPU.
@@ -33,23 +33,19 @@ type Grid struct {
 	Metrics *metrics.Registry
 }
 
-func (g Grid) withDefaults() Grid {
-	if len(g.OnValues) == 0 {
-		g.OnValues = []time.Duration{500 * time.Millisecond, 1 * time.Second, 2 * time.Second}
+// DefaultGrid is the grid `deepnote stealthgrid` runs with no flags: a
+// DefaultStealth base over paper-flavoured burst and gap axes.
+func DefaultGrid() Grid {
+	return Grid{
+		Base:      DefaultStealth(),
+		OnValues:  []time.Duration{500 * time.Millisecond, 1 * time.Second, 2 * time.Second},
+		OffValues: []time.Duration{0, 2 * time.Second, 10 * time.Second},
 	}
-	if len(g.OffValues) == 0 {
-		g.OffValues = []time.Duration{0, 2 * time.Second, 10 * time.Second}
-	}
-	if g.Base.Seed == 0 {
-		g.Base.Seed = 1
-	}
-	return g
 }
 
 // Run executes every cell of the grid and returns results in row-major
 // order (OnValues outer, OffValues inner), identical for any Workers.
 func (g Grid) Run() ([]Result, error) {
-	g = g.withDefaults()
 	type cell struct {
 		duty DutyCycle
 	}

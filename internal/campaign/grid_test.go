@@ -10,7 +10,7 @@ import (
 // still covers the damage/stealth extremes (continuous vs 1:10 duty).
 func testGrid(workers int) Grid {
 	return Grid{
-		Base:      Stealth{Duration: 12 * time.Second},
+		Base:      Stealth{Duration: 12 * time.Second, Seed: 1},
 		OnValues:  []time.Duration{500 * time.Millisecond, 2 * time.Second},
 		OffValues: []time.Duration{0, 5 * time.Second},
 		Workers:   workers,

@@ -13,7 +13,7 @@ import (
 // fast enough for the workers × metrics determinism matrix below.
 func metricsGrid(workers int, reg *metrics.Registry) Grid {
 	return Grid{
-		Base:      Stealth{Duration: 6 * time.Second},
+		Base:      Stealth{Duration: 6 * time.Second, Seed: 1},
 		OnValues:  []time.Duration{500 * time.Millisecond, 2 * time.Second},
 		OffValues: []time.Duration{0, 2 * time.Second},
 		Workers:   workers,

@@ -13,6 +13,7 @@ import (
 	"deepnote/internal/sig"
 	"deepnote/internal/sonar"
 	"deepnote/internal/units"
+	"deepnote/internal/valid"
 )
 
 // ClusterSpec is the facility-scale campaign: an erasure-coded
@@ -20,37 +21,37 @@ import (
 // adds point-blank speakers one failure domain at a time, keying them on
 // mid-run. It answers the question the paper's introduction poses at
 // facility scale: how many sources must an attacker position before the
-// redundant store actually loses availability?
+// redundant store actually loses availability? Start from
+// DefaultClusterSpec; every value is used as given.
 type ClusterSpec struct {
-	// Containers and DrivesPerContainer size the facility (defaults 6, 1).
+	// Containers and DrivesPerContainer size the facility.
 	Containers, DrivesPerContainer int
-	// DataShards/ParityShards set the k-of-n code (defaults 4+2).
+	// DataShards/ParityShards set the k-of-n code.
 	DataShards, ParityShards int
-	// Objects and ObjectSize size the keyspace (defaults 24, 16 KiB).
+	// Objects and ObjectSize size the keyspace.
 	Objects, ObjectSize int
-	// Spacing is the container pitch (default 2 m).
+	// Spacing is the container pitch.
 	Spacing units.Distance
-	// Freq is the attack tone (default 650 Hz).
+	// Freq is the attack tone.
 	Freq units.Frequency
 	// MaxSpeakers is the top of the attacker ladder; cells run speaker
-	// counts 0..MaxSpeakers (default: Containers).
+	// counts 0..MaxSpeakers (0 = Containers, at most Containers).
 	MaxSpeakers int
 	// Cells, when non-nil, restricts the sweep to these speaker counts
-	// (each clamped to 0..MaxSpeakers) instead of the full ladder — the
-	// way a single huge-workload cell is run without paying for the whole
+	// (each in 0..MaxSpeakers) instead of the full ladder — the way a
+	// single huge-workload cell is run without paying for the whole
 	// ladder.
 	Cells []int
-	// Requests, Rate, and ReadFraction shape the client workload
-	// (defaults 240 requests at 250 req/s, 90% reads). ReadFraction nil
-	// means the default 0.9; cluster.Ptr(0.0) is a write-only workload.
+	// Requests, Rate, and ReadFraction shape the client workload;
+	// ReadFraction 0 is a write-only workload.
 	Requests     int
 	Rate         float64
-	ReadFraction *float64
+	ReadFraction float64
 	// AttackStartFrac and AttackStopFrac key the speakers on during
 	// [start, stop] of the nominal request window, so the cluster serves
-	// load before, during, and after the attack (defaults 0.25, 0.75).
-	// AttackStopFrac ≥ 1 means the speakers never key off — the
-	// sustained-attack case the availability-cliff analysis uses.
+	// load before, during, and after the attack. AttackStopFrac ≥ 1 means
+	// the speakers never key off — the sustained-attack case the
+	// availability-cliff analysis uses.
 	AttackStartFrac, AttackStopFrac float64
 	// StaggerFrac, when positive, staggers the cell's key-ons instead of
 	// keying every speaker at AttackStartFrac: speaker i keys on at
@@ -59,85 +60,61 @@ type ClusterSpec struct {
 	// against; AttackStopFrac is ignored when staggering.
 	StaggerFrac float64
 	// Defense closes the loop in every cell: a hydrophone ring
-	// (Hydrophones elements, Standoff beyond the farthest container)
-	// hears each key-on, multilaterates it, and the fixes steer the
-	// store via cluster.SetDefense. Standoff nil means the default 3 m;
-	// cluster.Ptr(units.Distance(0)) puts the ring at the perimeter and
-	// is honored.
+	// (Hydrophones elements, Standoff beyond the farthest container; 0
+	// puts the ring at the perimeter) hears each key-on, multilaterates
+	// it, and the fixes steer the store via cluster.SetDefense.
 	Defense     bool
 	Hydrophones int
-	Standoff    *units.Distance
+	Standoff    units.Distance
 	Seed        int64
 	// Workers bounds the ladder fan-out (≤ 0 = one per CPU); results are
 	// identical for any worker count.
 	Workers int
 	// CellWorkers bounds the drive fan-out inside each cell's cluster
-	// (default 1 — the ladder is usually the fan-out axis). Raise it when
-	// running one huge cell via Cells; results never depend on it.
+	// (≤ 0 = one per CPU). The ladder is usually the fan-out axis; raise
+	// it when running one huge cell via Cells. Results never depend on it.
 	CellWorkers int
 	// Metrics receives engine and per-layer counters when non-nil.
 	Metrics *metrics.Registry
 }
 
-func (s ClusterSpec) withDefaults() ClusterSpec {
-	if s.Containers <= 0 {
-		s.Containers = 6
+// DefaultClusterSpec is the campaign `deepnote cluster` runs with no
+// flags.
+func DefaultClusterSpec() ClusterSpec {
+	return ClusterSpec{
+		Containers: 6, DrivesPerContainer: 1, DataShards: 4, ParityShards: 2,
+		Objects: 24, ObjectSize: 16 << 10, Spacing: 2 * units.Meter, Freq: 650 * units.Hz,
+		Requests: 240, Rate: 250, ReadFraction: 0.9,
+		AttackStartFrac: 0.25, AttackStopFrac: 0.75,
+		Hydrophones: 6, Standoff: 3 * units.Meter, Seed: 1, CellWorkers: 1,
 	}
-	if s.DrivesPerContainer <= 0 {
-		s.DrivesPerContainer = 1
+}
+
+func (s ClusterSpec) validate() error {
+	errs := []error{
+		valid.AtLeast("DataShards", s.DataShards, 1),
+		valid.AtLeast("ParityShards", s.ParityShards, 1),
+		// One shard per failure domain.
+		valid.AtLeast("Containers", s.Containers, s.DataShards+s.ParityShards),
+		valid.AtLeast("DrivesPerContainer", s.DrivesPerContainer, 1),
+		valid.AtLeast("Objects", s.Objects, 1),
+		valid.AtLeast("ObjectSize", s.ObjectSize, 1),
+		valid.Positive("Spacing", s.Spacing),
+		valid.Positive("Freq", s.Freq),
+		valid.In("MaxSpeakers", s.MaxSpeakers, 0, s.Containers),
+		valid.AtLeast("Requests", s.Requests, 1),
+		valid.Positive("Rate", s.Rate),
+		valid.In("ReadFraction", s.ReadFraction, 0, 1),
+		valid.AtLeast("AttackStartFrac", s.AttackStartFrac, 0),
+		valid.AtLeast("AttackStopFrac", s.AttackStopFrac, s.AttackStartFrac),
+		valid.AtLeast("StaggerFrac", s.StaggerFrac, 0),
+		valid.AtLeast("Hydrophones", s.Hydrophones, 1),
+		valid.AtLeast("Standoff", s.Standoff, 0),
 	}
-	if s.DataShards <= 0 {
-		s.DataShards = 4
+	for _, c := range s.Cells {
+		errs = append(errs, valid.In("Cells", c, 0, s.MaxSpeakers))
 	}
-	if s.ParityShards <= 0 {
-		s.ParityShards = 2
-	}
-	if s.Objects <= 0 {
-		s.Objects = 24
-	}
-	if s.ObjectSize <= 0 {
-		s.ObjectSize = 16 << 10
-	}
-	if s.Spacing == 0 {
-		s.Spacing = 2 * units.Meter
-	}
-	if s.Freq == 0 {
-		s.Freq = 650 * units.Hz
-	}
-	if s.MaxSpeakers <= 0 || s.MaxSpeakers > s.Containers {
-		s.MaxSpeakers = s.Containers
-	}
-	if s.Requests <= 0 {
-		s.Requests = 240
-	}
-	if s.Rate <= 0 {
-		s.Rate = 250
-	}
-	if s.ReadFraction == nil {
-		s.ReadFraction = cluster.Ptr(0.9)
-	}
-	if s.AttackStartFrac <= 0 {
-		s.AttackStartFrac = 0.25
-	}
-	if s.AttackStopFrac <= 0 {
-		s.AttackStopFrac = 0.75
-	}
-	if s.AttackStopFrac < s.AttackStartFrac {
-		s.AttackStopFrac = s.AttackStartFrac
-	}
-	if s.Hydrophones <= 0 {
-		s.Hydrophones = 6
-	}
-	if s.Standoff == nil {
-		s.Standoff = cluster.Ptr(3 * units.Meter)
-	}
-	if s.Seed == 0 {
-		s.Seed = 1
-	}
-	if s.CellWorkers <= 0 {
-		s.CellWorkers = 1
-	}
-	return s
+	return valid.First("experiment: ClusterSpec", errs...)
 }
 
 // ClusterResult is one ladder cell: the serving summary with the given
@@ -155,21 +132,17 @@ type ClusterResult struct {
 // builds its own cluster with seeds derived from (Seed, cell), so
 // results are byte-identical at any worker count.
 func ClusterSweep(spec ClusterSpec) ([]ClusterResult, error) {
-	spec = spec.withDefaults()
+	if spec.MaxSpeakers == 0 {
+		spec.MaxSpeakers = spec.Containers
+	}
+	if err := spec.validate(); err != nil {
+		return nil, err
+	}
 	tone := sig.NewTone(spec.Freq)
 	window := time.Duration(float64(spec.Requests) / spec.Rate * float64(time.Second))
 	cells := spec.Cells
 	if cells == nil {
 		cells = parallel.Indices(spec.MaxSpeakers + 1)
-	} else {
-		cells = append([]int(nil), cells...)
-		for i, s := range cells {
-			if s < 0 {
-				cells[i] = 0
-			} else if s > spec.MaxSpeakers {
-				cells[i] = spec.MaxSpeakers
-			}
-		}
 	}
 	return parallel.RunObserved(context.Background(), cells, spec.Workers, spec.Metrics,
 		func(_ context.Context, _ int, speakers int) (ClusterResult, error) {
@@ -212,7 +185,7 @@ func ClusterSweep(spec ClusterSpec) ([]ClusterResult, error) {
 			}
 			c.SetSchedule(steps)
 			if spec.Defense {
-				arr := sonar.FacilityArray(lay, spec.Hydrophones, *spec.Standoff)
+				arr := sonar.FacilityArray(lay, spec.Hydrophones, spec.Standoff)
 				dets := sonar.DetectSchedule(lay, arr, steps, parallel.SeedFor(spec.Seed, 3000+speakers))
 				var fixes []cluster.SourceFix
 				for _, d := range dets {
@@ -231,7 +204,7 @@ func ClusterSweep(spec ClusterSpec) ([]ClusterResult, error) {
 			res, err := c.Serve(cluster.TrafficSpec{
 				Requests:     spec.Requests,
 				Rate:         spec.Rate,
-				ReadFraction: spec.ReadFraction,
+				ReadFraction: cluster.Ptr(spec.ReadFraction),
 				Seed:         cluster.Ptr(parallel.SeedFor(spec.Seed, 1000+speakers)),
 			})
 			if err != nil {

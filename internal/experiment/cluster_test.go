@@ -12,15 +12,14 @@ import (
 // testClusterSpec is a small, fast ladder: 6 containers, 4-of-6 code,
 // three-speaker ladder.
 func testClusterSpec() ClusterSpec {
-	return ClusterSpec{
-		Containers:  6,
-		MaxSpeakers: 3,
-		Objects:     16,
-		ObjectSize:  8 << 10,
-		Requests:    100,
-		Rate:        2000,
-		Seed:        5,
-	}
+	s := DefaultClusterSpec()
+	s.MaxSpeakers = 3
+	s.Objects = 16
+	s.ObjectSize = 8 << 10
+	s.Requests = 100
+	s.Rate = 2000
+	s.Seed = 5
+	return s
 }
 
 // TestClusterSweepAvailabilityCliff: with a full-window attack, the

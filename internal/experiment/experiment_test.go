@@ -1,6 +1,7 @@
 package experiment
 
 import (
+	"math"
 	"strings"
 	"testing"
 	"time"
@@ -102,6 +103,24 @@ func TestFigure2Chart(t *testing.T) {
 	out := res.Chart().String()
 	if !strings.Contains(out, "Sequential Write") || !strings.Contains(out, "Scenario 2") {
 		t.Fatalf("chart missing labels:\n%s", out)
+	}
+}
+
+// TestFigure2RejectsUnboundedBand: a negative or non-finite band edge or
+// step would leave the sweep loop without an end; zero still selects the
+// default band.
+func TestFigure2RejectsUnboundedBand(t *testing.T) {
+	for name, edit := range map[string]func(*Figure2Options){
+		"NaN step":       func(o *Figure2Options) { o.Step = units.Frequency(math.NaN()) },
+		"negative step":  func(o *Figure2Options) { o.Step = -100 },
+		"negative start": func(o *Figure2Options) { o.Start = -1 },
+		"Inf end":        func(o *Figure2Options) { o.End = units.Frequency(math.Inf(1)) },
+	} {
+		o := coarseFig2()
+		edit(&o)
+		if _, err := Figure2(fio.SeqWrite, o); err == nil {
+			t.Errorf("%s: Figure2 accepted %+v", name, o)
+		}
 	}
 }
 

@@ -10,6 +10,7 @@ import (
 	"deepnote/internal/report"
 	"deepnote/internal/sig"
 	"deepnote/internal/units"
+	"deepnote/internal/valid"
 )
 
 // Fleet models a small underwater data center as M containers of N drives
@@ -22,14 +23,17 @@ import (
 // containers are protected only by spreading along the real water path).
 
 // FleetSpec describes the facility and attack. Every speaker plays the
-// paper's 650 Hz tone.
+// paper's 650 Hz tone. Start from DefaultFleetSpec; every value is used
+// as given.
 type FleetSpec struct {
 	// Containers and DrivesPerContainer set the facility size.
 	Containers, DrivesPerContainer int
-	// Speakers is the attacker's simultaneous source count.
+	// Speakers is the attacker's simultaneous source count, at most one
+	// per container (the model's geometry: an extra speaker has no
+	// container left to target).
 	Speakers int
 	// ContainerSpacing is the distance from a speaker to the *next*
-	// container over (default 2 m).
+	// container over.
 	ContainerSpacing units.Distance
 	// Workers bounds how many containers are evaluated concurrently;
 	// ≤ 0 means one worker per CPU. Results are identical for any worker
@@ -37,27 +41,19 @@ type FleetSpec struct {
 	Workers int
 }
 
-func (s FleetSpec) withDefaults() FleetSpec {
-	if s.Containers <= 0 {
-		s.Containers = 4
-	}
-	if s.DrivesPerContainer <= 0 {
-		s.DrivesPerContainer = 5
-	}
-	if s.Speakers < 0 {
-		s.Speakers = 0
-	}
-	// One speaker per container is the model's geometry: extra speakers
-	// have no container left to target, so an over-provisioned attacker
-	// behaves exactly like one with a speaker per container. Without the
-	// clamp the c < Speakers branch would mislabel spill-over distances.
-	if s.Speakers > s.Containers {
-		s.Speakers = s.Containers
-	}
-	if s.ContainerSpacing == 0 {
-		s.ContainerSpacing = 2 * units.Meter
-	}
-	return s
+// DefaultFleetSpec is the facility `deepnote facility` sweeps with no
+// flags.
+func DefaultFleetSpec() FleetSpec {
+	return FleetSpec{Containers: 4, DrivesPerContainer: 5, ContainerSpacing: 2 * units.Meter}
+}
+
+func (s FleetSpec) validate() error {
+	return valid.First("experiment: FleetSpec",
+		valid.AtLeast("Containers", s.Containers, 1),
+		valid.AtLeast("DrivesPerContainer", s.DrivesPerContainer, 1),
+		valid.In("Speakers", s.Speakers, 0, s.Containers),
+		valid.Positive("ContainerSpacing", s.ContainerSpacing),
+	)
 }
 
 // FleetResult reports facility-level availability.
@@ -78,7 +74,9 @@ type FleetResult struct {
 // point-blank geometry). Containers are evaluated concurrently over the
 // spec's Workers pool; each builds its own testbed.
 func FleetAvailability(spec FleetSpec) (FleetResult, error) {
-	spec = spec.withDefaults()
+	if err := spec.validate(); err != nil {
+		return FleetResult{}, err
+	}
 	res := FleetResult{Spec: spec, DrivesTotal: spec.Containers * spec.DrivesPerContainer}
 	tone := sig.NewTone(650 * units.Hz)
 	targets := make([]int, spec.Speakers)
@@ -124,7 +122,9 @@ func FleetAvailability(spec FleetSpec) (FleetResult, error) {
 
 // FleetSweep runs FleetAvailability for every speaker count 0..Containers.
 func FleetSweep(spec FleetSpec) ([]FleetResult, error) {
-	spec = spec.withDefaults()
+	if err := spec.validate(); err != nil {
+		return nil, err
+	}
 	out := make([]FleetResult, 0, spec.Containers+1)
 	for k := 0; k <= spec.Containers; k++ {
 		s := spec

@@ -1,6 +1,7 @@
 package experiment
 
 import (
+	"math"
 	"strings"
 	"testing"
 
@@ -10,7 +11,7 @@ import (
 )
 
 func TestFleetNoAttackFullyAvailable(t *testing.T) {
-	r, err := FleetAvailability(FleetSpec{Speakers: 0})
+	r, err := FleetAvailability(DefaultFleetSpec())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -20,7 +21,9 @@ func TestFleetNoAttackFullyAvailable(t *testing.T) {
 }
 
 func TestFleetOneSpeakerOneContainer(t *testing.T) {
-	r, err := FleetAvailability(FleetSpec{Containers: 4, DrivesPerContainer: 5, Speakers: 1})
+	spec := DefaultFleetSpec()
+	spec.Speakers = 1
+	r, err := FleetAvailability(spec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -35,7 +38,7 @@ func TestFleetOneSpeakerOneContainer(t *testing.T) {
 }
 
 func TestFleetSweepMonotone(t *testing.T) {
-	rows, err := FleetSweep(FleetSpec{Containers: 4, DrivesPerContainer: 5})
+	rows, err := FleetSweep(DefaultFleetSpec())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -56,40 +59,34 @@ func TestFleetSweepMonotone(t *testing.T) {
 	}
 }
 
-func TestFleetOverProvisionedSpeakersClampToContainers(t *testing.T) {
-	// Regression: Speakers > Containers used to leave the extra speakers
-	// in the spec, so downstream consumers (and the c < Speakers distance
-	// branch under any future geometry change) miscounted. An attacker
-	// with more speakers than containers is exactly a speaker-per-container
-	// attacker.
-	base := FleetSpec{Containers: 4, DrivesPerContainer: 5}
-	exact := base
-	exact.Speakers = base.Containers
-	over := base
-	over.Speakers = base.Containers + 3
-	want, err := FleetAvailability(exact)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := FleetAvailability(over)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Spec.Speakers != base.Containers {
-		t.Fatalf("spec speakers = %d, want clamped to %d", got.Spec.Speakers, base.Containers)
-	}
-	if got.DrivesFaulting != want.DrivesFaulting || got.Availability != want.Availability {
-		t.Fatalf("over-provisioned attacker %+v != exact attacker %+v", got, want)
+// TestFleetRejectsBadSpec: an attacker with more speakers than containers
+// (the model's geometry has no container left to target) and a facility
+// with no containers, drives or spacing must fail instead of being
+// clamped or replaced by a default.
+func TestFleetRejectsBadSpec(t *testing.T) {
+	for name, edit := range map[string]func(*FleetSpec){
+		"over-provisioned speakers": func(s *FleetSpec) { s.Speakers = s.Containers + 3 },
+		"negative speakers":         func(s *FleetSpec) { s.Speakers = -1 },
+		"zero containers":           func(s *FleetSpec) { s.Containers = 0 },
+		"zero drives":               func(s *FleetSpec) { s.DrivesPerContainer = 0 },
+		"zero spacing":              func(s *FleetSpec) { s.ContainerSpacing = 0 },
+		"NaN spacing":               func(s *FleetSpec) { s.ContainerSpacing = units.Distance(math.NaN()) },
+	} {
+		spec := DefaultFleetSpec()
+		edit(&spec)
+		if _, err := FleetAvailability(spec); err == nil {
+			t.Errorf("%s: FleetAvailability accepted %+v", name, spec)
+		}
 	}
 }
 
 func TestFleetTightSpacingLeaksAcrossContainers(t *testing.T) {
 	// If containers sit very close together, one speaker's spill-over
 	// reaches the neighbour too.
-	r, err := FleetAvailability(FleetSpec{
-		Containers: 4, DrivesPerContainer: 5, Speakers: 1,
-		ContainerSpacing: 4 * units.Centimeter,
-	})
+	spec := DefaultFleetSpec()
+	spec.Speakers = 1
+	spec.ContainerSpacing = 4 * units.Centimeter
+	r, err := FleetAvailability(spec)
 	if err != nil {
 		t.Fatal(err)
 	}

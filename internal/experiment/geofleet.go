@@ -12,6 +12,7 @@ import (
 	"deepnote/internal/report"
 	"deepnote/internal/sig"
 	"deepnote/internal/units"
+	"deepnote/internal/valid"
 )
 
 // GeoFleetSpec is the geo-distributed campaign: a multi-facility fleet
@@ -21,108 +22,78 @@ import (
 // injected faults. The pair of runs shares every seed, so the only
 // variable is where the shards live.
 type GeoFleetSpec struct {
-	// Sites and ContainersPerSite size the fleet (defaults 4, 8).
+	// Sites and ContainersPerSite size the fleet.
 	Sites, ContainersPerSite int
-	// DataShards/ParityShards set the k-of-n code (defaults 4+4 — a site
-	// allotment of ceil(n/S) shards must fit inside the parity budget for
-	// attack-aware placement to survive a facility loss).
+	// DataShards/ParityShards set the k-of-n code (a site allotment of
+	// ceil(n/S) shards must fit inside the parity budget for attack-aware
+	// placement to survive a facility loss).
 	DataShards, ParityShards int
-	// Objects and ObjectSize size the keyspace (defaults 48, 8 KiB).
+	// Objects and ObjectSize size the keyspace.
 	Objects, ObjectSize int
-	// Spacing is the container pitch (default 2 m); Freq the attack tone
-	// (default 650 Hz).
+	// Spacing is the container pitch; Freq the attack tone.
 	Spacing units.Distance
 	Freq    units.Frequency
 	// Blast is the attack's footprint: that many contiguous containers of
-	// site 0, starting at container 0, each get a point-blank speaker
-	// (default 5 — one more than the parity budget, so every naive stripe
+	// site 0, starting at container 0, each get a point-blank speaker (by
+	// default one more than the parity budget, so every naive stripe
 	// homed on the attacked site is erased).
 	Blast int
 	// AttackStart/AttackStop key the speakers (and the WAN faults) on
-	// over [AttackStart, AttackStop) of the serving timeline (defaults
-	// 500 ms, 2 s).
+	// over [AttackStart, AttackStop) of the serving timeline.
 	AttackStart, AttackStop time.Duration
-	// Deadline is the per-request budget (default 2 s — blasted drives
-	// fail slowly, so failover needs room to outlast the grinding waves).
+	// Deadline is the per-request budget (blasted drives fail slowly, so
+	// failover needs room to outlast the grinding waves).
 	Deadline time.Duration
-	// Requests, Rate, and ReadFraction shape the workload (defaults 800
-	// requests at 300 req/s, 90% reads — busy but below the drives'
-	// saturation knee, so the deadline budget is spent on failover, not
-	// on queueing backlog).
+	// Requests, Rate, and ReadFraction shape the workload (by default
+	// busy but below the drives' saturation knee, so the deadline budget
+	// is spent on failover, not on queueing backlog).
 	Requests     int
 	Rate         float64
-	ReadFraction *float64
-	// Seed seeds the infrastructure — per-node engines and WAN jitter
-	// (default 1). The request schedule itself is the traffic tier's
-	// reference workload, held fixed so the placement comparison varies
-	// only the machinery under it.
+	ReadFraction float64
+	// Seed seeds the infrastructure — per-node engines and WAN jitter.
+	// The request schedule itself is the traffic tier's reference
+	// workload, held fixed so the placement comparison varies only the
+	// machinery under it.
 	Seed int64
 	// Workers bounds the placement fan-out (≤ 0 = one per CPU); results
 	// are identical for any worker count.
 	Workers int
-	// CellWorkers bounds the node fan-out inside each fleet (default 1);
-	// results never depend on it.
+	// CellWorkers bounds the node fan-out inside each fleet (≤ 0 = one
+	// per CPU); results never depend on it.
 	CellWorkers int
 	// Metrics receives engine and per-layer counters when non-nil.
 	Metrics *metrics.Registry
 }
 
-func (s GeoFleetSpec) withDefaults() GeoFleetSpec {
-	if s.Sites <= 0 {
-		s.Sites = 4
+// DefaultGeoFleetSpec is the campaign `deepnote fleet` runs with no flags.
+func DefaultGeoFleetSpec() GeoFleetSpec {
+	return GeoFleetSpec{
+		Sites: 4, ContainersPerSite: 8, DataShards: 4, ParityShards: 4,
+		Objects: 48, ObjectSize: 8 << 10, Spacing: 2 * units.Meter, Freq: 650 * units.Hz,
+		Blast: 5, AttackStart: 500 * time.Millisecond, AttackStop: 2 * time.Second,
+		Deadline: 2 * time.Second, Requests: 800, Rate: 300, ReadFraction: 0.9,
+		Seed: 1, CellWorkers: 1,
 	}
-	if s.ContainersPerSite <= 0 {
-		s.ContainersPerSite = 8
-	}
-	if s.DataShards <= 0 {
-		s.DataShards = 4
-	}
-	if s.ParityShards <= 0 {
-		s.ParityShards = 4
-	}
-	if s.Objects <= 0 {
-		s.Objects = 48
-	}
-	if s.ObjectSize <= 0 {
-		s.ObjectSize = 8 << 10
-	}
-	if s.Spacing == 0 {
-		s.Spacing = 2 * units.Meter
-	}
-	if s.Freq == 0 {
-		s.Freq = 650 * units.Hz
-	}
-	if s.Blast <= 0 {
-		s.Blast = 5
-	}
-	if s.Blast > s.ContainersPerSite {
-		s.Blast = s.ContainersPerSite
-	}
-	if s.AttackStart <= 0 {
-		s.AttackStart = 500 * time.Millisecond
-	}
-	if s.AttackStop <= s.AttackStart {
-		s.AttackStop = 2 * time.Second
-	}
-	if s.Deadline <= 0 {
-		s.Deadline = 2 * time.Second
-	}
-	if s.Requests <= 0 {
-		s.Requests = 800
-	}
-	if s.Rate <= 0 {
-		s.Rate = 300
-	}
-	if s.ReadFraction == nil {
-		s.ReadFraction = cluster.Ptr(0.9)
-	}
-	if s.Seed == 0 {
-		s.Seed = 1
-	}
-	if s.CellWorkers <= 0 {
-		s.CellWorkers = 1
-	}
-	return s
+}
+
+func (s GeoFleetSpec) validate() error {
+	return valid.First("experiment: GeoFleetSpec",
+		valid.AtLeast("Sites", s.Sites, 2),
+		valid.AtLeast("ContainersPerSite", s.ContainersPerSite, 1),
+		valid.AtLeast("DataShards", s.DataShards, 1),
+		valid.AtLeast("ParityShards", s.ParityShards, 1),
+		valid.AtLeast("Objects", s.Objects, 1),
+		valid.AtLeast("ObjectSize", s.ObjectSize, 1),
+		valid.Positive("Spacing", s.Spacing),
+		valid.Positive("Freq", s.Freq),
+		valid.In("Blast", s.Blast, 0, s.ContainersPerSite),
+		valid.AtLeast("AttackStart", s.AttackStart, 0),
+		valid.Positive("AttackStop-AttackStart", s.AttackStop-s.AttackStart),
+		valid.Positive("Deadline", s.Deadline),
+		valid.AtLeast("Requests", s.Requests, 1),
+		valid.Positive("Rate", s.Rate),
+		valid.In("ReadFraction", s.ReadFraction, 0, 1),
+	)
 }
 
 // geoFleetSiteNames label the facilities in reports.
@@ -146,7 +117,6 @@ func (s GeoFleetSpec) geoFleetFaults() []fleet.Fault {
 // GeoFleetResult holds both placements' full ledgers plus the
 // attack-window cut where the headline gap lives.
 type GeoFleetResult struct {
-	Spec         GeoFleetSpec
 	Aware, Naive fleet.Result
 	// AwareAttack and NaiveAttack re-cut each ledger over exactly
 	// [AttackStart, AttackStop).
@@ -159,7 +129,9 @@ type GeoFleetResult struct {
 // the placement policy is the only difference — and the whole result is
 // byte-identical at any worker count.
 func GeoFleetRun(spec GeoFleetSpec) (GeoFleetResult, error) {
-	spec = spec.withDefaults()
+	if err := spec.validate(); err != nil {
+		return GeoFleetResult{}, err
+	}
 	placements := []fleet.Placement{fleet.PlacementAttackAware, fleet.PlacementNaive}
 	runs, err := parallel.RunObserved(context.Background(), placements, spec.Workers, spec.Metrics,
 		func(_ context.Context, _ int, p fleet.Placement) (fleet.Result, error) {
@@ -211,7 +183,7 @@ func GeoFleetRun(spec GeoFleetSpec) (GeoFleetResult, error) {
 			res, err := f.Serve(fleet.TrafficSpec{
 				Requests:     spec.Requests,
 				Rate:         spec.Rate,
-				ReadFraction: spec.ReadFraction,
+				ReadFraction: cluster.Ptr(spec.ReadFraction),
 			})
 			if err != nil {
 				return fleet.Result{}, err
@@ -223,7 +195,7 @@ func GeoFleetRun(spec GeoFleetSpec) (GeoFleetResult, error) {
 	if err != nil {
 		return GeoFleetResult{}, err
 	}
-	out := GeoFleetResult{Spec: spec, Aware: runs[0], Naive: runs[1]}
+	out := GeoFleetResult{Aware: runs[0], Naive: runs[1]}
 	out.AwareAttack = out.Aware.Window(spec.AttackStart, spec.AttackStop)
 	out.NaiveAttack = out.Naive.Window(spec.AttackStart, spec.AttackStop)
 	return out, nil

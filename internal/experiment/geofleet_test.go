@@ -14,7 +14,7 @@ import (
 // time-to-verdict P99 than the naive layout — with zero corrupt reads on
 // either side.
 func TestGeoFleetAwareBeatsNaive(t *testing.T) {
-	res, err := GeoFleetRun(GeoFleetSpec{})
+	res, err := GeoFleetRun(DefaultGeoFleetSpec())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -49,7 +49,9 @@ func TestGeoFleetAwareBeatsNaive(t *testing.T) {
 // the cells and their fleets run serially or fanned out.
 func TestGeoFleetDeterministicAcrossWorkers(t *testing.T) {
 	run := func(workers, cellWorkers int) GeoFleetResult {
-		res, err := GeoFleetRun(GeoFleetSpec{Workers: workers, CellWorkers: cellWorkers})
+		spec := DefaultGeoFleetSpec()
+		spec.Workers, spec.CellWorkers = workers, cellWorkers
+		res, err := GeoFleetRun(spec)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -57,9 +59,6 @@ func TestGeoFleetDeterministicAcrossWorkers(t *testing.T) {
 	}
 	base := run(1, 1)
 	res := run(2, 8)
-	// The echoed Spec legitimately differs in its worker fields; every
-	// simulation output must not.
-	base.Spec, res.Spec = GeoFleetSpec{}, GeoFleetSpec{}
 	if !reflect.DeepEqual(base, res) {
 		t.Fatal("geofleet diverged across worker counts")
 	}
@@ -69,7 +68,9 @@ func TestGeoFleetDeterministicAcrossWorkers(t *testing.T) {
 // from both cells.
 func TestGeoFleetPublishesMetrics(t *testing.T) {
 	reg := metrics.NewRegistry()
-	if _, err := GeoFleetRun(GeoFleetSpec{Requests: 60, Rate: 2000, Metrics: reg}); err != nil {
+	spec := DefaultGeoFleetSpec()
+	spec.Requests, spec.Rate, spec.Metrics = 60, 2000, reg
+	if _, err := GeoFleetRun(spec); err != nil {
 		t.Fatal(err)
 	}
 	snap := reg.Snapshot()

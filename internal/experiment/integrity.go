@@ -8,6 +8,7 @@ import (
 	"deepnote/internal/report"
 	"deepnote/internal/sig"
 	"deepnote/internal/units"
+	"deepnote/internal/valid"
 )
 
 // Integrity demonstrates the silent-corruption surface the paper's
@@ -19,11 +20,11 @@ import (
 // drive (rig seed 1) whose victim data set is integrityBlocks 4 KiB
 // blocks.
 type Integrity struct {
-	// Distance puts the drive in the marginal zone (default 18 cm:
-	// amplitude just under the write gate at 650 Hz, Scenario 2).
+	// Distance puts the drive in the marginal zone (by default amplitude
+	// just under the write gate at 650 Hz, Scenario 2).
 	Distance units.Distance
-	// CorruptionProb is the per-marginal-write squeeze probability
-	// (default 0.05).
+	// CorruptionProb is the per-marginal-write squeeze probability; 0
+	// disables the mechanism.
 	CorruptionProb float64
 }
 
@@ -33,14 +34,10 @@ const (
 	integrityBlocks = 256
 )
 
-func (s Integrity) withDefaults() Integrity {
-	if s.Distance == 0 {
-		s.Distance = 18 * units.Centimeter
-	}
-	if s.CorruptionProb == 0 {
-		s.CorruptionProb = 0.05
-	}
-	return s
+// DefaultIntegrity is the experiment `deepnote integrity` runs with no
+// flags.
+func DefaultIntegrity() Integrity {
+	return Integrity{Distance: 18 * units.Centimeter, CorruptionProb: 0.05}
 }
 
 // IntegrityResult reports the damage.
@@ -58,7 +55,12 @@ type IntegrityResult struct {
 // the marginal distance while writing the neighboring track, silence, and
 // audit the original data set.
 func (s Integrity) Run() (IntegrityResult, error) {
-	s = s.withDefaults()
+	if err := valid.First("experiment: Integrity",
+		valid.Positive("Distance", s.Distance),
+		valid.In("CorruptionProb", s.CorruptionProb, 0, 1),
+	); err != nil {
+		return IntegrityResult{}, err
+	}
 	tb, err := core.NewTestbed(core.Scenario2, s.Distance)
 	if err != nil {
 		return IntegrityResult{}, err

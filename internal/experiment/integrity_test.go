@@ -8,7 +8,9 @@ import (
 )
 
 func TestIntegrityMarginalAttackCorruptsSilently(t *testing.T) {
-	res, err := Integrity{CorruptionProb: 0.1}.Run()
+	spec := DefaultIntegrity()
+	spec.CorruptionProb = 0.1
+	res, err := spec.Run()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -30,7 +32,9 @@ func TestIntegrityMarginalAttackCorruptsSilently(t *testing.T) {
 }
 
 func TestIntegrityNoCorruptionWithoutMechanism(t *testing.T) {
-	res, err := Integrity{CorruptionProb: -1}.Run() // negative disables (prob < 0 never fires)
+	spec := DefaultIntegrity()
+	spec.CorruptionProb = 0
+	res, err := spec.Run()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -42,7 +46,8 @@ func TestIntegrityNoCorruptionWithoutMechanism(t *testing.T) {
 func TestIntegrityNoCorruptionAtStandoff(t *testing.T) {
 	// At 25 cm the amplitude is below the marginal zone: writes are
 	// clean and nothing rots even with the mechanism armed.
-	res, err := Integrity{CorruptionProb: 0.5, Distance: 40 * units.Centimeter}.Run()
+	spec := Integrity{CorruptionProb: 0.5, Distance: 40 * units.Centimeter}
+	res, err := spec.Run()
 	if err != nil {
 		t.Fatal(err)
 	}

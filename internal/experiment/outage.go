@@ -10,6 +10,7 @@ import (
 	"deepnote/internal/sig"
 	"deepnote/internal/trace"
 	"deepnote/internal/units"
+	"deepnote/internal/valid"
 )
 
 // ControlledOutage realizes the paper's §3 first attacker objective: a
@@ -28,23 +29,13 @@ type ControlledOutage struct {
 	Metrics *metrics.Registry
 }
 
-func (c ControlledOutage) withDefaults() ControlledOutage {
-	if c.Scenario == 0 {
-		c.Scenario = core.Scenario2
+// DefaultControlledOutage is the outage `deepnote outage` runs with no
+// flags.
+func DefaultControlledOutage() ControlledOutage {
+	return ControlledOutage{
+		Scenario: core.Scenario2, Freq: 650 * units.Hz,
+		Before: 5 * time.Second, During: 10 * time.Second, After: 5 * time.Second,
 	}
-	if c.Freq == 0 {
-		c.Freq = 650 * units.Hz
-	}
-	if c.Before == 0 {
-		c.Before = 5 * time.Second
-	}
-	if c.During == 0 {
-		c.During = 10 * time.Second
-	}
-	if c.After == 0 {
-		c.After = 5 * time.Second
-	}
-	return c
 }
 
 // OutageResult is the measured timeline.
@@ -58,7 +49,14 @@ type OutageResult struct {
 // Run executes the outage: a continuously writing workload, with the tone
 // keyed on for exactly the During window.
 func (c ControlledOutage) Run() (OutageResult, error) {
-	c = c.withDefaults()
+	if err := valid.First("experiment: ControlledOutage",
+		valid.Positive("Freq", c.Freq),
+		valid.Positive("Before", c.Before),
+		valid.Positive("During", c.During),
+		valid.Positive("After", c.After),
+	); err != nil {
+		return OutageResult{}, err
+	}
 	rig, err := core.NewRig(c.Scenario, 1*units.Centimeter, 1)
 	if err != nil {
 		return OutageResult{}, err

@@ -7,11 +7,9 @@ import (
 )
 
 func TestControlledOutageTimeline(t *testing.T) {
-	res, err := ControlledOutage{
-		Before: 3 * time.Second,
-		During: 4 * time.Second,
-		After:  3 * time.Second,
-	}.Run()
+	spec := DefaultControlledOutage()
+	spec.Before, spec.During, spec.After = 3*time.Second, 4*time.Second, 3*time.Second
+	res, err := spec.Run()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -36,12 +34,10 @@ func TestControlledOutageTimeline(t *testing.T) {
 }
 
 func TestControlledOutageAtSafeFrequencyIsHarmless(t *testing.T) {
-	res, err := ControlledOutage{
-		Freq:   8000,
-		Before: 2 * time.Second,
-		During: 2 * time.Second,
-		After:  2 * time.Second,
-	}.Run()
+	spec := DefaultControlledOutage()
+	spec.Freq = 8000
+	spec.Before, spec.During, spec.After = 2*time.Second, 2*time.Second, 2*time.Second
+	res, err := spec.Run()
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -35,7 +35,8 @@ func TestFigure2DeterministicAcrossWorkerCounts(t *testing.T) {
 }
 
 func TestFleetDeterministicAcrossWorkerCounts(t *testing.T) {
-	spec := FleetSpec{Containers: 12, DrivesPerContainer: 5, Speakers: 3}
+	spec := DefaultFleetSpec()
+	spec.Containers, spec.Speakers = 12, 3
 	run := func(workers int) FleetResult {
 		s := spec
 		s.Workers = workers

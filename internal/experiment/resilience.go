@@ -17,6 +17,7 @@ import (
 	"deepnote/internal/report"
 	"deepnote/internal/sig"
 	"deepnote/internal/units"
+	"deepnote/internal/valid"
 )
 
 // Resilience reruns the paper's §4.3 prolonged attack against a ladder of
@@ -33,13 +34,13 @@ import (
 type Resilience struct {
 	// Pre is the healthy lead-in; the injected fault burst fires inside it.
 	Pre time.Duration
-	// Attack is how long the tone is held (default 100 s — past the ≈81 s
+	// Attack is how long the tone is held (by default past the ≈81 s
 	// Ubuntu time-to-crash).
 	Attack time.Duration
 	// Cooldown is the post-attack window in which recovery can happen.
 	Cooldown time.Duration
-	// CrashThreshold overrides the OS crash threshold (default 80 s);
-	// tests shrink it to keep virtual time short.
+	// CrashThreshold is the OS crash threshold; tests shrink it to keep
+	// virtual time short.
 	CrashThreshold time.Duration
 	// Workers bounds the config fan-out (≤ 0 = one per CPU). Results are
 	// bit-identical for any worker count.
@@ -49,20 +50,13 @@ type Resilience struct {
 	Metrics *metrics.Registry
 }
 
-func (r Resilience) withDefaults() Resilience {
-	if r.Pre == 0 {
-		r.Pre = 10 * time.Second
+// DefaultResilience is the ladder `deepnote resilience` runs with no
+// flags.
+func DefaultResilience() Resilience {
+	return Resilience{
+		Pre: 10 * time.Second, Attack: 100 * time.Second,
+		Cooldown: 60 * time.Second, CrashThreshold: 80 * time.Second,
 	}
-	if r.Attack == 0 {
-		r.Attack = 100 * time.Second
-	}
-	if r.Cooldown == 0 {
-		r.Cooldown = 60 * time.Second
-	}
-	if r.CrashThreshold == 0 {
-		r.CrashThreshold = 80 * time.Second
-	}
-	return r
 }
 
 // ResilienceRow is one stack configuration's episode outcome.
@@ -340,7 +334,14 @@ func (r Resilience) publishConfig(cfg resilienceConfig, rig *core.Rig, inj *faul
 // Run executes the hardening ladder, fanning the independent stack
 // simulations over the worker pool.
 func (r Resilience) Run() ([]ResilienceRow, error) {
-	r = r.withDefaults()
+	if err := valid.First("experiment: Resilience",
+		valid.Positive("Pre", r.Pre),
+		valid.Positive("Attack", r.Attack),
+		valid.AtLeast("Cooldown", r.Cooldown, 0),
+		valid.Positive("CrashThreshold", r.CrashThreshold),
+	); err != nil {
+		return nil, err
+	}
 	return parallel.RunObserved(context.Background(), resilienceConfigs(), r.Workers, r.Metrics,
 		func(_ context.Context, i int, cfg resilienceConfig) (ResilienceRow, error) {
 			return r.runResilienceConfig(cfg, parallel.SeedFor(1, i))

@@ -7,82 +7,64 @@ package experiment
 
 import (
 	"fmt"
-	"time"
 
 	"deepnote/internal/core"
 	"deepnote/internal/fio"
 	"deepnote/internal/hdd"
-	"deepnote/internal/metrics"
 	"deepnote/internal/oracle"
 	"deepnote/internal/sig"
 	"deepnote/internal/units"
 )
 
 // SelfCheckOptions tunes the differential grid. The speaker stands off
-// 1 cm, the contact-attack distance of §4.1.
+// 1 cm, the contact-attack distance of §4.1. Start from
+// DefaultSelfCheckOptions; every value is used as given.
 type SelfCheckOptions struct {
-	// Scenario selects the testbed configuration (default Scenario2, the
-	// paper's "realistic" tower mount used for Tables 1–3).
+	// Scenario selects the testbed configuration.
 	Scenario core.Scenario
-	// Freqs are the probe tones (default: a spread over the paper's
-	// vulnerable and quiet bands, 200 Hz – 3 kHz).
+	// Freqs are the probe tones.
 	Freqs []units.Frequency
-	// Levels are the normalized drive levels per tone (default 1, 0.5,
-	// 0.25 full scale — spanning collapse, transition, and quiet cells).
+	// Levels are the normalized drive levels per tone.
 	Levels []float64
-	// Patterns are the fio access patterns (default sequential write and
-	// read).
+	// Patterns are the fio access patterns.
 	Patterns []fio.Pattern
-	// BlockSizes are the per-request sizes in bytes (default 4 KiB, the
-	// paper's fio block size, and 64 KiB to exercise multi-chunk ops).
+	// BlockSizes are the per-request sizes in bytes.
 	BlockSizes []int64
-	// OffsetFracs place the swept region as a fraction of drive capacity
-	// (default 0 and 0.9 — outer and inner zones).
+	// OffsetFracs place the swept region as a fraction of drive capacity.
 	OffsetFracs []float64
-	// JobRuntime, Repeats, Seed, Workers, Tolerance, Mutation pass
-	// through to the oracle.Differ.
-	JobRuntime time.Duration
-	Repeats    int
-	Seed       int64
-	Workers    int
-	Tolerance  float64
-	Mutation   oracle.Mutation
-	// Metrics, when set, receives oracle and victim-stack counters (nil =
-	// uninstrumented).
-	Metrics *metrics.Registry
+	// Differ is the harness the grid runs through; its Model is replaced
+	// by the scenario testbed's drive. Its Metrics, when set, receives
+	// oracle and victim-stack counters.
+	oracle.Differ
 }
 
-func (o SelfCheckOptions) withDefaults() SelfCheckOptions {
-	if o.Scenario == 0 {
-		o.Scenario = core.Scenario2
-	}
-	if len(o.Freqs) == 0 {
-		o.Freqs = []units.Frequency{
+// DefaultSelfCheckOptions is the grid `deepnote selfcheck` runs with no
+// flags: the paper's "realistic" Scenario 2 tower mount used for
+// Tables 1–3; tones spread over the vulnerable and quiet bands at levels
+// spanning collapse, transition and quiet cells; sequential write and
+// read at the paper's 4 KiB fio block size and at 64 KiB to exercise
+// multi-chunk ops; outer and inner zones; and the oracle.DefaultDiffer
+// harness settings.
+func DefaultSelfCheckOptions() SelfCheckOptions {
+	return SelfCheckOptions{
+		Scenario: core.Scenario2,
+		Freqs: []units.Frequency{
 			200 * units.Hz, 450 * units.Hz, 650 * units.Hz, 800 * units.Hz,
 			1000 * units.Hz, 1300 * units.Hz, 1700 * units.Hz,
 			2200 * units.Hz, 3000 * units.Hz,
-		}
+		},
+		Levels:      []float64{1, 0.5, 0.25},
+		Patterns:    []fio.Pattern{fio.SeqWrite, fio.SeqRead},
+		BlockSizes:  []int64{4096, 65536},
+		OffsetFracs: []float64{0, 0.9},
+		Differ:      oracle.DefaultDiffer(),
 	}
-	if len(o.Levels) == 0 {
-		o.Levels = []float64{1, 0.5, 0.25}
-	}
-	if len(o.Patterns) == 0 {
-		o.Patterns = []fio.Pattern{fio.SeqWrite, fio.SeqRead}
-	}
-	if len(o.BlockSizes) == 0 {
-		o.BlockSizes = []int64{4096, 65536}
-	}
-	if len(o.OffsetFracs) == 0 {
-		o.OffsetFracs = []float64{0, 0.9}
-	}
-	return o
 }
 
 // SelfCheckGrid expands the options into drive-level cells by running each
 // (frequency, level) tone through the scenario's acoustic chain. Exposed so
 // the CLI can report grid size before running.
 func SelfCheckGrid(opts SelfCheckOptions) (hdd.Model, []oracle.CellSpec, error) {
-	opts = opts.withDefaults()
 	tb, err := core.NewTestbed(opts.Scenario, 1*units.Centimeter)
 	if err != nil {
 		return hdd.Model{}, nil, err
@@ -121,21 +103,12 @@ func SelfCheckGrid(opts SelfCheckOptions) (hdd.Model, []oracle.CellSpec, error) 
 
 // SelfCheck runs the differential harness over the §4.1 grid.
 func SelfCheck(opts SelfCheckOptions) (oracle.Report, error) {
-	opts = opts.withDefaults()
 	model, cells, err := SelfCheckGrid(opts)
 	if err != nil {
 		return oracle.Report{}, err
 	}
-	d := oracle.Differ{
-		Model:      model,
-		JobRuntime: opts.JobRuntime,
-		Repeats:    opts.Repeats,
-		Seed:       opts.Seed,
-		Workers:    opts.Workers,
-		Tolerance:  opts.Tolerance,
-		Mutation:   opts.Mutation,
-		Metrics:    opts.Metrics,
-	}
+	d := opts.Differ
+	d.Model = model
 	rep, err := d.Run(cells)
 	if err != nil {
 		return oracle.Report{}, err

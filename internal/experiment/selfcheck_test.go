@@ -12,12 +12,12 @@ import (
 // fastSelfCheck is a reduced grid: one quiet band, one collapse band, and
 // one transition frequency, both ops, both block sizes, both diameters.
 func fastSelfCheck() SelfCheckOptions {
-	return SelfCheckOptions{
-		Freqs:      []units.Frequency{200 * units.Hz, 650 * units.Hz, 1700 * units.Hz},
-		Levels:     []float64{1},
-		JobRuntime: 500 * time.Millisecond,
-		Workers:    4,
-	}
+	o := DefaultSelfCheckOptions()
+	o.Freqs = []units.Frequency{200 * units.Hz, 650 * units.Hz, 1700 * units.Hz}
+	o.Levels = []float64{1}
+	o.JobRuntime = 500 * time.Millisecond
+	o.Workers = 4
+	return o
 }
 
 // TestSelfCheckGridShape pins the grid expansion: freqs × levels ×

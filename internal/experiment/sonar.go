@@ -2,7 +2,6 @@ package experiment
 
 import (
 	"fmt"
-	"math"
 	"time"
 
 	"deepnote/internal/cluster"
@@ -12,6 +11,7 @@ import (
 	"deepnote/internal/sig"
 	"deepnote/internal/sonar"
 	"deepnote/internal/units"
+	"deepnote/internal/valid"
 )
 
 // SonarSpec is the closed-loop defense campaign: the PR 5 availability
@@ -22,45 +22,42 @@ import (
 // sweep rides along, probing fix quality from point-blank out past the
 // facility perimeter.
 type SonarSpec struct {
-	// Containers and DrivesPerContainer size the facility (defaults 6, 1).
+	// Containers and DrivesPerContainer size the facility.
 	Containers, DrivesPerContainer int
-	// DataShards/ParityShards set the k-of-n code (defaults 4+2).
+	// DataShards/ParityShards set the k-of-n code.
 	DataShards, ParityShards int
-	// Objects and ObjectSize size the keyspace (defaults 24, 16 KiB).
+	// Objects and ObjectSize size the keyspace.
 	Objects, ObjectSize int
-	// Spacing is the container pitch (default 2 m).
+	// Spacing is the container pitch.
 	Spacing units.Distance
-	// Freq is the attack tone (default 650 Hz).
+	// Freq is the attack tone.
 	Freq units.Frequency
-	// Speakers is how many point-blank speakers the attacker stages
-	// (default ParityShards+1 — exactly one failure domain past the
-	// cliff, the scenario the defense must rescue).
+	// Speakers is how many point-blank speakers the attacker stages, at
+	// most Containers (0 = ParityShards+1 — exactly one failure domain
+	// past the cliff, the scenario the defense must rescue).
 	Speakers int
 	// Hydrophones and Standoff shape the surveillance array: a ring of
-	// Hydrophones elements Standoff beyond the farthest container.
-	// Standoff nil means the default 3 m; cluster.Ptr(units.Distance(0))
-	// places the ring exactly at the facility perimeter and is honored.
+	// Hydrophones elements Standoff beyond the farthest container (0
+	// places the ring exactly at the facility perimeter).
 	Hydrophones int
-	Standoff    *units.Distance
-	// Requests, Rate, and ReadFraction shape the client workload
-	// (defaults 600 requests at 500 req/s, 90% reads).
+	Standoff    units.Distance
+	// Requests, Rate, and ReadFraction shape the client workload.
 	Requests     int
 	Rate         float64
-	ReadFraction *float64
-	// AttackStartFrac places the first key-on in the request window
-	// (default 0.25); StaggerFrac spaces the remaining key-ons — the
-	// attacker escalates one speaker at a time, which is what gives the
-	// defense its reaction window. StaggerFrac nil means the default 0.2
-	// of the window; cluster.Ptr(0.0) keys every speaker on
-	// simultaneously (no reaction window) and is honored.
+	ReadFraction float64
+	// AttackStartFrac places the first key-on in the request window;
+	// StaggerFrac spaces the remaining key-ons — the attacker escalates
+	// one speaker at a time, which is what gives the defense its reaction
+	// window. StaggerFrac 0 keys every speaker on simultaneously (no
+	// reaction window).
 	AttackStartFrac float64
-	StaggerFrac     *float64
+	StaggerFrac     float64
 	// Margin and React tune the defense policy, passed straight through
-	// to cluster.DefenseSpec (nil = cluster defaults: react at half the
-	// servo-lock amplitude, 50 ms controller lag; explicit zeros are
-	// honored).
-	Margin *float64
-	React  *time.Duration
+	// to cluster.DefenseSpec: the at-risk threshold as a fraction of the
+	// servo-lock amplitude, and the controller lag from fix to policy
+	// switch.
+	Margin float64
+	React  time.Duration
 	Seed   int64
 	// Workers bounds the drive fan-out inside each serving run (≤ 0 =
 	// one per CPU); results are identical for any worker count.
@@ -69,62 +66,40 @@ type SonarSpec struct {
 	Metrics *metrics.Registry
 }
 
-func (s SonarSpec) withDefaults() SonarSpec {
-	if s.Containers <= 0 {
-		s.Containers = 6
+// DefaultSonarSpec is the campaign `deepnote sonar` runs with no flags.
+func DefaultSonarSpec() SonarSpec {
+	return SonarSpec{
+		Containers: 6, DrivesPerContainer: 1, DataShards: 4, ParityShards: 2,
+		Objects: 24, ObjectSize: 16 << 10, Spacing: 2 * units.Meter, Freq: 650 * units.Hz,
+		Hydrophones: 6, Standoff: 3 * units.Meter,
+		Requests: 600, Rate: 500, ReadFraction: 0.9,
+		AttackStartFrac: 0.25, StaggerFrac: 0.2,
+		Margin: 0.5, React: 50 * time.Millisecond, Seed: 1,
 	}
-	if s.DrivesPerContainer <= 0 {
-		s.DrivesPerContainer = 1
-	}
-	if s.DataShards <= 0 {
-		s.DataShards = 4
-	}
-	if s.ParityShards <= 0 {
-		s.ParityShards = 2
-	}
-	if s.Objects <= 0 {
-		s.Objects = 24
-	}
-	if s.ObjectSize <= 0 {
-		s.ObjectSize = 16 << 10
-	}
-	if s.Spacing == 0 {
-		s.Spacing = 2 * units.Meter
-	}
-	if s.Freq == 0 {
-		s.Freq = 650 * units.Hz
-	}
-	if s.Speakers <= 0 {
-		s.Speakers = s.ParityShards + 1
-	}
-	if s.Speakers > s.Containers {
-		s.Speakers = s.Containers
-	}
-	if s.Hydrophones <= 0 {
-		s.Hydrophones = 6
-	}
-	if s.Standoff == nil {
-		s.Standoff = cluster.Ptr(3 * units.Meter)
-	}
-	if s.Requests <= 0 {
-		s.Requests = 600
-	}
-	if s.Rate <= 0 {
-		s.Rate = 500
-	}
-	if s.ReadFraction == nil {
-		s.ReadFraction = cluster.Ptr(0.9)
-	}
-	if s.AttackStartFrac <= 0 {
-		s.AttackStartFrac = 0.25
-	}
-	if s.StaggerFrac == nil {
-		s.StaggerFrac = cluster.Ptr(0.2)
-	}
-	if s.Seed == 0 {
-		s.Seed = 1
-	}
-	return s
+}
+
+func (s SonarSpec) validate() error {
+	return valid.First("experiment: SonarSpec",
+		valid.AtLeast("DataShards", s.DataShards, 1),
+		valid.AtLeast("ParityShards", s.ParityShards, 1),
+		// One shard per failure domain.
+		valid.AtLeast("Containers", s.Containers, s.DataShards+s.ParityShards),
+		valid.AtLeast("DrivesPerContainer", s.DrivesPerContainer, 1),
+		valid.AtLeast("Objects", s.Objects, 1),
+		valid.AtLeast("ObjectSize", s.ObjectSize, 1),
+		valid.Positive("Spacing", s.Spacing),
+		valid.Positive("Freq", s.Freq),
+		valid.In("Speakers", s.Speakers, 0, s.Containers),
+		valid.AtLeast("Hydrophones", s.Hydrophones, 1),
+		valid.AtLeast("Standoff", s.Standoff, 0),
+		valid.AtLeast("Requests", s.Requests, 1),
+		valid.Positive("Rate", s.Rate),
+		valid.In("ReadFraction", s.ReadFraction, 0, 1),
+		valid.AtLeast("AttackStartFrac", s.AttackStartFrac, 0),
+		valid.AtLeast("StaggerFrac", s.StaggerFrac, 0),
+		valid.AtLeast("Margin", s.Margin, 0),
+		valid.AtLeast("React", s.React, 0),
+	)
 }
 
 // RangeProbe is one cell of the localization range sweep: a source at a
@@ -170,13 +145,12 @@ type SonarResult struct {
 // draw their randomness from seeds derived with parallel.SeedFor, so the
 // whole result is byte-identical at any Workers value.
 func SonarRun(spec SonarSpec) (SonarResult, error) {
-	if spec.Hydrophones < 0 {
-		return SonarResult{}, fmt.Errorf("experiment: sonar hydrophone count %d must not be negative", spec.Hydrophones)
+	if err := spec.validate(); err != nil {
+		return SonarResult{}, err
 	}
-	if s := spec.Standoff; s != nil && (!(*s >= 0) || math.IsInf(float64(*s), 1)) {
-		return SonarResult{}, fmt.Errorf("experiment: sonar standoff %v must be finite and ≥ 0", *s)
+	if spec.Speakers == 0 {
+		spec.Speakers = spec.ParityShards + 1
 	}
-	spec = spec.withDefaults()
 	tone := sig.NewTone(spec.Freq)
 	window := time.Duration(float64(spec.Requests) / spec.Rate * float64(time.Second))
 
@@ -185,12 +159,12 @@ func SonarRun(spec SonarSpec) (SonarResult, error) {
 		targets[i] = i
 	}
 	lay := cluster.LineLayout(spec.Containers, spec.Spacing).WithSpeakersAt(tone, targets...)
-	arr := sonar.FacilityArray(lay, spec.Hydrophones, *spec.Standoff)
+	arr := sonar.FacilityArray(lay, spec.Hydrophones, spec.Standoff)
 	if err := arr.Validate(); err != nil {
 		return SonarResult{}, err
 	}
 
-	steps := staggeredSchedule(spec.Speakers, window, spec.AttackStartFrac, *spec.StaggerFrac)
+	steps := staggeredSchedule(spec.Speakers, window, spec.AttackStartFrac, spec.StaggerFrac)
 	dets := sonar.DetectSchedule(lay, arr, steps, parallel.SeedFor(spec.Seed, 1))
 
 	res := SonarResult{Window: window, Detections: dets}
@@ -229,7 +203,7 @@ func SonarRun(spec SonarSpec) (SonarResult, error) {
 		c.SetSchedule(steps)
 		if defended {
 			if err := c.SetDefense(cluster.DefenseSpec{
-				Fixes: fixes, Margin: spec.Margin, React: spec.React,
+				Fixes: fixes, Margin: cluster.Ptr(spec.Margin), React: cluster.Ptr(spec.React),
 			}); err != nil {
 				return cluster.ServeResult{}, nil, err
 			}
@@ -237,7 +211,7 @@ func SonarRun(spec SonarSpec) (SonarResult, error) {
 		sr, err := c.Serve(cluster.TrafficSpec{
 			Requests:     spec.Requests,
 			Rate:         spec.Rate,
-			ReadFraction: spec.ReadFraction,
+			ReadFraction: cluster.Ptr(spec.ReadFraction),
 			Seed:         cluster.Ptr(parallel.SeedFor(spec.Seed, 3)),
 		})
 		return sr, c, err

@@ -6,7 +6,6 @@ import (
 	"testing"
 	"time"
 
-	"deepnote/internal/cluster"
 	"deepnote/internal/units"
 )
 
@@ -15,7 +14,7 @@ import (
 // measurably beat defense-off on GET availability, every key-on must be
 // detected and localized, and nothing may be served corrupt.
 func TestSonarRunClosesTheLoop(t *testing.T) {
-	res, err := SonarRun(SonarSpec{})
+	res, err := SonarRun(DefaultSonarSpec())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -52,7 +51,9 @@ func TestSonarRunClosesTheLoop(t *testing.T) {
 // localize at short range, and fix quality must not be reported better
 // at the far end than point-blank.
 func TestSonarRangeSweepDegradesWithRange(t *testing.T) {
-	res, err := SonarRun(SonarSpec{Requests: 60, Rate: 500})
+	spec := DefaultSonarSpec()
+	spec.Requests = 60
+	res, err := SonarRun(spec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -73,12 +74,15 @@ func TestSonarRangeSweepDegradesWithRange(t *testing.T) {
 // detections, probes, both serving runs — must be byte-identical at any
 // drive fan-out.
 func TestSonarRunDeterministicAcrossWorkers(t *testing.T) {
-	base, err := SonarRun(SonarSpec{Workers: 1})
+	spec := DefaultSonarSpec()
+	spec.Workers = 1
+	base, err := SonarRun(spec)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, w := range []int{2, 8} {
-		res, err := SonarRun(SonarSpec{Workers: w})
+		spec.Workers = w
+		res, err := SonarRun(spec)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -88,31 +92,20 @@ func TestSonarRunDeterministicAcrossWorkers(t *testing.T) {
 	}
 }
 
-// TestSpecZeroFieldsHonored pins the zero-vs-unset contract on the
-// campaign specs' pointer fields: explicit zeros configure meaningful
-// scenarios (simultaneous key-ons, a hydrophone ring at the facility
-// perimeter) and must not be silently replaced by the defaults.
+// TestSpecZeroFieldsHonored: zero is a value in the campaign specs —
+// explicit zeros configure meaningful scenarios (simultaneous key-ons, a
+// hydrophone ring at the facility perimeter, a write-only mix, an attack
+// from the first request) and pass validation as given.
 func TestSpecZeroFieldsHonored(t *testing.T) {
-	s := SonarSpec{
-		StaggerFrac: cluster.Ptr(0.0),
-		Standoff:    cluster.Ptr(units.Distance(0)),
-	}.withDefaults()
-	if *s.StaggerFrac != 0 {
-		t.Fatalf("explicit zero StaggerFrac replaced by %v", *s.StaggerFrac)
+	s := DefaultSonarSpec()
+	s.StaggerFrac, s.Standoff, s.ReadFraction, s.AttackStartFrac, s.Margin, s.React = 0, 0, 0, 0, 0, 0
+	if err := s.validate(); err != nil {
+		t.Fatal(err)
 	}
-	if *s.Standoff != 0 {
-		t.Fatalf("explicit zero Standoff replaced by %v", *s.Standoff)
-	}
-	d := SonarSpec{}.withDefaults()
-	if *d.StaggerFrac != 0.2 || *d.Standoff != 3*units.Meter {
-		t.Fatalf("nil defaults wrong: stagger %v standoff %v", *d.StaggerFrac, *d.Standoff)
-	}
-	cs := ClusterSpec{Standoff: cluster.Ptr(units.Distance(0))}.withDefaults()
-	if *cs.Standoff != 0 {
-		t.Fatalf("explicit zero ClusterSpec.Standoff replaced by %v", *cs.Standoff)
-	}
-	if cd := (ClusterSpec{}).withDefaults(); *cd.Standoff != 3*units.Meter {
-		t.Fatalf("nil ClusterSpec.Standoff default wrong: %v", *cd.Standoff)
+	c := DefaultClusterSpec()
+	c.Standoff, c.ReadFraction, c.AttackStartFrac, c.MaxSpeakers = 0, 0, 0, 0
+	if err := c.validate(); err != nil {
+		t.Fatal(err)
 	}
 	// A zero stagger collapses the escalation: every key-on lands at the
 	// same instant, leaving the defense no reaction window.
@@ -124,16 +117,21 @@ func TestSpecZeroFieldsHonored(t *testing.T) {
 	}
 }
 
-// TestSonarRunRejectsBadSpec: a negative hydrophone count or a non-finite
-// or negative standoff must fail before the run instead of silently
-// running the default ring or an array that hears nothing.
+// TestSonarRunRejectsBadSpec: a hydrophone count below one, a non-finite
+// or negative standoff, or more speakers than containers must fail before
+// the run instead of being replaced by a default or clamped.
 func TestSonarRunRejectsBadSpec(t *testing.T) {
-	for name, spec := range map[string]SonarSpec{
-		"negative hydrophones": {Hydrophones: -3},
-		"NaN standoff":         {Standoff: cluster.Ptr(units.Distance(math.NaN()))},
-		"Inf standoff":         {Standoff: cluster.Ptr(units.Distance(math.Inf(1)))},
-		"negative standoff":    {Standoff: cluster.Ptr(-1 * units.Meter)},
+	for name, edit := range map[string]func(*SonarSpec){
+		"zero hydrophones":     func(s *SonarSpec) { s.Hydrophones = 0 },
+		"negative hydrophones": func(s *SonarSpec) { s.Hydrophones = -3 },
+		"NaN standoff":         func(s *SonarSpec) { s.Standoff = units.Distance(math.NaN()) },
+		"Inf standoff":         func(s *SonarSpec) { s.Standoff = units.Distance(math.Inf(1)) },
+		"negative standoff":    func(s *SonarSpec) { s.Standoff = -1 * units.Meter },
+		"too many speakers":    func(s *SonarSpec) { s.Speakers = 99 },
+		"negative rate":        func(s *SonarSpec) { s.Rate = -5 },
 	} {
+		spec := DefaultSonarSpec()
+		edit(&spec)
 		if _, err := SonarRun(spec); err == nil {
 			t.Errorf("%s: SonarRun accepted %+v", name, spec)
 		}

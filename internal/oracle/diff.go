@@ -22,6 +22,7 @@ import (
 	"deepnote/internal/report"
 	"deepnote/internal/simclock"
 	"deepnote/internal/units"
+	"deepnote/internal/valid"
 )
 
 // CellSpec is one operating point of a differential run, expressed at the
@@ -51,30 +52,40 @@ func (c CellSpec) label() string {
 	return fmt.Sprintf("%v a=%.3f %v %dB @%d", c.Vib.Freq, c.Vib.Amplitude, c.Op, c.BlockSize, c.Offset)
 }
 
-// Differ runs the differential self-check over a set of cells.
+// Differ runs the differential self-check over a set of cells. Start from
+// DefaultDiffer; every value is used as given.
 type Differ struct {
 	// Model is the victim drive, shared by predictor and simulator.
 	Model hdd.Model
 	// JobRuntime is the per-simulation measurement window in virtual
-	// time (default 2 s).
+	// time.
 	JobRuntime time.Duration
 	// Repeats averages this many independently seeded simulations per
-	// cell to tighten the Monte-Carlo estimate (default 2).
+	// cell to tighten the Monte-Carlo estimate.
 	Repeats int
 	// Seed fixes the run; per-cell seeds derive from it.
 	Seed int64
 	// Workers bounds concurrent cells; ≤ 0 means one per CPU. Seeding is
 	// per-cell, so results are identical at any worker count.
 	Workers int
-	// Tolerance is the maximum allowed divergence per cell (default 0.12).
+	// Tolerance is the maximum allowed divergence per cell.
 	Tolerance float64
 	// Mutation seeds a known historical bug into the predictor; the
-	// mutation tests use it to prove the harness trips (default MutNone).
+	// mutation tests use it to prove the harness trips (MutNone = none).
 	Mutation Mutation
 	// Metrics, when set, receives per-cell layer counters plus the
 	// harness's own outcome counters under "oracle." (nil =
 	// uninstrumented).
 	Metrics *metrics.Registry
+}
+
+// DefaultDiffer is the harness `deepnote selfcheck` runs with no flags,
+// against the paper's victim drive.
+func DefaultDiffer() Differ {
+	return Differ{
+		Model: hdd.Barracuda500(), JobRuntime: 2 * time.Second,
+		Repeats: 2, Seed: 1, Tolerance: 0.12,
+	}
 }
 
 const (
@@ -86,22 +97,6 @@ const (
 	// rather than amplifying noise in tiny ratios.
 	floorFrac = 0.05
 )
-
-func (d Differ) withDefaults() Differ {
-	if d.JobRuntime == 0 {
-		d.JobRuntime = 2 * time.Second
-	}
-	if d.Repeats <= 0 {
-		d.Repeats = 2
-	}
-	if d.Seed == 0 {
-		d.Seed = 1
-	}
-	if d.Tolerance == 0 {
-		d.Tolerance = 0.12
-	}
-	return d
-}
 
 // Cell is one compared operating point of a Report.
 type Cell struct {
@@ -168,7 +163,13 @@ func WriteReport(path string, r Report) error {
 // failures; out-of-tolerance cells are reported, not errored, so callers
 // decide how to fail.
 func (d Differ) Run(cells []CellSpec) (Report, error) {
-	d = d.withDefaults()
+	if err := valid.First("oracle: Differ",
+		valid.Positive("JobRuntime", d.JobRuntime),
+		valid.AtLeast("Repeats", d.Repeats, 1),
+		valid.AtLeast("Tolerance", d.Tolerance, 0),
+	); err != nil {
+		return Report{}, err
+	}
 	if len(cells) == 0 {
 		return Report{}, errNoCells
 	}

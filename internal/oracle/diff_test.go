@@ -29,7 +29,8 @@ func testCells(m hdd.Model) []CellSpec {
 // TestDifferCleanTreePasses is the harness's own baseline: predictor and
 // simulator agree on a mixed grid within tolerance.
 func TestDifferCleanTreePasses(t *testing.T) {
-	d := Differ{Model: hdd.Barracuda500(), JobRuntime: time.Second, Workers: 4}
+	d := DefaultDiffer()
+	d.JobRuntime, d.Workers = time.Second, 4
 	rep, err := d.Run(testCells(d.Model))
 	if err != nil {
 		t.Fatal(err)
@@ -47,7 +48,8 @@ func TestDifferCleanTreePasses(t *testing.T) {
 func TestDifferDeterministicAcrossWorkers(t *testing.T) {
 	cells := testCells(hdd.Barracuda500())
 	run := func(workers int) Report {
-		d := Differ{Model: hdd.Barracuda500(), JobRuntime: 500 * time.Millisecond, Workers: workers}
+		d := DefaultDiffer()
+		d.JobRuntime, d.Workers = 500*time.Millisecond, workers
 		rep, err := d.Run(cells)
 		if err != nil {
 			t.Fatal(err)
@@ -61,14 +63,15 @@ func TestDifferDeterministicAcrossWorkers(t *testing.T) {
 
 // TestDifferRejectsEmptyGrid guards the degenerate call.
 func TestDifferRejectsEmptyGrid(t *testing.T) {
-	if _, err := (Differ{Model: hdd.Barracuda500()}).Run(nil); !errors.Is(err, errNoCells) {
+	if _, err := DefaultDiffer().Run(nil); !errors.Is(err, errNoCells) {
 		t.Fatalf("empty grid must be rejected, got %v", err)
 	}
 }
 
 // TestWriteReportRoundTrips checks the CI artifact format.
 func TestWriteReportRoundTrips(t *testing.T) {
-	d := Differ{Model: hdd.Barracuda500(), JobRuntime: 200 * time.Millisecond}
+	d := DefaultDiffer()
+	d.JobRuntime = 200 * time.Millisecond
 	rep, err := d.Run(testCells(d.Model)[:1])
 	if err != nil {
 		t.Fatal(err)
@@ -94,7 +97,8 @@ func TestWriteReportRoundTrips(t *testing.T) {
 // registry attached surfaces oracle counters alongside the victim stack's.
 func TestDifferPublishesMetrics(t *testing.T) {
 	reg := metrics.NewRegistry()
-	d := Differ{Model: hdd.Barracuda500(), JobRuntime: 200 * time.Millisecond, Metrics: reg}
+	d := DefaultDiffer()
+	d.JobRuntime, d.Metrics = 200*time.Millisecond, reg
 	if _, err := d.Run(testCells(d.Model)[:2]); err != nil {
 		t.Fatal(err)
 	}

@@ -42,6 +42,7 @@ func mutationDiffer(mu Mutation) Differ {
 		Model:      stressModel(),
 		JobRuntime: 2 * time.Second,
 		Repeats:    3,
+		Seed:       1,
 		Tolerance:  0.08,
 		Workers:    4,
 		Mutation:   mu,

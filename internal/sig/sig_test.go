@@ -203,7 +203,7 @@ func TestRefineAroundAllNoNearDuplicatesAcrossCenters(t *testing.T) {
 	p := SweepPlan{Start: 100, End: 2000, CoarseStep: 7.3, FineStep: 0.73, DwellSec: 1}
 	c1 := units.Frequency(650.3)
 	c2 := c1 + p.CoarseStep
-	fs := p.RefineAroundAll([]units.Frequency{c1, c2})
+	fs := p.RefineAroundAll([]units.Frequency{c1, c2}, nil)
 	if len(fs) == 0 {
 		t.Fatal("no refinement points")
 	}
@@ -217,7 +217,7 @@ func TestRefineAroundAllNoNearDuplicatesAcrossCenters(t *testing.T) {
 
 func TestRefineAroundAllDedups(t *testing.T) {
 	p := PaperSweep()
-	fs := p.RefineAroundAll([]units.Frequency{600, 650})
+	fs := p.RefineAroundAll([]units.Frequency{600, 650}, nil)
 	seen := map[units.Frequency]bool{}
 	for _, f := range fs {
 		if seen[f] {
@@ -228,6 +228,18 @@ func TestRefineAroundAllDedups(t *testing.T) {
 	for i := 1; i < len(fs); i++ {
 		if fs[i] <= fs[i-1] {
 			t.Fatal("frequencies not sorted")
+		}
+	}
+	// An already measured frequency is skipped even when the measured
+	// copy differs from the refinement grid point by float rounding.
+	twin := fs[3] * (1 + 1e-15)
+	rest := p.RefineAroundAll([]units.Frequency{600, 650}, []units.Frequency{twin})
+	if len(rest) != len(fs)-1 {
+		t.Fatalf("measured twin of %v not skipped: %d points, want %d", fs[3], len(rest), len(fs)-1)
+	}
+	for _, f := range rest {
+		if FrequencyKey(f) == FrequencyKey(twin) {
+			t.Fatalf("measured frequency %v refined again", f)
 		}
 	}
 }

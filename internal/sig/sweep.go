@@ -79,14 +79,18 @@ func (p SweepPlan) RefineAround(center units.Frequency) []units.Frequency {
 	return stepRange(lo, hi, p.FineStep)
 }
 
-// RefineAroundAll merges fine passes around several centers, deduplicated
-// and sorted ascending. Deduplication keys on FrequencyKey rather than
-// exact float equality: fine passes around adjacent centers cover
-// overlapping ranges whose grid points are computed from different
+// RefineAroundAll is a sweep's refinement step: it merges fine passes
+// around several centers, skipping the frequencies already measured,
+// deduplicated and sorted ascending. Deduplication keys on FrequencyKey
+// rather than exact float equality: fine passes around adjacent centers
+// cover overlapping ranges whose grid points are computed from different
 // origins, so the "same" nominal frequency can differ by a ULP between
-// passes.
-func (p SweepPlan) RefineAroundAll(centers []units.Frequency) []units.Frequency {
-	seen := make(map[int64]bool)
+// passes, or from the coarse pass.
+func (p SweepPlan) RefineAroundAll(centers, measured []units.Frequency) []units.Frequency {
+	seen := make(map[int64]bool, len(measured))
+	for _, f := range measured {
+		seen[FrequencyKey(f)] = true
+	}
 	var out []units.Frequency
 	for _, c := range centers {
 		for _, f := range p.RefineAround(c) {
