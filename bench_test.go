@@ -201,26 +201,6 @@ func BenchmarkSweepParallel4(b *testing.B) { benchmarkSweepWorkers(b, 4) }
 // BenchmarkSweepParallelMaxCPU is the same sweep at one worker per CPU.
 func BenchmarkSweepParallelMaxCPU(b *testing.B) { benchmarkSweepWorkers(b, 0) }
 
-func benchmarkFleetWorkers(b *testing.B, workers int) {
-	spec := experiment.DefaultFleetSpec()
-	spec.Containers, spec.DrivesPerContainer, spec.Speakers, spec.Workers = 256, 24, 64, workers
-	var res experiment.FleetResult
-	for i := 0; i < b.N; i++ {
-		var err error
-		res, err = experiment.FleetAvailability(spec)
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ReportMetric(res.Availability*100, "availability_pct")
-}
-
-// BenchmarkFleetSerial evaluates a 256-container facility on one worker.
-func BenchmarkFleetSerial(b *testing.B) { benchmarkFleetWorkers(b, 1) }
-
-// BenchmarkFleetParallelMaxCPU is the same facility at one worker per CPU.
-func BenchmarkFleetParallelMaxCPU(b *testing.B) { benchmarkFleetWorkers(b, 0) }
-
 // --- micro-benchmarks on the substrates ---------------------------------
 
 // BenchmarkDriveSequentialWrite measures the simulated drive's op cost in

@@ -8,7 +8,6 @@
 //	deepnote table2 [-runtime SECONDS] [-csv]
 //	deepnote table3
 //	deepnote sweep  [-scenario 1|2|3] [-pattern write|read] [-workers N]
-//	deepnote facility [-containers N] [-drives N] [-spacing M] [-workers N]
 //	deepnote fleet  [-sites N] [-containers N] [-data K] [-parity M] [-blast N] [-workers N]
 //	deepnote cluster [-containers N] [-data K] [-parity M] [-speakers N] [-defense] [-workers N]
 //	deepnote sonar  [-hydrophones N] [-standoff M] [-speakers N] [-workers N]
@@ -20,11 +19,10 @@
 //	deepnote selfcheck [-scenario 1|2|3] [-workers N] [-tol FRAC] [-report PATH]
 //	deepnote all
 //
-// Grid-shaped commands (figure2, sweep, facility, fleet, cluster,
-// ablation, stealthgrid) fan
-// their independent simulation cells over a worker pool; -workers N bounds
-// the parallelism (0, the default, means one worker per CPU). Results are
-// bit-identical for any worker count.
+// Grid-shaped commands (figure2, sweep, fleet, cluster, ablation,
+// stealthgrid) fan their independent simulation cells over a worker pool;
+// -workers N bounds the parallelism (0, the default, means one worker per
+// CPU). Results are bit-identical for any worker count.
 //
 // The experiment commands (figure2, table1-3, sweep, range, crash, outage,
 // resilience, selfcheck, stealthgrid, cluster, fleet, sonar, fingerprint,
@@ -83,10 +81,8 @@ var commands = []command{
 	{"stealth", cmdStealth, "duty-cycled attack vs the victim's anomaly detector"},
 	{"stealthgrid", cmdStealthGrid, "duty-cycle (on x off) grid: the damage/stealth trade-off matrix"},
 	{"ablation", cmdAblation, "headline metrics with model mechanisms removed"},
-	{"redundancy", cmdRedundancy, "RAID placement under attack (co-located vs split)"},
 	{"resilience", cmdResilience, "prolonged attack vs hardening ladder (bare / watchdog / hardened)"},
 	{"ultrasonic", cmdUltrasonic, "shock-sensor vector reachability through the enclosure"},
-	{"facility", cmdFacility, "facility availability vs attacker speaker count"},
 	{"fleet", cmdFleet, "geo-distributed fleet under facility attack: attack-aware vs naive placement"},
 	{"cluster", cmdCluster, "erasure-coded datacenter serving traffic under a speaker ladder"},
 	{"sonar", cmdSonar, "closed-loop defense: hydrophone localization steering the store"},
@@ -342,6 +338,9 @@ func cmdRange(args []string) error {
 	freq := fs.Float64("freq", 650, "attack frequency in Hz")
 	o := addObsFlags(fs)
 	fs.Parse(args)
+	if err := valid.Positive("-freq", *freq); err != nil {
+		return err
+	}
 	s, err := parseScenario(*scenario)
 	if err != nil {
 		return err
@@ -423,6 +422,13 @@ func cmdDeploy(args []string) error {
 	waterTemp := fs.Float64("watertemp", 12, "sea temperature in °C")
 	load := fs.Float64("load", 22.7, "sustained drive load in MB/s")
 	fs.Parse(args)
+	// The water model's temperature domain is [-2, 40] °C.
+	if err := valid.In("-watertemp", *waterTemp, -2, 40); err != nil {
+		return err
+	}
+	if err := valid.AtLeast("-load", *load, 0); err != nil {
+		return err
+	}
 	s, err := parseScenario(*scenario)
 	if err != nil {
 		return err
@@ -453,6 +459,9 @@ func cmdSection5(args []string) error {
 	fs := flag.NewFlagSet("section5", flag.ExitOnError)
 	freq := fs.Float64("freq", 650, "attack frequency in Hz")
 	fs.Parse(args)
+	if err := valid.Positive("-freq", *freq); err != nil {
+		return err
+	}
 	rows, err := experiment.Section5Ranges(units.Frequency(*freq))
 	if err != nil {
 		return err
@@ -579,17 +588,6 @@ func cmdAblation(args []string) error {
 	return nil
 }
 
-func cmdRedundancy(args []string) error {
-	fs := flag.NewFlagSet("redundancy", flag.ExitOnError)
-	fs.Parse(args)
-	rows, err := experiment.Redundancy(1)
-	if err != nil {
-		return err
-	}
-	fmt.Print(experiment.RedundancyReport(rows).String())
-	return nil
-}
-
 func cmdResilience(args []string) error {
 	fs := flag.NewFlagSet("resilience", flag.ExitOnError)
 	spec := experiment.DefaultResilience()
@@ -633,27 +631,14 @@ func cmdUltrasonic(args []string) error {
 	return nil
 }
 
-func cmdFacility(args []string) error {
-	fs := flag.NewFlagSet("facility", flag.ExitOnError)
-	spec := experiment.DefaultFleetSpec()
-	fs.IntVar(&spec.Containers, "containers", spec.Containers, "container count")
-	fs.IntVar(&spec.DrivesPerContainer, "drives", spec.DrivesPerContainer, "drives per container")
-	fs.Float64Var((*float64)(&spec.ContainerSpacing), "spacing", float64(spec.ContainerSpacing), "container spacing in meters")
-	fs.IntVar(&spec.Workers, "workers", spec.Workers, "parallel workers (0 = one per CPU)")
-	fs.Parse(args)
-	rows, err := experiment.FleetSweep(spec)
-	if err != nil {
-		return err
-	}
-	fmt.Print(experiment.FleetReport(rows).String())
-	return nil
-}
-
 func cmdAdaptive(args []string) error {
 	fs := flag.NewFlagSet("adaptive", flag.ExitOnError)
 	scenario := fs.Int("scenario", 2, "testbed scenario (1-3)")
 	budget := fs.Int("budget", 25, "probe budget")
 	fs.Parse(args)
+	if err := valid.AtLeast("-budget", *budget, 1); err != nil {
+		return err
+	}
 	s, err := parseScenario(*scenario)
 	if err != nil {
 		return err

@@ -2,19 +2,14 @@ package main
 
 import "testing"
 
-// A count below one, a spacing, distance, duration, rate or frequency that
-// is not finite and positive, a probability outside [0, 1], or a speaker,
+// A count or probe budget below one, a spacing, distance, duration, rate
+// or frequency that is not finite and positive, a probability outside
+// [0, 1], a load or water temperature outside its domain, or a speaker,
 // cell or blast count beyond the facility must stop the run with a domain
 // error (exit 1) instead of silently running a default, clamping, or
 // printing a report for a nonsensical input.
 func TestFacilityIntegrityOutageRejectBadFlags(t *testing.T) {
 	for _, args := range [][]string{
-		{"facility", "-spacing", "NaN"},
-		{"facility", "-spacing", "Inf"},
-		{"facility", "-spacing", "-2"},
-		{"facility", "-containers", "-3"},
-		{"facility", "-containers", "0"},
-		{"facility", "-drives", "0"},
 		{"integrity", "-prob", "7"},
 		{"integrity", "-prob", "-0.1"},
 		{"integrity", "-prob", "NaN"},
@@ -41,6 +36,17 @@ func TestFacilityIntegrityOutageRejectBadFlags(t *testing.T) {
 		{"figure2", "-step", "NaN"},
 		{"figure2", "-step", "-100"},
 		{"figure2", "-step", "0"},
+		// These ran and printed a verdict for a nonsensical input.
+		{"defense", "-distance", "NaN"},
+		{"defense", "-distance", "Inf"},
+		{"deploy", "-distance", "NaN"},
+		{"deploy", "-load", "NaN"},
+		{"deploy", "-watertemp", "NaN"},
+		{"range", "-freq", "NaN"},
+		{"range", "-freq", "-650"},
+		{"section5", "-freq", "NaN"},
+		{"adaptive", "-budget", "0"},
+		{"adaptive", "-budget", "-3"},
 	} {
 		if code := runMain(t, args...); code != 1 {
 			t.Errorf("deepnote %v exited %d, want 1", args, code)

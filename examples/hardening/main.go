@@ -2,8 +2,8 @@
 // runnable walkthrough. Starting from the paper's vulnerable testbed, each
 // step applies one hardening measure and re-evaluates the attacker's
 // options, ending with a configuration a subsea operator could defend:
-// steel vessel, defense stack, cross-container redundancy, and telemetry
-// monitoring.
+// steel vessel, defense stack, erasure-coded placement across sites, and
+// telemetry monitoring.
 package main
 
 import (
@@ -71,17 +71,13 @@ func main() {
 		stack.ThermalPenaltyC(), sea.TempC)
 
 	fmt.Println("\nStep 3: place redundancy across acoustic failure domains")
-	rows, err := experiment.Redundancy(1)
+	fleetRes, err := experiment.GeoFleetRun(experiment.DefaultGeoFleetSpec())
 	if err != nil {
 		log.Fatal(err)
 	}
-	for _, r := range rows {
-		verdict := "DIES"
-		if r.Survived {
-			verdict = "SURVIVES"
-		}
-		fmt.Printf("  %-7s %-36s %s\n", r.Level, r.Placement, verdict)
-	}
+	fmt.Println("  one facility blasted; GET availability during the attack window:")
+	fmt.Printf("  %-36s %.2f%%\n", "attack-aware (stripes span sites)", fleetRes.AwareAttack.GetAvailability()*100)
+	fmt.Printf("  %-36s %.2f%%\n", "naive (stripes stay at home site)", fleetRes.NaiveAttack.GetAvailability()*100)
 
 	fmt.Println("\nStep 4: monitor for what cannot be prevented")
 	fmt.Println("  - latency/error anomaly detection (internal/detect) alarms inside")

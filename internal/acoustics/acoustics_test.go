@@ -141,10 +141,12 @@ func TestChainValidate(t *testing.T) {
 	if err := c.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	bad := c
-	bad.Path.Distance = 0
-	if err := bad.Validate(); err == nil {
-		t.Fatal("expected error for zero distance")
+	for _, d := range []float64{0, math.NaN(), math.Inf(1)} {
+		bad := c
+		bad.Path.Distance = units.Distance(d)
+		if err := bad.Validate(); err == nil {
+			t.Fatalf("expected error for path distance %v", d)
+		}
 	}
 	badSpk := c
 	badSpk.Speaker.RefDist = 0

@@ -1,11 +1,11 @@
 package acoustics
 
 import (
-	"fmt"
 	"math"
 
 	"deepnote/internal/sig"
 	"deepnote/internal/units"
+	"deepnote/internal/valid"
 	"deepnote/internal/water"
 )
 
@@ -54,8 +54,8 @@ func (p Path) surfaceFactor(f units.Frequency) float64 {
 
 // Validate reports whether the path is physical.
 func (p Path) Validate() error {
-	if p.Distance <= 0 {
-		return fmt.Errorf("acoustics: path distance must be positive, got %v", p.Distance)
+	if err := valid.Positive("acoustics: path distance", p.Distance); err != nil {
+		return err
 	}
 	return p.Medium.Validate()
 }

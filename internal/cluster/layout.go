@@ -173,21 +173,6 @@ func (l Layout) ChainTo(s, c int) acoustics.Chain {
 	return acoustics.Chain{Amp: acoustics.BG2120(), Speaker: acoustics.AQ339(), Path: l.PathTo(s, c)}
 }
 
-// NearestSpeakerDistance returns the distance from container c to the
-// closest speaker; ok is false when the layout has no speakers.
-func (l Layout) NearestSpeakerDistance(c int) (units.Distance, bool) {
-	if len(l.Speakers) == 0 {
-		return 0, false
-	}
-	best := l.SpeakerDistance(0, c)
-	for s := 1; s < len(l.Speakers); s++ {
-		if d := l.SpeakerDistance(s, c); d < best {
-			best = d
-		}
-	}
-	return best, true
-}
-
 // SpeakerAmp evaluates the full transfer chain from speaker s to a
 // drive mounted (with assembly asm) in container c: the tone is carried
 // through the speaker's water path, the container's transmission, and

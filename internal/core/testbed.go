@@ -235,15 +235,10 @@ func NewRig(s Scenario, speakerDistance units.Distance, seed int64) (*Rig, error
 	return NewRigFromTestbed(tb, seed)
 }
 
-// NewRigFromTestbed instantiates a prepared testbed configuration.
+// NewRigFromTestbed instantiates a prepared testbed configuration on a
+// fresh clock.
 func NewRigFromTestbed(tb *Testbed, seed int64) (*Rig, error) {
-	return NewRigWithClock(tb, simclock.NewVirtual(), seed)
-}
-
-// NewRigWithClock instantiates a testbed on a shared clock, so several
-// rigs (e.g. drives in different containers of one data center) advance
-// time together.
-func NewRigWithClock(tb *Testbed, clock *simclock.Virtual, seed int64) (*Rig, error) {
+	clock := simclock.NewVirtual()
 	drive, err := hdd.NewDrive(tb.DriveModel, clock, seed)
 	if err != nil {
 		return nil, err

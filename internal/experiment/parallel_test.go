@@ -34,29 +34,6 @@ func TestFigure2DeterministicAcrossWorkerCounts(t *testing.T) {
 	}
 }
 
-func TestFleetDeterministicAcrossWorkerCounts(t *testing.T) {
-	spec := DefaultFleetSpec()
-	spec.Containers, spec.Speakers = 12, 3
-	run := func(workers int) FleetResult {
-		s := spec
-		s.Workers = workers
-		r, err := FleetAvailability(s)
-		if err != nil {
-			t.Fatal(err)
-		}
-		// Spec.Workers necessarily differs between runs; blank it so
-		// DeepEqual compares only the physics.
-		r.Spec.Workers = 0
-		return r
-	}
-	ref := run(1)
-	for _, workers := range []int{2, 8} {
-		if got := run(workers); !reflect.DeepEqual(got, ref) {
-			t.Fatalf("workers=%d: fleet result diverges from serial run", workers)
-		}
-	}
-}
-
 func TestAblationDeterministicAcrossWorkerCounts(t *testing.T) {
 	ref, err := AblationWorkers(1, 1)
 	if err != nil {

@@ -2,12 +2,12 @@
 // blockdev.Device wrapper that injects seeded, simclock-scheduled faults —
 // transient or permanent read/write errors, latency spikes, torn writes,
 // stuck I/O — underneath any software substrate. It exists so the victim
-// stack's robustness mechanisms (retries, RAID thresholds and rebuild,
-// watchdog reboots, circuit breakers) can be exercised and regression-tested
-// independently of the acoustic attack model, and *composed* with it: the
-// wrapper stacks above or below an attacked blockdev.Disk, a raid.Array, or
-// a blockdev.Retrier, so an experiment can overlay a transient-error burst
-// on top of the paper's §4.3 prolonged tone.
+// stack's robustness mechanisms (retries, watchdog reboots, circuit
+// breakers) can be exercised and regression-tested independently of the
+// acoustic attack model, and *composed* with it: the wrapper stacks above
+// or below an attacked blockdev.Disk or a blockdev.Retrier, so an
+// experiment can overlay a transient-error burst on top of the paper's
+// §4.3 prolonged tone.
 //
 // Every fault is scheduled in virtual time relative to the wrapper's
 // creation and drawn from a seeded RNG, so a run with the same seed and
