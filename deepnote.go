@@ -161,6 +161,7 @@ func RemoteSweep(s Scenario) (attack.RemoteSweepResult, error) {
 
 // AdaptiveAttack runs the closed-loop attacker: hill-climb to the most
 // damaging tone within a probe budget instead of sweeping the whole band.
+// A budget below 1 is an error.
 func AdaptiveAttack(s Scenario, budget int) (attack.AdaptiveResult, error) {
 	return attack.Adaptive{Scenario: s, Budget: budget}.Run()
 }

@@ -1,6 +1,7 @@
 package deepnote
 
 import (
+	"strings"
 	"testing"
 	"time"
 )
@@ -94,5 +95,19 @@ func TestFacadeRangeTest(t *testing.T) {
 	}
 	if !rows[1].WriteNoResponse {
 		t.Fatal("1 cm should be no-response")
+	}
+}
+
+// TestFacadeAdaptiveAttackRejectsEmptyBudget: a budget below one probe is
+// an error, not a silent default, and no probe runs.
+func TestFacadeAdaptiveAttackRejectsEmptyBudget(t *testing.T) {
+	for _, budget := range []int{0, -3} {
+		res, err := AdaptiveAttack(Scenario2, budget)
+		if err == nil {
+			t.Fatalf("budget %d: ran %d probes, want an error", budget, len(res.Probes))
+		}
+		if !strings.Contains(err.Error(), "Budget") {
+			t.Errorf("budget %d: error %q does not name the budget", budget, err)
+		}
 	}
 }

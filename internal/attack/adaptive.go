@@ -8,6 +8,7 @@ import (
 	"deepnote/internal/fio"
 	"deepnote/internal/sig"
 	"deepnote/internal/units"
+	"deepnote/internal/valid"
 )
 
 // Adaptive is a closed-loop attacker: instead of sweeping the whole band
@@ -19,7 +20,8 @@ import (
 type Adaptive struct {
 	Scenario core.Scenario
 	Distance units.Distance
-	// Budget caps the number of probes (default 25).
+	// Budget caps the number of probes, baseline excluded; Run rejects
+	// a budget below 1.
 	Budget int
 	Seed   int64
 }
@@ -37,9 +39,6 @@ func (a Adaptive) withDefaults() Adaptive {
 	}
 	if a.Distance == 0 {
 		a.Distance = 1 * units.Centimeter
-	}
-	if a.Budget <= 0 {
-		a.Budget = 25
 	}
 	if a.Seed == 0 {
 		a.Seed = 1
@@ -66,6 +65,9 @@ type AdaptiveResult struct {
 // Run performs the search: random exploration seeded across the band,
 // then halving-step hill climbs around the best point.
 func (a Adaptive) Run() (AdaptiveResult, error) {
+	if err := valid.First("attack.Adaptive", valid.AtLeast("Budget", a.Budget, 1)); err != nil {
+		return AdaptiveResult{}, err
+	}
 	a = a.withDefaults()
 	rng := rand.New(rand.NewSource(a.Seed))
 

@@ -3,10 +3,14 @@
 // workload generators). It stores real bytes (so filesystems and databases
 // round-trip their data), charges virtual time through the drive model, and
 // surfaces drive faults as EIO-style errors exactly where Linux would:
-// buffer I/O errors on the failed request. The byte store is sparse: only
-// chunks that some non-zero write has reached (or an image supplied)
-// allocate, so writing zeros over unwritten space costs drive time but no
-// memory.
+// buffer I/O errors on the failed request. The byte store is sparse and
+// shares pages: only chunks that some non-zero write has reached (or an
+// image supplied) allocate, and within a chunk each 4 KiB page is stored
+// only once some non-zero data reaches it. A whole-page write into an
+// absent page that repeats the last whole page stored points at that page
+// instead of copying it, and a shared page is copied before it is written.
+// Writing zeros over unwritten space, or a workload's one repeated block
+// over fresh space, costs drive time but almost no memory.
 package blockdev
 
 import (
@@ -99,32 +103,59 @@ func (s Stats) AvgWriteLatency() time.Duration {
 }
 
 // Disk is a Device backed by the mechanical drive model plus an in-memory
-// byte store. Byte storage is sparse: only chunks that some non-zero write
-// has reached (or an image supplied) allocate. An absent chunk reads as
-// zeros, so a zero write into one is charged to the drive like any other
-// write but stores nothing; a chunk once allocated stays, even if later
-// writes zero it again.
+// byte store. The store indexes 64 KiB chunks by base offset, and each
+// chunk holds 16 pointers to 4 KiB pages; an absent chunk or page reads as
+// zeros. A chunk allocates only when some non-zero data reaches it (or an
+// image supplies it), and stays once allocated, even if later writes zero
+// it again. A page allocates when non-zero data first reaches it, except
+// that a whole-page write into an absent page whose bytes equal the last
+// whole page stored points the slot at that page and marks both slots
+// shared. Any write into a shared slot copies its page first, so no write
+// is seen through another slot. Pages are shared only into absent slots:
+// an owned page is always written in place.
 type Disk struct {
 	mu     sync.Mutex
 	drive  *hdd.Drive
-	data   map[int64][]byte // chunk base offset -> chunk
+	data   map[int64]*chunk // chunk base offset -> chunk
+	last   pageRef          // slot of the last whole page stored
 	closed bool
 	stats  Stats
 	// MaxRequest bounds a single media access; larger requests split.
 	maxRequest int64
 }
 
-const chunkSize = 1 << 16 // 64 KiB backing-store chunks
+const (
+	chunkSize     = 1 << 16 // 64 KiB backing-store chunks
+	pageSize      = 1 << 12 // 4 KiB pages within a chunk
+	pagesPerChunk = chunkSize / pageSize
+)
+
+// page is the store's unit of sharing and copy-on-write.
+type page = [pageSize]byte
+
+// chunk is one 64 KiB span of the store: a nil page reads as zeros, and
+// bit i of shared marks pages[i] as possibly referenced from another slot.
+type chunk struct {
+	pages  [pagesPerChunk]*page
+	shared uint16
+}
+
+// pageRef names one page slot of the store; the zero value names none.
+type pageRef struct {
+	c *chunk
+	i int
+}
 
 // zeroChunk is never written: copyIn tests a span for all zeros by
-// comparing it with a prefix of this array.
+// comparing it with a prefix of this array, and SaveImage writes absent
+// pages from it.
 var zeroChunk [chunkSize]byte
 
 // NewDisk wraps a drive in a Device.
 func NewDisk(drive *hdd.Drive) *Disk {
 	return &Disk{
 		drive:      drive,
-		data:       make(map[int64][]byte),
+		data:       make(map[int64]*chunk),
 		maxRequest: 1 << 20,
 	}
 }
@@ -273,12 +304,10 @@ func (d *Disk) checkRange(off, n int64) error {
 
 func (d *Disk) copyOut(p []byte, off int64) {
 	for len(p) > 0 {
-		base := off - off%chunkSize
-		in := off - base
-		avail := chunkSize - in
-		n := min64(int64(len(p)), avail)
-		if c, ok := d.data[base]; ok {
-			copy(p[:n], c[in:in+n])
+		in := off % pageSize
+		n := min64(int64(len(p)), pageSize-in)
+		if pg := d.page(off); pg != nil {
+			copy(p[:n], pg[in:in+n])
 		} else {
 			zero(p[:n])
 		}
@@ -287,25 +316,80 @@ func (d *Disk) copyOut(p []byte, off int64) {
 	}
 }
 
+// page returns the page holding off, or nil where the store holds none.
+func (d *Disk) page(off int64) *page {
+	c := d.data[off-off%chunkSize]
+	if c == nil {
+		return nil
+	}
+	return c.pages[off%chunkSize/pageSize]
+}
+
 func (d *Disk) copyIn(p []byte, off int64) {
 	for len(p) > 0 {
-		base := off - off%chunkSize
-		in := off - base
-		avail := chunkSize - in
-		n := min64(int64(len(p)), avail)
-		if c, ok := d.data[base]; ok {
-			copy(c[in:in+n], p[:n])
-		} else if string(p[:n]) != string(zeroChunk[:n]) {
-			// An absent chunk reads as zeros, so only a span holding a
-			// non-zero byte allocates one; the comparison stops at the
-			// first differing word.
-			c = make([]byte, chunkSize)
-			copy(c[in:in+n], p[:n])
-			d.data[base] = c
-		}
+		n := min64(int64(len(p)), pageSize-off%pageSize)
+		d.storePage(p[:n], off)
 		p = p[n:]
 		off += n
 	}
+}
+
+// storePage writes span, which lies within one page, at off.
+func (d *Disk) storePage(span []byte, off int64) {
+	base := off - off%chunkSize
+	i := int(off % chunkSize / pageSize)
+	in := off % pageSize
+	c := d.data[base]
+	var pg *page
+	if c != nil {
+		pg = c.pages[i]
+	}
+	whole := len(span) == pageSize
+	switch {
+	case pg == nil:
+		// An absent page reads as zeros, so a zero span stores nothing.
+		// The test precedes the sharing match: the remembered page may
+		// have been zeroed since, and sharing it would allocate a chunk
+		// for zeros.
+		if string(span) == string(zeroChunk[:len(span)]) {
+			return
+		}
+		if c == nil {
+			c = new(chunk)
+			d.data[base] = c
+		}
+		if whole && d.last.c != nil {
+			if lp := d.last.c.pages[d.last.i]; lp != nil && string(span) == string(lp[:]) {
+				c.pages[i] = lp
+				c.shared |= 1 << i
+				d.last.c.shared |= 1 << d.last.i
+				d.last = pageRef{c, i}
+				return
+			}
+		}
+		pg = new(page)
+		c.pages[i] = pg
+	case c.shared&(1<<i) != 0:
+		// Copy on write; a whole-page write overwrites every byte.
+		cp := new(page)
+		if !whole {
+			*cp = *pg
+		}
+		pg = cp
+		c.pages[i] = pg
+		c.shared &^= 1 << i
+	}
+	copy(pg[in:], span)
+	if whole {
+		d.last = pageRef{c, i}
+	}
+}
+
+// replaceStore swaps in a new chunk index and forgets the remembered
+// page, which belongs to the old one.
+func (d *Disk) replaceStore(data map[int64]*chunk) {
+	d.data = data
+	d.last = pageRef{}
 }
 
 func zero(p []byte) {

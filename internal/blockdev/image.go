@@ -25,8 +25,11 @@ var ErrBadImage = errors.New("blockdev: bad image")
 
 // SaveImage writes the disk's current contents sparsely. Only allocated
 // chunks are emitted (those some non-zero write has reached, or an image
-// supplied); a freshly formatted 500 GB drive dumps in kilobytes. Virtual time is not charged: imaging models an
-// out-of-band operation (e.g. copying a VM disk), not victim I/O.
+// supplied), each in full: an absent page is written as zeros and a
+// shared page once per slot, so the image does not depend on how the
+// store shares. A freshly formatted 500 GB drive dumps in kilobytes.
+// Virtual time is not charged: imaging models an out-of-band operation
+// (e.g. copying a VM disk), not victim I/O.
 func (d *Disk) SaveImage(w io.Writer) error {
 	d.mu.Lock()
 	defer d.mu.Unlock()
@@ -52,18 +55,26 @@ func (d *Disk) SaveImage(w io.Writer) error {
 		if _, err := bw.Write(off[:]); err != nil {
 			return err
 		}
-		if _, err := bw.Write(d.data[base]); err != nil {
-			return err
+		for _, pg := range d.data[base].pages {
+			b := zeroChunk[:pageSize]
+			if pg != nil {
+				b = pg[:]
+			}
+			if _, err := bw.Write(b); err != nil {
+				return err
+			}
 		}
 	}
 	return bw.Flush()
 }
 
 // LoadImage replaces the disk's contents with an image previously written
-// by SaveImage. The image's device size must not exceed this disk's. The
-// header is untrusted: a chunk count larger than the disk can hold, or a
-// chunk offset that repeats, is rejected with ErrBadImage, and storage
-// grows only as chunk bodies actually arrive.
+// by SaveImage. Every page it loads is owned by its slot, and the page
+// the store remembered for sharing is forgotten. The image's device size
+// must not exceed this disk's. The header is untrusted: a chunk count
+// larger than the disk can hold, or a chunk offset that repeats, is
+// rejected with ErrBadImage, and storage grows only as chunk bodies
+// actually arrive.
 func (d *Disk) LoadImage(r io.Reader) error {
 	d.mu.Lock()
 	defer d.mu.Unlock()
@@ -93,7 +104,7 @@ func (d *Disk) LoadImage(r io.Reader) error {
 	if count > limit {
 		return fmt.Errorf("%w: %d chunks, device holds at most %d", ErrBadImage, count, limit)
 	}
-	data := make(map[int64][]byte)
+	data := make(map[int64]*chunk)
 	var off [8]byte
 	for i := int64(0); i < count; i++ {
 		if _, err := io.ReadFull(br, off[:]); err != nil {
@@ -106,12 +117,18 @@ func (d *Disk) LoadImage(r io.Reader) error {
 		if _, dup := data[base]; dup {
 			return fmt.Errorf("%w: chunk %d repeats offset %d", ErrBadImage, i, base)
 		}
-		chunk := make([]byte, chunkSize)
-		if _, err := io.ReadFull(br, chunk); err != nil {
+		// One allocation holds the chunk's 16 pages, each owned by its
+		// slot.
+		body := make([]byte, chunkSize)
+		if _, err := io.ReadFull(br, body); err != nil {
 			return fmt.Errorf("%w: chunk %d body: %v", ErrBadImage, i, err)
 		}
-		data[base] = chunk
+		c := new(chunk)
+		for j := range c.pages {
+			c.pages[j] = (*page)(body[j*pageSize:])
+		}
+		data[base] = c
 	}
-	d.data = data
+	d.replaceStore(data)
 	return nil
 }

@@ -49,8 +49,9 @@ type Estimate struct {
 func (a Array) Locate(recs []Reception) (Estimate, error) {
 	c := a.Medium.SoundSpeed()
 
-	var pos []cluster.Vec3
-	var rho, w []float64 // pseudorange (m), weight (1/m)
+	pos := make([]cluster.Vec3, 0, len(recs))
+	rho := make([]float64, 0, len(recs)) // pseudorange (m)
+	w := make([]float64, 0, len(recs))   // weight (1/m)
 	for _, r := range recs {
 		if !r.Detected {
 			continue
@@ -72,9 +73,12 @@ func (a Array) Locate(recs []Reception) (Estimate, error) {
 	}
 	zFix /= float64(len(pos))
 	planar := len(pos) == 3
+	// One scratch slice of per-element ranges serves every cost and
+	// normal-equation evaluation of this fix.
+	d := make([]float64, len(pos))
 
-	x := gridSeed(pos, rho, w, planar, zFix)
-	x, cov, rms, err := gaussNewton(pos, rho, w, x, planar, zFix)
+	x := gridSeed(pos, rho, w, d, planar, zFix)
+	x, cov, rms, err := gaussNewton(pos, rho, w, d, x, planar, zFix)
 	if err != nil && !planar {
 		// With every detecting element on one arc the depth axis can be
 		// unobservable even with ≥4 detections (the z column of the normal
@@ -82,8 +86,8 @@ func (a Array) Locate(recs []Reception) (Estimate, error) {
 		// planar fix rather than fail: horizontal position is still well
 		// conditioned, and that is what the blast-radius policy consumes.
 		planar = true
-		x = gridSeed(pos, rho, w, true, zFix)
-		x, cov, rms, err = gaussNewton(pos, rho, w, x, true, zFix)
+		x = gridSeed(pos, rho, w, d, true, zFix)
+		x, cov, rms, err = gaussNewton(pos, rho, w, d, x, true, zFix)
 	}
 	if err != nil {
 		return Estimate{}, err
@@ -95,10 +99,10 @@ func (a Array) Locate(recs []Reception) (Estimate, error) {
 
 // residualCost evaluates the weighted cost at trial position x with the
 // clock bias eliminated analytically: for fixed geometry the optimal b is
-// the weighted mean of (rho_i − d_i).
-func residualCost(pos []cluster.Vec3, rho, w []float64, x cluster.Vec3) float64 {
+// the weighted mean of (rho_i − d_i). d is scratch of len(pos); it is
+// overwritten with the ranges from x.
+func residualCost(pos []cluster.Vec3, rho, w, d []float64, x cluster.Vec3) float64 {
 	var sw, sb float64
-	d := make([]float64, len(pos))
 	for i, p := range pos {
 		d[i] = x.Sub(p).Norm()
 		ww := w[i] * w[i]
@@ -118,7 +122,7 @@ func residualCost(pos []cluster.Vec3, rho, w []float64, x cluster.Vec3) float64 
 // volume (the hydrophone bounding box grown by the detection horizon) and
 // returns the lowest-cost cell center — a convergence basin the local
 // refinement cannot escape from toward a mirror solution.
-func gridSeed(pos []cluster.Vec3, rho, w []float64, planar bool, zFix float64) cluster.Vec3 {
+func gridSeed(pos []cluster.Vec3, rho, w, d []float64, planar bool, zFix float64) cluster.Vec3 {
 	lo, hi := pos[0], pos[0]
 	for _, p := range pos[1:] {
 		lo.X, lo.Y, lo.Z = math.Min(lo.X, p.X), math.Min(lo.Y, p.Y), math.Min(lo.Z, p.Z)
@@ -141,7 +145,7 @@ func gridSeed(pos []cluster.Vec3, rho, w []float64, planar bool, zFix float64) c
 	if planar {
 		best.Z = zFix
 	}
-	bestCost := residualCost(pos, rho, w, best)
+	bestCost := residualCost(pos, rho, w, d, best)
 	for i := 0; i <= n; i++ {
 		for j := 0; j <= n; j++ {
 			x := cluster.Vec3{
@@ -158,7 +162,7 @@ func gridSeed(pos []cluster.Vec3, rho, w []float64, planar bool, zFix float64) c
 				} else {
 					x.Z = lo.Z + (hi.Z-lo.Z)*float64(k)/n
 				}
-				if cost := residualCost(pos, rho, w, x); cost < bestCost {
+				if cost := residualCost(pos, rho, w, d, x); cost < bestCost {
 					bestCost, best = cost, x
 				}
 			}
@@ -169,15 +173,18 @@ func gridSeed(pos []cluster.Vec3, rho, w []float64, planar bool, zFix float64) c
 
 // gaussNewton refines the fix with Levenberg-damped Gauss-Newton over
 // (x, y, z, b) — or (x, y, b) for a planar fix — and returns the position
-// covariance from the weighted normal equations at the solution.
-func gaussNewton(pos []cluster.Vec3, rho, w []float64, x0 cluster.Vec3, planar bool, zFix float64) (cluster.Vec3, [3][3]float64, float64, error) {
+// covariance from the weighted normal equations at the solution. d is
+// scratch of len(pos), shared with residualCost: each iteration fills it
+// with the ranges from x and is done with them before residualCost
+// overwrites it.
+func gaussNewton(pos []cluster.Vec3, rho, w, d []float64, x0 cluster.Vec3, planar bool, zFix float64) (cluster.Vec3, [3][3]float64, float64, error) {
 	dim := 4 // x, y, z, b
 	if planar {
 		dim = 3 // x, y, b
 		x0.Z = zFix
 	}
 	x := x0
-	cost := residualCost(pos, rho, w, x)
+	cost := residualCost(pos, rho, w, d, x)
 	lambda := 1e-3
 	var jtj [4][4]float64
 	for iter := 0; iter < 80; iter++ {
@@ -185,7 +192,6 @@ func gaussNewton(pos []cluster.Vec3, rho, w []float64, x0 cluster.Vec3, planar b
 		// iteration inside residualCost; here it is an explicit unknown so
 		// the covariance accounts for its correlation with position.
 		var sw, sb float64
-		d := make([]float64, len(pos))
 		for i, p := range pos {
 			d[i] = math.Max(x.Sub(p).Norm(), 1e-9)
 			ww := w[i] * w[i]
@@ -231,7 +237,7 @@ func gaussNewton(pos []cluster.Vec3, rho, w []float64, x0 cluster.Vec3, planar b
 		if !planar {
 			next.Z += step[2]
 		}
-		if nextCost := residualCost(pos, rho, w, next); nextCost < cost {
+		if nextCost := residualCost(pos, rho, w, d, next); nextCost < cost {
 			stepNorm := math.Sqrt(step[0]*step[0] + step[1]*step[1] + step[2]*step[2])
 			x, cost = next, nextCost
 			lambda = math.Max(lambda/3, 1e-9)
@@ -262,7 +268,7 @@ func gaussNewton(pos []cluster.Vec3, rho, w []float64, x0 cluster.Vec3, planar b
 			cov[a][bb] = inv[a][bb]
 		}
 	}
-	rms := math.Sqrt(residualCost(pos, rho, w, x) / float64(len(pos)))
+	rms := math.Sqrt(residualCost(pos, rho, w, d, x) / float64(len(pos)))
 	return x, cov, rms, nil
 }
 

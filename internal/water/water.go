@@ -57,18 +57,19 @@ func BalticAt50m() Medium {
 }
 
 // Validate reports whether the medium parameters are within the domains the
-// underlying empirical equations were fitted for.
+// underlying empirical equations were fitted for. Each test is written as
+// "not inside the domain", so a NaN field fails it too.
 func (m Medium) Validate() error {
-	if m.TempC < -2 || m.TempC > 40 {
+	if !(m.TempC >= -2 && m.TempC <= 40) {
 		return fmt.Errorf("water: temperature %.1f°C outside model domain [-2, 40]", m.TempC)
 	}
-	if m.SalinityPSU < 0 || m.SalinityPSU > 45 {
+	if !(m.SalinityPSU >= 0 && m.SalinityPSU <= 45) {
 		return fmt.Errorf("water: salinity %.1f PSU outside model domain [0, 45]", m.SalinityPSU)
 	}
-	if m.DepthM < 0 || m.DepthM > 11000 {
+	if !(m.DepthM >= 0 && m.DepthM <= 11000) {
 		return fmt.Errorf("water: depth %.1f m outside model domain [0, 11000]", m.DepthM)
 	}
-	if m.AcidityPH != 0 && (m.AcidityPH < 6 || m.AcidityPH > 9) {
+	if m.AcidityPH != 0 && !(m.AcidityPH >= 6 && m.AcidityPH <= 9) {
 		return fmt.Errorf("water: pH %.2f outside model domain [6, 9] (0 means unset and defaults to 8)", m.AcidityPH)
 	}
 	return nil

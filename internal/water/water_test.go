@@ -157,6 +157,14 @@ func TestValidate(t *testing.T) {
 		{TempC: 10, SalinityPSU: 99},
 		{TempC: 10, DepthM: 20000},
 		{TempC: 10, AcidityPH: 3},
+		// A NaN fails every ordered comparison, so each range test must
+		// reject it rather than let it through.
+		{TempC: math.NaN()},
+		{TempC: 10, SalinityPSU: math.NaN()},
+		{TempC: 10, DepthM: math.NaN()},
+		{TempC: 10, AcidityPH: math.NaN()},
+		{TempC: math.Inf(1)},
+		{TempC: 10, DepthM: math.Inf(-1)},
 	}
 	for _, m := range bad {
 		if err := m.Validate(); err == nil {
