@@ -47,6 +47,10 @@ func TestFacilityIntegrityOutageRejectBadFlags(t *testing.T) {
 		{"section5", "-freq", "NaN"},
 		{"adaptive", "-budget", "0"},
 		{"adaptive", "-budget", "-3"},
+		{"exfil", "-distances", "-3"},
+		{"exfil", "-distances", "0"},
+		{"exfil", "-distances", "20,-3"},
+		{"exfil", "-depths", "-1"},
 	} {
 		if code := runMain(t, args...); code != 1 {
 			t.Errorf("deepnote %v exited %d, want 1", args, code)

@@ -60,8 +60,6 @@ type (
 
 	// SweepResult is a frequency-sweep outcome.
 	SweepResult = attack.SweepResult
-	// RangeRow is one distance of a range test.
-	RangeRow = attack.RangeRow
 	// CrashTarget selects a software stack to crash.
 	CrashTarget = attack.CrashTarget
 	// CrashOutcome is a prolonged-attack result.
@@ -120,11 +118,6 @@ func Sweep(s Scenario, p Pattern) (SweepResult, error) {
 	return attack.Sweeper{Scenario: s}.Run(p)
 }
 
-// RangeTest measures attack effect over the paper's distances at 650 Hz.
-func RangeTest(s Scenario) ([]RangeRow, error) {
-	return attack.RangeTest{Scenario: s}.Run()
-}
-
 // CrashTest runs the prolonged attack (650 Hz, 140 dB, 1 cm, Scenario 2)
 // against a software stack until it crashes.
 func CrashTest(target CrashTarget) (CrashOutcome, error) {
@@ -152,27 +145,6 @@ var (
 	// NatickAnalysis compares enclosure classes against attacker tiers.
 	NatickAnalysis = experiment.NatickAnalysis
 )
-
-// RemoteSweep runs the §3 reconnaissance against a scenario: the attacker
-// infers the vulnerable band from service latencies alone.
-func RemoteSweep(s Scenario) (attack.RemoteSweepResult, error) {
-	return attack.RemoteSweeper{Scenario: s}.Run()
-}
-
-// AdaptiveAttack runs the closed-loop attacker: hill-climb to the most
-// damaging tone within a probe budget instead of sweeping the whole band.
-// A budget below 1 is an error.
-func AdaptiveAttack(s Scenario, budget int) (attack.AdaptiveResult, error) {
-	return attack.Adaptive{Scenario: s, Budget: budget}.Run()
-}
-
-// RunOutage executes a controlled outage (§3's first attacker objective):
-// attack keyed for exactly `during`, with healthy margins either side.
-func RunOutage(s Scenario, f Frequency, during time.Duration) (experiment.OutageResult, error) {
-	o := experiment.DefaultControlledOutage()
-	o.Scenario, o.Freq, o.During = s, f, during
-	return o.Run()
-}
 
 // NewStack provisions a formatted filesystem, a key-value store, and a
 // server model on a rig — the full victim software stack of §4.4. The

@@ -1,7 +1,6 @@
 package deepnote
 
 import (
-	"strings"
 	"testing"
 	"time"
 )
@@ -61,8 +60,10 @@ func TestFacadeStack(t *testing.T) {
 	if err := db.Put([]byte("k"), []byte("v")); err != nil {
 		t.Fatal(err)
 	}
-	if err := srv.RunCommand("ls"); err != nil {
-		t.Fatal(err)
+	rig.Clock.Sleep(time.Second)
+	srv.Step()
+	if srv.PageIns != 1 || srv.PageInErrors != 0 {
+		t.Fatalf("page-ins %d, errors %d; want one clean page-in", srv.PageIns, srv.PageInErrors)
 	}
 	if aborted, _ := fs.Aborted(); aborted {
 		t.Fatal("fresh stack aborted")
@@ -81,33 +82,6 @@ func TestFacadeDefenses(t *testing.T) {
 	for _, ev := range evs {
 		if ev.PeakRatioAfter >= ev.PeakRatioBefore {
 			t.Errorf("%s did not help", ev.Defense)
-		}
-	}
-}
-
-func TestFacadeRangeTest(t *testing.T) {
-	rows, err := RangeTest(Scenario2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rows) != 7 {
-		t.Fatalf("rows = %d", len(rows))
-	}
-	if !rows[1].WriteNoResponse {
-		t.Fatal("1 cm should be no-response")
-	}
-}
-
-// TestFacadeAdaptiveAttackRejectsEmptyBudget: a budget below one probe is
-// an error, not a silent default, and no probe runs.
-func TestFacadeAdaptiveAttackRejectsEmptyBudget(t *testing.T) {
-	for _, budget := range []int{0, -3} {
-		res, err := AdaptiveAttack(Scenario2, budget)
-		if err == nil {
-			t.Fatalf("budget %d: ran %d probes, want an error", budget, len(res.Probes))
-		}
-		if !strings.Contains(err.Error(), "Budget") {
-			t.Errorf("budget %d: error %q does not name the budget", budget, err)
 		}
 	}
 }

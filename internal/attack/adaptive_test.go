@@ -1,6 +1,7 @@
 package attack
 
 import (
+	"strings"
 	"testing"
 
 	"deepnote/internal/core"
@@ -60,5 +61,19 @@ func TestAdaptiveDeterministic(t *testing.T) {
 	}
 	if a.Best != b.Best || len(a.Probes) != len(b.Probes) {
 		t.Fatal("adaptive search not reproducible")
+	}
+}
+
+// TestAdaptiveRejectsEmptyBudget: a budget below one probe is an error,
+// not a silent default, and no probe runs.
+func TestAdaptiveRejectsEmptyBudget(t *testing.T) {
+	for _, budget := range []int{0, -3} {
+		res, err := Adaptive{Scenario: core.Scenario2, Budget: budget}.Run()
+		if err == nil {
+			t.Fatalf("budget %d: ran %d probes, want an error", budget, len(res.Probes))
+		}
+		if !strings.Contains(err.Error(), "Budget") {
+			t.Errorf("budget %d: error %q does not name the budget", budget, err)
+		}
 	}
 }

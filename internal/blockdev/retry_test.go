@@ -146,7 +146,9 @@ func TestRetrierMasksInjectedBurst(t *testing.T) {
 	if r.Stats().Recovered != 1 {
 		t.Fatalf("stats = %+v", r.Stats())
 	}
-	if inj.Stats().InjectedWriteErrs == 0 {
+	reg := metrics.NewRegistry()
+	inj.PublishMetrics(reg)
+	if reg.Snapshot().Counters["faultinj.injected_write_errors"] == 0 {
 		t.Fatal("burst never fired")
 	}
 }

@@ -317,15 +317,6 @@ func (c *Cluster) SetDefense(spec DefenseSpec) error {
 // Defended reports whether a defense plan is active.
 func (c *Cluster) Defended() bool { return c.defense != nil }
 
-// DefenseFixes returns the fixes the active plan compiled from — after
-// the confidence gate, sorted by arrival. Nil when defense is off.
-func (c *Cluster) DefenseFixes() []SourceFix {
-	if c.defense == nil {
-		return nil
-	}
-	return c.defense.spec.Fixes
-}
-
 // DefenseEvacsPlanned returns how many re-placement writes the plan
 // schedules (and how many shards had no safe target).
 func (c *Cluster) DefenseEvacsPlanned() (planned, skipped int) {

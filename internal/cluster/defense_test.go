@@ -360,7 +360,7 @@ func TestDefenseConfidenceGate(t *testing.T) {
 	if err := c.SetDefense(DefenseSpec{Fixes: []SourceFix{low}, MinConfidence: Ptr(0.5)}); err != nil {
 		t.Fatal(err)
 	}
-	if c.Defended() || c.DefenseFixes() != nil {
+	if c.Defended() || defenseFixes(c) != nil {
 		t.Fatal("low-confidence fix escalated the defense")
 	}
 	// Mixed: only the high-confidence fix survives the gate.
@@ -370,15 +370,15 @@ func TestDefenseConfidenceGate(t *testing.T) {
 	if !c.Defended() {
 		t.Fatal("high-confidence fix did not arm the defense")
 	}
-	if got := c.DefenseFixes(); len(got) != 1 || got[0].Confidence != 0.9 {
-		t.Fatalf("DefenseFixes() = %+v, want only the 0.9-confidence fix", got)
+	if got := defenseFixes(c); len(got) != 1 || got[0].Confidence != 0.9 {
+		t.Fatalf("defense fixes = %+v, want only the 0.9-confidence fix", got)
 	}
 	// Nil gate keeps the pre-fingerprint behavior: unscored fixes pass.
 	if err := c.SetDefense(DefenseSpec{Fixes: []SourceFix{{At: time.Second, Pos: lay.Speakers[0].Pos,
 		Err: 20 * units.Centimeter, Tone: tone}}}); err != nil {
 		t.Fatal(err)
 	}
-	if !c.Defended() || len(c.DefenseFixes()) != 1 {
+	if !c.Defended() || len(defenseFixes(c)) != 1 {
 		t.Fatal("unscored fix rejected with no gate configured")
 	}
 	// Out-of-range gates are rejected, not clamped.
@@ -470,4 +470,13 @@ func TestDefenseSameTimeEvacBeforeSteeredRead(t *testing.T) {
 	if res.EvacFailures != 0 || res.GetFailures != 0 {
 		t.Fatalf("silent cluster failed %d evacs and %d GETs", res.EvacFailures, res.GetFailures)
 	}
+}
+
+// defenseFixes returns the fixes the active plan compiled from — after
+// the confidence gate, sorted by arrival. Nil when defense is off.
+func defenseFixes(c *Cluster) []SourceFix {
+	if c.defense == nil {
+		return nil
+	}
+	return c.defense.spec.Fixes
 }

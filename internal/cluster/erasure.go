@@ -56,9 +56,6 @@ func NewCoder(dataShards, parityShards int) (*Coder, error) {
 // DataShards returns k.
 func (c *Coder) DataShards() int { return c.data }
 
-// ParityShards returns m.
-func (c *Coder) ParityShards() int { return c.parity }
-
 // TotalShards returns n = k+m.
 func (c *Coder) TotalShards() int { return c.data + c.parity }
 

@@ -154,9 +154,6 @@ func New(cfg Config) (*Cluster, error) {
 	return c, nil
 }
 
-// Config returns the effective configuration.
-func (c *Cluster) Config() Config { return c.cfg }
-
 // shardDrive maps (object, shard) to a drive index. Shard j of object o
 // lives in container (o+j) mod C — n consecutive distinct containers, so
 // each stripe spans n failure domains — on the drive in slot

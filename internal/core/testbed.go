@@ -152,47 +152,6 @@ func (tb *Testbed) VibrationFor(tone sig.Tone) hdd.Vibration {
 	return hdd.Vibration{Freq: tone.Freq, Amplitude: amp}
 }
 
-// VibrationForChord combines several simultaneous tones into one composite
-// drive excitation (a multi-tone attack). The strongest component becomes
-// the dominant tone; the rest ride along as partials. Callers share the
-// speaker's full-scale budget across the tones (e.g. amplitude 1/n each).
-func (tb *Testbed) VibrationForChord(tones []sig.Tone) hdd.Vibration {
-	type comp struct {
-		f units.Frequency
-		a float64
-	}
-	var comps []comp
-	for _, tone := range tones {
-		v := tb.VibrationFor(tone)
-		if v.Amplitude > 0 {
-			comps = append(comps, comp{f: v.Freq, a: v.Amplitude})
-		}
-	}
-	if len(comps) == 0 {
-		return hdd.Quiet()
-	}
-	// Strongest first.
-	best := 0
-	for i, c := range comps {
-		if c.a > comps[best].a {
-			best = i
-		}
-	}
-	out := hdd.Vibration{Freq: comps[best].f, Amplitude: comps[best].a}
-	for i, c := range comps {
-		if i == best {
-			continue
-		}
-		out.Partials = append(out.Partials, hdd.Partial{Freq: c.f, Amplitude: c.a})
-	}
-	return out
-}
-
-// ApplyChord applies a multi-tone attack to a rig's drive.
-func (r *Rig) ApplyChord(tones []sig.Tone) {
-	r.Drive.SetVibration(r.Testbed.VibrationForChord(tones))
-}
-
 // OffTrackRatio returns the off-track amplitude for a full-scale tone at f
 // divided by the drive's write-fault threshold — the testbed's unitless
 // "how far past failure are we" diagnostic used for calibration and

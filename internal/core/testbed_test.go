@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"deepnote/internal/fio"
-	"deepnote/internal/hdd"
 	"deepnote/internal/sig"
 	"deepnote/internal/units"
 )
@@ -229,51 +228,6 @@ func TestReadBandNestedInWriteBand(t *testing.T) {
 		if readFaults && !writeFaults {
 			t.Fatalf("at %v reads fault but writes do not", f)
 		}
-	}
-}
-
-func TestVibrationForChord(t *testing.T) {
-	tb, _ := NewTestbed(Scenario2, 1*units.Centimeter)
-	chord := tb.VibrationForChord([]sig.Tone{
-		{Freq: 650, Amplitude: 0.5},
-		{Freq: 900, Amplitude: 0.5},
-	})
-	if chord.IsQuiet() {
-		t.Fatal("chord produced no vibration")
-	}
-	if len(chord.Partials) != 1 {
-		t.Fatalf("partials = %d, want 1", len(chord.Partials))
-	}
-	// The dominant component must be the strongest.
-	if chord.Amplitude < chord.Partials[0].Amplitude {
-		t.Fatal("dominant tone is not the strongest component")
-	}
-	// An all-silent chord is quiet.
-	if v := tb.VibrationForChord([]sig.Tone{{Freq: 650, Amplitude: 0}}); !v.IsQuiet() {
-		t.Fatalf("silent chord produced vibration %+v", v)
-	}
-	// Single-tone chord behaves like VibrationFor.
-	single := tb.VibrationForChord([]sig.Tone{sig.NewTone(650)})
-	direct := tb.VibrationFor(sig.NewTone(650))
-	if single.Amplitude != direct.Amplitude || len(single.Partials) != 0 {
-		t.Fatalf("single chord %+v != direct %+v", single, direct)
-	}
-}
-
-func TestApplyChord(t *testing.T) {
-	rig, err := NewRig(Scenario2, 1*units.Centimeter, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rig.ApplyChord([]sig.Tone{{Freq: 650, Amplitude: 0.5}, {Freq: 450, Amplitude: 0.5}})
-	v := rig.Drive.Vibration()
-	if v.IsQuiet() || len(v.Partials) != 1 {
-		t.Fatalf("chord not applied: %+v", v)
-	}
-	var zero hdd.Vibration
-	rig.Silence()
-	if got := rig.Drive.Vibration(); !got.IsQuiet() || got.Freq != zero.Freq {
-		t.Fatal("silence after chord failed")
 	}
 }
 

@@ -21,9 +21,6 @@ import (
 	"deepnote/internal/simclock"
 )
 
-// Ptr returns a pointer to v — shorthand for the optional config fields.
-func Ptr[T any](v T) *T { return &v }
-
 // Config tunes the latency/error detector. All fields follow the repo's
 // pointer convention: nil means the documented default, an explicit value
 // is validated and honored (a Config{WindowOps: Ptr(1)} really is a
@@ -162,15 +159,8 @@ func NewDetector(cfg Config) (*Detector, error) {
 	return &Detector{cfg: r, window: make([]windowEntry, r.windowOps)}, nil
 }
 
-// Baseline returns the trained baseline latency (zero until trained).
-func (d *Detector) Baseline() time.Duration { return d.baseline }
-
 // Trained reports whether the latency baseline is established.
 func (d *Detector) Trained() bool { return d.trainCount >= d.cfg.baselineOps }
-
-// FailedClosed reports whether training tripped the consecutive-error
-// budget and the detector armed without ever seeing a healthy baseline.
-func (d *Detector) FailedClosed() bool { return d.failClosed }
 
 // ready reports whether the detector can render verdicts: either a
 // baseline exists or training failed closed.
@@ -322,12 +312,6 @@ func (m *Monitor) Detector() *Detector { return m.det }
 // Suspicion returns the detector's current suspicion at the monitor's
 // clock.
 func (m *Monitor) Suspicion() float64 { return m.det.Suspicion(m.clock.Now()) }
-
-// AttackSuspected reports the alarm condition at the monitor's clock.
-func (m *Monitor) AttackSuspected() bool { return m.det.AttackSuspected(m.clock.Now()) }
-
-// Tick re-evaluates the alarm edge at the monitor's clock (idle polling).
-func (m *Monitor) Tick() { m.det.Tick(m.clock.Now()) }
 
 // ReadAt implements blockdev.Device.
 func (m *Monitor) ReadAt(p []byte, off int64) (int, error) {

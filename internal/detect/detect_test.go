@@ -41,10 +41,10 @@ func TestDetectorTrainsOnHealthyTraffic(t *testing.T) {
 	if !d.Trained() {
 		t.Fatal("detector should be trained after 80 ops")
 	}
-	if d.Baseline() <= 0 || d.Baseline() > 5*time.Millisecond {
-		t.Fatalf("baseline = %v", d.Baseline())
+	if d.baseline <= 0 || d.baseline > 5*time.Millisecond {
+		t.Fatalf("baseline = %v", d.baseline)
 	}
-	if m.AttackSuspected() {
+	if m.det.AttackSuspected(m.clock.Now()) {
 		t.Fatal("healthy traffic raised an alarm")
 	}
 	if m.Suspicion() != 0 {
@@ -58,7 +58,7 @@ func TestDetectorRaisesAlarmUnderAttack(t *testing.T) {
 	disk.Drive().SetVibration(hdd.Vibration{Freq: 650, Amplitude: 0.25})
 	seqWrite(m, 40)
 	d := m.Detector()
-	if !m.AttackSuspected() {
+	if !m.det.AttackSuspected(m.clock.Now()) {
 		t.Fatalf("attack not detected; suspicion %.2f", m.Suspicion())
 	}
 	if d.Alarms != 1 {
@@ -74,7 +74,7 @@ func TestDetectorDetectsDeadDriveFast(t *testing.T) {
 	// crash horizon of Table 3.
 	start := m.clock.Now()
 	seqWrite(m, 40)
-	if !m.AttackSuspected() {
+	if !m.det.AttackSuspected(m.clock.Now()) {
 		t.Fatal("dead drive not detected")
 	}
 	if elapsed := m.clock.Now().Sub(start); elapsed > 60*time.Second {
@@ -87,12 +87,12 @@ func TestDetectorClearsAfterAttack(t *testing.T) {
 	seqWrite(m, 80)
 	disk.Drive().SetVibration(hdd.Vibration{Freq: 650, Amplitude: 0.25})
 	seqWrite(m, 40)
-	if !m.AttackSuspected() {
+	if !m.det.AttackSuspected(m.clock.Now()) {
 		t.Fatal("attack not detected")
 	}
 	disk.Drive().SetVibration(hdd.Quiet())
 	seqWrite(m, 64) // window refills with healthy ops
-	if m.AttackSuspected() {
+	if m.det.AttackSuspected(m.clock.Now()) {
 		t.Fatal("alarm stuck after attack ended")
 	}
 	// A second attack raises a second alarm edge.
@@ -168,7 +168,7 @@ func TestAlarmDecaysWhenIdle(t *testing.T) {
 	seqWrite(m, 80)
 	disk.Drive().SetVibration(hdd.Vibration{Freq: 650, Amplitude: 0.25})
 	seqWrite(m, 40)
-	if !m.AttackSuspected() {
+	if !m.det.AttackSuspected(m.clock.Now()) {
 		t.Fatal("attack not detected")
 	}
 	if m.Detector().Alarms != 1 {
@@ -177,13 +177,13 @@ func TestAlarmDecaysWhenIdle(t *testing.T) {
 	// The attack ends AND the workload stops — no ops refill the window.
 	disk.Drive().SetVibration(hdd.Quiet())
 	clock.Sleep(40 * time.Second) // past the default 30 s expiry
-	if m.AttackSuspected() {
+	if m.det.AttackSuspected(m.clock.Now()) {
 		t.Fatal("alarm latched after I/O quiesced (stale window evidence)")
 	}
 	if m.Suspicion() != 0 {
 		t.Fatalf("suspicion froze at %.2f after quiesce", m.Suspicion())
 	}
-	m.Tick() // idle poll observes the falling edge
+	m.det.Tick(m.clock.Now()) // idle poll observes the falling edge
 	// Second attack: a fresh rising edge.
 	disk.Drive().SetVibration(hdd.Vibration{Freq: 650, Amplitude: 0.25})
 	seqWrite(m, 40)
@@ -222,7 +222,7 @@ func TestTrainingFailsClosed(t *testing.T) {
 		t.Fatal("alarmed before the error budget")
 	}
 	d.Observe(now, time.Second, true) // 8th consecutive error
-	if !d.FailedClosed() {
+	if !d.failClosed {
 		t.Fatal("training did not fail closed")
 	}
 	if !d.AttackSuspected(now) {
@@ -257,14 +257,14 @@ func TestTrainingFailsClosed(t *testing.T) {
 		d2.Observe(now, time.Millisecond, false)
 		d2.Observe(now, time.Millisecond, false)
 	}
-	if d2.FailedClosed() {
+	if d2.failClosed {
 		t.Fatal("interleaved errors must not fail training closed")
 	}
 	if !d2.Trained() {
 		t.Fatal("healthy majority must train")
 	}
-	if d2.Baseline() != time.Millisecond {
-		t.Fatalf("errors polluted the baseline: %v", d2.Baseline())
+	if d2.baseline != time.Millisecond {
+		t.Fatalf("errors polluted the baseline: %v", d2.baseline)
 	}
 }
 
@@ -303,3 +303,6 @@ func TestMonitorPassesThroughData(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// Ptr returns a pointer to v — shorthand for the optional config fields.
+func Ptr[T any](v T) *T { return &v }

@@ -168,8 +168,8 @@ func TestDetectorMatchesTimeScan(t *testing.T) {
 			d.Observe(now, lat, failed)
 			ref.observe(now, lat, failed)
 			q := now.Add((time.Duration(rng.Int63n(int64(4*time.Second))) - time.Second).Truncate(quantum))
-			if d.Alarms != ref.alarms || d.FailedClosed() != ref.failClosed ||
-				d.Trained() != ref.trained() || d.Baseline() != ref.baseline ||
+			if d.Alarms != ref.alarms || d.failClosed != ref.failClosed ||
+				d.Trained() != ref.trained() || d.baseline != ref.baseline ||
 				d.Suspicion(q) != ref.suspicion(q) || d.AttackSuspected(q) != ref.attackSuspected(q) {
 				t.Fatalf("trial %d op %d (cfg %+v): offset detector diverged from the time scan", trial, op, d.cfg)
 			}
@@ -177,7 +177,7 @@ func TestDetectorMatchesTimeScan(t *testing.T) {
 				expired++
 			}
 		}
-		if d.FailedClosed() {
+		if d.failClosed {
 			failedClosed++
 		}
 		if d.Alarms > 0 {

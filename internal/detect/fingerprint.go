@@ -166,25 +166,6 @@ const (
 	ReasonTransient
 )
 
-// String names the reason.
-func (r BenignReason) String() string {
-	switch r {
-	case ReasonNone:
-		return "hostile"
-	case ReasonQuiet:
-		return "quiet"
-	case ReasonBroadband:
-		return "broadband"
-	case ReasonLowSNR:
-		return "low-snr"
-	case ReasonHarmonicComb:
-		return "harmonic-comb"
-	case ReasonTransient:
-		return "transient"
-	}
-	return fmt.Sprintf("reason(%d)", int(r))
-}
-
 // SpectralVerdict is one analysis window's classification.
 type SpectralVerdict struct {
 	// At is the window's end time (origin + windows·windowDuration).
@@ -546,9 +527,6 @@ func (f *Fingerprinter) nearestBin(hz float64) int {
 	return i
 }
 
-// Last returns the most recent window's verdict.
-func (f *Fingerprinter) Last() SpectralVerdict { return f.last }
-
 // Confidence returns the most recent window's confidence.
 func (f *Fingerprinter) Confidence() float64 { return f.last.Confidence }
 
@@ -563,14 +541,6 @@ func (f *Fingerprinter) HostileWindows() int { return f.hostileWin }
 
 // Detections returns the hostile verdicts (bounded log, chronological).
 func (f *Fingerprinter) Detections() []SpectralVerdict { return f.detections }
-
-// FirstDetection returns the earliest hostile verdict.
-func (f *Fingerprinter) FirstDetection() (SpectralVerdict, bool) {
-	if len(f.detections) == 0 {
-		return SpectralVerdict{}, false
-	}
-	return f.detections[0], true
-}
 
 // Fused combines the two detection factors — latency/error telemetry and
 // the spectral fingerprint — into one verdict. Spectral confidence alone
@@ -590,7 +560,6 @@ type Fused struct {
 	// Alarms counts rising edges of the fused hostile verdict.
 	Alarms int
 	armed  bool
-	max    float64
 }
 
 // FusedVerdict is the combined classification at one instant.
@@ -617,15 +586,9 @@ func (f *Fused) Verdict(now time.Time) FusedVerdict {
 		v.Confidence = clamp01(v.Confidence + 0.2)
 	}
 	v.Hostile = v.Confidence >= 0.5
-	if v.Confidence > f.max {
-		f.max = v.Confidence
-	}
 	if v.Hostile && !f.armed {
 		f.Alarms++
 	}
 	f.armed = v.Hostile
 	return v
 }
-
-// MaxConfidence returns the highest fused confidence rendered so far.
-func (f *Fused) MaxConfidence() float64 { return f.max }

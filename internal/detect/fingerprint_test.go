@@ -61,10 +61,11 @@ func TestFingerprintDetectsHostileToneAt6dB(t *testing.T) {
 		fp := newFP(t)
 		fp.SetOrigin(time.Unix(1000, 0))
 		feedScenario(fp, vib, amb, 48, 2)
-		det, ok := fp.FirstDetection()
-		if !ok {
+		dets := fp.Detections()
+		if len(dets) == 0 {
 			t.Fatalf("%v: 650 Hz tone at 6 dB SNR not detected (max conf %.2f)", kind, fp.MaxConfidence())
 		}
+		det := dets[0]
 		if math.Abs(det.PeakFreq.Hertz()-650) > 20 {
 			t.Fatalf("%v: detected %v, want ≈ 650 Hz", kind, det.PeakFreq)
 		}
@@ -106,7 +107,7 @@ func TestFingerprintRejectsPumpCombByStructure(t *testing.T) {
 	synth := NewSynth(fp2.SampleRate(), fp2.WindowSamples(), DefaultSensorSigma, 5)
 	for w := 0; w < 16; w++ {
 		fp2.Feed(synth.Window(hdd.Quiet(), sig.NewAmbient(sig.AmbientPump, 5)))
-		if fp2.Last().Benign == ReasonHarmonicComb {
+		if fp2.last.Benign == ReasonHarmonicComb {
 			combSeen = true
 		}
 	}
@@ -119,7 +120,7 @@ func TestFingerprintRejectsPumpCombByStructure(t *testing.T) {
 	sigma := math.Hypot(DefaultSensorSigma, amb.NominalSigma())
 	fp3 := newFP(t)
 	feedScenario(fp3, hdd.Vibration{Freq: 650 * units.Hz, Amplitude: 3 * sigma}, amb, 48, 5)
-	if _, ok := fp3.FirstDetection(); !ok {
+	if len(fp3.Detections()) == 0 {
 		t.Fatal("pump background masked a true 650 Hz attack")
 	}
 }

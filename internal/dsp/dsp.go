@@ -33,7 +33,6 @@ type Goertzel struct {
 	coeff float64 // 2·cos(ω)
 	s1    float64
 	s2    float64
-	n     int
 }
 
 // NewGoertzel returns a detector for freq at the given sample rate.
@@ -47,19 +46,12 @@ func (g *Goertzel) Push(x float64) {
 	s0 := g.coeff*g.s1 - g.s2 + x
 	g.s2 = g.s1
 	g.s1 = s0
-	g.n++
 }
 
-// Power returns |X(f)|² for the samples pushed since the last Reset.
+// Power returns |X(f)|² for the samples pushed so far.
 func (g *Goertzel) Power() float64 {
 	return g.s1*g.s1 + g.s2*g.s2 - g.coeff*g.s1*g.s2
 }
-
-// N returns how many samples the current block holds.
-func (g *Goertzel) N() int { return g.n }
-
-// Reset clears the block state.
-func (g *Goertzel) Reset() { g.s1, g.s2, g.n = 0, 0, 0 }
 
 // Frame is one completed analysis window. Power aliases the bank's
 // internal storage and is valid until the next frame completes; callers
@@ -80,16 +72,15 @@ type Frame struct {
 // in with PushBlock (or Push), get a Frame back every windowLen samples.
 // After construction the bank never allocates.
 type Bank struct {
-	sampleRate float64
-	freqs      []units.Frequency
-	coeff      []float64
-	hann       []float64
-	xw         []float64 // windowed-sample scratch, one window long
-	s1, s2     []float64
-	sumSq      float64
-	n          int
-	frames     int
-	power      []float64 // reused Frame.Power storage
+	freqs  []units.Frequency
+	coeff  []float64
+	hann   []float64
+	xw     []float64 // windowed-sample scratch, one window long
+	s1, s2 []float64
+	sumSq  float64
+	n      int
+	frames int
+	power  []float64 // reused Frame.Power storage
 }
 
 // NewBank builds a bank of Goertzel bins at the given frequencies, all
@@ -105,14 +96,13 @@ func NewBank(sampleRateHz float64, windowLen int, freqs []units.Frequency) (*Ban
 		return nil, fmt.Errorf("dsp: bank needs at least one frequency")
 	}
 	b := &Bank{
-		sampleRate: sampleRateHz,
-		freqs:      append([]units.Frequency(nil), freqs...),
-		coeff:      make([]float64, len(freqs)),
-		hann:       make([]float64, windowLen),
-		xw:         make([]float64, windowLen),
-		s1:         make([]float64, len(freqs)),
-		s2:         make([]float64, len(freqs)),
-		power:      make([]float64, len(freqs)),
+		freqs: append([]units.Frequency(nil), freqs...),
+		coeff: make([]float64, len(freqs)),
+		hann:  make([]float64, windowLen),
+		xw:    make([]float64, windowLen),
+		s1:    make([]float64, len(freqs)),
+		s2:    make([]float64, len(freqs)),
+		power: make([]float64, len(freqs)),
 	}
 	for i, f := range freqs {
 		if !(f > 0 && f.Hertz() < sampleRateHz/2) {
@@ -128,9 +118,6 @@ func NewBank(sampleRateHz float64, windowLen int, freqs []units.Frequency) (*Ban
 
 // Freqs returns the bank's bin frequencies (shared storage; do not mutate).
 func (b *Bank) Freqs() []units.Frequency { return b.freqs }
-
-// SampleRate returns the bank's sample rate in Hz.
-func (b *Bank) SampleRate() float64 { return b.sampleRate }
 
 // Push feeds one sample. When the sample completes a window, the frame
 // for that window is returned with ok = true.
@@ -216,16 +203,6 @@ func goertzelBlock(coeff, s1, s2, xw []float64) {
 
 // Frames returns how many windows have completed.
 func (b *Bank) Frames() int { return b.frames }
-
-// Reset discards the partial block in progress (completed-frame count is
-// retained so Frame indices stay monotonic).
-func (b *Bank) Reset() {
-	for i := range b.s1 {
-		b.s1[i], b.s2[i] = 0, 0
-	}
-	b.n = 0
-	b.sumSq = 0
-}
 
 // Amp converts a bin power from a Hann-windowed block of n samples into
 // the amplitude estimate of a sinusoid at that bin's frequency (the Hann

@@ -51,13 +51,12 @@ func TestBankMatchesDFT(t *testing.T) {
 // tone halfway between bins must lose no more than the Hann scallop.
 func TestBankToneAmplitude(t *testing.T) {
 	freqs := bankFreqs()
-	b, err := NewBank(rate, 512, freqs)
-	if err != nil {
-		t.Fatal(err)
-	}
 	const amp = 0.05
 	feed := func(f units.Frequency) Frame {
-		b.Reset()
+		b, err := NewBank(rate, 512, freqs)
+		if err != nil {
+			t.Fatal(err)
+		}
 		var frame Frame
 		for i := 0; i < 512; i++ {
 			frame, _ = b.Push(amp * math.Sin(f.AngularVelocity()*float64(i)/rate))
@@ -143,16 +142,9 @@ func TestGoertzelSingleBin(t *testing.T) {
 		g.Push(x)
 		sum += x * x
 	}
-	if g.N() != 512 {
-		t.Fatalf("N = %d", g.N())
-	}
 	// Rectangular window: |X| = A·N/2.
 	if a := 2 * math.Sqrt(g.Power()) / 512; a < 0.095 || a > 0.105 {
 		t.Fatalf("amplitude %.4f, want ≈ 0.1", a)
-	}
-	g.Reset()
-	if g.Power() != 0 || g.N() != 0 {
-		t.Fatal("reset did not clear state")
 	}
 }
 

@@ -128,13 +128,3 @@ func (c Container) TransmissionGain(f units.Frequency) float64 {
 }
 
 func sq(x float64) float64 { return x * x }
-
-// TransmissionLossDB returns the container's transmission expressed as a
-// loss in dB (positive = attenuation), convenient for reporting.
-func (c Container) TransmissionLossDB(f units.Frequency) units.Decibel {
-	g := c.TransmissionGain(f)
-	if g <= 0 {
-		return units.Decibel(math.Inf(1))
-	}
-	return units.Decibel(-20 * math.Log10(g))
-}

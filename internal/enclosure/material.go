@@ -69,10 +69,6 @@ func PressureVesselSteel() Material {
 	}
 }
 
-// SurfaceDensity returns the wall's mass per unit area (kg/m²), the quantity
-// that controls mass-law transmission loss.
-func (m Material) SurfaceDensity() float64 { return m.DensityKgM3 * m.ThicknessM }
-
 // Validate reports whether the material parameters are physical.
 func (m Material) Validate() error {
 	if m.DensityKgM3 <= 0 {

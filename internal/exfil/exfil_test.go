@@ -87,7 +87,7 @@ func TestModulatorDictionary(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p := mod.Patterns()
+	p := mod.pattern
 	if p[0].Tone != 780*units.Hz || p[0].Harmonic != 2 || math.Abs(p[0].SeekRate-390) > 1e-9 {
 		t.Errorf("bit-0 pattern %+v", p[0])
 	}

@@ -145,9 +145,6 @@ func NewModulator(mc ModemConfig, tc TxConfig) (*Modulator, error) {
 	return mod, nil
 }
 
-// Patterns returns the symbol dictionary.
-func (mod *Modulator) Patterns() [2]SeekPattern { return mod.pattern }
-
 // Modem returns the public handle on the modulator's resolved modem —
 // frame geometry, encoding, and rates.
 func (mod *Modulator) Modem() *Modem { return &Modem{m: mod.m} }

@@ -23,6 +23,7 @@ import (
 	"deepnote/internal/sig"
 	"deepnote/internal/sonar"
 	"deepnote/internal/units"
+	"deepnote/internal/valid"
 )
 
 // ExfilSpec configures the experiment.
@@ -72,6 +73,19 @@ func (s ExfilSpec) withDefaults() ExfilSpec {
 		s.Seed = 1
 	}
 	return s
+}
+
+// validate rejects a range that is not positive and a depth above the
+// surface (negative).
+func (s ExfilSpec) validate() error {
+	var errs []error
+	for i, d := range s.Distances {
+		errs = append(errs, valid.Positive(fmt.Sprintf("Distances[%d]", i), d))
+	}
+	for i, d := range s.Depths {
+		errs = append(errs, valid.AtLeast(fmt.Sprintf("Depths[%d]", i), d, 0))
+	}
+	return valid.First("experiment.ExfilSpec", errs...)
 }
 
 // ExfilCell identifies one experiment cell.
@@ -237,6 +251,9 @@ func (s ExfilSpec) runDetectCell(c ExfilCell, seed int64) (ExfilRow, error) {
 // parallel.SeedFor, so the result is byte-identical at any Workers value.
 func ExfilRun(spec ExfilSpec) (ExfilResult, error) {
 	spec = spec.withDefaults()
+	if err := spec.validate(); err != nil {
+		return ExfilResult{}, err
+	}
 	cells := spec.cells()
 	rows, err := parallel.RunObserved(context.Background(), cells, spec.Workers, spec.Metrics,
 		func(_ context.Context, i int, c ExfilCell) (ExfilRow, error) {

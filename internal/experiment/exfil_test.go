@@ -108,3 +108,25 @@ func TestExfilReportsAndMetrics(t *testing.T) {
 		t.Errorf("exfil_detect.runs = %d, want 10", snap.Counters["exfil_detect.runs"])
 	}
 }
+
+// TestExfilRunRejectsBadGeometry: a range that is not positive or a depth
+// above the surface fails before any cell runs, naming the field.
+func TestExfilRunRejectsBadGeometry(t *testing.T) {
+	for _, c := range []struct {
+		spec  ExfilSpec
+		field string
+	}{
+		{ExfilSpec{Distances: []units.Distance{-3}}, "Distances[0]"},
+		{ExfilSpec{Distances: []units.Distance{0}}, "Distances[0]"},
+		{ExfilSpec{Distances: []units.Distance{20, -3}}, "Distances[1]"},
+		{ExfilSpec{Depths: []units.Distance{-1}}, "Depths[0]"},
+	} {
+		res, err := ExfilRun(c.spec)
+		if err == nil {
+			t.Fatalf("%+v: ran %d capacity cells, want an error", c.spec, len(res.Capacity))
+		}
+		if !strings.Contains(err.Error(), c.field) {
+			t.Errorf("%+v: error %q does not name %s", c.spec, err, c.field)
+		}
+	}
+}

@@ -13,7 +13,8 @@ func TestNatickVesselValid(t *testing.T) {
 		t.Fatal(err)
 	}
 	steel := enclosure.PressureVesselSteel()
-	if steel.SurfaceDensity() <= enclosure.Aluminum6061().SurfaceDensity()*10 {
+	alu := enclosure.Aluminum6061()
+	if steel.DensityKgM3*steel.ThicknessM <= alu.DensityKgM3*alu.ThicknessM*10 {
 		t.Fatal("pressure vessel should be an order of magnitude heavier per area")
 	}
 }

@@ -139,11 +139,6 @@ type Stats struct {
 	TornWrites, StuckIOs, LatencySpikes int64
 }
 
-// Injected returns the total injected error count.
-func (s Stats) Injected() int64 {
-	return s.InjectedReadErrs + s.InjectedWriteErrs + s.InjectedFlushErrs
-}
-
 // Device is a fault-injecting blockdev.Device wrapper.
 type Device struct {
 	inner  blockdev.Device
@@ -173,9 +168,6 @@ func Wrap(inner blockdev.Device, clock *simclock.Virtual, seed int64, faults ...
 		rng:    rand.New(rand.NewSource(seed)),
 	}
 }
-
-// Stats returns a copy of the counters.
-func (d *Device) Stats() Stats { return d.stats }
 
 // Size returns the inner device capacity.
 func (d *Device) Size() int64 { return d.inner.Size() }

@@ -42,8 +42,8 @@ func TestPassthroughWithoutFaults(t *testing.T) {
 	if dev.Size() != disk.Size() {
 		t.Fatal("size not forwarded")
 	}
-	s := dev.Stats()
-	if s.Reads != 1 || s.Writes != 1 || s.Flushes != 1 || s.Injected() != 0 {
+	s := dev.stats
+	if s.Reads != 1 || s.Writes != 1 || s.Flushes != 1 || injected(s) != 0 {
 		t.Fatalf("stats = %+v", s)
 	}
 }
@@ -69,7 +69,7 @@ func TestTransientWindowInjectsOnlyInside(t *testing.T) {
 	if _, err := dev.WriteAt(buf, 0); err != nil {
 		t.Fatalf("write after window: %v", err)
 	}
-	if got := dev.Stats().InjectedWriteErrs; got != 1 {
+	if got := dev.stats.InjectedWriteErrs; got != 1 {
 		t.Fatalf("injected write errors = %d", got)
 	}
 }
@@ -103,7 +103,7 @@ func TestLatencySpikeChargesTimeAndSucceeds(t *testing.T) {
 	if elapsed := clock.Now().Sub(before); elapsed < 3*time.Second {
 		t.Fatalf("spike charged only %v", elapsed)
 	}
-	if dev.Stats().LatencySpikes != 1 {
+	if dev.stats.LatencySpikes != 1 {
 		t.Fatal("spike not counted")
 	}
 }
@@ -144,7 +144,7 @@ func TestTornWritePersistsPrefixOnly(t *testing.T) {
 	if bytes.Equal(got[2048:], data[2048:]) {
 		t.Fatal("torn suffix landed in full")
 	}
-	if dev.Stats().TornWrites != 1 {
+	if dev.stats.TornWrites != 1 {
 		t.Fatal("torn write not counted")
 	}
 }
@@ -187,7 +187,7 @@ func TestComposesWithAcousticAttack(t *testing.T) {
 	if _, err := dev.WriteAt(make([]byte, 512), 0); !errors.Is(err, blockdev.ErrIO) {
 		t.Fatalf("attacked write through wrapper: %v", err)
 	}
-	if dev.Stats().Injected() != 0 {
+	if injected(dev.stats) != 0 {
 		t.Fatal("drive error miscounted as injected")
 	}
 }
@@ -221,4 +221,9 @@ func TestKindStrings(t *testing.T) {
 			t.Fatalf("%d: %q", int(k), k.String())
 		}
 	}
+}
+
+// injected returns the total injected error count.
+func injected(s Stats) int64 {
+	return s.InjectedReadErrs + s.InjectedWriteErrs + s.InjectedFlushErrs
 }

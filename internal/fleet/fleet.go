@@ -207,9 +207,6 @@ func New(cfg Config) (*Fleet, error) {
 	return f, nil
 }
 
-// Config returns the effective configuration.
-func (f *Fleet) Config() Config { return f.cfg }
-
 // SetAttack programs site s's acoustic attack: steps sorted by offset;
 // before the first step (and with nil steps) every speaker at the site
 // is silent. Vibrations are superposed up front from the cached

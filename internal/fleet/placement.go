@@ -43,10 +43,6 @@ func minContainers(p Placement, n, sites int) int {
 	return shardsPerSite(n, sites)
 }
 
-// homeSite is the object's anchor facility; placement and traffic both
-// derive from it.
-func (f *Fleet) homeSite(o int) int { return o % len(f.cfg.Sites) }
-
 // shardSite maps (object, shard) to a site.
 func (f *Fleet) shardSite(o, j int) int {
 	s := len(f.cfg.Sites)

@@ -17,8 +17,8 @@ func TestAwarePlacementSpreadsBlastRadii(t *testing.T) {
 	n := f.coder.TotalShards()
 	S := len(f.cfg.Sites)
 	q := shardsPerSite(n, S)
-	if q > f.coder.ParityShards() {
-		t.Fatalf("test geometry cannot survive a site: %d shards/site > %d parity", q, f.coder.ParityShards())
+	if parity := f.coder.TotalShards() - f.coder.DataShards(); q > parity {
+		t.Fatalf("test geometry cannot survive a site: %d shards/site > %d parity", q, parity)
 	}
 	for o := 0; o < f.cfg.Objects; o++ {
 		perSite := make(map[int][]int)
@@ -64,7 +64,7 @@ func TestNaivePlacementIsOneBlastRadius(t *testing.T) {
 	}
 	n := f.coder.TotalShards()
 	for o := 0; o < f.cfg.Objects; o++ {
-		home := f.homeSite(o)
+		home := o % len(f.cfg.Sites)
 		for j := 0; j < n; j++ {
 			ni := f.shardNode(o, j)
 			if f.drives.Stacks[ni].Site != home {

@@ -1,7 +1,5 @@
 package hdd
 
-import "fmt"
-
 // SMARTAttribute mirrors the vendor-style health attributes an operator
 // would pull from a drive under acoustic stress: the raw counters that the
 // paper's dmesg evidence (§4.4) ultimately surfaces. IDs follow the
@@ -17,15 +15,6 @@ type SMARTAttribute struct {
 	Threshold int64
 	// Failing reports Value past Threshold.
 	Failing bool
-}
-
-// String renders the attribute like smartctl.
-func (a SMARTAttribute) String() string {
-	status := "-"
-	if a.Failing {
-		status = "FAILING_NOW"
-	}
-	return fmt.Sprintf("%3d %-28s %12d %s", a.ID, a.Name, a.Value, status)
 }
 
 // SMART returns the drive's current health attributes. The interesting

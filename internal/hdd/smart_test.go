@@ -1,7 +1,6 @@
 package hdd
 
 import (
-	"strings"
 	"testing"
 )
 
@@ -58,10 +57,6 @@ func TestSMARTUnderAttackShowsFingerprint(t *testing.T) {
 	if servo.Value < 100 {
 		t.Fatalf("servo retry rate = %d per 1k ops, want inflated", servo.Value)
 	}
-	rendered := servo.String()
-	if !strings.Contains(rendered, "Servo_Retries") {
-		t.Fatalf("rendering: %q", rendered)
-	}
 }
 
 func TestSMARTFailsAfterSustainedTimeouts(t *testing.T) {
@@ -77,7 +72,7 @@ func TestSMARTFailsAfterSustainedTimeouts(t *testing.T) {
 	}
 	for _, a := range d.SMART() {
 		if a.Name == "Command_Timeout" {
-			if !a.Failing || !strings.Contains(a.String(), "FAILING_NOW") {
+			if !a.Failing {
 				t.Fatalf("command timeout attribute: %+v", a)
 			}
 		}

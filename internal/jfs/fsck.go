@@ -2,8 +2,6 @@ package jfs
 
 import (
 	"fmt"
-
-	"deepnote/internal/metrics"
 )
 
 // FsckReport is the outcome of a consistency check.
@@ -21,20 +19,6 @@ type FsckReport struct {
 func (r *FsckReport) problemf(format string, args ...any) {
 	r.Clean = false
 	r.Problems = append(r.Problems, fmt.Sprintf(format, args...))
-}
-
-// PublishMetrics pushes the check's findings into a registry under the
-// "jfs." prefix (no-op on a nil registry).
-func (r FsckReport) PublishMetrics(reg *metrics.Registry) {
-	if reg == nil {
-		return
-	}
-	reg.Add("jfs.fsck_runs", 1)
-	reg.Add("jfs.fsck_problems", int64(len(r.Problems)))
-	reg.Add("jfs.fsck_files", int64(r.Files))
-	if !r.Clean {
-		reg.Add("jfs.fsck_unclean", 1)
-	}
 }
 
 // Fsck verifies the mounted filesystem's invariants against its in-memory

@@ -83,7 +83,7 @@ func (o Options) withDefaults() Options {
 
 // DBStats counts engine activity.
 type DBStats struct {
-	Puts, Gets, Deletes     int64
+	Puts, Gets              int64
 	MemtableFlushes         int64
 	Compactions             int64
 	WALFlushes, WALErrors   int64
@@ -186,7 +186,9 @@ func Open(fs *jfs.FS, clock *simclock.Virtual, opts Options) (*DB, error) {
 		case walOpPut:
 			db.mem.Put(rec.key, rec.value, rec.seq)
 		case walOpDelete:
-			db.mem.Delete(rec.key, rec.seq)
+			// The write path makes no tombstones, but the log format
+			// keeps them and replay honours them.
+			db.mem.insert(rec.key, nil, rec.seq)
 		}
 	}
 	db.wal = newWAL(wf, db.opts.WALFlushBytes)
@@ -205,7 +207,9 @@ func (db *DB) PublishMetrics(reg *metrics.Registry) {
 	s := db.stats
 	reg.Add("kvdb.puts", s.Puts)
 	reg.Add("kvdb.gets", s.Gets)
-	reg.Add("kvdb.deletes", s.Deletes)
+	// The store has no delete path; the key stays at zero so published
+	// snapshots keep their schema.
+	reg.Add("kvdb.deletes", 0)
 	reg.Add("kvdb.memtable_flushes", s.MemtableFlushes)
 	reg.Add("kvdb.compactions", s.Compactions)
 	reg.Add("kvdb.wal_flushes", s.WALFlushes)
@@ -249,36 +253,19 @@ func (db *DB) chargeCPU() { db.clock.Sleep(cpuCostPerOp) }
 // retrying the WAL, until either the device recovers or the stall limit
 // expires and the database crashes.
 func (db *DB) Put(key, value []byte) error {
-	return db.write(walRecord{op: walOpPut, key: key, value: value})
-}
-
-// Delete removes key (writes a tombstone).
-func (db *DB) Delete(key []byte) error {
-	return db.write(walRecord{op: walOpDelete, key: key})
-}
-
-func (db *DB) write(rec walRecord) error {
 	if err := db.guard(); err != nil {
 		return err
 	}
 	db.chargeCPU()
 	db.seq++
-	rec.seq = db.seq
-
-	if db.wal.append(rec) {
+	if db.wal.append(walRecord{seq: db.seq, op: walOpPut, key: key, value: value}) {
 		if err := db.persistWAL(); err != nil {
 			return err
 		}
 	}
-	switch rec.op {
-	case walOpPut:
-		db.mem.Put(rec.key, rec.value, rec.seq)
-		db.stats.Puts++
-		db.stats.BytesWritten += int64(len(rec.key) + len(rec.value))
-	case walOpDelete:
-		db.mem.Delete(rec.key, rec.seq)
-		db.stats.Deletes++
-	}
+	db.mem.Put(key, value, db.seq)
+	db.stats.Puts++
+	db.stats.BytesWritten += int64(len(key) + len(value))
 	if db.mem.ApproximateBytes() >= db.opts.MemtableBytes {
 		if err := db.flushMemtable(); err != nil {
 			return err
@@ -321,22 +308,6 @@ func (db *DB) persistWAL() error {
 // Options.RetryHook.
 func (db *DB) SetRetryHook(hook func(stalled time.Duration) bool) {
 	db.opts.RetryHook = hook
-}
-
-// SyncWAL makes everything written so far durable: the WAL buffer reaches
-// the file and the filesystem journal commits. This is the fsync-equivalent
-// a crash-consistency test needs before simulating power loss.
-func (db *DB) SyncWAL() error {
-	if err := db.guard(); err != nil {
-		return err
-	}
-	if err := db.persistWAL(); err != nil {
-		return err
-	}
-	if err := db.fs.Sync(); err != nil {
-		return db.storageFailure(err)
-	}
-	return nil
 }
 
 func (db *DB) crash(cause error) {

@@ -43,6 +43,15 @@ func newRig(t *testing.T, opts Options) *rig {
 	return &rig{clock: clock, disk: disk, fs: fs, db: db}
 }
 
+// tombstone logs a delete record for key and shadows it in the memtable.
+// The write path makes none, but the log and table formats keep them, so
+// Get, replay, flush and compaction must still honour them.
+func (db *DB) tombstone(key []byte) {
+	db.seq++
+	db.wal.append(walRecord{seq: db.seq, op: walOpDelete, key: key})
+	db.mem.insert(key, nil, db.seq)
+}
+
 func TestPutGetRoundTrip(t *testing.T) {
 	r := newRig(t, Options{})
 	if err := r.db.Put([]byte("key1"), []byte("value1")); err != nil {
@@ -68,9 +77,7 @@ func TestOverwriteAndDelete(t *testing.T) {
 	if string(v) != "v2" {
 		t.Fatalf("overwrite lost: %q", v)
 	}
-	if err := r.db.Delete([]byte("k")); err != nil {
-		t.Fatal(err)
-	}
+	r.db.tombstone([]byte("k"))
 	if _, err := r.db.Get([]byte("k")); !errors.Is(err, ErrNotFound) {
 		t.Fatalf("after delete: %v", err)
 	}
@@ -106,7 +113,7 @@ func TestCompactionMergesAndDropsTombstones(t *testing.T) {
 		r.db.Put(benchKey(i), val)
 	}
 	for i := 0; i < 50; i++ {
-		r.db.Delete(benchKey(i))
+		r.db.tombstone(benchKey(i))
 	}
 	for i := 100; i < 200; i++ {
 		r.db.Put(benchKey(i), val)
@@ -157,7 +164,8 @@ func TestWALReplayRebuildsMemtableOnly(t *testing.T) {
 	// reappear after reopen.
 	r := newRig(t, Options{WALFlushBytes: 1}) // flush WAL after every write
 	r.db.Put([]byte("wal-only"), []byte("recovered"))
-	if err := r.db.SyncWAL(); err != nil {
+	r.db.tombstone([]byte("wal-only-deleted"))
+	if err := r.db.wal.sync(); err != nil {
 		t.Fatal(err)
 	}
 	fs2, err := jfs.Mount(r.disk, r.clock, jfs.Config{})
@@ -174,6 +182,9 @@ func TestWALReplayRebuildsMemtableOnly(t *testing.T) {
 	}
 	if string(v) != "recovered" {
 		t.Fatalf("got %q", v)
+	}
+	if v, found := db2.mem.Get([]byte("wal-only-deleted")); !found || v != nil {
+		t.Fatalf("replayed tombstone: found %v, value %q", found, v)
 	}
 }
 
@@ -360,7 +371,7 @@ func TestMemtableOrderingAndTombstones(t *testing.T) {
 	m.Put([]byte("b"), []byte("2"), 1)
 	m.Put([]byte("a"), []byte("1"), 2)
 	m.Put([]byte("c"), []byte("3"), 3)
-	m.Delete([]byte("b"), 4)
+	m.insert([]byte("b"), nil, 4)
 	entries := m.Entries()
 	if len(entries) != 3 {
 		t.Fatalf("entries = %d", len(entries))
@@ -438,12 +449,37 @@ func TestSSTableRoundTrip(t *testing.T) {
 	if err != nil || len(all) != 3 {
 		t.Fatalf("entries: %v %d", err, len(all))
 	}
-	if tbl.Count() != 3 {
-		t.Fatal("count mismatch")
+	if tbl.count != 3 || reopened.count != 3 {
+		t.Fatalf("count %d, reopened %d", tbl.count, reopened.count)
 	}
-	min, max := tbl.KeyRange()
-	if string(min) != "a" || string(max) != "c" {
-		t.Fatalf("range %q..%q", min, max)
+	if string(reopened.minKey) != "a" || string(reopened.maxKey) != "c" {
+		t.Fatalf("range %q..%q", reopened.minKey, reopened.maxKey)
+	}
+}
+
+// TestEntryEncoding pins the table entry format byte for byte, the
+// tombstone marker included.
+func TestEntryEncoding(t *testing.T) {
+	for _, c := range []struct {
+		e    Entry
+		want []byte
+	}{
+		{Entry{Key: []byte("k"), Value: []byte("vv"), Seq: 7},
+			[]byte{1, 0, 'k', 2, 0, 0, 0, 'v', 'v', 7, 0, 0, 0, 0, 0, 0, 0}},
+		{Entry{Key: []byte("k"), Value: []byte{}, Seq: 7},
+			[]byte{1, 0, 'k', 0, 0, 0, 0, 7, 0, 0, 0, 0, 0, 0, 0}},
+		{Entry{Key: []byte("k"), Seq: 7}, // tombstone
+			[]byte{1, 0, 'k', 0xFF, 0xFF, 0xFF, 0xFF, 7, 0, 0, 0, 0, 0, 0, 0}},
+	} {
+		got := appendEntry(nil, c.e)
+		if !bytes.Equal(got, c.want) || len(got) != entrySize(c.e) {
+			t.Fatalf("%+v encodes as %v (size %d), want %v", c.e, got, entrySize(c.e), c.want)
+		}
+		back, n, err := decodeEntry(got)
+		if err != nil || n != len(got) || !bytes.Equal(back.Key, c.e.Key) ||
+			(back.Value == nil) != (c.e.Value == nil) || back.Seq != c.e.Seq {
+			t.Fatalf("%+v decodes as %+v, %d, %v", c.e, back, n, err)
+		}
 	}
 }
 

@@ -21,7 +21,7 @@ type skipNode struct {
 }
 
 // Memtable is an ordered in-memory write buffer. Later sequence numbers
-// shadow earlier ones for the same key; deletes are tombstones.
+// shadow earlier ones for the same key; a nil value is a tombstone.
 type Memtable struct {
 	head   *skipNode
 	height int
@@ -57,11 +57,6 @@ func (m *Memtable) randomHeight() int {
 // Put inserts or overwrites key with value at sequence seq.
 func (m *Memtable) Put(key, value []byte, seq uint64) {
 	m.insert(key, append([]byte(nil), value...), seq)
-}
-
-// Delete inserts a tombstone for key at sequence seq.
-func (m *Memtable) Delete(key []byte, seq uint64) {
-	m.insert(key, nil, seq)
 }
 
 func (m *Memtable) insert(key, value []byte, seq uint64) {

@@ -77,19 +77,23 @@ type SSTable struct {
 // engine restores its sequence counter from this at open time.
 func (t *SSTable) MaxSeq() uint64 { return t.maxSeq }
 
-func encodeEntry(e Entry) []byte {
+// entrySize is the encoded size of e:
+//
+//	u16 keyLen | key | u32 valLen | val | u64 seq
+func entrySize(e Entry) int { return 2 + len(e.Key) + 4 + len(e.Value) + 8 }
+
+// appendEntry appends e's encoding to dst; a nil Value is a tombstone.
+func appendEntry(dst []byte, e Entry) []byte {
 	vlen := uint32(len(e.Value))
 	if e.Value == nil {
 		vlen = 0xFFFFFFFF // tombstone marker
 	}
-	out := make([]byte, 2+len(e.Key)+4+len(e.Value)+8)
 	le := binary.LittleEndian
-	le.PutUint16(out[0:], uint16(len(e.Key)))
-	copy(out[2:], e.Key)
-	le.PutUint32(out[2+len(e.Key):], vlen)
-	copy(out[6+len(e.Key):], e.Value)
-	le.PutUint64(out[6+len(e.Key)+len(e.Value):], e.Seq)
-	return out
+	dst = le.AppendUint16(dst, uint16(len(e.Key)))
+	dst = append(dst, e.Key...)
+	dst = le.AppendUint32(dst, vlen)
+	dst = append(dst, e.Value...)
+	return le.AppendUint64(dst, e.Seq)
 }
 
 func decodeEntry(buf []byte) (Entry, int, error) {
@@ -129,11 +133,13 @@ func writeSSTable(fs *jfs.FS, name string, entries []Entry) (*SSTable, error) {
 	if err != nil {
 		return nil, err
 	}
-	var buf bytes.Buffer
-	header := make([]byte, 12)
-	binary.LittleEndian.PutUint64(header[0:], sstMagic)
-	binary.LittleEndian.PutUint32(header[8:], uint32(len(entries)))
-	buf.Write(header)
+	size := 12
+	for _, e := range entries {
+		size += entrySize(e)
+	}
+	raw := make([]byte, 12, size)
+	binary.LittleEndian.PutUint64(raw[0:], sstMagic)
+	binary.LittleEndian.PutUint32(raw[8:], uint32(len(entries)))
 
 	t := &SSTable{
 		Name:   name,
@@ -141,17 +147,17 @@ func writeSSTable(fs *jfs.FS, name string, entries []Entry) (*SSTable, error) {
 		minKey: entries[0].Key,
 		maxKey: entries[len(entries)-1].Key,
 		bloom:  newBloom(len(entries)),
+		index:  make([]indexEntry, 0, len(entries)),
 	}
 	for _, e := range entries {
-		enc := encodeEntry(e)
-		t.index = append(t.index, indexEntry{key: e.Key, offset: int64(buf.Len()), length: len(enc)})
+		off := len(raw)
+		raw = appendEntry(raw, e)
+		t.index = append(t.index, indexEntry{key: e.Key, offset: int64(off), length: len(raw) - off})
 		t.bloom.add(e.Key)
 		if e.Seq > t.maxSeq {
 			t.maxSeq = e.Seq
 		}
-		buf.Write(enc)
 	}
-	raw := buf.Bytes()
 	if _, err := f.WriteAt(raw, 0); err != nil {
 		// Clean up the partial file so the directory stays sane.
 		_ = fs.Remove(name)
@@ -195,12 +201,6 @@ func openSSTable(fs *jfs.FS, name string) (*SSTable, error) {
 	}
 	return t, nil
 }
-
-// Count returns the number of entries.
-func (t *SSTable) Count() int { return t.count }
-
-// KeyRange returns the table's [min, max] keys.
-func (t *SSTable) KeyRange() (min, max []byte) { return t.minKey, t.maxKey }
 
 // Get looks up key. found=false means not in this table. A found entry
 // with nil Value is a tombstone.

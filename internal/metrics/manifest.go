@@ -59,23 +59,6 @@ func Layer(name string) string {
 	return name
 }
 
-// Layers returns the distinct layer prefixes present in the snapshot that
-// have at least one non-zero counter, sorted.
-func (s Snapshot) Layers() []string {
-	set := map[string]bool{}
-	for name, v := range s.Counters {
-		if v != 0 {
-			set[Layer(name)] = true
-		}
-	}
-	out := make([]string, 0, len(set))
-	for l := range set {
-		out = append(out, l)
-	}
-	sort.Strings(out)
-	return out
-}
-
 // LayerTable renders the per-layer summary: for each layer, how many
 // counter series it published, the total event count, the error subtotal
 // (counters whose name contains "err"), and histogram sample counts.

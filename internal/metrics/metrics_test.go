@@ -136,14 +136,9 @@ func TestLayersAndTable(t *testing.T) {
 	r.Add("idle.nothing", 0)
 	r.Observe("fio.lat_ns", 100)
 	snap := r.Snapshot()
-	layers := snap.Layers()
-	want := []string{"fio", "hdd", "jfs"}
-	if len(layers) != len(want) {
-		t.Fatalf("layers = %v, want %v", layers, want)
-	}
-	for i := range want {
-		if layers[i] != want[i] {
-			t.Fatalf("layers = %v, want %v", layers, want)
+	for name, want := range map[string]string{"hdd.reads": "hdd", "fio.lat_ns": "fio", "nodot": "nodot"} {
+		if got := Layer(name); got != want {
+			t.Fatalf("Layer(%q) = %q, want %q", name, got, want)
 		}
 	}
 	out := snap.LayerTable().String()

@@ -75,14 +75,6 @@ const (
 	Put
 )
 
-// String names the op.
-func (o Op) String() string {
-	if o == Put {
-		return "PUT"
-	}
-	return "GET"
-}
-
 // Response is what a remote client observes: latency and status only.
 type Response struct {
 	// Latency is the client-observed round-trip time.

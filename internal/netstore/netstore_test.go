@@ -117,9 +117,6 @@ func TestConfigDefaults(t *testing.T) {
 	if cfg.ObjectSize != 64<<10 || cfg.Objects != 1024 || cfg.Timeout != 5*time.Second {
 		t.Fatalf("defaults: %+v", cfg)
 	}
-	if Get.String() != "GET" || Put.String() != "PUT" {
-		t.Fatal("op names")
-	}
 }
 
 func TestHandleObjectRoundTrip(t *testing.T) {

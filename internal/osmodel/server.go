@@ -24,10 +24,6 @@ import (
 var (
 	// ErrCrashed means the OS has crashed and rejects all work.
 	ErrCrashed = errors.New("osmodel: kernel panic - not syncing: I/O failure on root device")
-	// ErrNotBooted is returned before Boot completes.
-	ErrNotBooted = errors.New("osmodel: server not booted")
-	// ErrCommandFailed wraps command execution failures.
-	ErrCommandFailed = errors.New("osmodel: command failed")
 )
 
 // Config tunes the server model.
@@ -83,7 +79,6 @@ type Server struct {
 
 	dmesg      *Dmesg
 	booted     bool
-	bootedAt   time.Time
 	nextPageIn time.Time
 	nextLog    time.Time
 	logFile    *jfs.File
@@ -93,12 +88,10 @@ type Server struct {
 	crashed      bool
 	crashErr     error
 	crashedAt    time.Time
-	services     []*Service
 
 	// Stats
 	PageIns, PageInErrors int64
 	LogWrites, LogErrors  int64
-	Commands, CommandErrs int64
 	// Hangs counts transitions into the critical-failure state: episodes
 	// where root-device I/O started failing continuously (the paper's
 	// "system hangs" before the eventual panic).
@@ -144,7 +137,6 @@ func Boot(fs *jfs.FS, clock *simclock.Virtual, cfg Config) (*Server, error) {
 	}
 	s.logFile = lf
 	s.booted = true
-	s.bootedAt = clock.Now()
 	s.nextPageIn = clock.Now().Add(pageInInterval)
 	s.nextLog = clock.Now().Add(logInterval)
 	s.dmesg.Logf(clock.Now(), "Linux version 4.4.0-generic (Ubuntu 16.04-like server model)")
@@ -158,9 +150,6 @@ func (s *Server) Crashed() (bool, error) { return s.crashed, s.crashErr }
 // CrashedAt returns the virtual crash time (zero if alive).
 func (s *Server) CrashedAt() time.Time { return s.crashedAt }
 
-// Dmesg returns the kernel ring buffer contents.
-func (s *Server) Dmesg() []string { return s.dmesg.Lines() }
-
 // PublishMetrics pushes the server's counters into a registry under the
 // "osmodel." prefix (no-op on a nil registry).
 func (s *Server) PublishMetrics(reg *metrics.Registry) {
@@ -171,8 +160,10 @@ func (s *Server) PublishMetrics(reg *metrics.Registry) {
 	reg.Add("osmodel.page_in_errors", s.PageInErrors)
 	reg.Add("osmodel.log_writes", s.LogWrites)
 	reg.Add("osmodel.log_errors", s.LogErrors)
-	reg.Add("osmodel.commands", s.Commands)
-	reg.Add("osmodel.command_errors", s.CommandErrs)
+	// The model runs no shell commands; the two keys stay at zero so
+	// published snapshots keep their schema.
+	reg.Add("osmodel.commands", 0)
+	reg.Add("osmodel.command_errors", 0)
 	reg.Add("osmodel.hangs", s.Hangs)
 	reg.Add("osmodel.dmesg_lines", int64(len(s.dmesg.Lines())))
 	if s.crashed {
@@ -199,9 +190,6 @@ func (s *Server) Step() {
 	if !now.Before(s.nextLog) {
 		s.nextLog = now.Add(logInterval)
 		s.flushLog()
-	}
-	if !s.crashed {
-		s.stepServices()
 	}
 	s.fs.Tick()
 	// The filesystem dying underneath the OS is itself a critical
@@ -276,46 +264,6 @@ func (s *Server) criticalFailure(cause error) {
 		s.dmesg.Logf(now, "EXT4-fs error (device sda1): unable to read superblock")
 		s.dmesg.Logf(now, "Kernel panic - not syncing: I/O failure on root device")
 	}
-}
-
-// RunCommand executes a shell command by name: the binary must page in
-// from the root filesystem, exactly why `ls` stops working in the paper
-// once the drive is unreachable.
-func (s *Server) RunCommand(name string) error {
-	if !s.booted {
-		return ErrNotBooted
-	}
-	if s.crashed {
-		return s.crashErr
-	}
-	s.Commands++
-	bin := "bin_" + name
-	f, err := s.fs.Open(bin)
-	if err != nil {
-		s.CommandErrs++
-		return fmt.Errorf("%w: %s: %v", ErrCommandFailed, name, err)
-	}
-	// Page in the whole binary.
-	buf := make([]byte, f.Size())
-	if _, err := f.ReadAt(buf, 0); err != nil {
-		s.CommandErrs++
-		s.recordReadFailure(bin, 0, err)
-		return fmt.Errorf("%w: %s: %v", ErrCommandFailed, name, err)
-	}
-	s.criticalSuccess()
-	return nil
-}
-
-// Uptime returns time since boot (until crash, if crashed).
-func (s *Server) Uptime() time.Duration {
-	if !s.booted {
-		return 0
-	}
-	end := s.clock.Now()
-	if s.crashed {
-		end = s.crashedAt
-	}
-	return end.Sub(s.bootedAt)
 }
 
 // Dmesg is a bounded kernel message ring buffer.

@@ -27,12 +27,10 @@
 // transcendental evaluations; the serving hot path must never do it
 // per operation. The invalidation rules:
 //
-//   - Geometry change (sources or targets added, removed, or moved)
-//     invalidates the whole cache. Ensure detects dimension changes
-//     itself; a same-shape move must call Invalidate explicitly.
-//   - Excitation-set change (a source's tone frequency or drive level
-//     re-tuned) invalidates the rows of the affected sources; since the
-//     cache does not track tones, callers signal this with Invalidate.
+//   - A dimension change (sources or targets added or removed) rebuilds
+//     the whole cache; Ensure detects it.
+//   - The cache tracks neither positions nor tones, so a same-shape move
+//     or a re-tuned source needs a fresh cache (the zero value).
 //   - Keying sources on and off does NOT invalidate: an active-set mask
 //     only selects which cached gains are superposed. This is what makes
 //     attack schedules free — any on/off pattern over a fixed speaker
@@ -80,7 +78,7 @@ func (a Item) before(b Item) bool {
 // arrivals as they come), so the queue keeps two parts: a sorted run,
 // which takes every push that sorts at or after the run's tail and pops
 // from its front in O(1), and a binary min-heap, which takes every other
-// push. Pop and Peek take the earlier of the two heads, so the pop order
+// push. Pop takes the earlier of the two heads, so the pop order
 // is exactly (At, Seq) whatever the push order.
 type Queue struct {
 	// run[head:] holds the sorted run; run[:head] is popped space that
@@ -137,18 +135,6 @@ func (q *Queue) Push(at int64, id uint64) uint64 {
 // the run is empty or the heap's head sorts first.
 func (q *Queue) runFirst() bool {
 	return q.head < len(q.run) && (len(q.heap) == 0 || q.run[q.head].before(q.heap[0]))
-}
-
-// Peek returns the next event without removing it; ok is false when the
-// queue is empty.
-func (q *Queue) Peek() (Item, bool) {
-	switch {
-	case q.runFirst():
-		return q.run[q.head], true
-	case len(q.heap) > 0:
-		return q.heap[0], true
-	}
-	return Item{}, false
 }
 
 // Pop removes and returns the next event in (At, Seq) order; ok is
@@ -242,16 +228,9 @@ type TransferCache struct {
 	built            bool
 }
 
-// Built reports whether the cache currently holds a valid matrix.
-func (c *TransferCache) Built() bool { return c.built }
-
-// Invalidate drops the cached matrix. The next Ensure rebuilds it.
-func (c *TransferCache) Invalidate() { c.built = false }
-
 // Ensure makes the cache valid for a sources×targets geometry, calling
 // fill exactly once per pair on (re)build. A dimension change implies a
-// geometry change and rebuilds; a same-shape geometry or excitation
-// change must be signaled with Invalidate first.
+// geometry change and rebuilds; nothing else does.
 func (c *TransferCache) Ensure(sources, targets int, fill func(source, target int) float64) {
 	if c.built && c.sources == sources && c.targets == targets {
 		return

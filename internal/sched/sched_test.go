@@ -105,8 +105,7 @@ func TestTransferCacheFillOnce(t *testing.T) {
 	}
 }
 
-// TestTransferCacheInvalidation: explicit invalidation and dimension
-// changes rebuild; nothing else does.
+// TestTransferCacheInvalidation: a dimension change rebuilds the cache.
 func TestTransferCacheInvalidation(t *testing.T) {
 	var c TransferCache
 	calls := 0
@@ -116,13 +115,9 @@ func TestTransferCacheInvalidation(t *testing.T) {
 	if calls != 4+6 {
 		t.Fatalf("fill calls %d, want 10 after dimension change", calls)
 	}
-	c.Invalidate()
-	if c.Built() {
-		t.Fatal("cache still built after Invalidate")
-	}
-	c.Ensure(2, 3, fill)
-	if calls != 16 {
-		t.Fatalf("fill calls %d, want 16 after Invalidate", calls)
+	c.Ensure(2, 3, fill) // same shape: no rebuild
+	if calls != 4+6 {
+		t.Fatalf("fill calls %d, want 10 after a same-shape Ensure", calls)
 	}
 }
 
@@ -193,9 +188,6 @@ func TestQueueMatchesSortedOrder(t *testing.T) {
 			// Drain part way, pushing follow-ups mid-drain as a handler
 			// would: some at the popped time, some later, some earlier.
 			for d := rng.Intn(n + 1); d > 0; d-- {
-				if p, ok := q.Peek(); !ok || p != ref[ref.next()] {
-					t.Fatalf("%s: Peek %+v disagrees with reference", name, p)
-				}
 				it, _ := q.Pop()
 				want := ref.pop()
 				if it != want {
@@ -236,8 +228,8 @@ func TestQueueResetRestartsSequence(t *testing.T) {
 	if q.Len() != 0 {
 		t.Fatalf("Len %d after Reset", q.Len())
 	}
-	if _, ok := q.Peek(); ok {
-		t.Fatal("Peek found an event after Reset")
+	if it, ok := q.Pop(); ok {
+		t.Fatalf("Pop found %+v after Reset", it)
 	}
 	if seq := q.Push(0, 2); seq != 0 {
 		t.Fatalf("first Seq after Reset = %d, want 0", seq)

@@ -185,19 +185,6 @@ func (a Ambient) params(w int, dst []AmbientComponent, rng *rand.Rand) ([]Ambien
 	return dst, 0
 }
 
-// Components appends window w's narrowband lines to dst and returns it.
-func (a Ambient) Components(w int, dst []AmbientComponent) []AmbientComponent {
-	dst, _ = a.params(w, dst, a.rng(w))
-	return dst
-}
-
-// BroadbandSigma returns window w's broadband telemetry jitter (1σ,
-// track-pitch fractions).
-func (a Ambient) BroadbandSigma(w int) float64 {
-	_, sigma := a.params(w, nil, a.rng(w))
-	return sigma
-}
-
 // NominalSigma returns the scenario's baseline broadband jitter — the
 // non-burst level experiments use to place a hostile tone at a target SNR
 // over the ambient floor.

@@ -78,12 +78,12 @@ func TestAmbientRenderAddsEnergy(t *testing.T) {
 
 func TestAmbientLevelPointerSemantics(t *testing.T) {
 	a := NewAmbient(AmbientRain, 1)
-	if a.BroadbandSigma(0) <= 0 {
+	if a.broadbandSigma(0) <= 0 {
 		t.Fatal("nil Level must mean nominal, not silent")
 	}
 	zero := 0.0
 	a.Level = &zero
-	if a.BroadbandSigma(0) != 0 {
+	if a.broadbandSigma(0) != 0 {
 		t.Fatal("explicit Level 0 must be honored as silence")
 	}
 	buf := make([]float64, 64)
@@ -104,7 +104,7 @@ func TestAmbientStructure(t *testing.T) {
 	// The pump's comb: five harmonics of 120 Hz, three inside the
 	// vulnerable band, each loud enough to trip a naive amplitude gate.
 	pump := NewAmbient(AmbientPump, 3)
-	comps := pump.Components(0, nil)
+	comps := pump.components(0)
 	if len(comps) != 5 {
 		t.Fatalf("pump lines = %d, want 5", len(comps))
 	}
@@ -125,7 +125,7 @@ func TestAmbientStructure(t *testing.T) {
 	}
 	// Rain and shrimp are pure broadband.
 	for _, k := range []AmbientKind{AmbientRain, AmbientShrimp, AmbientCreak} {
-		if got := NewAmbient(k, 3).Components(0, nil); len(got) != 0 {
+		if got := NewAmbient(k, 3).components(0); len(got) != 0 {
 			t.Fatalf("%v must have no narrowband lines, got %d", k, len(got))
 		}
 	}
@@ -134,7 +134,7 @@ func TestAmbientStructure(t *testing.T) {
 	base := shrimp.NominalSigma()
 	bursts, calm := 0, 0
 	for w := 0; w < 64; w++ {
-		if s := shrimp.BroadbandSigma(w); s > 2*base {
+		if s := shrimp.broadbandSigma(w); s > 2*base {
 			bursts++
 		} else {
 			calm++
@@ -176,4 +176,17 @@ func TestRenderScaledInto(t *testing.T) {
 			}
 		}
 	}
+}
+
+// components returns window w's narrowband lines.
+func (a Ambient) components(w int) []AmbientComponent {
+	comps, _ := a.params(w, nil, a.rng(w))
+	return comps
+}
+
+// broadbandSigma returns window w's broadband telemetry jitter (1σ,
+// track-pitch fractions).
+func (a Ambient) broadbandSigma(w int) float64 {
+	_, sigma := a.params(w, nil, a.rng(w))
+	return sigma
 }

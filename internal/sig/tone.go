@@ -71,15 +71,3 @@ func (t Tone) Samples(sampleRateHz float64, n int) []float64 {
 	}
 	return out
 }
-
-// RMSOf computes the RMS of a sample slice.
-func RMSOf(samples []float64) float64 {
-	if len(samples) == 0 {
-		return 0
-	}
-	var sum float64
-	for _, s := range samples {
-		sum += s * s
-	}
-	return math.Sqrt(sum / float64(len(samples)))
-}

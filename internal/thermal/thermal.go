@@ -117,19 +117,3 @@ func (m Model) ThrottleFactor(loadMBps float64) float64 {
 		return 1 - (t-ThrottleAtC)/(ShutdownAtC-ThrottleAtC)
 	}
 }
-
-// HeadroomC returns how many °C of defense penalty the enclosure can
-// absorb at the given load before throttling begins. Negative headroom
-// means the configuration already throttles.
-func (m Model) HeadroomC(loadMBps float64) float64 {
-	return ThrottleAtC - m.DriveTempC(loadMBps)
-}
-
-// MaxDefenseBudgetC returns the largest defense thermal penalty that keeps
-// the drive out of throttling at the given sustained load — the number a
-// deployment engineer actually needs when choosing a lining thickness.
-func (m Model) MaxDefenseBudgetC(loadMBps float64) float64 {
-	base := m
-	base.DefensePenaltyC = 0
-	return ThrottleAtC - base.DriveTempC(loadMBps)
-}

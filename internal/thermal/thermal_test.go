@@ -1,7 +1,6 @@
 package thermal
 
 import (
-	"math"
 	"testing"
 	"testing/quick"
 
@@ -40,7 +39,7 @@ func TestDefensePenaltyPushesIntoThrottle(t *testing.T) {
 	load := 22.7
 	base := m.DriveTempC(load)
 	// A defense stack costing more than the headroom throttles the drive.
-	headroom := m.HeadroomC(load)
+	headroom := ThrottleAtC - base
 	if headroom <= 0 {
 		t.Fatalf("baseline should have headroom, temp %.1f", base)
 	}
@@ -67,7 +66,7 @@ func TestThrottleFactorContinuous(t *testing.T) {
 	m := Default(water.Seawater(20))
 	// Find the penalty that lands exactly on the throttle point; the
 	// factor must decrease continuously past it.
-	budget := m.MaxDefenseBudgetC(20)
+	budget := ThrottleAtC - m.DriveTempC(20)
 	prev := 1.0
 	for extra := 0.0; extra <= 12; extra += 1 {
 		f := m.WithDefensePenalty(budget + extra).ThrottleFactor(20)
@@ -81,17 +80,10 @@ func TestThrottleFactorContinuous(t *testing.T) {
 	}
 }
 
-func TestMaxDefenseBudgetIgnoresInstalledPenalty(t *testing.T) {
-	m := Default(water.Seawater(20))
-	if got, want := m.WithDefensePenalty(10).MaxDefenseBudgetC(5), m.MaxDefenseBudgetC(5); math.Abs(got-want) > 1e-9 {
-		t.Fatalf("budget changed with installed penalty: %v != %v", got, want)
-	}
-}
-
 func TestWarmShallowWaterHasLessBudget(t *testing.T) {
 	cold := Default(water.Seawater(36))
 	warm := Default(water.Medium{TempC: 28, SalinityPSU: 35, DepthM: 5, AcidityPH: 8})
-	if warm.MaxDefenseBudgetC(20) >= cold.MaxDefenseBudgetC(20) {
+	if warm.DriveTempC(20) <= cold.DriveTempC(20) {
 		t.Fatal("warm shallow water must leave less thermal budget for defenses")
 	}
 }

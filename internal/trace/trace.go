@@ -41,9 +41,6 @@ func (m *Meter) Add(n int64) {
 	m.counts[idx] += n
 }
 
-// BucketWidth returns the configured width.
-func (m *Meter) BucketWidth() time.Duration { return m.width }
-
 // lastBucket returns the highest bucket index covered by the meter: the
 // last bucket touched by Add, extended through "now" so trailing silence
 // is visible too. Returns -1 when nothing is covered yet.

@@ -93,7 +93,7 @@ func TestMeterMeanOverlapSemantics(t *testing.T) {
 
 func TestMeterDefaultBucket(t *testing.T) {
 	m := NewMeter(simclock.NewVirtual(), 0)
-	if m.BucketWidth() != time.Second {
+	if m.width != time.Second {
 		t.Fatal("default bucket should be 1s")
 	}
 }

@@ -17,8 +17,8 @@ const (
 )
 
 // SPL is a sound pressure level in dB relative to an explicit reference
-// pressure. The zero value is meaningless; construct SPLs with NewSPL,
-// SPLFromPressure, or the water/air helpers.
+// pressure. The zero value is meaningless; construct SPLs with WaterSPL,
+// SPLFromPressure, or a literal with an explicit Ref.
 type SPL struct {
 	// DB is the level in decibels relative to Ref.
 	DB float64
@@ -26,14 +26,8 @@ type SPL struct {
 	Ref Pressure
 }
 
-// NewSPL builds an SPL from a dB figure and reference pressure.
-func NewSPL(db float64, ref Pressure) SPL { return SPL{DB: db, Ref: ref} }
-
 // WaterSPL builds an underwater SPL (re 1 µPa).
 func WaterSPL(db float64) SPL { return SPL{DB: db, Ref: RefPressureWater} }
-
-// AirSPL builds an in-air SPL (re 20 µPa).
-func AirSPL(db float64) SPL { return SPL{DB: db, Ref: RefPressureAir} }
 
 // SPLFromPressure converts an RMS pressure to a level against ref.
 func SPLFromPressure(p Pressure, ref Pressure) SPL {
@@ -78,10 +72,4 @@ func (s SPL) String() string {
 	default:
 		return fmt.Sprintf("%.4gdB re %.4gPa", s.DB, float64(s.Ref))
 	}
-}
-
-// AirToWaterOffsetDB is the conventional offset added to an in-air SPL
-// figure to express the same pressure underwater, per the paper's §2.2.
-func AirToWaterOffsetDB() Decibel {
-	return Decibel(20 * math.Log10(float64(RefPressureAir)/float64(RefPressureWater)))
 }

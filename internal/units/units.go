@@ -105,10 +105,6 @@ type Decibel float64
 // (20·log10 convention).
 func (g Decibel) Linear() float64 { return math.Pow(10, float64(g)/20) }
 
-// PowerLinear converts a power-ratio decibel value to a linear factor
-// (10·log10 convention).
-func (g Decibel) PowerLinear() float64 { return math.Pow(10, float64(g)/10) }
-
 // String renders the value with a dB suffix.
 func (g Decibel) String() string { return fmt.Sprintf("%.4gdB", float64(g)) }
 
@@ -119,13 +115,4 @@ func AmplitudeRatioDB(ratio float64) Decibel {
 		return Decibel(math.Inf(-1))
 	}
 	return Decibel(20 * math.Log10(ratio))
-}
-
-// PowerRatioDB converts a linear power ratio to decibels (10·log10
-// convention). A non-positive ratio maps to -Inf dB.
-func PowerRatioDB(ratio float64) Decibel {
-	if ratio <= 0 {
-		return Decibel(math.Inf(-1))
-	}
-	return Decibel(10 * math.Log10(ratio))
 }

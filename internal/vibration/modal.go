@@ -57,16 +57,6 @@ func (m Mode) Response(f units.Frequency) float64 {
 	return m.Gain / denom
 }
 
-// PeakResponse returns the response at resonance, Gain·Q.
-func (m Mode) PeakResponse() float64 { return m.Gain * m.Q }
-
-// HalfPowerBand returns the approximate −3 dB band of the mode,
-// [F0(1−1/2Q), F0(1+1/2Q)].
-func (m Mode) HalfPowerBand() (lo, hi units.Frequency) {
-	half := float64(m.F0) / (2 * m.Q)
-	return m.F0 - units.Frequency(half), m.F0 + units.Frequency(half)
-}
-
 // String renders the mode.
 func (m Mode) String() string {
 	return fmt.Sprintf("mode(f0=%v Q=%.3g gain=%.3g)", m.F0, m.Q, m.Gain)
@@ -100,20 +90,4 @@ func (s Stack) Response(f units.Frequency) float64 {
 		sum += r * r
 	}
 	return math.Sqrt(sum)
-}
-
-// PeakFrequency returns the frequency in [lo, hi] (searched in step
-// increments) where the stack's response is largest, along with the
-// response value. It is used by tests and by attackers characterizing a
-// structure.
-func (s Stack) PeakFrequency(lo, hi, step units.Frequency) (units.Frequency, float64) {
-	bestF := lo
-	bestR := -1.0
-	for f := lo; f <= hi; f += step {
-		if r := s.Response(f); r > bestR {
-			bestR = r
-			bestF = f
-		}
-	}
-	return bestF, bestR
 }

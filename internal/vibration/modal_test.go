@@ -14,9 +14,6 @@ func TestModeResponseAtResonance(t *testing.T) {
 	if math.Abs(got-10) > 1e-9 {
 		t.Fatalf("Response(F0) = %v, want Gain*Q = 10", got)
 	}
-	if m.PeakResponse() != 10 {
-		t.Fatalf("PeakResponse = %v, want 10", m.PeakResponse())
-	}
 }
 
 func TestModeResponseDC(t *testing.T) {
@@ -46,15 +43,12 @@ func TestModeResponsePeaksNearF0(t *testing.T) {
 }
 
 func TestModeHalfPowerBand(t *testing.T) {
+	// The half-power band is F0 ± F0/(2Q) = [950, 1050]; the response at
+	// its edges should be ≈ peak/√2 (within the standard narrowband
+	// approximation).
 	m := Mode{F0: 1000, Q: 10, Gain: 1}
-	lo, hi := m.HalfPowerBand()
-	if math.Abs(float64(lo-950)) > 1e-6 || math.Abs(float64(hi-1050)) > 1e-6 {
-		t.Fatalf("half power band = [%v, %v], want [950, 1050]", lo, hi)
-	}
-	// Response at band edges should be ≈ peak/√2 (within the standard
-	// narrowband approximation).
 	peak := m.Response(1000)
-	edge := m.Response(lo)
+	edge := m.Response(950)
 	if math.Abs(edge/peak-1/math.Sqrt2) > 0.05 {
 		t.Fatalf("edge/peak = %v, want ≈0.707", edge/peak)
 	}
@@ -108,7 +102,13 @@ func TestStackValidate(t *testing.T) {
 
 func TestStackPeakFrequency(t *testing.T) {
 	s := Stack{{F0: 700, Q: 10, Gain: 1}, {F0: 1500, Q: 3, Gain: 1}}
-	f, r := s.PeakFrequency(100, 2000, 10)
+	var f units.Frequency
+	r := -1.0
+	for g := units.Frequency(100); g <= 2000; g += 10 {
+		if resp := s.Response(g); resp > r {
+			f, r = g, resp
+		}
+	}
 	if math.Abs(float64(f-700)) > 10 {
 		t.Fatalf("peak at %v, want ≈700", f)
 	}

@@ -86,21 +86,6 @@ func (m Medium) SoundSpeed() float64 {
 	return 1449.2 + 4.6*t - 0.055*t*t + 0.00029*t*t*t + (1.34-0.010*t)*(s-35) + 0.016*z
 }
 
-// Density returns an approximate water density in kg/m³ as a linear
-// perturbation around 1000 kg/m³ for temperature, salinity, and pressure.
-// (UNESCO-grade equations of state are unnecessary at the fidelity of this
-// simulation; the dominant effect on coupling is the ~3% swing between
-// fresh and saline water.)
-func (m Medium) Density() float64 {
-	return 1000 - 0.15*(m.TempC-10) + 0.78*m.SalinityPSU + 0.0045*m.DepthM
-}
-
-// CharacteristicImpedance returns ρc in rayl (Pa·s/m), the quantity that
-// governs how much acoustic pressure couples into a submerged structure.
-func (m Medium) CharacteristicImpedance() float64 {
-	return m.Density() * m.SoundSpeed()
-}
-
 // Absorption returns the absorption coefficient α in dB/km at frequency f,
 // using the Ainslie & McColm (1998) simplified formula: a boric-acid
 // relaxation term, a magnesium-sulfate relaxation term, and a viscous term.
@@ -142,14 +127,6 @@ func (m Medium) Absorption(f units.Frequency) float64 {
 // frequency f. Tank-scale distances yield losses far below a millidecibel.
 func (m Medium) AbsorptionLoss(f units.Frequency, d units.Distance) units.Decibel {
 	return units.Decibel(m.Absorption(f) * d.Kilometers())
-}
-
-// Wavelength returns the acoustic wavelength in meters at frequency f.
-func (m Medium) Wavelength(f units.Frequency) float64 {
-	if f <= 0 {
-		return math.Inf(1)
-	}
-	return m.SoundSpeed() / f.Hertz()
 }
 
 // String summarizes the medium.

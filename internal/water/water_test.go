@@ -118,33 +118,6 @@ func TestAbsorptionZeroAtZeroFrequency(t *testing.T) {
 	}
 }
 
-func TestDensityAndImpedance(t *testing.T) {
-	fresh := FreshwaterTank()
-	sea := Seawater(36)
-	if fresh.Density() < 990 || fresh.Density() > 1005 {
-		t.Fatalf("fresh density = %v, want ≈1000", fresh.Density())
-	}
-	if sea.Density() <= fresh.Density() {
-		t.Fatal("seawater must be denser than freshwater")
-	}
-	z := fresh.CharacteristicImpedance()
-	if z < 1.4e6 || z > 1.6e6 {
-		t.Fatalf("freshwater impedance = %v rayl, want ≈1.48e6", z)
-	}
-}
-
-func TestWavelength(t *testing.T) {
-	m := FreshwaterTank()
-	wl := m.Wavelength(650 * units.Hz)
-	want := m.SoundSpeed() / 650
-	if math.Abs(wl-want) > 1e-9 {
-		t.Fatalf("Wavelength = %v, want %v", wl, want)
-	}
-	if !math.IsInf(m.Wavelength(0), 1) {
-		t.Fatal("Wavelength(0) should be +Inf")
-	}
-}
-
 func TestValidate(t *testing.T) {
 	good := []Medium{FreshwaterTank(), Seawater(36), BalticAt50m()}
 	for _, m := range good {
