@@ -20,13 +20,14 @@ import (
 // any -workers value and with metrics on or off.
 func cmdExfil(args []string) error {
 	fs := flag.NewFlagSet("exfil", flag.ExitOnError)
-	distances := fs.String("distances", "5,20,80", "comma-separated transmitter-to-hydrophone ranges in m")
-	depths := fs.String("depths", "0,6", "comma-separated facility surface depths in m (0 = deep water)")
-	rates := fs.String("rates", "16,32,64", "comma-separated signaling rates in baud")
-	frames := fs.Int("frames", 3, "frames transmitted per offense cell")
-	detectFrames := fs.Int("detect-frames", 8, "frames transmitted per defense cell")
-	seed := fs.Int64("seed", 1, "base seed")
-	workers := fs.Int("workers", 0, "parallel workers (0 = one per CPU)")
+	spec := experiment.DefaultExfilSpec()
+	distances := fs.String("distances", listDefault(spec.Distances), "comma-separated transmitter-to-hydrophone ranges in m")
+	depths := fs.String("depths", listDefault(spec.Depths), "comma-separated facility surface depths in m (0 = deep water)")
+	rates := fs.String("rates", listDefault(spec.SymbolRates), "comma-separated signaling rates in baud")
+	fs.IntVar(&spec.Frames, "frames", spec.Frames, "frames transmitted per offense cell")
+	fs.IntVar(&spec.DetectFrames, "detect-frames", spec.DetectFrames, "frames transmitted per defense cell")
+	fs.Int64Var(&spec.Seed, "seed", spec.Seed, "base seed")
+	fs.IntVar(&spec.Workers, "workers", spec.Workers, "parallel workers (0 = one per CPU)")
 	o := addObsFlags(fs)
 	fs.Parse(args)
 
@@ -42,16 +43,9 @@ func cmdExfil(args []string) error {
 	if err != nil {
 		return err
 	}
-	res, err := experiment.ExfilRun(experiment.ExfilSpec{
-		Distances:    metersOf(distList),
-		Depths:       metersOf(depthList),
-		SymbolRates:  rateList,
-		Frames:       *frames,
-		DetectFrames: *detectFrames,
-		Seed:         *seed,
-		Workers:      *workers,
-		Metrics:      o.registry(),
-	})
+	spec.Distances, spec.Depths, spec.SymbolRates = metersOf(distList), metersOf(depthList), rateList
+	spec.Metrics = o.registry()
+	res, err := experiment.ExfilRun(spec)
 	if err != nil {
 		return err
 	}
@@ -64,7 +58,17 @@ func cmdExfil(args []string) error {
 	fmt.Print(experiment.ExfilDetectReport(res).String())
 	fmt.Printf("bit-exact recovery at %d distances over %d ambient backgrounds; best goodput %.2f b/s\n",
 		res.RecoveredDistances, res.RecoveredAmbients, res.BestGoodputBps)
-	return o.finish("exfil", args, *seed, *workers)
+	return o.finish("exfil", args, spec.Seed, spec.Workers)
+}
+
+// listDefault formats a spec's list as a comma-separated flag default
+// (distances in meters).
+func listDefault[T ~float64](vals []T) string {
+	parts := make([]string, len(vals))
+	for i, v := range vals {
+		parts[i] = strconv.FormatFloat(float64(v), 'g', -1, 64)
+	}
+	return strings.Join(parts, ",")
 }
 
 // parseFloatList parses the comma-separated list given to flag name. Every

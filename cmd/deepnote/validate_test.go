@@ -51,6 +51,9 @@ func TestFacilityIntegrityOutageRejectBadFlags(t *testing.T) {
 		{"exfil", "-distances", "0"},
 		{"exfil", "-distances", "20,-3"},
 		{"exfil", "-depths", "-1"},
+		// These ran 3 and 8 frames instead.
+		{"exfil", "-frames", "0"},
+		{"exfil", "-detect-frames", "0"},
 	} {
 		if code := runMain(t, args...); code != 1 {
 			t.Errorf("deepnote %v exited %d, want 1", args, code)

@@ -19,9 +19,6 @@ import (
 	"deepnote/internal/units"
 )
 
-// Ptr returns a pointer to v — shorthand for the optional spec fields.
-func Ptr[T any](v T) *T { return &v }
-
 // FingerprintSpec configures one monitored run.
 type FingerprintSpec struct {
 	Scenario core.Scenario

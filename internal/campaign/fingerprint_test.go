@@ -9,6 +9,9 @@ import (
 	"deepnote/internal/sig"
 )
 
+// ptr returns a pointer to v, for the optional spec fields.
+func ptr[T any](v T) *T { return &v }
+
 // The campaign-level false-positive pin: a monitored victim listening to
 // each benign ambient scenario for the full run, with no attack keyed,
 // must end with zero alarms on every detection layer.
@@ -16,7 +19,7 @@ func TestFingerprintCampaignBenignRunRaisesNoAlarms(t *testing.T) {
 	for _, kind := range sig.AmbientKinds() {
 		res, err := FingerprintSpec{
 			Ambient:  sig.NewAmbient(kind, 3),
-			ToneAmp:  Ptr(0.0),
+			ToneAmp:  ptr(0.0),
 			Duration: 12 * time.Second,
 			Seed:     3,
 		}.Run()

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"deepnote/internal/metrics"
+	"deepnote/internal/netstore"
 	"deepnote/internal/sig"
 	"deepnote/internal/units"
 )
@@ -96,6 +97,39 @@ func TestClusterSurvivesUpToParityDomains(t *testing.T) {
 				t.Fatalf("silenced=%d: PUT availability %.4f, want 0", silenced, got)
 			}
 		}
+	}
+}
+
+// TestClusterHomeShardChecksum is the one integrity contract: a home
+// shard whose bytes no longer match its stripe fails its GET op like any
+// shard error, so reads of that object fall back to parity and are served
+// degraded — never served corrupt.
+func TestClusterHomeShardChecksum(t *testing.T) {
+	c, err := New(testConfig(0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Preload(); err != nil {
+		t.Fatal(err)
+	}
+	// Overwrite object 0's shard 0 with netstore's fixed pattern, which is
+	// not the stripe.
+	if resp := c.drives.Stacks[c.shardDrive(0, 0)].Server.Handle(netstore.Put, 0); resp.Err != nil {
+		t.Fatal(resp.Err)
+	}
+	res, err := c.Serve(TrafficSpec{Requests: 200, Rate: 2000, ReadFraction: Ptr(1.0)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Gets != 200 || res.GetOK != res.Gets {
+		t.Fatalf("served %d of %d GETs, want all 200", res.GetOK, res.Gets)
+	}
+	if res.CorruptReads != 0 {
+		t.Fatalf("%d corrupt reads, want 0", res.CorruptReads)
+	}
+	if res.ShardReadErrors == 0 || res.DegradedReads == 0 {
+		t.Fatalf("mismatching shard was served: %d shard read errors, %d degraded reads",
+			res.ShardReadErrors, res.DegradedReads)
 	}
 }
 

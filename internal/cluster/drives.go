@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"bytes"
 	"context"
 	"fmt"
 	"sort"
@@ -81,7 +82,7 @@ type Drives struct {
 	// Stacks holds every drive, in site → container → slot order.
 	Stacks []*DriveStack
 	// Stripes caches each object's encoded shards; client PUTs rewrite
-	// the same deterministic content, so GET verification is exact.
+	// the same deterministic content, so ShardOp's GET check is exact.
 	Stripes [][][]byte
 
 	model      hdd.Model
@@ -166,8 +167,7 @@ func NewDrives(spec DriveSpec) (*Drives, error) {
 func (d *Drives) Site(s int) (base, size int) { return d.sites[s].base, d.sites[s].size }
 
 // Payload is the deterministic content of object o. Client PUTs write
-// the same bytes, so any successful read — direct or reconstructed —
-// must match exactly; a mismatch is counted as a corrupt read.
+// the same bytes, so its stripe is what every shard read must return.
 func (d *Drives) Payload(o int) []byte {
 	b := make([]byte, d.objectSize)
 	for i := range b {
@@ -264,6 +264,29 @@ func (d *Drives) Preload(place func(o, j int) int) error {
 	}
 	d.preloaded = true
 	return nil
+}
+
+// ShardOp runs one shard op on drive di's netstore under local key: a
+// PUT writes shard `shard` of object's stripe, a GET reads key back and
+// compares the bytes with that stripe shard. This is the one integrity
+// contract of both serving tiers, the end-to-end checksum: ok reports a
+// durable write or a read whose bytes match; checksum reports a read whose
+// bytes came back but differ (a vibration-corrupted sector, a replica
+// write that never landed), which fails the op — a mismatching shard is
+// never served. It allocates nothing: the server hands out a view of its
+// request buffer.
+func (d *Drives) ShardOp(di int, put bool, key, object, shard int) (ok, checksum bool) {
+	srv, stripe := d.Stacks[di].Server, d.Stripes[object][shard]
+	if put {
+		_, resp := srv.HandleObjectShared(netstore.Put, key, stripe)
+		return resp.Err == nil, false
+	}
+	data, resp := srv.HandleObjectShared(netstore.Get, key, nil)
+	if resp.Err != nil {
+		return false, false
+	}
+	ok = bytes.Equal(data, stripe)
+	return ok, !ok
 }
 
 // Preloaded reports whether Preload has set the serving origin.

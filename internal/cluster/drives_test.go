@@ -116,6 +116,25 @@ func TestScheduleApplyAllocFree(t *testing.T) {
 	}
 }
 
+// TestShardOpAllocFree: the shard op both serving tiers dispatch, GET
+// checksum included, must not allocate.
+func TestShardOpAllocFree(t *testing.T) {
+	d := twoSiteDrives(t)
+	if err := d.Preload(func(o, j int) int { return (o + j) % len(d.Stacks) }); err != nil {
+		t.Fatal(err)
+	}
+	for _, put := range []bool{false, true} {
+		allocs := testing.AllocsPerRun(200, func() {
+			if ok, _ := d.ShardOp(1, put, 1, 1, 0); !ok {
+				t.Fatalf("put=%v: shard op failed", put)
+			}
+		})
+		if allocs != 0 {
+			t.Fatalf("put=%v: ShardOp allocates %.1f times per op", put, allocs)
+		}
+	}
+}
+
 // TestLatencyQuantilesNearestRank: the integer rank (n·p+99)/100 equals
 // the float nearest rank ceil(q·n) for every n up to 5000.
 func TestLatencyQuantilesNearestRank(t *testing.T) {

@@ -72,10 +72,6 @@ type driveBufs struct {
 	// results accumulates one record per dispatched shard op within an
 	// epoch; the engine combines them serially and truncates. Reused.
 	results []opResult
-	// retained holds copies of GET payloads that mismatched their
-	// expected stripe bytes — the rare device-corruption case that needs
-	// the exact decode fallback. Reused.
-	retained []retainedShard
 }
 
 // ScheduleStep keys the attacker's speakers at an offset from the start
@@ -89,10 +85,9 @@ type ScheduleStep struct {
 // Cluster is the assembled datacenter: n-shard erasure-coded object
 // store over a one-site drive substrate.
 type Cluster struct {
-	cfg       Config
-	coder     *Coder
-	shardSize int
-	drives    *Drives
+	cfg    Config
+	coder  *Coder
+	drives *Drives
 	// bufs[di] is drive di's buffers, allocated apart so concurrently
 	// draining drives never share a cache line.
 	bufs []*driveBufs
@@ -111,7 +106,6 @@ type Cluster struct {
 	pendingBuf [2][]int32
 	failedBuf  []failRec
 	repairBuf  []repairOp
-	retained   map[retKey][]byte
 }
 
 // New assembles a cluster. Every drive gets an independently seeded
@@ -141,12 +135,10 @@ func New(cfg Config) (*Cluster, error) {
 		return nil, err
 	}
 	c := &Cluster{
-		cfg:       cfg,
-		coder:     coder,
-		shardSize: coder.ShardSize(cfg.ObjectSize),
-		drives:    drives,
-		bufs:      make([]*driveBufs, len(drives.Stacks)),
-		retained:  make(map[retKey][]byte),
+		cfg:    cfg,
+		coder:  coder,
+		drives: drives,
+		bufs:   make([]*driveBufs, len(drives.Stacks)),
 	}
 	for di := range c.bufs {
 		c.bufs[di] = new(driveBufs)

@@ -1,7 +1,6 @@
 package cluster
 
 import (
-	"bytes"
 	"cmp"
 	"fmt"
 	"math"
@@ -9,7 +8,6 @@ import (
 	"slices"
 	"time"
 
-	"deepnote/internal/netstore"
 	"deepnote/internal/sched"
 )
 
@@ -112,8 +110,10 @@ type ServeResult struct {
 	// Read-repair outcomes (background re-replication of shards lost
 	// during degraded reads).
 	RepairWrites, RepairFailures int
-	// CorruptReads counts served GETs whose decoded bytes mismatched the
-	// expected object content (must stay 0).
+	// CorruptReads counts served GETs whose bytes mismatched the object.
+	// Every served shard has passed Drives.ShardOp's checksum, so it is
+	// always 0; it stays in the ledger (and in the cluster.corrupt_reads
+	// metric) as the standing claim that no attack ever serves rot.
 	CorruptReads int
 	// Shard-level I/O.
 	ShardReads, ShardWrites           int
@@ -121,9 +121,9 @@ type ServeResult struct {
 	// Closed-loop defense outcomes (all 0 with the defense off).
 	// SteeredGets are GETs whose initial shard set was reordered away
 	// from the at-risk region; ReplicaReads are successful shard reads
-	// served from a defense replica (ReplicaReadErrors the failed ones —
-	// a replica whose bytes mismatch its shard is a checksum miss, a
-	// failed op, never a corrupt read). EvacWrites/EvacFailures count the
+	// served from a defense replica (ReplicaReadErrors the failed ones).
+	// A shard read whose bytes mismatch its stripe — home or replica —
+	// fails like any other shard error. EvacWrites/EvacFailures count the
 	// preemptive re-placement writes; EvacSkipped counts shards the plan
 	// could not re-place because no container was outside the predicted
 	// blast radius.
@@ -159,9 +159,8 @@ func (r ServeResult) PutAvailability() float64 {
 
 // reqState is one client request in the arena: fixed-size, no per-request
 // heap objects. Shards are always issued as a prefix [0, nextShard), so a
-// counter replaces the old per-request tried bitmap, and eager in-flight
-// verification (see dispatch) replaces the old per-request [][]byte of
-// returned payloads.
+// counter tracks them, and returned payloads are checked in flight
+// (Drives.ShardOp), never kept.
 type reqState struct {
 	arrival int64 // ns from origin
 	end     int64 // ns from origin, max over this request's shard ops
@@ -171,7 +170,6 @@ type reqState struct {
 	// defense phase — into that phase's source order (see defenseOrder).
 	nextShard uint16
 	shardOK   uint16
-	failCount uint16
 	flags     uint8
 	// phase is 1 + the defense phase in force at arrival (0 = none: the
 	// request predates the first fix, or the defense is off).
@@ -183,13 +181,6 @@ const (
 	reqPut uint8 = 1 << iota
 	reqDone
 	reqOK
-	// reqAllFull: every successful GET shard matched its stripe
-	// byte-for-byte (parity included).
-	reqAllFull
-	// reqAllDirect: every successful GET data shard matched through its
-	// real-byte prefix (padding excluded) — exactly what a direct k-shard
-	// decode would compare after the join truncates to the object size.
-	reqAllDirect
 )
 
 // Event-ID flags (low byte of a queue item's ID).
@@ -225,24 +216,8 @@ type opResult struct {
 const (
 	opOK uint8 = 1 << iota
 	opPut
-	opFull    // GET payload matched the stripe shard byte-for-byte
-	opTrunc   // GET payload matched through the shard's real-byte prefix
 	opReplica // GET was served from a defense replica
 )
-
-// retainedShard carries the actual device bytes of a GET that mismatched
-// its stripe, for the exact decode fallback.
-type retainedShard struct {
-	req   int32
-	shard uint16
-	data  []byte
-}
-
-// retKey indexes retained shard bytes by (request, shard).
-type retKey struct {
-	req   int32
-	shard uint16
-}
 
 // failRec is one failed GET shard op, kept for degraded accounting and
 // read-repair planning.
@@ -273,11 +248,9 @@ type repairOp struct {
 // After the client window, lost shards observed by degraded reads are
 // re-written in a background read-repair epoch.
 //
-// GET payloads are verified against the precomputed stripe bytes inside
-// the drive loop (the server hands out a view of its request buffer, so
-// nothing is copied); only the rare mismatching shard is retained for an
-// exact reconstruct-and-compare fallback. Results are byte-identical at
-// any Config.Workers value.
+// Every shard op goes through Drives.ShardOp, so a GET shard whose bytes
+// mismatch its stripe fails and the request falls back to parity, as the
+// fleet tier does. Results are byte-identical at any Config.Workers value.
 func (c *Cluster) Serve(spec TrafficSpec) (ServeResult, error) {
 	spec, err := spec.withDefaults(c.cfg.seed())
 	if err != nil {
@@ -301,14 +274,13 @@ func (c *Cluster) Serve(spec TrafficSpec) (ServeResult, error) {
 	reqs := c.reqsBuf[:spec.Requests]
 	c.failedBuf = c.failedBuf[:0]
 	c.repairBuf = c.repairBuf[:0]
-	clear(c.retained)
 	c.latGet, c.latPut = c.latGet[:0], c.latPut[:0]
 
 	res := ServeResult{Requests: spec.Requests, MinPutShards: n}
 	for i := range reqs {
-		fl := reqAllFull | reqAllDirect
+		fl := uint8(0)
 		if rng.Float64() >= rf {
-			fl |= reqPut
+			fl = reqPut
 		}
 		reqs[i] = reqState{arrival: ArrivalNS(i, spec.Rate), object: int32(zipf.Uint64()), flags: fl}
 		if c.defense != nil {
@@ -445,8 +417,7 @@ func (c *Cluster) Serve(spec TrafficSpec) (ServeResult, error) {
 		}
 	}
 
-	// Settle outcomes in request order: latencies, corruption checks, and
-	// read-repair planning ("first observer wins" on each lost shard —
+	// Settle outcomes in request order: latencies and read-repair planning ("first observer wins" on each lost shard —
 	// the fail list is sorted so observers are visited in request order).
 	slices.SortFunc(c.failedBuf, func(a, b failRec) int {
 		if a.req != b.req {
@@ -498,23 +469,6 @@ func (c *Cluster) Serve(spec TrafficSpec) (ServeResult, error) {
 		if len(fails) > 0 {
 			res.DegradedReads++
 		}
-		switch {
-		case len(fails) == 0:
-			// Direct read: the decode is the k data shards concatenated
-			// and truncated to the object size, so the per-shard
-			// real-byte-prefix matches are exactly the old decoded-bytes
-			// comparison.
-			if r.flags&reqAllDirect == 0 {
-				res.CorruptReads++
-			}
-		case r.flags&reqAllFull != 0:
-			// Degraded, but every surviving shard matched its stripe
-			// byte-for-byte: reconstruction reproduces the stripe. Clean.
-		default:
-			if err := c.verifyExact(int32(ri), r, fails, &res); err != nil {
-				return ServeResult{}, err
-			}
-		}
 		for _, f := range fails {
 			key := objShard{r.object, f.shard}
 			if repairSeen[key] {
@@ -558,74 +512,35 @@ func (c *Cluster) Serve(spec TrafficSpec) (ServeResult, error) {
 // touched here is owned by the drive (its stack, its result buffers) or
 // read-only (request arena, stripes), so drives dispatch concurrently
 // without synchronization. The steady-state path does not allocate: the
-// op is a packed integer, the payload is the cached stripe, and GET
-// verification compares the server's buffer in place.
+// op is a packed integer and Drives.ShardOp checks the server's buffer
+// in place.
 func (c *Cluster) dispatch(di int, it sched.Item) {
-	srv, buf := c.drives.Stacks[di].Server, c.bufs[di]
 	flags := uint8(it.ID)
+	idx, shard := int32(it.ID>>24), int(uint16(it.ID>>8))
 	if flags&evRepair != 0 {
-		rp := &c.repairBuf[int32(it.ID>>24)]
-		_, resp := srv.HandleObjectShared(netstore.Put, int(rp.object), c.drives.Stripes[rp.object][rp.shard])
-		rp.ok = resp.Err == nil
+		rp := &c.repairBuf[idx]
+		rp.ok, _ = c.drives.ShardOp(di, true, int(rp.object), int(rp.object), shard)
 		return
 	}
 	if flags&evEvac != 0 {
-		ev := &c.defense.evacs[int32(it.ID>>24)]
-		_, resp := srv.HandleObjectShared(netstore.Put, int(ev.object)+c.cfg.Objects, c.drives.Stripes[ev.object][ev.shard])
-		ev.ok = resp.Err == nil
+		ev := &c.defense.evacs[idx]
+		ev.ok, _ = c.drives.ShardOp(di, true, int(ev.object)+c.cfg.Objects, int(ev.object), shard)
 		return
 	}
-	ri := int32(it.ID >> 24)
-	shard := int(uint16(it.ID >> 8))
-	r := &c.reqsBuf[ri]
-	op, bits := netstore.Get, uint8(0)
-	var payload []byte
+	r := &c.reqsBuf[idx]
+	key, bits := int(r.object), uint8(0)
 	if flags&evPut != 0 {
-		op, bits = netstore.Put, opPut
-		payload = c.drives.Stripes[r.object][shard]
+		bits = opPut
 	}
-	key := int(r.object)
 	if flags&evReplica != 0 {
 		key += c.cfg.Objects
 		bits |= opReplica
 	}
-	data, resp := srv.HandleObjectShared(op, key, payload)
-	if flags&evReplica != 0 {
-		// A replica read succeeds only if the bytes match the shard: a
-		// mismatch means the re-placement write never landed (or landed
-		// corrupted) and reads as a checksum miss — a failed op, never a
-		// corrupt serve, never retained.
-		if resp.Err == nil && bytes.Equal(data, c.drives.Stripes[r.object][shard]) {
-			bits |= opOK | opFull | opTrunc
-		}
-		buf.results = append(buf.results, opResult{
-			end: c.drives.Offset(di), req: ri, shard: uint16(shard), bits: bits})
-		return
-	}
-	if resp.Err == nil {
+	if ok, _ := c.drives.ShardOp(di, flags&evPut != 0, key, int(r.object), shard); ok {
 		bits |= opOK
-		if flags&evPut == 0 {
-			stripe := c.drives.Stripes[r.object][shard]
-			if bytes.Equal(data, stripe) {
-				bits |= opFull | opTrunc
-			} else {
-				// A data shard's tail past the object size is padding the
-				// join drops; judge the real-byte prefix separately.
-				if tl := c.cfg.ObjectSize - shard*c.shardSize; shard < c.coder.DataShards() && tl < c.shardSize {
-					if tl < 0 {
-						tl = 0
-					}
-					if bytes.Equal(data[:tl], stripe[:tl]) {
-						bits |= opTrunc
-					}
-				}
-				buf.retained = append(buf.retained, retainedShard{
-					req: ri, shard: uint16(shard), data: append([]byte(nil), data...)})
-			}
-		}
 	}
-	buf.results = append(buf.results, opResult{
-		end: c.drives.Offset(di), req: ri, shard: uint16(shard), bits: bits})
+	c.bufs[di].results = append(c.bufs[di].results, opResult{
+		end: c.drives.Offset(di), req: idx, shard: uint16(shard), bits: bits})
 }
 
 // combine folds every drive's epoch results into the request arena and
@@ -648,14 +563,6 @@ func (c *Cluster) combine(reqs []reqState, res *ServeResult) {
 				if rec.bits&opReplica != 0 {
 					res.ReplicaReads++
 				}
-				if rec.bits&opPut == 0 {
-					if rec.bits&opFull == 0 {
-						r.flags &^= reqAllFull
-					}
-					if rec.bits&opTrunc == 0 {
-						r.flags &^= reqAllDirect
-					}
-				}
 			case rec.bits&opPut != 0:
 				res.ShardWriteErrors++
 			default:
@@ -663,7 +570,6 @@ func (c *Cluster) combine(reqs []reqState, res *ServeResult) {
 				if rec.bits&opReplica != 0 {
 					res.ReplicaReadErrors++
 				}
-				r.failCount++
 				c.failedBuf = append(c.failedBuf, failRec{req: rec.req, shard: rec.shard})
 			}
 			if rec.end > r.end {
@@ -671,65 +577,5 @@ func (c *Cluster) combine(reqs []reqState, res *ServeResult) {
 			}
 		}
 		d.results = d.results[:0]
-		for _, rb := range d.retained {
-			c.retained[retKey{rb.req, rb.shard}] = rb.data
-		}
-		d.retained = d.retained[:0]
 	}
-}
-
-// verifyExact is the slow-path corruption check for a degraded GET whose
-// surviving shards did not all match their stripes: rebuild the exact
-// shard set the client held (stripe bytes for matching shards, retained
-// device bytes for mismatched ones), reconstruct, join, and compare
-// against the object's expected content — byte-for-byte the eager path's
-// pre-cache decode check.
-func (c *Cluster) verifyExact(ri int32, r *reqState, fails []failRec, res *ServeResult) error {
-	shards := make([][]byte, c.coder.TotalShards())
-	order := c.defenseOrder(r)
-	for idx := 0; idx < int(r.nextShard); idx++ {
-		j := idx
-		if order != nil {
-			j = order[idx].shard()
-		}
-		failed := false
-		for _, f := range fails {
-			if int(f.shard) == j {
-				failed = true
-				break
-			}
-		}
-		if failed {
-			continue
-		}
-		src := c.drives.Stripes[r.object][j]
-		if data, ok := c.retained[retKey{ri, uint16(j)}]; ok {
-			src = data
-		}
-		shards[j] = append([]byte(nil), src...)
-	}
-	dataIntact := true
-	for j := 0; j < c.coder.DataShards(); j++ {
-		if shards[j] == nil {
-			dataIntact = false
-			break
-		}
-	}
-	if !dataIntact {
-		if err := c.coder.Reconstruct(shards); err != nil {
-			return fmt.Errorf("cluster: reconstruct object %d: %w", r.object, err)
-		}
-	}
-	data, err := c.coder.Join(shards, c.cfg.ObjectSize)
-	if err != nil {
-		return fmt.Errorf("cluster: join object %d: %w", r.object, err)
-	}
-	expect := c.drives.Payload(int(r.object))
-	for i := range data {
-		if data[i] != expect[i] {
-			res.CorruptReads++
-			break
-		}
-	}
-	return nil
 }

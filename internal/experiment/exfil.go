@@ -26,24 +26,21 @@ import (
 	"deepnote/internal/valid"
 )
 
-// ExfilSpec configures the experiment.
+// ExfilSpec configures the experiment. Start from DefaultExfilSpec: every
+// field is used as given.
 type ExfilSpec struct {
 	// Distances are the transmitter → hydrophone ranges of the capacity
-	// map (default 5, 20, 80 m).
+	// map.
 	Distances []units.Distance
-	// Depths are the facility SurfaceDepth values swept (default 0 —
-	// deep water, no surface bounce — and 6 m, where the Lloyd's-mirror
-	// interference reshapes the link). 0 is meaningful here, so the
-	// slice, not its elements, carries the unset state.
+	// Depths are the facility SurfaceDepth values swept (0 is deep
+	// water, no surface bounce).
 	Depths []units.Distance
-	// SymbolRates is the signaling-rate sweep in baud (default 16, 32,
-	// 64), run for both schemes at the nearest distance.
+	// SymbolRates is the signaling-rate sweep in baud, run for both
+	// schemes at the nearest distance.
 	SymbolRates []float64
-	// Frames is how many frames each offense cell transmits (default 3).
+	// Frames is how many frames each offense cell transmits (≥ 1).
 	Frames int
-	// DetectFrames is how many frames each defense cell transmits
-	// (default 8 — long enough for the slow-detection schemes to show
-	// their leak).
+	// DetectFrames is how many frames each defense cell transmits (≥ 1).
 	DetectFrames int
 	Seed         int64
 	// Workers bounds the cell fan-out (≤ 0 = one per CPU); results are
@@ -53,32 +50,29 @@ type ExfilSpec struct {
 	Metrics *metrics.Registry
 }
 
-func (s ExfilSpec) withDefaults() ExfilSpec {
-	if s.Distances == nil {
-		s.Distances = []units.Distance{5 * units.Meter, 20 * units.Meter, 80 * units.Meter}
+// DefaultExfilSpec is the experiment `deepnote exfil` runs with no flags:
+// a 5/20/80 m capacity map in deep water and at a 6 m surface depth
+// (where the Lloyd's-mirror interference reshapes the link), a 16/32/64
+// baud rate sweep, 3 frames per offense cell and 8 per defense cell —
+// long enough for the slow-detection schemes to show their leak.
+func DefaultExfilSpec() ExfilSpec {
+	return ExfilSpec{
+		Distances:    []units.Distance{5 * units.Meter, 20 * units.Meter, 80 * units.Meter},
+		Depths:       []units.Distance{0, 6 * units.Meter},
+		SymbolRates:  []float64{16, 32, 64},
+		Frames:       3,
+		DetectFrames: 8,
+		Seed:         1,
 	}
-	if s.Depths == nil {
-		s.Depths = []units.Distance{0, 6 * units.Meter}
-	}
-	if s.SymbolRates == nil {
-		s.SymbolRates = []float64{16, 32, 64}
-	}
-	if s.Frames <= 0 {
-		s.Frames = 3
-	}
-	if s.DetectFrames <= 0 {
-		s.DetectFrames = 8
-	}
-	if s.Seed == 0 {
-		s.Seed = 1
-	}
-	return s
 }
 
-// validate rejects a range that is not positive and a depth above the
-// surface (negative).
+// validate rejects a frame count below 1, a range that is not positive
+// and a depth above the surface (negative).
 func (s ExfilSpec) validate() error {
-	var errs []error
+	errs := []error{
+		valid.AtLeast("Frames", s.Frames, 1),
+		valid.AtLeast("DetectFrames", s.DetectFrames, 1),
+	}
 	for i, d := range s.Distances {
 		errs = append(errs, valid.Positive(fmt.Sprintf("Distances[%d]", i), d))
 	}
@@ -250,7 +244,6 @@ func (s ExfilSpec) runDetectCell(c ExfilCell, seed int64) (ExfilRow, error) {
 // ExfilRun executes the experiment. Every cell derives its seed with
 // parallel.SeedFor, so the result is byte-identical at any Workers value.
 func ExfilRun(spec ExfilSpec) (ExfilResult, error) {
-	spec = spec.withDefaults()
 	if err := spec.validate(); err != nil {
 		return ExfilResult{}, err
 	}

@@ -109,17 +109,25 @@ func TestExfilReportsAndMetrics(t *testing.T) {
 	}
 }
 
-// TestExfilRunRejectsBadGeometry: a range that is not positive or a depth
-// above the surface fails before any cell runs, naming the field.
+// TestExfilRunRejectsBadGeometry: a range that is not positive, a depth
+// above the surface or a frame count below 1 fails before any cell runs,
+// naming the field.
 func TestExfilRunRejectsBadGeometry(t *testing.T) {
+	with := func(edit func(*ExfilSpec)) ExfilSpec {
+		s := DefaultExfilSpec()
+		edit(&s)
+		return s
+	}
 	for _, c := range []struct {
 		spec  ExfilSpec
 		field string
 	}{
-		{ExfilSpec{Distances: []units.Distance{-3}}, "Distances[0]"},
-		{ExfilSpec{Distances: []units.Distance{0}}, "Distances[0]"},
-		{ExfilSpec{Distances: []units.Distance{20, -3}}, "Distances[1]"},
-		{ExfilSpec{Depths: []units.Distance{-1}}, "Depths[0]"},
+		{with(func(s *ExfilSpec) { s.Distances = []units.Distance{-3} }), "Distances[0]"},
+		{with(func(s *ExfilSpec) { s.Distances = []units.Distance{0} }), "Distances[0]"},
+		{with(func(s *ExfilSpec) { s.Distances = []units.Distance{20, -3} }), "Distances[1]"},
+		{with(func(s *ExfilSpec) { s.Depths = []units.Distance{-1} }), "Depths[0]"},
+		{with(func(s *ExfilSpec) { s.Frames = 0 }), "Frames"},
+		{with(func(s *ExfilSpec) { s.DetectFrames = 0 }), "DetectFrames"},
 	} {
 		res, err := ExfilRun(c.spec)
 		if err == nil {

@@ -147,9 +147,9 @@ func FingerprintRun(spec FingerprintSpec) (FingerprintResult, error) {
 			}
 			if c.attack {
 				floor := math.Hypot(detect.DefaultSensorSigma, amb.NominalSigma())
-				cs.ToneAmp = campaign.Ptr(floor * math.Pow(10, c.snr/20))
+				cs.ToneAmp = cluster.Ptr(floor * math.Pow(10, c.snr/20))
 			} else {
-				cs.ToneAmp = campaign.Ptr(0.0)
+				cs.ToneAmp = cluster.Ptr(0.0)
 			}
 			res, err := cs.Run()
 			if err != nil {

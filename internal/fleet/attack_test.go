@@ -54,41 +54,6 @@ func TestAttackAwarePlacementBeatsNaiveUnderFacilityAttack(t *testing.T) {
 	}
 }
 
-// TestShedPolicyFailsFastWhenSourcesUnreachable: with Shed on, a GET
-// whose remaining sources sit behind a dead link is failed immediately
-// instead of burning its whole deadline budget on doomed waves.
-func TestShedPolicyFailsFastWhenSourcesUnreachable(t *testing.T) {
-	run := func(shed bool) Result {
-		cfg := testFleetConfig(PlacementNaive, 0)
-		cfg.Resilience.Shed = shed
-		// Site 0 partitioned for the entire run: every cross-site read
-		// of a site-0-homed object is doomed.
-		cfg.WAN.Faults = []Fault{{Kind: SitePartition, A: 0, Duration: time.Hour}}
-		f := buildFleet(t, cfg)
-		res, err := f.Serve(TrafficSpec{Requests: 600, Rate: 1500})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res
-	}
-	shed, degrade := run(true), run(false)
-	if shed.ShedRequests == 0 {
-		t.Fatal("shed policy never shed a doomed request")
-	}
-	if degrade.ShedRequests != 0 {
-		t.Fatalf("serve-degraded policy shed %d requests", degrade.ShedRequests)
-	}
-	// Serve-degraded keeps probing the dead link, so it burns strictly
-	// more doomed ops than the shedding gateway.
-	if shed.WANDrops+shed.FastFails >= degrade.WANDrops+degrade.FastFails {
-		t.Fatalf("shedding burned as many doomed ops (%d) as serve-degraded (%d)",
-			shed.WANDrops+shed.FastFails, degrade.WANDrops+degrade.FastFails)
-	}
-	if shed.CorruptReads != 0 || degrade.CorruptReads != 0 {
-		t.Fatalf("corrupt reads: shed=%d degrade=%d", shed.CorruptReads, degrade.CorruptReads)
-	}
-}
-
 // TestAttackWindowRecovery: the attack schedule is honored in time —
 // availability inside the keyed-on window drops, and the same fleet
 // serves clean before and after it (speakers off, WAN healthy).

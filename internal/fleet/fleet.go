@@ -1,6 +1,6 @@
 // Package fleet lifts the single-facility cluster into a geo-distributed
 // multi-facility tier: several cluster.Layout sites connected by a
-// deterministic WAN model (per-link latency distributions, bandwidth
+// deterministic WAN model (jittered link latency, bandwidth
 // serialization, injected link flaps, site partitions, and brownouts),
 // with a cross-facility placement layer that spreads erasure shards
 // across acoustic blast radii within a site and across sites.
@@ -17,9 +17,9 @@
 // request ledger. Clients in every region issue an equal share of one
 // global zipfian workload. Robustness is the point of the tier: cross-site
 // failover reads under per-request deadline budgets, doubling backoff
-// with tail-triggered hedging, a circuit breaker per WAN link, and a
-// serve-degraded vs. shed policy for when a whole facility goes dark
-// mid-attack.
+// with tail-triggered hedging, and a circuit breaker per WAN link; a
+// request whose facility goes dark mid-attack keeps failing over until
+// its deadline budget runs out.
 package fleet
 
 import (
@@ -47,11 +47,6 @@ type Resilience struct {
 	// deadline edge (the blockdev.Retrier boundary contract). Default
 	// 500 ms.
 	Deadline time.Duration
-	// Shed switches the degradation policy when sources are unreachable:
-	// false (default) is serve-degraded — keep walking parity and remote
-	// sites until the deadline budget runs out; true sheds the request
-	// immediately once the reachable sources cannot complete it.
-	Shed bool
 }
 
 func (r Resilience) withDefaults() Resilience {
@@ -123,7 +118,6 @@ func (c Config) withDefaults() Config {
 	if c.Seed == nil {
 		c.Seed = cluster.Ptr(int64(1))
 	}
-	c.WAN = c.WAN.withDefaults()
 	c.Resilience = c.Resilience.withDefaults()
 	return c
 }
@@ -158,8 +152,6 @@ func New(cfg Config) (*Fleet, error) {
 	if len(cfg.Sites) < 2 {
 		return nil, fmt.Errorf("fleet: need at least 2 sites, got %d", len(cfg.Sites))
 	}
-	// Validate before defaulting: a negative bandwidth must fail, not
-	// read as unset.
 	if err := cfg.WAN.validate(len(cfg.Sites)); err != nil {
 		return nil, fmt.Errorf("fleet: %w", err)
 	}

@@ -8,6 +8,7 @@ import (
 
 	"deepnote/internal/cluster"
 	"deepnote/internal/metrics"
+	"deepnote/internal/netstore"
 	"deepnote/internal/sig"
 	"deepnote/internal/units"
 )
@@ -251,4 +252,31 @@ func TestFleetPublishMetrics(t *testing.T) {
 		t.Fatal("node-level netstore counters missing")
 	}
 	f.PublishMetrics(nil) // must not panic
+}
+
+// TestFleetShardChecksum: a node holding bytes other than its shard
+// fails the GET op as a checksum miss, and the read fails over to another
+// source instead of serving the mismatch.
+func TestFleetShardChecksum(t *testing.T) {
+	f := buildFleet(t, testFleetConfig(PlacementAttackAware, 0))
+	// Overwrite object 0's shard 0 with netstore's fixed pattern, which is
+	// not the stripe.
+	if resp := f.drives.Stacks[f.shardNode(0, 0)].Server.Handle(netstore.Put, 0); resp.Err != nil {
+		t.Fatal(resp.Err)
+	}
+	// A light load keeps every failover wave inside its deadline budget.
+	res, err := f.Serve(TrafficSpec{Requests: 200, Rate: 200, ReadFraction: cluster.Ptr(1.0)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.GetOK != res.Gets {
+		t.Fatalf("served %d of %d GETs, want all", res.GetOK, res.Gets)
+	}
+	if res.ChecksumMisses == 0 || res.DegradedReads == 0 {
+		t.Fatalf("mismatching shard was served: %d checksum misses, %d degraded reads",
+			res.ChecksumMisses, res.DegradedReads)
+	}
+	if res.CorruptReads != 0 {
+		t.Fatalf("%d corrupt reads, want 0", res.CorruptReads)
+	}
 }

@@ -9,7 +9,6 @@ import (
 	"time"
 
 	"deepnote/internal/cluster"
-	"deepnote/internal/netstore"
 	"deepnote/internal/sched"
 )
 
@@ -18,7 +17,6 @@ const (
 	fPut      uint8 = 1 << iota // request is a PUT
 	fOK                         // completed successfully
 	fHedged                     // issued a speculative extra source
-	fShed                       // failed fast by the shed policy
 	fDeadline                   // ran out its deadline budget
 )
 
@@ -169,29 +167,19 @@ func (f *Fleet) issueOp(ri int32, j int, at int64, put bool, res *Result) {
 	f.drives.Stacks[ni].Runner.Queue.Push(at, uint64(opIdx))
 }
 
-// dispatch executes one shard op on its node, verifying GET bytes
-// eagerly against the encoded stripe (the end-to-end checksum: a
-// vibration-corrupted sector fails the op rather than poisoning the
-// decode).
+// dispatch executes one shard op on its node through Drives.ShardOp, the
+// cell's own end-to-end checksum: a GET whose bytes differ from the
+// stripe (a vibration-corrupted sector) fails the op rather than
+// poisoning the decode.
 func (f *Fleet) dispatch(ni int, it sched.Item) {
-	srv := f.drives.Stacks[ni].Server
 	op := &f.ops[it.ID]
-	r := &f.reqs[op.req]
-	stripe := f.drives.Stripes[r.object][op.shard]
-	if op.flags&oPut != 0 {
-		_, resp := srv.HandleObjectShared(netstore.Put, int(r.object), stripe)
-		if resp.Err == nil {
-			op.bits |= bOK
-		}
-	} else {
-		data, resp := srv.HandleObjectShared(netstore.Get, int(r.object), nil)
-		if resp.Err == nil {
-			if bytes.Equal(data, stripe) {
-				op.bits |= bOK
-			} else {
-				op.bits |= bChecksum
-			}
-		}
+	o := int(f.reqs[op.req].object)
+	ok, checksum := f.drives.ShardOp(ni, op.flags&oPut != 0, o, o, int(op.shard))
+	if ok {
+		op.bits |= bOK
+	}
+	if checksum {
+		op.bits |= bChecksum
 	}
 	op.end = f.drives.Offset(ni) + op.retDelay
 }
@@ -253,12 +241,12 @@ func (f *Fleet) combine(folded int, res *Result) int {
 
 // plan walks the pending requests after a fold: completes the done ones
 // and issues the next failover wave for starved GETs — doubling backoff,
-// deadline-clamped final wave, tail-triggered hedging, and the
-// serve-degraded vs. shed policy.
+// deadline-clamped final wave and tail-triggered hedging. A GET keeps
+// walking parity and remote sites until its deadline budget runs out
+// (serve-degraded); nothing is shed before that.
 func (f *Fleet) plan(pending []int32, res *Result) []int32 {
 	next := pending[:0]
 	n, k := f.coder.TotalShards(), f.coder.DataShards()
-	rz := f.cfg.Resilience
 	for _, ri := range pending {
 		r := &f.reqs[ri]
 		if r.flags&fPut != 0 {
@@ -307,21 +295,6 @@ func (f *Fleet) plan(pending []int32, res *Result) []int32 {
 			issue = avail
 		}
 		f.orderBuf = f.sourceOrder(int(r.object), int(r.site), f.orderBuf)
-		if rz.Shed {
-			reachable := 0
-			for _, j := range f.orderBuf[r.nextSrc:] {
-				if t := f.shardSite(int(r.object), int(j)); t == int(r.site) {
-					reachable++
-				} else if li := f.linkIdx(int(r.site), t); !f.linkDown(li, issueAt) && f.breakerAllows(li, issueAt) {
-					reachable++
-				}
-			}
-			if reachable < need {
-				r.flags |= fShed
-				res.ShedRequests++
-				continue
-			}
-		}
 		r.wave++
 		res.FailoverWaves++
 		if hedge && r.flags&fHedged == 0 {

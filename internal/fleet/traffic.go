@@ -82,11 +82,13 @@ type Result struct {
 	// CorruptReads counts GETs acknowledged OK whose reassembled bytes
 	// would not match the object's true content. Every accepted shard is
 	// byte-verified against the encoded stripe at the storage node, so
-	// this must be zero — the fleet fails a read rather than serving
-	// rotted bytes.
+	// this is non-zero only if the coder itself mis-decodes — the fleet
+	// fails a read rather than serving rotted bytes.
 	CorruptReads int
 	// ChecksumMisses counts shard reads rejected because the returned
-	// bytes did not match the stripe (the end-to-end checksum model).
+	// bytes did not match the stripe (Drives.ShardOp's checksum): non-zero
+	// only when a node holds bytes other than its shard, e.g. a sector
+	// corrupted under vibration.
 	ChecksumMisses int
 	// MinPutShards is the smallest durable-shard count among acked PUTs.
 	MinPutShards int
@@ -99,7 +101,7 @@ type Result struct {
 	CrossSiteOps      int // shard ops that crossed a WAN link
 	FailoverWaves     int // extra GET waves beyond the initial k
 	HedgedRequests    int // GETs that issued a speculative extra source
-	ShedRequests      int // requests failed fast by the shed policy
+	ShedRequests      int // always 0: the gateway sheds no request before its deadline
 	DeadlineExhausted int // GETs that ran out their deadline budget
 	WANDrops          int // ops swallowed by a down link (observed at +Timeout)
 	FastFails         int // ops shed instantly by an open link breaker

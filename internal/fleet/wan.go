@@ -11,28 +11,23 @@ import (
 )
 
 // WANConfig models the inter-site network: a full mesh of symmetric
-// links, each with a base RTT, a uniform ±wanJitter jitter, and a
-// bandwidth that serializes shard transfers. Faults are declarative time windows — a
-// pure function of the virtual clock, so the same spec yields the same
-// byte-identical run at any worker count (the faultinj idiom, lifted to
-// links).
+// links, each with the base RTT wanRTT, a uniform ±wanJitter jitter, and
+// a wanGbitPerSec bandwidth that serializes shard transfers. Faults are
+// declarative time windows — a pure function of the virtual clock, so the
+// same spec yields the same byte-identical run at any worker count (the
+// faultinj idiom, lifted to links).
 type WANConfig struct {
-	// GbitPerSec is the link bandwidth (default 10); a shard transfer
-	// adds size·8/GbitPerSec ns of serialization delay. A negative or
-	// non-finite value is rejected.
-	GbitPerSec float64
-	// Links overrides per-link parameters (zero fields inherit
-	// wanRTT and GbitPerSec).
-	Links []LinkSpec
 	// Faults are the injected WAN faults.
 	Faults []Fault
 }
 
 // The WAN's fixed link settings.
 const (
-	// wanRTT is the round-trip time between sites unless a LinkSpec
-	// overrides it.
+	// wanRTT is the round-trip time between any two sites.
 	wanRTT = 30 * time.Millisecond
+	// wanGbitPerSec is every link's bandwidth: a shard transfer adds
+	// size·8/wanGbitPerSec ns of serialization delay.
+	wanGbitPerSec = 10
 	// wanJitter is the uniform ± jitter on every link's RTT, drawn per
 	// op by hashing (link seed, op sequence) — never an ordered RNG
 	// stream, so issue order cannot perturb other draws.
@@ -43,33 +38,13 @@ const (
 	wanTimeout = 200 * time.Millisecond
 )
 
-func (w WANConfig) withDefaults() WANConfig {
-	if w.GbitPerSec <= 0 {
-		w.GbitPerSec = 10
-	}
-	return w
-}
-
-// validate rejects WAN settings the model cannot serve: a bandwidth or
-// brownout factor that is NaN, infinite or negative (zero still means
-// the default), a link or fault naming a site outside [0, sites), an
-// unknown fault kind, and a negative fault duration. Any of these would
-// otherwise serve silently — a NaN bandwidth as NaN delays, a fault on a
-// missing site as no fault at all.
+// validate rejects WAN faults the model cannot serve: a brownout factor
+// that is NaN, infinite or negative (zero still means the default), a
+// fault naming a site outside [0, sites), an unknown fault kind, and a
+// negative duration. Any of these would otherwise serve silently — a NaN
+// factor as NaN delays, a fault on a missing site as no fault at all.
 func (w WANConfig) validate(sites int) error {
-	badRate := func(v float64) bool { return math.IsNaN(v) || math.IsInf(v, 0) || v < 0 }
 	badSite := func(s int) bool { return s < 0 || s >= sites }
-	if badRate(w.GbitPerSec) {
-		return fmt.Errorf("WAN GbitPerSec %v must be finite and non-negative", w.GbitPerSec)
-	}
-	for i, ls := range w.Links {
-		if badSite(ls.A) || badSite(ls.B) {
-			return fmt.Errorf("WAN link %d: sites %d-%d outside [0, %d)", i, ls.A, ls.B, sites)
-		}
-		if badRate(ls.GbitPerSec) {
-			return fmt.Errorf("WAN link %d: GbitPerSec %v must be finite and non-negative", i, ls.GbitPerSec)
-		}
-	}
 	for i, fa := range w.Faults {
 		switch fa.Kind {
 		case LinkFlap, Brownout:
@@ -86,18 +61,11 @@ func (w WANConfig) validate(sites int) error {
 		if fa.Duration < 0 {
 			return fmt.Errorf("WAN fault %d (%s): negative Duration %v", i, fa.Kind, fa.Duration)
 		}
-		if badRate(fa.Factor) {
+		if math.IsNaN(fa.Factor) || math.IsInf(fa.Factor, 0) || fa.Factor < 0 {
 			return fmt.Errorf("WAN fault %d (%s): Factor %v must be finite and non-negative", i, fa.Kind, fa.Factor)
 		}
 	}
 	return nil
-}
-
-// LinkSpec overrides one site-pair's link parameters.
-type LinkSpec struct {
-	A, B       int
-	RTT        time.Duration
-	GbitPerSec float64
 }
 
 // FaultKind classifies an injected WAN fault.
@@ -170,13 +138,10 @@ type span struct{ from, to int64 }
 // epoch granularity cannot perturb them.
 type link struct {
 	a, b int
-	rtt  int64
-	gbps float64
 	seed int64
 
-	open     bool
-	strk     int
-	openedAt int64
+	open bool
+	strk int
 	// shed is the breaker's window history, sorted by from; every window
 	// lasts breakerCooldown (see breakerAllows).
 	shed []span
@@ -188,28 +153,11 @@ func (f *Fleet) buildLinks() {
 	for i := range f.linkAt {
 		f.linkAt[i] = -1
 	}
-	w := f.cfg.WAN
 	for a := 0; a < s; a++ {
 		for b := a + 1; b < s; b++ {
-			l := link{
-				a: a, b: b,
-				rtt:  int64(wanRTT),
-				gbps: w.GbitPerSec,
-				seed: parallel.SeedFor(f.wanSeed, a*s+b),
-			}
-			for _, ls := range w.Links {
-				if (ls.A == a && ls.B == b) || (ls.A == b && ls.B == a) {
-					if ls.RTT > 0 {
-						l.rtt = int64(ls.RTT)
-					}
-					if ls.GbitPerSec > 0 {
-						l.gbps = ls.GbitPerSec
-					}
-				}
-			}
 			idx := int16(len(f.links))
 			f.linkAt[a*s+b], f.linkAt[b*s+a] = idx, idx
-			f.links = append(f.links, l)
+			f.links = append(f.links, link{a: a, b: b, seed: parallel.SeedFor(f.wanSeed, a*s+b)})
 		}
 	}
 }
@@ -256,12 +204,12 @@ func (f *Fleet) linkFactor(li int, at int64) float64 {
 func (f *Fleet) wanDelays(li int, opSeq uint64, at int64, put bool) (out, ret int64) {
 	l := &f.links[li]
 	u := sched.HashUnit(uint64(l.seed), opSeq)
-	rtt := l.rtt + int64((2*u-1)*float64(wanJitter))
+	rtt := int64(wanRTT) + int64((2*u-1)*float64(wanJitter))
 	rtt = int64(float64(rtt) * f.linkFactor(li, at))
 	if rtt < 0 {
 		rtt = 0
 	}
-	ser := int64(float64(f.shardSize) * 8 / l.gbps)
+	ser := int64(float64(f.shardSize) * 8 / wanGbitPerSec)
 	out, ret = rtt/2, rtt-rtt/2
 	if put {
 		out += ser
@@ -303,13 +251,11 @@ func (f *Fleet) breakerObserve(li int, end int64, ok bool, res *Result) {
 	}
 	l.strk++
 	if l.open {
-		l.openedAt = end
 		l.addShed(end, int64(breakerCooldown))
 		return
 	}
 	if l.strk >= breakerThreshold {
 		l.open = true
-		l.openedAt = end
 		l.addShed(end, int64(breakerCooldown))
 		res.BreakerOpens++
 	}
@@ -333,7 +279,6 @@ func (f *Fleet) resetBreakers() {
 	for i := range f.links {
 		f.links[i].open = false
 		f.links[i].strk = 0
-		f.links[i].openedAt = 0
 		f.links[i].shed = f.links[i].shed[:0]
 	}
 }
