@@ -20,10 +20,7 @@ import (
 // BenchmarkFigure2aSeqWrite regenerates Figure 2(a): sequential-write
 // throughput versus attack frequency for all three scenarios.
 func BenchmarkFigure2aSeqWrite(b *testing.B) {
-	opts := experiment.Figure2Options{
-		Start: 200 * units.Hz, End: 8000 * units.Hz, Step: 200 * units.Hz,
-		JobRuntime: 300 * time.Millisecond,
-	}
+	opts := experiment.Figure2Options{Step: 200 * units.Hz, JobRuntime: 300 * time.Millisecond}
 	var res experiment.Figure2Result
 	for i := 0; i < b.N; i++ {
 		var err error
@@ -43,10 +40,7 @@ func BenchmarkFigure2aSeqWrite(b *testing.B) {
 // BenchmarkFigure2bSeqRead regenerates Figure 2(b): sequential-read
 // throughput versus attack frequency.
 func BenchmarkFigure2bSeqRead(b *testing.B) {
-	opts := experiment.Figure2Options{
-		Start: 200 * units.Hz, End: 8000 * units.Hz, Step: 200 * units.Hz,
-		JobRuntime: 300 * time.Millisecond,
-	}
+	opts := experiment.Figure2Options{Step: 200 * units.Hz, JobRuntime: 300 * time.Millisecond}
 	var res experiment.Figure2Result
 	for i := 0; i < b.N; i++ {
 		var err error
@@ -85,7 +79,7 @@ func BenchmarkTable1RangeFIO(b *testing.B) {
 // BenchmarkTable2RangeRocksDB regenerates Table 2: RocksDB
 // readwhilewriting throughput and I/O rate versus distance.
 func BenchmarkTable2RangeRocksDB(b *testing.B) {
-	opts := experiment.Table2Options{Runtime: 3 * time.Second, Fill: 2000}
+	opts := experiment.Table2Options{Runtime: 3 * time.Second}
 	var res experiment.Table2Result
 	for i := 0; i < b.N; i++ {
 		var err error
@@ -264,7 +258,7 @@ func BenchmarkKVDBGet(b *testing.B) {
 		b.Fatal(err)
 	}
 	bench := kvdb.NewBench(db, rig.Clock)
-	if _, err := bench.Run(kvdb.BenchSpec{Workload: kvdb.WorkloadFillRandom, Num: 5000}); err != nil {
+	if _, err := bench.Run(kvdb.BenchSpec{Workload: kvdb.WorkloadFillRandom, Num: 5000, ValueSize: 100, Seed: 1}); err != nil {
 		b.Fatal(err)
 	}
 	b.ResetTimer()

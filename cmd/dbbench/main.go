@@ -21,6 +21,7 @@ import (
 	"deepnote/internal/kvdb"
 	"deepnote/internal/sig"
 	"deepnote/internal/units"
+	"deepnote/internal/valid"
 )
 
 func main() {
@@ -31,10 +32,13 @@ func main() {
 	freq := flag.Float64("freq", 0, "attack tone frequency in Hz (0 = no attack)")
 	distance := flag.Float64("distance", 1, "speaker distance in cm")
 	valueSize := flag.Int("valuesize", 100, "value size in bytes")
-	fill := flag.Int("fill", 5000, "pre-population for readwhilewriting")
+	fill := flag.Int("fill", 5000, "pre-population for readwhilewriting (0 = none)")
 	seed := flag.Int64("seed", 1, "simulation seed")
 	image := flag.String("image", "", "optional disk image: loaded if present (skips mkfs), saved after the run")
 	flag.Parse()
+	if err := valid.AtLeast("-fill", *fill, 0); err != nil {
+		fatal(err)
+	}
 
 	var s core.Scenario
 	switch *scenario {
@@ -79,7 +83,7 @@ func main() {
 	bench := kvdb.NewBench(db, rig.Clock)
 
 	if *workload == kvdb.WorkloadReadWhileWriting && *fill > 0 {
-		if _, err := bench.Run(kvdb.BenchSpec{Workload: kvdb.WorkloadFillRandom, Num: *fill, ValueSize: *valueSize}); err != nil {
+		if _, err := bench.Run(kvdb.BenchSpec{Workload: kvdb.WorkloadFillRandom, Num: *fill, ValueSize: *valueSize, Seed: *seed}); err != nil {
 			fatal(err)
 		}
 	}

@@ -31,6 +31,11 @@ func cmdFingerprint(args []string) error {
 	if bad != nil {
 		return bad
 	}
+	// FingerprintSpec reads a zero Freq as 650 Hz, which the header
+	// would misreport as a 0 Hz run.
+	if err := valid.Positive("-freq", *freq); err != nil {
+		return err
+	}
 	// The report divides by the seed count.
 	if err := valid.AtLeast("-seeds", *seeds, 1); err != nil {
 		return err

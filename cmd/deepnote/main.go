@@ -282,6 +282,10 @@ func cmdTable2(args []string) error {
 	csv := fs.Bool("csv", false, "emit CSV")
 	o := addObsFlags(fs)
 	fs.Parse(args)
+	// Table2Options reads a zero Runtime as 5 s.
+	if err := valid.Positive("-runtime", *window); err != nil {
+		return err
+	}
 	res, err := experiment.Table2(experiment.Table2Options{
 		Runtime: time.Duration(*window * float64(time.Second)),
 		Metrics: o.registry(),

@@ -1,6 +1,9 @@
 package main
 
-import "testing"
+import (
+	"strings"
+	"testing"
+)
 
 // A count or probe budget below one, a spacing, distance, duration, rate
 // or frequency that is not finite and positive, a probability outside
@@ -45,6 +48,9 @@ func TestFacilityIntegrityOutageRejectBadFlags(t *testing.T) {
 		{"range", "-freq", "NaN"},
 		{"range", "-freq", "-650"},
 		{"section5", "-freq", "NaN"},
+		// These ran the 5 s default and failed inside kvdb.
+		{"table2", "-runtime", "0"},
+		{"table2", "-runtime", "-1"},
 		{"adaptive", "-budget", "0"},
 		{"adaptive", "-budget", "-3"},
 		{"exfil", "-distances", "-3"},
@@ -57,6 +63,24 @@ func TestFacilityIntegrityOutageRejectBadFlags(t *testing.T) {
 	} {
 		if code := runMain(t, args...); code != 1 {
 			t.Errorf("deepnote %v exited %d, want 1", args, code)
+		}
+	}
+}
+
+// A rejected flag is named in the error, as range and section5 name -freq.
+func TestRejectedFlagIsNamed(t *testing.T) {
+	for _, c := range []struct {
+		args []string
+		want string
+	}{
+		{[]string{"fingerprint", "-freq", "0"}, "-freq 0 must be finite and positive"},
+		{[]string{"range", "-freq", "0"}, "-freq 0 must be finite and positive"},
+		{[]string{"table2", "-runtime", "0"}, "-runtime 0 must be finite and positive"},
+		{[]string{"table2", "-runtime", "-1"}, "-runtime -1 must be finite and positive"},
+	} {
+		code, out := runMainOutput(t, c.args...)
+		if code != 1 || !strings.Contains(out, c.want) {
+			t.Errorf("deepnote %v: exit %d, output %q; want exit 1 naming %q", c.args, code, out, c.want)
 		}
 	}
 }

@@ -155,9 +155,10 @@ func key(i int) []byte { return []byte(fmt.Sprintf("key-%08d", i)) }
 func runWorkload(n *node, window time.Duration) float64 {
 	bench := kvdb.NewBench(n.db, n.rig.Clock)
 	res, err := bench.Run(kvdb.BenchSpec{
-		Workload: kvdb.WorkloadReadWhileWriting,
-		Runtime:  window,
-		Seed:     int64(n.slot + 7),
+		Workload:  kvdb.WorkloadReadWhileWriting,
+		Runtime:   window,
+		ValueSize: 100,
+		Seed:      int64(n.slot + 7),
 	})
 	if err != nil {
 		log.Fatal(err)

@@ -18,30 +18,27 @@ import (
 // reconnaissance is harder to notice and works against enclosures whose
 // resonances differ from any studied reference.
 type Adaptive struct {
+	// Scenario fixes the victim enclosure (default Scenario 2).
 	Scenario core.Scenario
-	Distance units.Distance
 	// Budget caps the number of probes, baseline excluded; Run rejects
 	// a budget below 1.
 	Budget int
-	Seed   int64
 }
 
-// The adaptive search's fixed band and per-probe observation window.
+// The adaptive search's fixed band, per-probe observation window, speaker
+// standoff and seed (the seed drives both the rigs and the exploration
+// draws).
 const (
-	adaptiveLow     = 100 * units.Hz
-	adaptiveHigh    = 8000 * units.Hz
-	adaptiveRuntime = 300 * time.Millisecond
+	adaptiveLow      = 100 * units.Hz
+	adaptiveHigh     = 8000 * units.Hz
+	adaptiveRuntime  = 300 * time.Millisecond
+	adaptiveDistance = 1 * units.Centimeter
+	adaptiveSeed     = 1
 )
 
 func (a Adaptive) withDefaults() Adaptive {
 	if a.Scenario == 0 {
 		a.Scenario = core.Scenario2
-	}
-	if a.Distance == 0 {
-		a.Distance = 1 * units.Centimeter
-	}
-	if a.Seed == 0 {
-		a.Seed = 1
 	}
 	return a
 }
@@ -64,15 +61,18 @@ type AdaptiveResult struct {
 
 // Run performs the search: random exploration seeded across the band,
 // then halving-step hill climbs around the best point.
-func (a Adaptive) Run() (AdaptiveResult, error) {
+func (a Adaptive) Run() (AdaptiveResult, error) { return a.search(adaptiveDistance) }
+
+// search runs the search with the speaker at distance.
+func (a Adaptive) search(distance units.Distance) (AdaptiveResult, error) {
 	if err := valid.First("attack.Adaptive", valid.AtLeast("Budget", a.Budget, 1)); err != nil {
 		return AdaptiveResult{}, err
 	}
 	a = a.withDefaults()
-	rng := rand.New(rand.NewSource(a.Seed))
+	rng := rand.New(rand.NewSource(adaptiveSeed))
 
 	measure := func(tone sig.Tone) (float64, error) {
-		rig, err := core.NewRig(a.Scenario, a.Distance, a.Seed)
+		rig, err := core.NewRig(a.Scenario, distance, adaptiveSeed)
 		if err != nil {
 			return 0, err
 		}

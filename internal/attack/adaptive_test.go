@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"deepnote/internal/core"
+	"deepnote/internal/units"
 )
 
 func TestAdaptiveFindsDevastatingToneWithinBudget(t *testing.T) {
@@ -41,7 +42,7 @@ func TestAdaptiveCheaperThanFullSweep(t *testing.T) {
 func TestAdaptiveAgainstStandoffTargetFindsNothing(t *testing.T) {
 	// At 25 cm only mild write degradation exists anywhere in the band;
 	// the attacker's best find must reflect that honestly.
-	res, err := Adaptive{Distance: 25 * 0.01, Budget: 20}.Run()
+	res, err := Adaptive{Budget: 20}.search(25 * units.Centimeter)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -51,11 +52,11 @@ func TestAdaptiveAgainstStandoffTargetFindsNothing(t *testing.T) {
 }
 
 func TestAdaptiveDeterministic(t *testing.T) {
-	a, err := Adaptive{Budget: 15, Seed: 7}.Run()
+	a, err := Adaptive{Budget: 15}.Run()
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Adaptive{Budget: 15, Seed: 7}.Run()
+	b, err := Adaptive{Budget: 15}.Run()
 	if err != nil {
 		t.Fatal(err)
 	}

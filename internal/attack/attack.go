@@ -58,20 +58,18 @@ type SweepResult struct {
 const (
 	sweepDistance = 1 * units.Centimeter
 	sweepSeed     = 1
+	// sweepJobRuntime is the per-frequency fio window in virtual time.
+	sweepJobRuntime = time.Second
 	// vulnerableDegradation marks a swept frequency vulnerable.
 	vulnerableDegradation = 0.5
 )
 
-// Sweeper runs frequency sweeps against a scenario, with the speaker at
-// sweepDistance.
+// Sweeper runs the paper's frequency sweep (sig.PaperSweep) against a
+// scenario, with the speaker at sweepDistance and sweepJobRuntime of fio
+// per frequency.
 type Sweeper struct {
 	// Scenario fixes the testbed enclosure.
 	Scenario core.Scenario
-	// Plan is the sweep schedule (defaults to the paper's sweep).
-	Plan sig.SweepPlan
-	// JobRuntime is the per-frequency measurement window (default 1 s
-	// of virtual time).
-	JobRuntime time.Duration
 	// Workers bounds how many sweep points are measured concurrently;
 	// ≤ 0 means one worker per CPU. Every point runs on its own rig with
 	// the same seed as the serial path, so results are identical for any
@@ -82,16 +80,6 @@ type Sweeper struct {
 	// counters. Aggregation is commutative, so the snapshot is identical
 	// at any worker count; a nil registry leaves the run uninstrumented.
 	Metrics *metrics.Registry
-}
-
-func (s Sweeper) withDefaults() Sweeper {
-	if s.Plan.CoarseStep == 0 {
-		s.Plan = sig.PaperSweep()
-	}
-	if s.JobRuntime == 0 {
-		s.JobRuntime = time.Second
-	}
-	return s
 }
 
 // measure runs one fio job at the given tone on a fresh rig and returns
@@ -105,7 +93,7 @@ func (s Sweeper) measure(pattern fio.Pattern, tone sig.Tone) (float64, error) {
 	if tone.Amplitude > 0 {
 		rig.ApplyTone(tone)
 	}
-	res, err := fio.NewRunner(rig.Disk, rig.Clock).WithMetrics(s.Metrics).Run(fio.PaperJob(pattern, s.JobRuntime))
+	res, err := fio.NewRunner(rig.Disk, rig.Clock).WithMetrics(s.Metrics).Run(fio.PaperJob(pattern, sweepJobRuntime))
 	if err != nil {
 		return 0, err
 	}
@@ -122,10 +110,7 @@ func (s Sweeper) measure(pattern fio.Pattern, tone sig.Tone) (float64, error) {
 // passes fan their points out over the Workers pool; each point gets a
 // fresh rig, so results match a serial run point for point.
 func (s Sweeper) Run(pattern fio.Pattern) (SweepResult, error) {
-	s = s.withDefaults()
-	if err := s.Plan.Validate(); err != nil {
-		return SweepResult{}, err
-	}
+	plan := sig.PaperSweep()
 	baseline, err := s.measure(pattern, sig.Tone{})
 	if err != nil {
 		return SweepResult{}, err
@@ -148,7 +133,7 @@ func (s Sweeper) Run(pattern fio.Pattern) (SweepResult, error) {
 			})
 	}
 
-	coarse := s.Plan.CoarseFrequencies()
+	coarse := plan.CoarseFrequencies()
 	coarsePoints, err := measurePass(coarse)
 	if err != nil {
 		return SweepResult{}, err
@@ -162,7 +147,7 @@ func (s Sweeper) Run(pattern fio.Pattern) (SweepResult, error) {
 		}
 	}
 
-	finePoints, err := measurePass(s.Plan.RefineAroundAll(coarseVulnerable, coarse))
+	finePoints, err := measurePass(plan.RefineAroundAll(coarseVulnerable, coarse))
 	if err != nil {
 		return SweepResult{}, err
 	}
@@ -172,7 +157,7 @@ func (s Sweeper) Run(pattern fio.Pattern) (SweepResult, error) {
 			res.Vulnerable = append(res.Vulnerable, p.Freq)
 		}
 	}
-	res.Bands = sig.CoalesceBands(res.Vulnerable, s.Plan.CoarseStep+s.Plan.FineStep)
+	res.Bands = sig.CoalesceBands(res.Vulnerable, plan.CoarseStep+plan.FineStep)
 	s.Metrics.Add("attack.sweeps", 1)
 	s.Metrics.Add("attack.sweep_points", int64(len(res.Points)))
 	s.Metrics.Add("attack.vulnerable_points", int64(len(res.Vulnerable)))

@@ -11,24 +11,8 @@ import (
 	"deepnote/internal/units"
 )
 
-// fastPlan keeps sweep tests quick while preserving the two-phase shape.
-func fastPlan() sig.SweepPlan {
-	return sig.SweepPlan{
-		Start:      100 * units.Hz,
-		End:        4000 * units.Hz,
-		CoarseStep: 400 * units.Hz,
-		FineStep:   100 * units.Hz,
-		DwellSec:   1,
-	}
-}
-
 func TestSweepFindsVulnerableBand(t *testing.T) {
-	s := Sweeper{
-		Scenario:   core.Scenario2,
-		Plan:       fastPlan(),
-		JobRuntime: 300 * time.Millisecond,
-	}
-	res, err := s.Run(fio.SeqWrite)
+	res, err := Sweeper{Scenario: core.Scenario2}.Run(fio.SeqWrite)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -43,9 +27,10 @@ func TestSweepFindsVulnerableBand(t *testing.T) {
 		t.Errorf("band low edge %v, want ≈300 Hz", band.Low)
 	}
 	// The refinement pass must have added fine-step points.
+	plan := sig.PaperSweep()
 	fine := 0
 	for _, p := range res.Points {
-		if int64(p.Freq)%int64(s.Plan.CoarseStep) != int64(s.Plan.Start)%int64(s.Plan.CoarseStep) {
+		if int64(p.Freq)%int64(plan.CoarseStep) != int64(plan.Start)%int64(plan.CoarseStep) {
 			fine++
 		}
 	}
@@ -55,7 +40,7 @@ func TestSweepFindsVulnerableBand(t *testing.T) {
 }
 
 func TestSweepReadBandInsideWriteBand(t *testing.T) {
-	s := Sweeper{Scenario: core.Scenario3, Plan: fastPlan(), JobRuntime: 300 * time.Millisecond}
+	s := Sweeper{Scenario: core.Scenario3}
 	write, err := s.Run(fio.SeqWrite)
 	if err != nil {
 		t.Fatal(err)
@@ -69,7 +54,7 @@ func TestSweepReadBandInsideWriteBand(t *testing.T) {
 	}
 	// Reads tolerate more: the read band must not extend beyond the
 	// write band on either side (allowing one fine step of slack).
-	slack := s.Plan.FineStep
+	slack := sig.PaperSweep().FineStep
 	if read.Bands[0].Low+slack < write.Bands[0].Low {
 		t.Errorf("read band low %v extends below write band low %v", read.Bands[0].Low, write.Bands[0].Low)
 	}
@@ -77,13 +62,6 @@ func TestSweepReadBandInsideWriteBand(t *testing.T) {
 	lastW := len(write.Bands) - 1
 	if read.Bands[last].High > write.Bands[lastW].High+slack {
 		t.Errorf("read band high %v extends above write band high %v", read.Bands[last].High, write.Bands[lastW].High)
-	}
-}
-
-func TestSweepValidatesPlan(t *testing.T) {
-	s := Sweeper{Scenario: core.Scenario2, Plan: sig.SweepPlan{Start: 10, End: 5, CoarseStep: 1, FineStep: 1, DwellSec: 1}}
-	if _, err := s.Run(fio.SeqWrite); err == nil {
-		t.Fatal("invalid plan accepted")
 	}
 }
 
@@ -189,8 +167,7 @@ func TestProlongedAttackUnknownTarget(t *testing.T) {
 
 func TestNoCrashWithoutAttackEnergy(t *testing.T) {
 	// At 25 cm and a safe frequency the stack must survive the window.
-	p := ProlongedAttack{Freq: 8000 * units.Hz, Distance: 25 * units.Centimeter, Timeout: 30 * time.Second}
-	o, err := p.Run(TargetExt4)
+	o, err := ProlongedAttack{}.run(TargetExt4, hold{freq: 8000 * units.Hz, distance: 25 * units.Centimeter, timeout: 30 * time.Second})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -4,32 +4,18 @@ import (
 	"encoding/json"
 	"reflect"
 	"testing"
-	"time"
 
 	"deepnote/internal/core"
 	"deepnote/internal/fio"
 	"deepnote/internal/metrics"
-	"deepnote/internal/sig"
-	"deepnote/internal/units"
 )
-
-// testPlan is a small sweep that still finds the vulnerable band, keeping
-// the determinism matrix below fast.
-func testPlan() sig.SweepPlan {
-	return sig.SweepPlan{
-		Start: 300 * units.Hz, End: 1500 * units.Hz,
-		CoarseStep: 300 * units.Hz, FineStep: 100 * units.Hz, DwellSec: 1,
-	}
-}
 
 func runSweep(t *testing.T, workers int, reg *metrics.Registry) SweepResult {
 	t.Helper()
 	res, err := Sweeper{
-		Scenario:   core.Scenario2,
-		Plan:       testPlan(),
-		JobRuntime: 300 * time.Millisecond,
-		Workers:    workers,
-		Metrics:    reg,
+		Scenario: core.Scenario2,
+		Workers:  workers,
+		Metrics:  reg,
 	}.Run(fio.SeqWrite)
 	if err != nil {
 		t.Fatalf("sweep (workers=%d): %v", workers, err)
@@ -108,7 +94,7 @@ func TestSweepPopulatesFiveLayers(t *testing.T) {
 // up the filesystem, database, and OS layers too.
 func TestProlongedAttackPublishesStackLayers(t *testing.T) {
 	reg := metrics.NewRegistry()
-	p := ProlongedAttack{Timeout: 30 * time.Second, Metrics: reg}
+	p := ProlongedAttack{Metrics: reg}
 	for _, target := range []CrashTarget{TargetExt4, TargetUbuntu, TargetRocksDB} {
 		if _, err := p.Run(target); err != nil {
 			t.Fatalf("%s: %v", target, err)

@@ -3,11 +3,9 @@ package attack
 import (
 	"reflect"
 	"testing"
-	"time"
 
 	"deepnote/internal/core"
 	"deepnote/internal/fio"
-	"deepnote/internal/sig"
 )
 
 func TestSweepDeterministicAcrossWorkerCounts(t *testing.T) {
@@ -16,10 +14,8 @@ func TestSweepDeterministicAcrossWorkerCounts(t *testing.T) {
 	// for any parallelism.
 	run := func(workers int) SweepResult {
 		res, err := Sweeper{
-			Scenario:   core.Scenario2,
-			Plan:       sig.SweepPlan{Start: 100, End: 2100, CoarseStep: 200, FineStep: 50, DwellSec: 1},
-			JobRuntime: 100 * time.Millisecond,
-			Workers:    workers,
+			Scenario: core.Scenario2,
+			Workers:  workers,
 		}.Run(fio.SeqWrite)
 		if err != nil {
 			t.Fatal(err)

@@ -35,30 +35,29 @@ type CrashOutcome struct {
 }
 
 // ProlongedAttack holds a tone on a Scenario 2 target stack until it
-// crashes, using the paper's best parameters by default (650 Hz, 140 dB,
-// 1 cm).
+// crashes, with the paper's best parameters (paperHold).
 type ProlongedAttack struct {
-	Freq     units.Frequency
-	Distance units.Distance
-	// Timeout bounds the experiment in virtual time (default 150 s).
-	Timeout time.Duration
-	Seed    int64
+	// Seed fixes the rig and stack (default 1).
+	Seed int64
 	// Metrics, when set, receives the layer counters of every stack the
 	// attack builds (hdd, blockdev, jfs, kvdb, osmodel) plus crash-outcome
 	// counters under "attack." (nil = uninstrumented).
 	Metrics *metrics.Registry
 }
 
+// hold is what a prolonged run holds against its target: a full-scale
+// tone at freq from distance, for at most timeout of virtual time.
+type hold struct {
+	freq     units.Frequency
+	distance units.Distance
+	timeout  time.Duration
+}
+
+// paperHold is the paper's best attack (650 Hz, 140 dB, 1 cm), bounded at
+// 150 s.
+var paperHold = hold{freq: 650 * units.Hz, distance: 1 * units.Centimeter, timeout: 150 * time.Second}
+
 func (p ProlongedAttack) withDefaults() ProlongedAttack {
-	if p.Freq == 0 {
-		p.Freq = 650 * units.Hz
-	}
-	if p.Distance == 0 {
-		p.Distance = 1 * units.Centimeter
-	}
-	if p.Timeout == 0 {
-		p.Timeout = 150 * time.Second
-	}
 	if p.Seed == 0 {
 		p.Seed = 1
 	}
@@ -67,14 +66,19 @@ func (p ProlongedAttack) withDefaults() ProlongedAttack {
 
 // Run executes the prolonged attack against the chosen target.
 func (p ProlongedAttack) Run(target CrashTarget) (CrashOutcome, error) {
+	return p.run(target, paperHold)
+}
+
+// run executes the attack h against target.
+func (p ProlongedAttack) run(target CrashTarget, h hold) (CrashOutcome, error) {
 	p = p.withDefaults()
 	switch target {
 	case TargetExt4:
-		return p.runExt4()
+		return p.runExt4(h)
 	case TargetUbuntu:
-		return p.runUbuntu()
+		return p.runUbuntu(h)
 	case TargetRocksDB:
-		return p.runRocksDB()
+		return p.runRocksDB(h)
 	default:
 		return CrashOutcome{}, fmt.Errorf("attack: unknown crash target %q", target)
 	}
@@ -109,8 +113,8 @@ func (p ProlongedAttack) RunAll() ([]CrashOutcome, error) {
 }
 
 // setupFS builds a rig with a mounted filesystem, still quiet.
-func (p ProlongedAttack) setupFS() (*core.Rig, *jfs.FS, error) {
-	rig, err := core.NewRig(core.Scenario2, p.Distance, p.Seed)
+func (p ProlongedAttack) setupFS(h hold) (*core.Rig, *jfs.FS, error) {
+	rig, err := core.NewRig(core.Scenario2, h.distance, p.Seed)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -124,8 +128,8 @@ func (p ProlongedAttack) setupFS() (*core.Rig, *jfs.FS, error) {
 	return rig, fs, nil
 }
 
-func (p ProlongedAttack) runExt4() (CrashOutcome, error) {
-	rig, fs, err := p.setupFS()
+func (p ProlongedAttack) runExt4(h hold) (CrashOutcome, error) {
+	rig, fs, err := p.setupFS(h)
 	if err != nil {
 		return CrashOutcome{}, err
 	}
@@ -138,11 +142,11 @@ func (p ProlongedAttack) runExt4() (CrashOutcome, error) {
 		return CrashOutcome{}, err
 	}
 	start := rig.Clock.Now()
-	rig.ApplyTone(sig.NewTone(p.Freq))
+	rig.ApplyTone(sig.NewTone(h.freq))
 
 	out := CrashOutcome{Target: TargetExt4}
 	var off int64 = 4096
-	for rig.Clock.Now().Sub(start) < p.Timeout {
+	for rig.Clock.Now().Sub(start) < h.timeout {
 		// A continuously writing application, like the paper's workload.
 		_, _ = f.WriteAt(make([]byte, 4096), off%(1<<20))
 		off += 4096
@@ -160,8 +164,8 @@ func (p ProlongedAttack) runExt4() (CrashOutcome, error) {
 	return out, nil
 }
 
-func (p ProlongedAttack) runUbuntu() (CrashOutcome, error) {
-	rig, fs, err := p.setupFS()
+func (p ProlongedAttack) runUbuntu(h hold) (CrashOutcome, error) {
+	rig, fs, err := p.setupFS(h)
 	if err != nil {
 		return CrashOutcome{}, err
 	}
@@ -170,10 +174,10 @@ func (p ProlongedAttack) runUbuntu() (CrashOutcome, error) {
 		return CrashOutcome{}, err
 	}
 	start := rig.Clock.Now()
-	rig.ApplyTone(sig.NewTone(p.Freq))
+	rig.ApplyTone(sig.NewTone(h.freq))
 
 	out := CrashOutcome{Target: TargetUbuntu}
-	for rig.Clock.Now().Sub(start) < p.Timeout {
+	for rig.Clock.Now().Sub(start) < h.timeout {
 		rig.Clock.Sleep(250 * time.Millisecond)
 		srv.Step()
 		if crashed, crashErr := srv.Crashed(); crashed {
@@ -189,8 +193,8 @@ func (p ProlongedAttack) runUbuntu() (CrashOutcome, error) {
 	return out, nil
 }
 
-func (p ProlongedAttack) runRocksDB() (CrashOutcome, error) {
-	rig, fs, err := p.setupFS()
+func (p ProlongedAttack) runRocksDB(h hold) (CrashOutcome, error) {
+	rig, fs, err := p.setupFS(h)
 	if err != nil {
 		return CrashOutcome{}, err
 	}
@@ -200,13 +204,13 @@ func (p ProlongedAttack) runRocksDB() (CrashOutcome, error) {
 	}
 	bench := kvdb.NewBench(db, rig.Clock)
 	// Warm the store, then attack under a readwhilewriting load.
-	if _, err := bench.Run(kvdb.BenchSpec{Workload: kvdb.WorkloadFillRandom, Num: 2000}); err != nil {
+	if _, err := bench.Run(kvdb.BenchSpec{Workload: kvdb.WorkloadFillRandom, Num: 2000, ValueSize: 100, Seed: 1}); err != nil {
 		return CrashOutcome{}, err
 	}
 	start := rig.Clock.Now()
-	rig.ApplyTone(sig.NewTone(p.Freq))
+	rig.ApplyTone(sig.NewTone(h.freq))
 
-	res, err := bench.Run(kvdb.BenchSpec{Workload: kvdb.WorkloadReadWhileWriting, Runtime: p.Timeout})
+	res, err := bench.Run(kvdb.BenchSpec{Workload: kvdb.WorkloadReadWhileWriting, Runtime: h.timeout, ValueSize: 100, Seed: 1})
 	if err != nil {
 		return CrashOutcome{}, err
 	}

@@ -45,15 +45,17 @@ type RemoteSweepResult struct {
 // RemoteSweeper performs the paper's §3 reconnaissance: sweep tones while
 // watching only the latencies of an online application backed by the
 // target. No drive-internal signals are consulted. The speaker sits at
-// sweepDistance and the run uses sweepSeed.
+// sweepDistance, the run uses sweepSeed, and every tone gets
+// remoteProbesPerFreq PUT probes.
 type RemoteSweeper struct {
 	// Scenario fixes the victim enclosure.
 	Scenario core.Scenario
 	// Plan is the frequency schedule (defaults to a coarse paper sweep).
 	Plan sig.SweepPlan
-	// ProbesPerFreq is the number of PUT probes per tone (default 6).
-	ProbesPerFreq int
 }
+
+// remoteProbesPerFreq is the number of PUT probes per tone.
+const remoteProbesPerFreq = 6
 
 func (r RemoteSweeper) withDefaults() RemoteSweeper {
 	if r.Scenario == 0 {
@@ -61,9 +63,6 @@ func (r RemoteSweeper) withDefaults() RemoteSweeper {
 	}
 	if r.Plan.CoarseStep == 0 {
 		r.Plan = sig.PaperSweep()
-	}
-	if r.ProbesPerFreq <= 0 {
-		r.ProbesPerFreq = 6
 	}
 	return r
 }
@@ -90,9 +89,9 @@ func (r RemoteSweeper) Run() (RemoteSweepResult, error) {
 	}
 
 	probe := func(f units.Frequency, object int) RemoteProbe {
-		p := RemoteProbe{Freq: f, Probes: r.ProbesPerFreq}
+		p := RemoteProbe{Freq: f, Probes: remoteProbesPerFreq}
 		var lats []time.Duration
-		for i := 0; i < r.ProbesPerFreq; i++ {
+		for i := 0; i < remoteProbesPerFreq; i++ {
 			resp := srv.Handle(netstore.Put, (object+i)%srv.Config().Objects)
 			lats = append(lats, resp.Latency)
 			switch {
@@ -116,7 +115,7 @@ func (r RemoteSweeper) Run() (RemoteSweepResult, error) {
 	probeAt := func(f units.Frequency) RemoteProbe {
 		rig.ApplyTone(sig.NewTone(f))
 		p := probe(f, obj)
-		obj += r.ProbesPerFreq
+		obj += remoteProbesPerFreq
 		res.Probes = append(res.Probes, p)
 		// Let the victim drain between tones, like a careful attacker
 		// pausing to avoid conflating adjacent probes.

@@ -18,7 +18,6 @@ func TestRemoteSweepInfersVulnerableBand(t *testing.T) {
 		Plan: sig.SweepPlan{
 			Start: 100, End: 4000, CoarseStep: 300, FineStep: 100, DwellSec: 1,
 		},
-		ProbesPerFreq: 4,
 	}
 	res, err := r.Run()
 	if err != nil {
@@ -48,7 +47,6 @@ func TestRemoteSweepQuietFrequenciesLookNormal(t *testing.T) {
 		Plan: sig.SweepPlan{
 			Start: 3000, End: 8000, CoarseStep: 1000, FineStep: 500, DwellSec: 1,
 		},
-		ProbesPerFreq: 4,
 	}
 	res, err := r.Run()
 	if err != nil {
@@ -86,11 +84,11 @@ func TestRemoteSweepValidatesPlan(t *testing.T) {
 
 func TestRemoteSweepAgreesWithDirectSweep(t *testing.T) {
 	plan := sig.SweepPlan{Start: 200, End: 3000, CoarseStep: 400, FineStep: 200, DwellSec: 1}
-	remote, err := RemoteSweeper{Scenario: core.Scenario2, Plan: plan, ProbesPerFreq: 4}.Run()
+	remote, err := RemoteSweeper{Scenario: core.Scenario2, Plan: plan}.Run()
 	if err != nil {
 		t.Fatal(err)
 	}
-	direct, err := Sweeper{Scenario: core.Scenario2, Plan: plan, JobRuntime: 300 * time.Millisecond}.Run(fio.SeqWrite)
+	direct, err := Sweeper{Scenario: core.Scenario2}.Run(fio.SeqWrite)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -136,7 +136,7 @@ func TestRetrierMasksInjectedBurst(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	inj := faultinj.Wrap(blockdev.NewDisk(drive), clock, 5, faultinj.Fault{
+	inj := faultinj.Wrap(blockdev.NewDisk(drive), clock, faultinj.Fault{
 		Kind: faultinj.TransientError, Duration: 25 * time.Millisecond,
 	})
 	r := blockdev.NewRetrier(inj, clock, blockdev.RetryPolicy{})

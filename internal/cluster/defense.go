@@ -199,7 +199,7 @@ func (c *Cluster) SetDefense(spec DefenseSpec) error {
 	stacks, model := c.drives.Stacks, c.drives.model
 	tf.Ensure(len(fixes), len(stacks), func(f, di int) float64 {
 		d := stacks[di]
-		_, amp := c.cfg.Layout.PredictedAmp(fixes[f].Pos, fixes[f].Err, fixes[f].Tone, d.Container, d.asm, model)
+		amp := c.cfg.Layout.PredictedAmp(fixes[f].Pos, fixes[f].Err, fixes[f].Tone, d.Container, d.asm, model)
 		return amp
 	})
 	threshold := *spec.Margin * model.ServoLockFrac

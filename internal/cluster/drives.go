@@ -15,7 +15,6 @@ import (
 	"deepnote/internal/parallel"
 	"deepnote/internal/sched"
 	"deepnote/internal/simclock"
-	"deepnote/internal/units"
 )
 
 // DriveStack is one drive's full victim stack: mechanics on its own
@@ -64,10 +63,7 @@ type driveSite struct {
 	// the full chain walk evaluated once at construction. Layouts and
 	// tones are immutable afterwards, so the cache is never invalidated;
 	// schedule steps only superpose cached gains (see internal/sched).
-	tf sched.TransferCache
-	// freqs[s] is speaker s's normalized tone frequency, the other half
-	// of its cached transfer function.
-	freqs    []units.Frequency
+	tf       sched.TransferCache
 	schedule []ScheduleStep
 	// vibs[step][local] is the precomputed superposed vibration.
 	vibs [][]hdd.Vibration
@@ -146,14 +142,9 @@ func NewDrives(spec DriveSpec) (*Drives, error) {
 		// Precompute every speaker→drive transfer function once, so
 		// attack schedules only superpose cached gains (keying speakers
 		// on/off never re-walks the chain).
-		site.freqs = make([]units.Frequency, len(lay.Speakers))
-		for sp := range lay.Speakers {
-			site.freqs[sp] = lay.Speakers[sp].Tone.Normalize().Freq
-		}
 		site.tf.Ensure(len(lay.Speakers), site.size, func(sp, local int) float64 {
 			st := d.Stacks[site.base+local]
-			_, amp := lay.SpeakerAmp(sp, st.Container, st.asm, d.model)
-			return amp
+			return lay.SpeakerAmp(sp, st.Container, st.asm, d.model)
 		})
 	}
 	d.Stripes = make([][][]byte, spec.Objects)
@@ -187,6 +178,7 @@ func (d *Drives) SetSchedule(s int, steps []ScheduleStep) {
 	site.schedule = append([]ScheduleStep(nil), steps...)
 	sort.SliceStable(site.schedule, func(i, j int) bool { return site.schedule[i].At < site.schedule[j].At })
 	site.vibs = make([][]hdd.Vibration, len(site.schedule))
+	freq := site.layout.toneFreq()
 	for si, step := range site.schedule {
 		active := step.Active
 		if active == nil {
@@ -194,10 +186,8 @@ func (d *Drives) SetSchedule(s int, steps []ScheduleStep) {
 		}
 		site.vibs[si] = make([]hdd.Vibration, site.size)
 		for local := range site.vibs[si] {
-			site.vibs[si][local] = superposeComponents(speakers,
-				func(sp int) units.Frequency { return site.freqs[sp] },
-				func(sp int) float64 { return site.tf.Gain(sp, local) },
-				active)
+			site.vibs[si][local] = superpose(freq, speakers,
+				func(sp int) float64 { return site.tf.Gain(sp, local) }, active)
 		}
 	}
 	for _, st := range d.Stacks[site.base : site.base+site.size] {

@@ -132,7 +132,18 @@ func (l Layout) medium() water.Medium {
 // the same water the attack crosses.
 func (l Layout) EffectiveMedium() water.Medium { return l.medium() }
 
-// Validate checks the layout.
+// toneFreq is the frequency every speaker emits (Validate rejects a layout
+// whose speakers differ), or 0 without speakers.
+func (l Layout) toneFreq() units.Frequency {
+	if len(l.Speakers) == 0 {
+		return 0
+	}
+	return l.Speakers[0].Tone.Normalize().Freq
+}
+
+// Validate checks the layout. Every speaker must emit the same frequency:
+// the attack is one sine tone at a time (§4), and the drive model has no
+// multi-tone state to superpose distinct tones into.
 func (l Layout) Validate() error {
 	if len(l.Containers) == 0 {
 		return fmt.Errorf("cluster: layout has no containers")
@@ -143,6 +154,12 @@ func (l Layout) Validate() error {
 	for _, ct := range l.Containers {
 		if _, err := ct.Scenario.Assembly(); err != nil {
 			return fmt.Errorf("cluster: container %q: %w", ct.Name, err)
+		}
+	}
+	for _, sp := range l.Speakers {
+		if f := sp.Tone.Normalize().Freq; f != l.toneFreq() {
+			return fmt.Errorf("cluster: speaker %q emits %v and speaker %q %v; every speaker of a layout must emit one frequency",
+				sp.Name, f, l.Speakers[0].Name, l.toneFreq())
 		}
 	}
 	return nil
@@ -158,37 +175,17 @@ func (l Layout) SpeakerDistance(s, c int) units.Distance {
 	return d
 }
 
-// PathTo returns the water path from speaker s to container c.
-func (l Layout) PathTo(s, c int) acoustics.Path {
-	return acoustics.Path{
-		Medium:       l.medium(),
-		Distance:     l.SpeakerDistance(s, c),
-		SurfaceDepth: l.SurfaceDepth,
-	}
-}
-
-// ChainTo returns the full attack chain (paper amplifier and projector
-// over the geometric path) from speaker s to container c.
-func (l Layout) ChainTo(s, c int) acoustics.Chain {
-	return acoustics.Chain{Amp: acoustics.BG2120(), Speaker: acoustics.AQ339(), Path: l.PathTo(s, c)}
-}
-
 // SpeakerAmp evaluates the full transfer chain from speaker s to a
 // drive mounted (with assembly asm) in container c: the tone is carried
 // through the speaker's water path, the container's transmission, and
 // the mount coupling, then converted to off-track displacement by the
-// drive model. It returns the speaker's tone frequency and the
-// off-track amplitude contribution (track-pitch fractions; 0 for a
-// silent or out-of-band source). This is the per-(speaker, drive)
-// transfer function the serving engine caches: it depends only on
-// geometry and the speaker's tone, never on the attack schedule.
-func (l Layout) SpeakerAmp(s, c int, asm enclosure.Assembly, model hdd.Model) (units.Frequency, float64) {
-	tone := l.Speakers[s].Tone.Normalize()
-	if tone.Amplitude == 0 || tone.Freq <= 0 {
-		return tone.Freq, 0
-	}
-	pressure := l.ChainTo(s, c).IncidentPressure(tone).Pascals()
-	return tone.Freq, model.OffTrack(tone.Freq, pressure*asm.StructuralGain(tone.Freq))
+// drive model. It returns the off-track amplitude contribution
+// (track-pitch fractions; 0 for a silent or out-of-band source). This is
+// the per-(speaker, drive) transfer function the serving engine caches:
+// it depends only on geometry and the speaker's tone, never on the
+// attack schedule.
+func (l Layout) SpeakerAmp(s, c int, asm enclosure.Assembly, model hdd.Model) float64 {
+	return l.ampAt(l.SpeakerDistance(s, c), l.Speakers[s].Tone, asm, model)
 }
 
 // PredictedAmp evaluates the transfer chain from a hypothesized source —
@@ -196,16 +193,23 @@ func (l Layout) SpeakerAmp(s, c int, asm enclosure.Assembly, model hdd.Model) (u
 // container c, mirroring SpeakerAmp but for a position the defender only
 // estimated. slack is the localization uncertainty: the path length is
 // conservatively shortened by it (the source may be that much closer than
-// the estimate says) before the PointBlank clamp. Returns the tone
-// frequency and the predicted off-track amplitude.
-func (l Layout) PredictedAmp(pos Vec3, slack units.Distance, tone sig.Tone, c int, asm enclosure.Assembly, model hdd.Model) (units.Frequency, float64) {
-	tone = tone.Normalize()
-	if tone.Amplitude == 0 || tone.Freq <= 0 {
-		return tone.Freq, 0
-	}
+// the estimate says) before the PointBlank clamp. Returns the predicted
+// off-track amplitude.
+func (l Layout) PredictedAmp(pos Vec3, slack units.Distance, tone sig.Tone, c int, asm enclosure.Assembly, model hdd.Model) float64 {
 	d := Between(pos, l.Containers[c].Pos) - slack
 	if d < PointBlank {
 		d = PointBlank
+	}
+	return l.ampAt(d, tone, asm, model)
+}
+
+// ampAt is the off-track amplitude that tone, emitted by the paper's
+// amplifier and projector d from a container, drives into a drive mounted
+// there with asm.
+func (l Layout) ampAt(d units.Distance, tone sig.Tone, asm enclosure.Assembly, model hdd.Model) float64 {
+	tone = tone.Normalize()
+	if tone.Amplitude == 0 || tone.Freq <= 0 {
+		return 0
 	}
 	chain := acoustics.Chain{
 		Amp:     acoustics.BG2120(),
@@ -213,60 +217,27 @@ func (l Layout) PredictedAmp(pos Vec3, slack units.Distance, tone sig.Tone, c in
 		Path:    acoustics.Path{Medium: l.medium(), Distance: d, SurfaceDepth: l.SurfaceDepth},
 	}
 	pressure := chain.IncidentPressure(tone).Pascals()
-	return tone.Freq, model.OffTrack(tone.Freq, pressure*asm.StructuralGain(tone.Freq))
+	return model.OffTrack(tone.Freq, pressure*asm.StructuralGain(tone.Freq))
 }
 
-// superposeComponents merges n per-speaker contributions — each a
-// (frequency, off-track amplitude) pair — into one excitation state.
-// Same-frequency sources add coherently (in phase — the attacker's
-// worst case); distinct frequencies ride along as hdd partials, the
-// composite vibration path. active selects which speakers are keyed on;
-// nil means all. Both the direct chain walk (VibrationAt) and the
-// cached-transfer-function path superpose through this one helper, so
-// the two agree bit-exactly.
-func superposeComponents(n int, freq func(s int) units.Frequency, amp func(s int) float64, active []bool) hdd.Vibration {
-	type comp struct {
-		f units.Frequency
-		a float64
-	}
-	var comps []comp
+// superpose merges n per-speaker off-track contributions at one drive
+// into one excitation state. Validate holds every speaker of a layout to
+// one frequency, so the contributions add coherently (in phase — the
+// attacker's worst case) into a single tone at freq. active selects which
+// speakers are keyed on; nil means all. Both the direct chain walk
+// (VibrationAt) and the cached-transfer-function path superpose through
+// this one helper, so the two agree bit-exactly.
+func superpose(freq units.Frequency, n int, amp func(s int) float64, active []bool) hdd.Vibration {
+	var v hdd.Vibration
 	for s := 0; s < n; s++ {
 		if active != nil && (s >= len(active) || !active[s]) {
 			continue
 		}
-		a := amp(s)
-		if a <= 0 {
-			continue
-		}
-		f := freq(s)
-		merged := false
-		for i := range comps {
-			if comps[i].f == f {
-				comps[i].a += a
-				merged = true
-				break
-			}
-		}
-		if !merged {
-			comps = append(comps, comp{f: f, a: a})
+		if a := amp(s); a > 0 {
+			v.Freq, v.Amplitude = freq, v.Amplitude+a
 		}
 	}
-	if len(comps) == 0 {
-		return hdd.Quiet()
-	}
-	best := 0
-	for i, cc := range comps {
-		if cc.a > comps[best].a {
-			best = i
-		}
-	}
-	out := hdd.Vibration{Freq: comps[best].f, Amplitude: comps[best].a}
-	for i, cc := range comps {
-		if i != best {
-			out.Partials = append(out.Partials, hdd.Partial{Freq: cc.f, Amplitude: cc.a})
-		}
-	}
-	return out
+	return v
 }
 
 // VibrationAt superposes every active speaker's contribution at a drive
@@ -274,12 +245,9 @@ func superposeComponents(n int, freq func(s int) units.Frequency, amp func(s int
 // It is the reference (uncached) path; the serving engine precomputes
 // SpeakerAmp per (speaker, drive) instead and superposes cached gains.
 func (l Layout) VibrationAt(c int, asm enclosure.Assembly, model hdd.Model, active []bool) hdd.Vibration {
-	freqs := make([]units.Frequency, len(l.Speakers))
 	amps := make([]float64, len(l.Speakers))
 	for s := range l.Speakers {
-		freqs[s], amps[s] = l.SpeakerAmp(s, c, asm, model)
+		amps[s] = l.SpeakerAmp(s, c, asm, model)
 	}
-	return superposeComponents(len(l.Speakers),
-		func(s int) units.Frequency { return freqs[s] },
-		func(s int) float64 { return amps[s] }, active)
+	return superpose(l.toneFreq(), len(l.Speakers), func(s int) float64 { return amps[s] }, active)
 }

@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"strings"
 	"testing"
 
 	"deepnote/internal/hdd"
@@ -67,24 +68,21 @@ func TestLayoutSuperpositionAdds(t *testing.T) {
 	}
 }
 
-// TestLayoutDistinctFrequenciesBecomePartials: a two-tone attack reaches
-// the drive as a composite vibration, not a single tone.
-func TestLayoutDistinctFrequenciesBecomePartials(t *testing.T) {
-	l := LineLayout(3, 1*units.Meter)
+// TestLayoutRejectsDistinctFrequencies: speakers that emit different
+// frequencies are rejected by Validate and so by New, not superposed into
+// one tone.
+func TestLayoutRejectsDistinctFrequencies(t *testing.T) {
+	l := LineLayout(6, 1*units.Meter)
 	l.Speakers = []SpeakerSite{
 		{Name: "a", Pos: l.Containers[0].Pos, Tone: sig.NewTone(650 * units.Hz)},
 		{Name: "b", Pos: l.Containers[0].Pos, Tone: sig.NewTone(5000 * units.Hz)},
 	}
-	a, err := l.Containers[0].Scenario.Assembly()
-	if err != nil {
-		t.Fatal(err)
+	if _, err := New(Config{Layout: l}); err == nil || !strings.Contains(err.Error(), "one frequency") {
+		t.Fatalf("New = %v, want a one-frequency rejection", err)
 	}
-	v := l.VibrationAt(0, a, hdd.Barracuda500(), nil)
-	if len(v.Partials) != 1 {
-		t.Fatalf("want 1 partial for the second frequency, got %d", len(v.Partials))
-	}
-	if v.Freq != 650*units.Hz {
-		t.Fatalf("dominant component should be the stronger 650 Hz tone, got %v", v.Freq)
+	l.Speakers[1].Tone = sig.Tone{Freq: 650 * units.Hz, Amplitude: 0.5}
+	if err := l.Validate(); err != nil {
+		t.Fatalf("one frequency at two drive levels must validate: %v", err)
 	}
 }
 

@@ -152,10 +152,10 @@ func TestCachedTransferMatchesDirect(t *testing.T) {
 	for _, freq := range []units.Frequency{120 * units.Hz, 650 * units.Hz, 1700 * units.Hz, 3000 * units.Hz, 5200 * units.Hz} {
 		cfg := testConfig(0)
 		cfg.DrivesPerContainer = 2
-		// Mixed tones: three speakers at the grid frequency, one detuned,
-		// so superposition exercises both coherent adds and partials.
+		// Mixed drive levels: three speakers at full scale, one at half,
+		// so the coherent add sums unequal gains.
 		cfg.Layout = cfg.Layout.WithSpeakersAt(sig.NewTone(freq), 0, 1, 2, 3)
-		cfg.Layout.Speakers[3].Tone = sig.NewTone(freq + 37*units.Hz)
+		cfg.Layout.Speakers[3].Tone.Amplitude = 0.5
 		c, err := New(cfg)
 		if err != nil {
 			t.Fatal(err)

@@ -52,7 +52,7 @@ func NewSynth(sampleRateHz float64, windowSamples int, sensorSigma float64, seed
 func (s *Synth) Windows() int { return s.w }
 
 // Window renders the next telemetry window: the drive's excitation state
-// (attack tone + partials + excitation jitter), the ambient scenario, and
+// (attack tone + excitation jitter), the ambient scenario, and
 // sensor noise. The slice is reused — feed it before the next call.
 func (s *Synth) Window(vib hdd.Vibration, amb sig.Ambient) []float64 {
 	for i := range s.buf {
@@ -64,15 +64,6 @@ func (s *Synth) Window(vib hdd.Vibration, amb sig.Ambient) []float64 {
 		wv := vib.Freq.AngularVelocity()
 		for i := range s.buf {
 			s.buf[i] += vib.Amplitude * math.Sin(wv*(t0+float64(i)*dt))
-		}
-	}
-	for _, p := range vib.Partials {
-		if p.Amplitude == 0 || p.Freq <= 0 {
-			continue
-		}
-		wv := p.Freq.AngularVelocity()
-		for i := range s.buf {
-			s.buf[i] += p.Amplitude * math.Sin(wv*(t0+float64(i)*dt)+p.Phase)
 		}
 	}
 	amb.RenderInto(s.w, s.sampleRate, s.buf)

@@ -25,11 +25,17 @@ import (
 
 // --- Figure 2 -----------------------------------------------------------
 
+// Figure 2's swept band, the band its panels plot.
+const (
+	figure2Start = 100 * units.Hz
+	figure2End   = 8000 * units.Hz
+)
+
 // Figure2Options tunes the sweep resolution.
 type Figure2Options struct {
-	// Start, End, Step bound the swept band (defaults 100 Hz – 8 kHz in
-	// 100 Hz steps, the band Figure 2 plots).
-	Start, End, Step units.Frequency
+	// Step is the frequency step across figure2Start–figure2End (default
+	// 100 Hz).
+	Step units.Frequency
 	// JobRuntime is the per-point FIO window (default 500 ms).
 	JobRuntime time.Duration
 	// Seed fixes the run.
@@ -44,12 +50,6 @@ type Figure2Options struct {
 }
 
 func (o Figure2Options) withDefaults() Figure2Options {
-	if o.Start == 0 {
-		o.Start = 100 * units.Hz
-	}
-	if o.End == 0 {
-		o.End = 8000 * units.Hz
-	}
 	if o.Step == 0 {
 		o.Step = 100 * units.Hz
 	}
@@ -77,16 +77,12 @@ type Figure2Result struct {
 
 // Figure2 sweeps all three scenarios for the given pattern. The full
 // (scenario × frequency) grid fans out over the Workers pool; frequencies
-// are generated by index (Start + i*Step) so the grid is exact regardless
-// of step size.
+// are generated by index (figure2Start + i*Step) so the grid is exact
+// regardless of step size.
 func Figure2(pattern fio.Pattern, opts Figure2Options) (Figure2Result, error) {
-	// Zero still selects the default band; anything else must let the
+	// Zero still selects the default step; anything else must let the
 	// sweep loop terminate.
-	if err := valid.First("experiment: Figure2Options",
-		valid.AtLeast("Start", opts.Start, 0),
-		valid.AtLeast("End", opts.End, 0),
-		valid.AtLeast("Step", opts.Step, 0),
-	); err != nil {
+	if err := valid.First("experiment: Figure2Options", valid.AtLeast("Step", opts.Step, 0)); err != nil {
 		return Figure2Result{}, err
 	}
 	opts = opts.withDefaults()
@@ -94,8 +90,8 @@ func Figure2(pattern fio.Pattern, opts Figure2Options) (Figure2Result, error) {
 
 	var freqs []units.Frequency
 	for i := 0; ; i++ {
-		f := opts.Start + units.Frequency(i)*opts.Step
-		if f > opts.End {
+		f := figure2Start + units.Frequency(i)*opts.Step
+		if f > figure2End {
 			break
 		}
 		freqs = append(freqs, f)
@@ -291,13 +287,14 @@ var PaperTable2 = []Table2Row{
 	{Distance: 25 * units.Centimeter, MBps: 8.6, OpsPerSec: 1.1e5},
 }
 
+// table2Fill is how many keys Table 2 pre-populates before each run.
+const table2Fill = 5000
+
 // Table2Options tunes the RocksDB range test.
 type Table2Options struct {
 	// Runtime is the readwhilewriting window per distance (default 5 s).
 	Runtime time.Duration
-	// Fill is the pre-population size (default 5000 keys).
-	Fill int
-	Seed int64
+	Seed    int64
 	// Metrics, when set, receives the per-distance stack counters (hdd,
 	// blockdev, jfs, kvdb) plus "experiment." grid counters.
 	Metrics *metrics.Registry
@@ -306,9 +303,6 @@ type Table2Options struct {
 func (o Table2Options) withDefaults() Table2Options {
 	if o.Runtime == 0 {
 		o.Runtime = 5 * time.Second
-	}
-	if o.Fill == 0 {
-		o.Fill = 5000
 	}
 	if o.Seed == 0 {
 		o.Seed = 1
@@ -342,13 +336,13 @@ func Table2(opts Table2Options) (Table2Result, error) {
 			return res, err
 		}
 		bench := kvdb.NewBench(db, rig.Clock)
-		if _, err := bench.Run(kvdb.BenchSpec{Workload: kvdb.WorkloadFillRandom, Num: opts.Fill}); err != nil {
+		if _, err := bench.Run(kvdb.BenchSpec{Workload: kvdb.WorkloadFillRandom, Num: table2Fill, ValueSize: 100, Seed: 1}); err != nil {
 			return res, err
 		}
 		if d > 0 {
 			rig.MoveSpeaker(d, sig.NewTone(650*units.Hz))
 		}
-		r, err := bench.Run(kvdb.BenchSpec{Workload: kvdb.WorkloadReadWhileWriting, Runtime: opts.Runtime})
+		r, err := bench.Run(kvdb.BenchSpec{Workload: kvdb.WorkloadReadWhileWriting, Runtime: opts.Runtime, ValueSize: 100, Seed: 1})
 		if err != nil {
 			return res, err
 		}

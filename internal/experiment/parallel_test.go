@@ -13,10 +13,7 @@ import (
 // results for any worker count. These tests pin that for the hot grids.
 
 func TestFigure2DeterministicAcrossWorkerCounts(t *testing.T) {
-	opts := Figure2Options{
-		Start: 200 * units.Hz, End: 2000 * units.Hz, Step: 200 * units.Hz,
-		JobRuntime: 100 * time.Millisecond,
-	}
+	opts := Figure2Options{Step: 200 * units.Hz, JobRuntime: 100 * time.Millisecond}
 	run := func(workers int) Figure2Result {
 		o := opts
 		o.Workers = workers

@@ -134,7 +134,7 @@ func (r Resilience) runResilienceConfig(cfg resilienceConfig, seed int64) (Resil
 	// Device stack: acoustic drive → fault injector → (optional) retrier
 	// → latency/error monitor outermost, so the detector sees exactly the
 	// I/O behavior the OS sees.
-	inj := faultinj.Wrap(rig.Disk, clock, seed, r.preBurst())
+	inj := faultinj.Wrap(rig.Disk, clock, r.preBurst())
 	var dev blockdev.Device = inj
 	var retrier *blockdev.Retrier
 	if cfg.retries {

@@ -1,7 +1,7 @@
 // Package fleet lifts the single-facility cluster into a geo-distributed
 // multi-facility tier: several cluster.Layout sites connected by a
 // deterministic WAN model (jittered link latency, bandwidth
-// serialization, injected link flaps, site partitions, and brownouts),
+// serialization, injected link flaps and brownouts),
 // with a cross-facility placement layer that spreads erasure shards
 // across acoustic blast radii within a site and across sites.
 //

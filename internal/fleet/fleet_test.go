@@ -3,6 +3,7 @@ package fleet
 import (
 	"math"
 	"reflect"
+	"strings"
 	"testing"
 	"time"
 
@@ -215,6 +216,12 @@ func TestFleetConfigValidation(t *testing.T) {
 	wide.DataShards, wide.ParityShards = 30, 6
 	if _, err := New(wide); err == nil {
 		t.Fatal("36-shard stripe accepted past the 32-shard mask limit")
+	}
+	twoTone := testFleetConfig(PlacementAttackAware, 0, 0)
+	twoTone.Sites[0].Layout = twoTone.Sites[0].Layout.WithSpeakersAt(sig.NewTone(650*units.Hz), 0, 1)
+	twoTone.Sites[0].Layout.Speakers[1].Tone = sig.NewTone(900 * units.Hz)
+	if _, err := New(twoTone); err == nil || !strings.Contains(err.Error(), "one frequency") {
+		t.Fatalf("site with speakers at 650 and 900 Hz: New = %v, want a one-frequency rejection", err)
 	}
 	f, err := New(testFleetConfig(PlacementAttackAware, 0))
 	if err != nil {

@@ -46,17 +46,14 @@ const (
 func (w WANConfig) validate(sites int) error {
 	badSite := func(s int) bool { return s < 0 || s >= sites }
 	for i, fa := range w.Faults {
-		switch fa.Kind {
-		case LinkFlap, Brownout:
-			if badSite(fa.B) {
-				return fmt.Errorf("WAN fault %d (%s): site B=%d outside [0, %d)", i, fa.Kind, fa.B, sites)
-			}
-		case SitePartition:
-		default:
+		if fa.Kind != LinkFlap && fa.Kind != Brownout {
 			return fmt.Errorf("WAN fault %d: unknown kind %s", i, fa.Kind)
 		}
 		if badSite(fa.A) {
 			return fmt.Errorf("WAN fault %d (%s): site A=%d outside [0, %d)", i, fa.Kind, fa.A, sites)
+		}
+		if badSite(fa.B) {
+			return fmt.Errorf("WAN fault %d (%s): site B=%d outside [0, %d)", i, fa.Kind, fa.B, sites)
 		}
 		if fa.Duration < 0 {
 			return fmt.Errorf("WAN fault %d (%s): negative Duration %v", i, fa.Kind, fa.Duration)
@@ -73,22 +70,17 @@ type FaultKind int
 
 const (
 	// LinkFlap takes one link (A↔B) hard down for the window.
-	LinkFlap FaultKind = iota
-	// SitePartition takes every link touching site A down — the
-	// facility is unreachable, though its local clients still hit its
-	// local shards.
-	SitePartition
+	LinkFlap FaultKind = 0
 	// Brownout multiplies the A↔B link's RTT by Factor for the window
-	// (congestion, not loss).
-	Brownout
+	// (congestion, not loss). Its number stays 2 and 1 stays unused, so a
+	// kind stored as a number keeps its meaning.
+	Brownout FaultKind = 2
 )
 
 func (k FaultKind) String() string {
 	switch k {
 	case LinkFlap:
 		return "link-flap"
-	case SitePartition:
-		return "site-partition"
 	case Brownout:
 		return "brownout"
 	default:
@@ -102,8 +94,7 @@ func (k FaultKind) String() string {
 // the fleet.
 type Fault struct {
 	Kind FaultKind
-	// A and B name the site pair (LinkFlap, Brownout); SitePartition
-	// uses only A.
+	// A and B name the site pair.
 	A, B int
 	// Start and Duration bound the window.
 	Start    time.Duration
@@ -118,9 +109,6 @@ func (fa Fault) active(at int64) bool {
 }
 
 func (fa Fault) hits(a, b int) bool {
-	if fa.Kind == SitePartition {
-		return a == fa.A || b == fa.A
-	}
 	return (a == fa.A && b == fa.B) || (a == fa.B && b == fa.A)
 }
 
@@ -167,7 +155,7 @@ func (f *Fleet) linkIdx(a, b int) int {
 	return int(f.linkAt[a*len(f.cfg.Sites)+b])
 }
 
-// linkDown reports whether a flap or partition has the link down at
+// linkDown reports whether a flap has the link down at
 // offset `at` on the serving timeline.
 func (f *Fleet) linkDown(li int, at int64) bool {
 	l := &f.links[li]

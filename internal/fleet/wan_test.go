@@ -22,8 +22,8 @@ func testWANFleet(t *testing.T, faults ...Fault) *Fleet {
 
 func TestFaultWindowsGateLinks(t *testing.T) {
 	flap := Fault{Kind: LinkFlap, A: 0, B: 1, Start: 100 * time.Millisecond, Duration: 50 * time.Millisecond}
-	part := Fault{Kind: SitePartition, A: 2, Start: 300 * time.Millisecond, Duration: 100 * time.Millisecond}
-	f := testWANFleet(t, flap, part)
+	brown := Fault{Kind: Brownout, A: 0, B: 2, Start: 300 * time.Millisecond, Duration: 100 * time.Millisecond}
+	f := testWANFleet(t, flap, brown)
 	l01, l02, l12 := f.linkIdx(0, 1), f.linkIdx(0, 2), f.linkIdx(1, 2)
 	if l01 != f.linkIdx(1, 0) {
 		t.Fatal("link index not symmetric")
@@ -39,12 +39,9 @@ func TestFaultWindowsGateLinks(t *testing.T) {
 	if f.linkDown(l02, at(120*time.Millisecond)) || f.linkDown(l12, at(120*time.Millisecond)) {
 		t.Fatal("flap leaked onto other links")
 	}
-	// The partition downs every link touching site 2 and nothing else.
-	if !f.linkDown(l02, at(350*time.Millisecond)) || !f.linkDown(l12, at(350*time.Millisecond)) {
-		t.Fatal("partition missed a link touching the site")
-	}
-	if f.linkDown(l01, at(350*time.Millisecond)) {
-		t.Fatal("partition downed an unrelated link")
+	// A brownout slows its link but never downs it.
+	if f.linkDown(l02, at(350*time.Millisecond)) {
+		t.Fatal("brownout downed its link")
 	}
 }
 
@@ -182,8 +179,9 @@ func TestWANConfigValidation(t *testing.T) {
 		{"negative brownout factor", WANConfig{Faults: []Fault{{Kind: Brownout, A: 0, B: 1, Duration: sec, Factor: -4}}}},
 		{"flap site B out of range", WANConfig{Faults: []Fault{{Kind: LinkFlap, A: 0, B: 7, Duration: sec}}}},
 		{"flap site A negative", WANConfig{Faults: []Fault{{Kind: LinkFlap, A: -1, B: 1, Duration: sec}}}},
-		{"partition site out of range", WANConfig{Faults: []Fault{{Kind: SitePartition, A: 3, Duration: sec}}}},
+		{"brownout site A out of range", WANConfig{Faults: []Fault{{Kind: Brownout, A: 3, B: 0, Duration: sec}}}},
 		{"unknown fault kind", WANConfig{Faults: []Fault{{Kind: FaultKind(9), A: 0, B: 1, Duration: sec}}}},
+		{"fault kind between flap and brownout", WANConfig{Faults: []Fault{{Kind: FaultKind(1), A: 0, B: 1, Duration: sec}}}},
 		{"negative duration", WANConfig{Faults: []Fault{{Kind: LinkFlap, A: 0, B: 1, Duration: -sec}}}},
 	}
 	for _, tc := range cases {
@@ -193,10 +191,10 @@ func TestWANConfigValidation(t *testing.T) {
 			t.Errorf("%s: New accepted %+v", tc.name, tc.wan)
 		}
 	}
-	// Zero still means the default, and a partition ignores B.
+	// A zero brownout factor still means the default.
 	cfg := testFleetConfig(PlacementAttackAware, 0)
 	cfg.WAN = WANConfig{Faults: []Fault{
-		{Kind: SitePartition, A: 2, B: -5, Duration: sec},
+		{Kind: LinkFlap, A: 2, B: 1, Duration: sec},
 		{Kind: Brownout, A: 0, B: 2, Duration: sec},
 	}}
 	if _, err := New(cfg); err != nil {

@@ -12,7 +12,7 @@ import (
 // hold-window evaluation, retries included — must not allocate, so the
 // facility-scale serving engine's per-op cost on this layer is pure
 // compute. Runs both below and above the read fault threshold (the
-// retry regime) and a multi-tone composite excitation.
+// retry regime).
 func TestAccessHoldWindowZeroAlloc(t *testing.T) {
 	model := Barracuda500()
 	cases := []struct {
@@ -22,8 +22,6 @@ func TestAccessHoldWindowZeroAlloc(t *testing.T) {
 		{"quiet", Quiet()},
 		{"held", Vibration{Freq: 650 * units.Hz, Amplitude: model.ReadFaultFrac * 0.8}},
 		{"retrying", Vibration{Freq: 650 * units.Hz, Amplitude: model.ReadFaultFrac * 1.1}},
-		{"composite", Vibration{Freq: 650 * units.Hz, Amplitude: model.ReadFaultFrac * 0.7,
-			Partials: []Partial{{Freq: 1300 * units.Hz, Amplitude: model.ReadFaultFrac * 0.5}}}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

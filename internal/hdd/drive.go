@@ -39,11 +39,6 @@ var (
 	ErrHeadsParked = errors.New("hdd: heads parked by shock sensor")
 	// ErrOutOfRange is returned for accesses beyond the drive capacity.
 	ErrOutOfRange = errors.New("hdd: access beyond device capacity")
-	// ErrCompositeVibration is returned by the success-probability
-	// predictors for multi-partial excitations: their peak statistics
-	// have no closed form, so callers must fall back to simulation
-	// (Drive.Access evaluates composites numerically).
-	ErrCompositeVibration = errors.New("hdd: success probability undefined for composite vibrations")
 )
 
 // ChunkBytes is the service granularity of the drive: Access splits every
@@ -53,23 +48,12 @@ var (
 // throughput oracle mirror this granularity.
 const ChunkBytes = 4096
 
-// Partial is one spectral component of a composite excitation.
-type Partial struct {
-	// Freq is the component frequency.
-	Freq units.Frequency
-	// Amplitude is the component's off-track amplitude (track-pitch
-	// fractions).
-	Amplitude float64
-	// Phase is the component's phase in radians relative to the others.
-	Phase float64
-}
-
-// Vibration is the excitation state applied to a drive: a dominant tone at
-// Freq whose off-track displacement amplitude is Amplitude (track-pitch
-// fractions), plus broadband jitter, plus optional extra Partials for
-// multi-tone attacks.
+// Vibration is the excitation state applied to a drive: one tone at Freq
+// whose off-track displacement amplitude is Amplitude (track-pitch
+// fractions), plus broadband jitter. The attack is one sine tone at a
+// time (§4), so there is no multi-tone state.
 type Vibration struct {
-	// Freq is the dominant excitation frequency.
+	// Freq is the excitation frequency.
 	Freq units.Frequency
 	// Amplitude is the sinusoidal off-track amplitude in track-pitch
 	// fractions.
@@ -77,9 +61,6 @@ type Vibration struct {
 	// ExtraJitter adds broadband off-track noise (1σ, track fractions)
 	// on top of the drive's own ambient jitter.
 	ExtraJitter float64
-	// Partials are additional coherent components beyond the dominant
-	// tone (multi-tone attacks). Empty for single-tone excitation.
-	Partials []Partial
 }
 
 // Quiet is the no-attack vibration state.
@@ -87,30 +68,7 @@ func Quiet() Vibration { return Vibration{} }
 
 // IsQuiet reports whether the excitation carries no tonal energy.
 func (v Vibration) IsQuiet() bool {
-	return v.Amplitude == 0 && len(v.Partials) == 0 && v.ExtraJitter == 0
-}
-
-// TotalAmplitude returns the worst-case (coherent sum) off-track
-// amplitude of all components.
-func (v Vibration) TotalAmplitude() float64 {
-	a := v.Amplitude
-	for _, p := range v.Partials {
-		a += p.Amplitude
-	}
-	return a
-}
-
-// isComposite reports whether numeric evaluation is required.
-func (v Vibration) isComposite() bool { return len(v.Partials) > 0 }
-
-// displacementAt evaluates the composite waveform at time t (seconds)
-// with the dominant tone at the given phase offset.
-func (v Vibration) displacementAt(t, phase float64) float64 {
-	u := v.Amplitude * math.Sin(v.Freq.AngularVelocity()*t+phase)
-	for _, p := range v.Partials {
-		u += p.Amplitude * math.Sin(p.Freq.AngularVelocity()*t+p.Phase+phase)
-	}
-	return u
+	return v.Amplitude == 0 && v.ExtraJitter == 0
 }
 
 // Stats counts drive activity.
@@ -186,13 +144,7 @@ func (d *Drive) Vibration() Vibration { return d.vib }
 // content above the sensor's threshold parks the heads.
 func (d *Drive) SetVibration(v Vibration) {
 	d.vib = v
-	trip := v.Freq >= d.model.ShockSensorMin && v.Amplitude >= d.model.ShockSensorAmpFrac
-	for _, p := range v.Partials {
-		if p.Freq >= d.model.ShockSensorMin && p.Amplitude >= d.model.ShockSensorAmpFrac {
-			trip = true
-		}
-	}
-	if trip {
+	if v.Freq >= d.model.ShockSensorMin && v.Amplitude >= d.model.ShockSensorAmpFrac {
 		d.parked = d.clock.Now().Add(d.model.ParkDuration)
 		d.stats.ShockParks++
 	}
@@ -331,20 +283,14 @@ func (d *Drive) fixedTime(op Op, offset int64) time.Duration {
 }
 
 // attemptHoldsTrack decides whether one positioning attempt keeps the head
-// within the fault threshold for the whole transfer window. The head's
+// within the fault threshold for the whole hold window. The head's
 // off-track displacement is A·sin(ωt+φ) with random phase plus Gaussian
-// jitter; the attempt fails if the peak excursion over the transfer window
-// crosses the threshold.
-// attemptHoldsTrack decides whether one positioning attempt stays within
-// the fault threshold for the whole hold window; peakFrac reports the
-// worst excursion as a fraction of the threshold (for the marginal-write
-// integrity model).
+// jitter; the attempt fails if the peak excursion over the window crosses
+// the threshold. peakFrac reports the worst excursion as a fraction of the
+// threshold (for the marginal-write integrity model).
 func (d *Drive) attemptHoldsTrack(threshold float64, hold time.Duration) (ok bool, peakFrac float64) {
 	sigma := d.model.BaseJitterFrac + d.vib.ExtraJitter
 	jitter := math.Abs(d.rng.NormFloat64()) * sigma
-	if d.vib.isComposite() {
-		return d.compositeHoldsTrack(threshold, hold, jitter)
-	}
 	a := d.vib.Amplitude
 	if a >= d.model.ServoLockFrac {
 		// Position feedback is gone: the servo wedges themselves are
@@ -358,28 +304,6 @@ func (d *Drive) attemptHoldsTrack(threshold float64, hold time.Duration) (ok boo
 	window := d.vib.Freq.AngularVelocity() * hold.Seconds()
 	peak := a*maxAbsSinOver(phase, window) + jitter
 	return peak < threshold, peak / threshold
-}
-
-// compositeHoldsTrack evaluates a multi-tone excitation numerically: the
-// waveform is sampled densely across the hold window at a random phase.
-func (d *Drive) compositeHoldsTrack(threshold float64, hold time.Duration, jitter float64) (bool, float64) {
-	// Servo lock loss uses the RMS-equivalent envelope: a coherent peak
-	// above the lock threshold occurring within the window defeats the
-	// wedge reads just like a single tone would.
-	phase := d.rng.Float64() * 2 * math.Pi
-	const samples = 24
-	dt := hold.Seconds() / samples
-	peak := 0.0
-	for i := 0; i <= samples; i++ {
-		if u := math.Abs(d.vib.displacementAt(float64(i)*dt, phase)); u > peak {
-			peak = u
-		}
-	}
-	if peak >= d.model.ServoLockFrac {
-		return false, peak / threshold
-	}
-	total := peak + jitter
-	return total < threshold, total / threshold
 }
 
 // MaxAbsSinOver returns max(|sin θ|) for θ in [phase, phase+width] — the

@@ -31,32 +31,25 @@ var (
 	ErrNotMounted = errors.New("jfs: not mounted")
 )
 
-// Config tunes the journaling behaviour.
-type Config struct {
-	// CommitInterval is the background commit cadence (default 5 s,
-	// matching ext4's commit=5 default).
-	CommitInterval time.Duration
-	// StallLimit is how long the journal tolerates failing commits
-	// before aborting (default 75 s; with the 5 s commit cadence this
-	// reproduces the paper's ≈80 s Ext4 time-to-crash).
-	StallLimit time.Duration
-}
+// The journal's fixed timing.
+const (
+	// commitInterval is the background commit cadence, ext4's commit=5
+	// default.
+	commitInterval = 5 * time.Second
+	// stallLimit is how long the journal tolerates failing commits
+	// before aborting; with the 5 s commit cadence this reproduces the
+	// paper's ≈80 s Ext4 time-to-crash.
+	stallLimit = 75 * time.Second
+)
 
-func (c Config) withDefaults() Config {
-	if c.CommitInterval <= 0 {
-		c.CommitInterval = 5 * time.Second
-	}
-	if c.StallLimit <= 0 {
-		c.StallLimit = 75 * time.Second
-	}
-	return c
-}
+// Config is the mount configuration. It has no settings: the journal's
+// timing is fixed (commitInterval, stallLimit).
+type Config struct{}
 
 // FS is a mounted filesystem.
 type FS struct {
 	dev   blockdev.Device
 	clock *simclock.Virtual
-	cfg   Config
 	sb    *Superblock
 	js    journalSuper
 
@@ -95,10 +88,10 @@ func Mkfs(dev blockdev.Device, opts MkfsOptions) error {
 		Magic:         Magic,
 		TotalBlocks:   opts.Blocks,
 		JournalStart:  1,
-		JournalBlocks: opts.JournalBlocks,
-		BitmapStart:   1 + opts.JournalBlocks,
+		JournalBlocks: journalBlocks,
+		BitmapStart:   1 + journalBlocks,
 		BitmapBlocks:  bitmapBlocks,
-		InodeStart:    1 + opts.JournalBlocks + bitmapBlocks,
+		InodeStart:    1 + journalBlocks + bitmapBlocks,
 		InodeBlocks:   inodeBlocks,
 		InodeCount:    mkfsInodes,
 		State:         StateClean,
@@ -139,7 +132,7 @@ func Mkfs(dev blockdev.Device, opts MkfsOptions) error {
 
 // Mount opens the filesystem, replaying any committed journal transactions
 // left by an unclean shutdown.
-func Mount(dev blockdev.Device, clock *simclock.Virtual, cfg Config) (*FS, error) {
+func Mount(dev blockdev.Device, clock *simclock.Virtual, _ Config) (*FS, error) {
 	buf := make([]byte, BlockSize)
 	if _, err := dev.ReadAt(buf, 0); err != nil {
 		return nil, fmt.Errorf("jfs: reading superblock: %w", err)
@@ -151,7 +144,6 @@ func Mount(dev blockdev.Device, clock *simclock.Virtual, cfg Config) (*FS, error
 	fs := &FS{
 		dev:      dev,
 		clock:    clock,
-		cfg:      cfg.withDefaults(),
 		sb:       sb,
 		indirect: make(map[uint64][]uint64),
 		dirty:    make(map[uint64]bool),
@@ -558,7 +550,7 @@ func (fs *FS) maybeCommit() {
 	if fs.aborted || !fs.mounted {
 		return
 	}
-	due := fs.clock.Now().Sub(fs.lastCommit) >= fs.cfg.CommitInterval
+	due := fs.clock.Now().Sub(fs.lastCommit) >= commitInterval
 	pending := len(fs.dirty) > 0 || !fs.stallSince.IsZero()
 	if due && pending {
 		_ = fs.commitNow() // the abort path records the error
@@ -586,7 +578,7 @@ func (fs *FS) commitNow() error {
 	}
 	// Back the commit cadence off to the interval again.
 	fs.lastCommit = now
-	if now.Sub(fs.stallSince) >= fs.cfg.StallLimit {
+	if now.Sub(fs.stallSince) >= stallLimit {
 		fs.abort(err)
 		return fs.abortErr
 	}

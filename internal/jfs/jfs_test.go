@@ -52,7 +52,7 @@ func TestMkfsTooSmall(t *testing.T) {
 	clock := simclock.NewVirtual()
 	drive, _ := hdd.NewDrive(hdd.Barracuda500(), clock, 9)
 	disk := blockdev.NewDisk(drive)
-	if err := Mkfs(disk, MkfsOptions{Blocks: 100, JournalBlocks: 90}); err == nil {
+	if err := Mkfs(disk, MkfsOptions{Blocks: 100}); err == nil {
 		t.Fatal("expected error for undersized filesystem")
 	}
 }
@@ -308,9 +308,8 @@ func TestBackgroundCommitRunsOnInterval(t *testing.T) {
 func TestJournalAbortUnderProlongedAttack(t *testing.T) {
 	// The Table 3 mechanism: the attack blocks all I/O; the journal
 	// cannot commit; after the stall limit the journal aborts with the
-	// JBD -5 signature. Uses shortened limits to keep the test fast.
+	// JBD -5 signature.
 	fs, disk, clock := newFS(t)
-	fs.cfg = Config{CommitInterval: time.Second, StallLimit: 10 * time.Second}.withDefaults()
 	f, _ := fs.Create("victim")
 	if _, err := f.WriteAt([]byte("dirty"), 0); err != nil {
 		t.Fatal(err)
@@ -335,7 +334,7 @@ func TestJournalAbortUnderProlongedAttack(t *testing.T) {
 		t.Fatalf("abort error %q missing %q", abortErr, want)
 	}
 	elapsed := fs.CrashedAt().Sub(attackStart)
-	if elapsed < 10*time.Second || elapsed > 20*time.Second {
+	if elapsed < stallLimit || elapsed > stallLimit+2*commitInterval {
 		t.Fatalf("time to crash = %v, want ≈ stall limit", elapsed)
 	}
 	// Writes now fail with the abort error.
@@ -353,11 +352,10 @@ func errorContains(err error, sub string) bool {
 
 func TestCommitRecoversAfterShortAttack(t *testing.T) {
 	fs, disk, clock := newFS(t)
-	fs.cfg = Config{CommitInterval: time.Second, StallLimit: 60 * time.Second}.withDefaults()
 	f, _ := fs.Create("resilient")
 	f.WriteAt([]byte("data"), 0)
 	disk.Drive().SetVibration(hdd.Vibration{Freq: 650, Amplitude: 2.3})
-	for i := 0; i < 5; i++ {
+	for i := 0; i < 12; i++ {
 		clock.Sleep(time.Second)
 		fs.Tick()
 	}
@@ -365,7 +363,7 @@ func TestCommitRecoversAfterShortAttack(t *testing.T) {
 		t.Fatal("expected commit failures during attack")
 	}
 	disk.Drive().SetVibration(hdd.Quiet())
-	clock.Sleep(2 * time.Second)
+	clock.Sleep(commitInterval)
 	fs.Tick()
 	if aborted, _ := fs.Aborted(); aborted {
 		t.Fatal("journal aborted despite attack ending inside the stall limit")

@@ -205,23 +205,21 @@ func decodeDirent(buf []byte) Dirent {
 	return d
 }
 
+// journalBlocks is the journal region size.
+const journalBlocks = 1024
+
 // MkfsOptions configures filesystem creation.
 type MkfsOptions struct {
 	// Blocks is the filesystem size in blocks; 0 sizes it to the device.
 	Blocks uint64
-	// JournalBlocks sets the journal region size (default 1024 blocks).
-	JournalBlocks uint64
 }
 
 func (o MkfsOptions) withDefaults(devBlocks uint64) (MkfsOptions, error) {
 	if o.Blocks == 0 || o.Blocks > devBlocks {
 		o.Blocks = devBlocks
 	}
-	if o.JournalBlocks == 0 {
-		o.JournalBlocks = 1024
-	}
-	if o.Blocks < o.JournalBlocks+64 {
-		return o, fmt.Errorf("jfs: %d blocks too small for a %d-block journal", o.Blocks, o.JournalBlocks)
+	if o.Blocks < journalBlocks+64 {
+		return o, fmt.Errorf("jfs: %d blocks too small for a %d-block journal", o.Blocks, journalBlocks)
 	}
 	return o, nil
 }

@@ -160,7 +160,7 @@ func TestOracleSurvivesMidRunAttacks(t *testing.T) {
 	if err := Mkfs(disk, MkfsOptions{Blocks: 1 << 16}); err != nil {
 		t.Fatal(err)
 	}
-	fs, err := Mount(disk, clock, Config{StallLimit: time.Hour})
+	fs, err := Mount(disk, clock, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -201,7 +201,7 @@ func TestOracleSurvivesMidRunAttacks(t *testing.T) {
 	}
 	disk.Drive().SetVibration(hdd.Quiet())
 	if aborted, _ := fs.Aborted(); aborted {
-		t.Fatal("journal aborted despite generous stall limit")
+		t.Fatal("journal aborted under short attack bursts")
 	}
 	for name, want := range model {
 		f, err := fs.Open(name)

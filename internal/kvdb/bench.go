@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"deepnote/internal/simclock"
+	"deepnote/internal/valid"
 )
 
 // Workload names, matching db_bench's vocabulary.
@@ -17,7 +18,9 @@ const (
 	WorkloadReadWhileWriting = "readwhilewriting"
 )
 
-// BenchSpec describes a db_bench-style run.
+// BenchSpec describes a db_bench-style run. Every field is used as given:
+// Run rejects a ValueSize below 1 and a negative Num, and a Seed of 0 is a
+// seed like any other.
 type BenchSpec struct {
 	// Workload is one of the Workload* names.
 	Workload string
@@ -25,8 +28,8 @@ type BenchSpec struct {
 	Num int
 	// Runtime bounds time-bounded workloads (readwhilewriting).
 	Runtime time.Duration
-	// ValueSize is the value payload size (db_bench's default is 100
-	// bytes); keys are benchKeySize bytes.
+	// ValueSize is the value payload size in bytes (db_bench's default
+	// is 100); keys are benchKeySize bytes.
 	ValueSize int
 	// Seed drives key selection.
 	Seed int64
@@ -40,16 +43,6 @@ const (
 	// a closed loop.
 	readsPerWrite = 10
 )
-
-func (s BenchSpec) withDefaults() BenchSpec {
-	if s.ValueSize <= 0 {
-		s.ValueSize = 100
-	}
-	if s.Seed == 0 {
-		s.Seed = 1
-	}
-	return s
-}
 
 // BenchResult reports a run the way the paper's Table 2 does: payload
 // throughput in MB/s and operation rate in ops/s.
@@ -108,7 +101,12 @@ func benchValue(rng *rand.Rand, size int) []byte {
 
 // Run executes the spec.
 func (b *Bench) Run(spec BenchSpec) (BenchResult, error) {
-	spec = spec.withDefaults()
+	if err := valid.First("kvdb: BenchSpec",
+		valid.AtLeast("ValueSize", spec.ValueSize, 1),
+		valid.AtLeast("Num", spec.Num, 0),
+	); err != nil {
+		return BenchResult{}, err
+	}
 	switch spec.Workload {
 	case WorkloadFillSeq, WorkloadFillRandom:
 		return b.fill(spec)

@@ -27,18 +27,6 @@ var (
 
 // Options tunes the engine.
 type Options struct {
-	// MemtableBytes is the flush threshold (default 256 KiB).
-	MemtableBytes int
-	// WALFlushBytes is the WAL buffer threshold that forces a
-	// synchronous flush to the filesystem (default 64 KiB).
-	WALFlushBytes int
-	// L0CompactTrigger is the L0 table count that schedules compaction
-	// (default 4).
-	L0CompactTrigger int
-	// WALStallLimit is how long the write path tolerates WAL I/O
-	// failures before the database crashes (default 80 s, reproducing
-	// the paper's ≈81 s RocksDB time-to-crash).
-	WALStallLimit time.Duration
 	// RetryHook, if set, runs after every failed WAL retry with the
 	// current stall duration. Returning false abandons the blocked
 	// write with an error instead of waiting for the stall limit;
@@ -51,6 +39,12 @@ type Options struct {
 
 // The engine's fixed tuning.
 const (
+	// l0CompactTrigger is the L0 table count that schedules compaction.
+	l0CompactTrigger = 4
+	// walStallLimit is how long the write path tolerates WAL I/O
+	// failures before the database crashes, reproducing the paper's
+	// ≈81 s RocksDB time-to-crash.
+	walStallLimit = 80 * time.Second
 	// l0StopTrigger is the L0 table count that blocks writes until
 	// compaction succeeds — RocksDB's stop condition.
 	l0StopTrigger = 12
@@ -62,19 +56,20 @@ const (
 	cpuCostPerOp = 7500 * time.Nanosecond
 )
 
+// buffers are the engine's two size thresholds. Open uses
+// defaultBuffers; tests open with smaller ones to reach flushes,
+// compaction and WAL syncs within a few operations.
+type buffers struct {
+	// memtable is the memtable flush threshold in bytes.
+	memtable int
+	// walFlush is the WAL buffer threshold that forces a synchronous
+	// flush to the filesystem.
+	walFlush int
+}
+
+var defaultBuffers = buffers{memtable: 256 << 10, walFlush: 64 << 10}
+
 func (o Options) withDefaults() Options {
-	if o.MemtableBytes <= 0 {
-		o.MemtableBytes = 256 << 10
-	}
-	if o.WALFlushBytes <= 0 {
-		o.WALFlushBytes = 64 << 10
-	}
-	if o.L0CompactTrigger <= 0 {
-		o.L0CompactTrigger = 4
-	}
-	if o.WALStallLimit <= 0 {
-		o.WALStallLimit = 80 * time.Second
-	}
 	if o.Seed == 0 {
 		o.Seed = 1
 	}
@@ -96,6 +91,7 @@ type DB struct {
 	fs    *jfs.FS
 	clock *simclock.Virtual
 	opts  Options
+	buf   buffers
 
 	mem    *Memtable
 	seq    uint64
@@ -121,10 +117,15 @@ func sstName(level, gen int) string { return fmt.Sprintf("sst-%d-%06d", level, g
 // Open opens (or creates) a database in the root of the filesystem,
 // replaying the WAL left by any previous incarnation.
 func Open(fs *jfs.FS, clock *simclock.Virtual, opts Options) (*DB, error) {
+	return open(fs, clock, opts, defaultBuffers)
+}
+
+func open(fs *jfs.FS, clock *simclock.Virtual, opts Options, buf buffers) (*DB, error) {
 	db := &DB{
 		fs:    fs,
 		clock: clock,
 		opts:  opts.withDefaults(),
+		buf:   buf,
 	}
 	db.mem = NewMemtable(db.opts.Seed)
 
@@ -191,7 +192,7 @@ func Open(fs *jfs.FS, clock *simclock.Virtual, opts Options) (*DB, error) {
 			db.mem.insert(rec.key, nil, rec.seq)
 		}
 	}
-	db.wal = newWAL(wf, db.opts.WALFlushBytes)
+	db.wal = newWAL(wf, db.buf.walFlush)
 	return db, nil
 }
 
@@ -266,7 +267,7 @@ func (db *DB) Put(key, value []byte) error {
 	db.mem.Put(key, value, db.seq)
 	db.stats.Puts++
 	db.stats.BytesWritten += int64(len(key) + len(value))
-	if db.mem.ApproximateBytes() >= db.opts.MemtableBytes {
+	if db.mem.ApproximateBytes() >= db.buf.memtable {
 		if err := db.flushMemtable(); err != nil {
 			return err
 		}
@@ -291,7 +292,7 @@ func (db *DB) persistWAL() error {
 			db.stallSince = now
 			db.stats.StallEpisodes++
 		}
-		if now.Sub(db.stallSince) >= db.opts.WALStallLimit {
+		if now.Sub(db.stallSince) >= walStallLimit {
 			db.crash(err)
 			return db.crashErr
 		}
@@ -344,7 +345,7 @@ func (db *DB) flushMemtable() error {
 	}
 	db.mem = NewMemtable(db.opts.Seed + int64(db.sstGen))
 
-	if len(db.l0) >= db.opts.L0CompactTrigger {
+	if len(db.l0) >= l0CompactTrigger {
 		if err := db.compact(); err != nil {
 			return err
 		}
@@ -363,7 +364,7 @@ func (db *DB) rotateWAL() error {
 	if err != nil {
 		return db.storageFailure(err)
 	}
-	db.wal = newWAL(wf, db.opts.WALFlushBytes)
+	db.wal = newWAL(wf, db.buf.walFlush)
 	return nil
 }
 
@@ -375,7 +376,7 @@ func (db *DB) storageFailure(err error) error {
 		db.stallSince = now
 		db.stats.StallEpisodes++
 	}
-	if now.Sub(db.stallSince) >= db.opts.WALStallLimit {
+	if now.Sub(db.stallSince) >= walStallLimit {
 		db.crash(err)
 		return db.crashErr
 	}

@@ -17,7 +17,7 @@ func FuzzDBOps(f *testing.F) {
 	f.Add([]byte{0, 1, 10, 0, 2, 20, 3, 0, 0, 4, 0, 0, 1, 1, 0})
 	f.Add([]byte{0, 5, 1, 0, 5, 2, 4, 0, 0, 0, 5, 3, 1, 5, 0})
 	f.Fuzz(func(t *testing.T, data []byte) {
-		r := newRig(t, Options{MemtableBytes: 2 << 10, L0CompactTrigger: 3})
+		r := newRig(t, withBuffers(2<<10, 0))
 		db := r.db
 		model := make(map[string]string)
 		key := func(b byte) string { return fmt.Sprintf("key-%03d", int(b)%64) }
@@ -54,7 +54,7 @@ func FuzzDBOps(f *testing.F) {
 				if err != nil {
 					t.Fatalf("recovery mount: %v", err)
 				}
-				db, err = Open(fs2, r.clock, Options{MemtableBytes: 2 << 10, L0CompactTrigger: 3})
+				db, err = open(fs2, r.clock, Options{}, withBuffers(2<<10, 0))
 				if err != nil {
 					t.Fatalf("recovery open: %v", err)
 				}

@@ -21,7 +21,20 @@ type rig struct {
 	db    *DB
 }
 
-func newRig(t *testing.T, opts Options) *rig {
+// withBuffers returns the default buffers with the given memtable and WAL
+// thresholds; a zero argument keeps the default.
+func withBuffers(memtable, walFlush int) buffers {
+	b := defaultBuffers
+	if memtable > 0 {
+		b.memtable = memtable
+	}
+	if walFlush > 0 {
+		b.walFlush = walFlush
+	}
+	return b
+}
+
+func newRig(t *testing.T, buf buffers) *rig {
 	t.Helper()
 	clock := simclock.NewVirtual()
 	drive, err := hdd.NewDrive(hdd.Barracuda500(), clock, 13)
@@ -36,7 +49,7 @@ func newRig(t *testing.T, opts Options) *rig {
 	if err != nil {
 		t.Fatal(err)
 	}
-	db, err := Open(fs, clock, opts)
+	db, err := open(fs, clock, Options{}, buf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -53,7 +66,7 @@ func (db *DB) tombstone(key []byte) {
 }
 
 func TestPutGetRoundTrip(t *testing.T) {
-	r := newRig(t, Options{})
+	r := newRig(t, defaultBuffers)
 	if err := r.db.Put([]byte("key1"), []byte("value1")); err != nil {
 		t.Fatal(err)
 	}
@@ -70,7 +83,7 @@ func TestPutGetRoundTrip(t *testing.T) {
 }
 
 func TestOverwriteAndDelete(t *testing.T) {
-	r := newRig(t, Options{})
+	r := newRig(t, defaultBuffers)
 	r.db.Put([]byte("k"), []byte("v1"))
 	r.db.Put([]byte("k"), []byte("v2"))
 	v, _ := r.db.Get([]byte("k"))
@@ -84,7 +97,7 @@ func TestOverwriteAndDelete(t *testing.T) {
 }
 
 func TestMemtableFlushCreatesTables(t *testing.T) {
-	r := newRig(t, Options{MemtableBytes: 8 << 10})
+	r := newRig(t, withBuffers(8<<10, 0))
 	val := bytes.Repeat([]byte{7}, 100)
 	for i := 0; i < 200; i++ {
 		if err := r.db.Put(benchKey(i), val); err != nil {
@@ -107,7 +120,7 @@ func TestMemtableFlushCreatesTables(t *testing.T) {
 }
 
 func TestCompactionMergesAndDropsTombstones(t *testing.T) {
-	r := newRig(t, Options{MemtableBytes: 4 << 10, L0CompactTrigger: 2})
+	r := newRig(t, withBuffers(4<<10, 0))
 	val := bytes.Repeat([]byte{9}, 100)
 	for i := 0; i < 100; i++ {
 		r.db.Put(benchKey(i), val)
@@ -137,7 +150,7 @@ func TestCompactionMergesAndDropsTombstones(t *testing.T) {
 }
 
 func TestWALRecoveryAfterCrash(t *testing.T) {
-	r := newRig(t, Options{})
+	r := newRig(t, defaultBuffers)
 	r.db.Put([]byte("durable"), []byte("yes"))
 	r.db.Put([]byte("gone"), []byte("maybe"))
 	if err := r.db.Flush(); err != nil { // WAL + memtable durable
@@ -162,7 +175,7 @@ func TestWALRecoveryAfterCrash(t *testing.T) {
 func TestWALReplayRebuildsMemtableOnly(t *testing.T) {
 	// Records synced to the WAL file but never flushed to a table must
 	// reappear after reopen.
-	r := newRig(t, Options{WALFlushBytes: 1}) // flush WAL after every write
+	r := newRig(t, withBuffers(0, 1)) // flush WAL after every write
 	r.db.Put([]byte("wal-only"), []byte("recovered"))
 	r.db.tombstone([]byte("wal-only-deleted"))
 	if err := r.db.wal.sync(); err != nil {
@@ -189,7 +202,7 @@ func TestWALReplayRebuildsMemtableOnly(t *testing.T) {
 }
 
 func TestReadYourWritesProperty(t *testing.T) {
-	r := newRig(t, Options{MemtableBytes: 16 << 10})
+	r := newRig(t, withBuffers(16<<10, 0))
 	model := map[string]string{}
 	prop := func(kRaw, vRaw uint16) bool {
 		k := fmt.Sprintf("key-%05d", kRaw%500)
@@ -214,16 +227,16 @@ func TestReadYourWritesProperty(t *testing.T) {
 }
 
 func TestBenchFillAndReadRandom(t *testing.T) {
-	r := newRig(t, Options{})
+	r := newRig(t, defaultBuffers)
 	b := NewBench(r.db, r.clock)
-	fill, err := b.Run(BenchSpec{Workload: WorkloadFillRandom, Num: 2000})
+	fill, err := b.Run(BenchSpec{Workload: WorkloadFillRandom, Num: 2000, ValueSize: 100, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if fill.Ops != 2000 || fill.Errors != 0 {
 		t.Fatalf("fill: %+v", fill)
 	}
-	read, err := b.Run(BenchSpec{Workload: WorkloadReadRandom, Num: 2000})
+	read, err := b.Run(BenchSpec{Workload: WorkloadReadRandom, Num: 2000, ValueSize: 100, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -236,30 +249,39 @@ func TestBenchFillAndReadRandom(t *testing.T) {
 }
 
 func TestBenchValidation(t *testing.T) {
-	r := newRig(t, Options{})
+	r := newRig(t, defaultBuffers)
 	b := NewBench(r.db, r.clock)
-	if _, err := b.Run(BenchSpec{Workload: "nonsense"}); err == nil {
-		t.Fatal("unknown workload accepted")
+	for _, c := range []struct {
+		name string
+		spec BenchSpec
+	}{
+		{"unknown workload", BenchSpec{Workload: "nonsense", ValueSize: 100}},
+		{"fill without Num", BenchSpec{Workload: WorkloadFillSeq, ValueSize: 100}},
+		{"readwhilewriting without Runtime", BenchSpec{Workload: WorkloadReadWhileWriting, ValueSize: 100}},
+		{"readrandom without Num", BenchSpec{Workload: WorkloadReadRandom, ValueSize: 100}},
+		{"zero ValueSize", BenchSpec{Workload: WorkloadFillSeq, Num: 10}},
+		{"negative ValueSize", BenchSpec{Workload: WorkloadFillSeq, Num: 10, ValueSize: -5}},
+		{"negative Num", BenchSpec{Workload: WorkloadReadWhileWriting, Num: -3, Runtime: time.Second, ValueSize: 100}},
+	} {
+		if _, err := b.Run(c.spec); err == nil {
+			t.Errorf("%s: %+v accepted", c.name, c.spec)
+		}
 	}
-	if _, err := b.Run(BenchSpec{Workload: WorkloadFillSeq}); err == nil {
-		t.Fatal("fill without Num accepted")
-	}
-	if _, err := b.Run(BenchSpec{Workload: WorkloadReadWhileWriting}); err == nil {
-		t.Fatal("readwhilewriting without Runtime accepted")
-	}
-	if _, err := b.Run(BenchSpec{Workload: WorkloadReadRandom}); err == nil {
-		t.Fatal("readrandom without Num accepted")
+	// Seed 0 is a seed, not "unset": the run keeps it.
+	res, err := b.Run(BenchSpec{Workload: WorkloadFillRandom, Num: 10, ValueSize: 1, Seed: 0})
+	if err != nil || res.Ops != 10 || res.Spec.Seed != 0 {
+		t.Fatalf("seed 0: %+v, %v", res, err)
 	}
 }
 
 func TestReadWhileWritingBaselineMatchesPaper(t *testing.T) {
 	// Paper Table 2, "No Attack": ≈8.7 MB/s and ≈1.1e5 ops/s.
-	r := newRig(t, Options{})
+	r := newRig(t, defaultBuffers)
 	b := NewBench(r.db, r.clock)
-	if _, err := b.Run(BenchSpec{Workload: WorkloadFillRandom, Num: 5000}); err != nil {
+	if _, err := b.Run(BenchSpec{Workload: WorkloadFillRandom, Num: 5000, ValueSize: 100, Seed: 1}); err != nil {
 		t.Fatal(err)
 	}
-	res, err := b.Run(BenchSpec{Workload: WorkloadReadWhileWriting, Runtime: 5 * time.Second})
+	res, err := b.Run(BenchSpec{Workload: WorkloadReadWhileWriting, Runtime: 5 * time.Second, ValueSize: 100, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -275,13 +297,13 @@ func TestReadWhileWritingBaselineMatchesPaper(t *testing.T) {
 
 func TestReadWhileWritingCollapsesUnderAttack(t *testing.T) {
 	// Paper Table 2 at ≤10 cm: 0 MB/s, no I/O completes.
-	r := newRig(t, Options{})
+	r := newRig(t, defaultBuffers)
 	b := NewBench(r.db, r.clock)
-	if _, err := b.Run(BenchSpec{Workload: WorkloadFillRandom, Num: 2000}); err != nil {
+	if _, err := b.Run(BenchSpec{Workload: WorkloadFillRandom, Num: 2000, ValueSize: 100, Seed: 1}); err != nil {
 		t.Fatal(err)
 	}
 	r.disk.Drive().SetVibration(hdd.Vibration{Freq: 650, Amplitude: 2.3})
-	res, err := b.Run(BenchSpec{Workload: WorkloadReadWhileWriting, Runtime: 10 * time.Second})
+	res, err := b.Run(BenchSpec{Workload: WorkloadReadWhileWriting, Runtime: 10 * time.Second, ValueSize: 100, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -292,7 +314,7 @@ func TestReadWhileWritingCollapsesUnderAttack(t *testing.T) {
 
 func TestCrashAfterProlongedWALFailure(t *testing.T) {
 	// Paper Table 3: RocksDB crashes after ≈81 s with a WAL sync failure.
-	r := newRig(t, Options{WALStallLimit: 20 * time.Second, WALFlushBytes: 1})
+	r := newRig(t, withBuffers(0, 1))
 	if err := r.db.Put([]byte("seed"), []byte("v")); err != nil {
 		t.Fatal(err)
 	}
@@ -314,7 +336,7 @@ func TestCrashAfterProlongedWALFailure(t *testing.T) {
 		t.Fatalf("crash error = %v", crashErr)
 	}
 	ttc := r.db.CrashedAt().Sub(attackStart)
-	if ttc < 20*time.Second || ttc > 40*time.Second {
+	if ttc < walStallLimit || ttc > walStallLimit+20*time.Second {
 		t.Fatalf("time to crash = %v, want ≈ stall limit", ttc)
 	}
 	// Everything fails fast after the crash.
@@ -329,7 +351,7 @@ func TestCrashAfterProlongedWALFailure(t *testing.T) {
 func TestRecoveryIfAttackStopsInTime(t *testing.T) {
 	// The attack lifts after 5 s of virtual stall — within the stall
 	// limit — so the blocked put completes and the database survives.
-	r := newRig(t, Options{WALStallLimit: 60 * time.Second, WALFlushBytes: 1})
+	r := newRig(t, withBuffers(0, 1))
 	r.db.SetRetryHook(func(stalled time.Duration) bool {
 		if stalled >= 5*time.Second {
 			r.disk.Drive().SetVibration(hdd.Quiet())
@@ -353,7 +375,7 @@ func TestRecoveryIfAttackStopsInTime(t *testing.T) {
 }
 
 func TestCloseSemantics(t *testing.T) {
-	r := newRig(t, Options{})
+	r := newRig(t, defaultBuffers)
 	r.db.Put([]byte("k"), []byte("v"))
 	if err := r.db.Close(); err != nil {
 		t.Fatal(err)
@@ -420,7 +442,7 @@ func TestWALRecordRoundTrip(t *testing.T) {
 }
 
 func TestSSTableRoundTrip(t *testing.T) {
-	r := newRig(t, Options{})
+	r := newRig(t, defaultBuffers)
 	entries := []Entry{
 		{Key: []byte("a"), Value: []byte("1"), Seq: 1},
 		{Key: []byte("b"), Value: nil, Seq: 2}, // tombstone

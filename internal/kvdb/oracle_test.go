@@ -15,7 +15,7 @@ import (
 // checkpoint. This exercises memtable, WAL recovery, SSTables, and
 // compaction together.
 func TestOracleRandomOpsWithReopens(t *testing.T) {
-	r := newRig(t, Options{MemtableBytes: 4 << 10, L0CompactTrigger: 3})
+	r := newRig(t, withBuffers(4<<10, 0))
 	db := r.db
 	rng := rand.New(rand.NewSource(2024))
 	model := make(map[string]string)
@@ -76,7 +76,7 @@ func TestOracleRandomOpsWithReopens(t *testing.T) {
 			if err != nil {
 				t.Fatalf("step %d: remount: %v", i, err)
 			}
-			db, err = Open(fs2, r.clock, Options{MemtableBytes: 4 << 10, L0CompactTrigger: 3})
+			db, err = open(fs2, r.clock, Options{}, withBuffers(4<<10, 0))
 			if err != nil {
 				t.Fatalf("step %d: reopen: %v", i, err)
 			}

@@ -76,8 +76,7 @@ func (mu Mutation) String() string {
 type Input struct {
 	// Model is the drive under excitation.
 	Model hdd.Model
-	// Vib is the single-tone excitation state at the head (composite
-	// vibrations have no closed form and return ErrCompositeVibration).
+	// Vib is the excitation state at the head.
 	Vib hdd.Vibration
 	// Op is the access kind.
 	Op hdd.Op
@@ -140,9 +139,6 @@ func PredictMutant(in Input, mu Mutation) (Prediction, error) {
 	if in.Offset < 0 || in.Offset+in.BlockSize > m.CapacityBytes {
 		return Prediction{}, fmt.Errorf("oracle: access [%d, %d) outside capacity %d",
 			in.Offset, in.Offset+in.BlockSize, m.CapacityBytes)
-	}
-	if len(in.Vib.Partials) > 0 {
-		return Prediction{}, fmt.Errorf("oracle: %w", hdd.ErrCompositeVibration)
 	}
 
 	threshold := m.ReadFaultFrac

@@ -1,7 +1,6 @@
 package oracle
 
 import (
-	"errors"
 	"math"
 	"testing"
 	"time"
@@ -135,13 +134,6 @@ func TestPredictRejectsBadInputs(t *testing.T) {
 	}
 	if _, err := Predict(Input{Model: m, Op: hdd.OpRead, Offset: m.CapacityBytes, BlockSize: 4096}); err == nil {
 		t.Fatal("out-of-capacity access must be rejected")
-	}
-	composite := hdd.Vibration{
-		Freq: 650 * units.Hz, Amplitude: 0.1,
-		Partials: []hdd.Partial{{Freq: 1300 * units.Hz, Amplitude: 0.05}},
-	}
-	if _, err := Predict(Input{Model: m, Vib: composite, Op: hdd.OpRead, BlockSize: 4096}); !errors.Is(err, hdd.ErrCompositeVibration) {
-		t.Fatalf("composite vibration must return ErrCompositeVibration, got %v", err)
 	}
 }
 

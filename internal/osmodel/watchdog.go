@@ -9,34 +9,22 @@ import (
 	"deepnote/internal/simclock"
 )
 
+// rebootDelay models crash detection plus firmware/boot latency: how long
+// after a crash the first reboot attempt starts, and how long between
+// retries while the device stays unreachable. Attempts are unbounded.
+const rebootDelay = 5 * time.Second
+
 // WatchdogConfig tunes the reboot supervisor.
 type WatchdogConfig struct {
-	// RebootDelay models crash detection plus firmware/boot latency: how
-	// long after a crash the first reboot attempt starts, and how long
-	// between retries while the device stays unreachable (default 5 s).
-	RebootDelay time.Duration
-	// MaxReboots bounds reboot attempts per crash episode (0 = unlimited).
-	MaxReboots int
-	// OnRepair runs before the remount, for storage-level recovery (e.g.
-	// probing and resilvering a RAID array). A returned error aborts the
-	// attempt; the watchdog retries after RebootDelay.
-	OnRepair func() error
 	// OnRecover runs after the OS boots, for application-level recovery
 	// (e.g. reopening a database so its WAL replays). A returned error
 	// counts the reboot as failed.
 	OnRecover func(fs *jfs.FS) error
 }
 
-func (c WatchdogConfig) withDefaults() WatchdogConfig {
-	if c.RebootDelay <= 0 {
-		c.RebootDelay = 5 * time.Second
-	}
-	return c
-}
-
 // Watchdog supervises a Server and drives the full recovery chain after a
-// kernel panic: storage repair → remount (journal replay) → fsck → boot →
-// application recovery. The paper's victim stays down forever once it
+// kernel panic: remount (journal replay) → fsck → boot → application
+// recovery. The paper's victim stays down forever once it
 // crashes; this is the missing piece a hardened deployment would have.
 type Watchdog struct {
 	dev    blockdev.Device
@@ -49,7 +37,6 @@ type Watchdog struct {
 
 	crashSeenAt time.Time
 	nextAttempt time.Time
-	attempts    int
 
 	// Stats
 	// Reboots counts successful recoveries; FailedReboots counts attempts
@@ -67,7 +54,7 @@ type Watchdog struct {
 // NewWatchdog builds a supervisor for a server rooted on dev. Call Adopt
 // with the initially booted server, then Step on every simulation tick.
 func NewWatchdog(dev blockdev.Device, clock *simclock.Virtual, srvCfg Config, cfg WatchdogConfig) *Watchdog {
-	return &Watchdog{dev: dev, clock: clock, srvCfg: srvCfg, cfg: cfg.withDefaults()}
+	return &Watchdog{dev: dev, clock: clock, srvCfg: srvCfg, cfg: cfg}
 }
 
 // Adopt starts supervising a running server and its filesystem.
@@ -75,7 +62,6 @@ func (w *Watchdog) Adopt(srv *Server, fs *jfs.FS) {
 	w.srv = srv
 	w.fs = fs
 	w.crashSeenAt = time.Time{}
-	w.attempts = 0
 }
 
 // Server returns the currently supervised server (replaced after reboots).
@@ -85,7 +71,7 @@ func (w *Watchdog) Server() *Server { return w.srv }
 func (w *Watchdog) FS() *jfs.FS { return w.fs }
 
 // Step checks the supervised server and, when it has crashed, attempts the
-// recovery chain once per RebootDelay. Safe to call every tick.
+// recovery chain once per rebootDelay. Safe to call every tick.
 func (w *Watchdog) Step() {
 	if w.srv == nil {
 		return
@@ -97,17 +83,12 @@ func (w *Watchdog) Step() {
 	now := w.clock.Now()
 	if w.crashSeenAt.IsZero() {
 		w.crashSeenAt = now
-		w.nextAttempt = now.Add(w.cfg.RebootDelay)
-		w.attempts = 0
+		w.nextAttempt = now.Add(rebootDelay)
 		return
 	}
 	if now.Before(w.nextAttempt) {
 		return
 	}
-	if w.cfg.MaxReboots > 0 && w.attempts >= w.cfg.MaxReboots {
-		return
-	}
-	w.attempts++
 	crashedAt := w.srv.CrashedAt()
 	if w.tryReboot() {
 		// Downtime runs from the kernel panic, not from detection.
@@ -118,18 +99,13 @@ func (w *Watchdog) Step() {
 		return
 	}
 	w.FailedReboots++
-	w.nextAttempt = w.clock.Now().Add(w.cfg.RebootDelay)
+	w.nextAttempt = w.clock.Now().Add(rebootDelay)
 }
 
 // tryReboot runs the recovery chain. Any failing stage (a device still
 // under attack fails the remount's journal replay) aborts the attempt
 // without replacing the supervised server.
 func (w *Watchdog) tryReboot() bool {
-	if w.cfg.OnRepair != nil {
-		if err := w.cfg.OnRepair(); err != nil {
-			return false
-		}
-	}
 	fs, err := jfs.Mount(w.dev, w.clock, jfs.Config{})
 	if err != nil {
 		return false

@@ -103,11 +103,9 @@ func TestDmesgRingAtCapacity(t *testing.T) {
 
 func TestWatchdogRebootsThroughRecoveryChain(t *testing.T) {
 	r := newRig(t, Config{CrashThreshold: 15 * time.Second})
-	repairs, recovers := 0, 0
+	recovers := 0
 	wd := NewWatchdog(r.disk, r.clock, Config{CrashThreshold: 15 * time.Second}, WatchdogConfig{
-		RebootDelay: 5 * time.Second,
-		OnRepair:    func() error { repairs++; return nil },
-		OnRecover:   func(fs *jfs.FS) error { recovers++; return nil },
+		OnRecover: func(fs *jfs.FS) error { recovers++; return nil },
 	})
 	wd.Adopt(r.srv, r.fs)
 
@@ -148,8 +146,8 @@ func TestWatchdogRebootsThroughRecoveryChain(t *testing.T) {
 	if wd.Downtime <= 0 {
 		t.Fatalf("downtime = %v", wd.Downtime)
 	}
-	if repairs == 0 || recovers != 1 {
-		t.Fatalf("repairs = %d, recovers = %d", repairs, recovers)
+	if recovers != 1 {
+		t.Fatalf("recovers = %d, want 1", recovers)
 	}
 	// The recovered system pages in again.
 	if !pageInOK(wd.Server()) {
@@ -158,24 +156,6 @@ func TestWatchdogRebootsThroughRecoveryChain(t *testing.T) {
 	dmesg := strings.Join(wd.Server().dmesg.Lines(), "\n")
 	if !strings.Contains(dmesg, "watchdog: system recovered") {
 		t.Fatalf("recovery banner missing:\n%s", dmesg)
-	}
-}
-
-func TestWatchdogRespectsMaxReboots(t *testing.T) {
-	r := newRig(t, Config{CrashThreshold: 10 * time.Second})
-	wd := NewWatchdog(r.disk, r.clock, Config{}, WatchdogConfig{
-		RebootDelay: 2 * time.Second,
-		MaxReboots:  3,
-	})
-	wd.Adopt(r.srv, r.fs)
-	r.disk.Drive().SetVibration(hdd.Vibration{Freq: 650, Amplitude: 2.3})
-	for i := 0; i < 400; i++ {
-		r.clock.Sleep(250 * time.Millisecond)
-		wd.Server().Step()
-		wd.Step()
-	}
-	if wd.FailedReboots != 3 {
-		t.Fatalf("failed reboots = %d, want capped at 3", wd.FailedReboots)
 	}
 }
 

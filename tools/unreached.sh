@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # Reachability check: lists the declared non-test functions of the root
-# module that no binary built from cmd/, examples/ or bench/ links, and
-# compares that list with tools/unreached.allow, which gives one
+# module that no binary built from cmd/, examples/, tools/*.go or bench/
+# links, and compares that list with tools/unreached.allow, which gives one
 # "pkg.Func<TAB>reason" line per function kept on purpose.
 #
 # Fails when a function is unreached but not allowlisted, when the
@@ -18,6 +18,7 @@ out=$(mktemp -d)
 trap 'rm -rf "$out"' EXIT
 
 for d in cmd/* examples/*; do go build -gcflags=all=-l -o "$out/$(basename "$d")" "./$d"; done
+for f in tools/*.go; do go build -gcflags=all=-l -o "$out/$(basename "$f" .go)" "$f"; done
 go -C bench build -gcflags=all=-l -o "$out/bench" .
 for b in "$out"/*; do go tool nm "$b"; done | awk '$2=="T"||$2=="t"{print $3}' |
   sed -E 's/\[[^]]*\]//g; s/\(\*([A-Za-z0-9_]+)\)/\1/' | sort -u > "$out/linked"
