@@ -15,6 +15,7 @@ import (
 func cmdCluster(args []string) error {
 	fs := flag.NewFlagSet("cluster", flag.ExitOnError)
 	spec := experiment.DefaultClusterSpec()
+	var bad error
 	fs.IntVar(&spec.Containers, "containers", spec.Containers, "container count (failure domains)")
 	fs.IntVar(&spec.DrivesPerContainer, "drives", spec.DrivesPerContainer, "drives per container")
 	fs.IntVar(&spec.DataShards, "data", spec.DataShards, "data shards per stripe (k)")
@@ -28,7 +29,7 @@ func cmdCluster(args []string) error {
 	fs.IntVar(&spec.Requests, "requests", spec.Requests, "client requests per cell")
 	fs.Float64Var(&spec.Rate, "rate", spec.Rate, "client arrival rate (requests/second)")
 	fs.Float64Var(&spec.ReadFraction, "readfrac", spec.ReadFraction, "GET fraction of the workload (0 = write-only)")
-	fs.IntVar(&spec.CellWorkers, "cell-workers", spec.CellWorkers, "drive fan-out inside each cell (never changes results)")
+	workersVar(fs, &spec.CellWorkers, &bad, "cell-workers", "drive fan-out inside each cell (never changes results)")
 	fs.Float64Var(&spec.AttackStartFrac, "attack-start", spec.AttackStartFrac, "attack-on point as a fraction of the request window")
 	fs.Float64Var(&spec.AttackStopFrac, "attack-stop", spec.AttackStopFrac, "attack-off point as a fraction of the window (>= 1: never off)")
 	fs.Float64Var(&spec.StaggerFrac, "attack-stagger", spec.StaggerFrac, "stagger key-ons by this fraction of the window (0 = all at once)")
@@ -36,9 +37,12 @@ func cmdCluster(args []string) error {
 	fs.IntVar(&spec.Hydrophones, "hydrophones", spec.Hydrophones, "hydrophone ring elements (with -defense)")
 	fs.Float64Var((*float64)(&spec.Standoff), "standoff", float64(spec.Standoff), "hydrophone ring standoff in meters (with -defense)")
 	fs.Int64Var(&spec.Seed, "seed", spec.Seed, "base seed")
-	fs.IntVar(&spec.Workers, "workers", spec.Workers, "parallel workers (0 = one per CPU)")
+	workersVar(fs, &spec.Workers, &bad, "workers", "parallel workers (0 = one per CPU)")
 	o := addObsFlags(fs)
 	fs.Parse(args)
+	if bad != nil {
+		return bad
+	}
 
 	spec.Metrics = o.registry()
 	if *cell >= 0 {

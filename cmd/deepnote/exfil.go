@@ -21,15 +21,19 @@ import (
 func cmdExfil(args []string) error {
 	fs := flag.NewFlagSet("exfil", flag.ExitOnError)
 	spec := experiment.DefaultExfilSpec()
+	var bad error
 	distances := fs.String("distances", listDefault(spec.Distances), "comma-separated transmitter-to-hydrophone ranges in m")
 	depths := fs.String("depths", listDefault(spec.Depths), "comma-separated facility surface depths in m (0 = deep water)")
 	rates := fs.String("rates", listDefault(spec.SymbolRates), "comma-separated signaling rates in baud")
 	fs.IntVar(&spec.Frames, "frames", spec.Frames, "frames transmitted per offense cell")
 	fs.IntVar(&spec.DetectFrames, "detect-frames", spec.DetectFrames, "frames transmitted per defense cell")
 	fs.Int64Var(&spec.Seed, "seed", spec.Seed, "base seed")
-	fs.IntVar(&spec.Workers, "workers", spec.Workers, "parallel workers (0 = one per CPU)")
+	workersVar(fs, &spec.Workers, &bad, "workers", "parallel workers (0 = one per CPU)")
 	o := addObsFlags(fs)
 	fs.Parse(args)
+	if bad != nil {
+		return bad
+	}
 
 	distList, err := parseFloatList("-distances", *distances)
 	if err != nil {

@@ -25,7 +25,8 @@ func cmdFingerprint(args []string) error {
 	var bad error
 	durationVar(fs, &duration, &bad, "duration", "run length per cell in virtual `seconds`")
 	seed := fs.Int64("seed", 1, "base seed")
-	workers := fs.Int("workers", 0, "parallel workers (0 = one per CPU)")
+	var workers int
+	workersVar(fs, &workers, &bad, "workers", "parallel workers (0 = one per CPU)")
 	o := addObsFlags(fs)
 	fs.Parse(args)
 	if bad != nil {
@@ -50,7 +51,7 @@ func cmdFingerprint(args []string) error {
 		BenignSeeds: *seeds,
 		Duration:    duration,
 		Seed:        *seed,
-		Workers:     *workers,
+		Workers:     workers,
 		Metrics:     o.registry(),
 	})
 	if err != nil {
@@ -65,5 +66,5 @@ func cmdFingerprint(args []string) error {
 	fmt.Print(experiment.FingerprintDetectionReport(res).String())
 	fmt.Printf("defense gate at min confidence 0.5: benign verdict armed=%v, hostile verdict armed=%v\n",
 		res.GateBenignArmed, res.GateHostileArmed)
-	return o.finish("fingerprint", args, *seed, *workers)
+	return o.finish("fingerprint", args, *seed, workers)
 }

@@ -33,8 +33,8 @@ func cmdFleet(args []string) error {
 	fs.Float64Var(&spec.Rate, "rate", spec.Rate, "global arrival rate (requests/second)")
 	fs.Float64Var(&spec.ReadFraction, "readfrac", spec.ReadFraction, "GET fraction of the workload (0 = write-only)")
 	fs.Int64Var(&spec.Seed, "seed", spec.Seed, "infrastructure seed (drives, WAN jitter)")
-	fs.IntVar(&spec.Workers, "workers", spec.Workers, "parallel workers (0 = one per CPU)")
-	fs.IntVar(&spec.CellWorkers, "cell-workers", spec.CellWorkers, "node fan-out inside each fleet (never changes results)")
+	workersVar(fs, &spec.Workers, &bad, "workers", "parallel workers (0 = one per CPU)")
+	workersVar(fs, &spec.CellWorkers, &bad, "cell-workers", "node fan-out inside each fleet (never changes results)")
 	o := addObsFlags(fs)
 	fs.Parse(args)
 	if bad != nil {

@@ -203,6 +203,24 @@ func durationVar(fs *flag.FlagSet, d *time.Duration, bad *error, name, usage str
 	})
 }
 
+// workersVar defines flag name, a worker count, bound to *n with *n as its
+// default; 0 means one worker per CPU. A negative count is kept in *bad,
+// as durationVar keeps its bad values, so the command reports it as a
+// domain error (exit 1) instead of running one worker per CPU.
+func workersVar(fs *flag.FlagSet, n *int, bad *error, name, usage string) {
+	fs.Func(name, fmt.Sprintf("%s (default %d)", usage, *n), func(s string) error {
+		v, err := strconv.ParseInt(s, 0, strconv.IntSize)
+		if err != nil {
+			return err
+		}
+		*n = int(v)
+		if err := valid.AtLeast("-"+name, *n, 0); err != nil {
+			*bad = err
+		}
+		return nil
+	})
+}
+
 func parseScenario(n int) (core.Scenario, error) {
 	switch n {
 	case 1:
@@ -231,10 +249,15 @@ func cmdFigure2(args []string) error {
 	fs := flag.NewFlagSet("figure2", flag.ExitOnError)
 	pattern := fs.String("pattern", "write", "write or read")
 	stepHz := fs.Float64("step", 200, "frequency step in Hz")
-	workers := fs.Int("workers", 0, "parallel workers (0 = one per CPU)")
+	var workers int
+	var bad error
+	workersVar(fs, &workers, &bad, "workers", "parallel workers (0 = one per CPU)")
 	csv := fs.Bool("csv", false, "emit CSV instead of an ASCII chart")
 	o := addObsFlags(fs)
 	fs.Parse(args)
+	if bad != nil {
+		return bad
+	}
 	if err := valid.Positive("-step", *stepHz); err != nil {
 		return err
 	}
@@ -244,7 +267,7 @@ func cmdFigure2(args []string) error {
 	}
 	res, err := experiment.Figure2(p, experiment.Figure2Options{
 		Step: units.Frequency(*stepHz), JobRuntime: 300 * time.Millisecond,
-		Workers: *workers, Metrics: o.registry(),
+		Workers: workers, Metrics: o.registry(),
 	})
 	if err != nil {
 		return err
@@ -252,7 +275,7 @@ func cmdFigure2(args []string) error {
 	chart := res.Chart()
 	if *csv {
 		fmt.Print(chart.CSV())
-		return o.finish("figure2", args, 1, *workers)
+		return o.finish("figure2", args, 1, workers)
 	}
 	fmt.Print(chart.String())
 	for _, sc := range []core.Scenario{core.Scenario1, core.Scenario2, core.Scenario3} {
@@ -260,7 +283,7 @@ func cmdFigure2(args []string) error {
 			fmt.Printf("%v: ≥50%% loss band %v\n", sc, band)
 		}
 	}
-	return o.finish("figure2", args, 1, *workers)
+	return o.finish("figure2", args, 1, workers)
 }
 
 func cmdTable1(args []string) error {
@@ -314,9 +337,14 @@ func cmdSweep(args []string) error {
 	fs := flag.NewFlagSet("sweep", flag.ExitOnError)
 	scenario := fs.Int("scenario", 2, "testbed scenario (1-3)")
 	pattern := fs.String("pattern", "write", "write or read")
-	workers := fs.Int("workers", 0, "parallel workers (0 = one per CPU)")
+	var workers int
+	var bad error
+	workersVar(fs, &workers, &bad, "workers", "parallel workers (0 = one per CPU)")
 	o := addObsFlags(fs)
 	fs.Parse(args)
+	if bad != nil {
+		return bad
+	}
 	s, err := parseScenario(*scenario)
 	if err != nil {
 		return err
@@ -325,7 +353,7 @@ func cmdSweep(args []string) error {
 	if err != nil {
 		return err
 	}
-	res, err := attack.Sweeper{Scenario: s, Workers: *workers, Metrics: o.registry()}.Run(p)
+	res, err := attack.Sweeper{Scenario: s, Workers: workers, Metrics: o.registry()}.Run(p)
 	if err != nil {
 		return err
 	}
@@ -333,7 +361,7 @@ func cmdSweep(args []string) error {
 	for _, b := range res.Bands {
 		fmt.Printf("  vulnerable band: %v\n", b)
 	}
-	return o.finish("sweep", args, 1, *workers)
+	return o.finish("sweep", args, 1, workers)
 }
 
 func cmdRange(args []string) error {
@@ -565,7 +593,7 @@ func cmdStealthGrid(args []string) error {
 	var bad error
 	durationVar(fs, &grid.Base.Duration, &bad, "duration", "campaign length per cell in virtual `seconds`")
 	fs.Int64Var(&grid.Base.Seed, "seed", grid.Base.Seed, "base seed")
-	fs.IntVar(&grid.Workers, "workers", grid.Workers, "parallel workers (0 = one per CPU)")
+	workersVar(fs, &grid.Workers, &bad, "workers", "parallel workers (0 = one per CPU)")
 	o := addObsFlags(fs)
 	fs.Parse(args)
 	if bad != nil {
@@ -582,9 +610,14 @@ func cmdStealthGrid(args []string) error {
 
 func cmdAblation(args []string) error {
 	fs := flag.NewFlagSet("ablation", flag.ExitOnError)
-	workers := fs.Int("workers", 0, "parallel workers (0 = one per CPU)")
+	var workers int
+	var bad error
+	workersVar(fs, &workers, &bad, "workers", "parallel workers (0 = one per CPU)")
 	fs.Parse(args)
-	rows, err := experiment.AblationWorkers(1, *workers)
+	if bad != nil {
+		return bad
+	}
+	rows, err := experiment.AblationWorkers(1, workers)
 	if err != nil {
 		return err
 	}
@@ -598,7 +631,7 @@ func cmdResilience(args []string) error {
 	var bad error
 	durationVar(fs, &spec.Attack, &bad, "attack", "attack window in virtual `seconds`")
 	durationVar(fs, &spec.Cooldown, &bad, "cooldown", "post-attack recovery window in virtual `seconds`")
-	fs.IntVar(&spec.Workers, "workers", spec.Workers, "parallel workers (0 = one per CPU)")
+	workersVar(fs, &spec.Workers, &bad, "workers", "parallel workers (0 = one per CPU)")
 	o := addObsFlags(fs)
 	fs.Parse(args)
 	if bad != nil {

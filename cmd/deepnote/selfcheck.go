@@ -14,8 +14,9 @@ import (
 func cmdSelfCheck(args []string) error {
 	fs := flag.NewFlagSet("selfcheck", flag.ExitOnError)
 	opts := experiment.DefaultSelfCheckOptions()
+	var bad error
 	scenario := fs.Int("scenario", int(opts.Scenario), "testbed scenario 1, 2, or 3")
-	fs.IntVar(&opts.Workers, "workers", opts.Workers, "parallel workers (0 = one per CPU)")
+	workersVar(fs, &opts.Workers, &bad, "workers", "parallel workers (0 = one per CPU)")
 	fs.Float64Var(&opts.Tolerance, "tol", opts.Tolerance, "max per-cell divergence")
 	fs.DurationVar(&opts.JobRuntime, "runtime", opts.JobRuntime, "per-cell simulation window in virtual time")
 	fs.IntVar(&opts.Repeats, "repeats", opts.Repeats, "seeded simulations averaged per cell")
@@ -24,6 +25,9 @@ func cmdSelfCheck(args []string) error {
 	mutant := fs.String("mutant", "", "seed a known predictor bug: flat-hold-window, whole-request-window, or full-base-on-failure")
 	o := addObsFlags(fs)
 	fs.Parse(args)
+	if bad != nil {
+		return bad
+	}
 	var err error
 	if opts.Scenario, err = parseScenario(*scenario); err != nil {
 		return err

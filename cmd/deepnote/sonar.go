@@ -36,7 +36,7 @@ func cmdSonar(args []string) error {
 	fs.Float64Var(&spec.Margin, "margin", spec.Margin, "at-risk threshold as a fraction of servo-lock amplitude")
 	durationVar(fs, &spec.React, &bad, "react", "controller lag from fix to policy switch, `seconds`")
 	fs.Int64Var(&spec.Seed, "seed", spec.Seed, "base seed")
-	fs.IntVar(&spec.Workers, "workers", spec.Workers, "drive fan-out inside each serving run (never changes results; 0 = one per CPU)")
+	workersVar(fs, &spec.Workers, &bad, "workers", "drive fan-out inside each serving run (never changes results; 0 = one per CPU)")
 	o := addObsFlags(fs)
 	fs.Parse(args)
 	if bad != nil {

@@ -5,12 +5,12 @@ import (
 	"testing"
 )
 
-// A count or probe budget below one, a spacing, distance, duration, rate
-// or frequency that is not finite and positive, a probability outside
-// [0, 1], a load or water temperature outside its domain, or a speaker,
-// cell or blast count beyond the facility must stop the run with a domain
-// error (exit 1) instead of silently running a default, clamping, or
-// printing a report for a nonsensical input.
+// A count or probe budget below one, a negative worker count, a spacing,
+// distance, duration, rate or frequency that is not finite and positive, a
+// probability outside [0, 1], a load or water temperature outside its
+// domain, or a speaker, cell or blast count beyond the facility must stop
+// the run with a domain error (exit 1) instead of silently running a
+// default, clamping, or printing a report for a nonsensical input.
 func TestFacilityIntegrityOutageRejectBadFlags(t *testing.T) {
 	for _, args := range [][]string{
 		{"integrity", "-prob", "7"},
@@ -60,6 +60,20 @@ func TestFacilityIntegrityOutageRejectBadFlags(t *testing.T) {
 		// These ran 3 and 8 frames instead.
 		{"exfil", "-frames", "0"},
 		{"exfil", "-detect-frames", "0"},
+		// These ran one worker per CPU and recorded the negative count.
+		{"figure2", "-workers", "-3"},
+		{"sweep", "-workers", "-3"},
+		{"cluster", "-workers", "-3"},
+		{"cluster", "-cell-workers", "-1"},
+		{"fleet", "-workers", "-3"},
+		{"fleet", "-cell-workers", "-1"},
+		{"sonar", "-workers", "-3"},
+		{"fingerprint", "-workers", "-3"},
+		{"exfil", "-workers", "-3"},
+		{"stealthgrid", "-workers", "-3"},
+		{"ablation", "-workers", "-3"},
+		{"resilience", "-workers", "-3"},
+		{"selfcheck", "-workers", "-3"},
 	} {
 		if code := runMain(t, args...); code != 1 {
 			t.Errorf("deepnote %v exited %d, want 1", args, code)
@@ -77,6 +91,8 @@ func TestRejectedFlagIsNamed(t *testing.T) {
 		{[]string{"range", "-freq", "0"}, "-freq 0 must be finite and positive"},
 		{[]string{"table2", "-runtime", "0"}, "-runtime 0 must be finite and positive"},
 		{[]string{"table2", "-runtime", "-1"}, "-runtime -1 must be finite and positive"},
+		{[]string{"sweep", "-workers", "-3"}, "-workers -3 must be finite and ≥ 0"},
+		{[]string{"fleet", "-cell-workers", "-1"}, "-cell-workers -1 must be finite and ≥ 0"},
 	} {
 		code, out := runMainOutput(t, c.args...)
 		if code != 1 || !strings.Contains(out, c.want) {

@@ -7,7 +7,8 @@
 //	fiosim [-pattern read|write|randread|randwrite] [-bs BYTES]
 //	       [-runtime SECONDS] [-scenario 1|2|3] [-freq HZ] [-distance CM]
 //
-// A frequency of 0 disables the attack.
+// A frequency of 0 disables the attack; a negative or non-finite one is
+// rejected.
 package main
 
 import (
@@ -20,6 +21,7 @@ import (
 	"deepnote/internal/fio"
 	"deepnote/internal/sig"
 	"deepnote/internal/units"
+	"deepnote/internal/valid"
 )
 
 func main() {
@@ -58,6 +60,10 @@ func main() {
 	default:
 		fmt.Fprintln(os.Stderr, "fiosim: scenario must be 1, 2, or 3")
 		os.Exit(2)
+	}
+	if err := valid.AtLeast("-freq", *freq, 0); err != nil {
+		fmt.Fprintf(os.Stderr, "fiosim: %v\n", err)
+		os.Exit(1)
 	}
 
 	rig, err := core.NewRig(s, units.Distance(*distance)*units.Centimeter, *seed)

@@ -27,7 +27,6 @@ import (
 	"deepnote/internal/attack"
 	"deepnote/internal/core"
 	"deepnote/internal/defense"
-	"deepnote/internal/experiment"
 	"deepnote/internal/fio"
 	"deepnote/internal/jfs"
 	"deepnote/internal/kvdb"
@@ -50,8 +49,6 @@ type (
 	Frequency = units.Frequency
 	// Distance is a length in meters.
 	Distance = units.Distance
-	// SPL is a sound pressure level against an explicit reference.
-	SPL = units.SPL
 
 	// Pattern is a FIO access pattern.
 	Pattern = fio.Pattern
@@ -128,23 +125,6 @@ func CrashTest(target CrashTarget) (CrashOutcome, error) {
 func EvaluateDefenses(tb *Testbed) []DefenseEvaluation {
 	return defense.EvaluateAll(tb)
 }
-
-// Experiment re-exports: each regenerates a paper artifact or analysis.
-var (
-	// Figure2 regenerates a panel of Figure 2.
-	Figure2 = experiment.Figure2
-	// Table1 regenerates the FIO range table (nil registry =
-	// uninstrumented).
-	Table1 = experiment.Table1Observed
-	// Table2 regenerates the RocksDB range table.
-	Table2 = experiment.Table2
-	// Table3 regenerates the crash table (nil registry = uninstrumented).
-	Table3 = experiment.Table3Observed
-	// Section5Ranges computes the open-water effective-range matrix.
-	Section5Ranges = experiment.Section5Ranges
-	// NatickAnalysis compares enclosure classes against attacker tiers.
-	NatickAnalysis = experiment.NatickAnalysis
-)
 
 // NewStack provisions a formatted filesystem, a key-value store, and a
 // server model on a rig — the full victim software stack of §4.4. The

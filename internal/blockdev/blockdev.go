@@ -86,22 +86,6 @@ type Stats struct {
 	TotalReadLatency, TotalWriteLatency time.Duration
 }
 
-// AvgReadLatency returns the mean read service time, or 0 with no reads.
-func (s Stats) AvgReadLatency() time.Duration {
-	if s.ReadOps == 0 {
-		return 0
-	}
-	return s.TotalReadLatency / time.Duration(s.ReadOps)
-}
-
-// AvgWriteLatency returns the mean write service time, or 0 with no writes.
-func (s Stats) AvgWriteLatency() time.Duration {
-	if s.WriteOps == 0 {
-		return 0
-	}
-	return s.TotalWriteLatency / time.Duration(s.WriteOps)
-}
-
 // Disk is a Device backed by the mechanical drive model plus an in-memory
 // byte store. The store indexes 64 KiB chunks by base offset, and each
 // chunk holds 16 pointers to 4 KiB pages; an absent chunk or page reads as
@@ -159,9 +143,6 @@ func NewDisk(drive *hdd.Drive) *Disk {
 		maxRequest: 1 << 20,
 	}
 }
-
-// Drive exposes the underlying mechanical model (for attack injection).
-func (d *Disk) Drive() *hdd.Drive { return d.drive }
 
 // Size returns the device capacity.
 func (d *Disk) Size() int64 { return d.drive.Capacity() }

@@ -141,7 +141,7 @@ func TestClose(t *testing.T) {
 
 func TestIOErrorUnderHeavyVibration(t *testing.T) {
 	d, _ := newDisk(t)
-	d.Drive().SetVibration(hdd.Vibration{Freq: 650, Amplitude: 3})
+	d.drive.SetVibration(hdd.Vibration{Freq: 650, Amplitude: 3})
 	_, err := d.WriteAt(make([]byte, 4096), 0)
 	if !errors.Is(err, ErrIO) {
 		t.Fatalf("expected ErrIO, got %v", err)
@@ -153,7 +153,7 @@ func TestIOErrorUnderHeavyVibration(t *testing.T) {
 
 func TestFlushUnderAttackFails(t *testing.T) {
 	d, _ := newDisk(t)
-	d.Drive().SetVibration(hdd.Vibration{Freq: 650, Amplitude: 3})
+	d.drive.SetVibration(hdd.Vibration{Freq: 650, Amplitude: 3})
 	if err := d.Flush(); !errors.Is(err, ErrIO) {
 		t.Fatalf("expected ErrIO from flush, got %v", err)
 	}
@@ -175,15 +175,8 @@ func TestStatsAccumulate(t *testing.T) {
 	if s.ReadOps != 1 || s.ReadBytes != 8192 {
 		t.Fatalf("read stats: %+v", s)
 	}
-	if s.AvgReadLatency() <= 0 || s.AvgWriteLatency() <= 0 {
+	if s.TotalReadLatency <= 0 || s.TotalWriteLatency <= 0 {
 		t.Fatalf("latency stats: %+v", s)
-	}
-}
-
-func TestAvgLatencyZeroWithoutOps(t *testing.T) {
-	var s Stats
-	if s.AvgReadLatency() != 0 || s.AvgWriteLatency() != 0 {
-		t.Fatal("zero-op averages must be 0")
 	}
 }
 

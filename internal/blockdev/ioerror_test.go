@@ -13,7 +13,7 @@ import (
 func attackedDisk(t testing.TB) *Disk {
 	t.Helper()
 	d, _ := newDisk(t)
-	d.Drive().SetVibration(hdd.Vibration{Freq: 650, Amplitude: 3})
+	d.drive.SetVibration(hdd.Vibration{Freq: 650, Amplitude: 3})
 	return d
 }
 

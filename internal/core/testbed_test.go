@@ -61,10 +61,10 @@ func TestNewTestbedValidates(t *testing.T) {
 
 func TestVibrationForSilence(t *testing.T) {
 	tb, _ := NewTestbed(Scenario2, 1*units.Centimeter)
-	if v := tb.VibrationFor(sig.Tone{Freq: 650, Amplitude: 0}); !v.IsQuiet() {
+	if v := tb.VibrationFor(sig.Tone{Freq: 650, Amplitude: 0}); v.Amplitude != 0 {
 		t.Fatalf("silent tone produced vibration %+v", v)
 	}
-	if v := tb.VibrationFor(sig.Tone{Freq: 0, Amplitude: 1}); !v.IsQuiet() {
+	if v := tb.VibrationFor(sig.Tone{Freq: 0, Amplitude: 1}); v.Amplitude != 0 {
 		t.Fatalf("zero-frequency tone produced vibration %+v", v)
 	}
 }
@@ -200,7 +200,7 @@ func TestMoveSpeaker(t *testing.T) {
 		t.Fatalf("moving away should reduce amplitude: %v -> %v", near, far)
 	}
 	rig.Silence()
-	if !rig.Drive.Vibration().IsQuiet() {
+	if rig.Drive.Vibration().Amplitude != 0 {
 		t.Fatal("Silence did not clear vibration")
 	}
 }

@@ -10,19 +10,18 @@ import (
 	"deepnote/internal/simclock"
 )
 
-func newMonitored(t *testing.T) (*Monitor, *blockdev.Disk, *simclock.Virtual) {
+func newMonitored(t *testing.T) (*Monitor, *hdd.Drive, *simclock.Virtual) {
 	t.Helper()
 	clock := simclock.NewVirtual()
 	drive, err := hdd.NewDrive(hdd.Barracuda500(), clock, 41)
 	if err != nil {
 		t.Fatal(err)
 	}
-	disk := blockdev.NewDisk(drive)
-	m, err := NewMonitor(disk, clock, Config{})
+	m, err := NewMonitor(blockdev.NewDisk(drive), clock, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	return m, disk, clock
+	return m, drive, clock
 }
 
 func seqWrite(m *Monitor, n int) {
@@ -53,9 +52,9 @@ func TestDetectorTrainsOnHealthyTraffic(t *testing.T) {
 }
 
 func TestDetectorRaisesAlarmUnderAttack(t *testing.T) {
-	m, disk, _ := newMonitored(t)
+	m, drive, _ := newMonitored(t)
 	seqWrite(m, 80) // train
-	disk.Drive().SetVibration(hdd.Vibration{Freq: 650, Amplitude: 0.25})
+	drive.SetVibration(hdd.Vibration{Freq: 650, Amplitude: 0.25})
 	seqWrite(m, 40)
 	d := m.Detector()
 	if !m.det.AttackSuspected(m.clock.Now()) {
@@ -67,9 +66,9 @@ func TestDetectorRaisesAlarmUnderAttack(t *testing.T) {
 }
 
 func TestDetectorDetectsDeadDriveFast(t *testing.T) {
-	m, disk, _ := newMonitored(t)
+	m, drive, _ := newMonitored(t)
 	seqWrite(m, 80)
-	disk.Drive().SetVibration(hdd.Vibration{Freq: 650, Amplitude: 2.3})
+	drive.SetVibration(hdd.Vibration{Freq: 650, Amplitude: 2.3})
 	// Every op now errors; the alarm must fire well within the ≈80 s
 	// crash horizon of Table 3.
 	start := m.clock.Now()
@@ -83,20 +82,20 @@ func TestDetectorDetectsDeadDriveFast(t *testing.T) {
 }
 
 func TestDetectorClearsAfterAttack(t *testing.T) {
-	m, disk, _ := newMonitored(t)
+	m, drive, _ := newMonitored(t)
 	seqWrite(m, 80)
-	disk.Drive().SetVibration(hdd.Vibration{Freq: 650, Amplitude: 0.25})
+	drive.SetVibration(hdd.Vibration{Freq: 650, Amplitude: 0.25})
 	seqWrite(m, 40)
 	if !m.det.AttackSuspected(m.clock.Now()) {
 		t.Fatal("attack not detected")
 	}
-	disk.Drive().SetVibration(hdd.Quiet())
+	drive.SetVibration(hdd.Quiet())
 	seqWrite(m, 64) // window refills with healthy ops
 	if m.det.AttackSuspected(m.clock.Now()) {
 		t.Fatal("alarm stuck after attack ended")
 	}
 	// A second attack raises a second alarm edge.
-	disk.Drive().SetVibration(hdd.Vibration{Freq: 650, Amplitude: 0.25})
+	drive.SetVibration(hdd.Vibration{Freq: 650, Amplitude: 0.25})
 	seqWrite(m, 40)
 	if m.Detector().Alarms != 2 {
 		t.Fatalf("alarms = %d, want 2", m.Detector().Alarms)
@@ -164,9 +163,9 @@ func TestConfigPointerSemantics(t *testing.T) {
 // must expire so suspicion decays and the alarm edge falls; a later
 // attack raises a fresh rising edge.
 func TestAlarmDecaysWhenIdle(t *testing.T) {
-	m, disk, clock := newMonitored(t)
+	m, drive, clock := newMonitored(t)
 	seqWrite(m, 80)
-	disk.Drive().SetVibration(hdd.Vibration{Freq: 650, Amplitude: 0.25})
+	drive.SetVibration(hdd.Vibration{Freq: 650, Amplitude: 0.25})
 	seqWrite(m, 40)
 	if !m.det.AttackSuspected(m.clock.Now()) {
 		t.Fatal("attack not detected")
@@ -175,7 +174,7 @@ func TestAlarmDecaysWhenIdle(t *testing.T) {
 		t.Fatalf("alarms = %d", m.Detector().Alarms)
 	}
 	// The attack ends AND the workload stops — no ops refill the window.
-	disk.Drive().SetVibration(hdd.Quiet())
+	drive.SetVibration(hdd.Quiet())
 	clock.Sleep(40 * time.Second) // past the default 30 s expiry
 	if m.det.AttackSuspected(m.clock.Now()) {
 		t.Fatal("alarm latched after I/O quiesced (stale window evidence)")
@@ -185,7 +184,7 @@ func TestAlarmDecaysWhenIdle(t *testing.T) {
 	}
 	m.det.Tick(m.clock.Now()) // idle poll observes the falling edge
 	// Second attack: a fresh rising edge.
-	disk.Drive().SetVibration(hdd.Vibration{Freq: 650, Amplitude: 0.25})
+	drive.SetVibration(hdd.Vibration{Freq: 650, Amplitude: 0.25})
 	seqWrite(m, 40)
 	if m.Detector().Alarms != 2 {
 		t.Fatalf("alarms = %d, want 2 (rising/falling/rising)", m.Detector().Alarms)

@@ -52,8 +52,8 @@ func NewSynth(sampleRateHz float64, windowSamples int, sensorSigma float64, seed
 func (s *Synth) Windows() int { return s.w }
 
 // Window renders the next telemetry window: the drive's excitation state
-// (attack tone + excitation jitter), the ambient scenario, and
-// sensor noise. The slice is reused — feed it before the next call.
+// (the attack tone), the ambient scenario, and sensor noise. The slice is
+// reused — feed it before the next call.
 func (s *Synth) Window(vib hdd.Vibration, amb sig.Ambient) []float64 {
 	for i := range s.buf {
 		s.buf[i] = 0
@@ -67,11 +67,10 @@ func (s *Synth) Window(vib hdd.Vibration, amb sig.Ambient) []float64 {
 		}
 	}
 	amb.RenderInto(s.w, s.sampleRate, s.buf)
-	sigma := math.Hypot(s.sensorSigma, vib.ExtraJitter)
-	if sigma > 0 {
+	if s.sensorSigma > 0 {
 		rng := rand.New(rand.NewSource(parallel.SeedFor(s.seed, s.w)))
 		for i := range s.buf {
-			s.buf[i] += sigma * rng.NormFloat64()
+			s.buf[i] += s.sensorSigma * rng.NormFloat64()
 		}
 	}
 	s.w++

@@ -29,6 +29,10 @@ var paPerFrac = units.WaterSPL(90).Pressure().Pascals() * 1e6 / 0.004
 // crackle, hull pops) lands identically in telemetry and waterborne form.
 const ambientWindow = 512
 
+// hydrophoneNoise is the hydrophone's self-noise floor, matching the sonar
+// layer's default.
+var hydrophoneNoise = units.WaterSPL(70)
+
 // Link is one transmitter → hydrophone hop.
 type Link struct {
 	// Array is the receiving hydrophone array (typically built from the
@@ -40,9 +44,6 @@ type Link struct {
 	TxPos cluster.Vec3
 	// Ambient is the background soundscape at the hydrophone.
 	Ambient sig.Ambient
-	// NoiseSPL is the hydrophone's self-noise floor. Zero value = 70 dB
-	// re 1 µPa, matching the sonar layer's default.
-	NoiseSPL units.SPL
 	// Seed isolates this link's noise draws.
 	Seed int64
 }
@@ -98,11 +99,7 @@ func (l Link) Render(mod *Modulator, bits []byte) ([]float64, LinkBudget) {
 		budget.RxAmp[b] = math.Sqrt2 * spl.Pressure().Pascals() * 1e6
 	}
 
-	noise := l.NoiseSPL
-	if noise == (units.SPL{}) {
-		noise = units.WaterSPL(70)
-	}
-	budget.NoiseSigma = noise.Pressure().Pascals() * 1e6
+	budget.NoiseSigma = hydrophoneNoise.Pressure().Pascals() * 1e6
 	budget.AmbientSigma = l.Ambient.NominalSigma() * paPerFrac
 
 	L := mod.m.symbolLen

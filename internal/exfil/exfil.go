@@ -42,8 +42,6 @@ var (
 	ErrConfig = errors.New("exfil: invalid config")
 	// ErrPayloadSize reports a payload that does not fit one frame.
 	ErrPayloadSize = errors.New("exfil: payload does not fit frame")
-	// ErrNoSync means the receiver never found the preamble + sync word.
-	ErrNoSync = errors.New("exfil: no frame sync")
 	// ErrFrameCorrupt means FEC decoding or the CRC rejected the frame.
 	ErrFrameCorrupt = errors.New("exfil: frame corrupt beyond FEC budget")
 )

@@ -6,6 +6,7 @@ import (
 
 	"deepnote/internal/core"
 	"deepnote/internal/hdd"
+	"deepnote/internal/metrics"
 	"deepnote/internal/simclock"
 )
 
@@ -47,7 +48,9 @@ func TestShockSensorStillWorksWithDirectExcitation(t *testing.T) {
 		t.Fatal(err)
 	}
 	d.SetVibration(hdd.Vibration{Freq: 20000, Amplitude: 0.1})
-	if d.Stats().ShockParks != 1 {
+	reg := metrics.NewRegistry()
+	d.PublishMetrics(reg)
+	if reg.Counter("hdd.shock_parks").Value() != 1 {
 		t.Fatal("direct ultrasonic excitation should park the heads")
 	}
 }

@@ -12,18 +12,18 @@ import (
 	"deepnote/internal/simclock"
 )
 
-func newDisk(t *testing.T) (*blockdev.Disk, *simclock.Virtual) {
+func newDisk(t *testing.T) (*blockdev.Disk, *hdd.Drive, *simclock.Virtual) {
 	t.Helper()
 	clock := simclock.NewVirtual()
 	drive, err := hdd.NewDrive(hdd.Barracuda500(), clock, 7)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return blockdev.NewDisk(drive), clock
+	return blockdev.NewDisk(drive), drive, clock
 }
 
 func TestPassthroughWithoutFaults(t *testing.T) {
-	disk, clock := newDisk(t)
+	disk, _, clock := newDisk(t)
 	dev := Wrap(disk, clock)
 	data := []byte("payload survives the wrapper")
 	if _, err := dev.WriteAt(data, 4096); err != nil {
@@ -49,7 +49,7 @@ func TestPassthroughWithoutFaults(t *testing.T) {
 }
 
 func TestTransientWindowInjectsOnlyInside(t *testing.T) {
-	disk, clock := newDisk(t)
+	disk, _, clock := newDisk(t)
 	dev := Wrap(disk, clock, Fault{
 		Kind: TransientError, Start: 10 * time.Second, Duration: 5 * time.Second,
 	})
@@ -79,9 +79,9 @@ func TestTransientWindowInjectsOnlyInside(t *testing.T) {
 func TestComposesWithAcousticAttack(t *testing.T) {
 	// The wrapper passes the drive's own (attack-induced) errors through
 	// unchanged while contributing its own schedule.
-	disk, clock := newDisk(t)
+	disk, drive, clock := newDisk(t)
 	dev := Wrap(disk, clock) // no rules
-	disk.Drive().SetVibration(hdd.Vibration{Freq: 650, Amplitude: 3})
+	drive.SetVibration(hdd.Vibration{Freq: 650, Amplitude: 3})
 	if _, err := dev.WriteAt(make([]byte, 512), 0); !errors.Is(err, blockdev.ErrIO) {
 		t.Fatalf("attacked write through wrapper: %v", err)
 	}
@@ -91,7 +91,7 @@ func TestComposesWithAcousticAttack(t *testing.T) {
 }
 
 func TestPublishMetrics(t *testing.T) {
-	disk, clock := newDisk(t)
+	disk, _, clock := newDisk(t)
 	dev := Wrap(disk, clock, Fault{Kind: TransientError, Duration: time.Hour})
 	_, _ = dev.WriteAt(make([]byte, 512), 0)
 	clock.Sleep(2 * time.Hour)

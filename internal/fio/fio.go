@@ -62,8 +62,6 @@ type Job struct {
 	Offset, Span int64
 	// Runtime bounds the job in virtual time.
 	Runtime time.Duration
-	// MaxOps optionally bounds the number of requests (0 = unlimited).
-	MaxOps int
 	// Seed drives the random pattern generator.
 	Seed int64
 }
@@ -93,8 +91,8 @@ func (j Job) Validate(devSize int64) error {
 	if j.Offset < 0 || j.Offset+j.Span > devSize {
 		return fmt.Errorf("fio: job %q region [%d, %d) outside device of %d", j.Name, j.Offset, j.Offset+j.Span, devSize)
 	}
-	if j.Runtime <= 0 && j.MaxOps <= 0 {
-		return fmt.Errorf("fio: job %q needs a runtime or an op budget", j.Name)
+	if j.Runtime <= 0 {
+		return fmt.Errorf("fio: job %q runtime must be positive", j.Name)
 	}
 	return nil
 }
@@ -211,9 +209,9 @@ func (r *Runner) WithMetrics(reg *metrics.Registry) *Runner {
 	return r
 }
 
-// Run executes the job to completion (runtime or op budget, whichever
-// first) and returns its measurements. Failed requests are counted and the
-// runner presses on, like fio with continue_on_error.
+// Run executes the job for its runtime and returns its measurements.
+// Failed requests are counted and the runner presses on, like fio with
+// continue_on_error.
 func (r *Runner) Run(job Job) (Result, error) {
 	if err := job.Validate(r.dev.Size()); err != nil {
 		return Result{}, err
@@ -229,13 +227,7 @@ func (r *Runner) Run(job Job) (Result, error) {
 	var lats, errLats []time.Duration
 	start := r.clock.Now()
 	var seq int64
-	for i := 0; ; i++ {
-		if job.MaxOps > 0 && i >= job.MaxOps {
-			break
-		}
-		if job.Runtime > 0 && r.clock.Now().Sub(start) >= job.Runtime {
-			break
-		}
+	for r.clock.Now().Sub(start) < job.Runtime {
 		var block int64
 		if job.Pattern.IsRandom() {
 			block = rng.Int63n(blocks)

@@ -10,15 +10,14 @@ import (
 	"deepnote/internal/simclock"
 )
 
-func newRig(t *testing.T) (*Runner, *blockdev.Disk, *simclock.Virtual) {
+func newRig(t *testing.T) (*Runner, *hdd.Drive, *simclock.Virtual) {
 	t.Helper()
 	clock := simclock.NewVirtual()
 	drive, err := hdd.NewDrive(hdd.Barracuda500(), clock, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
-	disk := blockdev.NewDisk(drive)
-	return NewRunner(disk, clock), disk, clock
+	return NewRunner(blockdev.NewDisk(drive), clock), drive, clock
 }
 
 func TestPatternStrings(t *testing.T) {
@@ -94,8 +93,8 @@ func TestNoAttackThroughputMatchesPaperTable1(t *testing.T) {
 
 func TestHeavyAttackGivesNoResponse(t *testing.T) {
 	// Paper Table 1 at 1 cm: zero throughput, no latency measurable.
-	r, disk, _ := newRig(t)
-	disk.Drive().SetVibration(hdd.Vibration{Freq: 650, Amplitude: 2.4})
+	r, drive, _ := newRig(t)
+	drive.SetVibration(hdd.Vibration{Freq: 650, Amplitude: 2.4})
 	res, err := r.Run(PaperJob(SeqWrite, 2*time.Second))
 	if err != nil {
 		t.Fatal(err)
@@ -114,8 +113,8 @@ func TestHeavyAttackGivesNoResponse(t *testing.T) {
 func TestModerateAttackDegradesWritesMoreThanReads(t *testing.T) {
 	amp := 0.2 // between write (0.15) and read (0.26) thresholds
 	run := func(p Pattern) Result {
-		r, disk, _ := newRig(t)
-		disk.Drive().SetVibration(hdd.Vibration{Freq: 650, Amplitude: amp})
+		r, drive, _ := newRig(t)
+		drive.SetVibration(hdd.Vibration{Freq: 650, Amplitude: amp})
 		res, err := r.Run(PaperJob(p, 2*time.Second))
 		if err != nil {
 			t.Fatal(err)
@@ -148,20 +147,6 @@ func TestRandomPatternsSlower(t *testing.T) {
 	if rndRes.ThroughputMBps() >= seqRes.ThroughputMBps()/5 {
 		t.Fatalf("random read %.2f MB/s should be much slower than sequential %.2f",
 			rndRes.ThroughputMBps(), seqRes.ThroughputMBps())
-	}
-}
-
-func TestMaxOpsBoundsJob(t *testing.T) {
-	r, _, _ := newRig(t)
-	job := PaperJob(SeqWrite, 0)
-	job.Runtime = 0
-	job.MaxOps = 100
-	res, err := r.Run(job)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Ops != 100 {
-		t.Fatalf("ops = %d, want 100", res.Ops)
 	}
 }
 
@@ -221,8 +206,8 @@ func TestPercentilesNearestRankSmallN(t *testing.T) {
 func TestErrorLatenciesRecorded(t *testing.T) {
 	// Regression: failed ops consume virtual time but used to vanish
 	// from the latency accounting entirely.
-	r, disk, _ := newRig(t)
-	disk.Drive().SetVibration(hdd.Vibration{Freq: 650, Amplitude: 2.4})
+	r, drive, _ := newRig(t)
+	drive.SetVibration(hdd.Vibration{Freq: 650, Amplitude: 2.4})
 	res, err := r.Run(PaperJob(SeqWrite, 2*time.Second))
 	if err != nil {
 		t.Fatal(err)
@@ -251,8 +236,8 @@ func TestZeroElapsedResultAccessors(t *testing.T) {
 
 func TestDeterministicRuns(t *testing.T) {
 	run := func() Result {
-		r, disk, _ := newRig(t)
-		disk.Drive().SetVibration(hdd.Vibration{Freq: 650, Amplitude: 0.18})
+		r, drive, _ := newRig(t)
+		drive.SetVibration(hdd.Vibration{Freq: 650, Amplitude: 0.18})
 		res, err := r.Run(PaperJob(SeqWrite, time.Second))
 		if err != nil {
 			t.Fatal(err)

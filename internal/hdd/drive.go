@@ -50,26 +50,18 @@ const ChunkBytes = 4096
 
 // Vibration is the excitation state applied to a drive: one tone at Freq
 // whose off-track displacement amplitude is Amplitude (track-pitch
-// fractions), plus broadband jitter. The attack is one sine tone at a
-// time (§4), so there is no multi-tone state.
+// fractions). The attack is one sine tone at a time (§4), so there is no
+// multi-tone state; broadband jitter is the model's BaseJitterFrac.
 type Vibration struct {
 	// Freq is the excitation frequency.
 	Freq units.Frequency
 	// Amplitude is the sinusoidal off-track amplitude in track-pitch
 	// fractions.
 	Amplitude float64
-	// ExtraJitter adds broadband off-track noise (1σ, track fractions)
-	// on top of the drive's own ambient jitter.
-	ExtraJitter float64
 }
 
 // Quiet is the no-attack vibration state.
 func Quiet() Vibration { return Vibration{} }
-
-// IsQuiet reports whether the excitation carries no tonal energy.
-func (v Vibration) IsQuiet() bool {
-	return v.Amplitude == 0 && v.ExtraJitter == 0
-}
 
 // Stats counts drive activity.
 type Stats struct {
@@ -109,12 +101,6 @@ func NewDrive(m Model, clock *simclock.Virtual, seed int64) (*Drive, error) {
 	}
 	return &Drive{model: m, clock: clock, rng: rand.New(rand.NewSource(seed))}, nil
 }
-
-// Model returns the drive's static model.
-func (d *Drive) Model() Model { return d.model }
-
-// Stats returns a copy of the activity counters.
-func (d *Drive) Stats() Stats { return d.stats }
 
 // PublishMetrics pushes the drive's counters into a registry under the
 // "hdd." prefix. Counters are cumulative totals; callers publish once per
@@ -289,7 +275,7 @@ func (d *Drive) fixedTime(op Op, offset int64) time.Duration {
 // the threshold. peakFrac reports the worst excursion as a fraction of the
 // threshold (for the marginal-write integrity model).
 func (d *Drive) attemptHoldsTrack(threshold float64, hold time.Duration) (ok bool, peakFrac float64) {
-	sigma := d.model.BaseJitterFrac + d.vib.ExtraJitter
+	sigma := d.model.BaseJitterFrac
 	jitter := math.Abs(d.rng.NormFloat64()) * sigma
 	a := d.vib.Amplitude
 	if a >= d.model.ServoLockFrac {

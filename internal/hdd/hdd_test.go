@@ -129,7 +129,7 @@ func TestQuietDriveThroughputMatchesPaper(t *testing.T) {
 			}
 			off += bs
 		}
-		secs := clock.Since(start).Seconds()
+		secs := clock.Now().Sub(start).Seconds()
 		mbps := float64(bs*ops) / 1e6 / secs
 		if math.Abs(mbps-tc.want)/tc.want > 0.08 {
 			t.Errorf("%v: quiet throughput = %.1f MB/s, want ≈%.1f", tc.op, mbps, tc.want)
@@ -178,11 +178,11 @@ func TestHeavyVibrationTimesOutWrites(t *testing.T) {
 	if !errors.Is(res.Err, ErrMediaTimeout) {
 		t.Fatalf("expected media timeout, got %v", res.Err)
 	}
-	if res.Retries != d.Model().MaxRetries {
-		t.Fatalf("retries = %d, want %d", res.Retries, d.Model().MaxRetries)
+	if res.Retries != d.model.MaxRetries {
+		t.Fatalf("retries = %d, want %d", res.Retries, d.model.MaxRetries)
 	}
-	if d.Stats().WriteErrors != 1 {
-		t.Fatalf("write errors = %d, want 1", d.Stats().WriteErrors)
+	if d.stats.WriteErrors != 1 {
+		t.Fatalf("write errors = %d, want 1", d.stats.WriteErrors)
 	}
 }
 
@@ -254,15 +254,15 @@ func TestMaxAbsSinOverProperty(t *testing.T) {
 func TestShockSensorParksHeads(t *testing.T) {
 	d, clock := newTestDrive(t)
 	d.SetVibration(Vibration{Freq: 20000, Amplitude: 0.1})
-	if d.Stats().ShockParks != 1 {
-		t.Fatalf("parks = %d, want 1", d.Stats().ShockParks)
+	if d.stats.ShockParks != 1 {
+		t.Fatalf("parks = %d, want 1", d.stats.ShockParks)
 	}
 	res := d.Access(OpRead, 0, 4096)
 	if !errors.Is(res.Err, ErrHeadsParked) {
 		t.Fatalf("expected parked error, got %v", res.Err)
 	}
 	// After the park duration the drive recovers.
-	clock.Sleep(d.Model().ParkDuration + time.Millisecond)
+	clock.Sleep(d.model.ParkDuration + time.Millisecond)
 	d.SetVibration(Quiet())
 	if res := d.Access(OpRead, 0, 4096); res.Err != nil {
 		t.Fatalf("drive did not recover after parking: %v", res.Err)
@@ -272,7 +272,7 @@ func TestShockSensorParksHeads(t *testing.T) {
 func TestShockSensorIgnoresAudibleBand(t *testing.T) {
 	d, _ := newTestDrive(t)
 	d.SetVibration(Vibration{Freq: 650, Amplitude: 5})
-	if d.Stats().ShockParks != 0 {
+	if d.stats.ShockParks != 0 {
 		t.Fatal("audible-band vibration must not trip the shock sensor")
 	}
 }
@@ -291,7 +291,7 @@ func TestDeterminism(t *testing.T) {
 			d.Access(OpWrite, off, 4096)
 			off += 4096
 		}
-		return d.Stats(), clock.Since(start)
+		return d.stats, clock.Now().Sub(start)
 	}
 	s1, t1 := run()
 	s2, t2 := run()
@@ -302,10 +302,9 @@ func TestDeterminism(t *testing.T) {
 
 func TestVibrationAccessorRoundTrip(t *testing.T) {
 	d, _ := newTestDrive(t)
-	v := Vibration{Freq: 650, Amplitude: 0.3, ExtraJitter: 0.01}
+	v := Vibration{Freq: 650, Amplitude: 0.3}
 	d.SetVibration(v)
-	got := d.Vibration()
-	if got.Freq != v.Freq || got.Amplitude != v.Amplitude || got.ExtraJitter != v.ExtraJitter {
+	if got := d.Vibration(); got != v {
 		t.Fatalf("Vibration() = %+v, want %+v", got, v)
 	}
 }
@@ -314,7 +313,7 @@ func TestStatsCounts(t *testing.T) {
 	d, _ := newTestDrive(t)
 	d.Access(OpRead, 0, 4096)
 	d.Access(OpWrite, 4096, 8192)
-	s := d.Stats()
+	s := d.stats
 	if s.Reads != 1 || s.Writes != 1 {
 		t.Fatalf("ops: %+v", s)
 	}
@@ -347,7 +346,7 @@ func TestRetryLatencyGrowsUnderModerateVibration(t *testing.T) {
 		}
 		off += 4096
 	}
-	mean := clock.Since(start).Seconds() * 1000 / float64(n)
+	mean := clock.Now().Sub(start).Seconds() * 1000 / float64(n)
 	if mean < 0.5 {
 		t.Fatalf("mean write latency under vibration = %.3f ms, want ≥0.5", mean)
 	}

@@ -30,7 +30,7 @@ func TestIntegrityDisabledByDefault(t *testing.T) {
 		d.Access(OpWrite, off, 4096)
 		off += 4096
 	}
-	if d.Stats().AdjacentCorruptions != 0 {
+	if d.stats.AdjacentCorruptions != 0 {
 		t.Fatal("corruption occurred with the mechanism disabled")
 	}
 }
@@ -46,7 +46,7 @@ func TestMarginalWritesCorruptAdjacentTrack(t *testing.T) {
 		res := d.Access(OpWrite, off, 4096)
 		for _, c := range res.AdjacentCorruptions {
 			sawCorruption = true
-			if c != off-d.Model().TrackBytes && c != off+d.Model().TrackBytes {
+			if c != off-d.model.TrackBytes && c != off+d.model.TrackBytes {
 				t.Fatalf("corruption at %d not adjacent to %d", c, off)
 			}
 		}
@@ -55,7 +55,7 @@ func TestMarginalWritesCorruptAdjacentTrack(t *testing.T) {
 	if !sawCorruption {
 		t.Fatal("marginal writes never squeezed the adjacent track")
 	}
-	if d.Stats().AdjacentCorruptions == 0 {
+	if d.stats.AdjacentCorruptions == 0 {
 		t.Fatal("corruption counter not incremented")
 	}
 }
@@ -87,14 +87,14 @@ func TestReadsNeverCorrupt(t *testing.T) {
 
 func TestAdjacentOffsetEdges(t *testing.T) {
 	d := newIntegrityDrive(t, 1)
-	tb := d.Model().TrackBytes
+	tb := d.model.TrackBytes
 	if got := d.adjacentOffset(0); got != tb {
 		t.Fatalf("track 0 neighbor = %d, want next track %d", got, tb)
 	}
 	if got := d.adjacentOffset(5 * tb); got != 4*tb {
 		t.Fatalf("mid-disk neighbor = %d, want previous track", got)
 	}
-	m := d.Model()
+	m := d.model
 	m.TrackBytes = 0
 	clock := simclock.NewVirtual()
 	d2, err := NewDrive(m, clock, 1)

@@ -111,7 +111,7 @@ func TestInnerTracksSlowerEndToEnd(t *testing.T) {
 			}
 			off += 4096
 		}
-		return 500 * 4096 / clock.Since(start).Seconds() / 1e6
+		return 500 * 4096 / clock.Now().Sub(start).Seconds() / 1e6
 	}
 	outer := run(0)
 	inner := run(d.Capacity() - 500*4096 - 4096)

@@ -8,13 +8,9 @@ import (
 // File is a handle to a file in the root directory. Handles stay valid
 // until the file is removed; they are not reference counted.
 type File struct {
-	fs   *FS
-	ino  int
-	name string
+	fs  *FS
+	ino int
 }
-
-// Name returns the file's name.
-func (f *File) Name() string { return f.name }
 
 // Size returns the current file size in bytes.
 func (f *File) Size() int64 { return int64(f.fs.inodes[f.ino].Size) }

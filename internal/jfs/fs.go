@@ -369,7 +369,7 @@ func (fs *FS) Create(name string) (*File, error) {
 	fs.markInodeDirty(ino)
 	fs.markDirentDirty(slot)
 	fs.maybeCommit()
-	return &File{fs: fs, ino: ino, name: name}, nil
+	return &File{fs: fs, ino: ino}, nil
 }
 
 // Open returns a handle to an existing file.
@@ -381,7 +381,7 @@ func (fs *FS) Open(name string) (*File, error) {
 	if !ok {
 		return nil, fmt.Errorf("%w: %q", ErrNotFound, name)
 	}
-	return &File{fs: fs, ino: ino, name: name}, nil
+	return &File{fs: fs, ino: ino}, nil
 }
 
 // Remove deletes a file and frees its blocks.
@@ -460,17 +460,6 @@ func (fs *FS) allocBlock() (uint64, error) {
 func (fs *FS) freeBlock(bn uint64) {
 	fs.bitmap[bn/8] &^= 1 << (bn % 8)
 	fs.markBitmapDirty(bn)
-}
-
-// FreeBlocks counts unallocated blocks (diagnostics).
-func (fs *FS) FreeBlocks() uint64 {
-	var n uint64
-	for bn := fs.sb.DataStart; bn < fs.sb.TotalBlocks; bn++ {
-		if fs.bitmap[bn/8]&(1<<(bn%8)) == 0 {
-			n++
-		}
-	}
-	return n
 }
 
 // --- dirty metadata tracking -------------------------------------------

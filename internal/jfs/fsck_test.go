@@ -8,7 +8,7 @@ import (
 )
 
 func TestFsckCleanOnFreshFS(t *testing.T) {
-	fs, _, _ := newFS(t)
+	fs, _, _, _ := newFS(t)
 	rep := fs.Fsck()
 	if !rep.Clean {
 		t.Fatalf("fresh fs dirty: %v", rep.Problems)
@@ -19,7 +19,7 @@ func TestFsckCleanOnFreshFS(t *testing.T) {
 }
 
 func TestFsckCleanAfterWorkload(t *testing.T) {
-	fs, _, clock := newFS(t)
+	fs, _, _, clock := newFS(t)
 	for i := 0; i < 20; i++ {
 		f, err := fs.Create(string(rune('a' + i)))
 		if err != nil {
@@ -49,7 +49,7 @@ func TestFsckCleanAfterWorkload(t *testing.T) {
 }
 
 func TestFsckCleanAfterCrashRecovery(t *testing.T) {
-	fs, disk, clock := newFS(t)
+	fs, disk, _, clock := newFS(t)
 	f, _ := fs.Create("survivor")
 	f.WriteAt(bytes.Repeat([]byte{1}, 3*BlockSize), 0)
 	if err := fs.Sync(); err != nil {
@@ -67,7 +67,7 @@ func TestFsckCleanAfterCrashRecovery(t *testing.T) {
 }
 
 func TestFsckDetectsLeakedBlock(t *testing.T) {
-	fs, _, _ := newFS(t)
+	fs, _, _, _ := newFS(t)
 	// Corrupt deliberately: mark a data block used with no owner.
 	bn := fs.sb.DataStart + 10
 	fs.bitmap[bn/8] |= 1 << (bn % 8)
@@ -81,7 +81,7 @@ func TestFsckDetectsLeakedBlock(t *testing.T) {
 }
 
 func TestFsckDetectsSharedBlock(t *testing.T) {
-	fs, _, _ := newFS(t)
+	fs, _, _, _ := newFS(t)
 	a, _ := fs.Create("a")
 	b, _ := fs.Create("b")
 	a.WriteAt([]byte("x"), 0)
@@ -95,7 +95,7 @@ func TestFsckDetectsSharedBlock(t *testing.T) {
 }
 
 func TestFsckDetectsDanglingDirent(t *testing.T) {
-	fs, _, _ := newFS(t)
+	fs, _, _, _ := newFS(t)
 	f, _ := fs.Create("ghost")
 	fs.inodes[f.ino].Used = false // orphan the entry
 	rep := fs.Fsck()
@@ -105,7 +105,7 @@ func TestFsckDetectsDanglingDirent(t *testing.T) {
 }
 
 func TestFsckDetectsOrphanInode(t *testing.T) {
-	fs, _, _ := newFS(t)
+	fs, _, _, _ := newFS(t)
 	fs.inodes[5].Used = true // used, never referenced
 	rep := fs.Fsck()
 	if rep.Clean || !containsProblem(rep, "orphan inode") {
@@ -114,7 +114,7 @@ func TestFsckDetectsOrphanInode(t *testing.T) {
 }
 
 func TestFsckDetectsFreeBlockReference(t *testing.T) {
-	fs, _, _ := newFS(t)
+	fs, _, _, _ := newFS(t)
 	f, _ := fs.Create("f")
 	f.WriteAt([]byte("data"), 0)
 	bn := fs.inodes[f.ino].Direct[0]
@@ -126,7 +126,7 @@ func TestFsckDetectsFreeBlockReference(t *testing.T) {
 }
 
 func TestFsckUnmounted(t *testing.T) {
-	fs, _, _ := newFS(t)
+	fs, _, _, _ := newFS(t)
 	fs.Unmount()
 	rep := fs.Fsck()
 	if rep.Clean {

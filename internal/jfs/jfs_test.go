@@ -13,7 +13,7 @@ import (
 	"deepnote/internal/simclock"
 )
 
-func newFS(t *testing.T) (*FS, *blockdev.Disk, *simclock.Virtual) {
+func newFS(t *testing.T) (*FS, *blockdev.Disk, *hdd.Drive, *simclock.Virtual) {
 	t.Helper()
 	clock := simclock.NewVirtual()
 	drive, err := hdd.NewDrive(hdd.Barracuda500(), clock, 9)
@@ -28,11 +28,11 @@ func newFS(t *testing.T) (*FS, *blockdev.Disk, *simclock.Virtual) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return fs, disk, clock
+	return fs, disk, drive, clock
 }
 
 func TestMkfsAndMount(t *testing.T) {
-	fs, _, _ := newFS(t)
+	fs, _, _, _ := newFS(t)
 	sb := fs.Superblock()
 	if sb.Magic != Magic {
 		t.Fatal("bad magic after mount")
@@ -67,7 +67,7 @@ func TestMountRejectsUnformattedDevice(t *testing.T) {
 }
 
 func TestCreateWriteReadRoundTrip(t *testing.T) {
-	fs, _, _ := newFS(t)
+	fs, _, _, _ := newFS(t)
 	f, err := fs.Create("hello.txt")
 	if err != nil {
 		t.Fatal(err)
@@ -89,7 +89,7 @@ func TestCreateWriteReadRoundTrip(t *testing.T) {
 }
 
 func TestCreateValidation(t *testing.T) {
-	fs, _, _ := newFS(t)
+	fs, _, _, _ := newFS(t)
 	if _, err := fs.Create(""); !errors.Is(err, ErrNameTooLong) {
 		t.Fatalf("empty name: %v", err)
 	}
@@ -105,27 +105,27 @@ func TestCreateValidation(t *testing.T) {
 }
 
 func TestOpenMissing(t *testing.T) {
-	fs, _, _ := newFS(t)
+	fs, _, _, _ := newFS(t)
 	if _, err := fs.Open("ghost"); !errors.Is(err, ErrNotFound) {
 		t.Fatalf("got %v", err)
 	}
 }
 
 func TestRemoveFreesSpace(t *testing.T) {
-	fs, _, _ := newFS(t)
-	before := fs.FreeBlocks()
+	fs, _, _, _ := newFS(t)
+	before := fs.Fsck().FreeBlocks
 	f, _ := fs.Create("big")
 	if _, err := f.WriteAt(bytes.Repeat([]byte{1}, 10*BlockSize), 0); err != nil {
 		t.Fatal(err)
 	}
-	during := fs.FreeBlocks()
+	during := fs.Fsck().FreeBlocks
 	if during >= before {
 		t.Fatal("write did not consume blocks")
 	}
 	if err := fs.Remove("big"); err != nil {
 		t.Fatal(err)
 	}
-	after := fs.FreeBlocks()
+	after := fs.Fsck().FreeBlocks
 	if after != before {
 		t.Fatalf("remove did not free all blocks: %d -> %d -> %d", before, during, after)
 	}
@@ -135,7 +135,7 @@ func TestRemoveFreesSpace(t *testing.T) {
 }
 
 func TestLargeFileUsesIndirectBlocks(t *testing.T) {
-	fs, _, _ := newFS(t)
+	fs, _, _, _ := newFS(t)
 	f, _ := fs.Create("large")
 	data := bytes.Repeat([]byte{0xCD}, (NDirect+5)*BlockSize)
 	if _, err := f.WriteAt(data, 0); err != nil {
@@ -154,7 +154,7 @@ func TestLargeFileUsesIndirectBlocks(t *testing.T) {
 }
 
 func TestFileTooLarge(t *testing.T) {
-	fs, _, _ := newFS(t)
+	fs, _, _, _ := newFS(t)
 	f, _ := fs.Create("huge")
 	if _, err := f.WriteAt([]byte{1}, MaxFileSize); !errors.Is(err, ErrFileTooLarge) {
 		t.Fatalf("got %v", err)
@@ -162,7 +162,7 @@ func TestFileTooLarge(t *testing.T) {
 }
 
 func TestSparseFileReadsZeros(t *testing.T) {
-	fs, _, _ := newFS(t)
+	fs, _, _, _ := newFS(t)
 	f, _ := fs.Create("sparse")
 	if _, err := f.WriteAt([]byte("end"), 5*BlockSize); err != nil {
 		t.Fatal(err)
@@ -179,7 +179,7 @@ func TestSparseFileReadsZeros(t *testing.T) {
 }
 
 func TestReadPastEOF(t *testing.T) {
-	fs, _, _ := newFS(t)
+	fs, _, _, _ := newFS(t)
 	f, _ := fs.Create("short")
 	f.WriteAt([]byte("abc"), 0)
 	buf := make([]byte, 10)
@@ -193,7 +193,7 @@ func TestReadPastEOF(t *testing.T) {
 }
 
 func TestAppend(t *testing.T) {
-	fs, _, _ := newFS(t)
+	fs, _, _, _ := newFS(t)
 	f, _ := fs.Create("log")
 	f.Append([]byte("one "))
 	f.Append([]byte("two"))
@@ -205,18 +205,18 @@ func TestAppend(t *testing.T) {
 }
 
 func TestTruncate(t *testing.T) {
-	fs, _, _ := newFS(t)
+	fs, _, _, _ := newFS(t)
 	f, _ := fs.Create("t")
 	f.WriteAt(bytes.Repeat([]byte{7}, 4*BlockSize), 0)
-	free := fs.FreeBlocks()
+	free := fs.Fsck().FreeBlocks
 	if err := f.Truncate(BlockSize); err != nil {
 		t.Fatal(err)
 	}
 	if f.Size() != BlockSize {
 		t.Fatalf("size after truncate = %d", f.Size())
 	}
-	if fs.FreeBlocks() != free+3 {
-		t.Fatalf("truncate freed %d blocks, want 3", fs.FreeBlocks()-free)
+	if fs.Fsck().FreeBlocks != free+3 {
+		t.Fatalf("truncate freed %d blocks, want 3", fs.Fsck().FreeBlocks-free)
 	}
 	if err := f.Truncate(-1); err == nil {
 		t.Fatal("negative truncate accepted")
@@ -224,7 +224,7 @@ func TestTruncate(t *testing.T) {
 }
 
 func TestPersistenceAcrossRemount(t *testing.T) {
-	fs, disk, clock := newFS(t)
+	fs, disk, _, clock := newFS(t)
 	f, _ := fs.Create("persist")
 	data := []byte("survives remount")
 	f.WriteAt(data, 0)
@@ -254,7 +254,7 @@ func TestPersistenceAcrossRemount(t *testing.T) {
 func TestJournalReplayAfterCrash(t *testing.T) {
 	// Sync (journal commit) then remount WITHOUT unmounting: committed
 	// metadata must survive via journal + checkpoint.
-	fs, disk, clock := newFS(t)
+	fs, disk, _, clock := newFS(t)
 	f, _ := fs.Create("committed")
 	f.WriteAt([]byte("durable"), 0)
 	if err := fs.Sync(); err != nil {
@@ -277,7 +277,7 @@ func TestJournalReplayAfterCrash(t *testing.T) {
 }
 
 func TestUncommittedMetadataLostAfterCrash(t *testing.T) {
-	fs, disk, clock := newFS(t)
+	fs, disk, _, clock := newFS(t)
 	f, _ := fs.Create("volatile")
 	f.WriteAt([]byte("gone"), 0)
 	// No sync, no unmount, commit interval not reached: metadata only in
@@ -292,7 +292,7 @@ func TestUncommittedMetadataLostAfterCrash(t *testing.T) {
 }
 
 func TestBackgroundCommitRunsOnInterval(t *testing.T) {
-	fs, _, clock := newFS(t)
+	fs, _, _, clock := newFS(t)
 	f, _ := fs.Create("bg")
 	f.WriteAt([]byte("x"), 0)
 	if fs.CommitAttempts != 0 {
@@ -309,13 +309,13 @@ func TestJournalAbortUnderProlongedAttack(t *testing.T) {
 	// The Table 3 mechanism: the attack blocks all I/O; the journal
 	// cannot commit; after the stall limit the journal aborts with the
 	// JBD -5 signature.
-	fs, disk, clock := newFS(t)
+	fs, _, drive, clock := newFS(t)
 	f, _ := fs.Create("victim")
 	if _, err := f.WriteAt([]byte("dirty"), 0); err != nil {
 		t.Fatal(err)
 	}
 	attackStart := clock.Now()
-	disk.Drive().SetVibration(hdd.Vibration{Freq: 650, Amplitude: 2.3})
+	drive.SetVibration(hdd.Vibration{Freq: 650, Amplitude: 2.3})
 	for i := 0; i < 1000; i++ {
 		clock.Sleep(time.Second)
 		fs.Tick()
@@ -351,10 +351,10 @@ func errorContains(err error, sub string) bool {
 }
 
 func TestCommitRecoversAfterShortAttack(t *testing.T) {
-	fs, disk, clock := newFS(t)
+	fs, _, drive, clock := newFS(t)
 	f, _ := fs.Create("resilient")
 	f.WriteAt([]byte("data"), 0)
-	disk.Drive().SetVibration(hdd.Vibration{Freq: 650, Amplitude: 2.3})
+	drive.SetVibration(hdd.Vibration{Freq: 650, Amplitude: 2.3})
 	for i := 0; i < 12; i++ {
 		clock.Sleep(time.Second)
 		fs.Tick()
@@ -362,7 +362,7 @@ func TestCommitRecoversAfterShortAttack(t *testing.T) {
 	if fs.CommitFailures == 0 {
 		t.Fatal("expected commit failures during attack")
 	}
-	disk.Drive().SetVibration(hdd.Quiet())
+	drive.SetVibration(hdd.Quiet())
 	clock.Sleep(commitInterval)
 	fs.Tick()
 	if aborted, _ := fs.Aborted(); aborted {
@@ -374,7 +374,7 @@ func TestCommitRecoversAfterShortAttack(t *testing.T) {
 }
 
 func TestUnmountedOperationsFail(t *testing.T) {
-	fs, _, _ := newFS(t)
+	fs, _, _, _ := newFS(t)
 	f, _ := fs.Create("x")
 	if err := fs.Unmount(); err != nil {
 		t.Fatal(err)
@@ -394,7 +394,7 @@ func TestUnmountedOperationsFail(t *testing.T) {
 }
 
 func TestWriteReadPropertyRandomOffsets(t *testing.T) {
-	fs, _, _ := newFS(t)
+	fs, _, _, _ := newFS(t)
 	f, _ := fs.Create("prop")
 	prop := func(data []byte, offRaw uint16) bool {
 		if len(data) == 0 {
@@ -487,7 +487,7 @@ func TestJournalRecordRoundTrips(t *testing.T) {
 }
 
 func TestListSorted(t *testing.T) {
-	fs, _, _ := newFS(t)
+	fs, _, _, _ := newFS(t)
 	for _, n := range []string{"zeta", "alpha", "mid"} {
 		if _, err := fs.Create(n); err != nil {
 			t.Fatal(err)
@@ -503,7 +503,7 @@ func TestListSorted(t *testing.T) {
 }
 
 func TestManyFilesAndCommits(t *testing.T) {
-	fs, _, clock := newFS(t)
+	fs, _, _, clock := newFS(t)
 	for i := 0; i < 50; i++ {
 		name := string(rune('a'+i%26)) + string(rune('0'+i/26))
 		f, err := fs.Create(name)

@@ -47,13 +47,6 @@ func decodeJournalSuper(buf []byte) (journalSuper, error) {
 	}, nil
 }
 
-// txRecord is one journaled metadata transaction in memory.
-type txRecord struct {
-	seq    uint64
-	blocks []uint64 // absolute block numbers
-	images [][]byte // BlockSize images, parallel to blocks
-}
-
 // maxBlocksPerDescriptor bounds a transaction to what one descriptor block
 // can index.
 const maxBlocksPerDescriptor = (BlockSize - 24) / 8

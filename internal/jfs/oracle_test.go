@@ -169,10 +169,10 @@ func TestOracleSurvivesMidRunAttacks(t *testing.T) {
 	for i := 0; i < 150; i++ {
 		// Toggle short attack bursts.
 		if i%30 == 10 {
-			disk.Drive().SetVibration(hdd.Vibration{Freq: 650, Amplitude: 0.2})
+			drive.SetVibration(hdd.Vibration{Freq: 650, Amplitude: 0.2})
 		}
 		if i%30 == 15 {
-			disk.Drive().SetVibration(hdd.Quiet())
+			drive.SetVibration(hdd.Quiet())
 		}
 		name := fmt.Sprintf("f%d", rng.Intn(5))
 		if _, ok := model[name]; !ok {
@@ -199,7 +199,7 @@ func TestOracleSurvivesMidRunAttacks(t *testing.T) {
 		copy(cur[off:], data)
 		model[name] = cur
 	}
-	disk.Drive().SetVibration(hdd.Quiet())
+	drive.SetVibration(hdd.Quiet())
 	if aborted, _ := fs.Aborted(); aborted {
 		t.Fatal("journal aborted under short attack bursts")
 	}

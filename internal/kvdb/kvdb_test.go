@@ -17,6 +17,7 @@ import (
 type rig struct {
 	clock *simclock.Virtual
 	disk  *blockdev.Disk
+	drive *hdd.Drive
 	fs    *jfs.FS
 	db    *DB
 }
@@ -53,7 +54,7 @@ func newRig(t *testing.T, buf buffers) *rig {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return &rig{clock: clock, disk: disk, fs: fs, db: db}
+	return &rig{clock: clock, disk: disk, drive: drive, fs: fs, db: db}
 }
 
 // tombstone logs a delete record for key and shadows it in the memtable.
@@ -302,7 +303,7 @@ func TestReadWhileWritingCollapsesUnderAttack(t *testing.T) {
 	if _, err := b.Run(BenchSpec{Workload: WorkloadFillRandom, Num: 2000, ValueSize: 100, Seed: 1}); err != nil {
 		t.Fatal(err)
 	}
-	r.disk.Drive().SetVibration(hdd.Vibration{Freq: 650, Amplitude: 2.3})
+	r.drive.SetVibration(hdd.Vibration{Freq: 650, Amplitude: 2.3})
 	res, err := b.Run(BenchSpec{Workload: WorkloadReadWhileWriting, Runtime: 10 * time.Second, ValueSize: 100, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
@@ -319,7 +320,7 @@ func TestCrashAfterProlongedWALFailure(t *testing.T) {
 		t.Fatal(err)
 	}
 	attackStart := r.clock.Now()
-	r.disk.Drive().SetVibration(hdd.Vibration{Freq: 650, Amplitude: 2.3})
+	r.drive.SetVibration(hdd.Vibration{Freq: 650, Amplitude: 2.3})
 	var crashErr error
 	for i := 0; i < 200; i++ {
 		if err := r.db.Put([]byte(fmt.Sprintf("k%d", i)), []byte("v")); err != nil {
@@ -354,11 +355,11 @@ func TestRecoveryIfAttackStopsInTime(t *testing.T) {
 	r := newRig(t, withBuffers(0, 1))
 	r.db.SetRetryHook(func(stalled time.Duration) bool {
 		if stalled >= 5*time.Second {
-			r.disk.Drive().SetVibration(hdd.Quiet())
+			r.drive.SetVibration(hdd.Quiet())
 		}
 		return true
 	})
-	r.disk.Drive().SetVibration(hdd.Vibration{Freq: 650, Amplitude: 2.3})
+	r.drive.SetVibration(hdd.Vibration{Freq: 650, Amplitude: 2.3})
 	if err := r.db.Put([]byte("blocked"), []byte("v")); err != nil {
 		t.Fatalf("put should have recovered: %v", err)
 	}

@@ -11,15 +11,14 @@ import (
 	"deepnote/internal/simclock"
 )
 
-func newServer(t *testing.T, cfg Config) (*Server, *blockdev.Disk, *simclock.Virtual) {
+func newServer(t *testing.T, cfg Config) (*Server, *hdd.Drive, *simclock.Virtual) {
 	t.Helper()
 	clock := simclock.NewVirtual()
 	drive, err := hdd.NewDrive(hdd.Barracuda500(), clock, 31)
 	if err != nil {
 		t.Fatal(err)
 	}
-	disk := blockdev.NewDisk(drive)
-	return NewServer(disk, clock, cfg), disk, clock
+	return NewServer(blockdev.NewDisk(drive), clock, cfg), drive, clock
 }
 
 func TestHealthyRequests(t *testing.T) {
@@ -55,12 +54,12 @@ func TestBadRequest(t *testing.T) {
 }
 
 func TestAttackTurnsIntoVisibleFailures(t *testing.T) {
-	s, disk, _ := newServer(t, Config{Timeout: time.Second})
+	s, drive, _ := newServer(t, Config{Timeout: time.Second})
 	if err := s.Preload(); err != nil {
 		t.Fatal(err)
 	}
 	base := s.Handle(Put, 2).Latency
-	disk.Drive().SetVibration(hdd.Vibration{Freq: 650, Amplitude: 3})
+	drive.SetVibration(hdd.Vibration{Freq: 650, Amplitude: 3})
 	r := s.Handle(Put, 3)
 	if r.Err == nil {
 		t.Fatal("put under full attack should fail")
@@ -78,11 +77,11 @@ func TestAttackTurnsIntoVisibleFailures(t *testing.T) {
 func TestSlowCompletionClassifiedAsTimeout(t *testing.T) {
 	// A request that exceeds the server budget is a timeout to the
 	// client even when the storage eventually answers.
-	s, disk, _ := newServer(t, Config{Timeout: 100 * time.Millisecond})
+	s, drive, _ := newServer(t, Config{Timeout: 100 * time.Millisecond})
 	if err := s.Preload(); err != nil {
 		t.Fatal(err)
 	}
-	disk.Drive().SetVibration(hdd.Vibration{Freq: 650, Amplitude: 0.2})
+	drive.SetVibration(hdd.Vibration{Freq: 650, Amplitude: 0.2})
 	sawTimeout := false
 	for i := 0; i < 40 && !sawTimeout; i++ {
 		r := s.Handle(Put, i)
@@ -96,12 +95,12 @@ func TestSlowCompletionClassifiedAsTimeout(t *testing.T) {
 }
 
 func TestModerateAttackRaisesLatencyWithoutTimeout(t *testing.T) {
-	s, disk, _ := newServer(t, Config{})
+	s, drive, _ := newServer(t, Config{})
 	if err := s.Preload(); err != nil {
 		t.Fatal(err)
 	}
 	base := s.Handle(Put, 5).Latency
-	disk.Drive().SetVibration(hdd.Vibration{Freq: 650, Amplitude: 0.17})
+	drive.SetVibration(hdd.Vibration{Freq: 650, Amplitude: 0.17})
 	slow := s.Handle(Put, 6)
 	if slow.Err != nil {
 		t.Fatalf("moderate attack should not time out: %v", slow.Err)
@@ -184,11 +183,11 @@ func TestHandleObjectMatchesHandleTiming(t *testing.T) {
 // client as the fixed internal-error text, unchanged by sharing one
 // error value.
 func TestInternalErrorText(t *testing.T) {
-	s, disk, _ := newServer(t, Config{Timeout: time.Hour})
+	s, drive, _ := newServer(t, Config{Timeout: time.Hour})
 	if err := s.Preload(); err != nil {
 		t.Fatal(err)
 	}
-	disk.Drive().SetVibration(hdd.Vibration{Freq: 650, Amplitude: 3})
+	drive.SetVibration(hdd.Vibration{Freq: 650, Amplitude: 3})
 	for _, op := range []Op{Get, Put} {
 		_, r := s.HandleObjectShared(op, 1, nil)
 		if r.Err == nil || r.Err.Error() != "netstore: internal storage error" {

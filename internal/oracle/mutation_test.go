@@ -8,14 +8,16 @@ import (
 	"deepnote/internal/units"
 )
 
-// stressModel lowers the retry budget and the retry cost so op failures
-// are common and failure-path accounting dominates observable latency —
-// the operating regime where each historical timing bug has maximum
-// statistical power. The stock Barracuda's 64-retry budget hides failures
-// behind seconds of retrying, which is realistic but makes a differential
-// test blind to small accounting errors.
+// stressModel lowers the retry budget and the retry cost and raises the
+// jitter floor so op failures are common and failure-path accounting
+// dominates observable latency — the operating regime where each
+// historical timing bug has maximum statistical power. The stock
+// Barracuda's 64-retry budget hides failures behind seconds of retrying,
+// which is realistic but makes a differential test blind to small
+// accounting errors.
 func stressModel() hdd.Model {
 	m := hdd.Barracuda500()
+	m.BaseJitterFrac += 0.02
 	m.MaxRetries = 2
 	m.RetryRead = 100 * time.Microsecond
 	m.RetryWrite = 100 * time.Microsecond
@@ -32,7 +34,7 @@ func mutationCells(m hdd.Model) []CellSpec {
 			Op: hdd.OpWrite, Offset: inner, BlockSize: 4096},
 		{Label: "multi-chunk", Vib: hdd.Vibration{Freq: 1200 * units.Hz, Amplitude: 0.17},
 			Op: hdd.OpWrite, Offset: 0, BlockSize: 65536},
-		{Label: "failure-latency", Vib: hdd.Vibration{Freq: 1200 * units.Hz, Amplitude: 0.23, ExtraJitter: 0.02},
+		{Label: "failure-latency", Vib: hdd.Vibration{Freq: 1200 * units.Hz, Amplitude: 0.23},
 			Op: hdd.OpRead, Offset: 0, BlockSize: 1 << 20},
 	}
 }

@@ -151,7 +151,7 @@ func PredictMutant(in Input, mu Mutation) (Prediction, error) {
 		overhead = m.WriteOverhead.Seconds()
 		rotLat = (m.RevolutionPeriod() / 8).Seconds()
 	}
-	sigma := m.BaseJitterFrac + in.Vib.ExtraJitter
+	sigma := m.BaseJitterFrac
 
 	chunks := chunkPlan(m, in, mu, threshold, sigma)
 

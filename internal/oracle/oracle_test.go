@@ -18,22 +18,25 @@ import (
 // Monte-Carlo estimate of the per-attempt success probability.
 func TestPerAttemptMatchesMonteCarlo(t *testing.T) {
 	m := hdd.Barracuda500()
+	noisy := m
+	noisy.BaseJitterFrac += 0.05
 	for _, tc := range []struct {
 		name string
+		m    hdd.Model
 		vib  hdd.Vibration
 		op   hdd.Op
 	}{
-		{"write transition", hdd.Vibration{Freq: 1200 * units.Hz, Amplitude: 0.17}, hdd.OpWrite},
-		{"read transition", hdd.Vibration{Freq: 900 * units.Hz, Amplitude: 0.28}, hdd.OpRead},
-		{"low freq", hdd.Vibration{Freq: 200 * units.Hz, Amplitude: 0.16}, hdd.OpWrite},
-		{"jitter only", hdd.Vibration{ExtraJitter: 0.05}, hdd.OpWrite},
+		{"write transition", m, hdd.Vibration{Freq: 1200 * units.Hz, Amplitude: 0.17}, hdd.OpWrite},
+		{"read transition", m, hdd.Vibration{Freq: 900 * units.Hz, Amplitude: 0.28}, hdd.OpRead},
+		{"low freq", m, hdd.Vibration{Freq: 200 * units.Hz, Amplitude: 0.16}, hdd.OpWrite},
+		{"jitter only", noisy, hdd.Quiet(), hdd.OpWrite},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			pred, err := Predict(Input{Model: m, Vib: tc.vib, Op: tc.op, BlockSize: hdd.ChunkBytes})
+			pred, err := Predict(Input{Model: tc.m, Vib: tc.vib, Op: tc.op, BlockSize: hdd.ChunkBytes})
 			if err != nil {
 				t.Fatal(err)
 			}
-			d, err := hdd.NewDrive(m, simclock.NewVirtual(), 3)
+			d, err := hdd.NewDrive(tc.m, simclock.NewVirtual(), 3)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -57,7 +60,8 @@ func TestPerAttemptMatchesMonteCarlo(t *testing.T) {
 // 64 KiB op at uniform excitation succeeds iff all 16 chunks do.
 func TestOpSuccessIsChunkProduct(t *testing.T) {
 	m := hdd.Barracuda500()
-	vib := hdd.Vibration{Freq: 1200 * units.Hz, Amplitude: 0.10, ExtraJitter: 0.030}
+	m.BaseJitterFrac += 0.030
+	vib := hdd.Vibration{Freq: 1200 * units.Hz, Amplitude: 0.10}
 	single, err := Predict(Input{Model: m, Vib: vib, Op: hdd.OpWrite, BlockSize: hdd.ChunkBytes})
 	if err != nil {
 		t.Fatal(err)

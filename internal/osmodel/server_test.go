@@ -15,6 +15,7 @@ import (
 type rig struct {
 	clock *simclock.Virtual
 	disk  *blockdev.Disk
+	drive *hdd.Drive
 	fs    *jfs.FS
 	srv   *Server
 }
@@ -38,7 +39,7 @@ func newRig(t *testing.T, cfg Config) *rig {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return &rig{clock: clock, disk: disk, fs: fs, srv: srv}
+	return &rig{clock: clock, disk: disk, drive: drive, fs: fs, srv: srv}
 }
 
 func TestBootInstallsSystemFiles(t *testing.T) {
@@ -80,7 +81,7 @@ func TestCrashUnderProlongedAttack(t *testing.T) {
 	// dies after ≈ the crash threshold. Shortened threshold for speed.
 	r := newRig(t, Config{CrashThreshold: 15 * time.Second})
 	attackStart := r.clock.Now()
-	r.disk.Drive().SetVibration(hdd.Vibration{Freq: 650, Amplitude: 2.3})
+	r.drive.SetVibration(hdd.Vibration{Freq: 650, Amplitude: 2.3})
 	for i := 0; i < 600; i++ {
 		r.clock.Sleep(250 * time.Millisecond)
 		r.srv.Step()
@@ -113,7 +114,7 @@ func TestCrashUnderProlongedAttack(t *testing.T) {
 // fails while the server is still up.
 func TestLsFailsDuringAttackBeforeCrash(t *testing.T) {
 	r := newRig(t, Config{})
-	r.disk.Drive().SetVibration(hdd.Vibration{Freq: 650, Amplitude: 2.3})
+	r.drive.SetVibration(hdd.Vibration{Freq: 650, Amplitude: 2.3})
 	if pageInOK(r.srv) {
 		t.Fatal("page-in succeeded during the attack")
 	}
@@ -124,7 +125,7 @@ func TestLsFailsDuringAttackBeforeCrash(t *testing.T) {
 
 func TestRecoveryIfAttackStops(t *testing.T) {
 	r := newRig(t, Config{CrashThreshold: 60 * time.Second})
-	r.disk.Drive().SetVibration(hdd.Vibration{Freq: 650, Amplitude: 2.3})
+	r.drive.SetVibration(hdd.Vibration{Freq: 650, Amplitude: 2.3})
 	for i := 0; i < 10; i++ {
 		r.clock.Sleep(500 * time.Millisecond)
 		r.srv.Step()
@@ -132,7 +133,7 @@ func TestRecoveryIfAttackStops(t *testing.T) {
 	if r.srv.PageInErrors == 0 {
 		t.Fatal("expected I/O errors during attack")
 	}
-	r.disk.Drive().SetVibration(hdd.Quiet())
+	r.drive.SetVibration(hdd.Quiet())
 	for i := 0; i < 10; i++ {
 		r.clock.Sleep(time.Second)
 		r.srv.Step()

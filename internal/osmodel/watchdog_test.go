@@ -18,7 +18,7 @@ func TestReadFailureDmesgWording(t *testing.T) {
 	// message "lost async page write". The kernel says "async page read"
 	// for reads.
 	r := newRig(t, Config{})
-	r.disk.Drive().SetVibration(hdd.Vibration{Freq: 650, Amplitude: 2.3})
+	r.drive.SetVibration(hdd.Vibration{Freq: 650, Amplitude: 2.3})
 	if pageInOK(r.srv) {
 		t.Fatal("attacked read should fail")
 	}
@@ -33,7 +33,7 @@ func TestReadFailureDmesgWording(t *testing.T) {
 
 func TestWriteFailureDmesgWordingAndCounters(t *testing.T) {
 	r := newRig(t, Config{})
-	r.disk.Drive().SetVibration(hdd.Vibration{Freq: 650, Amplitude: 2.3})
+	r.drive.SetVibration(hdd.Vibration{Freq: 650, Amplitude: 2.3})
 	// Force a log flush (write path) without any page-in: advance less
 	// than a page-in interval past the log deadline is impossible (log
 	// interval > page-in interval), so call the flush directly.
@@ -111,7 +111,7 @@ func TestWatchdogRebootsThroughRecoveryChain(t *testing.T) {
 
 	// Prolonged attack: the OS crashes, and reboot attempts keep failing
 	// while the drive is unreachable.
-	r.disk.Drive().SetVibration(hdd.Vibration{Freq: 650, Amplitude: 2.3})
+	r.drive.SetVibration(hdd.Vibration{Freq: 650, Amplitude: 2.3})
 	for i := 0; i < 200; i++ {
 		r.clock.Sleep(250 * time.Millisecond)
 		wd.Server().Step()
@@ -128,7 +128,7 @@ func TestWatchdogRebootsThroughRecoveryChain(t *testing.T) {
 	}
 
 	// Attack ends: the next attempt walks the whole chain and succeeds.
-	r.disk.Drive().SetVibration(hdd.Quiet())
+	r.drive.SetVibration(hdd.Quiet())
 	for i := 0; i < 60; i++ {
 		r.clock.Sleep(250 * time.Millisecond)
 		wd.Server().Step()

@@ -98,16 +98,13 @@ type Series struct {
 	X, Y []float64
 }
 
-// Chart renders multiple series as an ASCII line chart, the stand-in for
-// the paper's Figure 2 plots.
+// Chart renders multiple series as a 72×20-character ASCII line chart, the
+// stand-in for the paper's Figure 2 plots.
 type Chart struct {
 	Title  string
 	XLabel string
 	YLabel string
 	Series []Series
-	// Width and Height are the plot area size in characters (defaults
-	// 72×20).
-	Width, Height int
 }
 
 // markers label the series in draw order.
@@ -124,13 +121,7 @@ func plottable(s Series, i int) bool {
 
 // String renders the chart.
 func (c *Chart) String() string {
-	w, h := c.Width, c.Height
-	if w <= 0 {
-		w = 72
-	}
-	if h <= 0 {
-		h = 20
-	}
+	const w, h = 72, 20 // plot area in characters
 	minX, maxX := math.Inf(1), math.Inf(-1)
 	minY, maxY := 0.0, math.Inf(-1)
 	for _, s := range c.Series {

@@ -140,14 +140,8 @@ type Band struct {
 	Low, High units.Frequency
 }
 
-// Contains reports whether f lies inside the band (inclusive).
-func (b Band) Contains(f units.Frequency) bool { return f >= b.Low && f <= b.High }
-
 // Width returns the band width.
 func (b Band) Width() units.Frequency { return b.High - b.Low }
-
-// Overlaps reports whether two bands intersect.
-func (b Band) Overlaps(o Band) bool { return b.Low <= o.High && o.Low <= b.High }
 
 // String renders the band.
 func (b Band) String() string { return fmt.Sprintf("[%v, %v]", b.Low, b.High) }

@@ -6,7 +6,6 @@ package sig
 
 import (
 	"fmt"
-	"math"
 
 	"deepnote/internal/units"
 )
@@ -19,8 +18,6 @@ type Tone struct {
 	// Amplitude is the linear drive amplitude relative to full scale,
 	// clamped to [0, 1] by Normalize.
 	Amplitude float64
-	// Phase is the initial phase in radians.
-	Phase float64
 }
 
 // NewTone returns a full-scale tone at f.
@@ -40,14 +37,6 @@ func (t Tone) Normalize() Tone {
 	return t
 }
 
-// Sample returns the instantaneous signal value at time tSec.
-func (t Tone) Sample(tSec float64) float64 {
-	return t.Amplitude * math.Sin(t.Freq.AngularVelocity()*tSec+t.Phase)
-}
-
-// RMS returns the root-mean-square value of the tone (A/√2).
-func (t Tone) RMS() float64 { return t.Amplitude / math.Sqrt2 }
-
 // DriveDB returns the drive level in dB relative to full scale (dBFS).
 // A full-scale tone is 0 dBFS; half amplitude is ≈ −6 dBFS.
 func (t Tone) DriveDB() units.Decibel { return units.AmplitudeRatioDB(t.Amplitude) }
@@ -55,19 +44,4 @@ func (t Tone) DriveDB() units.Decibel { return units.AmplitudeRatioDB(t.Amplitud
 // String renders the tone.
 func (t Tone) String() string {
 	return fmt.Sprintf("tone(%v, %.3g FS)", t.Freq, t.Amplitude)
-}
-
-// Samples renders n samples of the tone at the given sample rate into a
-// freshly allocated slice. It is used by spectrum tests and by components
-// that want a concrete waveform rather than an analytic description.
-func (t Tone) Samples(sampleRateHz float64, n int) []float64 {
-	if n <= 0 || sampleRateHz <= 0 {
-		return nil
-	}
-	out := make([]float64, n)
-	dt := 1 / sampleRateHz
-	for i := range out {
-		out[i] = t.Sample(float64(i) * dt)
-	}
-	return out
 }

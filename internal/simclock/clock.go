@@ -24,8 +24,6 @@ import (
 // than wrapping, so time never runs backwards.
 type Virtual struct {
 	ns atomic.Int64 // virtual nanoseconds since epoch
-	// sleeps counts Sleep calls, handy for tests asserting I/O happened.
-	sleeps atomic.Int64
 }
 
 // epoch is every Virtual's time zero. It is arbitrary but fixed, so runs
@@ -50,7 +48,6 @@ func (v *Virtual) Sleep(d time.Duration) {
 	if d <= 0 {
 		return
 	}
-	v.sleeps.Add(1)
 	for {
 		ns := v.ns.Load()
 		next := ns + int64(d)
@@ -62,12 +59,6 @@ func (v *Virtual) Sleep(d time.Duration) {
 		}
 	}
 }
-
-// Since returns the virtual time elapsed since t.
-func (v *Virtual) Since(t time.Time) time.Duration { return v.Now().Sub(t) }
-
-// Sleeps returns how many Sleep calls have been made.
-func (v *Virtual) Sleeps() int { return int(v.sleeps.Load()) }
 
 // String renders the clock's current offset from its epoch.
 func (v *Virtual) String() string {

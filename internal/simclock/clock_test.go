@@ -21,11 +21,8 @@ func TestSleepAdvances(t *testing.T) {
 	c := NewVirtual()
 	t0 := c.Now()
 	c.Sleep(81 * time.Second)
-	if got := c.Since(t0); got != 81*time.Second {
-		t.Fatalf("Since = %v, want 81s", got)
-	}
-	if c.Sleeps() != 1 {
-		t.Fatalf("Sleeps = %d, want 1", c.Sleeps())
+	if got := c.Now().Sub(t0); got != 81*time.Second {
+		t.Fatalf("elapsed = %v, want 81s", got)
 	}
 }
 
@@ -37,19 +34,16 @@ func TestSleepIgnoresNonPositive(t *testing.T) {
 	if !c.Now().Equal(t0) {
 		t.Fatal("non-positive sleep must not move time")
 	}
-	if c.Sleeps() != 0 {
-		t.Fatal("non-positive sleeps must not count")
-	}
 }
 
 // Sleeps from many goroutines all land, and a concurrent reader never
-// sees time or the Sleep count go backwards.
+// sees time go backwards.
 func TestConcurrentSleeps(t *testing.T) {
 	c := NewVirtual()
 	stop := make(chan struct{})
 	readerDone := make(chan error)
 	go func() {
-		prev, prevSleeps := c.Now(), c.Sleeps()
+		prev := c.Now()
 		for {
 			select {
 			case <-stop:
@@ -57,12 +51,12 @@ func TestConcurrentSleeps(t *testing.T) {
 				return
 			default:
 			}
-			now, sleeps := c.Now(), c.Sleeps()
-			if now.Before(prev) || sleeps < prevSleeps {
-				readerDone <- fmt.Errorf("clock went backwards: %v -> %v, %d -> %d sleeps", prev, now, prevSleeps, sleeps)
+			now := c.Now()
+			if now.Before(prev) {
+				readerDone <- fmt.Errorf("clock went backwards: %v -> %v", prev, now)
 				return
 			}
-			prev, prevSleeps = now, sleeps
+			prev = now
 		}
 	}()
 	var wg sync.WaitGroup
@@ -80,11 +74,8 @@ func TestConcurrentSleeps(t *testing.T) {
 	if err := <-readerDone; err != nil {
 		t.Fatal(err)
 	}
-	if got := c.Since(NewVirtual().Now()); got != time.Second {
+	if got := c.Now().Sub(NewVirtual().Now()); got != time.Second {
 		t.Fatalf("elapsed = %v, want 1s", got)
-	}
-	if got := c.Sleeps(); got != 1000 {
-		t.Fatalf("Sleeps = %d, want 1000", got)
 	}
 }
 
@@ -114,9 +105,6 @@ func TestSleepSaturates(t *testing.T) {
 	c.Sleep(time.Nanosecond)
 	if !c.Now().Equal(prev) {
 		t.Fatal("a saturated clock moved")
-	}
-	if c.Sleeps() != 4 {
-		t.Fatalf("Sleeps = %d, want 4", c.Sleeps())
 	}
 }
 

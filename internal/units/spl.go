@@ -48,12 +48,6 @@ func (s SPL) Rereference(ref Pressure) SPL {
 	return SPLFromPressure(s.Pressure(), ref)
 }
 
-// InWater re-expresses the level against the underwater reference (1 µPa).
-func (s SPL) InWater() SPL { return s.Rereference(RefPressureWater) }
-
-// InAir re-expresses the level against the in-air reference (20 µPa).
-func (s SPL) InAir() SPL { return s.Rereference(RefPressureAir) }
-
 // Add applies a gain (or, when negative, a loss) in dB and returns the new
 // level against the same reference.
 func (s SPL) Add(gain Decibel) SPL { return SPL{DB: s.DB + float64(gain), Ref: s.Ref} }

@@ -140,9 +140,9 @@ func TestAirToWaterOffsetIs26DB(t *testing.T) {
 		t.Fatalf("air-to-water offset = %v dB, want ≈26 dB", off)
 	}
 	s := SPL{DB: 114, Ref: RefPressureAir} // 114 dB re 20µPa
-	w := s.InWater()
+	w := s.Rereference(RefPressureWater)
 	if math.Abs(w.DB-(114+off)) > 1e-9 {
-		t.Fatalf("InWater = %v dB, want %v", w.DB, 114+off)
+		t.Fatalf("re 1 µPa = %v dB, want %v", w.DB, 114+off)
 	}
 }
 
@@ -152,7 +152,7 @@ func TestSPLRereferencePreservesPressure(t *testing.T) {
 			return true
 		}
 		s := WaterSPL(db)
-		return almostEqual(s.InAir().Pressure().Pascals(), s.Pressure().Pascals(), 1e-9)
+		return almostEqual(s.Rereference(RefPressureAir).Pressure().Pascals(), s.Pressure().Pascals(), 1e-9)
 	}
 	if err := quick.Check(prop, nil); err != nil {
 		t.Fatal(err)
@@ -170,7 +170,7 @@ func TestSPLAddSub(t *testing.T) {
 	}
 	// Sub across references must convert first.
 	air := SPL{DB: 114, Ref: RefPressureAir}
-	water := air.InWater()
+	water := air.Rereference(RefPressureWater)
 	if got := float64(water.Sub(air)); math.Abs(got) > 1e-9 {
 		t.Fatalf("Sub of same pressure across refs = %v, want 0", got)
 	}

@@ -1,18 +1,18 @@
 //go:build ignore
 
-// Field audit: lists the exported fields of the root module's config
-// structs that no non-test code writes, and compares that list with
-// tools/fields.allow, which gives one "pkg.Type.Field<TAB>reason" line per
-// field kept on purpose.
+// Field audit: lists the exported struct fields of the root module that no
+// non-test code writes, and compares that list with tools/fields.allow,
+// which gives one "pkg.Type.Field<TAB>reason" line per field kept on
+// purpose.
 //
-// A config struct is an exported struct type whose name ends in Config,
-// Spec or Options, that has a withDefaults method, or that an exported
-// Default<Type> function returns. A write is a composite-literal key or
-// positional element, the left side of an assignment, an operand of ++ or
-// --, or an operand of &, anywhere in the non-test Go files of the root
-// module and of bench/, except inside the struct's own withDefaults: a
-// default that fills an unset field is not a caller setting it. A selector
-// chain such as a.B.C = v writes both B and C.
+// Every exported field of every exported struct type is audited. A write
+// is a composite-literal key or positional element, the left side of an
+// assignment, an operand of ++ or --, an operand of &, or the operand of a
+// pointer-receiver method called on an addressable value (an implicit &),
+// anywhere in the non-test Go files of the root module and of bench/,
+// except inside the struct's own withDefaults: a default that fills an
+// unset field is not a caller setting it. A selector chain such as
+// a.B.C = v writes both B and C.
 //
 // Fails when a field is unwritten but not allowlisted, and when the
 // allowlist names a field that is written, gone or listed twice, or gives
@@ -141,10 +141,10 @@ func main() {
 	if failed {
 		os.Exit(1)
 	}
-	fmt.Printf("fields: %d exported config fields without a non-test writer, all allowlisted\n", len(unwritten))
+	fmt.Printf("fields: %d exported fields without a non-test writer, all allowlisted\n", len(unwritten))
 }
 
-// audit returns the sorted names of the config fields nothing writes.
+// audit returns the sorted names of the exported fields nothing writes.
 func audit() ([]string, error) {
 	for _, dir := range []string{".", "bench"} {
 		cmd := exec.Command("go", "list", "-e", "-deps", "-export", "-json=ImportPath,Dir,GoFiles,Export,Standard", "./...")
@@ -178,14 +178,14 @@ func audit() ([]string, error) {
 	}
 	sort.Strings(paths)
 
-	// Every exported field of every config struct, and its struct.
+	// Every exported field of every exported struct, and its struct.
 	name := map[*types.Var]string{}
 	owner := map[*types.Var]types.Type{}
 	for _, p := range paths {
 		scope := checked[p].Scope()
 		for _, tn := range scope.Names() {
 			obj, ok := scope.Lookup(tn).(*types.TypeName)
-			if !ok || !obj.Exported() || obj.IsAlias() || !isConfig(obj) {
+			if !ok || !obj.Exported() || obj.IsAlias() {
 				continue
 			}
 			st, ok := obj.Type().Underlying().(*types.Struct)
@@ -221,24 +221,6 @@ func audit() ([]string, error) {
 	}
 	sort.Strings(unwritten)
 	return unwritten, nil
-}
-
-// isConfig reports whether tn names a config struct.
-func isConfig(tn *types.TypeName) bool {
-	for _, suffix := range []string{"Config", "Spec", "Options"} {
-		if strings.HasSuffix(tn.Name(), suffix) {
-			return true
-		}
-	}
-	if m, _, _ := types.LookupFieldOrMethod(tn.Type(), true, tn.Pkg(), "withDefaults"); m != nil {
-		return true
-	}
-	f, ok := tn.Pkg().Scope().Lookup("Default" + tn.Name()).(*types.Func)
-	if !ok {
-		return false
-	}
-	res := f.Type().(*types.Signature).Results()
-	return res.Len() == 1 && types.Identical(res.At(0).Type(), tn.Type())
 }
 
 // collectWrites calls write for every struct field that n writes.
@@ -289,6 +271,15 @@ func collectWrites(n ast.Node, info *types.Info, write func(*types.Var)) {
 		case *ast.UnaryExpr:
 			if n.Op == token.AND {
 				lvalue(n.X)
+			}
+		case *ast.SelectorExpr:
+			// x.M with a pointer receiver on a non-pointer x takes &x.
+			if sel, ok := info.Selections[n]; ok && sel.Kind() == types.MethodVal {
+				_, ptrRecv := sel.Obj().Type().(*types.Signature).Recv().Type().(*types.Pointer)
+				_, ptrX := info.Types[n.X].Type.Underlying().(*types.Pointer)
+				if ptrRecv && !ptrX {
+					lvalue(n.X)
+				}
 			}
 		}
 		return true

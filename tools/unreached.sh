@@ -25,8 +25,8 @@ for b in "$out"/*; do go tool nm "$b"; done | awk '$2=="T"||$2=="t"{print $3}' |
 git ls-files '*.go' | grep -v '_test.go$' | grep -v '^bench/' | while read -r f; do
   pkg=deepnote/$(dirname "$f"); [ "$pkg" = deepnote/. ] && pkg=deepnote
   grep -q '^package main' "$f" && pkg=main
-  grep -oE '^func (\([a-z]+ \*?[A-Za-z0-9_]+(\[[^]]*\])?\) )?[A-Za-z0-9_]+' "$f" |
-    sed -E "s/^func \([a-z]+ \*?([A-Za-z0-9_]+)(\[[^]]*\])?\) /\1./; s/^func //; s#^#$pkg.#"
+  grep -oE '^func (\(([a-z]+ )?\*?[A-Za-z0-9_]+(\[[^]]*\])?\) )?[A-Za-z0-9_]+' "$f" |
+    sed -E "s/^func \(([a-z]+ )?\*?([A-Za-z0-9_]+)(\[[^]]*\])?\) /\2./; s/^func //; s#^#$pkg.#"
 done | grep -vE '\.(init|main)$' | sort -u | comm -23 - "$out/linked" > "$out/unreached"
 
 grep -vE '^(#|$)' tools/unreached.allow > "$out/allow" || true
