@@ -7,14 +7,14 @@
 //	        [-num N] [-runtime SECONDS] [-scenario 1|2|3]
 //	        [-freq HZ] [-distance CM] [-valuesize BYTES]
 //
-// A frequency of 0 disables the attack.
+// A frequency of 0 disables the attack; a negative or non-finite one is
+// rejected, as is a runtime no time.Duration can hold.
 package main
 
 import (
 	"flag"
 	"fmt"
 	"os"
-	"time"
 
 	"deepnote/internal/core"
 	"deepnote/internal/jfs"
@@ -37,6 +37,13 @@ func main() {
 	image := flag.String("image", "", "optional disk image: loaded if present (skips mkfs), saved after the run")
 	flag.Parse()
 	if err := valid.AtLeast("-fill", *fill, 0); err != nil {
+		fatal(err)
+	}
+	if err := valid.AtLeast("-freq", *freq, 0); err != nil {
+		fatal(err)
+	}
+	window, err := valid.Seconds("-runtime", *runtime)
+	if err != nil {
 		fatal(err)
 	}
 
@@ -96,7 +103,7 @@ func main() {
 	spec := kvdb.BenchSpec{
 		Workload:  *workload,
 		Num:       *num,
-		Runtime:   time.Duration(*runtime * float64(time.Second)),
+		Runtime:   window,
 		ValueSize: *valueSize,
 		Seed:      *seed,
 	}

@@ -35,8 +35,10 @@ func dbbench(t *testing.T, args ...string) (stdout, stderr string, code int) {
 	return out.String(), errOut.String(), code
 }
 
-// TestRejectsBadFlags: a value size below one byte and a negative fill
-// exit 1 naming the value, instead of running as the defaults.
+// TestRejectsBadFlags: a value size below one byte, a negative fill, a
+// negative or non-finite tone and a runtime no time.Duration can hold exit
+// 1 naming the value, instead of running as the defaults, running
+// unattacked or reporting the wrong fault.
 func TestRejectsBadFlags(t *testing.T) {
 	for _, c := range []struct {
 		args []string
@@ -47,6 +49,12 @@ func TestRejectsBadFlags(t *testing.T) {
 		{[]string{"-workload", "fillseq", "-valuesize", "0"}, "ValueSize 0"},
 		{[]string{"-fill", "-3"}, "-fill -3"},
 		{[]string{"-workload", "readrandom", "-num", "-2"}, "Num -2"},
+		{[]string{"-freq", "NaN"}, "-freq NaN"},
+		{[]string{"-freq", "-5"}, "-freq -5"},
+		{[]string{"-freq", "Inf"}, "-freq +Inf"},
+		{[]string{"-runtime", "1e12"}, "-runtime 1e+12"},
+		{[]string{"-runtime", "NaN"}, "-runtime NaN"},
+		{[]string{"-runtime", "-Inf"}, "-runtime -Inf"},
 	} {
 		stdout, stderr, code := dbbench(t, c.args...)
 		if code != 1 || !strings.Contains(stderr, c.want) {

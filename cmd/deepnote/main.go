@@ -37,7 +37,6 @@ package main
 import (
 	"flag"
 	"fmt"
-	"math"
 	"os"
 	"strconv"
 	"time"
@@ -194,10 +193,10 @@ func durationVar(fs *flag.FlagSet, d *time.Duration, bad *error, name, usage str
 		if err != nil {
 			return err
 		}
-		if ns := v * float64(time.Second); math.Abs(ns) < math.MaxInt64 {
-			*d = time.Duration(ns)
+		if sec, err := valid.Seconds("-"+name, v); err == nil {
+			*d = sec
 		} else {
-			*bad = fmt.Errorf("-%s %v: not a duration in seconds", name, v)
+			*bad = err
 		}
 		return nil
 	})

@@ -8,7 +8,7 @@
 //	       [-runtime SECONDS] [-scenario 1|2|3] [-freq HZ] [-distance CM]
 //
 // A frequency of 0 disables the attack; a negative or non-finite one is
-// rejected.
+// rejected, as is a runtime no time.Duration can hold.
 package main
 
 import (
@@ -65,6 +65,11 @@ func main() {
 		fmt.Fprintf(os.Stderr, "fiosim: %v\n", err)
 		os.Exit(1)
 	}
+	jobRuntime, err := valid.Seconds("-runtime", *runtime)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "fiosim: %v\n", err)
+		os.Exit(1)
+	}
 
 	rig, err := core.NewRig(s, units.Distance(*distance)*units.Centimeter, *seed)
 	if err != nil {
@@ -103,7 +108,7 @@ func main() {
 		Pattern:   p,
 		BlockSize: *bs,
 		Span:      1 << 30,
-		Runtime:   time.Duration(*runtime * float64(time.Second)),
+		Runtime:   jobRuntime,
 		Seed:      *seed,
 	}
 	res, err := fio.NewRunner(rig.Disk, rig.Clock).Run(job)

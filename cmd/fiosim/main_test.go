@@ -54,6 +54,26 @@ func TestRejectsBadFreq(t *testing.T) {
 	}
 }
 
+// TestRejectsBadRuntime: a runtime no time.Duration can hold exits 1
+// naming the flag, instead of overflowing into a negative runtime that the
+// job reports as its own fault.
+func TestRejectsBadRuntime(t *testing.T) {
+	for _, c := range []struct{ runtime, want string }{
+		{"1e12", "-runtime 1e+12"},
+		{"-1e12", "-runtime -1e+12"},
+		{"NaN", "-runtime NaN"},
+		{"Inf", "-runtime +Inf"},
+	} {
+		stdout, stderr, code := fiosim(t, "-runtime", c.runtime)
+		if code != 1 || !strings.Contains(stderr, c.want) {
+			t.Errorf("fiosim -runtime %s: exit %d, stderr %q; want exit 1 naming %q", c.runtime, code, stderr, c.want)
+		}
+		if stdout != "" {
+			t.Errorf("fiosim -runtime %s printed a result: %q", c.runtime, stdout)
+		}
+	}
+}
+
 // TestZeroFreqRunsUnattacked: -freq 0 runs the job with no attack line,
 // and a positive tone announces the attack before the job's result.
 func TestZeroFreqRunsUnattacked(t *testing.T) {

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"strconv"
 	"time"
 
 	"deepnote/internal/simclock"
@@ -87,8 +88,17 @@ func NewBench(db *DB, clock *simclock.Virtual) *Bench {
 	return &Bench{db: db, clock: clock}
 }
 
+// benchKey formats i zero-padded to benchKeySize digits; a longer number
+// keeps its leading benchKeySize digits.
 func benchKey(i int) []byte {
-	return []byte(fmt.Sprintf("%016d", i)[:benchKeySize])
+	key := []byte("0000000000000000")
+	var buf [20]byte
+	d := strconv.AppendInt(buf[:0], int64(i), 10)
+	if len(d) > benchKeySize {
+		d = d[:benchKeySize]
+	}
+	copy(key[benchKeySize-len(d):], d)
+	return key
 }
 
 func benchValue(rng *rand.Rand, size int) []byte {

@@ -27,23 +27,6 @@ type walRecord struct {
 	value []byte
 }
 
-func (r walRecord) encode() []byte {
-	payload := make([]byte, 8+1+2+len(r.key)+4+len(r.value))
-	le := binary.LittleEndian
-	le.PutUint64(payload[0:], r.seq)
-	payload[8] = r.op
-	le.PutUint16(payload[9:], uint16(len(r.key)))
-	copy(payload[11:], r.key)
-	le.PutUint32(payload[11+len(r.key):], uint32(len(r.value)))
-	copy(payload[15+len(r.key):], r.value)
-
-	out := make([]byte, 8+len(payload))
-	le.PutUint32(out[0:], uint32(len(payload)))
-	le.PutUint32(out[4:], crc32.ChecksumIEEE(payload))
-	copy(out[8:], payload)
-	return out
-}
-
 var errWALCorrupt = errors.New("kvdb: corrupt WAL record")
 
 func decodeWALRecord(buf []byte) (rec walRecord, consumed int, err error) {
@@ -96,9 +79,21 @@ func newWAL(f *jfs.File, flushAt int) *wal {
 	return &wal{file: f, filePos: f.Size(), flushAt: flushAt}
 }
 
-// append buffers a record and reports whether the buffer now needs a flush.
+// append encodes a record into the buffer and reports whether the buffer
+// now needs a flush.
 func (w *wal) append(rec walRecord) bool {
-	w.buf = append(w.buf, rec.encode()...)
+	le := binary.LittleEndian
+	start := len(w.buf)
+	w.buf = append(w.buf, 0, 0, 0, 0, 0, 0, 0, 0) // length and CRC, set below
+	w.buf = le.AppendUint64(w.buf, rec.seq)
+	w.buf = append(w.buf, rec.op)
+	w.buf = le.AppendUint16(w.buf, uint16(len(rec.key)))
+	w.buf = append(w.buf, rec.key...)
+	w.buf = le.AppendUint32(w.buf, uint32(len(rec.value)))
+	w.buf = append(w.buf, rec.value...)
+	payload := w.buf[start+8:]
+	le.PutUint32(w.buf[start:], uint32(len(payload)))
+	le.PutUint32(w.buf[start+4:], crc32.ChecksumIEEE(payload))
 	return len(w.buf) >= w.flushAt
 }
 

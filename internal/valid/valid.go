@@ -6,6 +6,7 @@ package valid
 import (
 	"fmt"
 	"math"
+	"time"
 )
 
 // Number is an integer or float field type, including the units and
@@ -36,6 +37,15 @@ func In[T Number](name string, v, lo, hi T) error {
 		return fmt.Errorf("%s %v must be in [%v, %v]", name, v, lo, hi)
 	}
 	return nil
+}
+
+// Seconds converts s seconds to a time.Duration, rejecting NaN, ±Inf and
+// any value whose nanoseconds overflow a Duration (beyond ±292 years).
+func Seconds(name string, s float64) (time.Duration, error) {
+	if ns := s * float64(time.Second); math.Abs(ns) < math.MaxInt64 {
+		return time.Duration(ns), nil
+	}
+	return 0, fmt.Errorf("%s %v: not a duration in seconds", name, s)
 }
 
 // First returns the first non-nil error of a spec's field checks, naming

@@ -36,6 +36,33 @@ func TestChecks(t *testing.T) {
 	}
 }
 
+func TestSeconds(t *testing.T) {
+	for _, c := range []struct {
+		s    float64
+		want time.Duration
+		ok   bool
+	}{
+		{1.5, 1500 * time.Millisecond, true},
+		{0, 0, true},
+		{-2, -2 * time.Second, true},
+		{9e9, 9e9 * time.Second, true},
+		{1e12, 0, false},
+		{-1e12, 0, false},
+		{math.NaN(), 0, false},
+		{math.Inf(1), 0, false},
+		{math.Inf(-1), 0, false},
+	} {
+		d, err := Seconds("-runtime", c.s)
+		if (err == nil) != c.ok || d != c.want {
+			t.Errorf("Seconds(%v) = %v, %v; want %v, ok=%v", c.s, d, err, c.want, c.ok)
+		}
+	}
+	_, err := Seconds("-runtime", 1e12)
+	if got, want := err.Error(), "-runtime 1e+12: not a duration in seconds"; got != want {
+		t.Fatalf("error %q, want %q", got, want)
+	}
+}
+
 func TestFirstNamesTheField(t *testing.T) {
 	if err := First("pkg: Spec", nil, nil); err != nil {
 		t.Fatalf("no failures: %v", err)
