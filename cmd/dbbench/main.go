@@ -12,8 +12,10 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 
 	"deepnote/internal/core"
@@ -25,123 +27,153 @@ import (
 )
 
 func main() {
-	workload := flag.String("workload", "readwhilewriting", "fillseq, fillrandom, readrandom, or readwhilewriting")
-	num := flag.Int("num", 10000, "operation count for fill/read workloads")
-	runtime := flag.Float64("runtime", 5, "window for readwhilewriting (virtual seconds)")
-	scenario := flag.Int("scenario", 2, "testbed scenario (1-3)")
-	freq := flag.Float64("freq", 0, "attack tone frequency in Hz (0 = no attack)")
-	distance := flag.Float64("distance", 1, "speaker distance in cm")
-	valueSize := flag.Int("valuesize", 100, "value size in bytes")
-	fill := flag.Int("fill", 5000, "pre-population for readwhilewriting (0 = none)")
-	seed := flag.Int64("seed", 1, "simulation seed")
-	image := flag.String("image", "", "optional disk image: loaded if present (skips mkfs), saved after the run")
-	flag.Parse()
-	if err := valid.AtLeast("-fill", *fill, 0); err != nil {
-		fatal(err)
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
+
+// options holds dbbench's flags.
+type options struct {
+	workload            string
+	num, valueSize      int
+	fill, scenario      int
+	runtime, freq, dist float64
+	seed                int64
+	image               string
+}
+
+// run parses args, runs the benchmark and returns the exit status: 0 on
+// success and for -h, 2 for a usage error, 1 for any other error.
+func run(args []string, stdout, stderr io.Writer) int {
+	var o options
+	fl := flag.NewFlagSet("dbbench", flag.ContinueOnError)
+	fl.SetOutput(stderr)
+	fl.StringVar(&o.workload, "workload", "readwhilewriting", "fillseq, fillrandom, readrandom, or readwhilewriting")
+	fl.IntVar(&o.num, "num", 10000, "operation count for fill/read workloads")
+	fl.Float64Var(&o.runtime, "runtime", 5, "window for readwhilewriting (virtual seconds)")
+	fl.IntVar(&o.scenario, "scenario", 2, "testbed scenario (1-3)")
+	fl.Float64Var(&o.freq, "freq", 0, "attack tone frequency in Hz (0 = no attack)")
+	fl.Float64Var(&o.dist, "distance", 1, "speaker distance in cm")
+	fl.IntVar(&o.valueSize, "valuesize", 100, "value size in bytes")
+	fl.IntVar(&o.fill, "fill", 5000, "pre-population for readwhilewriting (0 = none)")
+	fl.Int64Var(&o.seed, "seed", 1, "simulation seed")
+	fl.StringVar(&o.image, "image", "", "optional disk image: loaded if present (skips mkfs), saved after the run")
+	if err := fl.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
 	}
-	if err := valid.AtLeast("-freq", *freq, 0); err != nil {
-		fatal(err)
+	if fl.NArg() > 0 {
+		fmt.Fprintf(stderr, "unexpected argument %q\n", fl.Arg(0))
+		fl.Usage()
+		return 2
 	}
-	window, err := valid.Seconds("-runtime", *runtime)
+	if err := o.run(stdout, stderr); err != nil {
+		fmt.Fprintf(stderr, "dbbench: %v\n", err)
+		return 1
+	}
+	return 0
+}
+
+func (o options) run(stdout, stderr io.Writer) error {
+	if err := valid.AtLeast("-fill", o.fill, 0); err != nil {
+		return err
+	}
+	if err := valid.AtLeast("-freq", o.freq, 0); err != nil {
+		return err
+	}
+	window, err := valid.Seconds("-runtime", o.runtime)
 	if err != nil {
-		fatal(err)
+		return err
+	}
+	s, err := core.ParseScenario(o.scenario)
+	if err != nil {
+		return err
 	}
 
-	var s core.Scenario
-	switch *scenario {
-	case 1:
-		s = core.Scenario1
-	case 2:
-		s = core.Scenario2
-	case 3:
-		s = core.Scenario3
-	default:
-		fmt.Fprintln(os.Stderr, "dbbench: scenario must be 1, 2, or 3")
-		os.Exit(2)
-	}
-
-	rig, err := core.NewRig(s, units.Distance(*distance)*units.Centimeter, *seed)
+	rig, err := core.NewRig(s, units.Distance(o.dist)*units.Centimeter, o.seed)
 	if err != nil {
-		fatal(err)
+		return err
 	}
 	loaded := false
-	if *image != "" {
-		if f, err := os.Open(*image); err == nil {
-			if err := rig.Disk.LoadImage(f); err != nil {
-				fatal(err)
-			}
-			f.Close()
+	if o.image != "" {
+		// A path with no file means no image yet; any other error fails, so
+		// an image that exists is never overwritten by a run on a fresh disk.
+		f, err := os.Open(o.image)
+		switch {
+		case err == nil:
 			loaded = true
+			err = errors.Join(rig.Disk.LoadImage(f), f.Close())
+		case errors.Is(err, os.ErrNotExist):
+			err = nil
+		}
+		if err != nil {
+			return err
 		}
 	}
 	if !loaded {
 		if err := jfs.Mkfs(rig.Disk, jfs.MkfsOptions{Blocks: 1 << 17}); err != nil {
-			fatal(err)
+			return err
 		}
 	}
 	fs, err := jfs.Mount(rig.Disk, rig.Clock, jfs.Config{})
 	if err != nil {
-		fatal(err)
+		return err
 	}
-	db, err := kvdb.Open(fs, rig.Clock, kvdb.Options{Seed: *seed})
+	db, err := kvdb.Open(fs, rig.Clock, kvdb.Options{Seed: o.seed})
 	if err != nil {
-		fatal(err)
+		return err
 	}
 	bench := kvdb.NewBench(db, rig.Clock)
 
-	if *workload == kvdb.WorkloadReadWhileWriting && *fill > 0 {
-		if _, err := bench.Run(kvdb.BenchSpec{Workload: kvdb.WorkloadFillRandom, Num: *fill, ValueSize: *valueSize, Seed: *seed}); err != nil {
-			fatal(err)
+	if o.workload == kvdb.WorkloadReadWhileWriting && o.fill > 0 {
+		if _, err := bench.Run(kvdb.BenchSpec{Workload: kvdb.WorkloadFillRandom, Num: o.fill, ValueSize: o.valueSize, Seed: o.seed}); err != nil {
+			return err
 		}
 	}
-	if *freq > 0 {
-		tone := sig.NewTone(units.Frequency(*freq))
+	if o.freq > 0 {
+		tone := sig.NewTone(units.Frequency(o.freq))
 		rig.ApplyTone(tone)
-		fmt.Printf("attack: %v from %s in %v\n", tone.Freq, rig.Testbed.Chain.Path.Distance, s)
+		fmt.Fprintf(stdout, "attack: %v from %s in %v\n", tone.Freq, rig.Testbed.Chain.Path.Distance, s)
 	}
 
 	spec := kvdb.BenchSpec{
-		Workload:  *workload,
-		Num:       *num,
+		Workload:  o.workload,
+		Num:       o.num,
 		Runtime:   window,
-		ValueSize: *valueSize,
-		Seed:      *seed,
+		ValueSize: o.valueSize,
+		Seed:      o.seed,
 	}
 	res, err := bench.Run(spec)
 	if err != nil {
-		fatal(err)
+		return err
 	}
 
-	fmt.Printf("%s: ops=%d errors=%d elapsed=%.1fs (virtual)\n",
-		*workload, res.Ops, res.Errors, res.Elapsed.Seconds())
-	fmt.Printf("  throughput: %.1f MB/s, %.0f ops/s\n", res.ThroughputMBps(), res.OpsPerSec())
+	fmt.Fprintf(stdout, "%s: ops=%d errors=%d elapsed=%.1fs (virtual)\n",
+		o.workload, res.Ops, res.Errors, res.Elapsed.Seconds())
+	fmt.Fprintf(stdout, "  throughput: %.1f MB/s, %.0f ops/s\n", res.ThroughputMBps(), res.OpsPerSec())
 	l0, l1 := db.Levels()
 	st := db.Stats()
-	fmt.Printf("  engine: L0=%d L1=%d flushes=%d compactions=%d wal_errors=%d\n",
+	fmt.Fprintf(stdout, "  engine: L0=%d L1=%d flushes=%d compactions=%d wal_errors=%d\n",
 		l0, l1, st.MemtableFlushes, st.Compactions, st.WALErrors)
 	if res.Crashed {
-		fmt.Printf("  CRASHED: %v\n", res.CrashErr)
+		fmt.Fprintf(stdout, "  CRASHED: %v\n", res.CrashErr)
 	}
-	if *image != "" && !res.Crashed {
-		if err := db.Close(); err != nil {
-			fatal(err)
-		}
-		if err := fs.Unmount(); err != nil {
-			fatal(err)
-		}
-		f, err := os.Create(*image)
-		if err != nil {
-			fatal(err)
-		}
-		defer f.Close()
-		if err := rig.Disk.SaveImage(f); err != nil {
-			fatal(err)
-		}
-		fmt.Fprintf(os.Stderr, "image saved to %s\n", *image)
+	if o.image == "" || res.Crashed {
+		return nil
 	}
-}
-
-func fatal(err error) {
-	fmt.Fprintf(os.Stderr, "dbbench: %v\n", err)
-	os.Exit(1)
+	if err := db.Close(); err != nil {
+		return err
+	}
+	if err := fs.Unmount(); err != nil {
+		return err
+	}
+	f, err := os.Create(o.image)
+	if err != nil {
+		return err
+	}
+	if err := errors.Join(rig.Disk.SaveImage(f), f.Close()); err != nil {
+		return err
+	}
+	fmt.Fprintf(stderr, "image saved to %s\n", o.image)
+	return nil
 }

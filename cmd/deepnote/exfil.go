@@ -1,8 +1,8 @@
 package main
 
 import (
-	"flag"
 	"fmt"
+	"io"
 	"math"
 	"strconv"
 	"strings"
@@ -18,51 +18,46 @@ import (
 // same waveforms under the PR 9 fingerprinting pipeline and reports how
 // many payload bytes leak before the alarm. Stdout is byte-identical for
 // any -workers value and with metrics on or off.
-func cmdExfil(args []string) error {
-	fs := flag.NewFlagSet("exfil", flag.ExitOnError)
+func cmdExfil(fs *flagSet) func(io.Writer) error {
 	spec := experiment.DefaultExfilSpec()
-	var bad error
 	distances := fs.String("distances", listDefault(spec.Distances), "comma-separated transmitter-to-hydrophone ranges in m")
 	depths := fs.String("depths", listDefault(spec.Depths), "comma-separated facility surface depths in m (0 = deep water)")
 	rates := fs.String("rates", listDefault(spec.SymbolRates), "comma-separated signaling rates in baud")
 	fs.IntVar(&spec.Frames, "frames", spec.Frames, "frames transmitted per offense cell")
 	fs.IntVar(&spec.DetectFrames, "detect-frames", spec.DetectFrames, "frames transmitted per defense cell")
 	fs.Int64Var(&spec.Seed, "seed", spec.Seed, "base seed")
-	workersVar(fs, &spec.Workers, &bad, "workers", "parallel workers (0 = one per CPU)")
+	fs.workersVar(&spec.Workers, "workers", "parallel workers (0 = one per CPU)")
 	o := addObsFlags(fs)
-	fs.Parse(args)
-	if bad != nil {
-		return bad
+	return func(stdout io.Writer) error {
+		distList, err := parseFloatList("-distances", *distances)
+		if err != nil {
+			return err
+		}
+		depthList, err := parseFloatList("-depths", *depths)
+		if err != nil {
+			return err
+		}
+		rateList, err := parseFloatList("-rates", *rates)
+		if err != nil {
+			return err
+		}
+		spec.Distances, spec.Depths, spec.SymbolRates = metersOf(distList), metersOf(depthList), rateList
+		spec.Metrics = o.registry()
+		res, err := experiment.ExfilRun(spec)
+		if err != nil {
+			return err
+		}
+		fmt.Fprintf(stdout, "exfil: %d capacity cells, %d rate cells, %d defense cells\n",
+			len(res.Capacity), len(res.Rates), len(res.Detect))
+		fmt.Fprint(stdout, experiment.ExfilCapacityReport(res).String())
+		fmt.Fprintln(stdout)
+		fmt.Fprint(stdout, experiment.ExfilRateReport(res).String())
+		fmt.Fprintln(stdout)
+		fmt.Fprint(stdout, experiment.ExfilDetectReport(res).String())
+		fmt.Fprintf(stdout, "bit-exact recovery at %d distances over %d ambient backgrounds; best goodput %.2f b/s\n",
+			res.RecoveredDistances, res.RecoveredAmbients, res.BestGoodputBps)
+		return o.finish(spec.Seed, spec.Workers)
 	}
-
-	distList, err := parseFloatList("-distances", *distances)
-	if err != nil {
-		return err
-	}
-	depthList, err := parseFloatList("-depths", *depths)
-	if err != nil {
-		return err
-	}
-	rateList, err := parseFloatList("-rates", *rates)
-	if err != nil {
-		return err
-	}
-	spec.Distances, spec.Depths, spec.SymbolRates = metersOf(distList), metersOf(depthList), rateList
-	spec.Metrics = o.registry()
-	res, err := experiment.ExfilRun(spec)
-	if err != nil {
-		return err
-	}
-	fmt.Printf("exfil: %d capacity cells, %d rate cells, %d defense cells\n",
-		len(res.Capacity), len(res.Rates), len(res.Detect))
-	fmt.Print(experiment.ExfilCapacityReport(res).String())
-	fmt.Println()
-	fmt.Print(experiment.ExfilRateReport(res).String())
-	fmt.Println()
-	fmt.Print(experiment.ExfilDetectReport(res).String())
-	fmt.Printf("bit-exact recovery at %d distances over %d ambient backgrounds; best goodput %.2f b/s\n",
-		res.RecoveredDistances, res.RecoveredAmbients, res.BestGoodputBps)
-	return o.finish("exfil", args, spec.Seed, spec.Workers)
 }
 
 // listDefault formats a spec's list as a comma-separated flag default

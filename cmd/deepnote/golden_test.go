@@ -21,8 +21,8 @@ type goldenRow struct {
 	noMetrics   bool // the command takes no -metrics
 }
 
-// Each row passes only flags its command declares: the flag sets use
-// flag.ExitOnError, so an unknown flag exits the test binary.
+// Each row passes only flags its command declares; an unknown flag fails
+// the row.
 var goldenRows = []goldenRow{
 	{name: "figure2-write", cmd: "figure2", args: []string{"-pattern", "write"}, workers: true},
 	{name: "figure2-read", cmd: "figure2", args: []string{"-pattern", "read"}, workers: true},
@@ -56,18 +56,6 @@ var goldenRows = []goldenRow{
 	{name: "adaptive", cmd: "adaptive", noMetrics: true},
 	{name: "integrity", cmd: "integrity", noMetrics: true},
 	{name: "selfcheck", cmd: "selfcheck", args: []string{"-repeats", "1"}, workers: true},
-}
-
-// run looks the row's command up in the table main dispatches on.
-func (r goldenRow) run(t *testing.T) func([]string) error {
-	t.Helper()
-	for _, c := range commands {
-		if c.name == r.cmd {
-			return c.run
-		}
-	}
-	t.Fatalf("golden row %s: no command %q", r.name, r.cmd)
-	return nil
 }
 
 // serialArgs is run A: one worker, no metrics.
@@ -114,7 +102,7 @@ func TestGoldenOutputs(t *testing.T) {
 	}
 	for _, row := range goldenRows {
 		t.Run(row.name, func(t *testing.T) {
-			run := row.run(t)
+			t.Parallel()
 			golden := filepath.Join("testdata", row.name+".golden")
 			goldenMetrics := filepath.Join("testdata", row.name+".metrics.json")
 			regen := "go run ./cmd/deepnote " + strings.Join(append([]string{row.cmd}, row.parallelArgs("cmd/deepnote/"+goldenMetrics)...), " ") +
@@ -125,11 +113,11 @@ func TestGoldenOutputs(t *testing.T) {
 			}
 
 			serial := row.serialArgs()
-			checkGolden(t, golden, want, captureStdout(t, run, serial), strings.Join(serial, " "), regen)
+			checkGolden(t, golden, want, runRow(t, row.cmd, serial), strings.Join(serial, " "), regen)
 
 			metricsPath := filepath.Join(t.TempDir(), "metrics.json")
 			parallel := row.parallelArgs(metricsPath)
-			checkGolden(t, golden, want, captureStdout(t, run, parallel), strings.Join(parallel, " "), regen)
+			checkGolden(t, golden, want, runRow(t, row.cmd, parallel), strings.Join(parallel, " "), regen)
 			if row.noMetrics {
 				return
 			}
@@ -184,32 +172,15 @@ func TestGoldenFilesHaveRows(t *testing.T) {
 	}
 }
 
-// captureStdout runs fn with os.Stdout pointed at a temp file and returns
-// what it printed. Stderr (the per-layer metrics table) is discarded.
-func captureStdout(t *testing.T, fn func([]string) error, args []string) []byte {
+// runRow runs `deepnote cmd args...` and returns what it printed to
+// stdout. Stderr (the per-layer metrics table) is shown only on failure.
+func runRow(t *testing.T, cmd string, args []string) []byte {
 	t.Helper()
-	out, err := os.Create(filepath.Join(t.TempDir(), "stdout"))
-	if err != nil {
-		t.Fatal(err)
+	var stdout, stderr bytes.Buffer
+	if code := run(append([]string{cmd}, args...), &stdout, &stderr); code != 0 {
+		t.Fatalf("deepnote %s %s: exit %d\n%s", cmd, strings.Join(args, " "), code, &stderr)
 	}
-	defer out.Close()
-	devNull, err := os.OpenFile(os.DevNull, os.O_WRONLY, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer devNull.Close()
-	stdout, stderr := os.Stdout, os.Stderr
-	os.Stdout, os.Stderr = out, devNull
-	err = fn(args)
-	os.Stdout, os.Stderr = stdout, stderr
-	if err != nil {
-		t.Fatalf("%s: %v", strings.Join(args, " "), err)
-	}
-	got, err := os.ReadFile(out.Name())
-	if err != nil {
-		t.Fatal(err)
-	}
-	return got
+	return stdout.Bytes()
 }
 
 // checkGolden reports the first line where got departs from want.

@@ -1,8 +1,8 @@
 package main
 
 import (
-	"flag"
 	"fmt"
+	"io"
 
 	"deepnote/internal/experiment"
 )
@@ -13,10 +13,8 @@ import (
 // identical run with the defense off, plus a localization range sweep.
 // Stdout is byte-identical for any -workers value and with metrics on
 // or off.
-func cmdSonar(args []string) error {
-	fs := flag.NewFlagSet("sonar", flag.ExitOnError)
+func cmdSonar(fs *flagSet) func(io.Writer) error {
 	spec := experiment.DefaultSonarSpec()
-	var bad error
 	fs.IntVar(&spec.Containers, "containers", spec.Containers, "container count (failure domains)")
 	fs.IntVar(&spec.DrivesPerContainer, "drives", spec.DrivesPerContainer, "drives per container")
 	fs.IntVar(&spec.DataShards, "data", spec.DataShards, "data shards per stripe (k)")
@@ -34,32 +32,29 @@ func cmdSonar(args []string) error {
 	fs.Float64Var(&spec.AttackStartFrac, "attack-start", spec.AttackStartFrac, "first key-on as a fraction of the request window")
 	fs.Float64Var(&spec.StaggerFrac, "attack-stagger", spec.StaggerFrac, "gap between key-ons as a fraction of the window")
 	fs.Float64Var(&spec.Margin, "margin", spec.Margin, "at-risk threshold as a fraction of servo-lock amplitude")
-	durationVar(fs, &spec.React, &bad, "react", "controller lag from fix to policy switch, `seconds`")
+	fs.durationVar(&spec.React, "react", "controller lag from fix to policy switch, `seconds`")
 	fs.Int64Var(&spec.Seed, "seed", spec.Seed, "base seed")
-	workersVar(fs, &spec.Workers, &bad, "workers", "drive fan-out inside each serving run (never changes results; 0 = one per CPU)")
+	fs.workersVar(&spec.Workers, "workers", "drive fan-out inside each serving run (never changes results; 0 = one per CPU)")
 	o := addObsFlags(fs)
-	fs.Parse(args)
-	if bad != nil {
-		return bad
+	return func(stdout io.Writer) error {
+		spec.Metrics = o.registry()
+		res, err := experiment.SonarRun(spec)
+		if err != nil {
+			return err
+		}
+		fmt.Fprintf(stdout, "sonar: %d hydrophones at %.0f m standoff over %d containers, %d-of-%d stripes\n",
+			spec.Hydrophones, float64(spec.Standoff), spec.Containers, spec.DataShards, spec.DataShards+spec.ParityShards)
+		fmt.Fprintf(stdout, "attack: staged escalation, %.0f Hz key-ons every %.2f of a %.2f s window\n",
+			float64(spec.Freq), spec.StaggerFrac, res.Window.Seconds())
+		fmt.Fprint(stdout, experiment.SonarDetectionReport(res).String())
+		fmt.Fprintln(stdout)
+		fmt.Fprint(stdout, experiment.SonarRangeReport(res).String())
+		fmt.Fprintln(stdout)
+		fmt.Fprint(stdout, experiment.SonarDefenseReport(res).String())
+		fmt.Fprintf(stdout, "defense plan: %d re-placement writes, %d shards with no safe target\n",
+			res.EvacsPlanned, res.EvacsSkipped)
+		fmt.Fprintf(stdout, "GET availability: %.1f%% undefended vs %.1f%% with the closed loop\n",
+			res.Off.GetAvailability()*100, res.On.GetAvailability()*100)
+		return o.finish(spec.Seed, spec.Workers)
 	}
-
-	spec.Metrics = o.registry()
-	res, err := experiment.SonarRun(spec)
-	if err != nil {
-		return err
-	}
-	fmt.Printf("sonar: %d hydrophones at %.0f m standoff over %d containers, %d-of-%d stripes\n",
-		spec.Hydrophones, float64(spec.Standoff), spec.Containers, spec.DataShards, spec.DataShards+spec.ParityShards)
-	fmt.Printf("attack: staged escalation, %.0f Hz key-ons every %.2f of a %.2f s window\n",
-		float64(spec.Freq), spec.StaggerFrac, res.Window.Seconds())
-	fmt.Print(experiment.SonarDetectionReport(res).String())
-	fmt.Println()
-	fmt.Print(experiment.SonarRangeReport(res).String())
-	fmt.Println()
-	fmt.Print(experiment.SonarDefenseReport(res).String())
-	fmt.Printf("defense plan: %d re-placement writes, %d shards with no safe target\n",
-		res.EvacsPlanned, res.EvacsSkipped)
-	fmt.Printf("GET availability: %.1f%% undefended vs %.1f%% with the closed loop\n",
-		res.Off.GetAvailability()*100, res.On.GetAvailability()*100)
-	return o.finish("sonar", args, spec.Seed, spec.Workers)
 }

@@ -17,7 +17,7 @@ func TestSonarRejectsBadFlags(t *testing.T) {
 		{"-rate", "-5"},
 		{"-speakers", "99"},
 	} {
-		if code := runMain(t, append([]string{"sonar"}, args...)...); code != 1 {
+		if code, _ := runMain(append([]string{"sonar"}, args...)...); code != 1 {
 			t.Errorf("deepnote sonar %v exited %d, want 1", args, code)
 		}
 	}

@@ -75,28 +75,43 @@ func TestFacilityIntegrityOutageRejectBadFlags(t *testing.T) {
 		{"resilience", "-workers", "-3"},
 		{"selfcheck", "-workers", "-3"},
 	} {
-		if code := runMain(t, args...); code != 1 {
+		if code, _ := runMain(args...); code != 1 {
 			t.Errorf("deepnote %v exited %d, want 1", args, code)
 		}
 	}
 }
 
-// A rejected flag is named in the error, as range and section5 name -freq.
+// A rejected flag or argument is named in the output, as range and
+// section5 name -freq, and the exit status tells a domain error (1) from a
+// usage error (2) and from -h (0).
 func TestRejectedFlagIsNamed(t *testing.T) {
 	for _, c := range []struct {
 		args []string
+		code int
 		want string
 	}{
-		{[]string{"fingerprint", "-freq", "0"}, "-freq 0 must be finite and positive"},
-		{[]string{"range", "-freq", "0"}, "-freq 0 must be finite and positive"},
-		{[]string{"table2", "-runtime", "0"}, "-runtime 0 must be finite and positive"},
-		{[]string{"table2", "-runtime", "-1"}, "-runtime -1 must be finite and positive"},
-		{[]string{"sweep", "-workers", "-3"}, "-workers -3 must be finite and ≥ 0"},
-		{[]string{"fleet", "-cell-workers", "-1"}, "-cell-workers -1 must be finite and ≥ 0"},
+		{[]string{"fingerprint", "-freq", "0"}, 1, "-freq 0 must be finite and positive"},
+		{[]string{"range", "-freq", "0"}, 1, "-freq 0 must be finite and positive"},
+		{[]string{"table2", "-runtime", "0"}, 1, "-runtime 0 must be finite and positive"},
+		{[]string{"table2", "-runtime", "-1"}, 1, "-runtime -1 must be finite and positive"},
+		{[]string{"sweep", "-workers", "-3"}, 1, "-workers -3 must be finite and ≥ 0"},
+		{[]string{"fleet", "-cell-workers", "-1"}, 1, "-cell-workers -1 must be finite and ≥ 0"},
+		{[]string{"sweep", "-scenario", "7"}, 1, "deepnote sweep: scenario must be 1, 2, or 3 (got 7)"},
+		// Flag parsing stops at the first non-flag, so these ran the
+		// full default run with every later flag dropped.
+		{[]string{"figure2", "extra", "-step", "0"}, 2, `unexpected argument "extra"`},
+		{[]string{"table3", "extra"}, 2, `unexpected argument "extra"`},
+		{[]string{"all", "extra"}, 2, `unexpected argument "extra"`},
+		{[]string{"figure2", "-nosuch"}, 2, "flag provided but not defined: -nosuch"},
+		{[]string{"figure2", "-step", "x"}, 2, `invalid value "x" for flag -step`},
+		{[]string{"nosuch"}, 2, `unknown command "nosuch"`},
+		{nil, 2, "commands:"},
+		{[]string{"figure2", "-h"}, 0, "frequency step in Hz"},
+		{[]string{"help"}, 0, "commands:"},
 	} {
-		code, out := runMainOutput(t, c.args...)
-		if code != 1 || !strings.Contains(out, c.want) {
-			t.Errorf("deepnote %v: exit %d, output %q; want exit 1 naming %q", c.args, code, out, c.want)
+		code, out := runMain(c.args...)
+		if code != c.code || !strings.Contains(out, c.want) {
+			t.Errorf("deepnote %v: exit %d, output %q; want exit %d naming %q", c.args, code, out, c.code, c.want)
 		}
 	}
 }

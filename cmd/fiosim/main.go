@@ -12,8 +12,10 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"time"
 
@@ -25,108 +27,126 @@ import (
 )
 
 func main() {
-	pattern := flag.String("pattern", "write", "read, write, randread, or randwrite")
-	bs := flag.Int("bs", 4096, "block size in bytes")
-	runtime := flag.Float64("runtime", 5, "job runtime in virtual seconds")
-	scenario := flag.Int("scenario", 2, "testbed scenario (1-3)")
-	freq := flag.Float64("freq", 0, "attack tone frequency in Hz (0 = no attack)")
-	distance := flag.Float64("distance", 1, "speaker distance in cm")
-	seed := flag.Int64("seed", 1, "simulation seed")
-	image := flag.String("image", "", "optional disk image: loaded if present, saved after the run")
-	flag.Parse()
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
 
-	var p fio.Pattern
-	switch *pattern {
-	case "read":
-		p = fio.SeqRead
-	case "write":
-		p = fio.SeqWrite
-	case "randread":
-		p = fio.RandRead
-	case "randwrite":
-		p = fio.RandWrite
-	default:
-		fmt.Fprintf(os.Stderr, "fiosim: unknown pattern %q\n", *pattern)
-		os.Exit(2)
-	}
-	var s core.Scenario
-	switch *scenario {
-	case 1:
-		s = core.Scenario1
-	case 2:
-		s = core.Scenario2
-	case 3:
-		s = core.Scenario3
-	default:
-		fmt.Fprintln(os.Stderr, "fiosim: scenario must be 1, 2, or 3")
-		os.Exit(2)
-	}
-	if err := valid.AtLeast("-freq", *freq, 0); err != nil {
-		fmt.Fprintf(os.Stderr, "fiosim: %v\n", err)
-		os.Exit(1)
-	}
-	jobRuntime, err := valid.Seconds("-runtime", *runtime)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "fiosim: %v\n", err)
-		os.Exit(1)
-	}
+// options holds fiosim's flags.
+type options struct {
+	pattern, image          string
+	bs, scenario            int
+	runtime, freq, distance float64
+	seed                    int64
+}
 
-	rig, err := core.NewRig(s, units.Distance(*distance)*units.Centimeter, *seed)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "fiosim: %v\n", err)
-		os.Exit(1)
-	}
-	if *image != "" {
-		if f, err := os.Open(*image); err == nil {
-			if err := rig.Disk.LoadImage(f); err != nil {
-				fmt.Fprintf(os.Stderr, "fiosim: loading image: %v\n", err)
-				os.Exit(1)
-			}
-			f.Close()
+// run parses args, runs the job and returns the exit status: 0 on success
+// and for -h, 2 for a usage error, 1 for any other error.
+func run(args []string, stdout, stderr io.Writer) int {
+	var o options
+	fl := flag.NewFlagSet("fiosim", flag.ContinueOnError)
+	fl.SetOutput(stderr)
+	fl.StringVar(&o.pattern, "pattern", "write", "read, write, randread, or randwrite")
+	fl.IntVar(&o.bs, "bs", 4096, "block size in bytes")
+	fl.Float64Var(&o.runtime, "runtime", 5, "job runtime in virtual seconds")
+	fl.IntVar(&o.scenario, "scenario", 2, "testbed scenario (1-3)")
+	fl.Float64Var(&o.freq, "freq", 0, "attack tone frequency in Hz (0 = no attack)")
+	fl.Float64Var(&o.distance, "distance", 1, "speaker distance in cm")
+	fl.Int64Var(&o.seed, "seed", 1, "simulation seed")
+	fl.StringVar(&o.image, "image", "", "optional disk image: loaded if present, saved after the run")
+	if err := fl.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
 		}
-		defer func() {
-			f, err := os.Create(*image)
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "fiosim: saving image: %v\n", err)
-				return
-			}
-			defer f.Close()
-			if err := rig.Disk.SaveImage(f); err != nil {
-				fmt.Fprintf(os.Stderr, "fiosim: saving image: %v\n", err)
-			}
-		}()
+		return 2
 	}
-	if *freq > 0 {
-		tone := sig.NewTone(units.Frequency(*freq))
+	if fl.NArg() > 0 {
+		fmt.Fprintf(stderr, "unexpected argument %q\n", fl.Arg(0))
+		fl.Usage()
+		return 2
+	}
+	if err := o.run(stdout); err != nil {
+		fmt.Fprintf(stderr, "fiosim: %v\n", err)
+		return 1
+	}
+	return 0
+}
+
+func (o options) run(stdout io.Writer) error {
+	p, ok := map[string]fio.Pattern{"read": fio.SeqRead, "write": fio.SeqWrite, "randread": fio.RandRead, "randwrite": fio.RandWrite}[o.pattern]
+	if !ok {
+		return fmt.Errorf("unknown pattern %q", o.pattern)
+	}
+	s, err := core.ParseScenario(o.scenario)
+	if err != nil {
+		return err
+	}
+	if err := valid.AtLeast("-freq", o.freq, 0); err != nil {
+		return err
+	}
+	jobRuntime, err := valid.Seconds("-runtime", o.runtime)
+	if err != nil {
+		return err
+	}
+
+	rig, err := core.NewRig(s, units.Distance(o.distance)*units.Centimeter, o.seed)
+	if err != nil {
+		return err
+	}
+	if o.image != "" {
+		// A path with no file means no image yet; any other error fails, so
+		// an image that exists is never overwritten by a run on a fresh disk.
+		f, err := os.Open(o.image)
+		switch {
+		case err == nil:
+			err = errors.Join(rig.Disk.LoadImage(f), f.Close())
+		case errors.Is(err, os.ErrNotExist):
+			err = nil
+		}
+		if err != nil {
+			return fmt.Errorf("loading image: %w", err)
+		}
+	}
+	if o.freq > 0 {
+		tone := sig.NewTone(units.Frequency(o.freq))
 		rig.ApplyTone(tone)
-		fmt.Printf("attack: %v tone, incident %v at %v, %v\n",
+		fmt.Fprintf(stdout, "attack: %v tone, incident %v at %v, %v\n",
 			tone.Freq, rig.Testbed.IncidentSPL(tone), rig.Testbed.Chain.Path.Distance, s)
 	}
 
 	job := fio.Job{
-		Name:      *pattern,
+		Name:      o.pattern,
 		Pattern:   p,
-		BlockSize: *bs,
+		BlockSize: o.bs,
 		Span:      1 << 30,
 		Runtime:   jobRuntime,
-		Seed:      *seed,
+		Seed:      o.seed,
 	}
 	res, err := fio.NewRunner(rig.Disk, rig.Clock).Run(job)
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "fiosim: %v\n", err)
-		os.Exit(1)
+		return err
 	}
 
-	fmt.Printf("%s: bs=%d span=1GiB runtime=%.1fs (virtual)\n", job.Name, job.BlockSize, job.Runtime.Seconds())
+	fmt.Fprintf(stdout, "%s: bs=%d span=1GiB runtime=%.1fs (virtual)\n", job.Name, job.BlockSize, job.Runtime.Seconds())
 	if res.NoResponse {
-		fmt.Println("  NO RESPONSE: the device completed zero requests")
-		fmt.Printf("  errors=%d\n", res.Errors)
-		return
+		fmt.Fprintln(stdout, "  NO RESPONSE: the device completed zero requests")
+		fmt.Fprintf(stdout, "  errors=%d\n", res.Errors)
+	} else {
+		fmt.Fprintf(stdout, "  throughput: %.1f MB/s (%.0f IOPS)\n", res.ThroughputMBps(), res.IOPS())
+		fmt.Fprintf(stdout, "  latency: mean=%.2fms p50=%.2fms p99=%.2fms max=%.2fms\n",
+			ms(res.Latencies.Mean), ms(res.Latencies.P50), ms(res.Latencies.P99), ms(res.Latencies.Max))
+		fmt.Fprintf(stdout, "  ops=%d errors=%d bytes=%d\n", res.Ops, res.Errors, res.Bytes)
 	}
-	fmt.Printf("  throughput: %.1f MB/s (%.0f IOPS)\n", res.ThroughputMBps(), res.IOPS())
-	fmt.Printf("  latency: mean=%.2fms p50=%.2fms p99=%.2fms max=%.2fms\n",
-		ms(res.Latencies.Mean), ms(res.Latencies.P50), ms(res.Latencies.P99), ms(res.Latencies.Max))
-	fmt.Printf("  ops=%d errors=%d bytes=%d\n", res.Ops, res.Errors, res.Bytes)
+	if o.image == "" {
+		return nil
+	}
+	// The image is saved last, so a job that fails saves none.
+	f, err := os.Create(o.image)
+	if err == nil {
+		err = errors.Join(rig.Disk.SaveImage(f), f.Close())
+	}
+	if err != nil {
+		return fmt.Errorf("saving image: %w", err)
+	}
+	return nil
 }
 
 func ms(d time.Duration) float64 { return d.Seconds() * 1000 }

@@ -1,37 +1,17 @@
 package main
 
 import (
-	"flag"
 	"os"
-	"os/exec"
+	"path/filepath"
 	"strings"
 	"testing"
 )
 
-// TestMainHelper runs main on the arguments after "--" when the test
-// binary re-executes itself, so a test can drive the command end to end.
-// In a normal test run there are no such arguments and it skips.
-func TestMainHelper(t *testing.T) {
-	if flag.NArg() == 0 {
-		t.Skip("runs only as a re-executed subprocess")
-	}
-	os.Args = append([]string{"fiosim"}, flag.Args()...)
-	main()
-}
-
-// fiosim runs `fiosim args...` in a subprocess and returns its stdout,
-// stderr and exit code.
-func fiosim(t *testing.T, args ...string) (stdout, stderr string, code int) {
-	t.Helper()
-	cmd := exec.Command(os.Args[0], append([]string{"-test.run=^TestMainHelper$", "--"}, args...)...)
+// fiosim runs `fiosim args...` in-process and returns its stdout, stderr
+// and exit status.
+func fiosim(args ...string) (stdout, stderr string, code int) {
 	var out, errOut strings.Builder
-	cmd.Stdout, cmd.Stderr = &out, &errOut
-	err := cmd.Run()
-	if exit, ok := err.(*exec.ExitError); ok {
-		code = exit.ExitCode()
-	} else if err != nil {
-		t.Fatalf("fiosim %v: %v", args, err)
-	}
+	code = run(args, &out, &errOut)
 	return out.String(), errOut.String(), code
 }
 
@@ -44,7 +24,7 @@ func TestRejectsBadFreq(t *testing.T) {
 		{"Inf", "-freq +Inf"},
 		{"-Inf", "-freq -Inf"},
 	} {
-		stdout, stderr, code := fiosim(t, "-freq", c.freq, "-runtime", "0.1")
+		stdout, stderr, code := fiosim("-freq", c.freq, "-runtime", "0.1")
 		if code != 1 || !strings.Contains(stderr, c.want) {
 			t.Errorf("fiosim -freq %s: exit %d, stderr %q; want exit 1 naming %q", c.freq, code, stderr, c.want)
 		}
@@ -64,7 +44,7 @@ func TestRejectsBadRuntime(t *testing.T) {
 		{"NaN", "-runtime NaN"},
 		{"Inf", "-runtime +Inf"},
 	} {
-		stdout, stderr, code := fiosim(t, "-runtime", c.runtime)
+		stdout, stderr, code := fiosim("-runtime", c.runtime)
 		if code != 1 || !strings.Contains(stderr, c.want) {
 			t.Errorf("fiosim -runtime %s: exit %d, stderr %q; want exit 1 naming %q", c.runtime, code, stderr, c.want)
 		}
@@ -77,12 +57,54 @@ func TestRejectsBadRuntime(t *testing.T) {
 // TestZeroFreqRunsUnattacked: -freq 0 runs the job with no attack line,
 // and a positive tone announces the attack before the job's result.
 func TestZeroFreqRunsUnattacked(t *testing.T) {
-	stdout, stderr, code := fiosim(t, "-freq", "0", "-runtime", "0.1")
+	stdout, stderr, code := fiosim("-freq", "0", "-runtime", "0.1")
 	if code != 0 || !strings.HasPrefix(stdout, "write: bs=4096") {
 		t.Fatalf("-freq 0: exit %d, stdout %q, stderr %q", code, stdout, stderr)
 	}
-	stdout, stderr, code = fiosim(t, "-freq", "650", "-runtime", "0.1")
+	stdout, stderr, code = fiosim("-freq", "650", "-runtime", "0.1")
 	if code != 0 || !strings.HasPrefix(stdout, "attack: 650Hz tone") {
 		t.Fatalf("-freq 650: exit %d, stdout %q, stderr %q", code, stdout, stderr)
+	}
+}
+
+// TestExitStatus: -h exits 0; an unknown flag, a value that does not parse
+// and a stray argument (flag parsing stops there and would drop the flags
+// after it) exit 2; a bad scenario or pattern exits 1 naming it. An image
+// path that cannot be opened for a reason other than a missing file fails
+// before the run, instead of running on a fresh disk and overwriting it; a
+// failed save exits 1; a failed job saves no image.
+func TestExitStatus(t *testing.T) {
+	dir := t.TempDir()
+	img, file := filepath.Join(dir, "x.img"), filepath.Join(dir, "file")
+	if err := os.WriteFile(file, nil, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		args         []string
+		code         int
+		want, stdout string // part of stderr, start of stdout
+	}{
+		{[]string{"-h"}, 0, "Usage of fiosim", ""},
+		{[]string{"-nosuch"}, 2, "flag provided but not defined: -nosuch", ""},
+		{[]string{"-bs", "x"}, 2, `invalid value "x" for flag -bs`, ""},
+		{[]string{"extra", "-runtime", "0.1"}, 2, `unexpected argument "extra"`, ""},
+		{[]string{"-scenario", "7"}, 1, "fiosim: scenario must be 1, 2, or 3 (got 7)", ""},
+		{[]string{"-pattern", "seq"}, 1, `fiosim: unknown pattern "seq"`, ""},
+		{[]string{"-runtime", "0.1", "-image", filepath.Join(file, "x.img")}, 1, "fiosim: loading image", ""},
+		{[]string{"-runtime", "0.1", "-image", filepath.Join(dir, "nodir", "x.img")}, 1, "fiosim: saving image", "write: bs=4096"},
+		{[]string{"-runtime", "0.1", "-bs", "0", "-image", img}, 1, "block size must be positive", ""},
+	} {
+		stdout, stderr, code := fiosim(c.args...)
+		if code != c.code || !strings.Contains(stderr, c.want) || !strings.HasPrefix(stdout, c.stdout) || c.stdout == "" && stdout != "" {
+			t.Errorf("fiosim %v: exit %d, stdout %q, stderr %q; want exit %d, %q, stdout %q", c.args, code, stdout, stderr, c.code, c.want, c.stdout)
+		}
+	}
+	if _, err := os.Stat(img); !os.IsNotExist(err) {
+		t.Errorf("a failed job saved an image: %v", err)
+	}
+	for i := 0; i < 2; i++ { // the second run loads what the first saved
+		if _, stderr, code := fiosim("-runtime", "0.1", "-image", img); code != 0 {
+			t.Fatalf("run %d with -image: exit %d, stderr %q", i, code, stderr)
+		}
 	}
 }

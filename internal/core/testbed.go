@@ -50,6 +50,15 @@ func (s Scenario) String() string {
 	}
 }
 
+// ParseScenario returns the scenario numbered n, as a command's -scenario
+// flag names it.
+func ParseScenario(n int) (Scenario, error) {
+	if s := Scenario(n); s >= Scenario1 && s <= Scenario3 {
+		return s, nil
+	}
+	return 0, fmt.Errorf("scenario must be 1, 2, or 3 (got %d)", n)
+}
+
 // Assembly returns the structural configuration for the scenario.
 func (s Scenario) Assembly() (enclosure.Assembly, error) {
 	switch s {

@@ -29,6 +29,19 @@ func TestScenarioAssemblies(t *testing.T) {
 	}
 }
 
+func TestParseScenario(t *testing.T) {
+	for n, want := range map[int]Scenario{1: Scenario1, 2: Scenario2, 3: Scenario3} {
+		if s, err := ParseScenario(n); s != want || err != nil {
+			t.Errorf("ParseScenario(%d) = %v, %v; want %v", n, s, err, want)
+		}
+	}
+	for _, n := range []int{0, 4, -1} {
+		if _, err := ParseScenario(n); err == nil || !strings.Contains(err.Error(), "must be 1, 2, or 3") {
+			t.Errorf("ParseScenario(%d) error = %v, want a range error", n, err)
+		}
+	}
+}
+
 func TestScenario1HasNoTower(t *testing.T) {
 	asm, _ := Scenario1.Assembly()
 	if asm.Mount.Tower != nil {
