@@ -14,28 +14,14 @@ import (
 // metrics on or off.
 func cmdCluster(fs *flagSet) func(io.Writer) error {
 	spec := experiment.DefaultClusterSpec()
-	fs.IntVar(&spec.Containers, "containers", spec.Containers, "container count (failure domains)")
-	fs.IntVar(&spec.DrivesPerContainer, "drives", spec.DrivesPerContainer, "drives per container")
-	fs.IntVar(&spec.DataShards, "data", spec.DataShards, "data shards per stripe (k)")
-	fs.IntVar(&spec.ParityShards, "parity", spec.ParityShards, "parity shards per stripe (m)")
-	fs.IntVar(&spec.Objects, "objects", spec.Objects, "objects in the keyspace")
-	fs.IntVar(&spec.ObjectSize, "objsize", spec.ObjectSize, "object size in bytes")
-	fs.Float64Var((*float64)(&spec.Spacing), "spacing", float64(spec.Spacing), "container spacing in meters")
-	fs.Float64Var((*float64)(&spec.Freq), "freq", float64(spec.Freq), "attack tone in Hz")
+	fs.facilityVars(&spec.Facility)
+	fs.siteVars(&spec.Site)
 	fs.IntVar(&spec.MaxSpeakers, "speakers", spec.MaxSpeakers, "top of the speaker ladder (0 = one per container)")
 	cell := fs.Int("cell", -1, "run only this ladder cell (speaker count; -1 = full ladder)")
-	fs.IntVar(&spec.Requests, "requests", spec.Requests, "client requests per cell")
-	fs.Float64Var(&spec.Rate, "rate", spec.Rate, "client arrival rate (requests/second)")
-	fs.Float64Var(&spec.ReadFraction, "readfrac", spec.ReadFraction, "GET fraction of the workload (0 = write-only)")
-	fs.workersVar(&spec.CellWorkers, "cell-workers", "drive fan-out inside each cell (never changes results)")
-	fs.Float64Var(&spec.AttackStartFrac, "attack-start", spec.AttackStartFrac, "attack-on point as a fraction of the request window")
 	fs.Float64Var(&spec.AttackStopFrac, "attack-stop", spec.AttackStopFrac, "attack-off point as a fraction of the window (>= 1: never off)")
-	fs.Float64Var(&spec.StaggerFrac, "attack-stagger", spec.StaggerFrac, "stagger key-ons by this fraction of the window (0 = all at once)")
 	fs.BoolVar(&spec.Defense, "defense", spec.Defense, "close the loop: hydrophone fixes steer the store in every cell")
-	fs.IntVar(&spec.Hydrophones, "hydrophones", spec.Hydrophones, "hydrophone ring elements (with -defense)")
-	fs.Float64Var((*float64)(&spec.Standoff), "standoff", float64(spec.Standoff), "hydrophone ring standoff in meters (with -defense)")
-	fs.Int64Var(&spec.Seed, "seed", spec.Seed, "base seed")
 	fs.workersVar(&spec.Workers, "workers", "parallel workers (0 = one per CPU)")
+	fs.workersVar(&spec.CellWorkers, "cell-workers", "drive fan-out inside each cell (never changes results)")
 	o := addObsFlags(fs)
 	return func(stdout io.Writer) error {
 		spec.Metrics = o.registry()

@@ -15,22 +15,13 @@ import (
 // or off.
 func cmdFleet(fs *flagSet) func(io.Writer) error {
 	spec := experiment.DefaultGeoFleetSpec()
+	fs.facilityVars(&spec.Facility)
 	fs.IntVar(&spec.Sites, "sites", spec.Sites, "facility count")
 	fs.IntVar(&spec.ContainersPerSite, "containers", spec.ContainersPerSite, "containers per facility")
-	fs.IntVar(&spec.DataShards, "data", spec.DataShards, "data shards per stripe (k)")
-	fs.IntVar(&spec.ParityShards, "parity", spec.ParityShards, "parity shards per stripe (m)")
-	fs.IntVar(&spec.Objects, "objects", spec.Objects, "objects in the keyspace")
-	fs.IntVar(&spec.ObjectSize, "objsize", spec.ObjectSize, "object size in bytes")
-	fs.Float64Var((*float64)(&spec.Spacing), "spacing", float64(spec.Spacing), "container spacing in meters")
-	fs.Float64Var((*float64)(&spec.Freq), "freq", float64(spec.Freq), "attack tone in Hz")
 	fs.IntVar(&spec.Blast, "blast", spec.Blast, "attacked contiguous containers at site 0")
 	fs.durationVar(&spec.AttackStart, "attack-start", "attack-on offset in `seconds`")
 	fs.durationVar(&spec.AttackStop, "attack-stop", "attack-off offset in `seconds`")
 	fs.durationVar(&spec.Deadline, "deadline", "per-request deadline budget in `seconds`")
-	fs.IntVar(&spec.Requests, "requests", spec.Requests, "global client requests")
-	fs.Float64Var(&spec.Rate, "rate", spec.Rate, "global arrival rate (requests/second)")
-	fs.Float64Var(&spec.ReadFraction, "readfrac", spec.ReadFraction, "GET fraction of the workload (0 = write-only)")
-	fs.Int64Var(&spec.Seed, "seed", spec.Seed, "infrastructure seed (drives, WAN jitter)")
 	fs.workersVar(&spec.Workers, "workers", "parallel workers (0 = one per CPU)")
 	fs.workersVar(&spec.CellWorkers, "cell-workers", "node fan-out inside each fleet (never changes results)")
 	o := addObsFlags(fs)

@@ -225,6 +225,32 @@ func (fs *flagSet) workersVar(n *int, name, usage string) {
 	})
 }
 
+// facilityVars defines the flags of the Facility fields that cluster,
+// sonar and fleet share, bound to f with f's values as defaults.
+func (fs *flagSet) facilityVars(f *experiment.Facility) {
+	fs.IntVar(&f.DataShards, "data", f.DataShards, "data shards per stripe (k)")
+	fs.IntVar(&f.ParityShards, "parity", f.ParityShards, "parity shards per stripe (m)")
+	fs.IntVar(&f.Objects, "objects", f.Objects, "objects in the keyspace")
+	fs.IntVar(&f.ObjectSize, "objsize", f.ObjectSize, "object size in bytes")
+	fs.Float64Var((*float64)(&f.Spacing), "spacing", float64(f.Spacing), "container spacing in meters")
+	fs.Float64Var((*float64)(&f.Freq), "freq", float64(f.Freq), "attack tone in Hz")
+	fs.IntVar(&f.Requests, "requests", f.Requests, "client requests per serving run")
+	fs.Float64Var(&f.Rate, "rate", f.Rate, "client arrival rate (requests/second)")
+	fs.Float64Var(&f.ReadFraction, "readfrac", f.ReadFraction, "GET fraction of the workload (0 = write-only)")
+	fs.Int64Var(&f.Seed, "seed", f.Seed, "base seed")
+}
+
+// siteVars defines the flags of the Site fields that cluster and sonar
+// share, bound to s with s's values as defaults.
+func (fs *flagSet) siteVars(s *experiment.Site) {
+	fs.IntVar(&s.Containers, "containers", s.Containers, "container count (failure domains)")
+	fs.IntVar(&s.DrivesPerContainer, "drives", s.DrivesPerContainer, "drives per container")
+	fs.IntVar(&s.Hydrophones, "hydrophones", s.Hydrophones, "hydrophone ring elements")
+	fs.Float64Var((*float64)(&s.Standoff), "standoff", float64(s.Standoff), "hydrophone ring standoff beyond the farthest container, meters")
+	fs.Float64Var(&s.AttackStartFrac, "attack-start", s.AttackStartFrac, "first key-on as a fraction of the request window")
+	fs.Float64Var(&s.StaggerFrac, "attack-stagger", s.StaggerFrac, "gap between key-ons as a fraction of the window (0 = all at once)")
+}
+
 // obs carries the -metrics/-manifest observability flags shared by the
 // instrumented experiment commands.
 type obs struct {

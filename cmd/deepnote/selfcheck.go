@@ -16,11 +16,11 @@ func cmdSelfCheck(fs *flagSet) func(io.Writer) error {
 	fs.scenarioVar(&opts.Scenario)
 	fs.workersVar(&opts.Workers, "workers", "parallel workers (0 = one per CPU)")
 	fs.Float64Var(&opts.Tolerance, "tol", opts.Tolerance, "max per-cell divergence")
-	fs.DurationVar(&opts.JobRuntime, "runtime", opts.JobRuntime, "per-cell simulation window in virtual time")
+	fs.durationVar(&opts.JobRuntime, "runtime", "per-cell simulation window in virtual `seconds`")
 	fs.IntVar(&opts.Repeats, "repeats", opts.Repeats, "seeded simulations averaged per cell")
 	fs.Int64Var(&opts.Seed, "seed", opts.Seed, "run seed")
 	reportPath := fs.String("report", "", "write the divergence report JSON to this path")
-	mutant := fs.String("mutant", "", "seed a known predictor bug: flat-hold-window, whole-request-window, or full-base-on-failure")
+	mutant := fs.String("mutant", "", "seed a known predictor bug: flat-hold-window or whole-request-window")
 	o := addObsFlags(fs)
 	return func(stdout io.Writer) error {
 		var ok bool
@@ -56,5 +56,4 @@ var mutations = map[string]oracle.Mutation{
 	"":                     oracle.MutNone,
 	"flat-hold-window":     oracle.MutFlatHoldWindow,
 	"whole-request-window": oracle.MutWholeRequestWindow,
-	"full-base-on-failure": oracle.MutFullBaseOnFailure,
 }

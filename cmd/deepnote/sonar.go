@@ -15,25 +15,11 @@ import (
 // or off.
 func cmdSonar(fs *flagSet) func(io.Writer) error {
 	spec := experiment.DefaultSonarSpec()
-	fs.IntVar(&spec.Containers, "containers", spec.Containers, "container count (failure domains)")
-	fs.IntVar(&spec.DrivesPerContainer, "drives", spec.DrivesPerContainer, "drives per container")
-	fs.IntVar(&spec.DataShards, "data", spec.DataShards, "data shards per stripe (k)")
-	fs.IntVar(&spec.ParityShards, "parity", spec.ParityShards, "parity shards per stripe (m)")
-	fs.IntVar(&spec.Objects, "objects", spec.Objects, "objects in the keyspace")
-	fs.IntVar(&spec.ObjectSize, "objsize", spec.ObjectSize, "object size in bytes")
-	fs.Float64Var((*float64)(&spec.Spacing), "spacing", float64(spec.Spacing), "container spacing in meters")
-	fs.Float64Var((*float64)(&spec.Freq), "freq", float64(spec.Freq), "attack tone in Hz")
+	fs.facilityVars(&spec.Facility)
+	fs.siteVars(&spec.Site)
 	fs.IntVar(&spec.Speakers, "speakers", spec.Speakers, "attacker speakers (0 = parity+1, one past the cliff)")
-	fs.IntVar(&spec.Hydrophones, "hydrophones", spec.Hydrophones, "hydrophone ring elements")
-	fs.Float64Var((*float64)(&spec.Standoff), "standoff", float64(spec.Standoff), "hydrophone ring standoff beyond the farthest container, meters")
-	fs.IntVar(&spec.Requests, "requests", spec.Requests, "client requests per serving run")
-	fs.Float64Var(&spec.Rate, "rate", spec.Rate, "client arrival rate (requests/second)")
-	fs.Float64Var(&spec.ReadFraction, "readfrac", spec.ReadFraction, "GET fraction of the workload (0 = write-only)")
-	fs.Float64Var(&spec.AttackStartFrac, "attack-start", spec.AttackStartFrac, "first key-on as a fraction of the request window")
-	fs.Float64Var(&spec.StaggerFrac, "attack-stagger", spec.StaggerFrac, "gap between key-ons as a fraction of the window")
 	fs.Float64Var(&spec.Margin, "margin", spec.Margin, "at-risk threshold as a fraction of servo-lock amplitude")
 	fs.durationVar(&spec.React, "react", "controller lag from fix to policy switch, `seconds`")
-	fs.Int64Var(&spec.Seed, "seed", spec.Seed, "base seed")
 	fs.workersVar(&spec.Workers, "workers", "drive fan-out inside each serving run (never changes results; 0 = one per CPU)")
 	o := addObsFlags(fs)
 	return func(stdout io.Writer) error {

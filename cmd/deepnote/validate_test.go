@@ -97,6 +97,11 @@ func TestRejectedFlagIsNamed(t *testing.T) {
 		{[]string{"sweep", "-workers", "-3"}, 1, "-workers -3 must be finite and ≥ 0"},
 		{[]string{"fleet", "-cell-workers", "-1"}, 1, "-cell-workers -1 must be finite and ≥ 0"},
 		{[]string{"sweep", "-scenario", "7"}, 1, "deepnote sweep: scenario must be 1, 2, or 3 (got 7)"},
+		// selfcheck -runtime takes seconds like every other -runtime flag.
+		{[]string{"selfcheck", "-runtime", "NaN"}, 1, "-runtime NaN: not a duration in seconds"},
+		{[]string{"selfcheck", "-runtime", "0"}, 1, "oracle: Differ.JobRuntime 0s must be finite and positive"},
+		// The CLI grid cannot tell this mutant from a clean run.
+		{[]string{"selfcheck", "-mutant", "full-base-on-failure"}, 1, `unknown mutant "full-base-on-failure"`},
 		// Flag parsing stops at the first non-flag, so these ran the
 		// full default run with every later flag dropped.
 		{[]string{"figure2", "extra", "-step", "0"}, 2, `unexpected argument "extra"`},

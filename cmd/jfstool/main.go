@@ -33,8 +33,9 @@ func main() {
 }
 
 // run parses args, runs the subcommand on the image and returns the exit
-// status: 0 on success and for -h, 2 for a usage error (no subcommand or
-// no -image included), 1 for any other error (an unclean fsck included).
+// status: 0 on success and for -h, 2 for a usage error (no subcommand, no
+// -image, or an argument beyond the subcommand's file name included), 1
+// for any other error (an unclean fsck included).
 func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 	fl := flag.NewFlagSet("jfstool", flag.ContinueOnError)
 	fl.SetOutput(stderr)
@@ -56,12 +57,22 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 		fl.Usage()
 		return 2
 	}
+	// Flag parsing stops at the file name, so a flag after it would be
+	// dropped; it is an unexpected argument like any other.
+	if n, ok := arity[cmd]; ok && fl.NArg() > n {
+		fmt.Fprintf(stderr, "unexpected argument %q\n", fl.Arg(n))
+		fl.Usage()
+		return 2
+	}
 	if err := subcommand(cmd, fl.Args(), *image, *blocks, stdin, stdout, stderr); err != nil {
 		fmt.Fprintf(stderr, "jfstool: %v\n", err)
 		return 1
 	}
 	return 0
 }
+
+// arity is the number of file names each subcommand takes.
+var arity = map[string]int{"mkfs": 0, "ls": 0, "put": 1, "cat": 1, "rm": 1, "fsck": 0, "stat": 0}
 
 // subcommand runs jfstool subcommand cmd with its arguments on the image.
 func subcommand(cmd string, args []string, image string, blocks uint64, stdin io.Reader, stdout, stderr io.Writer) error {

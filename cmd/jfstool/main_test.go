@@ -59,3 +59,37 @@ func TestSubcommands(t *testing.T) {
 		t.Errorf("jfstool stat without -image: exit %d, stderr %q; want exit 2 with usage", code, stderr)
 	}
 }
+
+// put, cat and rm take exactly one file name and the other subcommands
+// none. Anything left over is a usage error (exit 2) that touches nothing:
+// flag parsing stops at the file name, so "put a -nosuch" used to write a
+// and drop the flag, and "ls extra" listed the image.
+func TestRejectsStrayArguments(t *testing.T) {
+	img := filepath.Join(t.TempDir(), "fs.img")
+	if _, stderr, code := jfstool("", "-image", img, "mkfs", "-blocks", "4096"); code != 0 {
+		t.Fatalf("mkfs: exit %d, stderr %q", code, stderr)
+	}
+	for _, c := range []struct {
+		args  []string
+		extra string
+	}{
+		{[]string{"ls", "extra"}, "extra"},
+		{[]string{"fsck", "extra"}, "extra"},
+		{[]string{"stat", "extra"}, "extra"},
+		{[]string{"cat", "a", "b"}, "b"},
+		{[]string{"rm", "a", "b"}, "b"},
+		{[]string{"put", "a", "-nosuch"}, "-nosuch"},
+		{[]string{"mkfs", "-blocks", "8192", "extra"}, "extra"},
+	} {
+		_, stderr, code := jfstool("data\n", append([]string{"-image", img}, c.args...)...)
+		if want := `unexpected argument "` + c.extra + `"`; code != 2 || !strings.Contains(stderr, want) {
+			t.Errorf("jfstool %v: exit %d, stderr %q; want exit 2 naming %s", c.args, code, stderr, want)
+		}
+	}
+	if out, _, code := jfstool("", "-image", img, "ls"); code != 0 || out != "" {
+		t.Errorf("ls after the rejected put: exit %d, stdout %q; want an empty image", code, out)
+	}
+	if out, _, _ := jfstool("", "-image", img, "stat"); !strings.HasPrefix(out, "blocks: 4096 ") {
+		t.Errorf("stat after the rejected mkfs: %q; want the 4096-block image untouched", out)
+	}
+}

@@ -137,7 +137,7 @@ func TestRetrierMasksInjectedBurst(t *testing.T) {
 		t.Fatal(err)
 	}
 	inj := faultinj.Wrap(blockdev.NewDisk(drive), clock, faultinj.Fault{
-		Kind: faultinj.TransientError, Duration: 25 * time.Millisecond,
+		Duration: 25 * time.Millisecond,
 	})
 	r := blockdev.NewRetrier(inj, clock, blockdev.RetryPolicy{})
 	if _, err := r.WriteAt(make([]byte, 4096), 0); err != nil {

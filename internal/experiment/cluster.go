@@ -7,7 +7,6 @@ import (
 
 	"deepnote/internal/cluster"
 	"deepnote/internal/hdd"
-	"deepnote/internal/metrics"
 	"deepnote/internal/parallel"
 	"deepnote/internal/report"
 	"deepnote/internal/sig"
@@ -24,16 +23,8 @@ import (
 // redundant store actually loses availability? Start from
 // DefaultClusterSpec; every value is used as given.
 type ClusterSpec struct {
-	// Containers and DrivesPerContainer size the facility.
-	Containers, DrivesPerContainer int
-	// DataShards/ParityShards set the k-of-n code.
-	DataShards, ParityShards int
-	// Objects and ObjectSize size the keyspace.
-	Objects, ObjectSize int
-	// Spacing is the container pitch.
-	Spacing units.Distance
-	// Freq is the attack tone.
-	Freq units.Frequency
+	Facility
+	Site
 	// MaxSpeakers is the top of the attacker ladder; cells run speaker
 	// counts 0..MaxSpeakers (0 = Containers, at most Containers).
 	MaxSpeakers int
@@ -42,31 +33,16 @@ type ClusterSpec struct {
 	// single huge-workload cell is run without paying for the whole
 	// ladder.
 	Cells []int
-	// Requests, Rate, and ReadFraction shape the client workload;
-	// ReadFraction 0 is a write-only workload.
-	Requests     int
-	Rate         float64
-	ReadFraction float64
-	// AttackStartFrac and AttackStopFrac key the speakers on during
-	// [start, stop] of the nominal request window, so the cluster serves
-	// load before, during, and after the attack. AttackStopFrac ≥ 1 means
-	// the speakers never key off — the sustained-attack case the
-	// availability-cliff analysis uses.
-	AttackStartFrac, AttackStopFrac float64
-	// StaggerFrac, when positive, staggers the cell's key-ons instead of
-	// keying every speaker at AttackStartFrac: speaker i keys on at
-	// window·(AttackStartFrac + i·StaggerFrac) and stays on. This is the
-	// escalation pattern the closed-loop defense needs a reaction window
-	// against; AttackStopFrac is ignored when staggering.
-	StaggerFrac float64
-	// Defense closes the loop in every cell: a hydrophone ring
-	// (Hydrophones elements, Standoff beyond the farthest container; 0
-	// puts the ring at the perimeter) hears each key-on, multilaterates
-	// it, and the fixes steer the store via cluster.SetDefense.
-	Defense     bool
-	Hydrophones int
-	Standoff    units.Distance
-	Seed        int64
+	// AttackStopFrac keys the speakers off, so the cluster serves load
+	// before, during, and after the attack window [AttackStartFrac,
+	// AttackStopFrac]. AttackStopFrac ≥ 1 means the speakers never key
+	// off — the sustained-attack case the availability-cliff analysis
+	// uses. It is ignored when StaggerFrac staggers the key-ons.
+	AttackStopFrac float64
+	// Defense closes the loop in every cell: the hydrophone ring hears
+	// each key-on, multilaterates it, and the fixes steer the store via
+	// cluster.SetDefense.
+	Defense bool
 	// Workers bounds the ladder fan-out (≤ 0 = one per CPU); results are
 	// identical for any worker count.
 	Workers int
@@ -74,43 +50,30 @@ type ClusterSpec struct {
 	// (≤ 0 = one per CPU). The ladder is usually the fan-out axis; raise
 	// it when running one huge cell via Cells. Results never depend on it.
 	CellWorkers int
-	// Metrics receives engine and per-layer counters when non-nil.
-	Metrics *metrics.Registry
 }
 
 // DefaultClusterSpec is the campaign `deepnote cluster` runs with no
 // flags.
 func DefaultClusterSpec() ClusterSpec {
 	return ClusterSpec{
-		Containers: 6, DrivesPerContainer: 1, DataShards: 4, ParityShards: 2,
-		Objects: 24, ObjectSize: 16 << 10, Spacing: 2 * units.Meter, Freq: 650 * units.Hz,
-		Requests: 240, Rate: 250, ReadFraction: 0.9,
-		AttackStartFrac: 0.25, AttackStopFrac: 0.75,
-		Hydrophones: 6, Standoff: 3 * units.Meter, Seed: 1, CellWorkers: 1,
+		Facility: Facility{
+			DataShards: 4, ParityShards: 2, Objects: 24, ObjectSize: 16 << 10,
+			Spacing: 2 * units.Meter, Freq: 650 * units.Hz,
+			Requests: 240, Rate: 250, ReadFraction: 0.9, Seed: 1,
+		},
+		Site: Site{
+			Containers: 6, DrivesPerContainer: 1, Hydrophones: 6, Standoff: 3 * units.Meter,
+			AttackStartFrac: 0.25,
+		},
+		AttackStopFrac: 0.75, CellWorkers: 1,
 	}
 }
 
 func (s ClusterSpec) validate() error {
-	errs := []error{
-		valid.AtLeast("DataShards", s.DataShards, 1),
-		valid.AtLeast("ParityShards", s.ParityShards, 1),
-		// One shard per failure domain.
-		valid.AtLeast("Containers", s.Containers, s.DataShards+s.ParityShards),
-		valid.AtLeast("DrivesPerContainer", s.DrivesPerContainer, 1),
-		valid.AtLeast("Objects", s.Objects, 1),
-		valid.AtLeast("ObjectSize", s.ObjectSize, 1),
-		valid.Positive("Spacing", s.Spacing),
-		valid.Positive("Freq", s.Freq),
+	errs := append(s.Facility.checks(), s.Site.checks(s.DataShards+s.ParityShards)...)
+	errs = append(errs,
 		valid.In("MaxSpeakers", s.MaxSpeakers, 0, s.Containers),
-		valid.AtLeast("Requests", s.Requests, 1),
-		valid.Positive("Rate", s.Rate),
-		valid.In("ReadFraction", s.ReadFraction, 0, 1),
-		valid.AtLeast("AttackStartFrac", s.AttackStartFrac, 0),
-		valid.AtLeast("AttackStopFrac", s.AttackStopFrac, s.AttackStartFrac),
-		valid.AtLeast("StaggerFrac", s.StaggerFrac, 0),
-		valid.AtLeast("Hydrophones", s.Hydrophones, 1),
-		valid.AtLeast("Standoff", s.Standoff, 0),
-	}
+		valid.AtLeast("AttackStopFrac", s.AttackStopFrac, s.AttackStartFrac))
 	for _, c := range s.Cells {
 		errs = append(errs, valid.In("Cells", c, 0, s.MaxSpeakers))
 	}
@@ -139,34 +102,14 @@ func ClusterSweep(spec ClusterSpec) ([]ClusterResult, error) {
 		return nil, err
 	}
 	tone := sig.NewTone(spec.Freq)
-	window := time.Duration(float64(spec.Requests) / spec.Rate * float64(time.Second))
+	window := spec.window()
 	cells := spec.Cells
 	if cells == nil {
 		cells = parallel.Indices(spec.MaxSpeakers + 1)
 	}
 	return parallel.RunObserved(context.Background(), cells, spec.Workers, spec.Metrics,
 		func(_ context.Context, _ int, speakers int) (ClusterResult, error) {
-			targets := make([]int, speakers)
-			for i := range targets {
-				targets[i] = i
-			}
-			lay := cluster.LineLayout(spec.Containers, spec.Spacing).WithSpeakersAt(tone, targets...)
-			c, err := cluster.New(cluster.Config{
-				Layout:             lay,
-				DrivesPerContainer: spec.DrivesPerContainer,
-				DataShards:         spec.DataShards,
-				ParityShards:       spec.ParityShards,
-				Objects:            spec.Objects,
-				ObjectSize:         spec.ObjectSize,
-				Seed:               cluster.Ptr(parallel.SeedFor(spec.Seed, speakers)),
-				Workers:            spec.CellWorkers,
-			})
-			if err != nil {
-				return ClusterResult{}, err
-			}
-			if err := c.Preload(); err != nil {
-				return ClusterResult{}, err
-			}
+			lay := cluster.LineLayout(spec.Containers, spec.Spacing).WithSpeakersAt(tone, parallel.Indices(speakers)...)
 			var steps []cluster.ScheduleStep
 			if spec.StaggerFrac > 0 {
 				steps = staggeredSchedule(speakers, window, spec.AttackStartFrac, spec.StaggerFrac)
@@ -183,30 +126,15 @@ func ClusterSweep(spec ClusterSpec) ([]ClusterResult, error) {
 						At: time.Duration(float64(window) * spec.AttackStopFrac), Active: nil})
 				}
 			}
-			c.SetSchedule(steps)
+			var def *cluster.DefenseSpec
 			if spec.Defense {
 				arr := sonar.FacilityArray(lay, spec.Hydrophones, spec.Standoff)
 				dets := sonar.DetectSchedule(lay, arr, steps, parallel.SeedFor(spec.Seed, 3000+speakers))
-				var fixes []cluster.SourceFix
-				for _, d := range dets {
-					if d.OK {
-						fixes = append(fixes, cluster.SourceFix{
-							At: d.FixAt, Pos: d.Est.Pos, Err: d.Est.ErrRadius,
-							Tone: lay.Speakers[d.Speaker].Tone,
-						})
-					}
-				}
-				if err := c.SetDefense(cluster.DefenseSpec{Fixes: fixes}); err != nil {
-					return ClusterResult{}, err
-				}
+				def = &cluster.DefenseSpec{Fixes: sourceFixes(lay, dets)}
 				sonar.PublishMetrics(spec.Metrics, dets)
 			}
-			res, err := c.Serve(cluster.TrafficSpec{
-				Requests:     spec.Requests,
-				Rate:         spec.Rate,
-				ReadFraction: cluster.Ptr(spec.ReadFraction),
-				Seed:         cluster.Ptr(parallel.SeedFor(spec.Seed, 1000+speakers)),
-			})
+			c, res, err := serveCell(spec.Facility, spec.DrivesPerContainer, lay, steps, def,
+				parallel.SeedFor(spec.Seed, speakers), parallel.SeedFor(spec.Seed, 1000+speakers), spec.CellWorkers)
 			if err != nil {
 				return ClusterResult{}, err
 			}

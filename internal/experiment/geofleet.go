@@ -7,7 +7,6 @@ import (
 
 	"deepnote/internal/cluster"
 	"deepnote/internal/fleet"
-	"deepnote/internal/metrics"
 	"deepnote/internal/parallel"
 	"deepnote/internal/report"
 	"deepnote/internal/sig"
@@ -22,17 +21,18 @@ import (
 // injected faults. The pair of runs shares every seed, so the only
 // variable is where the shards live.
 type GeoFleetSpec struct {
+	// Facility's k-of-n code must fit a site allotment of ceil(n/S)
+	// shards inside the parity budget for attack-aware placement to
+	// survive a facility loss. Its default workload is busy but below the
+	// drives' saturation knee, so the deadline budget is spent on
+	// failover, not on queueing backlog. Its Seed seeds only the
+	// infrastructure — per-node engines and WAN jitter. The request
+	// schedule itself is the traffic tier's reference workload, held
+	// fixed so the placement comparison varies only the machinery under
+	// it.
+	Facility
 	// Sites and ContainersPerSite size the fleet.
 	Sites, ContainersPerSite int
-	// DataShards/ParityShards set the k-of-n code (a site allotment of
-	// ceil(n/S) shards must fit inside the parity budget for attack-aware
-	// placement to survive a facility loss).
-	DataShards, ParityShards int
-	// Objects and ObjectSize size the keyspace.
-	Objects, ObjectSize int
-	// Spacing is the container pitch; Freq the attack tone.
-	Spacing units.Distance
-	Freq    units.Frequency
 	// Blast is the attack's footprint: that many contiguous containers of
 	// site 0, starting at container 0, each get a point-blank speaker (by
 	// default one more than the parity budget, so every naive stripe
@@ -44,56 +44,36 @@ type GeoFleetSpec struct {
 	// Deadline is the per-request budget (blasted drives fail slowly, so
 	// failover needs room to outlast the grinding waves).
 	Deadline time.Duration
-	// Requests, Rate, and ReadFraction shape the workload (by default
-	// busy but below the drives' saturation knee, so the deadline budget
-	// is spent on failover, not on queueing backlog).
-	Requests     int
-	Rate         float64
-	ReadFraction float64
-	// Seed seeds the infrastructure — per-node engines and WAN jitter.
-	// The request schedule itself is the traffic tier's reference
-	// workload, held fixed so the placement comparison varies only the
-	// machinery under it.
-	Seed int64
 	// Workers bounds the placement fan-out (≤ 0 = one per CPU); results
 	// are identical for any worker count.
 	Workers int
 	// CellWorkers bounds the node fan-out inside each fleet (≤ 0 = one
 	// per CPU); results never depend on it.
 	CellWorkers int
-	// Metrics receives engine and per-layer counters when non-nil.
-	Metrics *metrics.Registry
 }
 
 // DefaultGeoFleetSpec is the campaign `deepnote fleet` runs with no flags.
 func DefaultGeoFleetSpec() GeoFleetSpec {
 	return GeoFleetSpec{
-		Sites: 4, ContainersPerSite: 8, DataShards: 4, ParityShards: 4,
-		Objects: 48, ObjectSize: 8 << 10, Spacing: 2 * units.Meter, Freq: 650 * units.Hz,
+		Facility: Facility{
+			DataShards: 4, ParityShards: 4, Objects: 48, ObjectSize: 8 << 10,
+			Spacing: 2 * units.Meter, Freq: 650 * units.Hz,
+			Requests: 800, Rate: 300, ReadFraction: 0.9, Seed: 1,
+		},
+		Sites: 4, ContainersPerSite: 8,
 		Blast: 5, AttackStart: 500 * time.Millisecond, AttackStop: 2 * time.Second,
-		Deadline: 2 * time.Second, Requests: 800, Rate: 300, ReadFraction: 0.9,
-		Seed: 1, CellWorkers: 1,
+		Deadline: 2 * time.Second, CellWorkers: 1,
 	}
 }
 
 func (s GeoFleetSpec) validate() error {
-	return valid.First("experiment: GeoFleetSpec",
+	return valid.First("experiment: GeoFleetSpec", append(s.Facility.checks(),
 		valid.AtLeast("Sites", s.Sites, 2),
 		valid.AtLeast("ContainersPerSite", s.ContainersPerSite, 1),
-		valid.AtLeast("DataShards", s.DataShards, 1),
-		valid.AtLeast("ParityShards", s.ParityShards, 1),
-		valid.AtLeast("Objects", s.Objects, 1),
-		valid.AtLeast("ObjectSize", s.ObjectSize, 1),
-		valid.Positive("Spacing", s.Spacing),
-		valid.Positive("Freq", s.Freq),
 		valid.In("Blast", s.Blast, 0, s.ContainersPerSite),
 		valid.AtLeast("AttackStart", s.AttackStart, 0),
 		valid.Positive("AttackStop-AttackStart", s.AttackStop-s.AttackStart),
-		valid.Positive("Deadline", s.Deadline),
-		valid.AtLeast("Requests", s.Requests, 1),
-		valid.Positive("Rate", s.Rate),
-		valid.In("ReadFraction", s.ReadFraction, 0, 1),
-	)
+		valid.Positive("Deadline", s.Deadline))...)
 }
 
 // geoFleetSiteNames label the facilities in reports.
@@ -136,10 +116,6 @@ func GeoFleetRun(spec GeoFleetSpec) (GeoFleetResult, error) {
 	runs, err := parallel.RunObserved(context.Background(), placements, spec.Workers, spec.Metrics,
 		func(_ context.Context, _ int, p fleet.Placement) (fleet.Result, error) {
 			tone := sig.NewTone(spec.Freq)
-			blast := make([]int, spec.Blast)
-			for i := range blast {
-				blast[i] = i
-			}
 			sites := make([]fleet.SiteSpec, spec.Sites)
 			for i := range sites {
 				name := fmt.Sprintf("site-%d", i)
@@ -148,7 +124,7 @@ func GeoFleetRun(spec GeoFleetSpec) (GeoFleetResult, error) {
 				}
 				lay := cluster.LineLayout(spec.ContainersPerSite, spec.Spacing)
 				if i == 0 {
-					lay = lay.WithSpeakersAt(tone, blast...)
+					lay = lay.WithSpeakersAt(tone, parallel.Indices(spec.Blast)...)
 				}
 				sites[i] = fleet.SiteSpec{Name: name, Layout: lay}
 			}

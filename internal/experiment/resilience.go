@@ -104,7 +104,6 @@ func resilienceConfigs() []resilienceConfig {
 // second of certain I/O errors, well under the crash threshold.
 func (r Resilience) preBurst() faultinj.Fault {
 	return faultinj.Fault{
-		Kind:     faultinj.TransientError,
 		Start:    r.Pre / 2,
 		Duration: time.Second,
 	}

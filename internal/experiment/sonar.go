@@ -5,7 +5,6 @@ import (
 	"time"
 
 	"deepnote/internal/cluster"
-	"deepnote/internal/metrics"
 	"deepnote/internal/parallel"
 	"deepnote/internal/report"
 	"deepnote/internal/sig"
@@ -22,84 +21,45 @@ import (
 // sweep rides along, probing fix quality from point-blank out past the
 // facility perimeter.
 type SonarSpec struct {
-	// Containers and DrivesPerContainer size the facility.
-	Containers, DrivesPerContainer int
-	// DataShards/ParityShards set the k-of-n code.
-	DataShards, ParityShards int
-	// Objects and ObjectSize size the keyspace.
-	Objects, ObjectSize int
-	// Spacing is the container pitch.
-	Spacing units.Distance
-	// Freq is the attack tone.
-	Freq units.Frequency
+	Facility
+	Site
 	// Speakers is how many point-blank speakers the attacker stages, at
 	// most Containers (0 = ParityShards+1 — exactly one failure domain
 	// past the cliff, the scenario the defense must rescue).
 	Speakers int
-	// Hydrophones and Standoff shape the surveillance array: a ring of
-	// Hydrophones elements Standoff beyond the farthest container (0
-	// places the ring exactly at the facility perimeter).
-	Hydrophones int
-	Standoff    units.Distance
-	// Requests, Rate, and ReadFraction shape the client workload.
-	Requests     int
-	Rate         float64
-	ReadFraction float64
-	// AttackStartFrac places the first key-on in the request window;
-	// StaggerFrac spaces the remaining key-ons — the attacker escalates
-	// one speaker at a time, which is what gives the defense its reaction
-	// window. StaggerFrac 0 keys every speaker on simultaneously (no
-	// reaction window).
-	AttackStartFrac float64
-	StaggerFrac     float64
 	// Margin and React tune the defense policy, passed straight through
 	// to cluster.DefenseSpec: the at-risk threshold as a fraction of the
 	// servo-lock amplitude, and the controller lag from fix to policy
 	// switch.
 	Margin float64
 	React  time.Duration
-	Seed   int64
 	// Workers bounds the drive fan-out inside each serving run (≤ 0 =
 	// one per CPU); results are identical for any worker count.
 	Workers int
-	// Metrics receives engine, cluster, and sonar counters when non-nil.
-	Metrics *metrics.Registry
 }
 
 // DefaultSonarSpec is the campaign `deepnote sonar` runs with no flags.
 func DefaultSonarSpec() SonarSpec {
 	return SonarSpec{
-		Containers: 6, DrivesPerContainer: 1, DataShards: 4, ParityShards: 2,
-		Objects: 24, ObjectSize: 16 << 10, Spacing: 2 * units.Meter, Freq: 650 * units.Hz,
-		Hydrophones: 6, Standoff: 3 * units.Meter,
-		Requests: 600, Rate: 500, ReadFraction: 0.9,
-		AttackStartFrac: 0.25, StaggerFrac: 0.2,
-		Margin: 0.5, React: 50 * time.Millisecond, Seed: 1,
+		Facility: Facility{
+			DataShards: 4, ParityShards: 2, Objects: 24, ObjectSize: 16 << 10,
+			Spacing: 2 * units.Meter, Freq: 650 * units.Hz,
+			Requests: 600, Rate: 500, ReadFraction: 0.9, Seed: 1,
+		},
+		Site: Site{
+			Containers: 6, DrivesPerContainer: 1, Hydrophones: 6, Standoff: 3 * units.Meter,
+			AttackStartFrac: 0.25, StaggerFrac: 0.2,
+		},
+		Margin: 0.5, React: 50 * time.Millisecond,
 	}
 }
 
 func (s SonarSpec) validate() error {
-	return valid.First("experiment: SonarSpec",
-		valid.AtLeast("DataShards", s.DataShards, 1),
-		valid.AtLeast("ParityShards", s.ParityShards, 1),
-		// One shard per failure domain.
-		valid.AtLeast("Containers", s.Containers, s.DataShards+s.ParityShards),
-		valid.AtLeast("DrivesPerContainer", s.DrivesPerContainer, 1),
-		valid.AtLeast("Objects", s.Objects, 1),
-		valid.AtLeast("ObjectSize", s.ObjectSize, 1),
-		valid.Positive("Spacing", s.Spacing),
-		valid.Positive("Freq", s.Freq),
+	errs := append(s.Facility.checks(), s.Site.checks(s.DataShards+s.ParityShards)...)
+	return valid.First("experiment: SonarSpec", append(errs,
 		valid.In("Speakers", s.Speakers, 0, s.Containers),
-		valid.AtLeast("Hydrophones", s.Hydrophones, 1),
-		valid.AtLeast("Standoff", s.Standoff, 0),
-		valid.AtLeast("Requests", s.Requests, 1),
-		valid.Positive("Rate", s.Rate),
-		valid.In("ReadFraction", s.ReadFraction, 0, 1),
-		valid.AtLeast("AttackStartFrac", s.AttackStartFrac, 0),
-		valid.AtLeast("StaggerFrac", s.StaggerFrac, 0),
 		valid.AtLeast("Margin", s.Margin, 0),
-		valid.AtLeast("React", s.React, 0),
-	)
+		valid.AtLeast("React", s.React, 0))...)
 }
 
 // RangeProbe is one cell of the localization range sweep: a source at a
@@ -152,13 +112,9 @@ func SonarRun(spec SonarSpec) (SonarResult, error) {
 		spec.Speakers = spec.ParityShards + 1
 	}
 	tone := sig.NewTone(spec.Freq)
-	window := time.Duration(float64(spec.Requests) / spec.Rate * float64(time.Second))
+	window := spec.window()
 
-	targets := make([]int, spec.Speakers)
-	for i := range targets {
-		targets[i] = i
-	}
-	lay := cluster.LineLayout(spec.Containers, spec.Spacing).WithSpeakersAt(tone, targets...)
+	lay := cluster.LineLayout(spec.Containers, spec.Spacing).WithSpeakersAt(tone, parallel.Indices(spec.Speakers)...)
 	arr := sonar.FacilityArray(lay, spec.Hydrophones, spec.Standoff)
 	if err := arr.Validate(); err != nil {
 		return SonarResult{}, err
@@ -168,61 +124,26 @@ func SonarRun(spec SonarSpec) (SonarResult, error) {
 	dets := sonar.DetectSchedule(lay, arr, steps, parallel.SeedFor(spec.Seed, 1))
 
 	res := SonarResult{Window: window, Detections: dets}
-	var fixes []cluster.SourceFix
 	for _, d := range dets {
 		miss := -1.0
 		if d.OK {
 			miss = d.Est.Pos.Sub(lay.Speakers[d.Speaker].Pos).Norm()
-			fixes = append(fixes, cluster.SourceFix{
-				At:   d.FixAt,
-				Pos:  d.Est.Pos,
-				Err:  d.Est.ErrRadius,
-				Tone: lay.Speakers[d.Speaker].Tone,
-			})
 		}
 		res.MissM = append(res.MissM, miss)
 	}
 
-	serve := func(defended bool) (cluster.ServeResult, *cluster.Cluster, error) {
-		c, err := cluster.New(cluster.Config{
-			Layout:             lay,
-			DrivesPerContainer: spec.DrivesPerContainer,
-			DataShards:         spec.DataShards,
-			ParityShards:       spec.ParityShards,
-			Objects:            spec.Objects,
-			ObjectSize:         spec.ObjectSize,
-			Seed:               cluster.Ptr(parallel.SeedFor(spec.Seed, 2)),
-			Workers:            spec.Workers,
-		})
-		if err != nil {
-			return cluster.ServeResult{}, nil, err
-		}
-		if err := c.Preload(); err != nil {
-			return cluster.ServeResult{}, nil, err
-		}
-		c.SetSchedule(steps)
-		if defended {
-			if err := c.SetDefense(cluster.DefenseSpec{
-				Fixes: fixes, Margin: cluster.Ptr(spec.Margin), React: cluster.Ptr(spec.React),
-			}); err != nil {
-				return cluster.ServeResult{}, nil, err
-			}
-		}
-		sr, err := c.Serve(cluster.TrafficSpec{
-			Requests:     spec.Requests,
-			Rate:         spec.Rate,
-			ReadFraction: cluster.Ptr(spec.ReadFraction),
-			Seed:         cluster.Ptr(parallel.SeedFor(spec.Seed, 3)),
-		})
-		return sr, c, err
+	serve := func(def *cluster.DefenseSpec) (*cluster.Cluster, cluster.ServeResult, error) {
+		return serveCell(spec.Facility, spec.DrivesPerContainer, lay, steps, def,
+			parallel.SeedFor(spec.Seed, 2), parallel.SeedFor(spec.Seed, 3), spec.Workers)
 	}
-
 	var err error
 	var onCluster *cluster.Cluster
-	if res.Off, _, err = serve(false); err != nil {
+	if _, res.Off, err = serve(nil); err != nil {
 		return res, err
 	}
-	if res.On, onCluster, err = serve(true); err != nil {
+	if onCluster, res.On, err = serve(&cluster.DefenseSpec{
+		Fixes: sourceFixes(lay, dets), Margin: cluster.Ptr(spec.Margin), React: cluster.Ptr(spec.React),
+	}); err != nil {
 		return res, err
 	}
 	res.EvacsPlanned, res.EvacsSkipped = onCluster.DefenseEvacsPlanned()
@@ -257,22 +178,6 @@ func SonarRun(spec SonarSpec) (SonarResult, error) {
 	sonar.PublishMetrics(spec.Metrics, dets)
 	spec.Metrics.Add("experiment.sonar_runs", 1)
 	return res, nil
-}
-
-// staggeredSchedule builds the cumulative key-on ladder: speaker i keys
-// on at window·(startFrac + i·staggerFrac), and nothing ever keys off —
-// the sustained-escalation attack the availability cliff needs.
-func staggeredSchedule(speakers int, window time.Duration, startFrac, staggerFrac float64) []cluster.ScheduleStep {
-	steps := make([]cluster.ScheduleStep, 0, speakers)
-	for i := 0; i < speakers; i++ {
-		on := make([]bool, speakers)
-		for j := 0; j <= i; j++ {
-			on[j] = true
-		}
-		at := time.Duration(float64(window) * (startFrac + float64(i)*staggerFrac))
-		steps = append(steps, cluster.ScheduleStep{At: at, Active: on})
-	}
-	return steps
 }
 
 // SonarDetectionReport renders the surveillance timeline.

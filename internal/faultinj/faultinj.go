@@ -26,29 +26,10 @@ import (
 // like a real EIO from the drive.
 var ErrInjected = fmt.Errorf("%w: injected fault", blockdev.ErrIO)
 
-// Kind is the fault class.
-type Kind int
-
-// Fault classes.
-const (
-	// TransientError fails every request during the window; requests
-	// outside the window pass through untouched. This is the "drive
-	// hiccup" a retry policy must absorb.
-	TransientError Kind = iota
-)
-
-// String names the kind.
-func (k Kind) String() string {
-	if k == TransientError {
-		return "transient-error"
-	}
-	return fmt.Sprintf("kind(%d)", int(k))
-}
-
-// Fault is one scheduled fault rule.
+// Fault is one scheduled fault rule: a transient-error window. Every
+// request inside the window fails; requests outside it pass through
+// untouched. This is the "drive hiccup" a retry policy must absorb.
 type Fault struct {
-	// Kind selects the failure mode.
-	Kind Kind
 	// Start is the window start in virtual time since the wrapper was
 	// created.
 	Start time.Duration
@@ -93,23 +74,23 @@ func Wrap(inner blockdev.Device, clock *simclock.Virtual, faults ...Fault) *Devi
 // Size returns the inner device capacity.
 func (d *Device) Size() int64 { return d.inner.Size() }
 
-// match returns the first rule active now, or nil.
-func (d *Device) match() *Fault {
+// active reports whether any rule's window covers now.
+func (d *Device) active() bool {
 	elapsed := d.clock.Now().Sub(d.origin)
-	for i := range d.faults {
-		if d.faults[i].active(elapsed) {
-			return &d.faults[i]
+	for _, f := range d.faults {
+		if f.active(elapsed) {
+			return true
 		}
 	}
-	return nil
+	return false
 }
 
 // ReadAt implements blockdev.Device.
 func (d *Device) ReadAt(p []byte, off int64) (int, error) {
 	d.stats.Reads++
-	if f := d.match(); f != nil {
+	if d.active() {
 		d.stats.InjectedReadErrs++
-		return 0, fmt.Errorf("%w: %v read at offset %d", ErrInjected, f.Kind, off)
+		return 0, fmt.Errorf("%w: transient-error read at offset %d", ErrInjected, off)
 	}
 	return d.inner.ReadAt(p, off)
 }
@@ -117,9 +98,9 @@ func (d *Device) ReadAt(p []byte, off int64) (int, error) {
 // WriteAt implements blockdev.Device.
 func (d *Device) WriteAt(p []byte, off int64) (int, error) {
 	d.stats.Writes++
-	if f := d.match(); f != nil {
+	if d.active() {
 		d.stats.InjectedWriteErrs++
-		return 0, fmt.Errorf("%w: %v write at offset %d", ErrInjected, f.Kind, off)
+		return 0, fmt.Errorf("%w: transient-error write at offset %d", ErrInjected, off)
 	}
 	return d.inner.WriteAt(p, off)
 }
@@ -127,9 +108,9 @@ func (d *Device) WriteAt(p []byte, off int64) (int, error) {
 // Flush implements blockdev.Device.
 func (d *Device) Flush() error {
 	d.stats.Flushes++
-	if f := d.match(); f != nil {
+	if d.active() {
 		d.stats.InjectedFlushErrs++
-		return fmt.Errorf("%w: %v flush", ErrInjected, f.Kind)
+		return fmt.Errorf("%w: transient-error flush", ErrInjected)
 	}
 	return d.inner.Flush()
 }

@@ -51,7 +51,7 @@ func TestPassthroughWithoutFaults(t *testing.T) {
 func TestTransientWindowInjectsOnlyInside(t *testing.T) {
 	disk, _, clock := newDisk(t)
 	dev := Wrap(disk, clock, Fault{
-		Kind: TransientError, Start: 10 * time.Second, Duration: 5 * time.Second,
+		Start: 10 * time.Second, Duration: 5 * time.Second,
 	})
 	buf := make([]byte, 512)
 	if _, err := dev.WriteAt(buf, 0); err != nil {
@@ -92,7 +92,7 @@ func TestComposesWithAcousticAttack(t *testing.T) {
 
 func TestPublishMetrics(t *testing.T) {
 	disk, _, clock := newDisk(t)
-	dev := Wrap(disk, clock, Fault{Kind: TransientError, Duration: time.Hour})
+	dev := Wrap(disk, clock, Fault{Duration: time.Hour})
 	_, _ = dev.WriteAt(make([]byte, 512), 0)
 	clock.Sleep(2 * time.Hour)
 	_, _ = dev.ReadAt(make([]byte, 512), 0)
@@ -111,17 +111,6 @@ func TestPublishMetrics(t *testing.T) {
 		t.Fatalf("snapshot traffic: %+v", snap.Counters)
 	}
 	dev.PublishMetrics(nil) // must not panic
-}
-
-func TestKindStrings(t *testing.T) {
-	for k, want := range map[Kind]string{
-		TransientError: "transient-error",
-		Kind(4):        "kind(4)",
-	} {
-		if k.String() != want {
-			t.Fatalf("%d: %q", int(k), k.String())
-		}
-	}
 }
 
 // injected returns the total injected error count.
