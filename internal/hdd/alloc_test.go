@@ -11,8 +11,8 @@ import (
 // the drive's hot path: a chunked access under vibration — per-chunk
 // hold-window evaluation, retries included — must not allocate, so the
 // facility-scale serving engine's per-op cost on this layer is pure
-// compute. Runs both below and above the read fault threshold (the
-// retry regime).
+// compute. Runs below and above the read fault threshold (the retry
+// regime) and past servo lock.
 func TestAccessHoldWindowZeroAlloc(t *testing.T) {
 	model := Barracuda500()
 	cases := []struct {
@@ -22,6 +22,7 @@ func TestAccessHoldWindowZeroAlloc(t *testing.T) {
 		{"quiet", Quiet()},
 		{"held", Vibration{Freq: 650 * units.Hz, Amplitude: model.ReadFaultFrac * 0.8}},
 		{"retrying", Vibration{Freq: 650 * units.Hz, Amplitude: model.ReadFaultFrac * 1.1}},
+		{"servo-locked", Vibration{Freq: 650 * units.Hz, Amplitude: model.ServoLockFrac * 1.1}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -78,12 +78,20 @@ type Stats struct {
 // safe for concurrent use; the simulation serializes I/O as a real single-
 // actuator drive does.
 type Drive struct {
-	model  Model
-	clock  *simclock.Virtual
-	rng    *rand.Rand
-	vib    Vibration
-	stats  Stats
-	parked time.Time // heads parked until this instant
+	model Model
+	clock *simclock.Virtual
+	rng   *rand.Rand
+	vib   Vibration
+	stats Stats
+	// parkedThrough is the last clock.Nanos() instant the shock sensor
+	// holds the heads parked, -1 before any park. It saturates at
+	// math.MaxInt64, so a park that would end past the clock's ceiling
+	// never ends.
+	parkedThrough int64
+	// owed counts the NormFloat64 jitter draws servo-locked accesses
+	// skipped. attemptHoldsTrack makes them before its own first draw,
+	// so the rng stream is the one a per-attempt loop would give.
+	owed   int64
 	lastOp struct {
 		end int64
 		set bool
@@ -99,7 +107,7 @@ func NewDrive(m Model, clock *simclock.Virtual, seed int64) (*Drive, error) {
 	if clock == nil {
 		return nil, errors.New("hdd: clock must not be nil")
 	}
-	return &Drive{model: m, clock: clock, rng: rand.New(rand.NewSource(seed))}, nil
+	return &Drive{model: m, clock: clock, rng: rand.New(rand.NewSource(seed)), parkedThrough: -1}, nil
 }
 
 // PublishMetrics pushes the drive's counters into a registry under the
@@ -131,7 +139,13 @@ func (d *Drive) Vibration() Vibration { return d.vib }
 func (d *Drive) SetVibration(v Vibration) {
 	d.vib = v
 	if v.Freq >= d.model.ShockSensorMin && v.Amplitude >= d.model.ShockSensorAmpFrac {
-		d.parked = d.clock.Now().Add(d.model.ParkDuration)
+		if park := int64(d.model.ParkDuration); park > 0 {
+			now := d.clock.Nanos()
+			d.parkedThrough = now + (park - 1)
+			if d.parkedThrough < now {
+				d.parkedThrough = math.MaxInt64
+			}
+		}
 		d.stats.ShockParks++
 	}
 }
@@ -161,7 +175,7 @@ func (d *Drive) Access(op Op, offset, length int64) Result {
 	if offset < 0 || length <= 0 || offset+length > d.model.CapacityBytes {
 		return Result{Err: fmt.Errorf("%w: offset=%d length=%d", ErrOutOfRange, offset, length)}
 	}
-	if until := d.parked; d.clock.Now().Before(until) {
+	if d.clock.Nanos() <= d.parkedThrough {
 		// The drive rejects I/O while parked; the command round trip
 		// still costs a little time so callers can't spin for free.
 		const rejectCost = 100 * time.Microsecond
@@ -175,6 +189,19 @@ func (d *Drive) Access(op Op, offset, length int64) Result {
 	if op == OpWrite {
 		threshold = d.model.WriteFaultFrac
 		retryCost = d.model.RetryWrite
+	}
+	if d.vib.Amplitude >= d.model.ServoLockFrac {
+		// Position feedback is gone: the servo wedges themselves are
+		// unreadable, so every attempt on the first chunk fails whatever
+		// it draws. The result is the per-attempt loop's, in O(1); its
+		// MaxRetries+1 jitter draws are owed, not made.
+		total := d.fixedTime(op, offset) + time.Duration(d.model.MaxRetries)*retryCost
+		d.owed += int64(d.model.MaxRetries) + 1
+		d.stats.Retries += int64(d.model.MaxRetries)
+		d.clock.Sleep(total)
+		d.countError(op)
+		d.lastOp.set = false
+		return Result{Latency: total, Retries: d.model.MaxRetries, Err: ErrMediaTimeout}
 	}
 
 	// The drive services a request chunk by chunk (roughly one servo
@@ -275,14 +302,12 @@ func (d *Drive) fixedTime(op Op, offset int64) time.Duration {
 // the threshold. peakFrac reports the worst excursion as a fraction of the
 // threshold (for the marginal-write integrity model).
 func (d *Drive) attemptHoldsTrack(threshold float64, hold time.Duration) (ok bool, peakFrac float64) {
+	for ; d.owed > 0; d.owed-- {
+		d.rng.NormFloat64()
+	}
 	sigma := d.model.BaseJitterFrac
 	jitter := math.Abs(d.rng.NormFloat64()) * sigma
 	a := d.vib.Amplitude
-	if a >= d.model.ServoLockFrac {
-		// Position feedback is gone: the servo wedges themselves are
-		// unreadable, so no attempt can succeed.
-		return false, a / threshold
-	}
 	if a <= 0 {
 		return jitter < threshold, jitter / threshold
 	}

@@ -269,6 +269,34 @@ func TestShockSensorParksHeads(t *testing.T) {
 	}
 }
 
+// TestShockSensorParkAtClockCeiling pins parking where the clock
+// saturates: a park that would end past math.MaxInt64 ns never ends,
+// and one that ends exactly there ends when the clock reaches it.
+func TestShockSensorParkAtClockCeiling(t *testing.T) {
+	for _, tc := range []struct {
+		name    string
+		margin  time.Duration // clock headroom below the ceiling at the trigger
+		wantErr error
+	}{
+		{"past the ceiling", time.Millisecond, ErrHeadsParked},
+		{"at the ceiling", Barracuda500().ParkDuration, nil},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			d, clock := newTestDrive(t)
+			clock.Sleep(time.Duration(math.MaxInt64) - tc.margin)
+			d.SetVibration(Vibration{Freq: 20000, Amplitude: 0.1})
+			clock.Sleep(time.Duration(math.MaxInt64)) // saturates
+			if clock.Nanos() != math.MaxInt64 {
+				t.Fatalf("clock at %d ns, want the ceiling", clock.Nanos())
+			}
+			d.SetVibration(Quiet())
+			if res := d.Access(OpRead, 0, 4096); !errors.Is(res.Err, tc.wantErr) {
+				t.Fatalf("access at the ceiling: %v, want %v", res.Err, tc.wantErr)
+			}
+		})
+	}
+}
+
 func TestShockSensorIgnoresAudibleBand(t *testing.T) {
 	d, _ := newTestDrive(t)
 	d.SetVibration(Vibration{Freq: 650, Amplitude: 5})

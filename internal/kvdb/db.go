@@ -402,10 +402,10 @@ func (db *DB) compact() error {
 		return nil
 	}
 	// Oldest first: the L1 run, then L0 from oldest to newest. A
-	// compaction that failed partway leaves its first new tables on disk,
-	// and the next Open loads them into L1 beside the run they overlap, so
-	// a new L1 run starts wherever a table does not start past the
-	// previous table's last key.
+	// compaction that fails partway removes the new tables it wrote, but
+	// if that removal fails too, the next Open loads them into L1 beside
+	// the run they overlap, so a new L1 run starts wherever a table does
+	// not start past the previous table's last key.
 	runs := make([]runCursor, 0, 1+len(db.l0))
 	first := 0
 	for i := 1; i <= len(db.l1); i++ {
@@ -432,6 +432,9 @@ func (db *DB) compact() error {
 		}
 		t, err := writeSSTable(db.fs, sstName(1, db.sstGen), merged[start:i+1])
 		if err != nil {
+			for _, t := range newL1 {
+				_ = db.fs.Remove(t.Name) // best effort; see the runs above
+			}
 			return db.storageFailure(err)
 		}
 		db.sstGen++

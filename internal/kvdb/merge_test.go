@@ -199,10 +199,9 @@ func TestMergeCompactionSplitsAtBoundary(t *testing.T) {
 }
 
 // TestCompactionAfterFailedCompaction: a compaction that fails after
-// writing its first new L1 table leaves that table on disk, overlapping
-// the L1 run it was merging. After a reopen loads it into L1, the next
-// compaction still writes exactly the reference run, and Get finds every
-// key.
+// writing its first new L1 table removes that table again, so a reopen
+// finds the levels as they were, and the next compaction writes exactly
+// the reference run, and Get finds every key.
 func TestCompactionAfterFailedCompaction(t *testing.T) {
 	r := newRig(t, defaultBuffers)
 	rng := rand.New(rand.NewSource(11))
@@ -234,12 +233,42 @@ func TestCompactionAfterFailedCompaction(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if l0n, l1n := db.Levels(); l0n != len(l0) || l1n != len(l1)+1 {
-		t.Fatalf("reopened with %d L0 and %d L1 tables; want %d and %d, the leftover included",
-			l0n, l1n, len(l0), len(l1)+1)
+	if l0n, l1n := db.Levels(); l0n != len(l0) || l1n != len(l1) {
+		t.Fatalf("reopened with %d L0 and %d L1 tables; want %d and %d, no leftover",
+			l0n, l1n, len(l0), len(l1))
 	}
 	if err := db.compact(); err != nil {
 		t.Fatal(err)
 	}
 	checkL1(t, db, want)
+}
+
+// TestCompactionMergesLeftoverL1Table: when a failed compaction cannot
+// remove the first L1 table it wrote, a reopen loads that table into L1
+// beside the run it overlaps. The next compaction still writes exactly
+// the reference run, and Get finds every key.
+func TestCompactionMergesLeftoverL1Table(t *testing.T) {
+	r := newRig(t, defaultBuffers)
+	rng := rand.New(rand.NewSource(11))
+	const maxValue = 12 << 10
+	l1 := [][]Entry{randomTable(rng, 0, 200, 150, maxValue, 0), randomTable(rng, 200, 400, 150, maxValue, 0)}
+	var l0 [][]Entry
+	for i := 0; i < l0CompactTrigger; i++ {
+		l0 = append(l0, randomTable(rng, 0, 400, 100, maxValue, 0.2))
+	}
+	want := referenceCompact(append(append([][]Entry{}, l1...), l0...))
+	if len(want) < 2 {
+		t.Fatalf("the reference run has %d tables; the test needs two or more", len(want))
+	}
+	// The leftover is the first table of the run the failed compaction
+	// was writing; Open sorts L1 by min key.
+	withLeftover := append(append([][]Entry{}, l1...), want[0])
+	sort.SliceStable(withLeftover, func(i, j int) bool {
+		return bytes.Compare(withLeftover[i][0].Key, withLeftover[j][0].Key) < 0
+	})
+	installTables(t, r.db, withLeftover, l0)
+	if err := r.db.compact(); err != nil {
+		t.Fatal(err)
+	}
+	checkL1(t, r.db, want)
 }

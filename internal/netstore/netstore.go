@@ -143,7 +143,7 @@ func (s *Server) HandleObjectShared(op Op, objectID int, data []byte) ([]byte, R
 		return nil, Response{Err: fmt.Errorf("%w: payload %d exceeds object size %d",
 			ErrBadRequest, len(data), s.cfg.ObjectSize)}
 	}
-	start := s.clock.Now()
+	start := s.clock.Nanos()
 	net := s.rtt()
 	s.clock.Sleep(net / 2) // request flight
 
@@ -171,10 +171,10 @@ func (s *Server) HandleObjectShared(op Op, objectID int, data []byte) ([]byte, R
 	} else {
 		_, err = s.dev.ReadAt(buf, off)
 	}
-	storageTime := s.clock.Now().Sub(start) - net/2
+	storageTime := time.Duration(s.clock.Nanos()-start) - net/2
 
 	s.clock.Sleep(net / 2) // response flight
-	resp := Response{Latency: s.clock.Now().Sub(start)}
+	resp := Response{Latency: time.Duration(s.clock.Nanos() - start)}
 	switch {
 	case err != nil && storageTime >= s.cfg.Timeout:
 		s.Timeouts++

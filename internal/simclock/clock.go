@@ -39,7 +39,9 @@ func (v *Virtual) Now() time.Time { return epoch.Add(time.Duration(v.ns.Load()))
 // Nanos returns the current virtual time as nanoseconds since the epoch:
 // Now without the time.Time, for engines that keep simulated time as
 // int64 offsets. Now().Sub(t) equals time.Duration(Nanos() - tn) for any
-// tn another Nanos call returned at time t.
+// tn another Nanos call returned at time t; both offsets lie in
+// [0, math.MaxInt64], so the difference never overflows, even at the
+// ceiling.
 func (v *Virtual) Nanos() int64 { return v.ns.Load() }
 
 // Sleep advances the clock by d, saturating at math.MaxInt64 nanoseconds
