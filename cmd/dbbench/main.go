@@ -96,17 +96,7 @@ func (o options) run(stdout, stderr io.Writer) error {
 	}
 	loaded := false
 	if o.image != "" {
-		// A path with no file means no image yet; any other error fails, so
-		// an image that exists is never overwritten by a run on a fresh disk.
-		f, err := os.Open(o.image)
-		switch {
-		case err == nil:
-			loaded = true
-			err = errors.Join(rig.Disk.LoadImage(f), f.Close())
-		case errors.Is(err, os.ErrNotExist):
-			err = nil
-		}
-		if err != nil {
+		if loaded, err = rig.Disk.LoadImageFile(o.image); err != nil {
 			return err
 		}
 	}
@@ -167,11 +157,7 @@ func (o options) run(stdout, stderr io.Writer) error {
 	if err := fs.Unmount(); err != nil {
 		return err
 	}
-	f, err := os.Create(o.image)
-	if err != nil {
-		return err
-	}
-	if err := errors.Join(rig.Disk.SaveImage(f), f.Close()); err != nil {
+	if err := rig.Disk.SaveImageFile(o.image); err != nil {
 		return err
 	}
 	fmt.Fprintf(stderr, "image saved to %s\n", o.image)

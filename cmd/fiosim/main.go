@@ -92,16 +92,7 @@ func (o options) run(stdout io.Writer) error {
 		return err
 	}
 	if o.image != "" {
-		// A path with no file means no image yet; any other error fails, so
-		// an image that exists is never overwritten by a run on a fresh disk.
-		f, err := os.Open(o.image)
-		switch {
-		case err == nil:
-			err = errors.Join(rig.Disk.LoadImage(f), f.Close())
-		case errors.Is(err, os.ErrNotExist):
-			err = nil
-		}
-		if err != nil {
+		if _, err := rig.Disk.LoadImageFile(o.image); err != nil {
 			return fmt.Errorf("loading image: %w", err)
 		}
 	}
@@ -139,11 +130,7 @@ func (o options) run(stdout io.Writer) error {
 		return nil
 	}
 	// The image is saved last, so a job that fails saves none.
-	f, err := os.Create(o.image)
-	if err == nil {
-		err = errors.Join(rig.Disk.SaveImage(f), f.Close())
-	}
-	if err != nil {
+	if err := rig.Disk.SaveImageFile(o.image); err != nil {
 		return fmt.Errorf("saving image: %w", err)
 	}
 	return nil

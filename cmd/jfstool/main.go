@@ -87,7 +87,7 @@ func subcommand(cmd string, args []string, image string, blocks uint64, stdin io
 		if err := jfs.Mkfs(disk, jfs.MkfsOptions{Blocks: blocks}); err != nil {
 			return err
 		}
-		if err := saveImage(disk, image); err != nil {
+		if err := disk.SaveImageFile(image); err != nil {
 			return err
 		}
 		fmt.Fprintf(stdout, "created %s: %d blocks (%d MiB)\n", image, blocks, blocks*jfs.BlockSize>>20)
@@ -100,12 +100,12 @@ func subcommand(cmd string, args []string, image string, blocks uint64, stdin io
 			return fmt.Errorf("%s needs a file name", cmd)
 		}
 	}
-	f, err := os.Open(image)
+	loaded, err := disk.LoadImageFile(image)
 	if err != nil {
 		return err
 	}
-	if err := errors.Join(disk.LoadImage(f), f.Close()); err != nil {
-		return err
+	if !loaded {
+		return fmt.Errorf("no image at %s; create one with mkfs", image)
 	}
 	fs, err := jfs.Mount(disk, clock, jfs.Config{})
 	if err != nil {
@@ -183,13 +183,5 @@ func subcommand(cmd string, args []string, image string, blocks uint64, stdin io
 	}
 	// Unmount updates the superblock even for reads; persist so the image
 	// stays consistent.
-	return saveImage(disk, image)
-}
-
-func saveImage(disk *blockdev.Disk, path string) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	return errors.Join(disk.SaveImage(f), f.Close())
+	return disk.SaveImageFile(image)
 }

@@ -29,7 +29,7 @@ func TestMkfsBlocksAfterSubcommand(t *testing.T) {
 // Every subcommand runs on one image: a file put from stdin reads back
 // with cat, lists with its size and is gone after rm, and the filesystem
 // checks clean. A missing -image or subcommand is a usage error (exit 2),
-// and an unknown subcommand exits 1 naming it.
+// and an unknown subcommand or a missing image file exits 1 naming it.
 func TestSubcommands(t *testing.T) {
 	img := filepath.Join(t.TempDir(), "fs.img")
 	for _, c := range []struct {
@@ -54,6 +54,10 @@ func TestSubcommands(t *testing.T) {
 		if code == 0 && out != c.want || code != 0 && !strings.Contains(stderr, c.want) || code != c.code {
 			t.Errorf("jfstool %v: exit %d, stdout %q, stderr %q; want exit %d and %q", c.args, code, out, stderr, c.code, c.want)
 		}
+	}
+	missing := filepath.Join(t.TempDir(), "none.img")
+	if _, stderr, code := jfstool("", "-image", missing, "ls"); code != 1 || !strings.Contains(stderr, "no image at "+missing) {
+		t.Errorf("jfstool ls on a missing image: exit %d, stderr %q; want exit 1 naming it", code, stderr)
 	}
 	if _, stderr, code := jfstool("", "stat"); code != 2 || !strings.Contains(stderr, "Usage of jfstool") {
 		t.Errorf("jfstool stat without -image: exit %d, stderr %q; want exit 2 with usage", code, stderr)

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"os"
 	"sort"
 )
 
@@ -131,4 +132,32 @@ func (d *Disk) LoadImage(r io.Reader) error {
 	}
 	d.replaceStore(data)
 	return nil
+}
+
+// SaveImageFile writes the disk's image to path, creating or truncating
+// the file.
+func (d *Disk) SaveImageFile(path string) error {
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	return errors.Join(d.SaveImage(f), f.Close())
+}
+
+// LoadImageFile loads the image saved at path. A missing file means no
+// image yet: it returns loaded false and a nil error and leaves the disk
+// as it was. Any other error fails, so a caller never runs on a fresh
+// disk and then overwrites an image it could not read.
+func (d *Disk) LoadImageFile(path string) (loaded bool, err error) {
+	f, err := os.Open(path)
+	if errors.Is(err, os.ErrNotExist) {
+		return false, nil
+	}
+	if err != nil {
+		return false, err
+	}
+	if err := errors.Join(d.LoadImage(f), f.Close()); err != nil {
+		return false, err
+	}
+	return true, nil
 }

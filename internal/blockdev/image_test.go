@@ -5,6 +5,8 @@ import (
 	"encoding/binary"
 	"errors"
 	"math"
+	"os"
+	"path/filepath"
 	"runtime"
 	"testing"
 )
@@ -49,6 +51,38 @@ func TestImageRoundTrip(t *testing.T) {
 		if b != 0 {
 			t.Fatal("ghost data in unwritten region")
 		}
+	}
+}
+
+// TestImageFile: a missing file loads nothing and is no error, a saved
+// file loads back, and any other open error fails.
+func TestImageFile(t *testing.T) {
+	dir := t.TempDir()
+	path := filepath.Join(dir, "disk.img")
+	d, _ := newDisk(t)
+	want := []byte("kept across runs")
+	if _, err := d.WriteAt(want, 1<<20); err != nil {
+		t.Fatal(err)
+	}
+	if loaded, err := d.LoadImageFile(path); loaded || err != nil {
+		t.Fatalf("missing file: loaded=%v err=%v, want false and nil", loaded, err)
+	}
+	if err := d.SaveImageFile(path); err != nil {
+		t.Fatal(err)
+	}
+	d2, _ := newDisk(t)
+	if loaded, err := d2.LoadImageFile(path); !loaded || err != nil {
+		t.Fatalf("saved file: loaded=%v err=%v, want true and nil", loaded, err)
+	}
+	got := make([]byte, len(want))
+	if _, err := d2.ReadAt(got, 1<<20); err != nil || !bytes.Equal(got, want) {
+		t.Fatalf("loaded %q (err %v), want %q", got, err, want)
+	}
+	if err := os.WriteFile(filepath.Join(dir, "file"), nil, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if loaded, err := d2.LoadImageFile(filepath.Join(dir, "file", "x.img")); loaded || err == nil {
+		t.Fatalf("path through a file: loaded=%v err=%v, want an error", loaded, err)
 	}
 }
 

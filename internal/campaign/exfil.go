@@ -161,17 +161,13 @@ func (s ExfilDetectSpec) Run() (ExfilDetectResult, error) {
 	res.Confidence = fp.MaxConfidence()
 
 	txStart := origin.Add(time.Duration(float64(leadSamples) / md.SampleRate() * float64(time.Second)))
-	for _, det := range fp.Detections() {
-		if det.At.Before(txStart) {
-			res.FalsePositives++
-			continue
-		}
-		if !res.Detected {
-			res.Detected = true
-			res.DetectLatency = det.At.Sub(txStart)
-			res.DetectedFreq = det.PeakFreq
-			res.Confidence = det.Confidence
-		}
+	det, ok, before := fp.FirstDetection(txStart)
+	res.FalsePositives = before
+	if ok {
+		res.Detected = true
+		res.DetectLatency = det.At.Sub(txStart)
+		res.DetectedFreq = det.PeakFreq
+		res.Confidence = det.Confidence
 	}
 	res.BytesLeaked = res.BytesSent
 	if res.Detected {

@@ -193,17 +193,13 @@ func (s FingerprintSpec) Run() (FingerprintResult, error) {
 	} else {
 		res.BenignWindows = int(s.AttackStart / winDur)
 	}
-	for _, det := range fp.Detections() {
-		if det.At.Before(benignUntil) {
-			res.FalsePositives++
-			continue
-		}
-		if !res.Detected {
-			res.Detected = true
-			res.DetectLatency = det.At.Sub(attackAt)
-			res.DetectedFreq = det.PeakFreq
-			res.Confidence = det.Confidence
-		}
+	det, ok, before := fp.FirstDetection(benignUntil)
+	res.FalsePositives = before
+	if ok {
+		res.Detected = true
+		res.DetectLatency = det.At.Sub(attackAt)
+		res.DetectedFreq = det.PeakFreq
+		res.Confidence = det.Confidence
 	}
 	if res.BenignWindows > 0 {
 		res.FPRate = float64(res.FalsePositives) / float64(res.BenignWindows)

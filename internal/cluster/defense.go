@@ -5,7 +5,6 @@ import (
 	"sort"
 	"time"
 
-	"deepnote/internal/sched"
 	"deepnote/internal/sig"
 	"deepnote/internal/units"
 )
@@ -159,8 +158,8 @@ func (c *Cluster) resolveSource(r *reqState, ref srcRef) (drive, shard int, flag
 
 // SetDefense compiles the closed-loop defense plan from localization
 // fixes. Each fix activates a phase React after it arrives: the predicted
-// blast radius is evaluated against every drive through the same cached
-// transfer-function machinery the attack simulation uses (conservatively
+// blast radius is evaluated against every drive through the same
+// acoustic transfer chain the attack simulation uses (conservatively
 // moving the source Err closer), at-risk containers accumulate across
 // phases (a region once predicted hot stays hot — the attacker does not
 // un-ring the bell), GET source orders are rebuilt per phase, and one
@@ -193,15 +192,7 @@ func (c *Cluster) SetDefense(spec DefenseSpec) error {
 	sort.SliceStable(fixes, func(i, j int) bool { return fixes[i].At < fixes[j].At })
 	spec.Fixes = fixes
 
-	// Predicted blast amplitude per (fix, drive), cached once like the
-	// per-(speaker, drive) attack transfer functions.
-	var tf sched.TransferCache
 	stacks, model := c.drives.Stacks, c.drives.model
-	tf.Ensure(len(fixes), len(stacks), func(f, di int) float64 {
-		d := stacks[di]
-		amp := c.cfg.Layout.PredictedAmp(fixes[f].Pos, fixes[f].Err, fixes[f].Tone, d.Container, d.asm, model)
-		return amp
-	})
 	threshold := *spec.Margin * model.ServoLockFrac
 
 	C := len(c.cfg.Layout.Containers)
@@ -217,8 +208,9 @@ func (c *Cluster) SetDefense(spec DefenseSpec) error {
 	for f := 0; f < len(fixes); {
 		at := int64(fixes[f].At + *spec.React)
 		for f < len(fixes) && int64(fixes[f].At+*spec.React) == at {
-			for di, d := range stacks {
-				if tf.Gain(f, di) >= threshold {
+			fx := fixes[f]
+			for _, d := range stacks {
+				if c.cfg.Layout.PredictedAmp(fx.Pos, fx.Err, fx.Tone, d.Container, d.asm, model) >= threshold {
 					hot[d.Container] = true
 				}
 			}

@@ -26,10 +26,9 @@ import (
 type DriveStack struct {
 	Site, Container int
 	Server          *netstore.Server
-	// Runner is the drive's discrete-event dispatcher: its queue holds
-	// this drive's pending shard ops in (time, issue-seq) order, and its
-	// clock is the drive's own virtual clock.
-	Runner sched.Runner
+	// Queue holds this drive's pending shard ops in (time, issue-seq)
+	// order; Drives.Drain runs them on the drive's own clock.
+	Queue sched.Queue
 
 	asm     enclosure.Assembly
 	clock   *simclock.Virtual
@@ -59,11 +58,11 @@ type DriveSpec struct {
 type driveSite struct {
 	layout     Layout
 	base, size int // first stack index and stack count
-	// tf caches the per-(speaker, local drive) acoustic transfer gain —
-	// the full chain walk evaluated once at construction. Layouts and
-	// tones are immutable afterwards, so the cache is never invalidated;
-	// schedule steps only superpose cached gains (see internal/sched).
-	tf       sched.TransferCache
+	// gains[sp*size+local] is speaker sp's off-track gain at local
+	// drive local: the full chain walk, evaluated once at construction.
+	// Layouts and tones are immutable afterwards, so schedule steps only
+	// superpose these gains.
+	gains    []float64
 	schedule []ScheduleStep
 	// vibs[step][local] is the precomputed superposed vibration.
 	vibs [][]hdd.Vibration
@@ -134,18 +133,20 @@ func NewDrives(spec DriveSpec) (*Drives, error) {
 					Site: s, Container: ct, Server: netstore.NewServer(disk, clock, net),
 					asm: driveAsm, clock: clock, drive: drive, disk: disk, stepIdx: -1,
 				}
-				st.Runner.Clock = clock
 				d.Stacks = append(d.Stacks, st)
 			}
 		}
 		site.size = len(d.Stacks) - site.base
-		// Precompute every speaker→drive transfer function once, so
-		// attack schedules only superpose cached gains (keying speakers
-		// on/off never re-walks the chain).
-		site.tf.Ensure(len(lay.Speakers), site.size, func(sp, local int) float64 {
-			st := d.Stacks[site.base+local]
-			return lay.SpeakerAmp(sp, st.Container, st.asm, d.model)
-		})
+		// Walk every speaker→drive chain once, so attack schedules only
+		// superpose stored gains (keying speakers on/off never re-walks
+		// the chain).
+		site.gains = make([]float64, len(lay.Speakers)*site.size)
+		for sp := range lay.Speakers {
+			for local := 0; local < site.size; local++ {
+				st := d.Stacks[site.base+local]
+				site.gains[sp*site.size+local] = lay.SpeakerAmp(sp, st.Container, st.asm, d.model)
+			}
+		}
 	}
 	d.Stripes = make([][][]byte, spec.Objects)
 	for o := range d.Stripes {
@@ -170,7 +171,7 @@ func (d *Drives) Payload(o int) []byte {
 // SetSchedule programs site s's attack: steps sorted by offset; before
 // the first step (and with no steps) every speaker at the site is
 // silent. Vibrations for every (step, drive) pair are superposed up
-// front from the cached transfer functions — a schedule change costs
+// front from the stored speaker gains — a schedule change costs
 // O(steps·drives·speakers) float adds, never an acoustic chain walk.
 func (d *Drives) SetSchedule(s int, steps []ScheduleStep) {
 	site := &d.sites[s]
@@ -187,7 +188,7 @@ func (d *Drives) SetSchedule(s int, steps []ScheduleStep) {
 		site.vibs[si] = make([]hdd.Vibration, site.size)
 		for local := range site.vibs[si] {
 			site.vibs[si][local] = superpose(freq, speakers,
-				func(sp int) float64 { return site.tf.Gain(sp, local) }, active)
+				func(sp int) float64 { return site.gains[sp*site.size+local] }, active)
 		}
 	}
 	for _, st := range d.Stacks[site.base : site.base+site.size] {
@@ -287,19 +288,29 @@ func (d *Drives) Preloaded() bool { return d.preloaded }
 func (d *Drives) Offset(di int) int64 { return d.Stacks[di].clock.Nanos() - d.origin }
 
 // Drain runs every drive's event queue to empty, fanning out across
-// Workers. Before each event the drive's vibration is advanced to the
-// attack step in force, then dispatch runs the op. Each drive is
-// self-contained — own queue, own clock, own RNGs — so dispatch must
-// touch only drive di's state and read-only shared data; the fan-out
-// then never changes results, only wall-clock time.
+// Workers. Each event pops in (At, Seq) order and starts at
+// max(origin+At, the drive's current time): the clock sleeps up to the
+// event and never rewinds, so an op that arrives while the drive is busy
+// waits its turn, modeling a backlogged server. The drive's vibration is
+// then advanced to the attack step in force and dispatch runs the op.
+// Each drive is self-contained — own queue, own clock, own RNGs — so
+// dispatch must touch only drive di's state and read-only shared data;
+// the fan-out then never changes results, only wall-clock time.
 func (d *Drives) Drain(dispatch func(di int, it sched.Item)) error {
 	_, err := parallel.Run(context.Background(), parallel.Indices(len(d.Stacks)), d.workers,
 		func(_ context.Context, di int, _ int) (struct{}, error) {
-			d.Stacks[di].Runner.Run(d.origin, func(it sched.Item) {
+			st := d.Stacks[di]
+			for {
+				it, ok := st.Queue.Pop()
+				if !ok {
+					return struct{}{}, nil
+				}
+				if now := st.clock.Nanos() - d.origin; now < it.At {
+					st.clock.Sleep(time.Duration(it.At - now))
+				}
 				d.apply(di)
 				dispatch(di, it)
-			})
-			return struct{}{}, nil
+			}
 		})
 	return err
 }

@@ -160,7 +160,7 @@ func (c *Cluster) shardDrive(o, j int) int {
 
 // SetSchedule programs the attack: steps sorted by offset; before the
 // first step (and with no steps) every speaker is silent. Vibrations are
-// superposed up front from cached transfer functions (see
+// superposed up front from the stored speaker gains (see
 // Drives.SetSchedule).
 func (c *Cluster) SetSchedule(steps []ScheduleStep) { c.drives.SetSchedule(0, steps) }
 

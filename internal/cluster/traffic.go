@@ -8,6 +8,7 @@ import (
 	"slices"
 	"time"
 
+	"deepnote/internal/metrics"
 	"deepnote/internal/sched"
 )
 
@@ -80,18 +81,6 @@ func ArrivalNS(i int, rate float64) int64 {
 		return int64(i)/r*int64(time.Second) + int64(i)%r*int64(time.Second)/r
 	}
 	return int64(math.Round(float64(i) / rate * 1e9))
-}
-
-// LatencyQuantiles sorts lat in place and returns its nearest-rank P50
-// and P99 — the element of rank ceil(q·n), in integer arithmetic — and
-// its maximum; all zero when lat is empty.
-func LatencyQuantiles(lat []time.Duration) (p50, p99, max time.Duration) {
-	n := len(lat)
-	if n == 0 {
-		return 0, 0, 0
-	}
-	slices.Sort(lat)
-	return lat[(n*50+99)/100-1], lat[(n*99+99)/100-1], lat[n-1]
 }
 
 // ServeResult summarizes one serving run.
@@ -309,7 +298,7 @@ func (c *Cluster) Serve(spec TrafficSpec) (ServeResult, error) {
 		for ; ei < len(evacs) && evacs[ei].at <= until; ei++ {
 			ev := &evacs[ei]
 			ev.ok = false
-			c.drives.Stacks[ev.drive].Runner.Queue.Push(ev.at, packEv(int32(ei), int(ev.shard), evPut|evEvac))
+			c.drives.Stacks[ev.drive].Queue.Push(ev.at, packEv(int32(ei), int(ev.shard), evPut|evEvac))
 			queued++
 		}
 	}
@@ -336,7 +325,7 @@ func (c *Cluster) Serve(spec TrafficSpec) (ServeResult, error) {
 				if sfl != 0 || j != idx {
 					steered = true
 				}
-				c.drives.Stacks[di].Runner.Queue.Push(r.arrival, packEv(int32(ri), j, sfl))
+				c.drives.Stacks[di].Queue.Push(r.arrival, packEv(int32(ri), j, sfl))
 			}
 			if steered {
 				res.SteeredGets++
@@ -345,7 +334,7 @@ func (c *Cluster) Serve(spec TrafficSpec) (ServeResult, error) {
 			continue
 		}
 		for j := 0; j < limit; j++ {
-			c.drives.Stacks[c.shardDrive(int(r.object), j)].Runner.Queue.Push(r.arrival, packEv(int32(ri), j, fl))
+			c.drives.Stacks[c.shardDrive(int(r.object), j)].Queue.Push(r.arrival, packEv(int32(ri), j, fl))
 		}
 		queued += limit
 	}
@@ -360,7 +349,7 @@ func (c *Cluster) Serve(spec TrafficSpec) (ServeResult, error) {
 		// Size each drive's result buffer for its queued ops, so the
 		// dispatch loop appends without growing it.
 		for di, b := range c.bufs {
-			b.results = slices.Grow(b.results, c.drives.Stacks[di].Runner.Queue.Len())
+			b.results = slices.Grow(b.results, c.drives.Stacks[di].Queue.Len())
 		}
 		if err := c.drives.Drain(c.dispatch); err != nil {
 			return ServeResult{}, err
@@ -391,7 +380,7 @@ func (c *Cluster) Serve(spec TrafficSpec) (ServeResult, error) {
 				if order != nil {
 					di, j, sfl = c.resolveSource(r, order[idx])
 				}
-				c.drives.Stacks[di].Runner.Queue.Push(r.end, packEv(ri, j, sfl))
+				c.drives.Stacks[di].Queue.Push(r.end, packEv(ri, j, sfl))
 				r.nextShard++
 				issued++
 			}
@@ -483,13 +472,13 @@ func (c *Cluster) Serve(spec TrafficSpec) (ServeResult, error) {
 	if res.Span > 0 {
 		res.GoodputMBps = float64(res.BytesServed) / 1e6 / res.Span.Seconds()
 	}
-	res.P50, res.P99, res.Max = LatencyQuantiles(append(append([]time.Duration(nil), c.latGet...), c.latPut...))
+	res.P50, res.P99, res.Max = metrics.LatencyQuantiles(append(append([]time.Duration(nil), c.latGet...), c.latPut...))
 
 	// Background read-repair epoch.
 	if len(c.repairBuf) > 0 {
 		for i := range c.repairBuf {
 			rp := &c.repairBuf[i]
-			c.drives.Stacks[c.shardDrive(int(rp.object), int(rp.shard))].Runner.Queue.Push(
+			c.drives.Stacks[c.shardDrive(int(rp.object), int(rp.shard))].Queue.Push(
 				rp.arrival, packEv(int32(i), int(rp.shard), evPut|evRepair))
 		}
 		if err := c.drives.Drain(c.dispatch); err != nil {
@@ -507,7 +496,7 @@ func (c *Cluster) Serve(spec TrafficSpec) (ServeResult, error) {
 	return res, nil
 }
 
-// dispatch executes one shard op on drive di. The runner has already
+// dispatch executes one shard op on drive di. Drives.Drain has already
 // advanced the drive's clock to max(event time, drive now); everything
 // touched here is owned by the drive (its stack, its result buffers) or
 // read-only (request arena, stripes), so drives dispatch concurrently

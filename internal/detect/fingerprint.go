@@ -539,8 +539,18 @@ func (f *Fingerprinter) Windows() int { return f.bank.Frames() }
 // HostileWindows returns how many windows were classified hostile.
 func (f *Fingerprinter) HostileWindows() int { return f.hostileWin }
 
-// Detections returns the hostile verdicts (bounded log, chronological).
-func (f *Fingerprinter) Detections() []SpectralVerdict { return f.detections }
+// FirstDetection returns the first hostile verdict at or after cutoff
+// (ok false when there is none) and how many hostile verdicts came
+// before cutoff: the false positives of a run whose hostile signal
+// starts there. It reads the bounded detection log.
+func (f *Fingerprinter) FirstDetection(cutoff time.Time) (first SpectralVerdict, ok bool, before int) {
+	for i, v := range f.detections {
+		if !v.At.Before(cutoff) {
+			return v, true, i
+		}
+	}
+	return SpectralVerdict{}, false, len(f.detections)
+}
 
 // Fused combines the two detection factors — latency/error telemetry and
 // the spectral fingerprint — into one verdict. Spectral confidence alone

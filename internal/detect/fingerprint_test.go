@@ -61,11 +61,10 @@ func TestFingerprintDetectsHostileToneAt6dB(t *testing.T) {
 		fp := newFP(t)
 		fp.SetOrigin(time.Unix(1000, 0))
 		feedScenario(fp, vib, amb, 48, 2)
-		dets := fp.Detections()
-		if len(dets) == 0 {
+		det, ok, _ := fp.FirstDetection(time.Time{})
+		if !ok {
 			t.Fatalf("%v: 650 Hz tone at 6 dB SNR not detected (max conf %.2f)", kind, fp.MaxConfidence())
 		}
-		det := dets[0]
 		if math.Abs(det.PeakFreq.Hertz()-650) > 20 {
 			t.Fatalf("%v: detected %v, want ≈ 650 Hz", kind, det.PeakFreq)
 		}
@@ -120,8 +119,34 @@ func TestFingerprintRejectsPumpCombByStructure(t *testing.T) {
 	sigma := math.Hypot(DefaultSensorSigma, amb.NominalSigma())
 	fp3 := newFP(t)
 	feedScenario(fp3, hdd.Vibration{Freq: 650 * units.Hz, Amplitude: 3 * sigma}, amb, 48, 5)
-	if len(fp3.Detections()) == 0 {
+	if _, ok, _ := fp3.FirstDetection(time.Time{}); !ok {
 		t.Fatal("pump background masked a true 650 Hz attack")
+	}
+}
+
+// TestFirstDetectionCutoff: a hostile verdict exactly at the cutoff is the
+// detection, not a false positive; one nanosecond later it is counted
+// before the cutoff and the next verdict is the detection.
+func TestFirstDetectionCutoff(t *testing.T) {
+	fp := newFP(t)
+	fp.SetOrigin(time.Unix(1000, 0))
+	vib := hdd.Vibration{Freq: 650 * units.Hz, Amplitude: 4 * DefaultSensorSigma}
+	feedScenario(fp, vib, sig.Ambient{}, 16, 2)
+	first, ok, before := fp.FirstDetection(time.Time{})
+	if !ok || before != 0 || fp.HostileWindows() < 2 {
+		t.Fatalf("tone not detected in two windows: ok=%v before=%d hostile=%d", ok, before, fp.HostileWindows())
+	}
+	if got, ok, before := fp.FirstDetection(first.At); !ok || got != first || before != 0 {
+		t.Fatalf("cutoff at the first verdict: got window %d ok=%v before=%d, want window %d and 0 before",
+			got.Window, ok, before, first.Window)
+	}
+	got, ok, before := fp.FirstDetection(first.At.Add(time.Nanosecond))
+	if !ok || before != 1 || !got.At.After(first.At) {
+		t.Fatalf("cutoff just past the first verdict: window %d ok=%v before=%d, want a later window and 1 before",
+			got.Window, ok, before)
+	}
+	if _, ok, before := fp.FirstDetection(time.Unix(1e6, 0)); ok || before != fp.HostileWindows() {
+		t.Fatalf("cutoff after the run: ok=%v before=%d, want none and %d before", ok, before, fp.HostileWindows())
 	}
 }
 

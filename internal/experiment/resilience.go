@@ -267,12 +267,9 @@ func (r Resilience) runResilienceConfig(cfg resilienceConfig, seed int64) (Resil
 	if total > 0 {
 		row.AvailabilityPct = 100 * float64(up) / float64(total)
 	}
-	for _, det := range fp.Detections() {
-		if !det.At.Before(attackStart) {
-			row.Detected = true
-			row.DetectLatency = det.At.Sub(attackStart)
-			break
-		}
+	if det, ok, _ := fp.FirstDetection(attackStart); ok {
+		row.Detected = true
+		row.DetectLatency = det.At.Sub(attackStart)
 	}
 
 	r.publishConfig(cfg, rig, inj, retrier, fs, srv, wd, db, row, maxSuspicion)

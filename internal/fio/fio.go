@@ -7,9 +7,7 @@ package fio
 
 import (
 	"fmt"
-	"math"
 	"math/rand"
-	"sort"
 	"time"
 
 	"deepnote/internal/blockdev"
@@ -146,37 +144,18 @@ type LatencySummary struct {
 	Mean, P50, P99, Max time.Duration
 }
 
+// summarize sorts samples in place and summarizes them.
 func summarize(samples []time.Duration) LatencySummary {
 	if len(samples) == 0 {
 		return LatencySummary{}
 	}
-	sorted := make([]time.Duration, len(samples))
-	copy(sorted, samples)
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
 	var sum time.Duration
-	for _, s := range sorted {
+	for _, s := range samples {
 		sum += s
 	}
-	// Nearest-rank percentile: the smallest sample whose rank covers a
-	// q fraction of the population. A truncating index under-reports for
-	// small n (n=10 put P99 at the 9th value, not the max).
-	pick := func(q float64) time.Duration {
-		idx := int(math.Ceil(q*float64(len(sorted)))) - 1
-		if idx < 0 {
-			idx = 0
-		}
-		if idx >= len(sorted) {
-			idx = len(sorted) - 1
-		}
-		return sorted[idx]
-	}
-	return LatencySummary{
-		Count: len(sorted),
-		Mean:  sum / time.Duration(len(sorted)),
-		P50:   pick(0.50),
-		P99:   pick(0.99),
-		Max:   sorted[len(sorted)-1],
-	}
+	s := LatencySummary{Count: len(samples), Mean: sum / time.Duration(len(samples))}
+	s.P50, s.P99, s.Max = metrics.LatencyQuantiles(samples)
+	return s
 }
 
 // Runner executes jobs against a device on a virtual clock.

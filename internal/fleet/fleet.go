@@ -7,7 +7,7 @@
 //
 // The fleet runs on the cluster tier's drive substrate (cluster.Drives)
 // with one site per SiteSpec: the per-drive stacks, cached stripes,
-// per-site transfer caches and attack schedules, preload, and epoch
+// per-site speaker gains and attack schedules, preload, and epoch
 // drain are the cluster's own, so both tiers agree bit for bit on what a
 // speaker does to a drive. Every node drains its own event queue on its
 // own virtual clock, cross-node causality is resolved at epoch

@@ -8,7 +8,7 @@ import (
 	"slices"
 	"time"
 
-	"deepnote/internal/cluster"
+	"deepnote/internal/metrics"
 	"deepnote/internal/sched"
 )
 
@@ -160,11 +160,11 @@ func (f *Fleet) issueOp(ri int32, j int, at int64, put bool, res *Result) {
 		out, ret := f.wanDelays(li, uint64(opIdx), at, put)
 		op.retDelay = ret
 		f.ops = append(f.ops, op)
-		f.drives.Stacks[ni].Runner.Queue.Push(at+out, uint64(opIdx))
+		f.drives.Stacks[ni].Queue.Push(at+out, uint64(opIdx))
 		return
 	}
 	f.ops = append(f.ops, op)
-	f.drives.Stacks[ni].Runner.Queue.Push(at, uint64(opIdx))
+	f.drives.Stacks[ni].Queue.Push(at, uint64(opIdx))
 }
 
 // dispatch executes one shard op on its node through Drives.ShardOp, the
@@ -385,7 +385,7 @@ func (f *Fleet) settle(res *Result) error {
 	}
 	res.MinPutShards = minPut
 	all := make([]time.Duration, 0, len(f.latGet)+len(f.latPut))
-	res.P50, res.P99, res.Max = cluster.LatencyQuantiles(append(append(all, f.latGet...), f.latPut...))
+	res.P50, res.P99, res.Max = metrics.LatencyQuantiles(append(append(all, f.latGet...), f.latPut...))
 	res.Span = time.Duration(span)
 	if span > 0 {
 		res.GoodputMBps = float64(res.BytesServed) / (float64(span) / 1e9) / 1e6

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"deepnote/internal/cluster"
+	"deepnote/internal/metrics"
 )
 
 // TrafficSpec describes a global open-loop workload: millions-of-users
@@ -180,7 +181,7 @@ func (r Result) Window(from, to time.Duration) WindowStats {
 		// Time-to-verdict: failures count at the moment they failed.
 		lat = append(lat, o.Latency)
 	}
-	w.P50, w.P99, _ = cluster.LatencyQuantiles(lat)
+	w.P50, w.P99, _ = metrics.LatencyQuantiles(lat)
 	return w
 }
 

@@ -21,6 +21,7 @@ package metrics
 
 import (
 	"math/bits"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -132,6 +133,22 @@ func (h *Histogram) Observe(v int64) {
 
 // ObserveDuration records a duration in nanoseconds.
 func (h *Histogram) ObserveDuration(d time.Duration) { h.Observe(int64(d)) }
+
+// LatencyQuantiles sorts lat in place and returns its nearest-rank P50
+// and P99 — the element of rank ceil(p·n/100) — and its maximum; all
+// zero when lat is empty.
+func LatencyQuantiles(lat []time.Duration) (p50, p99, max time.Duration) {
+	n := len(lat)
+	if n == 0 {
+		return 0, 0, 0
+	}
+	slices.Sort(lat)
+	return lat[nearestRank(n, 50)-1], lat[nearestRank(n, 99)-1], lat[n-1]
+}
+
+// nearestRank is ceil(p·n/100) for a percentile p in [1, 100] and n ≥ 1,
+// in integer arithmetic: a float rank can round the wrong way.
+func nearestRank(n, p int) int { return (n*p + 99) / 100 }
 
 // Quantile returns the nearest-rank quantile as the upper bound of the
 // log bucket containing that rank (the true max for q covering the last

@@ -2,6 +2,7 @@ package metrics
 
 import (
 	"encoding/json"
+	"math"
 	"os"
 	"strings"
 	"sync"
@@ -171,5 +172,37 @@ func TestManifestRoundTrip(t *testing.T) {
 	if round.Command != "sweep" || round.Seed != 7 || round.Workers != 4 ||
 		round.Metrics.Counters["hdd.reads"] != 1 {
 		t.Fatalf("manifest round-trip mismatch: %+v", round)
+	}
+}
+
+// TestLatencyQuantilesNearestRank: the integer rank (n·p+99)/100 equals
+// the float nearest rank ceil(q·n), clamped to [1, n], for every n up
+// to 10⁶, and LatencyQuantiles sorts and picks that rank for every n up
+// to 5000.
+func TestLatencyQuantilesNearestRank(t *testing.T) {
+	if p50, p99, top := LatencyQuantiles(nil); p50 != 0 || p99 != 0 || top != 0 {
+		t.Fatalf("empty: %v %v %v", p50, p99, top)
+	}
+	floatRank := func(n int, q float64) int {
+		return min(max(int(math.Ceil(q*float64(n))), 1), n)
+	}
+	for n := 1; n <= 1_000_000; n++ {
+		for _, p := range []int{50, 99} {
+			if got, want := nearestRank(n, p), floatRank(n, float64(p)/100); got != want {
+				t.Fatalf("n=%d p=%d: rank %d, float rank %d", n, p, got, want)
+			}
+		}
+	}
+	const N = 5000
+	lat := make([]time.Duration, N)
+	for n := 1; n <= N; n++ {
+		for i := range lat[:n] {
+			lat[i] = time.Duration(n - i) // reversed, so the sort is exercised
+		}
+		p50, p99, top := LatencyQuantiles(lat[:n])
+		want50, want99 := time.Duration(floatRank(n, 0.50)), time.Duration(floatRank(n, 0.99))
+		if p50 != want50 || p99 != want99 || top != time.Duration(n) {
+			t.Fatalf("n=%d: got (%v, %v, %v), want (%v, %v, %v)", n, p50, p99, top, want50, want99, n)
+		}
 	}
 }

@@ -1,8 +1,8 @@
 // Package sched is the discrete-event core of the facility-scale
-// simulation: a deterministic event queue over the virtual time base
-// (simclock) that pops in-order pushes in O(1) and orders the rest in a
-// binary heap, plus a cache for precomputed source→target transfer
-// functions.
+// simulation: a deterministic event queue, in int64 nanoseconds from a
+// caller's origin, that pops in-order pushes in O(1) and orders the rest
+// in a binary heap, plus the per-event hash the engines draw their noise
+// from.
 //
 // # Event model
 //
@@ -16,38 +16,12 @@
 // are enqueued for epoch N+1. Within a resource, ties in event time are
 // broken by the queue's monotone sequence number — the global issue
 // order — so an arrival schedule that collides at nanosecond granularity
-// still dispatches deterministically.
-//
-// # Transfer-function cache
-//
-// TransferCache memoizes the per-(source, target) gain of a physical
-// transfer chain — in the Deep Note facility, the acoustic path from an
-// attacker speaker through water, container wall, and mount to one
-// drive's off-track response. Walking that chain costs dozens of
-// transcendental evaluations; the serving hot path must never do it
-// per operation. The invalidation rules:
-//
-//   - A dimension change (sources or targets added or removed) rebuilds
-//     the whole cache; Ensure detects it.
-//   - The cache tracks neither positions nor tones, so a same-shape move
-//     or a re-tuned source needs a fresh cache (the zero value).
-//   - Keying sources on and off does NOT invalidate: an active-set mask
-//     only selects which cached gains are superposed. This is what makes
-//     attack schedules free — any on/off pattern over a fixed speaker
-//     set reuses the same matrix.
-//
-// Both serving tiers, cluster and fleet, build the cache through the
-// drive substrate in internal/cluster (cluster.Drives): once per site at
-// construction, since layouts and speaker tones are immutable
-// afterwards, with cached gains superposed per schedule step.
+// still dispatches deterministically. The drive substrate in
+// internal/cluster (cluster.Drives) owns the drain loop that advances
+// each drive's clock to its events.
 package sched
 
-import (
-	"slices"
-	"time"
-
-	"deepnote/internal/simclock"
-)
+import "slices"
 
 // Item is one queued event: a time, a deterministic tie-break sequence,
 // and an opaque caller payload. Items are plain data (no closures) so a
@@ -98,14 +72,6 @@ func (q *Queue) Len() int { return len(q.run) - q.head + len(q.heap) }
 func (q *Queue) Grow(n int) {
 	q.run = slices.Grow(q.run, n)
 	q.heap = slices.Grow(q.heap, n)
-}
-
-// Reset drops all queued events and restarts the sequence counter,
-// keeping the allocated storage for reuse.
-func (q *Queue) Reset() {
-	q.run, q.head = q.run[:0], 0
-	q.heap = q.heap[:0]
-	q.seq = 0
 }
 
 // Push enqueues an event at time at (ns) carrying id, and returns the
@@ -189,74 +155,6 @@ func (q *Queue) siftDown(i int) {
 		h[i], h[least] = h[least], h[i]
 		i = least
 	}
-}
-
-// Runner drains a Queue against a virtual clock: each event is handed to
-// the handler with the clock advanced to at least the event time (the
-// clock never rewinds — an event whose time has already passed runs at
-// the resource's current time, modeling a backlogged server). The
-// handler may push follow-up events; they dispatch in order within the
-// same drain.
-type Runner struct {
-	Queue Queue
-	Clock *simclock.Virtual
-}
-
-// Run dispatches events until the queue is empty. origin anchors event
-// times as a Clock.Nanos reading: an event at time t dispatches with
-// Clock.Nanos() at or beyond origin+t. The handler receives each item in
-// deterministic (At, Seq) order per the queue discipline.
-func (r *Runner) Run(origin int64, handle func(Item)) {
-	for {
-		it, ok := r.Queue.Pop()
-		if !ok {
-			return
-		}
-		if now := r.Clock.Nanos() - origin; now < it.At {
-			r.Clock.Sleep(time.Duration(it.At - now))
-		}
-		handle(it)
-	}
-}
-
-// TransferCache memoizes per-(source, target) transfer gains. See the
-// package documentation for the invalidation rules. The zero value is an
-// empty, invalid cache.
-type TransferCache struct {
-	sources, targets int
-	gains            []float64
-	built            bool
-}
-
-// Ensure makes the cache valid for a sources×targets geometry, calling
-// fill exactly once per pair on (re)build. A dimension change implies a
-// geometry change and rebuilds; nothing else does.
-func (c *TransferCache) Ensure(sources, targets int, fill func(source, target int) float64) {
-	if c.built && c.sources == sources && c.targets == targets {
-		return
-	}
-	c.sources, c.targets = sources, targets
-	if need := sources * targets; cap(c.gains) < need {
-		c.gains = make([]float64, need)
-	} else {
-		c.gains = c.gains[:need]
-	}
-	for s := 0; s < sources; s++ {
-		for t := 0; t < targets; t++ {
-			c.gains[s*targets+t] = fill(s, t)
-		}
-	}
-	c.built = true
-}
-
-// Gain returns the cached source→target gain. Callers must Ensure
-// first; an unbuilt cache panics (a zero gain would silently disarm the
-// attack model).
-func (c *TransferCache) Gain(source, target int) float64 {
-	if !c.built {
-		panic("sched: TransferCache.Gain before Ensure")
-	}
-	return c.gains[source*c.targets+target]
 }
 
 // Hash64 is the deterministic per-event hash: a splitmix64 finalization

@@ -3,9 +3,6 @@ package sched
 import (
 	"math/rand"
 	"testing"
-	"time"
-
-	"deepnote/internal/simclock"
 )
 
 // TestQueueOrdersByTimeThenSeq: events come out in time order, with the
@@ -52,85 +49,6 @@ func TestQueueDispatchZeroAlloc(t *testing.T) {
 	if avg != 0 {
 		t.Fatalf("event dispatch allocated %.1f times per drain, want 0", avg)
 	}
-}
-
-// TestRunnerAdvancesClockMonotonically: the runner advances the clock to
-// each event's time and never rewinds for late events.
-func TestRunnerAdvancesClockMonotonically(t *testing.T) {
-	r := &Runner{Clock: simclock.NewVirtual()}
-	origin := r.Clock.Nanos()
-	r.Queue.Push(100, 0)
-	r.Queue.Push(50, 1)
-	r.Queue.Push(150, 2)
-	var at []int64
-	r.Run(origin, func(it Item) {
-		now := r.Clock.Nanos() - origin
-		if now < it.At {
-			t.Fatalf("event %d dispatched at clock %d before its time %d", it.ID, now, it.At)
-		}
-		at = append(at, now)
-		if it.ID == 1 {
-			// Simulate service time so event at t=100 arrives "late".
-			r.Clock.Sleep(80 * time.Nanosecond)
-		}
-	})
-	if len(at) != 3 {
-		t.Fatalf("dispatched %d events, want 3", len(at))
-	}
-	// Order: t=50 (id 1), then t=100 (id 0) at clock 130 (backlogged), then 150.
-	if at[0] != 50 || at[1] != 130 || at[2] != 150 {
-		t.Fatalf("dispatch clocks %v, want [50 130 150]", at)
-	}
-}
-
-// TestTransferCacheFillOnce: Ensure fills each pair exactly once and
-// serves subsequent lookups from the matrix.
-func TestTransferCacheFillOnce(t *testing.T) {
-	var c TransferCache
-	calls := 0
-	fill := func(s, d int) float64 {
-		calls++
-		return float64(s*10 + d)
-	}
-	c.Ensure(3, 4, fill)
-	if calls != 12 {
-		t.Fatalf("fill called %d times, want 12", calls)
-	}
-	c.Ensure(3, 4, fill) // no-op: same geometry
-	if calls != 12 {
-		t.Fatalf("valid cache refilled (%d calls)", calls)
-	}
-	if g := c.Gain(2, 3); g != 23 {
-		t.Fatalf("Gain(2,3) = %v, want 23", g)
-	}
-}
-
-// TestTransferCacheInvalidation: a dimension change rebuilds the cache.
-func TestTransferCacheInvalidation(t *testing.T) {
-	var c TransferCache
-	calls := 0
-	fill := func(s, d int) float64 { calls++; return 1 }
-	c.Ensure(2, 2, fill)
-	c.Ensure(2, 3, fill) // geometry change: rebuild
-	if calls != 4+6 {
-		t.Fatalf("fill calls %d, want 10 after dimension change", calls)
-	}
-	c.Ensure(2, 3, fill) // same shape: no rebuild
-	if calls != 4+6 {
-		t.Fatalf("fill calls %d, want 10 after a same-shape Ensure", calls)
-	}
-}
-
-// TestTransferCacheGainBeforeEnsurePanics: reading an unbuilt cache is a
-// programming error, not a silent zero.
-func TestTransferCacheGainBeforeEnsurePanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("Gain on unbuilt cache did not panic")
-		}
-	}()
-	var c TransferCache
-	c.Gain(0, 0)
 }
 
 // refQueue is the reference the queue is checked against: every pushed
@@ -215,24 +133,6 @@ func TestQueueMatchesSortedOrder(t *testing.T) {
 		if _, ok := q.Pop(); ok || q.Len() != 0 {
 			t.Fatalf("%s: queue not empty after the reference drained", name)
 		}
-	}
-}
-
-// TestQueueResetRestartsSequence: Reset drops both parts of the queue and
-// the sequence counter.
-func TestQueueResetRestartsSequence(t *testing.T) {
-	var q Queue
-	q.Push(5, 0)
-	q.Push(1, 1) // out of order: goes to the heap
-	q.Reset()
-	if q.Len() != 0 {
-		t.Fatalf("Len %d after Reset", q.Len())
-	}
-	if it, ok := q.Pop(); ok {
-		t.Fatalf("Pop found %+v after Reset", it)
-	}
-	if seq := q.Push(0, 2); seq != 0 {
-		t.Fatalf("first Seq after Reset = %d, want 0", seq)
 	}
 }
 
