@@ -145,14 +145,18 @@ func (o options) run(stdout, stderr io.Writer) error {
 	st := db.Stats()
 	fmt.Fprintf(stdout, "  engine: L0=%d L1=%d flushes=%d compactions=%d wal_errors=%d\n",
 		l0, l1, st.MemtableFlushes, st.Compactions, st.WALErrors)
-	if res.Crashed {
-		fmt.Fprintf(stdout, "  CRASHED: %v\n", res.CrashErr)
+	// Close on every run: a WAL failure the run left buffered crashes the
+	// store only when Close flushes it.
+	closeErr := db.Close()
+	if crashed, cerr := db.Crashed(); crashed {
+		fmt.Fprintf(stdout, "  CRASHED: %v\n", cerr)
+		return errors.New("database crashed")
 	}
-	if o.image == "" || res.Crashed {
+	if closeErr != nil {
+		return closeErr
+	}
+	if o.image == "" {
 		return nil
-	}
-	if err := db.Close(); err != nil {
-		return err
 	}
 	if err := fs.Unmount(); err != nil {
 		return err

@@ -69,3 +69,14 @@ func TestRunsWithoutFill(t *testing.T) {
 		t.Fatalf("exit %d, stdout %q, stderr %q", code, stdout, stderr)
 	}
 }
+
+// TestAttackedRunCrashesWithoutImage: the 650 Hz run crashes the store
+// whether or not -image is given. Without -image the WAL failure is still
+// buffered when the window ends and surfaces only as the store closes,
+// so the run must close it to report the crash.
+func TestAttackedRunCrashesWithoutImage(t *testing.T) {
+	stdout, stderr, code := dbbench("-runtime", "0.5", "-freq", "650")
+	if code != 1 || !strings.Contains(stdout, "\n  CRASHED: ") || !strings.Contains(stderr, "database crashed") {
+		t.Fatalf("exit %d, stdout %q, stderr %q; want exit 1 and a CRASHED line", code, stdout, stderr)
+	}
+}

@@ -27,6 +27,7 @@ func BenchmarkServe(b *testing.B) {
 	spec := testTraffic()
 	spec.Requests = b.N
 	spec.Rate = 1e6
+	b.ReportAllocs()
 	b.ResetTimer()
 	res, err := c.Serve(spec)
 	if err != nil {

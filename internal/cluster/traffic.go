@@ -263,13 +263,15 @@ func (c *Cluster) Serve(spec TrafficSpec) (ServeResult, error) {
 	reqs := c.reqsBuf[:spec.Requests]
 	c.failedBuf = c.failedBuf[:0]
 	c.repairBuf = c.repairBuf[:0]
-	c.latGet, c.latPut = c.latGet[:0], c.latPut[:0]
 
 	res := ServeResult{Requests: spec.Requests, MinPutShards: n}
 	for i := range reqs {
 		fl := uint8(0)
 		if rng.Float64() >= rf {
 			fl = reqPut
+			res.Puts++
+		} else {
+			res.Gets++
 		}
 		reqs[i] = reqState{arrival: ArrivalNS(i, spec.Rate), object: int32(zipf.Uint64()), flags: fl}
 		if c.defense != nil {
@@ -278,72 +280,30 @@ func (c *Cluster) Serve(spec TrafficSpec) (ServeResult, error) {
 			}
 		}
 	}
-
-	// The defense plan's re-placement writes interleave with the client
-	// stream in time order: each goes on its drive's queue just before
-	// the first request arriving at or after its activation. That keeps
-	// every queue's pushes in time order (the queue's O(1) path) and
-	// still gives an evac a lower sequence number than any request at
-	// the same time (a replica must exist on a drive's timeline before
-	// the first steered read reaches it). It relies on the plan's evacs
-	// being nondecreasing in at, which SetDefense guarantees.
-	queued := 0
-	var evacs []evacOp
 	if c.defense != nil {
 		res.EvacSkipped = c.defense.skipped
-		evacs = c.defense.evacs
-	}
-	ei := 0
-	pushEvacs := func(until int64) {
-		for ; ei < len(evacs) && evacs[ei].at <= until; ei++ {
-			ev := &evacs[ei]
-			ev.ok = false
-			c.drives.Stacks[ev.drive].Queue.Push(ev.at, packEv(int32(ei), int(ev.shard), evPut|evEvac))
-			queued++
+		for i := range c.defense.evacs {
+			c.defense.evacs[i].ok = false
 		}
 	}
 
-	// Epoch 0: PUTs stripe to all n shards; GETs try their first k
-	// sources — the k data shards, or under an active defense phase the
-	// first k entries of the phase's source order (healthy homes and
-	// replicas ahead of anything inside the predicted blast radius).
-	for ri := range reqs {
-		r := &reqs[ri]
-		pushEvacs(r.arrival)
-		limit, fl := k, uint8(0)
-		if r.flags&reqPut != 0 {
-			res.Puts++
-			limit, fl = n, evPut
-		} else {
-			res.Gets++
-		}
-		r.nextShard = uint16(limit)
-		if order := c.defenseOrder(r); order != nil && r.flags&reqPut == 0 {
-			steered := false
-			for idx := 0; idx < limit; idx++ {
-				di, j, sfl := c.resolveSource(r, order[idx])
-				if sfl != 0 || j != idx {
-					steered = true
-				}
-				c.drives.Stacks[di].Queue.Push(r.arrival, packEv(int32(ri), j, sfl))
-			}
-			if steered {
-				res.SteeredGets++
-			}
-			queued += limit
-			continue
-		}
-		for j := 0; j < limit; j++ {
-			c.drives.Stacks[c.shardDrive(int(r.object), j)].Queue.Push(r.arrival, packEv(int32(ri), j, fl))
-		}
-		queued += limit
+	// Epoch 0 is walked twice: once to count each drive's pushes, then
+	// to push them. Its pushes are in time order, so each drive's count
+	// is exactly its sorted run and the queues are sized once.
+	pushes := make([]int, len(c.drives.Stacks))
+	c.epoch0(reqs, func(di int, _ int64, _ uint64) { pushes[di]++ })
+	for di, p := range pushes {
+		c.drives.Stacks[di].Queue.Reserve(p, 0)
 	}
-	pushEvacs(math.MaxInt64)
-	pending := c.pendingBuf[0][:0]
+	queued, steered := c.epoch0(reqs, func(di int, at int64, id uint64) {
+		c.drives.Stacks[di].Queue.Push(at, id)
+	})
+	res.SteeredGets = steered
+	pending := slices.Grow(c.pendingBuf[0][:0], len(reqs))
 	for ri := range reqs {
 		pending = append(pending, int32(ri))
 	}
-	next := c.pendingBuf[1][:0]
+	next := slices.Grow(c.pendingBuf[1][:0], res.Gets)
 
 	for queued > 0 {
 		// Size each drive's result buffer for its queued ops, so the
@@ -405,6 +365,9 @@ func (c *Cluster) Serve(spec TrafficSpec) (ServeResult, error) {
 			}
 		}
 	}
+
+	c.latGet = slices.Grow(c.latGet[:0], res.Gets)
+	c.latPut = slices.Grow(c.latPut[:0], res.Puts)
 
 	// Settle outcomes in request order: latencies and read-repair planning ("first observer wins" on each lost shard —
 	// the fail list is sorted so observers are visited in request order).
@@ -472,7 +435,8 @@ func (c *Cluster) Serve(spec TrafficSpec) (ServeResult, error) {
 	if res.Span > 0 {
 		res.GoodputMBps = float64(res.BytesServed) / 1e6 / res.Span.Seconds()
 	}
-	res.P50, res.P99, res.Max = metrics.LatencyQuantiles(append(append([]time.Duration(nil), c.latGet...), c.latPut...))
+	all := make([]time.Duration, 0, len(c.latGet)+len(c.latPut))
+	res.P50, res.P99, res.Max = metrics.LatencyQuantiles(append(append(all, c.latGet...), c.latPut...))
 
 	// Background read-repair epoch.
 	if len(c.repairBuf) > 0 {
@@ -494,6 +458,67 @@ func (c *Cluster) Serve(spec TrafficSpec) (ServeResult, error) {
 
 	c.last = res
 	return res, nil
+}
+
+// epoch0 walks epoch 0's shard ops in issue order, handing each to visit
+// with its drive, time and event ID, and returns the op count and the
+// number of steered GETs. It is the one place that decides where an
+// epoch-0 op goes. PUTs stripe to all n shards; GETs try their first k
+// sources — the k data shards, or under an active defense phase the
+// first k entries of the phase's source order (healthy homes and
+// replicas ahead of anything inside the predicted blast radius).
+//
+// The defense plan's re-placement writes interleave with the client
+// stream in time order: each goes just before the first request
+// arriving at or after its activation. That keeps every drive's pushes
+// in time order (the queue's O(1) path) and still gives an evac a lower
+// sequence number than any request at the same time (a replica must
+// exist on a drive's timeline before the first steered read reaches
+// it). It relies on the plan's evacs being nondecreasing in at, which
+// SetDefense guarantees.
+func (c *Cluster) epoch0(reqs []reqState, visit func(di int, at int64, id uint64)) (ops, steered int) {
+	n, k := c.coder.TotalShards(), c.coder.DataShards()
+	var evacs []evacOp
+	if c.defense != nil {
+		evacs = c.defense.evacs
+	}
+	ei := 0
+	visitEvacs := func(until int64) {
+		for ; ei < len(evacs) && evacs[ei].at <= until; ei++ {
+			ev := &evacs[ei]
+			visit(int(ev.drive), ev.at, packEv(int32(ei), int(ev.shard), evPut|evEvac))
+			ops++
+		}
+	}
+	for ri := range reqs {
+		r := &reqs[ri]
+		visitEvacs(r.arrival)
+		limit, fl := k, uint8(0)
+		if r.flags&reqPut != 0 {
+			limit, fl = n, evPut
+		}
+		r.nextShard = uint16(limit)
+		ops += limit
+		if order := c.defenseOrder(r); order != nil && r.flags&reqPut == 0 {
+			isSteered := false
+			for idx := 0; idx < limit; idx++ {
+				di, j, sfl := c.resolveSource(r, order[idx])
+				if sfl != 0 || j != idx {
+					isSteered = true
+				}
+				visit(di, r.arrival, packEv(int32(ri), j, sfl))
+			}
+			if isSteered {
+				steered++
+			}
+			continue
+		}
+		for j := 0; j < limit; j++ {
+			visit(c.shardDrive(int(r.object), j), r.arrival, packEv(int32(ri), j, fl))
+		}
+	}
+	visitEvacs(math.MaxInt64)
+	return ops, steered
 }
 
 // dispatch executes one shard op on drive di. Drives.Drain has already

@@ -3,6 +3,7 @@ package cluster
 import (
 	"math"
 	"reflect"
+	"runtime"
 	"testing"
 	"time"
 
@@ -182,5 +183,53 @@ func TestCachedTransferMatchesDirect(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// serveAllocSlack bounds how many more allocations a Serve of 4× the
+// requests may make than one of 1× on a fresh healthy cluster. A slice
+// that grows by append instead of being sized once makes at least two
+// more at 4×, one per doubling (a large slice grows by 1.25× and makes
+// about six).
+const serveAllocSlack = 1
+
+// TestServeAllocsFlat is the serving engine's allocation budget. Every
+// per-request arena and every drive's epoch-0 queue is sized once from
+// counts the engine already has, so on a fresh healthy cluster a Serve
+// at 4× the requests allocates as many times as one at 1×, within
+// serveAllocSlack. Each count is the least of three fresh engines, since
+// the runtime itself now and then allocates while a Serve runs (a new
+// goroutine, a pool refilled after a GC).
+func TestServeAllocsFlat(t *testing.T) {
+	mallocs := func(requests int) uint64 {
+		least := uint64(math.MaxUint64)
+		for try := 0; try < 3; try++ {
+			c, err := New(testConfig(1))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := c.Preload(); err != nil {
+				t.Fatal(err)
+			}
+			spec := testTraffic()
+			spec.Requests = requests
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			res, err := c.Serve(spec)
+			runtime.ReadMemStats(&after)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.GetOK != res.Gets || res.PutOK != res.Puts || res.DegradedReads+res.DegradedWrites != 0 {
+				t.Fatalf("healthy cluster served %+v", res)
+			}
+			least = min(least, after.Mallocs-before.Mallocs)
+		}
+		return least
+	}
+	one, four := mallocs(4000), mallocs(16000)
+	if four > one+serveAllocSlack {
+		t.Fatalf("Serve made %d allocations at 4× the requests and %d at 1×, want at most %d more",
+			four, one, serveAllocSlack)
 	}
 }

@@ -30,3 +30,32 @@ func BenchmarkServe(b *testing.B) {
 	}
 	b.ReportMetric(float64(res.ShardReads+res.ShardWrites)/float64(b.N), "shardops/req")
 }
+
+// BenchmarkWANDelays measures one WAN delay draw per op — the per-op
+// jitter hash, the brownout factor and the serialization delay — on the
+// attack campaign's browned-out link, alternating PUTs and GETs.
+func BenchmarkWANDelays(b *testing.B) {
+	cfg := attackConfig(PlacementNaive, 1)
+	f, err := New(cfg)
+	if err != nil {
+		b.Fatal(err)
+	}
+	brown := cfg.WAN.Faults[1]
+	if brown.Kind != Brownout {
+		b.Fatalf("fault 1 is %s, want a brownout", brown.Kind)
+	}
+	li, at := f.linkIdx(brown.A, brown.B), int64(brown.Start)
+	if f.linkFactor(li, at) == 1 {
+		b.Fatal("the link is not browned out")
+	}
+	var sum int64
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		out, ret := f.wanDelays(li, uint64(i), at, i&1 == 0)
+		sum += out + ret
+	}
+	if sum <= 0 {
+		b.Fatal("no delay drawn")
+	}
+}

@@ -138,9 +138,13 @@ type Fleet struct {
 
 	last Result
 
-	// Serving buffers, reused across Serve calls.
+	// Serving buffers, reused across Serve calls. ops is one epoch's op
+	// arena, refilled from slot 0 every epoch; opSeq numbers the serve's
+	// ops across epochs, for the WAN hash.
 	reqs           []reqState
 	ops            []wanOp
+	opSeq          uint64
+	tally          []pushTally // per node, for enqueue
 	pendingBuf     []int32
 	orderBuf       []uint16
 	epochSort      []int32
@@ -194,6 +198,7 @@ func New(cfg Config) (*Fleet, error) {
 		shardSize: coder.ShardSize(cfg.ObjectSize),
 		drives:    drives,
 		wanSeed:   parallel.SeedFor(cfg.seed(), 1_000_003),
+		tally:     make([]pushTally, len(drives.Stacks)),
 	}
 	f.buildLinks()
 	return f, nil

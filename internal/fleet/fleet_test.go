@@ -3,6 +3,7 @@ package fleet
 import (
 	"math"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -285,5 +286,46 @@ func TestFleetShardChecksum(t *testing.T) {
 	}
 	if res.CorruptReads != 0 {
 		t.Fatalf("%d corrupt reads, want 0", res.CorruptReads)
+	}
+}
+
+// serveAllocSlack bounds how many more allocations a Serve of 4× the
+// requests may make than one of 1× on a fresh healthy fleet. A slice
+// that grows by append instead of being sized once makes at least two
+// more at 4×, one per doubling (a large slice grows by 1.25× and makes
+// about six).
+const serveAllocSlack = 1
+
+// TestServeAllocsFlat is the gateway's allocation budget. The request
+// arena, each epoch's op arena and sort order, every node queue's run
+// and heap, and the latency buffers are each sized once from counts the
+// engine already has, so on a fresh healthy fleet a Serve at 4× the
+// requests allocates as many times as one at 1×, within serveAllocSlack.
+// Each count is the least of three fresh fleets, since the runtime
+// itself now and then allocates while a Serve runs (a new goroutine, a
+// pool refilled after a GC).
+func TestServeAllocsFlat(t *testing.T) {
+	mallocs := func(requests int) uint64 {
+		least := uint64(math.MaxUint64)
+		for try := 0; try < 3; try++ {
+			f := buildFleet(t, testFleetConfig(PlacementNaive, 1))
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			res, err := f.Serve(TrafficSpec{Requests: requests, Rate: 300})
+			runtime.ReadMemStats(&after)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.GetOK != res.Gets || res.PutOK != res.Puts || res.DegradedReads+res.DegradedWrites != 0 {
+				t.Fatalf("healthy fleet served %+v", res)
+			}
+			least = min(least, after.Mallocs-before.Mallocs)
+		}
+		return least
+	}
+	one, four := mallocs(2000), mallocs(8000)
+	if four > one+serveAllocSlack {
+		t.Fatalf("Serve made %d allocations at 4× the requests and %d at 1×, want at most %d more",
+			four, one, serveAllocSlack)
 	}
 }

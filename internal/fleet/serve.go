@@ -49,25 +49,38 @@ const (
 	bChecksum                   // bytes came back but did not match the stripe
 )
 
-// wanOp is one shard operation in flight. The op index doubles as the
-// node-queue event ID; concurrent node drains write disjoint entries, so
-// the epoch's outcomes fold race-free in the serial combine.
+// wanOp is one shard operation in flight. Its slot in the epoch's op
+// arena doubles as the node-queue event ID; concurrent node drains write
+// disjoint entries, so the epoch's outcomes fold race-free in the serial
+// combine.
 type wanOp struct {
-	end      int64 // gateway-observed completion (node finish + return delay)
+	// end is the gateway-observed completion (node finish + return
+	// delay). Until dispatch sets it, an op bound for a node holds its
+	// push time there.
+	end      int64
 	retDelay int64
 	req      int32
+	node     int32 // the node holding the shard
 	link     int16 // WAN link index, -1 for a site-local op
 	shard    uint16
 	flags    uint8
 	bits     uint8
 }
 
+// pushTally counts one node's pushes in an epoch: those its queue's
+// sorted run takes, whose latest time is tail, and those its heap takes.
+type pushTally struct {
+	run, heap int
+	tail      int64
+}
+
 // Serve runs the global workload through the fleet and returns the
-// ledger. Each epoch issues ops serially (sampling WAN delays by pure
-// per-op hash), drains every node's queue concurrently on its own clock
+// ledger. Each epoch issues ops serially into the op arena (sampling WAN
+// delays by pure per-op hash), pushes them onto their nodes' queues,
+// drains every node's queue concurrently on its own clock
 // (Drives.Drain), folds outcomes serially in observation order
-// (breakers, shard accounting), then plans the next failover waves —
-// repeat until no request is pending.
+// (breakers, shard accounting), then empties the arena and plans the
+// next failover waves — repeat until no request is pending.
 func (f *Fleet) Serve(spec TrafficSpec) (Result, error) {
 	spec, err := spec.withDefaults()
 	if err != nil {
@@ -89,9 +102,10 @@ func (f *Fleet) Serve(spec TrafficSpec) (Result, error) {
 		}
 	}
 	f.ops = slices.Grow(f.ops[:0], wave0)
+	f.opSeq = 0
 	res := Result{Requests: spec.Requests}
 
-	pending := f.pendingBuf[:0]
+	pending := slices.Grow(f.pendingBuf[:0], len(f.reqs))
 	for i := range f.reqs {
 		r := &f.reqs[i]
 		if r.flags&fPut != 0 {
@@ -108,12 +122,13 @@ func (f *Fleet) Serve(spec TrafficSpec) (Result, error) {
 		pending = append(pending, int32(i))
 	}
 
-	folded := 0
 	for len(pending) > 0 {
+		f.enqueue()
 		if err := f.drives.Drain(f.dispatch); err != nil {
 			return Result{}, err
 		}
-		folded = f.combine(folded, &res)
+		f.combine(&res)
+		f.ops = f.ops[:0]
 		pending = f.plan(pending, &res)
 	}
 	f.pendingBuf = pending[:0]
@@ -124,14 +139,16 @@ func (f *Fleet) Serve(spec TrafficSpec) (Result, error) {
 	return res, nil
 }
 
-// issueOp records one shard op and either enqueues it on its node or —
-// when the WAN refuses it — synthesizes the failure the gateway will
-// observe. Called only from serial planning.
+// issueOp records one shard op in the arena, either bound for its node
+// at its push time (enqueue pushes it) or — when the WAN refuses it —
+// with the failure the gateway will observe already synthesized. Called
+// only from serial planning.
 func (f *Fleet) issueOp(ri int32, j int, at int64, put bool, res *Result) {
 	r := &f.reqs[ri]
 	ni := f.shardNode(int(r.object), j)
-	opIdx := len(f.ops)
-	op := wanOp{req: ri, shard: uint16(j), link: -1}
+	seq := f.opSeq
+	f.opSeq++
+	op := wanOp{req: ri, node: int32(ni), shard: uint16(j), link: -1, end: at}
 	if put {
 		op.flags |= oPut
 	}
@@ -144,7 +161,6 @@ func (f *Fleet) issueOp(ri int32, j int, at int64, put bool, res *Result) {
 			// Open breaker: the gateway sheds the op instantly; the
 			// link never sees it, so the breaker does not feed on it.
 			op.flags |= oFastFail
-			op.end = at
 			res.FastFails++
 			f.ops = append(f.ops, op)
 			return
@@ -157,14 +173,42 @@ func (f *Fleet) issueOp(ri int32, j int, at int64, put bool, res *Result) {
 			f.ops = append(f.ops, op)
 			return
 		}
-		out, ret := f.wanDelays(li, uint64(opIdx), at, put)
-		op.retDelay = ret
-		f.ops = append(f.ops, op)
-		f.drives.Stacks[ni].Queue.Push(at+out, uint64(opIdx))
-		return
+		out, ret := f.wanDelays(li, seq, at, put)
+		op.end, op.retDelay = at+out, ret
 	}
 	f.ops = append(f.ops, op)
-	f.drives.Stacks[ni].Queue.Push(at, uint64(opIdx))
+}
+
+// enqueue pushes the epoch's node-bound ops onto their nodes' queues in
+// op order, so each queue assigns the same sequence numbers as pushing
+// at issue would. Every queue is empty between epochs, so one pass over
+// the push times counts exactly which pushes each queue's sorted run
+// takes (the first, and any at or after the run's tail) and which its
+// heap takes, and each queue is reserved once before the pushes.
+func (f *Fleet) enqueue() {
+	clear(f.tally)
+	for i := range f.ops {
+		op := &f.ops[i]
+		if op.flags&(oFastFail|oDropped) != 0 {
+			continue
+		}
+		t := &f.tally[op.node]
+		if t.run == 0 || op.end >= t.tail {
+			t.run++
+			t.tail = op.end
+		} else {
+			t.heap++
+		}
+	}
+	for ni, t := range f.tally {
+		f.drives.Stacks[ni].Queue.Reserve(t.run, t.heap)
+	}
+	for i := range f.ops {
+		op := &f.ops[i]
+		if op.flags&(oFastFail|oDropped) == 0 {
+			f.drives.Stacks[op.node].Queue.Push(op.end, uint64(i))
+		}
+	}
 }
 
 // dispatch executes one shard op on its node through Drives.ShardOp, the
@@ -184,13 +228,13 @@ func (f *Fleet) dispatch(ni int, it sched.Item) {
 	op.end = f.drives.Offset(ni) + op.retDelay
 }
 
-// combine folds every op issued since the last fold, in gateway
-// observation order — (end, op index) — which is what makes the breaker
-// state machines deterministic. Request-level folds are commutative, so
-// the one sorted pass serves both.
-func (f *Fleet) combine(folded int, res *Result) int {
-	f.epochSort = f.epochSort[:0]
-	for i := folded; i < len(f.ops); i++ {
+// combine folds the epoch's ops in gateway observation order — (end, op
+// index) — which is what makes the breaker state machines
+// deterministic. Request-level folds are commutative, so the one sorted
+// pass serves both.
+func (f *Fleet) combine(res *Result) {
+	f.epochSort = slices.Grow(f.epochSort[:0], len(f.ops))
+	for i := range f.ops {
 		f.epochSort = append(f.epochSort, int32(i))
 	}
 	slices.SortFunc(f.epochSort, func(a, b int32) int {
@@ -236,7 +280,6 @@ func (f *Fleet) combine(folded int, res *Result) int {
 			}
 		}
 	}
-	return len(f.ops)
 }
 
 // plan walks the pending requests after a fold: completes the done ones
@@ -318,7 +361,14 @@ func (f *Fleet) plan(pending []int32, res *Result) []int32 {
 // so CorruptReads must come out zero; the audit is what makes that a
 // measurement instead of an assumption.
 func (f *Fleet) settle(res *Result) error {
-	f.latGet, f.latPut = f.latGet[:0], f.latPut[:0]
+	puts := 0
+	for i := range f.reqs {
+		if f.reqs[i].flags&fPut != 0 {
+			puts++
+		}
+	}
+	f.latGet = slices.Grow(f.latGet[:0], len(f.reqs)-puts)
+	f.latPut = slices.Grow(f.latPut[:0], puts)
 	outcomes := make([]ReqOutcome, len(f.reqs))
 	per := make([]SiteStats, len(f.cfg.Sites))
 	for s := range per {

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"slices"
 	"strconv"
 	"time"
 
@@ -81,6 +82,10 @@ func (r BenchResult) OpsPerSec() float64 {
 type Bench struct {
 	db    *DB
 	clock *simclock.Virtual
+	// key and value are rewritten for every op. DB.Put copies both (into
+	// the WAL buffer and the memtable) and Get keeps neither, so one pair
+	// of buffers serves the whole run.
+	key, value []byte
 }
 
 // NewBench binds a benchmark to a database.
@@ -88,25 +93,28 @@ func NewBench(db *DB, clock *simclock.Virtual) *Bench {
 	return &Bench{db: db, clock: clock}
 }
 
-// benchKey formats i zero-padded to benchKeySize digits; a longer number
-// keeps its leading benchKeySize digits.
-func benchKey(i int) []byte {
-	key := []byte("0000000000000000")
+// nextKey writes i into the bench's key buffer, zero-padded to
+// benchKeySize digits (a longer number keeps its leading benchKeySize
+// digits), and returns it.
+func (b *Bench) nextKey(i int) []byte {
 	var buf [20]byte
 	d := strconv.AppendInt(buf[:0], int64(i), 10)
 	if len(d) > benchKeySize {
 		d = d[:benchKeySize]
 	}
-	copy(key[benchKeySize-len(d):], d)
-	return key
+	b.key = append(b.key[:0], "0000000000000000"...)
+	copy(b.key[benchKeySize-len(d):], d)
+	return b.key
 }
 
-func benchValue(rng *rand.Rand, size int) []byte {
-	v := make([]byte, size)
-	for i := range v {
-		v[i] = byte('a' + rng.Intn(26))
+// nextValue fills the bench's value buffer with size random lowercase
+// letters, one draw per byte, and returns it.
+func (b *Bench) nextValue(rng *rand.Rand, size int) []byte {
+	b.value = slices.Grow(b.value[:0], size)[:size]
+	for i := range b.value {
+		b.value[i] = byte('a' + rng.Intn(26))
 	}
-	return v
+	return b.value
 }
 
 // Run executes the spec.
@@ -141,7 +149,7 @@ func (b *Bench) fill(spec BenchSpec) (BenchResult, error) {
 		if spec.Workload == WorkloadFillRandom {
 			idx = rng.Intn(spec.Num)
 		}
-		err := b.db.Put(benchKey(idx), benchValue(rng, spec.ValueSize))
+		err := b.db.Put(b.nextKey(idx), b.nextValue(rng, spec.ValueSize))
 		if err != nil {
 			res.Errors++
 			if crashed, cerr := b.db.Crashed(); crashed {
@@ -165,7 +173,7 @@ func (b *Bench) readRandom(spec BenchSpec) (BenchResult, error) {
 	res := BenchResult{Spec: spec}
 	start := b.clock.Now()
 	for i := 0; i < spec.Num; i++ {
-		v, err := b.db.Get(benchKey(rng.Intn(spec.Num)))
+		v, err := b.db.Get(b.nextKey(rng.Intn(spec.Num)))
 		if err != nil && !errors.Is(err, ErrNotFound) {
 			res.Errors++
 			if crashed, cerr := b.db.Crashed(); crashed {
@@ -210,7 +218,7 @@ func (b *Bench) readWhileWriting(spec BenchSpec) (BenchResult, error) {
 	})
 	defer b.db.SetRetryHook(prevHook)
 	for b.clock.Now().Sub(start) < spec.Runtime {
-		err := b.db.Put(benchKey(written), benchValue(rng, spec.ValueSize))
+		err := b.db.Put(b.nextKey(written), b.nextValue(rng, spec.ValueSize))
 		if err != nil {
 			res.Errors++
 			if crashed, cerr := b.db.Crashed(); crashed {
@@ -223,7 +231,7 @@ func (b *Bench) readWhileWriting(spec BenchSpec) (BenchResult, error) {
 			res.Bytes += int64(benchKeySize + spec.ValueSize)
 		}
 		for r := 0; r < readsPerWrite; r++ {
-			v, err := b.db.Get(benchKey(rng.Intn(written)))
+			v, err := b.db.Get(b.nextKey(rng.Intn(written)))
 			if err != nil && !errors.Is(err, ErrNotFound) {
 				res.Errors++
 				if crashed, cerr := b.db.Crashed(); crashed {

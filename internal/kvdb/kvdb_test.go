@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"math/rand"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -623,6 +624,13 @@ func TestKeyLengthLimit(t *testing.T) {
 		}
 	}
 }
+
+// benchKey returns the bench's key i in a buffer of its own.
+func benchKey(i int) []byte { return new(Bench).nextKey(i) }
+
+// benchValue returns a size-byte value, drawn as the bench draws it, in
+// a buffer of its own.
+func benchValue(rng *rand.Rand, size int) []byte { return new(Bench).nextValue(rng, size) }
 
 // TestBenchKeyMatchesSprintf: benchKey gives the bytes of
 // fmt.Sprintf("%016d", i)[:16], truncation past 16 digits included.

@@ -11,16 +11,31 @@ import (
 // hit copies only the value, whichever level holds it, a miss allocates
 // nothing, and a Put that triggers no flush stays within 4 allocations
 // (the memtable's key, value and node; the WAL buffer grows in place).
+// Bench writes every op's key and value into the same two buffers, which
+// costs nothing once they have grown; the setup puts go through them, so
+// a store that kept a caller's key or value instead of copying it would
+// lose its earlier records.
 func TestHotPathAllocs(t *testing.T) {
 	r := newRig(t, withBuffers(64<<20, 64<<20))
 	db := r.db
-	value := bytes.Repeat([]byte{'v'}, 100)
+	bench := NewBench(db, r.clock)
+	rng := rand.New(rand.NewSource(1))
 	put := func(i int) {
 		t.Helper()
-		if err := db.Put(benchKey(i), value); err != nil {
+		if err := db.Put(bench.nextKey(i), bench.nextValue(rng, 100)); err != nil {
 			t.Fatal(err)
 		}
 	}
+	if allocs := testing.AllocsPerRun(100, func() { put(0) }); allocs > 4 {
+		t.Errorf("Put through the bench buffers: %.1f allocs/op, want ≤ 4", allocs)
+	}
+	if allocs := testing.AllocsPerRun(100, func() {
+		bench.nextKey(12345)
+		bench.nextValue(rng, 100)
+	}); allocs != 0 {
+		t.Errorf("writing a bench key and value: %.1f allocs/op, want 0", allocs)
+	}
+	value := bytes.Repeat([]byte{'v'}, 100)
 	// Even keys 0..998 land in L1, 1000..1998 in L0, 2000..2998 stay in
 	// the memtable; odd keys are never written.
 	for i := 0; i < 3000; i += 2 {

@@ -2,7 +2,9 @@
 // simulation: a deterministic event queue, in int64 nanoseconds from a
 // caller's origin, that pops in-order pushes in O(1) and orders the rest
 // in a binary heap, plus the per-event hash the engines draw their noise
-// from.
+// from. The sorted run and the heap are reserved apart: an engine that
+// issues an epoch in bulk counts each queue's run and heap pushes first
+// and sizes both once instead of growing them by append.
 //
 // # Event model
 //
@@ -54,6 +56,12 @@ func (a Item) before(b Item) bool {
 // from its front in O(1), and a binary min-heap, which takes every other
 // push. Pop takes the earlier of the two heads, so the pop order
 // is exactly (At, Seq) whatever the push order.
+//
+// The two parts are sized apart (Reserve). The run takes a push when it
+// is empty or the push is at or after its tail, so between pops which
+// part each push lands in follows from the push times alone: a bulk
+// issuer can count each part's pushes and size both once, instead of
+// letting append grow them.
 type Queue struct {
 	// run[head:] holds the sorted run; run[:head] is popped space that
 	// Push reclaims once it outweighs the live part.
@@ -66,13 +74,18 @@ type Queue struct {
 // Len returns the number of queued events.
 func (q *Queue) Len() int { return len(q.run) - q.head + len(q.heap) }
 
-// Grow ensures capacity for n additional events without reallocation,
-// whichever part of the queue they land in, so bulk issue (a traffic
-// epoch) and the dispatch loop stay allocation-free.
-func (q *Queue) Grow(n int) {
-	q.run = slices.Grow(q.run, n)
-	q.heap = slices.Grow(q.heap, n)
+// Reserve ensures capacity for run more pushes into the sorted run and
+// heap more into the heap without reallocation, so a bulk issuer (a
+// traffic epoch) that has counted where its pushes land sizes each part
+// once.
+func (q *Queue) Reserve(run, heap int) {
+	q.run = slices.Grow(q.run, run)
+	q.heap = slices.Grow(q.heap, heap)
 }
+
+// Grow ensures capacity for n additional events without reallocation,
+// whichever part of the queue they land in: Reserve(n, n).
+func (q *Queue) Grow(n int) { q.Reserve(n, n) }
 
 // Push enqueues an event at time at (ns) carrying id, and returns the
 // assigned sequence number. A push at or after the sorted run's latest

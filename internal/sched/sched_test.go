@@ -160,3 +160,26 @@ func TestQueueSteadyDrainZeroAlloc(t *testing.T) {
 		t.Fatalf("run capacity grew to %d for 1024 live events", c)
 	}
 }
+
+// TestQueueReserveRunOnly: after Reserve(r, 0), r in-order pushes land
+// in the run without allocating, and the heap is never allocated. Each
+// round drains the queue, so every round pushes into an empty queue.
+func TestQueueReserveRunOnly(t *testing.T) {
+	const r = 4096
+	var q Queue
+	q.Reserve(r, 0)
+	avg := testing.AllocsPerRun(10, func() {
+		for i := int64(0); i < r; i++ {
+			q.Push(i/2, uint64(i)) // equal times still join the run
+		}
+		for q.Len() > 0 {
+			q.Pop()
+		}
+	})
+	if avg != 0 {
+		t.Fatalf("%d in-order pushes after Reserve(%d, 0) allocated %.0f times, want 0", r, r, avg)
+	}
+	if cap(q.heap) != 0 {
+		t.Fatalf("heap capacity %d after in-order pushes, want 0", cap(q.heap))
+	}
+}
