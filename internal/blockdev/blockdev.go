@@ -16,7 +16,6 @@ package blockdev
 import (
 	"errors"
 	"fmt"
-	"sync"
 	"time"
 
 	"deepnote/internal/hdd"
@@ -97,8 +96,9 @@ type Stats struct {
 // shared. Any write into a shared slot copies its page first, so no write
 // is seen through another slot. Pages are shared only into absent slots:
 // an owned page is always written in place.
+//
+// Disk is not safe for concurrent use; one owner, like hdd.Drive.
 type Disk struct {
-	mu     sync.Mutex
 	drive  *hdd.Drive
 	data   map[int64]*chunk // chunk base offset -> chunk
 	last   pageRef          // slot of the last whole page stored
@@ -148,11 +148,7 @@ func NewDisk(drive *hdd.Drive) *Disk {
 func (d *Disk) Size() int64 { return d.drive.Capacity() }
 
 // Stats returns a copy of the request counters.
-func (d *Disk) Stats() Stats {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return d.stats
-}
+func (d *Disk) Stats() Stats { return d.stats }
 
 // PublishMetrics pushes the device's counters into a registry under the
 // "blockdev." prefix (no-op on a nil registry).
@@ -176,16 +172,12 @@ func (d *Disk) PublishMetrics(reg *metrics.Registry) {
 
 // Close marks the device unusable.
 func (d *Disk) Close() error {
-	d.mu.Lock()
-	defer d.mu.Unlock()
 	d.closed = true
 	return nil
 }
 
 // ReadAt implements Device.
 func (d *Disk) ReadAt(p []byte, off int64) (int, error) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
 	if d.closed {
 		return 0, ErrClosed
 	}
@@ -211,8 +203,6 @@ func (d *Disk) ReadAt(p []byte, off int64) (int, error) {
 
 // WriteAt implements Device.
 func (d *Disk) WriteAt(p []byte, off int64) (int, error) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
 	if d.closed {
 		return 0, ErrClosed
 	}
@@ -259,8 +249,6 @@ func (d *Disk) applyCorruptions(offsets []int64) {
 // media access at the last written position; under attack this fails like
 // any other write.
 func (d *Disk) Flush() error {
-	d.mu.Lock()
-	defer d.mu.Unlock()
 	if d.closed {
 		return ErrClosed
 	}

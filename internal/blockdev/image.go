@@ -32,8 +32,6 @@ var ErrBadImage = errors.New("blockdev: bad image")
 // Virtual time is not charged: imaging models an out-of-band operation
 // (e.g. copying a VM disk), not victim I/O.
 func (d *Disk) SaveImage(w io.Writer) error {
-	d.mu.Lock()
-	defer d.mu.Unlock()
 	bw := bufio.NewWriter(w)
 	le := binary.LittleEndian
 	header := make([]byte, 8+4+8+4+4)
@@ -77,8 +75,6 @@ func (d *Disk) SaveImage(w io.Writer) error {
 // rejected with ErrBadImage, and storage grows only as chunk bodies
 // actually arrive.
 func (d *Disk) LoadImage(r io.Reader) error {
-	d.mu.Lock()
-	defer d.mu.Unlock()
 	br := bufio.NewReader(r)
 	header := make([]byte, 8+4+8+4+4)
 	if _, err := io.ReadFull(br, header); err != nil {

@@ -449,3 +449,39 @@ func BenchmarkDiskWriteAt(b *testing.B) {
 		})
 	}
 }
+
+// BenchmarkDiskReadAt times a 4 KiB read at the start of one of 256
+// chunks in turn, as BenchmarkDiskWriteAt writes, so seek costs match:
+// stored reads a page that a write filled, absent one that the store has
+// never held and serves as zeros. Neither allocates.
+func BenchmarkDiskReadAt(b *testing.B) {
+	const cycle = 256
+	for _, bc := range []struct {
+		name   string
+		stored bool
+	}{
+		{"stored", true},
+		{"absent", false},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			d, _ := newDisk(b)
+			if bc.stored {
+				pg := make([]byte, pageSize)
+				for c := int64(0); c < cycle; c++ {
+					pg[0] = byte(c + 1) // distinct pages, none shared
+					if _, err := d.WriteAt(pg, c*chunkSize); err != nil {
+						b.Fatal(err)
+					}
+				}
+			}
+			p := make([]byte, pageSize)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := d.ReadAt(p, int64(i%cycle)*chunkSize); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}

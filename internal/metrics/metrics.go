@@ -17,6 +17,11 @@
 //     per-bucket sum — all order-independent — so a grid fanned over
 //     internal/parallel workers produces the same snapshot at any worker
 //     count.
+//
+// A grid's workers all publish into one registry, so a registry is, with
+// internal/parallel's pool state, one of the two values a second
+// goroutine can reach. Unlike the single-owner simulation stacks
+// (simclock, hdd, blockdev, netstore), it keeps its atomics and locks.
 package metrics
 
 import (
@@ -212,7 +217,9 @@ func NewRegistry() *Registry {
 }
 
 // SetClock attaches a virtual clock; snapshots taken afterwards stamp the
-// virtual time elapsed since attachment. Safe on a nil receiver.
+// virtual time elapsed since attachment. Safe on a nil receiver. The
+// clock has one owner and no lock of its own, so only its owner may call
+// SetClock or Snapshot.
 func (r *Registry) SetClock(c *simclock.Virtual) {
 	if r == nil || c == nil {
 		return

@@ -84,7 +84,9 @@ type Response struct {
 	Err error
 }
 
-// Server is the storage service.
+// Server is the storage service. Server is not safe for concurrent use;
+// one owner, like hdd.Drive: the goroutine that owns the server also owns
+// its clock, drive and block device.
 type Server struct {
 	dev   blockdev.Device
 	clock *simclock.Virtual

@@ -15,7 +15,12 @@
 //
 // Each task must build its own testbed/drive/clock instances; the engine
 // shares nothing between tasks beyond the read-only inputs the caller
-// closes over.
+// closes over. That is the ownership rule (DESIGN.md §5): a simulation
+// stack (simclock.Virtual, hdd.Drive, blockdev.Disk, netstore.Server) has
+// one owner and takes no locks, so the only values a second goroutine can
+// reach are a metrics.Registry and this package's own pool state, and
+// only those two packages import sync or sync/atomic
+// (TestOnlySyncOwnersImportSync).
 package parallel
 
 import (
@@ -72,6 +77,9 @@ func Run[T, R any](ctx context.Context, tasks []T, workers int, fn func(ctx cont
 	defer cancel()
 
 	results := make([]R, len(tasks))
+	// The pool state below is what every worker shares, so it is atomic
+	// or locked; results[i] is written by task i's worker alone and read
+	// after wg.Wait.
 	var (
 		next     atomic.Int64
 		failOnce sync.Once

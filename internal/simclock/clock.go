@@ -8,7 +8,6 @@ package simclock
 import (
 	"fmt"
 	"math"
-	"sync/atomic"
 	"time"
 )
 
@@ -17,13 +16,16 @@ import (
 //
 // The clock holds the virtual nanoseconds elapsed since a fixed epoch in
 // an int64, and Now is the epoch plus that offset — the same time.Time
-// the sum of every Sleep added to the epoch would give. Virtual is
-// lock-free and safe for concurrent use, though the simulation is
-// predominantly single-goroutine by design. The offset saturates at
-// math.MaxInt64 nanoseconds (about 292 years, in the year 2315) rather
-// than wrapping, so time never runs backwards.
+// the sum of every Sleep added to the epoch would give. The offset
+// saturates at math.MaxInt64 nanoseconds (about 292 years, in the year
+// 2315) rather than wrapping, so time never runs backwards.
+//
+// Virtual is not safe for concurrent use; one owner, like hdd.Drive. A
+// clock belongs to the stack built on it (drive, block device, server),
+// and only the goroutine that owns that stack sleeps or reads it. Code
+// that fans work out across goroutines gives each one its own clock.
 type Virtual struct {
-	ns atomic.Int64 // virtual nanoseconds since epoch
+	ns int64 // virtual nanoseconds since epoch
 }
 
 // epoch is every Virtual's time zero. It is arbitrary but fixed, so runs
@@ -34,7 +36,7 @@ var epoch = time.Date(2023, time.July, 9, 0, 0, 0, 0, time.UTC)
 func NewVirtual() *Virtual { return &Virtual{} }
 
 // Now returns the current virtual time.
-func (v *Virtual) Now() time.Time { return epoch.Add(time.Duration(v.ns.Load())) }
+func (v *Virtual) Now() time.Time { return epoch.Add(time.Duration(v.ns)) }
 
 // Nanos returns the current virtual time as nanoseconds since the epoch:
 // Now without the time.Time, for engines that keep simulated time as
@@ -42,7 +44,7 @@ func (v *Virtual) Now() time.Time { return epoch.Add(time.Duration(v.ns.Load()))
 // tn another Nanos call returned at time t; both offsets lie in
 // [0, math.MaxInt64], so the difference never overflows, even at the
 // ceiling.
-func (v *Virtual) Nanos() int64 { return v.ns.Load() }
+func (v *Virtual) Nanos() int64 { return v.ns }
 
 // Sleep advances the clock by d, saturating at math.MaxInt64 nanoseconds
 // past the epoch. Non-positive durations are ignored.
@@ -50,19 +52,14 @@ func (v *Virtual) Sleep(d time.Duration) {
 	if d <= 0 {
 		return
 	}
-	for {
-		ns := v.ns.Load()
-		next := ns + int64(d)
-		if next < ns {
-			next = math.MaxInt64
-		}
-		if v.ns.CompareAndSwap(ns, next) {
-			return
-		}
+	next := v.ns + int64(d)
+	if next < v.ns {
+		next = math.MaxInt64
 	}
+	v.ns = next
 }
 
 // String renders the clock's current offset from its epoch.
 func (v *Virtual) String() string {
-	return fmt.Sprintf("virtual(+%s)", time.Duration(v.ns.Load()))
+	return fmt.Sprintf("virtual(+%s)", time.Duration(v.ns))
 }

