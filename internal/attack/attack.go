@@ -179,14 +179,17 @@ type RangeRow struct {
 	ReadNoResponse, WriteNoResponse bool
 }
 
+// rangeJobRuntime is RangeTest's fio window per distance and pattern, in
+// virtual time.
+const rangeJobRuntime = 2 * time.Second
+
 // RangeTest measures attack effect over distance at a fixed frequency
 // (§4.2 uses 650 Hz in Scenario 2): the no-attack baseline, then the
-// paper's six distances from 1 to 25 cm.
+// paper's six distances from 1 to 25 cm, each with rangeJobRuntime of fio.
 type RangeTest struct {
-	Scenario   core.Scenario
-	Freq       units.Frequency
-	JobRuntime time.Duration
-	Seed       int64
+	Scenario core.Scenario
+	Freq     units.Frequency
+	Seed     int64
 	// Metrics, when set, receives the per-rig layer counters and the
 	// range test's own outcome counters (nil = uninstrumented).
 	Metrics *metrics.Registry
@@ -195,9 +198,6 @@ type RangeTest struct {
 func (r RangeTest) withDefaults() RangeTest {
 	if r.Freq == 0 {
 		r.Freq = 650 * units.Hz
-	}
-	if r.JobRuntime == 0 {
-		r.JobRuntime = 2 * time.Second
 	}
 	if r.Seed == 0 {
 		r.Seed = 1
@@ -227,7 +227,7 @@ func (r RangeTest) Run() ([]RangeRow, error) {
 			if d > 0 {
 				rig.MoveSpeaker(d, sig.NewTone(r.Freq))
 			}
-			res, err := fio.NewRunner(rig.Disk, rig.Clock).WithMetrics(r.Metrics).Run(fio.PaperJob(pat, r.JobRuntime))
+			res, err := fio.NewRunner(rig.Disk, rig.Clock).WithMetrics(r.Metrics).Run(fio.PaperJob(pat, rangeJobRuntime))
 			if err != nil {
 				return row, err
 			}

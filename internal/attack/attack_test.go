@@ -76,7 +76,7 @@ func TestSweepPointDegradation(t *testing.T) {
 }
 
 func TestRangeTestReproducesTable1Shape(t *testing.T) {
-	rows, err := RangeTest{JobRuntime: time.Second}.Run()
+	rows, err := RangeTest{}.Run()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -107,7 +107,7 @@ func TestRangeTestReproducesTable1Shape(t *testing.T) {
 }
 
 func TestMaxEffectiveDistance(t *testing.T) {
-	rows, err := RangeTest{JobRuntime: time.Second}.Run()
+	rows, err := RangeTest{}.Run()
 	if err != nil {
 		t.Fatal(err)
 	}

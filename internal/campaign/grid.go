@@ -10,20 +10,17 @@ import (
 	"deepnote/internal/report"
 )
 
-// Grid sweeps the duty-cycle plane: every (On, Off) pair from the two
-// axes is a full Stealth campaign, and the resulting matrix shows the
-// attacker's damage/stealth trade-off at a glance. Cells are independent
-// campaigns on independent rigs, so the grid fans out over the Workers
-// pool; each cell's seed is derived with parallel.SeedFor from the base
-// spec's seed and the cell index, making the whole grid reproducible
-// bit-for-bit at any parallelism.
+// Grid sweeps the duty-cycle plane: every (On, Off) pair from the
+// gridOn and gridOff axes is a full Stealth campaign, and the resulting
+// matrix shows the attacker's damage/stealth trade-off at a glance. Cells
+// are independent campaigns on independent rigs, so the grid fans out over
+// the Workers pool; each cell's seed is derived with parallel.SeedFor from
+// the base spec's seed and the cell index, making the whole grid
+// reproducible bit-for-bit at any parallelism.
 type Grid struct {
 	// Base supplies everything except the duty cycle; its Seed is the
 	// base seed each cell's seed is derived from.
 	Base Stealth
-	// OnValues and OffValues are the grid axes (burst length × quiet
-	// gap).
-	OnValues, OffValues []time.Duration
 	// Workers bounds how many cells run concurrently; ≤ 0 means one
 	// worker per CPU.
 	Workers int
@@ -34,24 +31,27 @@ type Grid struct {
 }
 
 // DefaultGrid is the grid `deepnote stealthgrid` runs with no flags: a
-// DefaultStealth base over paper-flavoured burst and gap axes.
+// DefaultStealth base.
 func DefaultGrid() Grid {
-	return Grid{
-		Base:      DefaultStealth(),
-		OnValues:  []time.Duration{500 * time.Millisecond, 1 * time.Second, 2 * time.Second},
-		OffValues: []time.Duration{0, 2 * time.Second, 10 * time.Second},
-	}
+	return Grid{Base: DefaultStealth()}
 }
 
+// gridOn and gridOff are the grid's paper-flavoured axes: burst length ×
+// quiet gap.
+var (
+	gridOn  = []time.Duration{500 * time.Millisecond, 1 * time.Second, 2 * time.Second}
+	gridOff = []time.Duration{0, 2 * time.Second, 10 * time.Second}
+)
+
 // Run executes every cell of the grid and returns results in row-major
-// order (OnValues outer, OffValues inner), identical for any Workers.
+// order (gridOn outer, gridOff inner), identical for any Workers.
 func (g Grid) Run() ([]Result, error) {
 	type cell struct {
 		duty DutyCycle
 	}
 	var cells []cell
-	for _, on := range g.OnValues {
-		for _, off := range g.OffValues {
+	for _, on := range gridOn {
+		for _, off := range gridOff {
 			cells = append(cells, cell{duty: DutyCycle{On: on, Off: off}})
 		}
 	}

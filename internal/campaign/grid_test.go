@@ -6,14 +6,13 @@ import (
 	"time"
 )
 
-// testGrid is small enough to run many times in the determinism test but
-// still covers the damage/stealth extremes (continuous vs 1:10 duty).
+// testGrid runs the 3×3 duty-cycle grid over 12 s campaigns: short enough
+// to run many times in the determinism test, and still spanning the
+// damage/stealth extremes (continuous vs 1:5 duty).
 func testGrid(workers int) Grid {
 	return Grid{
-		Base:      Stealth{Duration: 12 * time.Second, Seed: 1},
-		OnValues:  []time.Duration{500 * time.Millisecond, 2 * time.Second},
-		OffValues: []time.Duration{0, 5 * time.Second},
-		Workers:   workers,
+		Base:    Stealth{Duration: 12 * time.Second, Seed: 1},
+		Workers: workers,
 	}
 }
 
@@ -22,8 +21,8 @@ func TestGridDeterministicAcrossWorkerCounts(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(ref) != 4 {
-		t.Fatalf("cells = %d, want 4", len(ref))
+	if len(ref) != 9 {
+		t.Fatalf("cells = %d, want 9", len(ref))
 	}
 	for _, workers := range []int{2, 8} {
 		got, err := testGrid(workers).Run()
@@ -41,22 +40,21 @@ func TestGridOrderingAndTradeoff(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Row-major order: OnValues outer, OffValues inner.
-	wantDuty := [][2]time.Duration{
-		{500 * time.Millisecond, 0},
-		{500 * time.Millisecond, 5 * time.Second},
-		{2 * time.Second, 0},
-		{2 * time.Second, 5 * time.Second},
+	// Row-major order: gridOn outer, gridOff inner.
+	if len(rows) != len(gridOn)*len(gridOff) {
+		t.Fatalf("cells = %d, want %d", len(rows), len(gridOn)*len(gridOff))
 	}
 	for i, r := range rows {
-		if r.Spec.Duty.On != wantDuty[i][0] || r.Spec.Duty.Off != wantDuty[i][1] {
-			t.Fatalf("cell %d duty = %+v, want %v", i, r.Spec.Duty, wantDuty[i])
+		on, off := gridOn[i/len(gridOff)], gridOff[i%len(gridOff)]
+		if r.Spec.Duty.On != on || r.Spec.Duty.Off != off {
+			t.Fatalf("cell %d duty = %+v, want %v on / %v off", i, r.Spec.Duty, on, off)
 		}
 	}
-	// The continuous 2 s-burst cell must out-damage the 1:10 stealth cell.
-	if rows[2].LossFraction <= rows[3].LossFraction {
+	// The continuous 2 s-burst cell must out-damage the 1:5 stealth cell
+	// (2 s on, 10 s off).
+	if rows[6].LossFraction <= rows[8].LossFraction {
 		t.Fatalf("continuous loss %.2f should exceed duty-cycled %.2f",
-			rows[2].LossFraction, rows[3].LossFraction)
+			rows[6].LossFraction, rows[8].LossFraction)
 	}
 	rep := GridReport(rows).String()
 	if len(rep) == 0 {

@@ -9,15 +9,13 @@ import (
 	"deepnote/internal/metrics"
 )
 
-// metricsGrid is a small duty-cycle grid: 2×2 cells over a short campaign,
-// fast enough for the workers × metrics determinism matrix below.
+// metricsGrid is the 3×3 duty-cycle grid over a short campaign, fast
+// enough for the workers × metrics determinism matrix below.
 func metricsGrid(workers int, reg *metrics.Registry) Grid {
 	return Grid{
-		Base:      Stealth{Duration: 6 * time.Second, Seed: 1},
-		OnValues:  []time.Duration{500 * time.Millisecond, 2 * time.Second},
-		OffValues: []time.Duration{0, 2 * time.Second},
-		Workers:   workers,
-		Metrics:   reg,
+		Base:    Stealth{Duration: 6 * time.Second, Seed: 1},
+		Workers: workers,
+		Metrics: reg,
 	}
 }
 

@@ -210,7 +210,7 @@ type Table1Result struct {
 // Table1Observed runs the paper's §4.2 range test (650 Hz, Scenario 2),
 // publishing per-layer counters into reg (nil reg = uninstrumented).
 func Table1Observed(seed int64, reg *metrics.Registry) (Table1Result, error) {
-	rows, err := attack.RangeTest{JobRuntime: 2 * time.Second, Seed: seed, Metrics: reg}.Run()
+	rows, err := attack.RangeTest{Seed: seed, Metrics: reg}.Run()
 	if err != nil {
 		return Table1Result{}, err
 	}

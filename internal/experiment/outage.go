@@ -17,12 +17,13 @@ import (
 // controlled throughput loss of a victim drive for a specific amount of
 // time, to induce application delays — then full recovery. The result is
 // the throughput timeline a monitoring system would record, in one-second
-// buckets. The speaker sits at 1 cm and the rig uses seed 1.
+// buckets. The rig is Scenario 2 with seed 1 and the speaker at 1 cm, and
+// the tone's window sits between outageBefore and outageAfter of quiet
+// writing.
 type ControlledOutage struct {
-	Scenario core.Scenario
-	Freq     units.Frequency
-	// Before, During, After are the phase durations.
-	Before, During, After time.Duration
+	Freq units.Frequency
+	// During is how long the tone is keyed.
+	During time.Duration
 	// Metrics, when set, is bound to the rig's virtual clock (snapshots
 	// stamp virtual seconds) and receives the drive/disk counters plus
 	// phase-mean gauges (nil = uninstrumented).
@@ -32,11 +33,11 @@ type ControlledOutage struct {
 // DefaultControlledOutage is the outage `deepnote outage` runs with no
 // flags.
 func DefaultControlledOutage() ControlledOutage {
-	return ControlledOutage{
-		Scenario: core.Scenario2, Freq: 650 * units.Hz,
-		Before: 5 * time.Second, During: 10 * time.Second, After: 5 * time.Second,
-	}
+	return ControlledOutage{Freq: 650 * units.Hz, During: 10 * time.Second}
 }
+
+// outageBefore and outageAfter are the quiet phases around the tone.
+const outageBefore, outageAfter = 5 * time.Second, 5 * time.Second
 
 // OutageResult is the measured timeline.
 type OutageResult struct {
@@ -51,13 +52,11 @@ type OutageResult struct {
 func (c ControlledOutage) Run() (OutageResult, error) {
 	if err := valid.First("experiment: ControlledOutage",
 		valid.Positive("Freq", c.Freq),
-		valid.Positive("Before", c.Before),
 		valid.Positive("During", c.During),
-		valid.Positive("After", c.After),
 	); err != nil {
 		return OutageResult{}, err
 	}
-	rig, err := core.NewRig(c.Scenario, 1*units.Centimeter, 1)
+	rig, err := core.NewRig(core.Scenario2, 1*units.Centimeter, 1)
 	if err != nil {
 		return OutageResult{}, err
 	}
@@ -78,16 +77,16 @@ func (c ControlledOutage) Run() (OutageResult, error) {
 		}
 	}
 
-	writeUntil(phaseEnd(c.Before))
+	writeUntil(phaseEnd(outageBefore))
 	rig.ApplyTone(sig.NewTone(c.Freq))
 	writeUntil(phaseEnd(c.During))
 	rig.Silence()
-	writeUntil(phaseEnd(c.After))
+	writeUntil(phaseEnd(outageAfter))
 
 	res := OutageResult{Spec: c, Points: meter.Buckets()}
-	res.BeforeMBps = meter.MeanMBps(0, c.Before)
-	res.DuringMBps = meter.MeanMBps(c.Before, c.Before+c.During)
-	res.AfterMBps = meter.MeanMBps(c.Before+c.During, c.Before+c.During+c.After)
+	res.BeforeMBps = meter.MeanMBps(0, outageBefore)
+	res.DuringMBps = meter.MeanMBps(outageBefore, outageBefore+c.During)
+	res.AfterMBps = meter.MeanMBps(outageBefore+c.During, outageBefore+c.During+outageAfter)
 	if c.Metrics != nil {
 		rig.Drive.PublishMetrics(c.Metrics)
 		rig.Disk.PublishMetrics(c.Metrics)
@@ -109,7 +108,7 @@ func (r OutageResult) Chart() *report.Chart {
 	return &report.Chart{
 		Title: fmt.Sprintf("Controlled outage: %v keyed for %.0fs (attack window %.0f-%.0fs)",
 			r.Spec.Freq, r.Spec.During.Seconds(),
-			r.Spec.Before.Seconds(), (r.Spec.Before + r.Spec.During).Seconds()),
+			outageBefore.Seconds(), (outageBefore + r.Spec.During).Seconds()),
 		XLabel: "time (s)",
 		YLabel: "MB/s",
 		Series: []report.Series{s},

@@ -8,7 +8,7 @@ import (
 
 func TestControlledOutageTimeline(t *testing.T) {
 	spec := DefaultControlledOutage()
-	spec.Before, spec.During, spec.After = 3*time.Second, 4*time.Second, 3*time.Second
+	spec.During = 4 * time.Second
 	res, err := spec.Run()
 	if err != nil {
 		t.Fatal(err)
@@ -24,8 +24,8 @@ func TestControlledOutageTimeline(t *testing.T) {
 	}
 	// The timeline must cover all three phases.
 	total := res.Points[len(res.Points)-1].T
-	if total < 9*time.Second {
-		t.Fatalf("timeline covers %v, want ≈10s", total)
+	if total < 13*time.Second {
+		t.Fatalf("timeline covers %v, want ≈14s", total)
 	}
 	chart := res.Chart().String()
 	if !strings.Contains(chart, "Controlled outage") {
@@ -36,7 +36,7 @@ func TestControlledOutageTimeline(t *testing.T) {
 func TestControlledOutageAtSafeFrequencyIsHarmless(t *testing.T) {
 	spec := DefaultControlledOutage()
 	spec.Freq = 8000
-	spec.Before, spec.During, spec.After = 2*time.Second, 2*time.Second, 2*time.Second
+	spec.During = 2 * time.Second
 	res, err := spec.Run()
 	if err != nil {
 		t.Fatal(err)

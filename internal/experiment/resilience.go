@@ -29,19 +29,16 @@ import (
 // the bare stack surfaces as dmesg errors. The paper measures time-to-
 // crash; this experiment adds the operations side: availability over the
 // whole episode and mean time to recovery. The tone is the paper's
-// 650 Hz from 1 cm in Scenario 2; availability is sampled every 250 ms,
-// and the victim's tray sensor hears no ambient soundscape.
+// 650 Hz from 1 cm in Scenario 2 after a resiliencePre healthy lead-in;
+// the OS crashes on osmodel's fixed 80 s crash threshold; availability is
+// sampled every 250 ms, and the victim's tray sensor hears no ambient
+// soundscape.
 type Resilience struct {
-	// Pre is the healthy lead-in; the injected fault burst fires inside it.
-	Pre time.Duration
 	// Attack is how long the tone is held (by default past the ≈81 s
 	// Ubuntu time-to-crash).
 	Attack time.Duration
 	// Cooldown is the post-attack window in which recovery can happen.
 	Cooldown time.Duration
-	// CrashThreshold is the OS crash threshold; tests shrink it to keep
-	// virtual time short.
-	CrashThreshold time.Duration
 	// Workers bounds the config fan-out (≤ 0 = one per CPU). Results are
 	// bit-identical for any worker count.
 	Workers int
@@ -53,11 +50,12 @@ type Resilience struct {
 // DefaultResilience is the ladder `deepnote resilience` runs with no
 // flags.
 func DefaultResilience() Resilience {
-	return Resilience{
-		Pre: 10 * time.Second, Attack: 100 * time.Second,
-		Cooldown: 60 * time.Second, CrashThreshold: 80 * time.Second,
-	}
+	return Resilience{Attack: 100 * time.Second, Cooldown: 60 * time.Second}
 }
+
+// resiliencePre is the healthy lead-in before the tone; the injected fault
+// burst fires inside it.
+const resiliencePre = 10 * time.Second
 
 // ResilienceRow is one stack configuration's episode outcome.
 type ResilienceRow struct {
@@ -101,13 +99,9 @@ func resilienceConfigs() []resilienceConfig {
 }
 
 // preBurst is the transient storage glitch injected before the attack: one
-// second of certain I/O errors, well under the crash threshold.
-func (r Resilience) preBurst() faultinj.Fault {
-	return faultinj.Fault{
-		Start:    r.Pre / 2,
-		Duration: time.Second,
-	}
-}
+// second of certain I/O errors halfway through the lead-in, well under the
+// crash threshold.
+var preBurst = faultinj.Fault{Start: resiliencePre / 2, Duration: time.Second}
 
 // resilienceRetryPolicy rides out the one-second injected burst: the
 // cumulative backoff comfortably exceeds the burst window while staying
@@ -133,7 +127,7 @@ func (r Resilience) runResilienceConfig(cfg resilienceConfig, seed int64) (Resil
 	// Device stack: acoustic drive → fault injector → (optional) retrier
 	// → latency/error monitor outermost, so the detector sees exactly the
 	// I/O behavior the OS sees.
-	inj := faultinj.Wrap(rig.Disk, clock, r.preBurst())
+	inj := faultinj.Wrap(rig.Disk, clock, preBurst)
 	var dev blockdev.Device = inj
 	var retrier *blockdev.Retrier
 	if cfg.retries {
@@ -166,7 +160,7 @@ func (r Resilience) runResilienceConfig(cfg resilienceConfig, seed int64) (Resil
 	if err != nil {
 		return row, err
 	}
-	srvCfg := osmodel.Config{Seed: seed, CrashThreshold: r.CrashThreshold}
+	srvCfg := osmodel.Config{Seed: seed}
 	srv, err := osmodel.Boot(fs, clock, srvCfg)
 	if err != nil {
 		return row, err
@@ -239,7 +233,7 @@ func (r Resilience) runResilienceConfig(cfg resilienceConfig, seed int64) (Resil
 		}
 	}
 
-	runPhase(r.Pre)
+	runPhase(resiliencePre)
 	burstErrors := current().PageInErrors + current().LogErrors
 	row.BurstMasked = burstErrors == 0
 
@@ -331,10 +325,8 @@ func (r Resilience) publishConfig(cfg resilienceConfig, rig *core.Rig, inj *faul
 // simulations over the worker pool.
 func (r Resilience) Run() ([]ResilienceRow, error) {
 	if err := valid.First("experiment: Resilience",
-		valid.Positive("Pre", r.Pre),
 		valid.Positive("Attack", r.Attack),
 		valid.AtLeast("Cooldown", r.Cooldown, 0),
-		valid.Positive("CrashThreshold", r.CrashThreshold),
 	); err != nil {
 		return nil, err
 	}

@@ -2,31 +2,52 @@ package experiment
 
 import (
 	"encoding/json"
+	"sync"
 	"testing"
 	"time"
 
 	"deepnote/internal/metrics"
 )
 
-// testResilienceSpec shrinks the episode so the three-config ladder stays
-// fast: a 12 s crash threshold inside a 30 s attack, with enough cooldown
-// for the watchdog to reboot.
-func testResilienceSpec(workers int, reg *metrics.Registry) Resilience {
-	return Resilience{
-		Pre:            6 * time.Second,
-		Attack:         30 * time.Second,
-		Cooldown:       25 * time.Second,
-		CrashThreshold: 12 * time.Second,
-		Workers:        workers,
-		Metrics:        reg,
-	}
+// ladderRun is one instrumented run of the default ladder: the paper-scale
+// episode (100 s of tone against the 80 s crash threshold, then 60 s of
+// cooldown) on one worker, with its rows and snapshot in JSON.
+type ladderRun struct {
+	rows     []ResilienceRow
+	rowsJSON []byte
+	snap     metrics.Snapshot
+	snapJSON []byte
+	err      error
 }
 
-func TestResilienceLadderOutcomes(t *testing.T) {
-	rows, err := testResilienceSpec(1, nil).Run()
-	if err != nil {
-		t.Fatal(err)
+// runLadder runs DefaultResilience at the given worker count, instrumented.
+func runLadder(workers int) ladderRun {
+	reg := metrics.NewRegistry()
+	spec := DefaultResilience()
+	spec.Workers, spec.Metrics = workers, reg
+	var run ladderRun
+	if run.rows, run.err = spec.Run(); run.err != nil {
+		return run
 	}
+	run.snap = reg.Snapshot()
+	if run.rowsJSON, run.err = json.Marshal(run.rows); run.err != nil {
+		return run
+	}
+	run.snapJSON, run.err = json.Marshal(run.snap)
+	return run
+}
+
+// sharedLadder is the workers-1 run every resilience test reads: the
+// ladder and snapshot tests check it, and the determinism test compares
+// other worker counts against it.
+var sharedLadder = sync.OnceValue(func() ladderRun { return runLadder(1) })
+
+func TestResilienceLadderOutcomes(t *testing.T) {
+	run := sharedLadder()
+	if run.err != nil {
+		t.Fatal(run.err)
+	}
+	rows := run.rows
 	if len(rows) != 3 {
 		t.Fatalf("rows = %d", len(rows))
 	}
@@ -39,10 +60,10 @@ func TestResilienceLadderOutcomes(t *testing.T) {
 	if !bare.Crashed || bare.Recovered || bare.Reboots != 0 {
 		t.Fatalf("bare stack must crash and stay down: %+v", bare)
 	}
-	// Time-to-crash tracks the crash threshold (the paper's ≈81 s scales
-	// with the 80 s default; the test threshold is 12 s).
-	if bare.TimeToCrash < 11*time.Second || bare.TimeToCrash > 20*time.Second {
-		t.Fatalf("bare TTC = %v", bare.TimeToCrash)
+	// The paper's Table 3: Ubuntu crashes ≈81 s into the tone, just past
+	// the 80 s crash threshold.
+	if bare.TimeToCrash < 80*time.Second || bare.TimeToCrash > 84*time.Second {
+		t.Fatalf("bare TTC = %v, want ≈81 s", bare.TimeToCrash)
 	}
 	if bare.BurstMasked {
 		t.Fatal("bare stack has no retry layer; the injected burst must surface")
@@ -76,33 +97,19 @@ func TestResilienceLadderOutcomes(t *testing.T) {
 }
 
 func TestResilienceDeterministicAcrossWorkers(t *testing.T) {
-	type run struct {
-		rows []byte
-		snap []byte
+	base := sharedLadder()
+	if base.err != nil {
+		t.Fatal(base.err)
 	}
-	runAt := func(workers int) run {
-		reg := metrics.NewRegistry()
-		rows, err := testResilienceSpec(workers, reg).Run()
-		if err != nil {
-			t.Fatal(err)
-		}
-		rj, err := json.Marshal(rows)
-		if err != nil {
-			t.Fatal(err)
-		}
-		sj, err := json.Marshal(reg.Snapshot())
-		if err != nil {
-			t.Fatal(err)
-		}
-		return run{rows: rj, snap: sj}
-	}
-	base := runAt(1)
 	for _, workers := range []int{2, 8} {
-		got := runAt(workers)
-		if string(got.rows) != string(base.rows) {
-			t.Fatalf("rows differ at workers=%d:\n%s\nvs\n%s", workers, got.rows, base.rows)
+		got := runLadder(workers)
+		if got.err != nil {
+			t.Fatal(got.err)
 		}
-		if string(got.snap) != string(base.snap) {
+		if string(got.rowsJSON) != string(base.rowsJSON) {
+			t.Fatalf("rows differ at workers=%d:\n%s\nvs\n%s", workers, got.rowsJSON, base.rowsJSON)
+		}
+		if string(got.snapJSON) != string(base.snapJSON) {
 			t.Fatalf("metrics snapshot differs at workers=%d", workers)
 		}
 	}
@@ -111,11 +118,11 @@ func TestResilienceDeterministicAcrossWorkers(t *testing.T) {
 func TestResilienceSnapshotShowsFaultsAndRecovery(t *testing.T) {
 	// Acceptance: every injected fault and recovery action must be visible
 	// in the deepnote-metrics snapshot.
-	reg := metrics.NewRegistry()
-	if _, err := testResilienceSpec(1, reg).Run(); err != nil {
-		t.Fatal(err)
+	run := sharedLadder()
+	if run.err != nil {
+		t.Fatal(run.err)
 	}
-	snap := reg.Snapshot()
+	snap := run.snap
 	for _, key := range []string{
 		"faultinj.injected_read_errors",
 		"blockdev.retry.requests",

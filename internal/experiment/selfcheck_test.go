@@ -4,17 +4,12 @@ import (
 	"testing"
 	"time"
 
-	"deepnote/internal/fio"
 	"deepnote/internal/metrics"
-	"deepnote/internal/units"
 )
 
-// fastSelfCheck is a reduced grid: one quiet band, one collapse band, and
-// one transition frequency, both ops, both block sizes, both diameters.
+// fastSelfCheck is the full grid with a short per-cell window.
 func fastSelfCheck() SelfCheckOptions {
 	o := DefaultSelfCheckOptions()
-	o.Freqs = []units.Frequency{200 * units.Hz, 650 * units.Hz, 1700 * units.Hz}
-	o.Levels = []float64{1}
 	o.JobRuntime = 500 * time.Millisecond
 	o.Workers = 4
 	return o
@@ -28,7 +23,7 @@ func TestSelfCheckGridShape(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := 3 * 1 * 2 * 2 * 2
+	want := 9 * 3 * 2 * 2 * 2
 	if len(cells) != want {
 		t.Fatalf("grid has %d cells, want %d", len(cells), want)
 	}
@@ -59,10 +54,7 @@ func TestSelfCheckPassesOnFixedTree(t *testing.T) {
 func TestSelfCheckMetricsLayer(t *testing.T) {
 	reg := metrics.NewRegistry()
 	opts := fastSelfCheck()
-	opts.Freqs = []units.Frequency{650 * units.Hz}
-	opts.Patterns = []fio.Pattern{fio.SeqWrite}
-	opts.BlockSizes = []int64{4096}
-	opts.OffsetFracs = []float64{0}
+	opts.Repeats = 1
 	opts.Metrics = reg
 	if _, err := SelfCheck(opts); err != nil {
 		t.Fatal(err)

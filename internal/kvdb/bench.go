@@ -208,15 +208,8 @@ func (b *Bench) readWhileWriting(spec BenchSpec) (BenchResult, error) {
 	// Bound blocked writes to the measurement window: a real benchmark
 	// ends on wall-clock time even when the store is hung, but the
 	// store's own crash clock keeps running across iterations.
-	deadline := start.Add(spec.Runtime)
-	prevHook := b.db.opts.RetryHook
-	b.db.SetRetryHook(func(stalled time.Duration) bool {
-		if prevHook != nil && !prevHook(stalled) {
-			return false
-		}
-		return b.clock.Now().Before(deadline)
-	})
-	defer b.db.SetRetryHook(prevHook)
+	b.db.deadline = start.Add(spec.Runtime)
+	defer func() { b.db.deadline = time.Time{} }()
 	for b.clock.Now().Sub(start) < spec.Runtime {
 		err := b.db.Put(b.nextKey(written), b.nextValue(rng, spec.ValueSize))
 		if err != nil {

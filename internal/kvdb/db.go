@@ -26,14 +26,10 @@ var (
 	ErrClosed = errors.New("kvdb: database closed")
 )
 
-// Options tunes the engine.
+// Options tunes the engine. The stall rule is fixed: storage failing for
+// walStallLimit crashes the database, and only a time-bounded Bench run
+// abandons a blocked write earlier, at the end of its Runtime.
 type Options struct {
-	// RetryHook, if set, runs after every failed WAL retry with the
-	// current stall duration. Returning false abandons the blocked
-	// write with an error instead of waiting for the stall limit;
-	// experiments also use the hook to change testbed conditions at a
-	// given virtual time (e.g. ending an attack).
-	RetryHook func(stalled time.Duration) bool
 	// Seed drives the memtable's deterministic skiplist heights.
 	Seed int64
 }
@@ -110,6 +106,10 @@ type DB struct {
 	crashErr   error
 	crashedAt  time.Time
 	closed     bool
+
+	// deadline, when set, abandons a blocked WAL write once the clock
+	// reaches it; Bench sets it to the end of a time-bounded run.
+	deadline time.Time
 
 	stats DBStats
 }
@@ -295,28 +295,16 @@ func (db *DB) persistWAL() error {
 			return nil
 		}
 		db.stats.WALErrors++
-		now := db.clock.Now()
-		if db.stallSince.IsZero() {
-			db.stallSince = now
-			db.stats.StallEpisodes++
-		}
-		if now.Sub(db.stallSince) >= walStallLimit {
-			db.crash(err)
-			return db.crashErr
+		if serr := db.storageFailure(err); db.crashed {
+			return serr
 		}
 		// Blocked: wait and retry (group-commit convoy).
 		db.clock.Sleep(retryInterval)
 		db.fs.Tick()
-		if db.opts.RetryHook != nil && !db.opts.RetryHook(db.clock.Now().Sub(db.stallSince)) {
+		if !db.deadline.IsZero() && !db.clock.Now().Before(db.deadline) {
 			return fmt.Errorf("kvdb: write abandoned while device stalled: %w", err)
 		}
 	}
-}
-
-// SetRetryHook installs (or clears) the WAL retry hook; see
-// Options.RetryHook.
-func (db *DB) SetRetryHook(hook func(stalled time.Duration) bool) {
-	db.opts.RetryHook = hook
 }
 
 func (db *DB) crash(cause error) {
@@ -376,8 +364,9 @@ func (db *DB) rotateWAL() error {
 	return nil
 }
 
-// storageFailure routes non-WAL storage errors through the same stall
-// accounting as WAL failures: persistent failure crashes the database.
+// storageFailure is the one stall rule for every storage error, WAL or
+// not: the first failure opens a stall episode, and a stall that lasts
+// walStallLimit crashes the database.
 func (db *DB) storageFailure(err error) error {
 	now := db.clock.Now()
 	if db.stallSince.IsZero() {

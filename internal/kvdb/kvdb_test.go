@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"deepnote/internal/blockdev"
+	"deepnote/internal/faultinj"
 	"deepnote/internal/hdd"
 	"deepnote/internal/jfs"
 	"deepnote/internal/simclock"
@@ -354,28 +355,78 @@ func TestCrashAfterProlongedWALFailure(t *testing.T) {
 }
 
 func TestRecoveryIfAttackStopsInTime(t *testing.T) {
-	// The attack lifts after 5 s of virtual stall — within the stall
-	// limit — so the blocked put completes and the database survives.
-	r := newRig(t, withBuffers(0, 1))
-	r.db.SetRetryHook(func(stalled time.Duration) bool {
-		if stalled >= 5*time.Second {
-			r.drive.SetVibration(hdd.Quiet())
-		}
-		return true
-	})
-	r.drive.SetVibration(hdd.Vibration{Freq: 650, Amplitude: 2.3})
-	if err := r.db.Put([]byte("blocked"), []byte("v")); err != nil {
+	// The device fails every request for 5 s — within the stall limit —
+	// so the blocked put completes once the window closes and the
+	// database survives.
+	const lead, outage = time.Hour, 5 * time.Second
+	clock := simclock.NewVirtual()
+	drive, err := hdd.NewDrive(hdd.Barracuda500(), clock, 13)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dev := faultinj.Wrap(blockdev.NewDisk(drive), clock, faultinj.Fault{Start: lead, Duration: outage})
+	origin := clock.Now()
+	if err := jfs.Mkfs(dev, jfs.MkfsOptions{Blocks: 1 << 17}); err != nil {
+		t.Fatal(err)
+	}
+	fs, err := jfs.Mount(dev, clock, jfs.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	db, err := open(fs, clock, Options{}, withBuffers(0, 1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	clock.Sleep(origin.Add(lead).Sub(clock.Now()))
+
+	if err := db.Put([]byte("blocked"), []byte("v")); err != nil {
 		t.Fatalf("put should have recovered: %v", err)
 	}
-	if crashed, _ := r.db.Crashed(); crashed {
+	if crashed, _ := db.Crashed(); crashed {
 		t.Fatal("database crashed despite recovery")
 	}
-	if r.db.Stats().WALErrors == 0 {
-		t.Fatal("expected WAL retries during the stall")
+	st := db.Stats()
+	if st.WALErrors < int64(outage/retryInterval) || st.StallEpisodes != 1 {
+		t.Fatalf("want one stall of ≥ %d WAL retries, got %+v", outage/retryInterval, st)
 	}
-	v, err := r.db.Get([]byte("blocked"))
+	if stalled := clock.Now().Sub(origin.Add(lead)); stalled < outage || stalled >= walStallLimit {
+		t.Fatalf("put returned after %v, want between the outage and the stall limit", stalled)
+	}
+	v, err := db.Get([]byte("blocked"))
 	if err != nil || string(v) != "v" {
 		t.Fatalf("recovered value: %q %v", v, err)
+	}
+}
+
+func TestReadWhileWritingUnderToneEndsAtRuntime(t *testing.T) {
+	// Table 3's tone holds every WAL write blocked. The benchmark still
+	// ends at its Runtime, like db_bench on a wall clock, instead of
+	// waiting out the stall limit and crashing the store.
+	r := newRig(t, withBuffers(0, 1))
+	b := NewBench(r.db, r.clock)
+	if _, err := b.Run(BenchSpec{Workload: WorkloadFillSeq, Num: 100, ValueSize: 100, Seed: 1}); err != nil {
+		t.Fatal(err)
+	}
+	r.drive.SetVibration(hdd.Vibration{Freq: 650, Amplitude: 2.3})
+	const runtime = 10 * time.Second
+	start := r.clock.Now()
+	res, err := b.Run(BenchSpec{Workload: WorkloadReadWhileWriting, Runtime: runtime, ValueSize: 100, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Crashed {
+		t.Fatalf("a %v run crashed the store: %v", runtime, res.CrashErr)
+	}
+	if took := r.clock.Now().Sub(start); took < runtime || took >= walStallLimit {
+		t.Fatalf("run took %v of virtual time, want its %v Runtime and the reads of its last round", took, runtime)
+	}
+	if res.Errors == 0 {
+		t.Fatal("the abandoned write was not counted as an error")
+	}
+	// The deadline ends with the run: a later write blocks until the
+	// stall limit as before.
+	if err := r.db.Put([]byte("after"), []byte("v")); !errors.Is(err, ErrCrashed) {
+		t.Fatalf("put after the run: %v, want the stall-limit crash", err)
 	}
 }
 

@@ -26,18 +26,19 @@ var (
 	ErrCrashed = errors.New("osmodel: kernel panic - not syncing: I/O failure on root device")
 )
 
-// Config tunes the server model.
+// Config tunes the server model. The crash rule is fixed: critical I/O
+// failing continuously for crashThreshold kills the system.
 type Config struct {
-	// CrashThreshold is how long critical I/O may fail continuously
-	// before the system dies (default 80 s, reproducing the paper's
-	// ≈81 s Ubuntu time-to-crash).
-	CrashThreshold time.Duration
 	// Seed drives which pages get touched.
 	Seed int64
 }
 
-// The kernel's fixed storage rhythm and ring size.
+// The kernel's fixed crash rule, storage rhythm and ring size.
 const (
+	// crashThreshold is how long critical I/O may fail continuously
+	// before the system dies, reproducing the paper's ≈81 s Ubuntu
+	// time-to-crash.
+	crashThreshold = 80 * time.Second
 	// pageInInterval is how often the kernel must page in executable or
 	// library pages from the root device.
 	pageInInterval = time.Second
@@ -48,9 +49,6 @@ const (
 )
 
 func (c Config) withDefaults() Config {
-	if c.CrashThreshold <= 0 {
-		c.CrashThreshold = 80 * time.Second
-	}
 	if c.Seed == 0 {
 		c.Seed = 1
 	}
@@ -257,7 +255,7 @@ func (s *Server) criticalFailure(cause error) {
 		s.failingSince = now
 		s.Hangs++
 	}
-	if now.Sub(s.failingSince) >= s.cfg.CrashThreshold {
+	if now.Sub(s.failingSince) >= crashThreshold {
 		s.crashed = true
 		s.crashedAt = now
 		s.crashErr = fmt.Errorf("%w: %v", ErrCrashed, cause)

@@ -78,8 +78,8 @@ func TestHealthyServerRuns(t *testing.T) {
 
 func TestCrashUnderProlongedAttack(t *testing.T) {
 	// Table 3's Ubuntu row: buffer I/O errors accumulate until the OS
-	// dies after ≈ the crash threshold. Shortened threshold for speed.
-	r := newRig(t, Config{CrashThreshold: 15 * time.Second})
+	// dies after ≈ the crash threshold, the paper's ≈81 s.
+	r := newRig(t, Config{})
 	attackStart := r.clock.Now()
 	r.drive.SetVibration(hdd.Vibration{Freq: 650, Amplitude: 2.3})
 	for i := 0; i < 600; i++ {
@@ -97,7 +97,7 @@ func TestCrashUnderProlongedAttack(t *testing.T) {
 		t.Fatalf("crash error = %v", crashErr)
 	}
 	ttc := r.srv.CrashedAt().Sub(attackStart)
-	if ttc < 15*time.Second || ttc > 30*time.Second {
+	if ttc < crashThreshold || ttc > crashThreshold+15*time.Second {
 		t.Fatalf("time to crash = %v, want ≈ threshold", ttc)
 	}
 	dmesg := strings.Join(r.srv.dmesg.Lines(), "\n")
@@ -124,7 +124,7 @@ func TestLsFailsDuringAttackBeforeCrash(t *testing.T) {
 }
 
 func TestRecoveryIfAttackStops(t *testing.T) {
-	r := newRig(t, Config{CrashThreshold: 60 * time.Second})
+	r := newRig(t, Config{})
 	r.drive.SetVibration(hdd.Vibration{Freq: 650, Amplitude: 2.3})
 	for i := 0; i < 10; i++ {
 		r.clock.Sleep(500 * time.Millisecond)

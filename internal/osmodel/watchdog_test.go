@@ -55,12 +55,12 @@ func TestWriteFailureDmesgWordingAndCounters(t *testing.T) {
 }
 
 func TestCrashThresholdExactBoundary(t *testing.T) {
-	// The crash rule is >= CrashThreshold of continuous failure: one
+	// The crash rule is >= crashThreshold of continuous failure: one
 	// nanosecond under must stay alive, the exact boundary must crash.
-	r := newRig(t, Config{CrashThreshold: 10 * time.Second})
+	r := newRig(t, Config{})
 	cause := fmt.Errorf("boundary probe")
 	r.srv.criticalFailure(cause) // opens the failure window
-	r.clock.Sleep(10*time.Second - time.Nanosecond)
+	r.clock.Sleep(crashThreshold - time.Nanosecond)
 	r.srv.criticalFailure(cause)
 	if crashed, _ := r.srv.Crashed(); crashed {
 		t.Fatal("crashed one nanosecond before the threshold")
@@ -69,7 +69,7 @@ func TestCrashThresholdExactBoundary(t *testing.T) {
 	r.srv.criticalFailure(cause)
 	crashed, err := r.srv.Crashed()
 	if !crashed {
-		t.Fatal("failure window exactly equal to CrashThreshold must crash")
+		t.Fatal("failure window exactly equal to crashThreshold must crash")
 	}
 	if !errors.Is(err, ErrCrashed) {
 		t.Fatalf("crash error = %v", err)
@@ -102,17 +102,17 @@ func TestDmesgRingAtCapacity(t *testing.T) {
 }
 
 func TestWatchdogRebootsThroughRecoveryChain(t *testing.T) {
-	r := newRig(t, Config{CrashThreshold: 15 * time.Second})
+	r := newRig(t, Config{})
 	recovers := 0
-	wd := NewWatchdog(r.disk, r.clock, Config{CrashThreshold: 15 * time.Second}, WatchdogConfig{
+	wd := NewWatchdog(r.disk, r.clock, Config{}, WatchdogConfig{
 		OnRecover: func(fs *jfs.FS) error { recovers++; return nil },
 	})
 	wd.Adopt(r.srv, r.fs)
 
-	// Prolonged attack: the OS crashes, and reboot attempts keep failing
-	// while the drive is unreachable.
+	// Prolonged attack: the OS crashes past the crash threshold, and
+	// reboot attempts keep failing while the drive is unreachable.
 	r.drive.SetVibration(hdd.Vibration{Freq: 650, Amplitude: 2.3})
-	for i := 0; i < 200; i++ {
+	for i := 0; i < 480; i++ {
 		r.clock.Sleep(250 * time.Millisecond)
 		wd.Server().Step()
 		wd.Step()

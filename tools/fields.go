@@ -10,9 +10,12 @@
 // assignment, an operand of ++ or --, an operand of &, or the operand of a
 // pointer-receiver method called on an addressable value (an implicit &),
 // anywhere in the non-test Go files of the root module and of bench/,
-// except inside the struct's own withDefaults: a default that fills an
-// unset field is not a caller setting it. A selector chain such as
-// a.B.C = v writes both B and C.
+// except inside the struct's own withDefaults method or Default<T>() T
+// function: a default that fills a field is not a caller setting it, and a
+// field only its Default<T>() sets holds one value in every run, so it
+// belongs in a constant. A selector chain such as a.B.C = v writes both B
+// and C, and a write of a promoted field (opts.F, with F declared in an
+// embedded E) writes E too.
 //
 // Fails when a field is unwritten but not allowlisted, and when the
 // allowlist names a field that is written, gone or listed twice, or gives
@@ -201,10 +204,7 @@ func audit() ([]string, error) {
 	for _, p := range paths {
 		for _, f := range files[p] {
 			for _, d := range f.Decls {
-				var filler types.Type // the receiver type of a withDefaults
-				if fd, ok := d.(*ast.FuncDecl); ok && fd.Recv != nil && fd.Name.Name == "withDefaults" {
-					filler = infos[p].Defs[fd.Name].Type().(*types.Signature).Recv().Type()
-				}
+				filler := filled(d, infos[p])
 				collectWrites(d, infos[p], func(v *types.Var) {
 					if filler == nil || !types.Identical(owner[v], filler) {
 						written[v] = true
@@ -223,9 +223,29 @@ func audit() ([]string, error) {
 	return unwritten, nil
 }
 
+// filled returns the struct type d fills with defaults, or nil: the
+// receiver of a withDefaults method, or T of a function Default<T>() T.
+func filled(d ast.Decl, info *types.Info) types.Type {
+	fd, ok := d.(*ast.FuncDecl)
+	if !ok {
+		return nil
+	}
+	sig := info.Defs[fd.Name].Type().(*types.Signature)
+	if fd.Recv != nil && fd.Name.Name == "withDefaults" {
+		return sig.Recv().Type()
+	}
+	if fd.Recv == nil && sig.Params().Len() == 0 && sig.Results().Len() == 1 {
+		if t, ok := sig.Results().At(0).Type().(*types.Named); ok && fd.Name.Name == "Default"+t.Obj().Name() {
+			return t
+		}
+	}
+	return nil
+}
+
 // collectWrites calls write for every struct field that n writes.
 func collectWrites(n ast.Node, info *types.Info, write func(*types.Var)) {
-	// lvalue writes each field selected along e: x.A.B[i].C writes A, B and C.
+	// lvalue writes each field selected along e: x.A.B[i].C writes A, B and C,
+	// and a field promoted from an embedded E (x.F for x.E.F) writes E too.
 	var lvalue func(e ast.Expr)
 	lvalue = func(e ast.Expr) {
 		switch e := e.(type) {
@@ -237,6 +257,15 @@ func collectWrites(n ast.Node, info *types.Info, write func(*types.Var)) {
 			lvalue(e.X)
 		case *ast.SelectorExpr:
 			if sel, ok := info.Selections[e]; ok && sel.Kind() == types.FieldVal {
+				t, path := sel.Recv(), sel.Index()
+				for _, i := range path[:len(path)-1] {
+					if p, isPtr := t.Underlying().(*types.Pointer); isPtr {
+						t = p.Elem()
+					}
+					f := t.Underlying().(*types.Struct).Field(i)
+					write(f)
+					t = f.Type()
+				}
 				write(sel.Obj().(*types.Var))
 				lvalue(e.X)
 			}
