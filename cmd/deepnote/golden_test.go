@@ -51,7 +51,7 @@ var goldenRows = []goldenRow{
 	{name: "stealth", cmd: "stealth", noMetrics: true},
 	{name: "stealthgrid", cmd: "stealthgrid", args: []string{"-duration", "10"}, workers: true},
 	{name: "ablation", cmd: "ablation", workers: true, noMetrics: true},
-	{name: "resilience", cmd: "resilience", args: []string{"-attack", "20", "-cooldown", "10"}, workers: true},
+	{name: "resilience", cmd: "resilience", workers: true},
 	{name: "ultrasonic", cmd: "ultrasonic", noMetrics: true},
 	{name: "adaptive", cmd: "adaptive", noMetrics: true},
 	{name: "integrity", cmd: "integrity", noMetrics: true},
