@@ -98,11 +98,6 @@ func resilienceConfigs() []resilienceConfig {
 	}
 }
 
-// preBurst is the transient storage glitch injected before the attack: one
-// second of certain I/O errors halfway through the lead-in, well under the
-// crash threshold.
-var preBurst = faultinj.Fault{Start: resiliencePre / 2, Duration: time.Second}
-
 // resilienceRetryPolicy rides out the one-second injected burst: the
 // cumulative backoff comfortably exceeds the burst window while staying
 // inside the per-request budget.
@@ -126,8 +121,11 @@ func (r Resilience) runResilienceConfig(cfg resilienceConfig, seed int64) (Resil
 
 	// Device stack: acoustic drive → fault injector → (optional) retrier
 	// → latency/error monitor outermost, so the detector sees exactly the
-	// I/O behavior the OS sees.
-	inj := faultinj.Wrap(rig.Disk, clock, preBurst)
+	// I/O behavior the OS sees. The injector's one window is the
+	// pre-attack burst, a transient storage glitch: one second of certain
+	// I/O errors halfway through the lead-in, well under the crash
+	// threshold.
+	inj := faultinj.Wrap(rig.Disk, clock, faultinj.Fault{Start: resiliencePre / 2, Duration: time.Second})
 	var dev blockdev.Device = inj
 	var retrier *blockdev.Retrier
 	if cfg.retries {
